@@ -7,8 +7,8 @@ PYTEST = PYTHONPATH=src $(PY) -m pytest
 #   make bench BENCH_FLAGS="--benchmark-json=BENCH_runtime.json"
 BENCH_FLAGS ?=
 
-.PHONY: test bench bench-gate coverage docs-check api-docs examples lint \
-	profile
+.PHONY: test bench bench-gate bench-smoke coverage docs-check api-docs \
+	examples lint profile
 
 # tier-1 verify: the whole suite, fail fast
 test:
@@ -31,6 +31,12 @@ profile:
 bench-gate:
 	$(MAKE) bench BENCH_FLAGS="--benchmark-json=BENCH_runtime.json"
 	$(PY) tools/bench_compare.py
+
+# the repo benchmark (BENCHMARK.json, bench_e2e/README.md) at smoke size:
+# all four workloads end to end, two untraced laps and a traced one each,
+# results checked; exits non-zero unless every workload ends `correct`
+bench-smoke:
+	PYTHONPATH=src $(PY) -m bench_e2e --smoke
 
 # line-coverage gate on the runtime package (>= 80%): coverage.py via
 # pytest-cov when installed (CI), else the stdlib trace fallback — same
@@ -74,8 +80,8 @@ api-docs:
 # run every example end-to-end (runtime_serving, fleet_serving,
 # elastic_tuning and gateway_serving assert serial equivalence of every
 # exported checkpoint, including checkpoints evicted mid-training;
-# crash_recovery murders a worker thread and asserts the recovered run is
-# bit-identical to an uninterrupted one)
+# crash_recovery murders a device worker mid-array and asserts the
+# recovered run is bit-identical to an uninterrupted one)
 examples:
 	PYTHONPATH=src $(PY) examples/quickstart.py
 	PYTHONPATH=src $(PY) examples/runtime_serving.py

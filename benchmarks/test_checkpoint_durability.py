@@ -8,7 +8,7 @@ measures both sides of the bargain —
 * **write path**: serialized payload volume, bytes actually written
   (content addressing deduplicates unchanged state), and cumulative write
   latency for a fully checkpointed serving run;
-* **recovery path**: a worker thread is killed mid-epoch, the fleet
+* **recovery path**: a device worker is killed mid-epoch, the fleet
   object is abandoned (the "process" dies), and a fresh fleet is rebuilt
   purely from the write-ahead log + store — the measured recovery latency
   spans rebuild, re-queue and the resumed training to completion.
@@ -26,7 +26,6 @@ trajectory.
 """
 
 import json
-import threading
 import time
 from pathlib import Path
 
@@ -130,14 +129,9 @@ def test_checkpoint_write_and_recovery_latency(benchmark, tmp_path):
     doomed = FleetScheduler(devices=(V100, RTX6000), max_width=JOBS,
                             store=crash_store, checkpoint_every=1,
                             recovery=recovery)
-    previous_hook = threading.excepthook
-    threading.excepthook = lambda args: None
-    try:
-        trigger = [True]
-        doomed.submit_all(make_jobs(trigger))
-        doomed.run_cycle()               # crashes; the "process" dies here
-    finally:
-        threading.excepthook = previous_hook
+    trigger = [True]
+    doomed.submit_all(make_jobs(trigger))
+    doomed.run_cycle()                   # crashes; the "process" dies here
     assert doomed.metrics.workers_crashed == 1
     lost = len(recovery.unsettled())
     del doomed

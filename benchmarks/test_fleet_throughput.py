@@ -77,12 +77,7 @@ def mixed_stream():
 
 
 def serve(devices):
-    # work stealing off: this benchmark scores the *placement* the cost
-    # model produced, so the projected makespan must be deterministic.
-    # Stealing (thread-timing dependent by design) is exercised by
-    # tests/runtime/test_fleet.py.
-    fleet = FleetScheduler(devices=devices, max_width=WIDTH_CAP,
-                           work_stealing=False)
+    fleet = FleetScheduler(devices=devices, max_width=WIDTH_CAP)
     fleet.submit_all(mixed_stream())
     results = fleet.run_until_idle()
     assert len(results) == len(FAMILIES) * JOBS_PER_FAMILY

@@ -1,4 +1,4 @@
-"""Crash recovery: murder a worker thread mid-epoch, lose nothing.
+"""Crash recovery: murder a device worker mid-epoch, lose nothing.
 
 This demo exercises the durable-checkpoint layer end to end
 (:mod:`repro.runtime.checkpoint`, see ``docs/checkpointing.md`` and the
@@ -10,10 +10,10 @@ operator runbook in ``docs/operations.md``):
    lifecycle transition to the :class:`RecoveryManager`'s write-ahead log.
 2. At **epoch 3** one job's data stream raises a ``BaseException`` — a
    stand-in for ``kill -9``: it bypasses the engine's failure isolation
-   *and* the fleet's worker-loop handler, so the worker thread dies on the
-   spot with a fused array mid-flight.
-3. After the cycle's join, the fleet notices the dead worker's in-flight
-   registration was never cleared: the device is **quarantined** for the
+   *and* the fleet's per-item ``except Exception``, and the fleet's crash
+   rule declares the device dead with a fused array mid-flight.
+3. At the end of the cycle, the fleet finds the dead device's in-flight
+   registration still in place: the device is **quarantined** for the
    next scheduling cycle and every lost job is re-queued with its latest
    durable checkpoint attached (quarantine-then-**recover**, not
    quarantine-then-drop).  The next cycle re-places the recovered cohort
@@ -29,7 +29,6 @@ Run:  PYTHONPATH=src python examples/crash_recovery.py
 
 import shutil
 import tempfile
-import threading
 
 import numpy as np
 
@@ -66,8 +65,8 @@ class SweepMLP(nn.Module):
 
 
 class WorkerMurder(BaseException):
-    """Not an Exception: no handler below the thread boundary catches it,
-    so the worker dies exactly as hard as a real crash would."""
+    """Not an Exception: no failure-isolation handler catches it, so the
+    device worker dies exactly as hard as a real crash would."""
 
 
 def job_stream(seed, murder_weapon=None):
@@ -133,14 +132,12 @@ def main():
     fleet = FleetScheduler(devices=(V100, RTX6000), max_width=4,
                            store=store, checkpoint_every=1,
                            recovery=recovery)
-    threading.excepthook = lambda args: print(
-        f"  !! worker thread killed by {args.exc_type.__name__}")
 
     murder_weapon = [True]
     jobs = make_jobs(murder_weapon)
     fleet.submit_all(jobs)
-    print(f"serving {JOBS} jobs on 2 devices; job 0 murders its worker "
-          f"thread at epoch {CRASH_EPOCH} of {STEPS // EPOCH_STEPS}")
+    print(f"serving {JOBS} jobs on 2 devices; job 0 murders its device "
+          f"worker at epoch {CRASH_EPOCH} of {STEPS // EPOCH_STEPS}")
     results = fleet.run_until_idle()
 
     crashes = fleet.metrics.workers_crashed

@@ -8,8 +8,8 @@ per-family hwsim workload hints — are submitted to the
 jobs into fusible cohorts, asks the analytical device model which device
 trains each array fastest (splitting any cohort that exceeds the chosen
 device's width/memory cap — partial fusion), and trains the placed arrays
-concurrently, one worker thread per device, with idle devices stealing
-fitting work.
+on one deterministic event loop, in the order the devices' projected
+timelines say they would finish.
 
 The fleet changes *where* and *with whom* each job trains — never what it
 learns: every exported checkpoint is compared against a reference model
@@ -207,7 +207,7 @@ def main():
     print(f"\nFleet counters: {m.arrays_launched} arrays for "
           f"{m.jobs_completed} jobs over {len(m.devices)} devices "
           f"(mean width {m.models_per_array:.2f}), "
-          f"{m.plans_stolen} plans stolen by idle devices, "
+          f"{m.plans_stolen} paused stragglers adopted across devices, "
           f"aggregate throughput {m.aggregate_throughput:,.0f} samples/s.")
 
 

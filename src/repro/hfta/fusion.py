@@ -296,7 +296,7 @@ def _copy_leftover_shared_buffers(out: Module, source: Module) -> None:
                 module.register_buffer(name, buf.copy())
 
 
-def _retag_num_models(model: Module, old_width: int, new_width: int) -> None:
+def _rewrite_num_models(model: Module, old_width: int, new_width: int) -> None:
     """Rewrite every ``num_models`` attribute from ``old_width`` to
     ``new_width`` — on fused modules themselves and on any
     :class:`~repro.hfta.ops.factory.OpsLibrary` they hold (models built
@@ -378,7 +378,7 @@ def split_fused(fused: Module, keep_indices: Sequence[int],
 
     _resize_buffers(out, take)
     _copy_leftover_shared_buffers(out, fused)
-    _retag_num_models(out, width, len(keep))
+    _rewrite_num_models(out, width, len(keep))
     return out
 
 
@@ -453,7 +453,7 @@ def merge_fused(a: Module, b: Module, allocator=None) -> Module:
             module.register_buffer(name, np.concatenate([buf, other]))
 
     _copy_leftover_shared_buffers(out, a)
-    _retag_num_models(out, width_a, width_a + width_b)
+    _rewrite_num_models(out, width_a, width_a + width_b)
     return out
 
 

@@ -33,10 +33,11 @@ of a shared accelerator:
   fused-width efficiency, plus budget-bounded live-array migration
   (``FleetScheduler(placement="lp")``);
 * :mod:`repro.runtime.fleet`   — the multi-device scheduler: per-device
-  worker threads over a shared queue, work stealing for idle devices (on
-  whole plans *and* on freed width — paused straggler executors),
+  work queues over a shared intake queue, drained by one deterministic
+  event loop (the same on ``execution="real"`` and ``"sim"``),
   defragmentation of under-filled arrays with cost-model re-placement,
-  quarantine-and-retry failure isolation;
+  adoption of paused stragglers by idle devices, quarantine-and-retry
+  failure isolation;
 * :mod:`repro.runtime.metrics` — throughput/occupancy counters in the
   conventions of ``benchmarks/test_fig*_counters.py``, plus per-device
   utilization, per-tenant admission/SLO/consumption counters, and the

@@ -48,8 +48,8 @@ class BufferPool:
     contents (the re-fusion merge primitives do: ``np.concatenate`` with
     ``out=`` writes every element).  ``release`` accepts an array back; it
     refuses views, duplicates, tiny arrays and anything that would push the
-    pool past ``max_bytes``.  All methods are thread-safe: a fleet's worker
-    threads share their engines' pools across work-stealing.
+    pool past ``max_bytes``.  All methods are thread-safe: a caller may
+    share one pool across engines driven from different threads.
     """
 
     def __init__(self, max_bytes: int = 256 * 1024 * 1024,

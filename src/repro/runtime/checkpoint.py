@@ -34,7 +34,7 @@ weights, optimizer moments and per-model step counter are bit-identical
 copies of the durable state, and its progress counter makes the private
 data stream continue at the exact global step index of the checkpoint —
 so the final checkpoint equals the one an uninterrupted run would have
-produced (``tests/runtime/test_checkpoint.py`` kills a worker thread
+produced (``tests/runtime/test_checkpoint.py`` kills a device worker
 mid-epoch and asserts exactly that).
 
 Job *code* (model builders, data streams) is deliberately not persisted —
@@ -515,6 +515,14 @@ class RecoveryManager:
         return {job_id: record for job_id, record in admits.items()
                 if job_id not in settled}
 
+    def next_job_id(self) -> int:
+        """One past the highest job id this log has journaled (0 for an
+        empty log): where a queue attached to the log must start
+        numbering, so a restarted process never reuses an id whose
+        records and manifests belong to a job of its predecessor."""
+        return 1 + max((int(record["job_id"]) for record in self.entries()
+                        if "job_id" in record), default=-1)
+
     def resume_state(self, job_id: int) -> Optional[ResumeState]:
         """The job's latest durable checkpoint as a resume payload, or
         ``None`` when it never reached a checkpoint boundary."""
@@ -596,6 +604,7 @@ class RecoveryManager:
             # keeps checkpointing and journaling: the fleet-level handles
             # AND every per-device engine (engines hold their own refs)
             fleet.recovery = self
+            fleet.queue.reserve_ids(self.next_job_id())
             if fleet.store is None:
                 fleet.store = self.store
             for worker in fleet.workers.values():

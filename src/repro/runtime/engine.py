@@ -43,6 +43,7 @@ never *what* it learns.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -263,11 +264,6 @@ class ArrayExecutor:
         self.fused: Optional[Module] = None
         self.optimizer = None
         self.criterion = None
-        #: set by the fleet while this executor sits in the straggler pool
-        self.paused = False
-        # a detached executor may be resumed by another worker thread while
-        # the detaching thread still collects its results — guard delivery
-        self._results_lock = threading.Lock()
 
         # lifetime accounting (carried across merges)
         self.epochs = 0
@@ -312,13 +308,8 @@ class ArrayExecutor:
 
     def take_results(self) -> List[JobResult]:
         """Results produced since the last call (delivered exactly once)."""
-        with self._results_lock:
-            out, self._results = self._results, []
-            return out
-
-    def _deliver(self, results: Sequence[JobResult]) -> None:
-        with self._results_lock:
-            self._results.extend(results)
+        out, self._results = self._results, []
+        return out
 
     # ------------------------------------------------------------------ #
     # PENDING -> FUSED
@@ -377,7 +368,10 @@ class ArrayExecutor:
             for b, slot in enumerate(self.slots):
                 slot.curve.append(float(per_model[b]))
             self.samples += sum(len(y) for _, y in batches)
-        return time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        if self.engine.charge_epoch is not None:
+            self.engine.charge_epoch(self.workload, self.live_width, steps)
+        return elapsed
 
     def _export_slot(self, index: int, slot: _Slot) -> Module:
         """The slot's unfused checkpoint model as of its last step."""
@@ -718,7 +712,7 @@ class ArrayExecutor:
             self.engine.metrics.record_decision(
                 "retire", (result.job_id, reason, result.steps_trained))
             retired.append(result)
-        self._deliver(retired)
+        self._results.extend(retired)
 
         # only *early* retirements count as evictions — budget completions
         # inside a heterogeneous array free width too, but they are the
@@ -803,7 +797,7 @@ class ArrayExecutor:
         self.admissions += other.admissions
         self.merges += other.merges + 1
         self.jobs_served += other.jobs_served
-        self._deliver(other.take_results())
+        self._results.extend(other.take_results())
         self.launch_width = max(self.launch_width, self.live_width)
 
         other.slots = []
@@ -903,7 +897,7 @@ class TrainingArrayEngine:
     ``device`` names the simulated accelerator it represents (stamped on
     every :class:`~repro.runtime.metrics.ArrayRecord` it produces) and
     ``array_ids`` is the fleet's shared id allocator, so array ids stay
-    unique across concurrently training devices.
+    unique across the fleet's devices.
 
     ``elastic`` (default on) enables the stepwise lifecycle: stop signals,
     live eviction and freed-width admission.  With ``elastic=False`` the
@@ -966,18 +960,27 @@ class TrainingArrayEngine:
             raise ValueError(f"execution must be 'real' or 'sim', "
                              f"got {execution!r}")
         self.execution = execution
-        #: virtual-time backend state: a shared VirtualClock (fleet-wide
-        #: "now"), this device's own virtual timeline, the precision /
-        #: default workload the cost model prices epochs with, and a memo
-        #: of cost estimates keyed by (workload, width)
+        #: device-timeline state: this device's own timeline (the cost
+        #: model's price of every epoch it ran, see sim.charge_epoch), the
+        #: precision / default workload epochs are priced with, and a memo
+        #: of cost estimates keyed by (workload, width).  A sim engine
+        #: drags the shared VirtualClock (fleet-wide "now") along its
+        #: timeline; a real fleet's device engine keeps one only for the
+        #: fleet to order device turns by; a standalone real engine (no
+        #: device) keeps none and its epochs pay nothing for it
         self.clock = clock
-        if execution == "sim" and self.clock is None:
-            from .sim import VirtualClock
-            self.clock = VirtualClock()
-        self.sim_time = float(self.clock.now()) if execution == "sim" else 0.0
+        self.sim_time = 0.0
         self.sim_precision = precision
         self.sim_workload = default_workload
         self._sim_cost_cache: Dict[Tuple, object] = {}
+        self.charge_epoch: Optional[Callable] = None
+        if execution == "sim" or device is not None:
+            from . import sim           # runtime import: sim imports us
+            self.charge_epoch = functools.partial(sim.charge_epoch, self)
+            if execution == "sim":
+                if self.clock is None:
+                    self.clock = sim.VirtualClock()
+                self.sim_time = float(self.clock.now())
         self._array_ids = array_ids or self._private_array_ids
         self._next_array_id = 0
         self._id_lock = threading.Lock()
@@ -1062,9 +1065,9 @@ class TrainingArrayEngine:
     def train_plan(self, plan: ArrayPlan) -> List[JobResult]:
         """Train one fused array to completion and return its results.
 
-        This is the fleet's per-device entry point (a worker thread calls
-        it for every plan placed on — or stolen by — its device), and the
-        last stage of the standalone :meth:`run_cycle`.
+        The last stage of the standalone :meth:`run_cycle`; the fleet
+        drives its per-device engines through :meth:`make_executor` and
+        :meth:`run_executor` instead, to hook epoch boundaries.
         """
         return self.run_executor(self.make_executor(plan))
 
@@ -1159,7 +1162,7 @@ class TrainingArrayEngine:
         cycles: a queued job whose fusibility profile matches a running
         under-filled array boards it immediately instead of waiting for the
         array to drain.  ``device_cap`` additionally bounds the admission
-        target width — a stolen or re-placed executor may sit on a device
+        target width — an adopted or re-placed executor may sit on a device
         with a smaller memory cap than the one its plan was sized for, and
         admission must never regrow the array past where it now runs.
         ``key`` ranks the candidates (the gateway's fair-admission order:

@@ -9,25 +9,36 @@ runs the scheduling loop::
       -> batcher.form_cohorts()               (batcher.py)
       -> placer.place()                       (placement.py, repro.hwsim)
            device + width per array, cost-model driven
-      -> per-device work queues, one worker thread per device
+      -> per-device work queues, drained by one event loop (_run_workers)
            ArrayExecutor stepped epoch by epoch (engine.py):
              evict finished slots, admit queued jobs into freed width
-           idle workers steal fitting plans — or adopt paused stragglers
+           with every queue empty, devices adopt paused stragglers
       -> defragmentation between epochs:
-           an under-filled array pauses into the straggler pool; a
-           compatible stepping array absorbs it (hfta.fusion.merge_fused)
-           and is re-placed via the hwsim cost model
+           an under-filled array pauses into the straggler pool when a
+           compatible work item is still queued; that item absorbs it
+           (hfta.fusion.merge_fused) at its first epoch boundary and is
+           re-placed via the hwsim cost model
       -> metrics.record_array(device=...)     (metrics.py)
 
-Concurrency model: devices are *simulated* accelerators, so "a device
-trains an array" means a worker thread steps the executor's numpy training
-loop.  The threads share nothing but the thread-safe queue/metrics and a
-dispatch lock around the per-device work deques, the straggler pool and
-the stepping registry; each array's training state is owned by exactly one
-thread at a time (stepping worker, pool, or a work deque), which is why
-fleet execution preserves the runtime's core invariant — every checkpoint
-is serial-equivalent no matter how often its array was split, merged or
-moved.
+Concurrency model: there is none inside a cycle.  Devices are *simulated*
+accelerators, and ``run_cycle`` runs their work items one at a time on the
+caller's thread: the next turn goes to the live device with queued work
+and the smallest ``(timeline, name)``, where a device's timeline
+(``engine.sim_time``) is the hwsim cost-model price of every epoch it has
+run.  That is the order concurrent devices would finish their work in, so
+defrag and adoption fire as they would on parallel hardware — and the
+schedule is a pure function of the submitted jobs, identical for
+``execution="real"`` and ``execution="sim"``; the backends differ only in
+the physics (numpy training vs. cost-model projection) and in which clock
+stamps results, SLOs and heartbeats.  In real mode the timelines are
+ordering keys, never charged to a wall-clock metric.  Each array's
+training state has one owner at a time (the running item, the pool, or a
+work deque), which is why fleet execution preserves the runtime's core
+invariant — every checkpoint is serial-equivalent no matter how often its
+array was split, merged or moved.  Callers on other threads may submit,
+cancel and probe liveness while a cycle runs: the queue, the metrics and
+the state behind ``stalled_workers()`` / ``quarantined_devices()`` stay
+locked.
 
 Failure isolation carries over from the engine: a failing multi-job array
 quarantines its live jobs (``solo``) back into the shared queue, and the
@@ -40,6 +51,7 @@ already evicted keep their checkpoints.
 from __future__ import annotations
 
 import inspect
+import itertools
 import threading
 import time
 from collections import deque
@@ -60,7 +72,7 @@ from .sim import SimulatedCrash, VirtualClock
 __all__ = ["DeviceWorker", "FleetScheduler"]
 
 #: what a device worker's deque holds: a placed-but-unstarted plan, or a
-#: live executor handed over mid-training (defrag re-placement, stealing)
+#: live executor handed over mid-training (defrag re-placement, migration)
 WorkItem = Union[PlacementDecision, ArrayExecutor]
 
 
@@ -77,6 +89,11 @@ class DeviceWorker:
         """The worker's device name (its key in the fleet's tables)."""
         return self.device.name
 
+    def turn_key(self) -> Tuple[float, str]:
+        """What the event loop orders device turns by: the projected
+        timeline, then the name (a total, deterministic order)."""
+        return self.engine.sim_time, self.device.name
+
 
 class FleetScheduler:
     """Places and trains fused arrays across a fleet of simulated devices.
@@ -84,15 +101,9 @@ class FleetScheduler:
     Drop-in analogue of :class:`TrainingArrayEngine` at fleet scale: same
     ``submit`` / ``run_cycle`` / ``run_until_idle`` surface, same
     :class:`JobResult` contract, but each scheduling cycle places arrays on
-    the cost-model-optimal devices and trains them concurrently.
-
-    ``work_stealing`` (default on) lets a device whose work queue drained
-    steal the last fitting plan from the longest remaining queue — idle
-    hardware is the exact waste the paper quantifies, so the fleet never
-    leaves a device parked while another has a backlog it could legally
-    run (the stolen array must fit the thief's memory cap).  With the
-    elastic lifecycle, stealing also operates on *freed width*: an idle
-    worker adopts paused straggler executors from the defrag pool.
+    the cost-model-optimal devices and trains them in the order those
+    devices' projected timelines say they would finish (see the module
+    docstring); ``execution`` picks the physics, never the schedule.
 
     ``elastic`` (default on) turns on the stepwise lifecycle (stop
     signals, eviction, freed-width admission); ``defrag`` additionally
@@ -121,7 +132,6 @@ class FleetScheduler:
                  queue: Optional[JobQueue] = None,
                  max_width: int = 8, precision: str = "amp",
                  default_workload: str = "pointnet_cls",
-                 work_stealing: bool = True,
                  elastic: bool = True,
                  defrag: Optional[DefragPolicy] = DefragPolicy(),
                  admission=None,
@@ -165,7 +175,6 @@ class FleetScheduler:
         self.resolve_every = resolve_every
         self._cycle_index = 0
         self._last_solution_seen = None
-        self.work_stealing = work_stealing
         self.elastic = elastic
         self.defrag = defrag if elastic else None
         self.admission = admission
@@ -174,21 +183,26 @@ class FleetScheduler:
                              f"got {execution!r}")
         self.execution = execution
         #: the fleet-wide virtual clock (sim mode); every per-device
-        #: engine advances it as its own timeline progresses, and the
-        #: gateway adopts it as its SLO clock
+        #: engine drags it along as its own timeline progresses, and the
+        #: gateway adopts it as its SLO clock.  A real fleet's timelines
+        #: move no clock: they only order device turns
         self.clock = clock
         if execution == "sim" and self.clock is None:
             self.clock = VirtualClock()
         #: chaos-injection hook: ``chaos(device_name, executor) -> bool``
         #: is consulted at every epoch boundary; returning True raises
-        #: :class:`SimulatedCrash`, killing the worker mid-array exactly
-        #: like a dead thread — the crash sweep and WAL recovery take over
+        #: :class:`SimulatedCrash`, killing the device mid-array — the
+        #: crash sweep and WAL recovery take over
         self.chaos = None
         #: durable-checkpoint layer (repro.runtime.checkpoint): shared by
         #: every per-device engine; `recovery` additionally journals
         #: admissions (see submit) and lifecycle transitions to the WAL
         self.store = store
         self.recovery = recovery
+        if recovery is not None:
+            # job ids key the WAL and the store's manifests: never reissue
+            # one a previous process on the same log already used
+            self.queue.reserve_ids(recovery.next_job_id())
         if quarantine_cycles < 1:
             raise ValueError("quarantine_cycles must be >= 1")
         self.quarantine_cycles = quarantine_cycles
@@ -197,39 +211,40 @@ class FleetScheduler:
         #: first gateway-driven cycle
         self._placer_accepts_now = "now" in inspect.signature(
             self.placer.place).parameters
-        self._dispatch_lock = threading.Lock()
-        self._id_lock = threading.Lock()
-        self._next_array_id = 0
-        #: paused under-filled executors awaiting a merge (or adoption)
+        #: guards what another thread may read while a cycle runs: the
+        #: in-flight and quarantine tables behind stalled_workers() and
+        #: quarantined_devices().  Work deques, the straggler pool and the
+        #: array-id counter belong to the run_cycle caller alone
+        self._state_lock = threading.Lock()
+        self._array_ids = itertools.count()
+        #: paused under-filled executors awaiting a merge (or adoption);
+        #: one only pauses when a compatible work item is still queued to
+        #: absorb it (see _maybe_pause)
         self._straggler_pool: List[ArrayExecutor] = []
-        #: compat_key -> number of executors currently stepping on a worker
-        #: thread; a straggler only pauses when a compatible peer is
-        #: stepping (the peer absorbs it at its next epoch boundary), so
-        #: nothing ever waits in the pool without a designated consumer
-        self._stepping: Dict[Tuple, int] = {}
-        #: workers whose thread is still draining this cycle; re-placement
-        #: only targets live workers, so a migrated executor can never
-        #: strand in a queue nobody reads anymore
-        self._live_workers: set = set()
+        #: devices the event loop still offers turns this cycle (healthy
+        #: and not crashed); re-placement and migration only target these,
+        #: so a moved executor never lands in a queue nobody drains
+        self._live_workers: Dict[str, DeviceWorker] = {}
         #: crash detection: worker name -> executor it is currently
         #: running.  Registered before run_executor, cleared after it
-        #: returns — a thread that dies mid-array (a real crash bypasses
-        #: every except-Exception handler) leaves its entry behind, and
-        #: _run_workers finds it after join() (see _recover_crashed)
+        #: returns — a device that dies mid-array (a crash bypasses every
+        #: except-Exception handler) leaves its entry behind for the
+        #: end-of-cycle sweep (see _recover_crashed)
         self._inflight: Dict[str, ArrayExecutor] = {}
         #: worker name -> last heartbeat (time.monotonic), touched at
         #: every work-item pickup and epoch boundary; stalled_workers()
         #: is the operator-facing liveness probe built on it
         self.heartbeats: Dict[str, float] = {}
         #: device name -> cycles it remains quarantined after a crash:
-        #: placement avoids it and no worker thread is started for it
-        #: until the counter expires (quarantine-then-recover)
+        #: placement avoids it and the event loop offers it no turn until
+        #: the counter expires (quarantine-then-recover)
         self._quarantined: Dict[str, int] = {}
         self.workers: Dict[str, DeviceWorker] = {}
         for device in self.placer.devices:
             engine = TrainingArrayEngine(
                 queue=self.queue, metrics=self.metrics, device=device,
-                batcher=self.batcher, array_ids=self._allocate_array_id,
+                batcher=self.batcher,
+                array_ids=self._array_ids.__next__,
                 elastic=elastic, store=store,
                 checkpoint_every=checkpoint_every,
                 persist_on_evict=persist_on_evict,
@@ -240,12 +255,6 @@ class FleetScheduler:
                 default_workload=getattr(self.placer, "default_workload",
                                          default_workload))
             self.workers[device.name] = DeviceWorker(device, engine)
-
-    def _allocate_array_id(self) -> int:
-        with self._id_lock:
-            array_id = self._next_array_id
-            self._next_array_id += 1
-            return array_id
 
     # ------------------------------------------------------------------ #
     # submission (same surface as the single-device engine)
@@ -284,7 +293,7 @@ class FleetScheduler:
     # scheduling cycles
     # ------------------------------------------------------------------ #
     def run_cycle(self, max_jobs: int = 0) -> List[JobResult]:
-        """Batch, place, and concurrently train one round of pending jobs."""
+        """Batch, place, and train one round of pending jobs."""
         policy = self.admission
         batch = self.queue.pop_fair(
             max_jobs, key=policy.rank if policy is not None else None)
@@ -316,8 +325,7 @@ class FleetScheduler:
                      if policy is not None and self._placer_accepts_now
                      else self.placer.place(cohorts))
         self._record_solve()
-        with self._dispatch_lock:
-            quarantined = set(self._quarantined)
+        quarantined = set(self._quarantined)
         for decision in decisions:
             if decision.device_name in quarantined:
                 # a quarantined (recently crashed) device takes no new
@@ -371,143 +379,69 @@ class FleetScheduler:
             self.clock.advance(solution.virtual_cost_s)
 
     # ------------------------------------------------------------------ #
-    # the worker pool
+    # the event loop
     # ------------------------------------------------------------------ #
     def _run_workers(self) -> List[JobResult]:
-        """Drain every device's work queue on its own thread, then join.
+        """Drain every device's work queue, one work item at a time.
 
-        Quarantined devices get no thread this cycle (their queued plans
-        were re-routed at placement; stragglers are stolen).  After the
-        join, workers whose in-flight registration was never cleared are
-        *crashed*: their thread died without unwinding through the
-        engine's failure isolation (a simulated hard kill, or a bug below
-        every handler), so their in-memory array state is untrusted — the
-        jobs are recovered from the durable checkpoint store instead
-        (:meth:`_recover_crashed`).
-
-        In ``execution="sim"`` mode the thread pool is replaced by a
-        deterministic serial scheduler over virtual device timelines
-        (:meth:`_run_workers_sim`); everything around it — quarantine
-        bookkeeping, the crash sweep, the orphan flush — is shared.
-        """
-        if self.execution == "sim":
-            return self._run_workers_sim()
-        results: List[JobResult] = []
-        results_lock = threading.Lock()
-        with self._dispatch_lock:
-            # expiring quarantines tick down one cycle at a time; if every
-            # device is quarantined, lift them all — the fleet must make
-            # progress even after a correlated crash
-            if self._quarantined and \
-                    len(self._quarantined) >= len(self.workers):
-                self._quarantined.clear()
-            healthy = {name: worker for name, worker in self.workers.items()
-                       if name not in self._quarantined}
-        self._live_workers = set(healthy)
-        threads = [threading.Thread(target=self._worker_loop, name=name,
-                                    args=(worker, results, results_lock),
-                                    daemon=True)
-                   for name, worker in healthy.items()]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return self._finish_cycle(results)
-
-    def _finish_cycle(self, results: List[JobResult]) -> List[JobResult]:
-        """End-of-cycle sweep shared by both execution backends:
-        tick quarantines, detect crashed workers (in-flight registrations
-        that were never cleared), and flush orphans.
-        """
-        with self._dispatch_lock:
-            for name in list(self._quarantined):
-                self._quarantined[name] -= 1
-                if self._quarantined[name] <= 0:
-                    del self._quarantined[name]
-            crashed, self._inflight = dict(self._inflight), {}
-        for name, executor in crashed.items():
-            self._recover_crashed(name, executor)
-        # Belt and braces: the pausing and re-placement protocols guarantee
-        # nothing outlives the cycle (a worker's _take checks the pool
-        # before giving up, and migration only targets live workers), but a
-        # live array must never survive a join either way.
-        for executor in self._flush_orphans():
-            worker = self.workers.get(executor.device_name) or \
-                next(iter(self.workers.values()))
-            results.extend(worker.engine.run_executor(executor))
-        return results
-
-    def _run_workers_sim(self) -> List[JobResult]:
-        """Virtual-time replacement for the worker thread pool.
-
-        Devices run *serially but interleaved in virtual time*: each
-        round, the non-crashed worker with the earliest virtual timeline
-        (``engine.sim_time``) that has work runs its next item to
-        completion, advancing its own timeline and the shared clock.  This
+        Devices run *serially but interleaved along their timelines*: each
+        turn, the live device with queued work and the smallest
+        ``(engine.sim_time, name)`` runs its next item until the array
+        drains, pauses or is handed off, which advances the device's
+        timeline by the cost model's price of the epochs it ran.  This
         visits work in the order concurrent devices would finish it, so
-        defrag/adoption interactions and the fleet makespan mirror the
-        threaded backend — deterministically, with no thread scheduler in
-        the loop.
+        defrag/adoption interactions and the fleet makespan mirror
+        parallel hardware — deterministically, and identically on both
+        execution backends (see :meth:`_take` for the turn rule).
 
         A device whose timeline lags the cycle start (it sat idle while
-        arrivals accumulated) first jumps forward to the cycle-start
-        clock: idle time passes, it is never rewound.
+        arrivals accumulated) first jumps forward to the cycle floor — the
+        virtual clock in sim mode, the furthest timeline in real mode:
+        idle time passes, it is never rewound.
+
+        Quarantined devices get no turn this cycle (their queued plans
+        were re-routed at placement; stragglers are adopted elsewhere),
+        and a device whose item crashed gets no further one: its
+        in-flight registration stays behind, its in-memory array state is
+        untrusted, and the end-of-cycle sweep recovers the jobs from the
+        durable checkpoint store instead (:meth:`_recover_crashed`).
         """
         results: List[JobResult] = []
-        with self._dispatch_lock:
-            if self._quarantined and \
-                    len(self._quarantined) >= len(self.workers):
+        # expiring quarantines tick down one cycle at a time; if every
+        # device is quarantined, lift them all — the fleet must make
+        # progress even after a correlated crash
+        if len(self._quarantined) >= len(self.workers):
+            with self._state_lock:
                 self._quarantined.clear()
-            healthy = {name: worker for name, worker in self.workers.items()
-                       if name not in self._quarantined}
-        self._live_workers = set(healthy)
-        floor = self.clock.now()
-        dead: set = set()
+        self._live_workers = {name: worker
+                              for name, worker in self.workers.items()
+                              if name not in self._quarantined}
+        floor = (self.clock.now() if self.execution == "sim"
+                 else self.virtual_makespan())
         while True:
-            with self._dispatch_lock:
-                busy = [worker for name, worker in healthy.items()
-                        if name not in dead and worker.plans]
-                pooled = bool(self._straggler_pool)
-            if busy:
-                worker = min(busy,
-                             key=lambda w: (w.engine.sim_time, w.name))
-                item = self._take(worker)
-            elif pooled:
-                # no queued plans anywhere, but paused stragglers remain:
-                # let idle devices adopt them (freed-width work stealing),
-                # earliest timeline first
-                item = None
-                for worker in sorted(
-                        (w for name, w in healthy.items()
-                         if name not in dead),
-                        key=lambda w: (w.engine.sim_time, w.name)):
-                    item = self._take(worker)
-                    if item is not None:
-                        break
-            else:
+            turn = self._take()
+            if turn is None:
                 break
-            if item is None:
-                break
-            # _take marks workers that returned None as exited; in the
-            # serial backend every healthy non-crashed device stays a
-            # legal migration target until the cycle ends
-            self._live_workers = {name for name in healthy
-                                  if name not in dead}
-            engine = worker.engine
-            engine.sim_time = max(engine.sim_time, floor)
-            if self._run_item_sim(worker, item, results):
-                dead.add(worker.name)
-                self._live_workers.discard(worker.name)
+            worker, item = turn
+            worker.engine.sim_time = max(worker.engine.sim_time, floor)
+            if self._run_item(worker, item, results):
+                del self._live_workers[worker.name]
         return self._finish_cycle(results)
 
-    def _run_item_sim(self, worker: DeviceWorker, item: WorkItem,
-                      results: List[JobResult]) -> bool:
-        """Run one work item on a simulated device; True if it crashed.
+    def _run_item(self, worker: DeviceWorker, item: WorkItem,
+                  results: List[JobResult]) -> bool:
+        """Run one work item on its device; True if the device died.
 
-        Mirrors ``_worker_loop`` exactly: stepping registration, in-flight
-        crash tracking (a :class:`SimulatedCrash` leaves the registration
-        behind for the crash sweep, like a dead thread would), failure
-        isolation for ordinary exceptions.
+        ``run_executor`` contains its own failure isolation (quarantine
+        requeue); an ``Exception`` it does raise is recorded and the
+        device lives on.  Any other ``BaseException`` is a *dead device* —
+        a chaos-injected :class:`SimulatedCrash`, a hard kill from below
+        every handler: the in-flight registration is deliberately left
+        behind for the crash sweep.  ``KeyboardInterrupt`` and
+        ``SystemExit`` are the caller's own and propagate.  Slots the
+        array retired before it failed were already exported, persisted
+        final and journaled COMPLETED, so their results are returned
+        either way.
         """
         self.heartbeats[worker.name] = self._heartbeat_now()
         if isinstance(item, PlacementDecision):
@@ -515,36 +449,52 @@ class FleetScheduler:
         else:
             executor = item
             executor.device_name = worker.name
-        key = executor.compat_key
-        with self._dispatch_lock:
-            self._stepping[key] = self._stepping.get(key, 0) + 1
+        with self._state_lock:
             self._inflight[worker.name] = executor
         crashed = False
-        out: List[JobResult] = []
         try:
             out = worker.engine.run_executor(
                 executor,
-                after_epoch=lambda ex, w=worker: self._after_epoch(w, ex))
-        except SimulatedCrash:
-            crashed = True       # _inflight entry stays: the crash sweep
-            out = []             # recovers the jobs from durable state
-        except Exception:  # noqa: BLE001 — worker must outlive any array
+                after_epoch=lambda ex: self._after_epoch(worker, ex))
+        except Exception:  # noqa: BLE001 — device must outlive any array
             self.metrics.record_array_failure()
             out = executor.take_results()
-        finally:
-            with self._dispatch_lock:
-                if not executor.paused:
-                    self._stepping[key] -= 1
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException:  # noqa: BLE001 — see the crash rule above
+            crashed = True
+            out = executor.take_results()
         if not crashed:
-            with self._dispatch_lock:
+            with self._state_lock:
                 self._inflight.pop(worker.name, None)
         results.extend(out)
         return crashed
 
+    def _finish_cycle(self, results: List[JobResult]) -> List[JobResult]:
+        """End-of-cycle sweep: tick quarantines, recover crashed devices
+        (in-flight registrations that were never cleared), flush orphans.
+        """
+        with self._state_lock:
+            for name in list(self._quarantined):
+                self._quarantined[name] -= 1
+                if self._quarantined[name] <= 0:
+                    del self._quarantined[name]
+            crashed, self._inflight = dict(self._inflight), {}
+        for name, executor in crashed.items():
+            self._recover_crashed(name, executor)
+        # Belt and braces: a straggler no live device can hold, or an
+        # executor re-routed off a crashed device just now, must not
+        # outlive the cycle — finish it on its home device.
+        for executor in self._flush_orphans():
+            worker = self.workers.get(executor.device_name) or \
+                next(iter(self.workers.values()))
+            results.extend(worker.engine.run_executor(executor))
+        return results
+
     def _recover_crashed(self, name: str, executor: ArrayExecutor) -> None:
         """Quarantine a crashed worker's device and recover its jobs.
 
-        The dead thread's in-memory training state is mid-epoch and
+        The dead device's in-memory training state is mid-epoch and
         untrusted; the durable store is the source of truth.  Every slot
         that was still live is re-queued — with its latest checkpoint
         attached as a resume payload when one exists (quarantine-then-
@@ -556,12 +506,12 @@ class FleetScheduler:
         """
         self.metrics.record_worker_crash()
         worker = self.workers[name]
-        with self._dispatch_lock:
+        with self._state_lock:
             self._quarantined[name] = self.quarantine_cycles
-            stranded = list(worker.plans)
-            worker.plans.clear()
-            fallbacks = [w for n, w in self.workers.items()
-                         if n not in self._quarantined]
+        stranded = list(worker.plans)
+        worker.plans.clear()
+        fallbacks = [w for n, w in self.workers.items()
+                     if n not in self._quarantined]
         for item in stranded:
             target = min(fallbacks, key=lambda w: len(w.plans),
                          default=None)
@@ -586,86 +536,44 @@ class FleetScheduler:
             self.queue.requeue(sub)
 
     def _flush_orphans(self) -> List[ArrayExecutor]:
-        with self._dispatch_lock:
-            orphans, self._straggler_pool = self._straggler_pool, []
-            for worker in self.workers.values():
-                leftover = [item for item in worker.plans
-                            if isinstance(item, ArrayExecutor)]
-                for item in leftover:
-                    worker.plans.remove(item)
-                orphans.extend(leftover)
-            for executor in orphans:
-                executor.paused = False
-            return orphans
+        orphans, self._straggler_pool = self._straggler_pool, []
+        for worker in self.workers.values():
+            leftover = [item for item in worker.plans
+                        if isinstance(item, ArrayExecutor)]
+            for item in leftover:
+                worker.plans.remove(item)
+            orphans.extend(leftover)
+        return orphans
 
     def _heartbeat_now(self) -> float:
         """The liveness clock: virtual in sim mode, monotonic otherwise."""
         return self.clock() if self.clock is not None else time.monotonic()
 
-    def _worker_loop(self, worker: DeviceWorker, results: List[JobResult],
-                     results_lock: threading.Lock) -> None:
-        while True:
-            self.heartbeats[worker.name] = self._heartbeat_now()
-            item = self._take(worker)
-            if item is None:
-                return
-            if isinstance(item, PlacementDecision):
-                executor = worker.engine.make_executor(item.plan)
-            else:
-                executor = item
-                executor.device_name = worker.name
-            key = executor.compat_key
-            with self._dispatch_lock:
-                self._stepping[key] = self._stepping.get(key, 0) + 1
-                self._inflight[worker.name] = executor
-            # run_executor contains its own failure isolation (quarantine
-            # requeue); anything it does raise must not kill the thread and
-            # stall join() of a healthy fleet — record and move on.  A
-            # *crash* (BaseException — a simulated hard kill) passes both
-            # handlers and terminates the thread: the finally still
-            # releases the stepping slot, but the _inflight entry below is
-            # deliberately cleared only on the normal path, which is how
-            # _run_workers tells a crash from a drained worker.
-            try:
-                out = worker.engine.run_executor(
-                    executor,
-                    after_epoch=lambda ex, w=worker: self._after_epoch(w, ex))
-            except Exception:  # noqa: BLE001 — worker must outlive any array
-                self.metrics.record_array_failure()
-                out = executor.take_results()
-            finally:
-                with self._dispatch_lock:
-                    if not executor.paused:
-                        self._stepping[key] -= 1
-            with self._dispatch_lock:
-                self._inflight.pop(worker.name, None)
-            with results_lock:
-                results.extend(out)
-
     # ------------------------------------------------------------------ #
-    # the defragmentation pass (between epochs, on the stepping thread)
+    # the defragmentation pass (between epochs of the running item)
     # ------------------------------------------------------------------ #
     def _after_epoch(self, worker: DeviceWorker,
                      executor: ArrayExecutor) -> Optional[str]:
         """Epoch-boundary hook: admission, straggler absorption, pausing.
 
-        Returns ``"detach"`` when the executor left this thread (paused
-        into the pool, or re-placed onto another device after a merge).
+        Returns ``"detach"`` when the executor left this device (paused
+        into the pool, or queued on another device after a merge or a
+        migration).
         """
         self.heartbeats[worker.name] = self._heartbeat_now()
         if self.chaos is not None and self.chaos(worker.name, executor):
             # injected device failure: a BaseException passes through the
-            # runtime's except-Exception isolation and kills the worker
+            # runtime's except-Exception isolation and kills the device
             # mid-array, leaving its in-flight registration for the crash
-            # sweep — identical to a worker thread dying for real
+            # sweep (the crash rule of _run_item)
             raise SimulatedCrash(f"chaos hook killed device {worker.name}")
         if not self.elastic:
             return None
         # freed-width admission from the shared queue (emits freed
         # capacity back to the scheduler the moment eviction creates it),
         # bounded by *this* device's memory cap — the executor may have
-        # been stolen or re-placed onto a smaller device than its plan
-        # was sized for
+        # been adopted by or re-placed onto a smaller device than its
+        # plan was sized for
         device_cap = self.placer.width_cap(
             self.placer.resolve_workload(executor), worker.device)
         worker.engine.refill_from_queue(
@@ -753,42 +661,33 @@ class FleetScheduler:
         self.metrics.record_decision(
             "preempt", tuple(slot.sub.job_id for slot in detached.slots),
             count=len(detached.slots))
-        with self._dispatch_lock:
-            worker.plans.append(detached)
+        worker.plans.append(detached)
         worker.engine.refill_from_queue(executor, device_cap=device_cap,
                                         key=policy.rank)
 
     def _pop_compatible(self, executor: ArrayExecutor,
                         worker: DeviceWorker) -> Optional[ArrayExecutor]:
         """A pool straggler this executor can legally absorb, if any."""
-        with self._dispatch_lock:
-            for straggler in self._straggler_pool:
-                if straggler.compat_key != executor.compat_key:
-                    continue
-                if not self.placer.fits_width(
-                        executor.workload,
-                        executor.live_width + straggler.live_width,
-                        worker.device):
-                    continue
-                self._straggler_pool.remove(straggler)
-                straggler.paused = False
-                return straggler
+        for straggler in self._straggler_pool:
+            if straggler.compat_key != executor.compat_key:
+                continue
+            if not self.placer.fits_width(
+                    executor.workload,
+                    executor.live_width + straggler.live_width,
+                    worker.device):
+                continue
+            self._straggler_pool.remove(straggler)
+            return straggler
         return None
 
     def _device_loads(self) -> Dict[str, float]:
-        """Projected busy seconds per device: the virtual timeline already
-        spent (sim mode) plus the projections of every queued plan — the
-        load picture the optimizer's migration diff runs against."""
-        loads: Dict[str, float] = {}
-        with self._dispatch_lock:
-            for name, worker in self.workers.items():
-                busy = (worker.engine.sim_time
-                        if self.execution == "sim" else 0.0)
-                busy += sum(item.projected_seconds
-                            for item in worker.plans
-                            if isinstance(item, PlacementDecision))
-                loads[name] = busy
-        return loads
+        """Projected busy seconds per device: the timeline already spent
+        plus the projections of every queued plan — the load picture the
+        optimizer's migration diff runs against."""
+        return {name: worker.engine.sim_time + sum(
+                    item.projected_seconds for item in worker.plans
+                    if isinstance(item, PlacementDecision))
+                for name, worker in self.workers.items()}
 
     def _maybe_migrate(self, worker: DeviceWorker,
                        executor: ArrayExecutor) -> Optional[str]:
@@ -811,14 +710,12 @@ class FleetScheduler:
         target = target_fn(executor, worker.name, self._device_loads())
         if target is None or target == worker.name:
             return None
-        with self._dispatch_lock:
-            # same liveness rule as _replace: never strand the array in a
-            # queue nobody reads anymore, never feed a quarantined device
-            if target not in self._live_workers \
-                    or target in self._quarantined:
-                return None
-            executor.device_name = target
-            self.workers[target].plans.append(executor)
+        # same liveness rule as _replace: never strand the array in a
+        # queue nobody drains this cycle (a crashed or quarantined device)
+        if target not in self._live_workers:
+            return None
+        executor.device_name = target
+        self.workers[target].plans.append(executor)
         self.metrics.record_migration()
         self.metrics.record_decision(
             "migrate", (executor.array_id, worker.name, target))
@@ -837,47 +734,33 @@ class FleetScheduler:
             executor.workload, executor.live_width, executor.remaining_steps)
         if device.name == worker.name:
             return None
-        with self._dispatch_lock:
-            # never migrate to a worker whose thread already drained and
-            # exited — the array would strand; finishing it here is always
-            # correct, just not cost-model-optimal
-            if device.name not in self._live_workers:
-                return None
-            executor.device_name = device.name
-            self.workers[device.name].plans.append(executor)
+        # never move to a device the loop offers no more turns this cycle
+        # (crashed or quarantined) — the array would strand; finishing it
+        # here is always correct, just not cost-model-optimal
+        if device.name not in self._live_workers:
+            return None
+        executor.device_name = device.name
+        self.workers[device.name].plans.append(executor)
         self.metrics.record_replacement()
         return "detach"
 
     def _maybe_pause(self, worker: DeviceWorker,
                      executor: ArrayExecutor) -> Optional[str]:
         """Pause an under-filled array into the straggler pool — only when
-        a compatible peer is stepping somewhere and will absorb it."""
-        if executor.solo or not self.defrag.underfilled(executor):
+        a compatible work item is queued and will absorb it when it runs
+        later this cycle; otherwise nobody would, so it keeps going."""
+        if executor.solo or not self.defrag.underfilled(executor) \
+                or not self._absorber_queued(executor):
             return None
-        key = executor.compat_key
-        # serial sim execution never has two arrays stepping at once, so
-        # the "compatible peer is stepping" signal is widened to "a
-        # compatible peer is queued and will step later this cycle"
-        absorber = (self.execution == "sim"
-                    and self._sim_absorber_queued(executor))
-        with self._dispatch_lock:
-            if self._stepping.get(key, 0) < 2 and not absorber:
-                return None          # nobody would absorb it; keep going
-            self._stepping[key] -= 1
-            executor.paused = True
-            self._straggler_pool.append(executor)
+        self._straggler_pool.append(executor)
         return "detach"
 
-    def _sim_absorber_queued(self, executor: ArrayExecutor) -> bool:
-        """Whether a compatible work item is waiting in any device queue
-        (the sim backend's absorber-exists signal for pausing).  The
-        compat key of a not-yet-launched plan is computed once and cached
-        on the plan."""
+    def _absorber_queued(self, executor: ArrayExecutor) -> bool:
+        """Whether a compatible work item is waiting in any device queue.
+        The compat key of a not-yet-launched plan is computed once and
+        cached on the plan."""
         key = executor.compat_key
-        with self._dispatch_lock:
-            items = [item for w in self.workers.values()
-                     for item in w.plans]
-        for item in items:
+        for item in (i for w in self.workers.values() for i in w.plans):
             if isinstance(item, ArrayExecutor):
                 if item is not executor and item.compat_key == key:
                     return True
@@ -894,55 +777,36 @@ class FleetScheduler:
         return False
 
     # ------------------------------------------------------------------ #
-    # taking work: own queue, straggler adoption, then stealing
+    # taking work: the turn rule
     # ------------------------------------------------------------------ #
-    def _take(self, worker: DeviceWorker) -> Optional[WorkItem]:
-        """Next work item for ``worker``: its own queue, an adoptable
-        straggler (freed-width work stealing), else a stolen plan."""
-        with self._dispatch_lock:
-            if worker.plans:
-                return worker.plans.popleft()
-            # a paused straggler whose designated absorber is gone (no
-            # compatible executor stepping anywhere) must be resumed —
-            # freed-width work stealing; one with a live absorber stays
-            # pooled so the merge can happen
+    def _take(self) -> Optional[Tuple[DeviceWorker, WorkItem]]:
+        """The next turn as ``(device, work item)``, or ``None`` when the
+        cycle is drained.
+
+        The live device with queued work and the smallest ``(timeline,
+        name)`` runs the head of its own queue.  Only with every live
+        queue empty do paused stragglers come out of the pool: nothing
+        queued is left to absorb them, so the earliest device that can
+        hold one adopts it — freed-width work stealing, counted in
+        ``plans_stolen`` when the straggler changes device.
+        """
+        live = self._live_workers.values()
+        busy = [worker for worker in live if worker.plans]
+        if busy:
+            worker = min(busy, key=DeviceWorker.turn_key)
+            return worker, worker.plans.popleft()
+        if not self._straggler_pool:
+            return None
+        for worker in sorted(live, key=DeviceWorker.turn_key):
             for straggler in self._straggler_pool:
-                if self._stepping.get(straggler.compat_key, 0) > 0:
-                    continue
                 if self.placer.fits_width(straggler.workload,
                                           straggler.live_width,
                                           worker.device):
                     self._straggler_pool.remove(straggler)
-                    straggler.paused = False
                     if straggler.device_name != worker.name:
                         self.metrics.record_steal()
-                    return straggler
-            if not self.work_stealing:
-                # about to exit: re-placement must stop targeting this
-                # worker, atomically with the give-up decision
-                self._live_workers.discard(worker.name)
-                return None
-            victims = sorted((w for w in self.workers.values()
-                              if w is not worker and w.plans),
-                             key=lambda w: len(w.plans), reverse=True)
-            for victim in victims:
-                # steal from the tail (the victim reaches it last), newest
-                # eligible item first; it must fit the thief's device
-                for item in reversed(victim.plans):
-                    if isinstance(item, PlacementDecision):
-                        if not self.placer.fits(item.plan, worker.device):
-                            continue
-                        victim.plans.remove(item)
-                        return self._retag(item, worker)
-                    if not self.placer.fits_width(
-                            item.workload, item.live_width, worker.device):
-                        continue
-                    victim.plans.remove(item)
-                    item.device_name = worker.name
-                    self.metrics.record_steal()
-                    return item
-            self._live_workers.discard(worker.name)
-            return None
+                    return worker, straggler
+        return None
 
     def _reroute(self, decision: PlacementDecision,
                  worker: DeviceWorker) -> PlacementDecision:
@@ -953,12 +817,6 @@ class FleetScheduler:
         decision.plan.projected_seconds = estimate.train_seconds
         return PlacementDecision(plan=decision.plan, device=worker.device,
                                  estimate=estimate)
-
-    def _retag(self, decision: PlacementDecision,
-               thief: DeviceWorker) -> PlacementDecision:
-        """Re-cost a stolen plan for the device that will actually run it."""
-        self.metrics.record_steal()
-        return self._reroute(decision, thief)
 
     # ------------------------------------------------------------------ #
     # liveness introspection (the operator-facing monitoring surface)
@@ -976,18 +834,20 @@ class FleetScheduler:
         ``docs/operations.md`` for the runbook.
         """
         now = self._heartbeat_now()
-        with self._dispatch_lock:
+        with self._state_lock:
             inflight = dict(self._inflight)
         return [name for name in inflight
                 if now - self.heartbeats.get(name, now) > timeout]
 
     def virtual_makespan(self) -> float:
-        """The fleet-wide virtual finish time (sim mode): the furthest
-        any device's timeline has advanced.  Zero before any work ran."""
+        """The fleet-wide virtual finish time: the furthest any device's
+        timeline has advanced (a cost-model projection on either backend;
+        only sim mode also runs its clock on it).  Zero before any work
+        ran."""
         return max((worker.engine.sim_time
                     for worker in self.workers.values()), default=0.0)
 
     def quarantined_devices(self) -> List[str]:
         """Devices currently quarantined after a crash (no new work)."""
-        with self._dispatch_lock:
+        with self._state_lock:
             return sorted(self._quarantined)

@@ -226,7 +226,8 @@ class ServingGateway:
         #: (see replay_unsettled)
         self.recovery = self.fleet.recovery
         #: guards the admission state below: submissions may arrive from
-        #: any thread (including fleet worker threads, via job callbacks),
+        #: any thread (including, via job callbacks, the one inside
+        #: ``run_cycle``),
         #: and token buckets / virtual times / the tracking table are all
         #: read-modify-write.  Lock order is gateway -> queue (submit
         #: holds this lock while entering the queue); rank()/at_risk()

@@ -97,7 +97,7 @@ class RuntimeMetrics:
         #: durability counters (repro.runtime.checkpoint): per-slot
         #: checkpoints persisted, their serialized/deduplicated byte
         #: volumes and cumulative write latency, plus the recovery side —
-        #: jobs resumed from a durable checkpoint, worker threads detected
+        #: jobs resumed from a durable checkpoint, device workers detected
         #: dead mid-array, and gateway admissions replayed after a restart
         self.checkpoints_written = 0
         self.checkpoint_payload_bytes = 0
@@ -117,8 +117,8 @@ class RuntimeMetrics:
         #: recorded by FleetScheduler.run_until_idle; 0 for the single-device
         #: engine, whose train_seconds IS its wall time
         self.wall_seconds = 0.0
-        #: arrays executed by a device other than the one the placer chose
-        #: (idle-device work stealing)
+        #: paused stragglers adopted by a device other than the one they
+        #: paused on (freed-width work stealing)
         self.plans_stolen = 0
         #: scheduler decisions taken (dequeues, placements, admissions,
         #: retirements, preemptions) — the scale benchmark's throughput
@@ -300,8 +300,8 @@ class RuntimeMetrics:
             self.jobs_recovered += count
 
     def record_worker_crash(self) -> None:
-        """A fleet worker thread died mid-array (heartbeat lost, executor
-        never drained); its device is quarantined and its jobs recovered."""
+        """A fleet device worker died mid-array (in-flight registration
+        never cleared); its device is quarantined and its jobs recovered."""
         with self._lock:
             self.workers_crashed += 1
 

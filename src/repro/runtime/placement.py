@@ -214,11 +214,6 @@ class FleetPlacer(PlacementPolicy):
             self._cap_cache[key] = cap
         return cap
 
-    def fits(self, plan: ArrayPlan, device: DeviceSpec) -> bool:
-        """Whether ``plan`` fits ``device`` (work-stealing eligibility)."""
-        workload = self.resolve_workload(plan)
-        return plan.num_models <= self.width_cap(workload, device)
-
     def estimate(self, plan: ArrayPlan,
                  device: DeviceSpec) -> ArrayCostEstimate:
         """Cost-model projection of ``plan`` on ``device``."""
@@ -229,7 +224,7 @@ class FleetPlacer(PlacementPolicy):
     def fits_width(self, workload_hint: Optional[str], num_models: int,
                    device: DeviceSpec) -> bool:
         """Whether a ``num_models``-wide array fits ``device`` (used for
-        freed-width work stealing and straggler adoption)."""
+        straggler adoption and defrag merges)."""
         workload = get_workload(workload_hint or self.default_workload)
         return num_models <= self.width_cap(workload, device)
 

@@ -19,7 +19,6 @@ partial checkpoint.)
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -245,7 +244,7 @@ class JobQueue:
 
     def __init__(self, max_pending: int = 0):
         self._lock = threading.Lock()
-        self._ids = itertools.count()
+        self._next_id = 0
         self._jobs: "Dict[int, SubmittedJob]" = {}
         self._pending: List[int] = []
         self.max_pending = max_pending
@@ -259,10 +258,22 @@ class JobQueue:
             if self.max_pending and len(self._pending) >= self.max_pending:
                 raise RuntimeError(
                     f"queue is full ({self.max_pending} pending jobs)")
-            job_id = next(self._ids)
+            job_id = self._next_id
+            self._next_id += 1
             self._jobs[job_id] = SubmittedJob(job_id=job_id, job=job)
             self._pending.append(job_id)
             return job_id
+
+    def reserve_ids(self, first: int) -> None:
+        """Never hand out a job id below ``first``.
+
+        A queue wired to a write-ahead log that an earlier process already
+        wrote to must not reuse that process's ids: they key the WAL's
+        records and the checkpoint store's manifests (the fleet calls this
+        with :meth:`RecoveryManager.next_job_id`).
+        """
+        with self._lock:
+            self._next_id = max(self._next_id, int(first))
 
     # ------------------------------------------------------------------ #
     # engine side

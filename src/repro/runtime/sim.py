@@ -32,15 +32,18 @@ Three pieces:
 Chaos testing: :class:`SimulatedCrash` is a ``BaseException`` so it passes
 through the runtime's ``except Exception`` quarantine handlers untouched;
 the fleet's ``chaos`` hook raises it at an epoch boundary to kill a
-device mid-array, exercising the same crash-detection/WAL-recovery path a
-dead worker thread does (see docs/simulation.md).
+device mid-array, exercising the fleet's one crash rule — any
+non-``Exception`` escaping a work item is a dead device — and the
+WAL-recovery path behind it (see docs/simulation.md).
 
 Determinism: given the same jobs, fleet and seeds, a simulation is fully
-deterministic — the fleet runs simulated devices with a serial virtual
-scheduler (no threads), synthetic losses are pure functions of the step
-index, and every queue/placement tie-break is already deterministic.  The
-real-vs-sim equivalence test pins this down: both backends emit identical
-scheduling decision sequences for the same trace.
+deterministic — the fleet's event loop is serial (devices take turns in
+``(timeline, name)`` order, on either backend), synthetic losses are pure
+functions of the step index, and every queue/placement tie-break is
+already deterministic.  Device timelines advance by :func:`charge_epoch`
+on both backends, so a real fleet makes the same scheduling decisions as
+its simulation by construction; the real-vs-sim equivalence tests pin
+this down on one- and two-device fleets.
 
 The placement optimizer (:mod:`repro.runtime.placement_lp`) obeys the
 same rule: its wall-clock solver latency is *recorded* in the metrics but
@@ -62,7 +65,7 @@ from .engine import ArrayExecutor, _Slot
 from .queue import SubmittedJob, TrainingJob
 
 __all__ = ["VirtualClock", "SimulatedCrash", "SimExecutor", "TraceReplayer",
-           "default_sim_loss"]
+           "charge_epoch", "default_sim_loss"]
 
 #: standalone sim engines (no fleet, no device) price epochs on the
 #: paper's baseline evaluation GPU
@@ -112,8 +115,9 @@ class SimulatedCrash(BaseException):
     Deliberately a ``BaseException``: the runtime isolates *array*
     failures with ``except Exception`` (quarantine-then-recover), and a
     simulated device crash must not be absorbed by that machinery — it
-    kills the whole worker, exactly like a real dead worker thread, and
-    is detected by the fleet's crash sweep over ``_inflight``.
+    kills the whole device (the fleet's crash rule: any non-``Exception``
+    escaping a work item) and is recovered by the crash sweep over
+    ``_inflight``.
     """
 
 
@@ -135,6 +139,36 @@ class _WidthProbe:
     steps: int
 
 
+def charge_epoch(engine, workload: str, width: int, steps: int):
+    """Charge one epoch to ``engine``'s device timeline.
+
+    An epoch of a width-``width`` array costs ``steps * iteration_time_s``
+    as priced by :func:`repro.hwsim.estimate_array_cost` for the engine's
+    device (estimates are memoized per (workload, width) on the engine).
+    ``engine.sim_time`` advances by that amount on *both* execution
+    backends — it is what the fleet's event loop orders device turns by —
+    and a sim engine drags the shared :class:`VirtualClock` along, so SLO
+    deadlines, token buckets and placement slack all see consistent
+    virtual time.  A real engine's clock is the wall clock: the projection
+    never touches it.  Returns ``(estimate, seconds)``.
+    """
+    workload = workload or engine.sim_workload
+    key = (workload, width)
+    est = engine._sim_cost_cache.get(key)
+    if est is None:
+        device = engine.device if engine.device is not None \
+            else DEFAULT_SIM_DEVICE
+        est = estimate_array_cost(
+            _WidthProbe(width, 1), device, engine.sim_precision,
+            workload=get_workload(workload))
+        engine._sim_cost_cache[key] = est
+    seconds = steps * est.iteration_time_s
+    engine.sim_time += seconds
+    if engine.execution == "sim":
+        engine.clock.advance_to(engine.sim_time)
+    return est, seconds
+
+
 class SimExecutor(ArrayExecutor):
     """An array executor that *simulates* training in virtual time.
 
@@ -146,13 +180,9 @@ class SimExecutor(ArrayExecutor):
     verbatim, which is the point: the control plane under test is the real
     one.
 
-    One epoch costs ``steps * iteration_time_s`` of virtual time at the
-    array's current width, priced by :func:`repro.hwsim.
-    estimate_array_cost` for the engine's device (estimates are memoized
-    per (workload, width) on the engine).  The device's timeline
-    (``engine.sim_time``) advances by that amount and drags the shared
-    :class:`VirtualClock` forward, so SLO deadlines, token buckets and
-    placement slack all see consistent virtual time.
+    One epoch costs what :func:`charge_epoch` charges the device's
+    timeline (``engine.sim_time``) for it at the array's current width;
+    that virtual time is the epoch's duration.
     """
 
     is_sim = True
@@ -171,23 +201,9 @@ class SimExecutor(ArrayExecutor):
     def _make_criterion(self, num_models: int):
         return None
 
-    def _cost_estimate(self, width: int):
-        engine = self.engine
-        workload_name = self.workload or engine.sim_workload
-        key = (workload_name, width)
-        est = engine._sim_cost_cache.get(key)
-        if est is None:
-            device = engine.device if engine.device is not None \
-                else DEFAULT_SIM_DEVICE
-            est = estimate_array_cost(
-                _WidthProbe(width, 1), device, engine.sim_precision,
-                workload=get_workload(workload_name))
-            engine._sim_cost_cache[key] = est
-        return est
-
     def _run_epoch(self, steps: int) -> float:
-        est = self._cost_estimate(self.live_width)
-        seconds = steps * est.iteration_time_s
+        est, seconds = self.engine.charge_epoch(
+            self.workload, self.live_width, steps)
         for slot in self.slots:
             job = slot.job
             start = slot.progress
@@ -198,10 +214,6 @@ class SimExecutor(ArrayExecutor):
                 slot.curve.extend(default_sim_loss(job, start + i)
                                   for i in range(steps))
         self.samples += int(est.throughput * seconds)
-        engine = self.engine
-        engine.sim_time += seconds
-        if engine.clock is not None:
-            engine.clock.advance_to(engine.sim_time)
         return seconds
 
     def _export_slot(self, index: int, slot: _Slot) -> Module:

@@ -1,8 +1,8 @@
 """Shared fixtures for the runtime suite.
 
-The fleet tests run real worker threads; everything they assert is
-synchronized explicitly (barriers/events), never by sleeping.  A deflake
-audit (PR 6) holds this suite to two rules:
+The fleet runs every device's work on the caller's thread, in a
+deterministic order, so nothing here needs synchronizing.  A deflake
+audit (PR 6) still holds this suite to two rules:
 
 * **no wall-clock waits** — ``time.sleep`` and ``time.monotonic``
   assertions are banned; anything timing-related runs against an

@@ -6,7 +6,7 @@ Three layers under test:
   atomic publication, dedup, manifest provenance;
 * the engine wiring — ``checkpoint_every`` cadence, ``persist_on_evict``
   final checkpoints, resume payloads applied bit-exactly;
-* the fleet/gateway crash path — a worker thread is *murdered* (a
+* the fleet/gateway crash path — a device worker is *murdered* (a
   ``BaseException`` that bypasses every failure-isolation handler, the
   in-process stand-in for ``kill -9``) mid-epoch, and the recovered run
   must produce checkpoints **bit-identical** to an uninterrupted run:
@@ -16,8 +16,6 @@ Three layers under test:
 The recovery procedure these tests exercise is documented as the
 operator runbook in ``docs/operations.md``.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -54,7 +52,7 @@ class TinyMLP(nn.Module):
 
 class WorkerMurder(BaseException):
     """A hard kill: not an Exception, so it passes the engine's failure
-    isolation and the fleet's worker-loop handler — the thread dies with
+    isolation and the fleet's per-item handler — the device dies with
     its array mid-epoch, exactly like a segfault would take it."""
 
 
@@ -68,7 +66,7 @@ def stream(seed, steps=STEPS, crash_at=None, trigger=None):
     def data(step):
         if crash_at is not None and step == crash_at and trigger:
             trigger.pop()           # one-shot: the resumed run survives
-            raise WorkerMurder("worker thread murdered")
+            raise WorkerMurder("device worker murdered")
         return batches[step]
     return data
 
@@ -101,15 +99,6 @@ def assert_bit_identical(expected, actual):
             np.testing.assert_array_equal(
                 actual[name][pname], value,
                 err_msg=f"{name}.{pname} not bit-identical")
-
-
-@pytest.fixture
-def quiet_thread_deaths():
-    """Suppress the default traceback print for murdered worker threads."""
-    previous = threading.excepthook
-    threading.excepthook = lambda args: None
-    yield
-    threading.excepthook = previous
 
 
 # --------------------------------------------------------------------- #
@@ -278,9 +267,8 @@ class TestEngineCheckpointing:
 
 # --------------------------------------------------------------------- #
 class TestFleetCrashRecovery:
-    def test_murdered_worker_recovers_bit_identical(self, tmp_path,
-                                                    quiet_thread_deaths):
-        """The acceptance scenario: a worker thread is killed mid-epoch at
+    def test_murdered_worker_recovers_bit_identical(self, tmp_path):
+        """The acceptance scenario: a device worker is killed mid-epoch at
         epoch 3 of 6; the fleet detects the lost heartbeat's executor
         after the cycle, quarantines the device, re-queues the jobs from
         their durable checkpoints, and the restored run produces
@@ -312,8 +300,7 @@ class TestFleetCrashRecovery:
         assert any(r["event"] == "crash" for r in events)
         assert recovery.unsettled() == {}
 
-    def test_crashed_device_is_quarantined_then_recovers(self, tmp_path,
-                                                         quiet_thread_deaths):
+    def test_crashed_device_is_quarantined_then_recovers(self, tmp_path):
         store = CheckpointStore(tmp_path)
         fleet = FleetScheduler(devices=(V100, RTX6000), max_width=4,
                                store=store, checkpoint_every=1,
@@ -328,8 +315,7 @@ class TestFleetCrashRecovery:
         fleet.run_until_idle()
         assert fleet.metrics.workers_crashed == 1
 
-    def test_crash_without_store_retrains_from_scratch(self, tmp_path,
-                                                       quiet_thread_deaths):
+    def test_crash_without_store_retrains_from_scratch(self, tmp_path):
         """Crash detection works without durability: the jobs are requeued
         from step 0 (quarantine-then-recover degrades to retrain, never to
         drop) and still finish serial-equivalent."""
@@ -346,8 +332,7 @@ class TestFleetCrashRecovery:
         assert all(fleet.queue.state(i) == JobState.COMPLETED for i in ids)
         assert_bit_identical(expected, final_params(results))
 
-    def test_rebuild_fleet_from_disk_after_process_death(self, tmp_path,
-                                                         quiet_thread_deaths):
+    def test_rebuild_fleet_from_disk_after_process_death(self, tmp_path):
         """The full restart: the first fleet object is abandoned right
         after the crash (stand-in for the process dying), and a second
         fleet is rebuilt purely from the WAL + store."""
@@ -375,8 +360,7 @@ class TestFleetCrashRecovery:
         # idempotence: a second restart finds nothing left to recover
         assert recovery.unsettled() == {}
 
-    def test_rebuild_wires_a_prebuilt_fleet_to_the_store(self, tmp_path,
-                                                         quiet_thread_deaths):
+    def test_rebuild_wires_a_prebuilt_fleet_to_the_store(self, tmp_path):
         """Regression: a prebuilt fleet handed to rebuild_fleet must be
         wired to the manager's store/recovery (engines included), so the
         recovered run keeps checkpointing and settling the WAL."""
@@ -403,6 +387,135 @@ class TestFleetCrashRecovery:
         # the provenance trail links each new admission to the old one
         replays = [r for r in recovery.entries() if r["type"] == "replay"]
         assert len(replays) == 4
+
+    def test_second_restart_before_any_cycle_loses_nothing(self, tmp_path):
+        """Regression: a queue rebuilt on an existing WAL used to number
+        jobs from 0 again, so the replayed admission of new id k was
+        shadowed by the ``recovered`` settlement of old id k and a second
+        restart found nothing to recover."""
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        fleet = FleetScheduler(devices=(V100,), max_width=4, store=store,
+                               recovery=recovery)
+        first_ids = fleet.submit_all(make_jobs(4))
+        del fleet                             # dies before any cycle
+
+        for restart in (1, 2):                # ... and so does its heir
+            registry = {job.name: job for job in make_jobs(4)}
+            rebuilt = recovery.rebuild_fleet(registry, devices=(V100,),
+                                             max_width=4)
+            assert rebuilt.queue.pending_count == 4
+            unsettled = recovery.unsettled()
+            assert sorted(r["name"] for r in unsettled.values()) == \
+                ["job0", "job1", "job2", "job3"]
+            # fresh ids every time: nothing journaled is ever reused
+            assert min(unsettled) == max(first_ids) + 1 + 4 * (restart - 1)
+            del rebuilt
+        replays = [r for r in recovery.entries() if r["type"] == "replay"]
+        assert len(replays) == 8
+
+    def test_double_crash_and_rebuild_delivers_exactly_once(self, tmp_path):
+        """crash -> rebuild -> crash mid-array -> rebuild: every job is
+        delivered exactly once, bit-identical to an uninterrupted run,
+        and the WAL is settled only after the final drain."""
+        reference = FleetScheduler(devices=(V100,), max_width=4)
+        reference.submit_all(make_jobs(4))
+        expected = final_params(reference.run_until_idle())
+
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        fleet = FleetScheduler(devices=(V100,), max_width=4, store=store,
+                               checkpoint_every=1, recovery=recovery)
+        fleet.submit_all(make_jobs(4, trigger=[True]))
+        delivered = list(fleet.run_cycle())   # dies at epoch 4
+        assert fleet.metrics.workers_crashed == 1
+        del fleet
+
+        # the heir's job0 carries a second murder weapon, two epochs on
+        registry = {job.name: job for job in make_jobs(4)}
+        registry["job0"].data = stream(
+            100, STEPS, CRASH_STEP + 2 * EPOCH_STEPS, [True])
+        heir = recovery.rebuild_fleet(registry, devices=(V100,), max_width=4)
+        assert heir.metrics.jobs_recovered == 4
+        delivered += heir.run_cycle()         # resumes, dies at epoch 6
+        assert heir.metrics.workers_crashed == 1
+        del heir
+        assert len(recovery.unsettled()) == 4
+
+        registry = {job.name: job for job in make_jobs(4)}
+        last = recovery.rebuild_fleet(registry, devices=(V100,), max_width=4)
+        assert last.metrics.jobs_recovered == 4
+        results = last.run_until_idle()
+        delivered += results.values()
+
+        assert sorted(r.name for r in delivered) == \
+            ["job0", "job1", "job2", "job3"]
+        assert all(r.steps_trained == STEPS for r in delivered)
+        assert_bit_identical(expected, final_params(results))
+        assert recovery.unsettled() == {}
+
+    def test_results_retired_before_a_crash_are_returned_once(self,
+                                                              tmp_path):
+        """Regression: job1 early-stops at epoch 1 (exported, persisted
+        final, journaled COMPLETED); the device dies at epoch 2.  The
+        crashing cycle must still hand job1's result to its caller — it
+        used to be dropped — and recovery must not re-run the job."""
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        fleet = FleetScheduler(devices=(V100,), max_width=4, store=store,
+                               checkpoint_every=1, recovery=recovery)
+        jobs = make_jobs(4)
+        jobs[0].data = stream(100, STEPS, EPOCH_STEPS, [True])
+        jobs[1].stop = lambda epochs, curve: epochs >= 1
+        ids = fleet.submit_all(jobs)
+
+        crashed_cycle = fleet.run_cycle()
+        assert fleet.metrics.workers_crashed == 1
+        assert [r.job_id for r in crashed_cycle] == [ids[1]]
+        assert crashed_cycle[0].steps_trained == EPOCH_STEPS
+        assert fleet.queue.pending_count == 3     # job1 is not re-queued
+
+        rest = fleet.run_until_idle()
+        assert sorted(rest) == sorted(set(ids) - {ids[1]})
+        assert recovery.unsettled() == {}
+
+    def test_interrupts_propagate_other_base_exceptions_kill_the_device(
+            self):
+        """The one crash rule.  ``KeyboardInterrupt`` arrives on the
+        caller's thread and is the caller's: it leaves ``run_cycle`` and
+        no device is declared dead.  Any other non-``Exception`` is a dead
+        device: the cycle returns, the crash is counted, the jobs rerun."""
+        def interrupting(step):
+            raise KeyboardInterrupt
+
+        fleet = FleetScheduler(devices=(V100,), max_width=4)
+        jobs = make_jobs(4)
+        jobs[0].data = interrupting
+        fleet.submit_all(jobs)
+        with pytest.raises(KeyboardInterrupt):
+            fleet.run_cycle()
+        assert fleet.metrics.workers_crashed == 0
+        assert fleet.quarantined_devices() == []
+
+        class Segfault(BaseException):
+            pass
+
+        armed = [True]
+        inner = stream(100)
+
+        def dying(step):
+            if armed:
+                armed.pop()
+                raise Segfault
+            return inner(step)
+
+        fleet = FleetScheduler(devices=(V100,), max_width=4)
+        jobs = make_jobs(4)
+        jobs[0].data = dying
+        ids = fleet.submit_all(jobs)
+        assert fleet.run_cycle() == []
+        assert fleet.metrics.workers_crashed == 1
+        assert sorted(fleet.run_until_idle()) == ids
 
     def test_rebuild_skips_jobs_without_builders(self, tmp_path):
         store = CheckpointStore(tmp_path)

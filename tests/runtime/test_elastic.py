@@ -8,8 +8,6 @@ normally, merged across devices or not) must match serial training of the
 same job for the same number of steps, in parameters *and buffers*.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -426,23 +424,11 @@ class TestElasticFleet:
         """Two devices each hold a 4-wide array; 2 jobs of each early-stop
         at epoch 1, leaving two half-empty stragglers.  The defrag pass
         must merge them into one array (and every checkpoint must still
-        match serial training)."""
-        barrier = threading.Barrier(2, timeout=10.0)
-
-        def synced_stream(seed, steps):
-            inner = mlp_stream(seed, steps)
-
-            def data(step):
-                if step == 0:
-                    try:
-                        barrier.wait()
-                    except threading.BrokenBarrierError:
-                        pass
-                return inner(step)
-            return data
-
+        match serial training).  The event loop is serial, so this needs
+        no rendezvous: the first array pauses because the second is still
+        queued, and the second absorbs it at its own first boundary."""
         class AlternatingPlacer(FleetPlacer):
-            """Pin chunk k to device k%2 so the two arrays really overlap."""
+            """Pin chunk k to device k%2 so the arrays sit on two devices."""
 
             def place(self, cohorts, load=None):
                 pinned = []
@@ -457,12 +443,10 @@ class TestElasticFleet:
 
         steps = 12
         jobs = [make_job(i, steps=steps,
-                         stop=stop_after(1) if i in (0, 1, 4, 5) else None,
-                         data=synced_stream(1000 + i, steps)
-                         if i in (0, 4) else None)
+                         stop=stop_after(1) if i in (0, 1, 4, 5) else None)
                 for i in range(8)]
         fleet = FleetScheduler(
-            devices=(V100, RTX6000), work_stealing=False,
+            devices=(V100, RTX6000),
             placer=AlternatingPlacer(devices=(V100, RTX6000), max_width=4))
         ids = fleet.submit_all(jobs)
         results = fleet.run_until_idle()

@@ -10,11 +10,8 @@ Covers the fleet layer's contract:
 * a failing array on one device neither stalls the other devices nor loses
   its healthy cohort-mates (quarantine-and-retry across cycles);
 * fleet execution preserves the runtime invariant: every exported
-  checkpoint is bit-equivalent to serial training;
-* idle devices steal fitting plans from backlogged ones.
+  checkpoint is bit-equivalent to serial training.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -25,7 +22,7 @@ from repro.hwsim import (A100, RTX6000, TPU_V3, V100, estimate_array_cost,
 from repro.hfta.ops.factory import OpsLibrary
 from repro.nn import functional as F
 from repro.runtime import (Batcher, FleetPlacer, FleetScheduler, JobQueue,
-                           JobState, PlacementDecision, TrainingJob)
+                           JobState, TrainingJob)
 
 STEPS = 4
 BATCH = 6
@@ -259,84 +256,6 @@ class TestFleetScheduler:
         retry_widths = sorted(r.num_models for r in fleet.metrics.records
                               if r.num_models == 1)
         assert len(retry_widths) >= 2
-
-    def test_idle_device_steals_from_backlogged_device(self):
-        """All plans pinned to one device: the other must steal work.
-
-        Deflaked: instead of assuming the thief wins the race for the
-        backlog, the pinned device's *first* array blocks at its first
-        batch until the stolen array (the tail plan — stealing takes the
-        newest fitting item) reaches its own first batch, so the steal
-        provably happened while the victim was still busy.  A broken
-        stealing path leaves the barrier to time out and the
-        ``plans_stolen`` assertion to fail with a clear message — the
-        test degrades to a failure, never a hang.
-        """
-        class PinningPlacer(FleetPlacer):
-            def place(self, cohorts, load=None):
-                pinned = []
-                for decision in super().place(cohorts, load):
-                    estimate = self.estimate(decision.plan, self.devices[0])
-                    decision.plan.device = self.devices[0].name
-                    decision.plan.projected_seconds = estimate.train_seconds
-                    pinned.append(PlacementDecision(
-                        plan=decision.plan, device=self.devices[0],
-                        estimate=estimate))
-                return pinned
-
-        barrier = threading.Barrier(2, timeout=10.0)
-
-        def synced_stream(seed):
-            inner = stream(seed)
-
-            def data(step):
-                if step == 0:
-                    try:
-                        barrier.wait()
-                    except threading.BrokenBarrierError:
-                        pass
-                return inner(step)
-            return data
-
-        jobs = [make_job(i, hidden=8 + 2 * i) for i in range(8)]
-        # job 0 heads the victim's queue; job 7 is the tail plan a thief
-        # steals first — sync their first batches
-        for i in (0, 7):
-            jobs[i] = TrainingJob(
-                name=jobs[i].name, seed=i, steps=STEPS,
-                config=dict(jobs[i].config),
-                build_model=jobs[i].build_model,
-                data=synced_stream(1000 + i))
-        fleet = FleetScheduler(
-            devices=(V100, RTX6000),
-            placer=PinningPlacer(devices=(V100, RTX6000), max_width=2))
-        fleet.submit_all(jobs)
-        results = fleet.run_until_idle()
-
-        assert len(results) == 8
-        assert fleet.metrics.plans_stolen > 0
-        assert "RTX6000" in {r.device for r in fleet.metrics.records}
-
-    def test_work_stealing_can_be_disabled(self):
-        class PinningPlacer(FleetPlacer):
-            def place(self, cohorts, load=None):
-                pinned = []
-                for decision in super().place(cohorts, load):
-                    estimate = self.estimate(decision.plan, self.devices[0])
-                    decision.plan.device = self.devices[0].name
-                    pinned.append(PlacementDecision(
-                        plan=decision.plan, device=self.devices[0],
-                        estimate=estimate))
-                return pinned
-
-        fleet = FleetScheduler(
-            devices=(V100, RTX6000), work_stealing=False,
-            placer=PinningPlacer(devices=(V100, RTX6000), max_width=2))
-        fleet.submit_all([make_job(i, hidden=8 + 2 * i) for i in range(4)])
-        results = fleet.run_until_idle()
-        assert len(results) == 4
-        assert fleet.metrics.plans_stolen == 0
-        assert {r.device for r in fleet.metrics.records} == {"V100"}
 
     def test_fleet_metrics_report_per_device(self):
         fleet = FleetScheduler(devices=(V100, A100), max_width=2)

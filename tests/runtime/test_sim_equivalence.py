@@ -9,17 +9,19 @@ scheduling decisions** — same dequeue order, same placements, same
 freed-width admissions, same retirement order with the same per-job
 trained-step counts.
 
-The fleets are single-device so the real backend's worker threading
-cannot permute decision interleavings (within one worker, and in the
-main scheduling loop, both backends are strictly sequential); the jobs
-are budget-only (no loss-driven stop signals) because synthetic sim
-losses and real training losses legitimately diverge — *when* a
+Both backends run on the fleet's one serial event loop, and device
+timelines advance by the same cost-model projection on both, so the
+claim holds on any fleet: the single-device trace exercises freed-width
+admission, the two-device heterogeneous one adds eviction, pausing into
+the straggler pool and a cross-device ``merge_with``.  Stop signals are
+budgets and epoch counts only (no loss-driven ones) because synthetic
+sim losses and real training losses legitimately diverge — *when* a
 target-loss stop fires is physics, not scheduling.
 """
 
 import numpy as np
 
-from repro.hwsim import V100
+from repro.hwsim import RTX6000, V100
 from repro.runtime import FleetScheduler, RuntimeMetrics, TrainingJob
 
 from .conftest import SIM_CLASSES, SIM_FEATURES, build_sim_model
@@ -37,25 +39,33 @@ def real_stream(seed, steps):
     return lambda step: batches[step]
 
 
-def make_trace_jobs():
-    """20 budget-only jobs with heterogeneous step budgets, so slots
-    retire at different epochs and freed-width admissions fire."""
+def stop_after_one_epoch(epochs, curve):
+    return epochs >= 1
+
+
+def make_trace_jobs(early_stops=False):
+    """20 jobs with heterogeneous step budgets, so slots retire at
+    different epochs and freed-width admissions fire.  With
+    ``early_stops`` every fourth job also stops after its first epoch,
+    leaving under-filled arrays for the defrag pass."""
     jobs = []
     for i in range(JOBS):
         steps = 4 if i % 3 else 8
         jobs.append(TrainingJob(
             name=f"eq{i}", build_model=build_sim_model,
             data=real_stream(4_000 + i, steps), steps=steps,
-            epoch_steps=2, seed=i))
+            epoch_steps=2, seed=i,
+            stop=stop_after_one_epoch if early_stops and i % 4 == 0
+            else None))
     return jobs
 
 
-def run_backend(execution):
+def run_backend(execution, devices=(V100,)):
     metrics = RuntimeMetrics()
     metrics.enable_decision_log()
-    fleet = FleetScheduler(devices=(V100,), max_width=4,
+    fleet = FleetScheduler(devices=devices, max_width=4,
                            execution=execution, metrics=metrics)
-    fleet.submit_all(make_trace_jobs())
+    fleet.submit_all(make_trace_jobs(early_stops=len(devices) > 1))
     # cap each control cycle's dequeue so a backlog stays queued while
     # arrays run — that is what arms freed-width admissions mid-array
     results = {}
@@ -79,6 +89,23 @@ class TestDecisionEquivalence:
         # the elastic single-device lifecycle can make
         kinds = {kind for kind, _ in real_log}
         assert {"dequeue", "place", "admit", "retire"} <= kinds
+
+    def test_two_heterogeneous_devices_same_decisions_real_vs_sim(self):
+        """Eviction, pausing and a cross-device merge on two devices of
+        different speeds: the turn order comes from the projected device
+        timelines, so the logs still match element for element."""
+        fleet = (V100, RTX6000)
+        real_fleet, real_results, real_log = run_backend("real", fleet)
+        sim_fleet, sim_results, sim_log = run_backend("sim", fleet)
+
+        assert len(real_results) == len(sim_results) == JOBS
+        assert real_log == sim_log
+        for metrics in (real_fleet.metrics, sim_fleet.metrics):
+            assert metrics.jobs_evicted >= 1
+            assert metrics.arrays_merged >= 1
+            assert len(metrics.devices) == 2
+        # the projection orders turns in real mode; it is the same number
+        assert real_fleet.virtual_makespan() == sim_fleet.virtual_makespan()
 
     def test_results_agree_on_everything_but_physics(self):
         _, real_results, _ = run_backend("real")
