@@ -37,8 +37,8 @@ paper describe:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -313,6 +313,36 @@ class ArrayCostEstimate:
     train_seconds: float             # steps * iteration_time_s
 
 
+#: every :class:`DeviceSpec` field but the name — a device's cost-model
+#: identity: renamed replicas of one profile cost the same
+_PROFILE_FIELDS = tuple(f.name for f in fields(DeviceSpec)
+                        if f.name != "name")
+#: process-wide memo behind :func:`estimate_array_cost`: (workload identity,
+#: device profile, precision, width) -> (workload, HFTA projection).  The
+#: workload is keyed by ``id`` with a strong reference kept beside the
+#: result — never by name, ``dataclasses.replace`` variants share names —
+#: and, as :func:`get_workload` already asks, must not be mutated.  Bounded
+#: by clear-on-overflow.
+_HFTA_PROJECTIONS: Dict[Tuple, Tuple[WorkloadSpec, SharingResult]] = {}
+
+
+def _hfta_projection(workload: WorkloadSpec, device: DeviceSpec,
+                     num_models: int, precision: str) -> SharingResult:
+    """Memoized ``simulate(workload, device, "hfta", num_models,
+    precision)``; the result's ``device`` names whichever replica of the
+    profile asked first."""
+    key = (id(workload), tuple(getattr(device, f) for f in _PROFILE_FIELDS),
+           precision, num_models)
+    hit = _HFTA_PROJECTIONS.get(key)
+    if hit is None or hit[0] is not workload:
+        if len(_HFTA_PROJECTIONS) >= 4096:
+            _HFTA_PROJECTIONS.clear()
+        hit = _HFTA_PROJECTIONS[key] = (
+            workload, simulate(workload, device, "hfta", num_models,
+                               precision))
+    return hit[1]
+
+
 def estimate_array_cost(plan, device: DeviceSpec, precision: str = "amp",
                         workload: Optional[WorkloadSpec] = None
                         ) -> ArrayCostEstimate:
@@ -328,6 +358,11 @@ def estimate_array_cost(plan, device: DeviceSpec, precision: str = "amp",
     The fleet placer (:mod:`repro.runtime.placement`) ranks devices by the
     returned ``train_seconds`` / ``throughput``; ``fits`` is ``False`` when
     the array's memory footprint exceeds the device.
+
+    The projection is priced once per process and (workload object, device
+    profile, precision, width) — every placer, simulated engine, gateway
+    and recovery shares it — and re-stamped with the caller's device name
+    and steps.
     """
     if workload is None:
         hint = getattr(plan, "workload", None)
@@ -339,7 +374,7 @@ def estimate_array_cost(plan, device: DeviceSpec, precision: str = "amp",
             get_workload(str(hint))
     num_models = int(plan.num_models)
     steps = int(getattr(plan, "steps", 1))
-    result = simulate(workload, device, "hfta", num_models, precision)
+    result = _hfta_projection(workload, device, num_models, precision)
     return ArrayCostEstimate(
         workload=workload.name, device=device.name, precision=result.precision,
         num_models=num_models, steps=steps, fits=result.fits,

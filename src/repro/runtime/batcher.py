@@ -10,14 +10,21 @@ expensive check runs on as few candidates as possible:
    collapse-the-values heuristic the paper's Appendix A classifier uses to
    spot repetitive submissions, plus the values of their *infusible*
    hyper-parameters and their step budget (arrays are gang-scheduled).
-2. **Structural signature** (exact) — within a bucket, jobs are grouped by
-   :func:`repro.hfta.fusion.structural_signature` of their instantiated
-   serial template models; equal signatures are the paper's Section 3
-   precondition for horizontal fusion.
-3. **Validation** (safety net) — each final cohort is passed through
-   :func:`repro.hfta.fusion.validate_fusibility`, so a buggy signature can
-   never produce a corrupt array.
+2. **Structural signature** (exact, per *builder*) — within a bucket, jobs
+   are grouped by :func:`repro.hfta.fusion.structural_signature` of what
+   their ``build_model`` callable builds; equal signatures are the paper's
+   Section 3 precondition for horizontal fusion.  Repetitive jobs share a
+   builder: its first job pays one template build and one walk, every
+   later one a dictionary lookup — no model is built to *schedule* a job.
+3. **Validation** (safety net) — at every real array launch and freed-width
+   admission the executor builds the jobs' templates and passes them
+   through :func:`repro.hfta.fusion.validate_fusibility`, so a builder whose
+   structure is not the constant level 2 assumes can never produce a
+   corrupt array (its jobs are quarantined and retrained solo).
 
+A job whose builder raises fails with ``build_model failed: ...`` — in
+:meth:`Batcher.form_cohorts` if it is the job that prices its builder,
+else at launch/admission, where its cohort-mates still train fused.
 The cohorts the batcher emits are *unbounded* in width; sizing them against
 the device is the policy's job (:mod:`repro.runtime.policy`).
 """
@@ -26,12 +33,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster.classifier import workload_signature
-from ..hfta.fusion import structural_signature, validate_fusibility
+from ..hfta.fusion import structural_signature
 from ..nn.modules.module import Module
 from .queue import SubmittedJob
 
@@ -45,20 +52,14 @@ DEFAULT_INFUSIBLE_KEYS = ("batch_size", "optimizer", "version",
 
 @dataclass
 class Cohort:
-    """One fusible group of jobs, with their instantiated serial templates.
-
-    ``templates[i]`` is ``jobs[i].job.build_model(None, rng(seed))`` — the
-    deterministically initialized unfused model whose weights seed slot
-    ``i`` of the fused array (and whose structure proved the cohort
-    fusible).  The engine reuses them for ``load_from_unfused`` so every
-    model is built exactly once.
-    """
+    """One fusible group of jobs (equal name bucket, infusible values, step
+    budget and builder structure); it holds no models — the executor that
+    first touches a job's tensors builds its template."""
 
     signature: str
     infusible_values: Tuple[Tuple[str, object], ...]
     steps: int
     jobs: List[SubmittedJob] = field(default_factory=list)
-    templates: List[Module] = field(default_factory=list)
     #: hwsim workload hint shared by every job of the cohort (placement
     #: cost model input; see TrainingJob.workload)
     workload: "str | None" = None
@@ -86,24 +87,26 @@ class Batcher:
                  tenant_isolation: bool = False):
         self.infusible_keys = tuple(infusible_keys)
         self.tenant_isolation = tenant_isolation
-        #: template -> structural signature, keyed by identity with a
-        #: strong reference (so a recycled id can never alias a dead
-        #: template).  Signatures walk every module and parameter; at
-        #: trace-replay scale each template is signed several times
-        #: (grouping key, fusibility validation, admission confirms), so
-        #: the walk is paid once per object.  Bounded by clear-on-overflow:
-        #: templates are per-cycle objects, a stale cache has no value.
-        self._sig_cache: "Dict[int, Tuple[Module, Tuple]]" = {}
+        #: ``build_model`` callable -> structural signature of what it
+        #: builds, keyed by identity with a strong reference (a recycled id
+        #: can never alias a dead builder; unhashable callables work).  A
+        #: per-job-fresh callable never hits and pays a template build per
+        #: job.  Bounded by clear-on-overflow.
+        self._builder_sigs: Dict[int, Tuple[Callable, Tuple]] = {}
 
-    def signature(self, template: Module) -> Tuple:
-        """Memoized :func:`repro.hfta.fusion.structural_signature`."""
-        entry = self._sig_cache.get(id(template))
-        if entry is not None and entry[0] is template:
+    def structural_signature(self, sub: SubmittedJob) -> Tuple:
+        """Structural signature of what the job's builder builds.
+
+        Funnel level 2, memoized per ``build_model`` callable; a miss
+        builds the job's template and so raises what the builder raises."""
+        builder = sub.job.build_model
+        entry = self._builder_sigs.get(id(builder))
+        if entry is not None and entry[0] is builder:
             return entry[1]
-        sig = structural_signature(template)
-        if len(self._sig_cache) >= 512:
-            self._sig_cache.clear()
-        self._sig_cache[id(template)] = (template, sig)
+        sig = structural_signature(self.build_template(sub))
+        if len(self._builder_sigs) >= 512:
+            self._builder_sigs.clear()
+        self._builder_sigs[id(builder)] = (builder, sig)
         return sig
 
     # ------------------------------------------------------------------ #
@@ -127,7 +130,8 @@ class Batcher:
 
     @staticmethod
     def build_template(sub: SubmittedJob) -> Module:
-        """Instantiate the job's seeded, unfused template model.
+        """The job's seeded, unfused template model (built once, memoized
+        on the submission).
 
         A job carrying a durable-checkpoint resume payload
         (:attr:`SubmittedJob.resume`) gets its template seeded from the
@@ -136,18 +140,20 @@ class Batcher:
         checkpoint left it (the optimizer half is injected by the
         executor, see :meth:`ArrayExecutor.prepare`).
         """
-        generator = np.random.default_rng(sub.job.seed)
-        template = sub.job.build_model(None, generator)
-        if sub.resume is not None and sub.resume.model_state:
-            template.load_state_dict(sub.resume.model_state)
-        return template
+        if sub.template is None:
+            generator = np.random.default_rng(sub.job.seed)
+            template = sub.job.build_model(None, generator)
+            if sub.resume is not None and sub.resume.model_state:
+                template.load_state_dict(sub.resume.model_state)
+            sub.template = template
+        return sub.template
 
     def admission_profile(self, sub: SubmittedJob) -> Tuple:
         """The cheap (template-free) part of a job's fusibility key.
 
         The elastic executor admits pending jobs into freed array width
         mid-training; candidates are pre-filtered on this profile and
-        confirmed with a structural-signature check on the built template.
+        confirmed against :meth:`structural_signature`.
         Step budgets are deliberately *absent*: per-slot progress tracking
         lets an admitted job train a different budget than its array-mates.
 
@@ -176,48 +182,37 @@ class Batcher:
                      ) -> Tuple[List[Cohort], List[Tuple[SubmittedJob, str]]]:
         """Partition a batch of scheduled jobs into fusible cohorts.
 
-        Returns the cohorts plus the jobs whose template model could not be
-        built (with the build error), so one malformed job cannot poison the
-        rest of its batch.
+        Returns the cohorts plus the jobs whose builder raised while its
+        structure was being priced (with the build error), so one malformed
+        job cannot poison the rest of its batch.
         """
         groups: "OrderedDict[Tuple, Cohort]" = OrderedDict()
         failures: List[Tuple[SubmittedJob, str]] = []
         for sub in batch:
             job = sub.job
             try:
-                template = self.build_template(sub)
+                structure = self.structural_signature(sub)
             except Exception as exc:  # noqa: BLE001 — job-provided builder
                 failures.append((sub, f"build_model failed: {exc}"))
                 continue
-            infusible = self.infusible_values(sub)
+            name_signature, infusible = self.admission_profile(sub)[:2]
             key = (
-                workload_signature(job.name),     # level 1: cheap name bucket
+                name_signature,                   # level 1: cheap name bucket
                 infusible,                        # shared infusible values
                 job.steps,                        # gang-scheduled budget
                 job.epoch_steps,                  # gang-scheduled epoch cadence
                 job.loss,
                 job.workload,                     # one cost model per array
-                self.signature(template),         # level 2: exact structure
+                structure,                        # level 2: exact structure
                 # quarantined retries train alone (see SubmittedJob.solo)
                 sub.job_id if sub.solo else None,
                 # tenant isolation: one tenant per array when requested
                 job.tenant if self.tenant_isolation else None,
             )
-            if key not in groups:
-                groups[key] = Cohort(signature=workload_signature(job.name),
-                                     infusible_values=infusible,
-                                     steps=job.steps,
-                                     workload=job.workload)
-            groups[key].jobs.append(sub)
-            groups[key].templates.append(template)
-
-        cohorts = list(groups.values())
-        for cohort in cohorts:
-            # level 3: safety net.  The signatures were just computed (and
-            # memoized) for the grouping key, so the healthy path is a
-            # cache-hit comparison; only an actual mismatch pays for
-            # validate_fusibility's precise diagnostic.
-            sigs = [self.signature(t) for t in cohort.templates]
-            if any(sig != sigs[0] for sig in sigs[1:]):
-                validate_fusibility(cohort.templates)
-        return cohorts, failures
+            cohort = groups.get(key)
+            if cohort is None:
+                cohort = groups[key] = Cohort(
+                    signature=name_signature, infusible_values=infusible,
+                    steps=job.steps, workload=job.workload)
+            cohort.jobs.append(sub)
+        return list(groups.values()), failures

@@ -55,7 +55,7 @@ from .. import nn
 from ..hfta import losses as fused_losses
 from ..hfta import optim as fused_optim
 from ..hfta.fusion import export_to_unfused, load_from_unfused, merge_fused, \
-    split_fused, structural_signature, validate_fusibility
+    split_fused, validate_fusibility
 from ..hfta.optim.elastic import export_slot_state, load_slot_state, \
     merge_optimizers, split_optimizer
 from ..nn.modules.module import Module
@@ -150,7 +150,8 @@ class JobResult:
 
     job_id: int
     name: str
-    checkpoint: Module          # unfused model holding the trained weights
+    checkpoint: Optional[Module]  # unfused model holding the trained
+                                # weights (None from the sim backend)
     loss_curve: List[float]     # the job's own per-step training loss
     array_id: int               # which fused array trained it
     slot: int                   # its slot within that array
@@ -173,7 +174,6 @@ class _Slot:
     """One live job inside an executor."""
 
     sub: SubmittedJob
-    template: Module            # checkpoint container (structure matches)
     progress: int = 0           # steps completed so far
     curve: List[float] = field(default_factory=list)
     #: times this slot was preempted (detached mid-training so a
@@ -237,28 +237,22 @@ class ArrayExecutor:
         self.elastic = engine.elastic
         self.device_name = plan.device or engine.device_name
         self.width_cap = plan.width_cap
-        self.epoch_steps = plan.jobs[0].job.epoch_steps
-        self.loss_key = plan.jobs[0].job.loss
+        jobs = plan.jobs
+        self.epoch_steps = jobs[0].job.epoch_steps
+        self.loss_key = jobs[0].job.loss
         self.workload = plan.workload
         self.signature = plan.cohort.signature
         #: solo (quarantine-retry) arrays must keep training alone
-        self.solo = any(sub.solo for sub in plan.jobs)
+        self.solo = any(sub.solo for sub in jobs)
         #: cheap fusibility profile + exact structure, for freed-width
         #: admission and fleet defragmentation compatibility
-        self.admission_profile = engine.batcher.admission_profile(
-            plan.jobs[0])
-        self.structural_sig = structural_signature(plan.templates[0])
+        self.admission_profile = engine.batcher.admission_profile(jobs[0])
+        self.structural_sig = engine.batcher.structural_signature(jobs[0])
+        #: job ids this array turned away (structure mismatch or a failed
+        #: admit): the admission predicate skips them from then on
         self.admission_rejects: Set[int] = set()
-        #: job ids whose built template already proved structurally
-        #: compatible (the preemption pass re-evaluates pending at-risk
-        #: jobs at every epoch boundary; the rejects set caches the
-        #: mismatches, this caches the matches, so neither side rebuilds
-        #: a template model per epoch)
-        self.admission_confirms: Set[int] = set()
 
-        self.slots: List[_Slot] = [
-            _Slot(sub=sub, template=template)
-            for sub, template in zip(plan.jobs, plan.templates)]
+        self.slots: List[_Slot] = [_Slot(sub=sub) for sub in jobs]
         self.launch_width = len(self.slots)
 
         self.fused: Optional[Module] = None
@@ -316,12 +310,10 @@ class ArrayExecutor:
     # ------------------------------------------------------------------ #
     def prepare(self) -> None:
         """Build the fused model/optimizer and load every slot's weights."""
-        jobs = [slot.sub for slot in self.slots]
-        templates = [slot.template for slot in self.slots]
-        for sub in jobs:
-            self.engine.queue.mark_running(sub)
+        for slot in self.slots:
+            self.engine.queue.mark_running(slot.sub)
 
-        self._build_fused(jobs, templates)
+        self._build_fused()
         # durable-checkpoint resume: the templates already carry the
         # checkpointed weights (Batcher.build_template); inject the
         # optimizer half and fast-forward the progress counters so each
@@ -334,9 +326,32 @@ class ArrayExecutor:
     # ------------------------------------------------------------------ #
     # training physics (everything the simulation backend overrides)
     # ------------------------------------------------------------------ #
-    def _build_fused(self, jobs: Sequence[SubmittedJob],
-                     templates: Sequence[Module]) -> None:
-        """Materialize the fused model / optimizer / criterion."""
+    def _templates(self, subs: Sequence[SubmittedJob]
+                   ) -> Tuple[List[SubmittedJob], List[Module]]:
+        """The jobs whose template builds (here, where a real array first
+        touches tensors; memoized on the submission) and those templates.
+        A job whose builder raises is FAILED and left out; its mates fuse."""
+        built: List[SubmittedJob] = []
+        for sub in subs:
+            try:
+                self.engine.batcher.build_template(sub)
+            except Exception as exc:  # noqa: BLE001 — job-provided builder
+                self.engine._fail_job(sub, f"build_model failed: {exc}")
+            else:
+                built.append(sub)
+        return built, [sub.template for sub in built]
+
+    def _build_fused(self) -> None:
+        """Materialize the fused model / optimizer / criterion (dropping
+        the slots whose template does not build, see :meth:`_templates`)."""
+        jobs, templates = self._templates([slot.sub for slot in self.slots])
+        if len(jobs) < self.live_width:
+            self.slots = [s for s in self.slots if s.sub.template is not None]
+            self.launch_width = self.live_width
+            if not jobs:
+                return
+        # funnel level 3: the batcher grouped these jobs on what their
+        # *builder* builds; the templates are what the array really loads
         validate_fusibility(templates)
         fused = jobs[0].job.build_model(self.live_width, None)
         if not hasattr(fused, "fuse_inputs"):
@@ -373,9 +388,10 @@ class ArrayExecutor:
             self.engine.charge_epoch(self.workload, self.live_width, steps)
         return elapsed
 
-    def _export_slot(self, index: int, slot: _Slot) -> Module:
-        """The slot's unfused checkpoint model as of its last step."""
-        return export_to_unfused(self.fused, index, slot.template)
+    def _export_slot(self, index: int, slot: _Slot) -> Optional[Module]:
+        """The slot's unfused checkpoint model as of its last step (the
+        job's template, overwritten in place)."""
+        return export_to_unfused(self.fused, index, slot.sub.template)
 
     def _export_optimizer_state(self, index: int) -> Dict:
         """The slot's per-model optimizer-state slice (durability)."""
@@ -392,13 +408,19 @@ class ArrayExecutor:
             self.optimizer, self.fused.parameters(), keep)
         self.criterion = self._make_criterion(len(keep))
 
-    def _admit_fused(self, subs: Sequence[SubmittedJob],
-                     templates: Sequence[Module]) -> None:
-        """Widen the fused state with freshly admitted jobs.
+    def _admit_fused(self, subs: Sequence[SubmittedJob]
+                     ) -> List[SubmittedJob]:
+        """Widen the fused state with freshly admitted jobs; returns the
+        ones that boarded (all but those whose template does not build).
 
         Must either succeed or raise *without* mutating the live state
         (failure isolation for the admission path).
         """
+        subs, templates = self._templates(subs)
+        if not subs:
+            return subs
+        # funnel level 3, against what the live array was validated on
+        validate_fusibility([self.slots[0].sub.template] + templates)
         width = len(subs)
         allocator = self._allocator()
         sub_model = subs[0].job.build_model(width, None)
@@ -418,6 +440,7 @@ class ArrayExecutor:
         # the pre-merge structures are dead: recycle their allocations
         self._release_dead_state(old_fused, old_opt)
         self._release_dead_state(sub_model, sub_opt)
+        return subs
 
     def _merge_fused_state(self, other: "ArrayExecutor") -> None:
         """Absorb a paused straggler's fused state (defragmentation)."""
@@ -505,7 +528,7 @@ class ArrayExecutor:
                 "epoch": self.epochs}
 
     def _persist_slot(self, index: int, slot: _Slot,
-                      model_state: Optional[Dict] = None,
+                      checkpoint: Optional[Module] = None,
                       final: bool = False,
                       stop_reason: Optional[str] = None,
                       force: bool = False) -> None:
@@ -541,13 +564,14 @@ class ArrayExecutor:
                     final=final, stop_reason=stop_reason,
                     objects=slot.persist_refs)
             else:
-                if model_state is None:
-                    model_state = self._export_slot(index,
-                                                    slot).state_dict()
+                if checkpoint is None:
+                    checkpoint = self._export_slot(index, slot)
                 receipt = store.save_slot(
                     job_id=slot.sub.job_id, job=slot.job,
                     progress=slot.progress, loss_curve=slot.curve,
-                    model_state=model_state,
+                    # a simulated slot exports no model: empty state
+                    model_state=checkpoint.state_dict()
+                    if checkpoint is not None else {},
                     optimizer_state=self._export_optimizer_state(index),
                     provenance=self._provenance(index),
                     final=final, stop_reason=stop_reason)
@@ -698,8 +722,7 @@ class ArrayExecutor:
             if self.engine.persist_on_evict:
                 # the exported checkpoint doubles as the final durable
                 # state — a restart after this point replays nothing
-                self._persist_slot(index, slot,
-                                   model_state=checkpoint.state_dict(),
+                self._persist_slot(index, slot, checkpoint=checkpoint,
                                    final=True, stop_reason=reason)
             if reason == StopReason.CANCELLED:
                 self.engine.queue.mark_cancelled(slot.sub, result)
@@ -735,15 +758,15 @@ class ArrayExecutor:
     # ------------------------------------------------------------------ #
     # MERGING: freed-width admission and straggler defragmentation
     # ------------------------------------------------------------------ #
-    def admit(self, subs: Sequence[SubmittedJob],
-              templates: Sequence[Module]) -> None:
+    def admit(self, subs: Sequence[SubmittedJob]) -> List[SubmittedJob]:
         """Fuse fresh queued jobs into this array's freed width.
 
-        The newcomers are loaded into a temporary fused sub-array with a
-        fresh optimizer (zero state == the lazy initialization they would
-        get training alone) and merged in; their slots then train with
-        their own progress counters, so their checkpoints stay
-        serial-equivalent even though they boarded mid-flight.
+        Returns the jobs that boarded (one whose builder raises is FAILED
+        instead).  The newcomers are loaded into a temporary fused
+        sub-array with a fresh optimizer (zero state == the lazy
+        initialization they would get training alone) and merged in; their
+        slots then train with their own progress counters, so their
+        checkpoints stay serial-equivalent even though they boarded mid-flight.
         """
         if self.state == ArrayState.PENDING:
             self.prepare()
@@ -753,20 +776,21 @@ class ArrayExecutor:
                              f"{self.freed_width}")
         self.state = ArrayState.MERGING
         base = self.live_width
-        self._admit_fused(subs, templates)
-        for sub, template in zip(subs, templates):
+        subs = self._admit_fused(subs)
+        for sub in subs:
             self.engine.queue.mark_running(sub)
-            self.slots.append(_Slot(sub=sub, template=template))
+            self.slots.append(_Slot(sub=sub))
         # a recovering job may board freed width like any other pending
         # job; its template already holds the checkpointed weights, its
         # optimizer slice and progress counter land here
         for offset, slot in enumerate(self.slots[base:]):
             self._apply_resume(base + offset, slot)
-        self.admissions += width
-        self.engine.metrics.record_admission(width)
         self.state = ArrayState.STEPPING
-        self._journal("admit",
-                      admitted=[sub.job_id for sub in subs])
+        if subs:
+            self.admissions += len(subs)
+            self.engine.metrics.record_admission(len(subs))
+            self._journal("admit", admitted=[sub.job_id for sub in subs])
+        return subs
 
     def merge_with(self, other: "ArrayExecutor") -> None:
         """Absorb a paused straggler executor (fleet defragmentation).
@@ -844,9 +868,7 @@ class ArrayExecutor:
         child_cohort = Cohort(
             signature=self.signature, infusible_values=(),
             steps=max(slot.job.steps for slot in moved),
-            jobs=[slot.sub for slot in moved],
-            templates=[slot.template for slot in moved],
-            workload=self.workload)
+            jobs=[slot.sub for slot in moved], workload=self.workload)
         child_plan = ArrayPlan(cohort=child_cohort,
                                indices=list(range(len(moved))),
                                width_cap=self.width_cap,
@@ -1026,10 +1048,7 @@ class TrainingArrayEngine:
             return []
         cohorts, failures = self.batcher.form_cohorts(batch)
         for sub, error in failures:
-            self.queue.mark_failed(sub, error)
-            self.metrics.record_failure()
-            if self.recovery is not None:
-                self.recovery.journal_state(sub.job_id, JobState.FAILED)
+            self._fail_job(sub, error)
 
         results: List[JobResult] = []
         for plan in self.policy.plan(cohorts):
@@ -1115,11 +1134,7 @@ class TrainingArrayEngine:
                     self.queue.requeue(sub)
             else:
                 for sub in live:
-                    self.queue.mark_failed(sub, str(exc))
-                    if self.recovery is not None:
-                        self.recovery.journal_state(sub.job_id,
-                                                    JobState.FAILED)
-                self.metrics.record_failure(len(live))
+                    self._fail_job(sub, str(exc))
             if executor.jobs_served > 0 or executor.slot_steps_total > 0:
                 # the array did real work before failing: jobs already
                 # evicted hold valid checkpoints and their slot-steps back
@@ -1130,9 +1145,20 @@ class TrainingArrayEngine:
         self.metrics.record_array(executor.record())
         return executor.take_results()
 
+    def _fail_job(self, sub: SubmittedJob, error: str) -> None:
+        """Terminal failure of one job: queue state, counter, WAL."""
+        self.queue.mark_failed(sub, error)
+        self.metrics.record_failure()
+        if self.recovery is not None:
+            self.recovery.journal_state(sub.job_id, JobState.FAILED)
+
     def _refresh_resume(self, sub: SubmittedJob) -> None:
         """Attach the job's latest durable checkpoint as its resume
-        payload if it is ahead of whatever the job already carries."""
+        payload if it is ahead of whatever the job already carries.
+
+        The job's array died under it and the job restarts, so the template
+        its last attempt exported mid-training weights into is dropped."""
+        sub.template = None
         if self.store is None:
             return
         try:
@@ -1184,35 +1210,30 @@ class TrainingArrayEngine:
             return 0
 
         subs: List[SubmittedJob] = []
-        templates: List[Module] = []
         for sub in candidates:
             try:
-                template = self.batcher.build_template(sub)
+                structure = self.batcher.structural_signature(sub)
             except Exception as exc:  # noqa: BLE001 — job-provided builder
-                self.queue.mark_failed(sub, f"build_model failed: {exc}")
-                self.metrics.record_failure()
-                if self.recovery is not None:
-                    self.recovery.journal_state(sub.job_id, JobState.FAILED)
+                self._fail_job(sub, f"build_model failed: {exc}")
                 continue
-            if structural_signature(template) != executor.structural_sig:
+            if structure != executor.structural_sig:
                 # same cheap profile, different structure: remember the
-                # mismatch so the next epoch does not rebuild the template
+                # mismatch so the next epoch does not take the job again
                 executor.admission_rejects.add(sub.job_id)
                 self.queue.requeue(sub)
                 continue
             subs.append(sub)
-            templates.append(template)
-        if not subs:
-            return 0
         try:
-            executor.admit(subs, templates)
+            subs = executor.admit(subs) if subs else []
         except Exception:  # noqa: BLE001 — admission must not kill the array
             for sub in reversed(subs):
-                executor.admission_rejects.add(sub.job_id)
-                self.queue.requeue(sub)
+                if sub.state != JobState.FAILED:    # its builder raised
+                    executor.admission_rejects.add(sub.job_id)
+                    self.queue.requeue(sub)
             executor.state = ArrayState.STEPPING
             return 0
-        self.metrics.record_decision(
-            "admit", (executor.array_id, tuple(s.job_id for s in subs)),
-            count=len(subs))
+        if subs:
+            self.metrics.record_decision(
+                "admit", (executor.array_id, tuple(s.job_id for s in subs)),
+                count=len(subs))
         return len(subs)

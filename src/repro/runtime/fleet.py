@@ -57,7 +57,6 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..hfta.fusion import structural_signature
 from ..hwsim import DeviceSpec
 from .batcher import Batcher
 from .checkpoint import CheckpointStore, RecoveryManager
@@ -630,20 +629,16 @@ class FleetScheduler:
         # confirm exact structure *before* nominating victims: the cheap
         # profile has false positives, and detaching slots for a job that
         # then fails structural admission would delay the victims for
-        # nothing (preemption is rare, so the extra template build is
-        # paid almost never; refill rebuilds it, but only on this path)
+        # nothing (a lookup per builder; never a second template build)
         at_risk = []
         for sub in candidates:
-            if sub.job_id not in executor.admission_confirms:
-                try:
-                    template = batcher.build_template(sub)
-                except Exception:  # noqa: BLE001 — job-provided builder
-                    continue       # refill will fail it properly later
-                if structural_signature(template) != \
-                        executor.structural_sig:
-                    executor.admission_rejects.add(sub.job_id)
-                    continue
-                executor.admission_confirms.add(sub.job_id)
+            try:
+                structure = batcher.structural_signature(sub)
+            except Exception:  # noqa: BLE001 — job-provided builder
+                continue           # refill will fail it properly later
+            if structure != executor.structural_sig:
+                executor.admission_rejects.add(sub.job_id)
+                continue
             at_risk.append(sub)
         if not at_risk:
             return
@@ -756,23 +751,18 @@ class FleetScheduler:
         return "detach"
 
     def _absorber_queued(self, executor: ArrayExecutor) -> bool:
-        """Whether a compatible work item is waiting in any device queue.
-        The compat key of a not-yet-launched plan is computed once and
-        cached on the plan."""
+        """Whether a compatible work item is waiting in any device queue
+        (a not-yet-launched plan has the compat key its executor will)."""
         key = executor.compat_key
         for item in (i for w in self.workers.values() for i in w.plans):
             if isinstance(item, ArrayExecutor):
                 if item is not executor and item.compat_key == key:
                     return True
                 continue
-            plan_key = getattr(item.plan, "_compat_key", None)
-            if plan_key is None:
-                sub = item.plan.jobs[0]
-                plan_key = (self.batcher.admission_profile(sub),
-                            structural_signature(item.plan.templates[0]),
-                            sub.job.loss)
-                item.plan._compat_key = plan_key
-            if plan_key == key:
+            sub = item.plan.cohort.jobs[item.plan.indices[0]]
+            if (self.batcher.admission_profile(sub),
+                    self.batcher.structural_signature(sub),
+                    sub.job.loss) == key:
                 return True
         return False
 

@@ -57,11 +57,6 @@ class ArrayPlan:
         return self.cohort.workload
 
     @property
-    def templates(self):
-        """The selected jobs' instantiated serial template models."""
-        return [self.cohort.templates[i] for i in self.indices]
-
-    @property
     def num_models(self) -> int:
         """The array width this plan launches at."""
         return len(self.indices)

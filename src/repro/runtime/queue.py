@@ -233,6 +233,11 @@ class SubmittedJob:
     #: (immutable per job; computed at most once even though the freed-width
     #: admission predicate runs for every pending job at epoch boundaries)
     profile_cache: Optional[Tuple] = None
+    #: memoized :meth:`repro.runtime.batcher.Batcher.build_template`: the
+    #: job's seeded unfused model, built where a real array first touches
+    #: tensors (never under ``execution="sim"``); it seeds the job's slot
+    #: and receives every checkpoint exported from it
+    template: Optional[Module] = None
     #: durable checkpoint to resume from (crash recovery / quarantine
     #: retry): the executor seeds the job's template model, optimizer
     #: slice and progress counter from it instead of starting at step 0

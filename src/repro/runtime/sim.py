@@ -21,8 +21,9 @@ Three pieces:
   device's virtual timeline by ``steps * iteration_time_s`` from the cost
   model instead of running a train loop, loss curves come from a
   deterministic synthetic decay (or the job's own ``sim_loss`` callable),
-  and the fuse/merge/split/export tensor operations become no-ops.  All
-  lifecycle transitions, stop signals, accounting, journaling and
+  and the fuse/merge/split/export tensor operations become no-ops — no
+  model is ever built, so results carry no checkpoint.  All lifecycle
+  transitions, stop signals, accounting, journaling and
   checkpoint-manifest writes run unchanged.
 * :class:`TraceReplayer` — feeds a timestamped arrival trace (e.g. from
   :func:`repro.cluster.generator.generate_serving_trace`) into a
@@ -60,7 +61,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..hwsim import V100, estimate_array_cost, get_workload
-from ..nn.modules.module import Module
 from .engine import ArrayExecutor, _Slot
 from .queue import SubmittedJob, TrainingJob
 
@@ -190,13 +190,8 @@ class SimExecutor(ArrayExecutor):
     # ------------------------------------------------------------------ #
     # physics hooks: cost-model projections instead of tensor math
     # ------------------------------------------------------------------ #
-    def _build_fused(self, jobs: Sequence[SubmittedJob],
-                     templates: Sequence[Module]) -> None:
-        # no fused model is materialized; the templates stand in for the
-        # per-job checkpoints and the criterion/optimizer stay None
-        self.fused = None
-        self.optimizer = None
-        self.criterion = None
+    def _build_fused(self) -> None:
+        pass        # nothing is materialized, not even the jobs' templates
 
     def _make_criterion(self, num_models: int):
         return None
@@ -216,10 +211,9 @@ class SimExecutor(ArrayExecutor):
         self.samples += int(est.throughput * seconds)
         return seconds
 
-    def _export_slot(self, index: int, slot: _Slot) -> Module:
-        # simulated training never changes weights: the slot's template IS
-        # its checkpoint (progress/curves are the state that matters here)
-        return slot.template
+    def _export_slot(self, index: int, slot: _Slot) -> None:
+        # a simulated job has no weights: progress and curve are its state
+        return None
 
     def _export_optimizer_state(self, index: int) -> Dict:
         return {}
@@ -233,9 +227,9 @@ class SimExecutor(ArrayExecutor):
     def _narrow(self, keep: Sequence[int]) -> None:
         pass
 
-    def _admit_fused(self, subs: Sequence[SubmittedJob],
-                     templates: Sequence[Module]) -> None:
-        pass
+    def _admit_fused(self, subs: Sequence[SubmittedJob]
+                     ) -> List[SubmittedJob]:
+        return list(subs)
 
     def _merge_fused_state(self, other: ArrayExecutor) -> None:
         pass

@@ -120,7 +120,7 @@ class TestBatcher:
         assert not failures
         assert len(cohorts) == 1
         assert cohorts[0].num_models == 4
-        assert len(cohorts[0].templates) == 4
+        assert len(cohorts[0].jobs) == 4
 
     def test_different_architectures_split(self):
         batch = self._schedule([make_job(0, hidden=8), make_job(1, hidden=8),
