@@ -49,13 +49,16 @@ class TransformerLM(nn.Module):
         self.norm = lib.LayerNorm(d_model)
         self.output = lib.Linear(d_model, vocab_size, generator=generator)
 
-    def fuse_inputs(self, token_batches: Sequence[np.ndarray]) -> np.ndarray:
-        """Stack per-model ``[N, L]`` id arrays into the fused ``[B, N, L]``."""
+    def fuse_inputs(self, token_batches: Sequence) -> np.ndarray:
+        """Stack per-model ``[N, L]`` ids (arrays or ``Tensor``s, as the
+        runtime engine hands them over) into the fused ``[B, N, L]``."""
+        arrays = [t.data if isinstance(t, Tensor) else np.asarray(t)
+                  for t in token_batches]
         if not self.lib.fused:
-            if len(token_batches) != 1:
+            if len(arrays) != 1:
                 raise ValueError("unfused model takes exactly one input")
-            return np.asarray(token_batches[0])
-        return np.stack([np.asarray(t) for t in token_batches], axis=0)
+            return arrays[0]
+        return np.stack(arrays, axis=0)
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
         length = ids.shape[-1]

@@ -97,6 +97,65 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding,
 # --------------------------------------------------------------------- #
 # Convolutions
 # --------------------------------------------------------------------- #
+def _needs_grad(t: Optional[Tensor]) -> bool:
+    return t is not None and (t.requires_grad or t._backward is not None)
+
+
+def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], x_shape, w_shape,
+          stride, padding, dilation, groups: int, op: str) -> Tensor:
+    """One grouped-convolution node over 4-D views of ``x`` and ``weight``.
+
+    ``x_shape``/``w_shape`` are the operands' NCHW shapes (``conv1d`` passes
+    its height-1 lift).  Forward and backward are batched matmuls with the
+    groups axis leading, ``[G, C_out/G, K] x [N, G, K, L]``: the ``B`` fused
+    models of a ``groups=B`` call run exactly the GEMMs each would run alone.
+    A pointwise convolution (kernel 1, stride 1, no padding) is its own column
+    matrix, so it gathers nothing forward and scatters nothing backward.
+    """
+    n, c_in, h, w = x_shape
+    c_out, c_in_per_group, kh, kw = w_shape
+    if c_in % groups != 0 or c_out % groups != 0:
+        raise ValueError(f"channels ({c_in}, {c_out}) not divisible by groups "
+                         f"({groups})")
+    if c_in_per_group != c_in // groups:
+        raise ValueError("weight shape inconsistent with groups: expected "
+                         f"C_in/groups={c_in // groups}, got {c_in_per_group}")
+
+    x4 = x.data.reshape(x_shape)
+    pointwise = (kh, kw, stride, padding) == (1, 1, (1, 1), (0, 0))
+    if pointwise:
+        cols, out_h, out_w = x4, h, w
+    else:
+        cols, out_h, out_w = _im2col(x4, kh, kw, stride, padding, dilation)
+    L = out_h * out_w
+    k = c_in_per_group * kh * kw
+    cols_g = cols.reshape(n, groups, k, L)
+    w_g = weight.data.reshape(groups, c_out // groups, k)
+    out_data = np.matmul(w_g, cols_g).reshape(n, c_out, L)
+    if bias is not None:
+        out_data += bias.data.reshape(c_out, 1)
+    spatial = (out_h, out_w) if x.ndim == 4 else (out_w,)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = _make_out(out_data.reshape((n, c_out) + spatial), parents, op)
+    if out.requires_grad:
+        def _bw(grad_out):
+            g = grad_out.reshape(n, groups, c_out // groups, L)
+            if _needs_grad(weight):
+                gw = np.matmul(g, cols_g.swapaxes(-1, -2)).sum(axis=0)
+                _accumulate(weight, gw.reshape(weight.shape))
+            if _needs_grad(bias):
+                _accumulate(bias, np.einsum("ncl->c", g.reshape(n, c_out, L)))
+            if _needs_grad(x):
+                gx = np.matmul(w_g.swapaxes(-1, -2), g)
+                if not pointwise:
+                    gx = _col2im(gx.reshape(n, c_in * kh * kw, L), x_shape,
+                                 kh, kw, stride, padding, dilation)
+                _accumulate(x, gx.reshape(x.shape))
+        out._backward = _bw
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: IntPair = 1, padding: IntPair = 0, dilation: IntPair = 1,
            groups: int = 1) -> Tensor:
@@ -112,58 +171,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
       ``groups = B * g`` to fuse ``B`` models whose original convolutions had
       ``g`` groups.
     """
-    stride, padding, dilation = _pair(stride), _pair(padding), _pair(dilation)
-    n, c_in, h, w = x.shape
-    c_out, c_in_per_group, kh, kw = weight.shape
-    if c_in % groups != 0 or c_out % groups != 0:
-        raise ValueError(f"channels ({c_in}, {c_out}) not divisible by groups "
-                         f"({groups})")
-    if c_in_per_group != c_in // groups:
-        raise ValueError("weight shape inconsistent with groups: expected "
-                         f"C_in/groups={c_in // groups}, got {c_in_per_group}")
-
-    cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding, dilation)
-    # cols: [N, C_in*kh*kw, L]; split channel blocks per group.
-    L = out_h * out_w
-    cols_g = cols.reshape(n, groups, c_in_per_group * kh * kw, L)
-    w_g = weight.data.reshape(groups, c_out // groups, c_in_per_group * kh * kw)
-    # out_g: [N, G, C_out/G, L]
-    out_g = np.einsum("ngkl,gok->ngol", cols_g, w_g, optimize=True)
-    out_data = out_g.reshape(n, c_out, out_h, out_w)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make_out(out_data, parents, "conv2d")
-    if out.requires_grad:
-        def _bw(grad_out):
-            g = grad_out.reshape(n, groups, c_out // groups, L)
-            if weight.requires_grad or weight._backward is not None:
-                gw = np.einsum("ngol,ngkl->gok", g, cols_g, optimize=True)
-                _accumulate(weight, gw.reshape(weight.shape))
-            if bias is not None and (bias.requires_grad or bias._backward is not None):
-                _accumulate(bias, grad_out.sum(axis=(0, 2, 3)))
-            if x.requires_grad or x._backward is not None:
-                gcols_g = np.einsum("ngol,gok->ngkl", g, w_g, optimize=True)
-                gcols = gcols_g.reshape(n, c_in * kh * kw, L)
-                gx = _col2im(gcols, x.shape, kh, kw, stride, padding, dilation)
-                _accumulate(x, gx)
-        out._backward = _bw
-    return out
+    return _conv(x, weight, bias, x.shape, weight.shape, _pair(stride),
+                 _pair(padding), _pair(dilation), groups, "conv2d")
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0, dilation: int = 1,
            groups: int = 1) -> Tensor:
-    """1-D convolution implemented by lifting to a height-1 2-D convolution."""
+    """1-D convolution: :func:`conv2d`'s node on a height-1 view."""
     n, c_in, length = x.shape
     c_out, c_in_per_group, k = weight.shape
-    x4 = x.reshape(n, c_in, 1, length)
-    w4 = weight.reshape(c_out, c_in_per_group, 1, k)
-    out = conv2d(x4, w4, bias, stride=(1, stride), padding=(0, padding),
-                 dilation=(1, dilation), groups=groups)
-    n_, c_, _, l_ = out.shape
-    return out.reshape(n_, c_, l_)
+    return _conv(x, weight, bias, (n, c_in, 1, length),
+                 (c_out, c_in_per_group, 1, k), (1, int(stride)),
+                 (0, int(padding)), (1, int(dilation)), groups, "conv1d")
 
 
 def conv_transpose2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -194,8 +214,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     x_g = x.data.reshape(n, groups, c_in // groups, L)
     w_g = weight.data.reshape(groups, c_in // groups, c_out_per_group * kh * kw)
     # cols: [N, G, C_out/G*kh*kw, L] -> [N, C_out*kh*kw, L]
-    cols_g = np.einsum("ngcl,gck->ngkl", x_g, w_g, optimize=True)
-    cols = cols_g.reshape(n, c_out * kh * kw, L)
+    cols = np.matmul(w_g.swapaxes(-1, -2), x_g).reshape(n, c_out * kh * kw, L)
     out_shape = (n, c_out, out_h, out_w)
     out_data = _col2im(cols, out_shape, kh, kw, stride, padding)
     if bias is not None:
@@ -207,13 +226,12 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         def _bw(grad_out):
             gcols, _, _ = _im2col(grad_out, kh, kw, stride, padding)
             gcols_g = gcols.reshape(n, groups, c_out_per_group * kh * kw, L)
-            if x.requires_grad or x._backward is not None:
-                gx_g = np.einsum("ngkl,gck->ngcl", gcols_g, w_g, optimize=True)
-                _accumulate(x, gx_g.reshape(x.shape))
-            if weight.requires_grad or weight._backward is not None:
-                gw_g = np.einsum("ngcl,ngkl->gck", x_g, gcols_g, optimize=True)
-                _accumulate(weight, gw_g.reshape(weight.shape))
-            if bias is not None and (bias.requires_grad or bias._backward is not None):
+            if _needs_grad(x):
+                _accumulate(x, np.matmul(w_g, gcols_g).reshape(x.shape))
+            if _needs_grad(weight):
+                gw = np.matmul(x_g, gcols_g.swapaxes(-1, -2)).sum(axis=0)
+                _accumulate(weight, gw.reshape(weight.shape))
+            if _needs_grad(bias):
                 _accumulate(bias, grad_out.sum(axis=(0, 2, 3)))
         out._backward = _bw
     return out
@@ -324,6 +342,18 @@ def adaptive_avg_pool2d(x: Tensor, output_size: IntPair) -> Tensor:
 # --------------------------------------------------------------------- #
 # Normalization
 # --------------------------------------------------------------------- #
+def _sum_over(a: np.ndarray, axes: Tuple[int, ...],
+              b: Optional[np.ndarray] = None) -> np.ndarray:
+    """``a.sum(axes, keepdims=True)`` — of ``a * b`` when ``b`` is given — in
+    one pass over the operands, with no full-size temporary."""
+    letters = "abcdefghijklmnop"[:a.ndim]      # one einsum subscript per axis
+    kept = "".join(c for i, c in enumerate(letters) if i not in axes)
+    operands = (a,) if b is None else (a, b)
+    out = np.einsum(",".join([letters] * len(operands)) + "->" + kept,
+                    *operands)
+    return out.reshape([1 if i in axes else d for i, d in enumerate(a.shape)])
+
+
 def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
                running_var: Optional[np.ndarray], weight: Optional[Tensor],
                bias: Optional[Tensor], training: bool, momentum: float = 0.1,
@@ -334,46 +364,97 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
     and ``BatchNorm2d`` (``[N, C, H, W]``).  Running statistics are plain
     numpy arrays owned by the calling module and are updated in place when
     ``training`` is true.
+
+    One autograd node: backward keeps the centered input and ``rstd`` and
+    applies ``dx = scale * (g - mean(g) - x_c * rstd^2 * mean(g * x_c))``.
     """
-    axes = tuple(i for i in range(x.ndim) if i != channel_axis)
-    if training or running_mean is None:
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
+    data = x.data
+    channel_axis %= data.ndim
+    axes = tuple(i for i in range(data.ndim) if i != channel_axis)
+    shape = [1] * data.ndim
+    shape[channel_axis] = data.shape[channel_axis]
+    batch_stats = training or running_mean is None
+    if batch_stats:
+        count = data.size // data.shape[channel_axis]
+        mean = _sum_over(data, axes) * (1.0 / count)
+        xc = data - mean
+        var = _sum_over(xc, axes, xc) * (1.0 / count)
         if running_mean is not None:
-            count = int(np.prod([x.shape[a] for a in axes]))
-            unbiased = var.data * count / max(count - 1, 1)
+            unbiased = var * count / max(count - 1, 1)
             running_mean *= (1 - momentum)
-            running_mean += momentum * mean.data.reshape(-1)
+            running_mean += momentum * mean.reshape(-1)
             running_var *= (1 - momentum)
             running_var += momentum * unbiased.reshape(-1)
     else:
-        shape = [1] * x.ndim
-        shape[channel_axis] = x.shape[channel_axis]
-        mean = Tensor(running_mean.reshape(shape))
-        var = Tensor(running_var.reshape(shape))
+        xc = data - running_mean.reshape(shape)
+        var = running_var.reshape(shape)
+    rstd = 1.0 / np.sqrt(var + eps)
+    scale = rstd if weight is None else rstd * weight.data.reshape(shape)
+    out_data = xc * scale
+    if bias is not None:
+        out_data += bias.data.reshape(shape)
 
-    x_hat = (x - mean) / ((var + eps) ** 0.5)
-    if weight is not None:
-        shape = [1] * x.ndim
-        shape[channel_axis] = x.shape[channel_axis]
-        x_hat = x_hat * weight.reshape(*shape) + bias.reshape(*shape)
-    return x_hat
+    parents = tuple(p for p in (x, weight, bias) if p is not None)
+    out = _make_out(out_data, parents, "batch_norm")
+    if out.requires_grad:
+        def _bw(g):
+            sum_g = _sum_over(g, axes)
+            sum_gxc = _sum_over(g, axes, xc)
+            if _needs_grad(weight):
+                _accumulate(weight, (sum_gxc * rstd).reshape(weight.shape))
+            if _needs_grad(bias):
+                _accumulate(bias, sum_g.reshape(bias.shape))
+            if _needs_grad(x):
+                if batch_stats:
+                    gx = xc * (rstd * rstd * sum_gxc * (1.0 / count))
+                    gx += sum_g * (1.0 / count)
+                    np.subtract(g, gx, out=gx)
+                    gx *= scale
+                else:
+                    gx = g * scale
+                _accumulate(x, gx)
+        out._backward = _bw
+    return out
 
 
 def layer_norm(x: Tensor, normalized_shape: Tuple[int, ...],
                weight: Optional[Tensor] = None, bias: Optional[Tensor] = None,
                eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the trailing ``normalized_shape`` dims."""
-    ndims = len(normalized_shape)
-    axes = tuple(range(x.ndim - ndims, x.ndim))
-    mean = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
-    x_hat = (x - mean) / ((var + eps) ** 0.5)
-    if weight is not None:
-        x_hat = x_hat * weight
+    """Layer normalization over the trailing ``normalized_shape`` dims.
+
+    One autograd node: backward keeps ``x_hat`` and ``rstd`` and applies
+    ``dx = rstd * (gw - mean(gw) - x_hat * mean(gw * x_hat))``, ``gw`` the
+    incoming gradient times ``weight``.
+    """
+    data = x.data
+    split = data.ndim - len(normalized_shape)
+    lead, axes = tuple(range(split)), tuple(range(split, data.ndim))
+    inv_count = 1.0 / int(np.prod(normalized_shape))
+    x_hat = data - _sum_over(data, axes) * inv_count
+    rstd = 1.0 / np.sqrt(_sum_over(x_hat, axes, x_hat) * inv_count + eps)
+    x_hat *= rstd
+    out_data = x_hat if weight is None else x_hat * weight.data
     if bias is not None:
-        x_hat = x_hat + bias
-    return x_hat
+        out_data = out_data + bias.data
+
+    parents = tuple(p for p in (x, weight, bias) if p is not None)
+    out = _make_out(out_data, parents, "layer_norm")
+    if out.requires_grad:
+        def _bw(g):
+            if _needs_grad(weight):
+                _accumulate(weight,
+                            _sum_over(g, lead, x_hat).reshape(weight.shape))
+            if _needs_grad(bias):
+                _accumulate(bias, _sum_over(g, lead).reshape(bias.shape))
+            if _needs_grad(x):
+                gw = g if weight is None else g * weight.data
+                gx = x_hat * (_sum_over(gw, axes, x_hat) * inv_count)
+                gx += _sum_over(gw, axes) * inv_count
+                np.subtract(gw, gx, out=gx)
+                gx *= rstd
+                _accumulate(x, gx)
+        out._backward = _bw
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -472,14 +553,39 @@ def hardswish(x: Tensor) -> Tensor:
 # Softmax and losses
 # --------------------------------------------------------------------- #
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """One node; backward is ``p * (g - sum(g * p))`` from the saved ``p``."""
+    probs = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    probs /= probs.sum(axis=axis, keepdims=True)
+    out = _make_out(probs, (x,), "softmax")
+    if out.requires_grad:
+        axes = (axis % probs.ndim,)
+
+        def _bw(g):
+            gx = g - _sum_over(g, axes, probs)
+            gx *= probs
+            _accumulate(x, gx)
+        out._backward = _bw
+    return out
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+    """One node; backward is ``g - softmax(x) * sum(g)``.
+
+    The forward keeps the order max-shift -> exp -> sum -> log -> subtract
+    that the fused losses' ``_per_model_values`` replay bit for bit.
+    """
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    exps = np.exp(out_data)
+    total = exps.sum(axis=axis, keepdims=True)
+    out_data -= np.log(total)
+    out = _make_out(out_data, (x,), "log_softmax")
+    if out.requires_grad:
+        def _bw(g):
+            gx = exps * (g.sum(axis=axis, keepdims=True) / total)
+            np.subtract(g, gx, out=gx)
+            _accumulate(x, gx)
+        out._backward = _bw
+    return out
 
 
 def nll_loss(log_probs: Tensor, target: Union[Tensor, np.ndarray],

@@ -398,20 +398,19 @@ class Tensor:
         return sq.sum(axis=axis, keepdims=keepdims) * (1.0 / denom)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
+        """Maximum over ``axis``; tied maxima share the gradient equally."""
         out_data = self.data.max(axis=axis, keepdims=keepdims)
         out = _make_out(out_data, (self,), "max")
         if out.requires_grad:
             def _bw(g):
                 g = np.asarray(g)
-                if axis is None:
-                    mask = (self.data == out_data)
-                    grad = mask * (g / mask.sum())
-                else:
-                    expanded = self.data.max(axis=axis, keepdims=True)
-                    mask = (self.data == expanded)
-                    gg = g if keepdims else np.expand_dims(g, axis)
-                    grad = mask * (gg / mask.sum(axis=axis, keepdims=True))
-                _accumulate(self, grad.astype(self.data.dtype, copy=False))
+                top = out_data
+                if axis is not None and not keepdims:
+                    top, g = np.expand_dims(top, axis), np.expand_dims(g, axis)
+                mask = self.data == top
+                ties = np.count_nonzero(mask, axis=axis, keepdims=True)
+                _accumulate(self, mask * (g / ties).astype(self.data.dtype,
+                                                           copy=False))
             out._backward = _bw
         return out
 

@@ -217,6 +217,23 @@ class TestNLPModels:
             np.testing.assert_allclose(fy.data[b], serial[b](ids[b]).data,
                                        atol=1e-4)
 
+    @pytest.mark.parametrize("wrap", [np.asarray, nn.tensor],
+                             ids=["arrays", "tensors"])
+    def test_transformer_fuse_inputs_takes_arrays_and_tensors(self, wrap):
+        """The runtime engine hands ``fuse_inputs`` a list of ``Tensor``s."""
+        ids = [rng.integers(0, 20, size=(2, 6)) for _ in range(B)]
+        kwargs = dict(vocab_size=20, d_model=8, nhead=2, num_layers=1,
+                      dim_feedforward=16, max_len=8, dropout=0.0)
+        fused = TransformerLM(num_models=B, **kwargs)
+        stacked = fused.fuse_inputs([wrap(i) for i in ids])
+        np.testing.assert_array_equal(stacked, np.stack(ids))
+        assert fused(stacked).shape == (B, 2, 6, 20)
+        alone = TransformerLM(**kwargs)
+        np.testing.assert_array_equal(alone.fuse_inputs([wrap(ids[0])]),
+                                      ids[0])
+        with pytest.raises(ValueError):
+            alone.fuse_inputs([wrap(i) for i in ids])
+
     def test_transformer_rejects_overlong_sequence(self):
         model = TransformerLM(vocab_size=20, d_model=8, nhead=2, num_layers=1,
                               max_len=4, dropout=0.0)

@@ -112,6 +112,28 @@ class TestReductionsAndShape:
         a.max(axis=1).sum().backward()
         np.testing.assert_allclose(a.grad, [[0.0, 1.0, 0.0]])
 
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis,expected", [
+        (None, [[0.0, 0.25, 0.25], [0.25, 0.25, 0.0]]),
+        (0, [[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]]),
+        (1, [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0]]),
+        ((0, 1), [[0.0, 0.25, 0.25], [0.25, 0.25, 0.0]])])
+    def test_max_backward_splits_gradient_equally_among_ties(
+            self, axis, keepdims, expected):
+        """PointNet pools post-ReLU features: all-zero channels tie."""
+        a = t64([[0.0, 3.0, 3.0], [3.0, 3.0, 0.0]])
+        out = a.max(axis=axis, keepdims=keepdims)
+        assert out.shape == a.data.max(axis=axis, keepdims=keepdims).shape
+        out.sum().backward()
+        np.testing.assert_array_equal(a.grad, expected)
+
+    def test_max_backward_all_equal_row_in_float32(self):
+        a = nn.tensor(np.zeros((2, 4), dtype=np.float32), requires_grad=True)
+        (a.max(axis=1) * nn.tensor(np.array([1.0, 2.0], dtype=np.float32))
+         ).sum().backward()
+        assert a.grad.dtype == np.float32
+        np.testing.assert_array_equal(a.grad, [[0.25] * 4, [0.5] * 4])
+
     def test_reshape_and_permute_backward(self):
         a = t64(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
         out = a.permute(2, 0, 1).reshape(4, 6)
