@@ -109,7 +109,7 @@ def build_workload(width, seed=0, legacy=False):
 
 
 def run_steps(model, optimizer, criterion, x, targets, steps, legacy=False):
-    """Mirrors ``ArrayExecutor._run_epoch``'s per-step sequence."""
+    """Mirrors ``FusedPhysics.step``'s per-step sequence."""
     for _ in range(steps):
         optimizer.zero_grad()
         out = model(x)
@@ -263,15 +263,12 @@ def test_hotpath_throughput_and_elastic_latency(tmp_path):
         f"{STEP_COUNT} steps; evict 2 slots from 256x256 arrays", rows,
         header=("metric", "value"))
 
-    # acceptance: the optimized path must clearly outrun the legacy one
-    # (the bench-gate holds the committed >=2x baseline; this in-test
-    # floor only guards against the comparator degenerating), eviction
-    # must not scale with array width the way the copy path does, churn
-    # must hit the pool, and incremental checkpointing must cut the
-    # sweep-heavy workload's written payload by >=50%.
-    assert speedup > 1.5
-    assert evict_scaling < copy_scaling
-    assert evict_scaling < 2.0
+    # acceptance, machine-independent only (this test runs in tier-1 on
+    # whatever box CI lands on): churn must hit the pool, and incremental
+    # checkpointing must cut the sweep-heavy workload's written payload by
+    # >=50% (byte counts).  The timing ratios — step_speedup_w32 and the
+    # evict scalings — are written below for `make bench-gate`, which owns
+    # their floors against the committed baseline.
     assert pool["hit_rate"] > 0.5
     assert amplification >= 2.0          # >= 50% fewer bytes encoded
 

@@ -110,7 +110,7 @@ from .checkpoint import (CheckpointStore, RecoveryManager, SlotCheckpoint,
 from .fleet import DeviceWorker, FleetScheduler
 from .gateway import (AdmissionTicket, ServingGateway, ShedReason,
                       TenantSpec)
-from .sim import (SimExecutor, SimulatedCrash, TraceReplayer, VirtualClock,
+from .sim import (SimulatedCrash, TraceReplayer, VirtualClock,
                   default_sim_loss)
 
 __all__ = [
@@ -128,6 +128,6 @@ __all__ = [
     "CheckpointStore", "RecoveryManager", "SlotCheckpoint", "WriteReceipt",
     "DeviceWorker", "FleetScheduler",
     "AdmissionTicket", "ServingGateway", "ShedReason", "TenantSpec",
-    "SimExecutor", "SimulatedCrash", "TraceReplayer", "VirtualClock",
+    "SimulatedCrash", "TraceReplayer", "VirtualClock",
     "default_sim_loss",
 ]

@@ -25,7 +25,9 @@ fused parameters/buffers/optimizer-state are narrowed with the re-fusion
 primitives, and the freed width goes back to the scheduler — which may
 admit compatible queued jobs straight into the running array, or (at fleet
 scale, :mod:`repro.runtime.fleet`) merge under-filled stragglers from other
-devices.
+devices.  The executor itself never touches a tensor: it owns the slots and
+decides, and the :class:`FusedPhysics` object it holds does (six methods;
+``execution="sim"`` swaps in :class:`repro.runtime.sim.SimPhysics`).
 
 The engine also serves as the *per-device worker* of the multi-device
 fleet: the fleet scheduler replaces the batcher/policy stages with
@@ -43,8 +45,9 @@ never *what* it learns.
 
 from __future__ import annotations
 
+import copy
 import functools
-import threading
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -59,6 +62,7 @@ from ..hfta.fusion import export_to_unfused, load_from_unfused, merge_fused, \
 from ..hfta.optim.elastic import export_slot_state, load_slot_state, \
     merge_optimizers, split_optimizer
 from ..nn.modules.module import Module
+from . import sim
 from .batcher import Batcher, Cohort
 from .bufferpool import BufferPool
 from .checkpoint import CheckpointStore, RecoveryManager
@@ -125,8 +129,7 @@ class StopReason:
 
 
 class ArrayState:
-    """Lifecycle states of a fused training array (see docs/architecture.md,
-    "Array lifecycle")::
+    """Lifecycle states of a fused training array (see docs/elasticity.md)::
 
         PENDING -> FUSED -> STEPPING -> {EVICTING, MERGING} -> DRAINED
 
@@ -140,8 +143,6 @@ class ArrayState:
     EVICTING = "evicting"    # exporting finished slots, narrowing the array
     MERGING = "merging"      # widening: admission or straggler defrag
     DRAINED = "drained"      # no live slots remain
-
-    ALL = (PENDING, FUSED, STEPPING, EVICTING, MERGING, DRAINED)
 
 
 @dataclass
@@ -201,32 +202,172 @@ class _Slot:
         return self.job.steps - self.progress
 
 
+class FusedPhysics:
+    """The numpy training physics of one fused array.
+
+    An :class:`ArrayExecutor` decides what happens to which slot when; the
+    physics object it holds is the only thing that touches tensors.  The
+    whole protocol is six methods (:class:`repro.runtime.sim.SimPhysics`
+    answers the same six from the cost model, with no weights):
+
+    * ``build(subs, mate=None)`` — materialize the training state of
+      ``subs`` (fusible with the live job ``mate`` when boarding a running
+      array); returns the jobs that boarded;
+    * ``step(slots, steps)`` — train every slot ``steps`` gang-scheduled
+      steps, appending per-step losses to each slot's curve; returns
+      ``(seconds, samples)``;
+    * ``take(indices)`` — a new physics holding just those slots (eviction
+      keeps the survivors; preemption takes the victims, then the rest);
+    * ``absorb(other)`` — append ``other``'s slots (admission, defrag);
+      succeeds, or raises with the live state untouched;
+    * ``export(index, slot)`` — ``(checkpoint, durable)``: the slot's
+      unfused model as of its last step, or ``None`` without weights, and
+      ``durable() -> (model state, optimizer state)``, evaluated only
+      when a store writes — retiring without one copies nothing;
+    * ``load_resume(index, resume)`` — inject a durable checkpoint's
+      optimizer slice (the weights arrive through the job's template).
+
+    The eight re-fusion primitives are called through this module's
+    globals, which is where ``bench_e2e.tracing`` measures them.
+    """
+
+    def __init__(self, engine: TrainingArrayEngine, plan: ArrayPlan):
+        self.engine = engine
+        self.loss_key = plan.jobs[0].job.loss
+        self.fused = self.optimizer = self.criterion = None
+
+    def _install(self, fused: Module, optimizer) -> FusedPhysics:
+        """Swap in a fused model/optimizer pair and the criterion of their
+        width (nothing is assigned if the loss is unknown)."""
+        if self.loss_key not in _CRITERIA:
+            raise ValueError(f"unknown loss '{self.loss_key}'; choose from "
+                             f"{sorted(_CRITERIA)}")
+        self.criterion = _CRITERIA[self.loss_key](optimizer.num_models)
+        self.fused, self.optimizer = fused, optimizer
+        return self
+
+    def build(self, subs: Sequence[SubmittedJob],
+              mate: Optional[SubmittedJob] = None) -> List[SubmittedJob]:
+        """Fuse the jobs whose template builds (here, where an array first
+        touches tensors; memoized on the submission).  A job whose builder
+        raises is FAILED and left out; its mates fuse."""
+        boarded: List[SubmittedJob] = []
+        for sub in subs:
+            try:
+                self.engine.batcher.build_template(sub)
+            except Exception as exc:  # noqa: BLE001 — job-provided builder
+                self.engine._fail_job(sub, f"build_model failed: {exc}")
+            else:
+                boarded.append(sub)
+        if not boarded:
+            return boarded
+        templates = [sub.template for sub in boarded]
+        # funnel level 3: the batcher grouped these jobs on what their
+        # *builder* builds; the templates are what the array really loads
+        # (a boarding party is checked against what the live array runs)
+        validate_fusibility(
+            ([mate.template] if mate is not None else []) + templates)
+        fused = boarded[0].job.build_model(len(boarded), None)
+        if not hasattr(fused, "fuse_inputs"):
+            raise TypeError(
+                f"fused model {type(fused).__name__} has no 'fuse_inputs'; "
+                f"build models through repro.hfta.ops.factory.OpsLibrary "
+                f"(see repro.models for examples)")
+        load_from_unfused(fused, templates)
+        self._install(fused, make_fused_optimizer(
+            fused, [sub.job.config for sub in boarded], len(boarded)))
+        return boarded
+
+    def step(self, slots: Sequence[_Slot], steps: int) -> Tuple[float, int]:
+        start = time.perf_counter()
+        samples = 0
+        for i in range(steps):
+            batches = [slot.job.data(slot.progress + i) for slot in slots]
+            inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
+                      for x, _ in batches]
+            targets = np.stack([y for _, y in batches])
+            self.optimizer.zero_grad()
+            out = self.fused(self.fused.fuse_inputs(inputs))
+            loss = self.criterion(out, targets)
+            loss.backward()
+            self.optimizer.step()
+            per_model = self.criterion.per_model(out, targets)
+            for b, slot in enumerate(slots):
+                slot.curve.append(float(per_model[b]))
+            samples += sum(len(y) for _, y in batches)
+        return time.perf_counter() - start, samples
+
+    def take(self, indices: Sequence[int]) -> FusedPhysics:
+        fused = split_fused(self.fused, indices)
+        optimizer = split_optimizer(self.optimizer, fused.parameters(),
+                                    indices)
+        return copy.copy(self)._install(fused, optimizer)
+
+    def absorb(self, other: FusedPhysics) -> None:
+        pool = self.engine.pool
+        allocator = pool.take if pool is not None else None
+        merged = merge_fused(self.fused, other.fused, allocator=allocator)
+        merged_opt = merge_optimizers(self.optimizer, other.optimizer,
+                                      merged.parameters(),
+                                      allocator=allocator)
+        # merge_fused/merge_optimizers never mutate their inputs, so a
+        # raise above leaves the live array untouched; past this point the
+        # swap is atomic
+        dead = [(self.fused, self.optimizer), (other.fused, other.optimizer)]
+        self._install(merged, merged_opt)
+        other.fused = other.optimizer = other.criterion = None
+        if pool is not None:
+            for fused, optimizer in dead:
+                pool.release_all(self._allocations(fused, optimizer))
+
+    @staticmethod
+    def _allocations(fused: Module, optimizer) -> List[np.ndarray]:
+        """A dead structure's arrays, for recycling into the buffer pool.
+
+        Safe only for structures nothing references anymore (both inputs
+        of a merge): the pool itself additionally rejects views — a
+        narrowed array's slices stay untouched — and anything not owning
+        its memory.  Gradients are never offered: autograd may hand the
+        same array to several parameters (shared-weight accumulation).
+        """
+        dead = [p.data for p in fused.parameters()]
+        dead.extend(buf for _, buf in fused.named_buffers()
+                    if buf is not None)
+        for slot_state in optimizer.state.values():
+            dead.extend(value for value in slot_state.values()
+                        if isinstance(value, np.ndarray))
+        return dead
+
+    def export(self, index: int, slot: _Slot
+               ) -> Tuple[Module, Callable[[], Tuple[Dict, Dict]]]:
+        # the job's template, overwritten in place
+        checkpoint = export_to_unfused(self.fused, index, slot.sub.template)
+        return checkpoint, lambda: (
+            checkpoint.state_dict(),
+            export_slot_state(self.optimizer, index))
+
+    def load_resume(self, index: int, resume) -> None:
+        load_slot_state(self.optimizer, index, resume.optimizer_state)
+
+
 class ArrayExecutor:
     """Steps one fused array through its elastic lifecycle.
 
-    The executor owns the array's full training state — fused model,
-    fused optimizer, per-slot progress/loss-curves — and exposes it epoch
-    by epoch, so the scheduler above can interleave stop-signal checks,
-    evictions, admissions and defragmentation with training instead of
-    waiting for a monolithic ``train_plan`` to return.
+    The executor owns everything about the array that is not a tensor —
+    which job sits in which slot, per-slot progress and loss curves, stop
+    signals, lifetime accounting, WAL journaling and checkpoint cadence —
+    and exposes it epoch by epoch, so the scheduler above can interleave
+    stop-signal checks, evictions, admissions and defragmentation with
+    training instead of waiting for a monolithic ``train_plan`` to return.
+    The tensors (or their cost-model projection) live in ``self.physics``,
+    whose six methods (see :class:`FusedPhysics`) are the only way the
+    lifecycle reaches them; the engine picks the physics, the device
+    timeline charge and the result clock once, for every array it runs.
 
     It is driven by :meth:`TrainingArrayEngine.run_executor`; the fleet
     additionally pauses executors (straggler pool), moves them between
     devices and merges them (:meth:`merge_with`).
-
-    Every interaction with *training physics* — building/merging/splitting
-    the fused numpy state, running the train loop, exporting checkpoints,
-    reading the wall clock — goes through the ``_build_fused`` /
-    ``_run_epoch`` / ``_export_slot`` / ``_narrow`` / ``_admit_fused`` /
-    ``_merge_fused_state`` / ``_split_out`` / ``_now`` hooks, so the
-    virtual-time backend (:class:`repro.runtime.sim.SimExecutor`) can
-    replace them with cost-model projections while the whole lifecycle —
-    stop signals, eviction, admission, defrag, preemption, checkpoint
-    journaling — stays this exact code.
     """
-
-    #: True on the simulation backend; stamped into ``JobResult.sim``
-    is_sim = False
 
     def __init__(self, engine: "TrainingArrayEngine", plan: ArrayPlan,
                  array_id: int):
@@ -255,9 +396,7 @@ class ArrayExecutor:
         self.slots: List[_Slot] = [_Slot(sub=sub) for sub in jobs]
         self.launch_width = len(self.slots)
 
-        self.fused: Optional[Module] = None
-        self.optimizer = None
-        self.criterion = None
+        self.physics = engine.make_physics(engine, plan)
 
         # lifetime accounting (carried across merges)
         self.epochs = 0
@@ -309,11 +448,16 @@ class ArrayExecutor:
     # PENDING -> FUSED
     # ------------------------------------------------------------------ #
     def prepare(self) -> None:
-        """Build the fused model/optimizer and load every slot's weights."""
+        """Build the array's training state from every slot's job (a slot
+        whose job does not board — its builder raised — is dropped)."""
         for slot in self.slots:
             self.engine.queue.mark_running(slot.sub)
 
-        self._build_fused()
+        boarded = self.physics.build([slot.sub for slot in self.slots])
+        if len(boarded) < self.live_width:
+            ids = {sub.job_id for sub in boarded}
+            self.slots = [s for s in self.slots if s.sub.job_id in ids]
+            self.launch_width = self.live_width
         # durable-checkpoint resume: the templates already carry the
         # checkpointed weights (Batcher.build_template); inject the
         # optimizer half and fast-forward the progress counters so each
@@ -324,181 +468,6 @@ class ArrayExecutor:
         self._journal("launch")
 
     # ------------------------------------------------------------------ #
-    # training physics (everything the simulation backend overrides)
-    # ------------------------------------------------------------------ #
-    def _templates(self, subs: Sequence[SubmittedJob]
-                   ) -> Tuple[List[SubmittedJob], List[Module]]:
-        """The jobs whose template builds (here, where a real array first
-        touches tensors; memoized on the submission) and those templates.
-        A job whose builder raises is FAILED and left out; its mates fuse."""
-        built: List[SubmittedJob] = []
-        for sub in subs:
-            try:
-                self.engine.batcher.build_template(sub)
-            except Exception as exc:  # noqa: BLE001 — job-provided builder
-                self.engine._fail_job(sub, f"build_model failed: {exc}")
-            else:
-                built.append(sub)
-        return built, [sub.template for sub in built]
-
-    def _build_fused(self) -> None:
-        """Materialize the fused model / optimizer / criterion (dropping
-        the slots whose template does not build, see :meth:`_templates`)."""
-        jobs, templates = self._templates([slot.sub for slot in self.slots])
-        if len(jobs) < self.live_width:
-            self.slots = [s for s in self.slots if s.sub.template is not None]
-            self.launch_width = self.live_width
-            if not jobs:
-                return
-        # funnel level 3: the batcher grouped these jobs on what their
-        # *builder* builds; the templates are what the array really loads
-        validate_fusibility(templates)
-        fused = jobs[0].job.build_model(self.live_width, None)
-        if not hasattr(fused, "fuse_inputs"):
-            raise TypeError(
-                f"fused model {type(fused).__name__} has no 'fuse_inputs'; "
-                f"build models through repro.hfta.ops.factory.OpsLibrary "
-                f"(see repro.models for examples)")
-        load_from_unfused(fused, templates)
-        self.fused = fused
-        self.optimizer = make_fused_optimizer(
-            fused, [slot.job.config for slot in self.slots], self.live_width)
-        self.criterion = self._make_criterion(self.live_width)
-
-    def _run_epoch(self, steps: int) -> float:
-        """Train ``steps`` gang-scheduled steps; returns epoch seconds."""
-        start = time.perf_counter()
-        for i in range(steps):
-            batches = [slot.job.data(slot.progress + i)
-                       for slot in self.slots]
-            inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
-                      for x, _ in batches]
-            targets = np.stack([y for _, y in batches])
-            self.optimizer.zero_grad()
-            out = self.fused(self.fused.fuse_inputs(inputs))
-            loss = self.criterion(out, targets)
-            loss.backward()
-            self.optimizer.step()
-            per_model = self.criterion.per_model(out, targets)
-            for b, slot in enumerate(self.slots):
-                slot.curve.append(float(per_model[b]))
-            self.samples += sum(len(y) for _, y in batches)
-        elapsed = time.perf_counter() - start
-        if self.engine.charge_epoch is not None:
-            self.engine.charge_epoch(self.workload, self.live_width, steps)
-        return elapsed
-
-    def _export_slot(self, index: int, slot: _Slot) -> Optional[Module]:
-        """The slot's unfused checkpoint model as of its last step (the
-        job's template, overwritten in place)."""
-        return export_to_unfused(self.fused, index, slot.sub.template)
-
-    def _export_optimizer_state(self, index: int) -> Dict:
-        """The slot's per-model optimizer-state slice (durability)."""
-        return export_slot_state(self.optimizer, index)
-
-    def _load_resume_state(self, index: int, resume) -> None:
-        """Inject a resume payload's optimizer slice into slot ``index``."""
-        load_slot_state(self.optimizer, index, resume.optimizer_state)
-
-    def _narrow(self, keep: Sequence[int]) -> None:
-        """Shrink the fused state down to the ``keep`` slot indices."""
-        self.fused = split_fused(self.fused, keep)
-        self.optimizer = split_optimizer(
-            self.optimizer, self.fused.parameters(), keep)
-        self.criterion = self._make_criterion(len(keep))
-
-    def _admit_fused(self, subs: Sequence[SubmittedJob]
-                     ) -> List[SubmittedJob]:
-        """Widen the fused state with freshly admitted jobs; returns the
-        ones that boarded (all but those whose template does not build).
-
-        Must either succeed or raise *without* mutating the live state
-        (failure isolation for the admission path).
-        """
-        subs, templates = self._templates(subs)
-        if not subs:
-            return subs
-        # funnel level 3, against what the live array was validated on
-        validate_fusibility([self.slots[0].sub.template] + templates)
-        width = len(subs)
-        allocator = self._allocator()
-        sub_model = subs[0].job.build_model(width, None)
-        load_from_unfused(sub_model, templates)
-        sub_opt = make_fused_optimizer(
-            sub_model, [sub.job.config for sub in subs], width)
-        merged = merge_fused(self.fused, sub_model, allocator=allocator)
-        merged_opt = merge_optimizers(self.optimizer, sub_opt,
-                                      merged.parameters(),
-                                      allocator=allocator)
-        # merge_fused/merge_optimizers never mutate their inputs, so a
-        # raise above leaves the live array untouched; past this point the
-        # swap is atomic
-        old_fused, old_opt = self.fused, self.optimizer
-        self.fused, self.optimizer = merged, merged_opt
-        self.criterion = self._make_criterion(self.live_width + width)
-        # the pre-merge structures are dead: recycle their allocations
-        self._release_dead_state(old_fused, old_opt)
-        self._release_dead_state(sub_model, sub_opt)
-        return subs
-
-    def _merge_fused_state(self, other: "ArrayExecutor") -> None:
-        """Absorb a paused straggler's fused state (defragmentation)."""
-        allocator = self._allocator()
-        merged = merge_fused(self.fused, other.fused, allocator=allocator)
-        merged_opt = merge_optimizers(self.optimizer, other.optimizer,
-                                      merged.parameters(),
-                                      allocator=allocator)
-        old_fused, old_opt = self.fused, self.optimizer
-        self.fused, self.optimizer = merged, merged_opt
-        self._release_dead_state(old_fused, old_opt)
-        self._release_dead_state(other.fused, other.optimizer)
-
-    def _split_out(self, moving: Sequence[int]) -> Tuple:
-        """Split the ``moving`` slots' fused state out (preemption)."""
-        child_fused = split_fused(self.fused, moving)
-        child_opt = split_optimizer(self.optimizer,
-                                    child_fused.parameters(), moving)
-        return child_fused, child_opt
-
-    def _allocator(self):
-        """The merge primitives' destination allocator (buffer pooling)."""
-        pool = self.engine.pool
-        return pool.take if pool is not None else None
-
-    def _release_dead_state(self, fused, optimizer) -> None:
-        """Recycle a dead structure's allocations into the engine's pool.
-
-        Safe only for structures nothing references anymore (the pre-swap
-        model/optimizer of a merge, the consumed sub-array of an admit):
-        the pool itself additionally rejects views — a narrowed array's
-        slices stay untouched — and anything not owning its memory.
-        Gradients are never offered: autograd may hand the same array to
-        several parameters (shared-weight accumulation).
-        """
-        pool = self.engine.pool
-        if pool is None or fused is None:
-            return
-        dead = [p.data for p in fused.parameters()]
-        dead.extend(buf for _, buf in fused.named_buffers()
-                    if buf is not None)
-        if optimizer is not None:
-            for slot_state in optimizer.state.values():
-                dead.extend(value for value in slot_state.values()
-                            if isinstance(value, np.ndarray))
-        pool.release_all(dead)
-
-    def _now(self) -> float:
-        """The executor's clock for ``JobResult.finished_at``."""
-        return time.monotonic()
-
-    def _make_criterion(self, num_models: int):
-        if self.loss_key not in _CRITERIA:
-            raise ValueError(f"unknown loss '{self.loss_key}'; choose from "
-                             f"{sorted(_CRITERIA)}")
-        return _CRITERIA[self.loss_key](num_models)
-
-    # ------------------------------------------------------------------ #
     # durability: resume application, per-slot persistence, journaling
     # ------------------------------------------------------------------ #
     def _apply_resume(self, index: int, slot: _Slot) -> None:
@@ -506,7 +475,7 @@ class ArrayExecutor:
         resume = slot.sub.resume
         if resume is None or slot.progress >= resume.progress:
             return
-        self._load_resume_state(index, resume)
+        self.physics.load_resume(index, resume)
         slot.progress = resume.progress
         slot.curve = list(resume.loss_curve)
         self.max_progress = max(self.max_progress, slot.progress)
@@ -528,7 +497,7 @@ class ArrayExecutor:
                 "epoch": self.epochs}
 
     def _persist_slot(self, index: int, slot: _Slot,
-                      checkpoint: Optional[Module] = None,
+                      durable: Optional[Callable] = None,
                       final: bool = False,
                       stop_reason: Optional[str] = None,
                       force: bool = False) -> None:
@@ -557,24 +526,18 @@ class ArrayExecutor:
             return
         try:
             if clean:
-                receipt = store.save_slot(
-                    job_id=slot.sub.job_id, job=slot.job,
-                    progress=slot.progress, loss_curve=slot.curve,
-                    provenance=self._provenance(index),
-                    final=final, stop_reason=stop_reason,
-                    objects=slot.persist_refs)
+                payload = {"objects": slot.persist_refs}
             else:
-                if checkpoint is None:
-                    checkpoint = self._export_slot(index, slot)
-                receipt = store.save_slot(
-                    job_id=slot.sub.job_id, job=slot.job,
-                    progress=slot.progress, loss_curve=slot.curve,
-                    # a simulated slot exports no model: empty state
-                    model_state=checkpoint.state_dict()
-                    if checkpoint is not None else {},
-                    optimizer_state=self._export_optimizer_state(index),
-                    provenance=self._provenance(index),
-                    final=final, stop_reason=stop_reason)
+                if durable is None:
+                    _, durable = self.physics.export(index, slot)
+                model_state, optimizer_state = durable()
+                payload = {"model_state": model_state,
+                           "optimizer_state": optimizer_state}
+            receipt = store.save_slot(
+                job_id=slot.sub.job_id, job=slot.job,
+                progress=slot.progress, loss_curve=slot.curve,
+                provenance=self._provenance(index),
+                final=final, stop_reason=stop_reason, **payload)
         except Exception:  # noqa: BLE001 — durability is best-effort
             # the cached refs may be what failed (stale object) — drop
             # them so the next attempt re-encodes from live state
@@ -586,16 +549,6 @@ class ArrayExecutor:
         self.engine.metrics.record_checkpoint(
             receipt.payload_bytes, receipt.written_bytes, receipt.seconds)
 
-    def _checkpoint_live_slots(self) -> None:
-        """The ``checkpoint_every`` hook: persist every live slot when the
-        epoch counter crosses a checkpoint boundary."""
-        every = self.engine.checkpoint_every
-        if self.engine.store is None or every <= 0 or not self.slots \
-                or self.epochs % every != 0:
-            return
-        for index, slot in enumerate(self.slots):
-            self._persist_slot(index, slot)
-
     def checkpoint_now(self, force: bool = False) -> None:
         """Persist every live slot immediately (durability sweep).
 
@@ -603,8 +556,6 @@ class ArrayExecutor:
         ``force=True`` to re-encode every slot from live state regardless
         of the dirty tracker (e.g. after swapping checkpoint stores).
         """
-        if self.engine.store is None:
-            return
         for index, slot in enumerate(self.slots):
             self._persist_slot(index, slot, force=force)
 
@@ -641,8 +592,11 @@ class ArrayExecutor:
         num_models = self.live_width
         steps = min(self.epoch_steps,
                     min(slot.remaining for slot in self.slots))
-        epoch_seconds = self._run_epoch(steps)
+        epoch_seconds, samples = self.physics.step(self.slots, steps)
+        if self.engine.charge_epoch is not None:
+            self.engine.charge_epoch(self.workload, num_models, steps)
         self.seconds += epoch_seconds
+        self.samples += samples
 
         self.epochs += 1
         occupied = sum(1 for slot in self.slots if slot.useful)
@@ -664,7 +618,9 @@ class ArrayExecutor:
         # _retire_finished when persist_on_evict is set; the survivors
         # reach the store at the checkpoint_every cadence, after the
         # narrowing split so indices match the live array
-        self._checkpoint_live_slots()
+        every = self.engine.checkpoint_every
+        if every > 0 and self.epochs % every == 0:
+            self.checkpoint_now()
         return retired
 
     def _stop_reason(self, slot: _Slot) -> Optional[str]:
@@ -709,7 +665,7 @@ class ArrayExecutor:
         keep = [i for i in range(self.live_width) if i not in stop_map]
         for index, reason in stopping:
             slot = self.slots[index]
-            checkpoint = self._export_slot(index, slot)
+            checkpoint, durable = self.physics.export(index, slot)
             result = JobResult(
                 job_id=slot.sub.job_id, name=slot.job.name,
                 checkpoint=checkpoint, loss_curve=slot.curve,
@@ -718,11 +674,12 @@ class ArrayExecutor:
                 steps_trained=slot.progress, stop_reason=reason,
                 evicted=bool(keep) or reason != StopReason.BUDGET,
                 preemptions=slot.preemptions,
-                finished_at=self._now(), sim=self.is_sim)
+                finished_at=self.engine.result_clock(),
+                sim=self.engine.execution == "sim")
             if self.engine.persist_on_evict:
                 # the exported checkpoint doubles as the final durable
                 # state — a restart after this point replays nothing
-                self._persist_slot(index, slot, checkpoint=checkpoint,
+                self._persist_slot(index, slot, durable=durable,
                                    final=True, stop_reason=reason)
             if reason == StopReason.CANCELLED:
                 self.engine.queue.mark_cancelled(slot.sub, result)
@@ -745,14 +702,11 @@ class ArrayExecutor:
             self.evictions += early
             self.engine.metrics.record_eviction(early)
         if keep:
-            self._narrow(keep)
-            self.slots = [self.slots[i] for i in keep]
-            self.state = ArrayState.STEPPING
-            self._journal("evict", retired=[r.job_id for r in retired])
-        else:
-            self.slots = []
-            self.state = ArrayState.DRAINED
-            self._journal("drain", retired=[r.job_id for r in retired])
+            self.physics = self.physics.take(keep)
+        self.slots = [self.slots[i] for i in keep]
+        self.state = ArrayState.STEPPING if keep else ArrayState.DRAINED
+        self._journal("evict" if keep else "drain",
+                      retired=[r.job_id for r in retired])
         return retired
 
     # ------------------------------------------------------------------ #
@@ -762,11 +716,14 @@ class ArrayExecutor:
         """Fuse fresh queued jobs into this array's freed width.
 
         Returns the jobs that boarded (one whose builder raises is FAILED
-        instead).  The newcomers are loaded into a temporary fused
-        sub-array with a fresh optimizer (zero state == the lazy
-        initialization they would get training alone) and merged in; their
-        slots then train with their own progress counters, so their
-        checkpoints stay serial-equivalent even though they boarded mid-flight.
+        instead).  The newcomers are built as a temporary array of their
+        own with a fresh optimizer (zero state == the lazy initialization
+        they would get training alone) and absorbed; their slots then
+        train with their own progress counters, so their checkpoints stay
+        serial-equivalent even though they boarded mid-flight.
+
+        Either succeeds or raises with the live array — physics and slots
+        — untouched (failure isolation for the admission path).
         """
         if self.state == ArrayState.PENDING:
             self.prepare()
@@ -776,7 +733,10 @@ class ArrayExecutor:
                              f"{self.freed_width}")
         self.state = ArrayState.MERGING
         base = self.live_width
-        subs = self._admit_fused(subs)
+        newcomers = self.engine.make_physics(self.engine, self.plan)
+        subs = newcomers.build(subs, mate=self.slots[0].sub)
+        if subs:
+            self.physics.absorb(newcomers)
         for sub in subs:
             self.engine.queue.mark_running(sub)
             self.slots.append(_Slot(sub=sub))
@@ -795,8 +755,7 @@ class ArrayExecutor:
     def merge_with(self, other: "ArrayExecutor") -> None:
         """Absorb a paused straggler executor (fleet defragmentation).
 
-        ``other``'s live slots, fused state and per-slot optimizer state
-        join this array; its lifetime accounting is carried over so the
+        ``other``'s live slots and their training state join this array; its lifetime accounting is carried over so the
         final :class:`~repro.runtime.metrics.ArrayRecord` credits the work
         wherever it was done.  ``other`` must be paused (not stepping).
         """
@@ -808,9 +767,8 @@ class ArrayExecutor:
         if other.state == ArrayState.PENDING:
             other.prepare()
         self.state = ArrayState.MERGING
-        self._merge_fused_state(other)
+        self.physics.absorb(other.physics)
         self.slots.extend(other.slots)
-        self.criterion = self._make_criterion(self.live_width)
 
         self.samples += other.samples
         self.seconds += other.seconds
@@ -825,8 +783,6 @@ class ArrayExecutor:
         self.launch_width = max(self.launch_width, self.live_width)
 
         other.slots = []
-        other.fused = None
-        other.optimizer = None
         other.state = ArrayState.DRAINED
         self.state = ArrayState.STEPPING
         self._journal("merge", absorbed_array=other.array_id)
@@ -834,10 +790,9 @@ class ArrayExecutor:
     def detach_slots(self, indices: Sequence[int]) -> "ArrayExecutor":
         """Preemption: split live slots out into their own paused executor.
 
-        The inverse of :meth:`merge_with`, built on the same re-fusion
-        primitives: the detached slots leave with their fused parameters,
-        buffers, per-slot optimizer state and progress counters moved
-        wholesale (``split_fused`` + ``split_optimizer``), so resuming the
+        The inverse of :meth:`merge_with`: the detached slots leave with
+        their training state (fused parameters, buffers, per-slot optimizer
+        state) and progress counters moved wholesale, so resuming the
         detached executor later — alone, on another device, or merged into
         a different array — continues training bit-exactly where it
         stopped.  This is how the fleet preempts over-quota tenants: their
@@ -864,7 +819,7 @@ class ArrayExecutor:
         self.state = ArrayState.EVICTING
 
         moved = [self.slots[i] for i in moving]
-        child_fused, child_opt = self._split_out(moving)
+        moved_physics = self.physics.take(moving)
         child_cohort = Cohort(
             signature=self.signature, infusible_values=(),
             steps=max(slot.job.steps for slot in moved),
@@ -873,23 +828,18 @@ class ArrayExecutor:
                                indices=list(range(len(moved))),
                                width_cap=self.width_cap,
                                device=self.device_name)
-        # type(self), not ArrayExecutor: a simulated array must detach
-        # into a simulated child
-        child = type(self)(engine=self.engine, plan=child_plan,
-                           array_id=self.engine._array_ids())
+        child = ArrayExecutor(engine=self.engine, plan=child_plan,
+                              array_id=self.engine._array_ids())
         # carry the live training state across (the constructor built
         # fresh slots; the originals keep progress/curves/preempt counts)
         child.slots = moved
-        child.fused = child_fused
-        child.optimizer = child_opt
-        child.criterion = child._make_criterion(len(moved))
-        child.launch_width = len(moved)
+        child.physics = moved_physics
         child.state = ArrayState.STEPPING
         for slot in moved:
             slot.preemptions += 1
 
         keep = [i for i in range(self.live_width) if i not in set(moving)]
-        self._narrow(keep)
+        self.physics = self.physics.take(keep)
         self.slots = [self.slots[i] for i in keep]
         self.state = ArrayState.STEPPING
         return child
@@ -996,22 +946,23 @@ class TrainingArrayEngine:
         self.sim_workload = default_workload
         self._sim_cost_cache: Dict[Tuple, object] = {}
         self.charge_epoch: Optional[Callable] = None
+        #: what every array this engine runs is made of: the physics its
+        #: executors hold (``make_physics(engine, plan)``) and the clock
+        #: ``JobResult.finished_at`` is read from — a simulated result
+        #: finishes on its device's own timeline, not the global clock:
+        #: another device may already have simulated further ahead
+        self.make_physics: Callable = FusedPhysics
+        self.result_clock: Callable[[], float] = time.monotonic
         if execution == "sim" or device is not None:
-            from . import sim           # runtime import: sim imports us
             self.charge_epoch = functools.partial(sim.charge_epoch, self)
             if execution == "sim":
+                self.make_physics = sim.SimPhysics
+                self.result_clock = lambda: self.sim_time
                 if self.clock is None:
                     self.clock = sim.VirtualClock()
                 self.sim_time = float(self.clock.now())
-        self._array_ids = array_ids or self._private_array_ids
-        self._next_array_id = 0
-        self._id_lock = threading.Lock()
-
-    def _private_array_ids(self) -> int:
-        with self._id_lock:
-            array_id = self._next_array_id
-            self._next_array_id += 1
-            return array_id
+        # array ids are allocated on the run_cycle caller's thread only
+        self._array_ids = array_ids or itertools.count().__next__
 
     # ------------------------------------------------------------------ #
     # submission
@@ -1067,17 +1018,7 @@ class TrainingArrayEngine:
     # stepwise execution
     # ------------------------------------------------------------------ #
     def make_executor(self, plan: ArrayPlan) -> ArrayExecutor:
-        """A fresh executor for one placed plan (allocates the array id).
-
-        The ``execution`` switch is applied here: in ``"sim"`` mode every
-        array the engine creates is a :class:`repro.runtime.sim.
-        SimExecutor`, and the identical lifecycle code above it never
-        notices the difference.
-        """
-        if self.execution == "sim":
-            from .sim import SimExecutor
-            return SimExecutor(engine=self, plan=plan,
-                               array_id=self._array_ids())
+        """A fresh executor for one placed plan (allocates the array id)."""
         return ArrayExecutor(engine=self, plan=plan,
                              array_id=self._array_ids())
 

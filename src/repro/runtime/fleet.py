@@ -50,7 +50,6 @@ already evicted keep their checkpoints.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import threading
 import time
@@ -205,11 +204,6 @@ class FleetScheduler:
         if quarantine_cycles < 1:
             raise ValueError("quarantine_cycles must be >= 1")
         self.quarantine_cycles = quarantine_cycles
-        #: custom placers predating deadline-weighted placement may not
-        #: accept the `now` keyword; detect once instead of crashing the
-        #: first gateway-driven cycle
-        self._placer_accepts_now = "now" in inspect.signature(
-            self.placer.place).parameters
         #: guards what another thread may read while a cycle runs: the
         #: in-flight and quarantine tables behind stalled_workers() and
         #: quarantined_devices().  Work deques, the straggler pool and the
@@ -302,10 +296,8 @@ class FleetScheduler:
             "dequeue", tuple(sub.job_id for sub in batch), count=len(batch))
         cohorts, failures = self.batcher.form_cohorts(batch)
         for sub, error in failures:
-            self.queue.mark_failed(sub, error)
-            self.metrics.record_failure()
-            if self.recovery is not None:
-                self.recovery.journal_state(sub.job_id, JobState.FAILED)
+            # every device engine shares this fleet's queue, metrics and WAL
+            next(iter(self.workers.values())).engine._fail_job(sub, error)
 
         # optimizer protocol: open the re-solve window before placing.
         # Off-cadence cycles pass budget 0 — the solver still places new
@@ -316,12 +308,10 @@ class FleetScheduler:
             on_cadence = (self._cycle_index - 1) % self.resolve_every == 0
             self.placer.begin_cycle(
                 self.migration_budget if on_cadence else 0)
-        # only pass `now` with a policy installed and a placer that takes
-        # it: without a policy there is no gateway clock, and a custom
-        # placer with the legacy signature keeps working behind a gateway
-        # (it just skips SLO-slack ordering)
+        # `now` turns on SLO-slack ordering; without a policy there is no
+        # gateway clock to read it from
         decisions = (self.placer.place(cohorts, now=policy.now())
-                     if policy is not None and self._placer_accepts_now
+                     if policy is not None
                      else self.placer.place(cohorts))
         self._record_solve()
         quarantined = set(self._quarantined)

@@ -16,15 +16,15 @@ Three pieces:
   callable, so it drops straight into every seam that already accepts an
   injectable clock (``ServingGateway(clock=...)``, token buckets, SLO
   settlement, heartbeats).
-* :class:`SimExecutor` — an :class:`~repro.runtime.engine.ArrayExecutor`
-  whose *physics hooks* are overridden: ``_run_epoch`` advances the
-  device's virtual timeline by ``steps * iteration_time_s`` from the cost
-  model instead of running a train loop, loss curves come from a
-  deterministic synthetic decay (or the job's own ``sim_loss`` callable),
-  and the fuse/merge/split/export tensor operations become no-ops — no
-  model is ever built, so results carry no checkpoint.  All lifecycle
-  transitions, stop signals, accounting, journaling and
-  checkpoint-manifest writes run unchanged.
+* :class:`SimPhysics` — the physics object a sim engine's
+  :class:`~repro.runtime.engine.ArrayExecutor` holds instead of
+  :class:`~repro.runtime.engine.FusedPhysics`: an epoch lasts ``steps *
+  iteration_time_s`` from the cost model instead of running a train loop,
+  loss curves come from a deterministic synthetic decay (or the job's own
+  ``sim_loss`` callable), and there is nothing to fuse, merge, split or
+  export — no model is ever built, so results carry no checkpoint.  The
+  executor above it — lifecycle transitions, stop signals, accounting,
+  journaling and checkpoint-manifest writes — is the one real arrays use.
 * :class:`TraceReplayer` — feeds a timestamped arrival trace (e.g. from
   :func:`repro.cluster.generator.generate_serving_trace`) into a
   :class:`~repro.runtime.gateway.ServingGateway`, advancing the virtual
@@ -56,15 +56,15 @@ same timeline whether scipy solved in two milliseconds or twenty.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..hwsim import V100, estimate_array_cost, get_workload
-from .engine import ArrayExecutor, _Slot
 from .queue import SubmittedJob, TrainingJob
 
-__all__ = ["VirtualClock", "SimulatedCrash", "SimExecutor", "TraceReplayer",
+__all__ = ["VirtualClock", "SimulatedCrash", "TraceReplayer",
            "charge_epoch", "default_sim_loss"]
 
 #: standalone sim engines (no fleet, no device) price epochs on the
@@ -139,19 +139,10 @@ class _WidthProbe:
     steps: int
 
 
-def charge_epoch(engine, workload: str, width: int, steps: int):
-    """Charge one epoch to ``engine``'s device timeline.
-
-    An epoch of a width-``width`` array costs ``steps * iteration_time_s``
-    as priced by :func:`repro.hwsim.estimate_array_cost` for the engine's
-    device (estimates are memoized per (workload, width) on the engine).
-    ``engine.sim_time`` advances by that amount on *both* execution
-    backends — it is what the fleet's event loop orders device turns by —
-    and a sim engine drags the shared :class:`VirtualClock` along, so SLO
-    deadlines, token buckets and placement slack all see consistent
-    virtual time.  A real engine's clock is the wall clock: the projection
-    never touches it.  Returns ``(estimate, seconds)``.
-    """
+def price_epoch(engine, workload: str, width: int):
+    """The cost model's estimate for one iteration of a width-``width``
+    array on ``engine``'s device (:func:`repro.hwsim.estimate_array_cost`,
+    memoized per (workload, width) on the engine)."""
     workload = workload or engine.sim_workload
     key = (workload, width)
     est = engine._sim_cost_cache.get(key)
@@ -162,86 +153,72 @@ def charge_epoch(engine, workload: str, width: int, steps: int):
             _WidthProbe(width, 1), device, engine.sim_precision,
             workload=get_workload(workload))
         engine._sim_cost_cache[key] = est
-    seconds = steps * est.iteration_time_s
-    engine.sim_time += seconds
+    return est
+
+
+def charge_epoch(engine, workload: str, width: int, steps: int) -> None:
+    """Charge one epoch to ``engine``'s device timeline.
+
+    An epoch of a width-``width`` array costs ``steps * iteration_time_s``
+    as priced by :func:`price_epoch`.  ``engine.sim_time`` advances by
+    that amount on *both* execution backends (the executor charges every
+    epoch it steps) — it is what the fleet's event loop orders device
+    turns by — and a sim engine drags the shared :class:`VirtualClock`
+    along, so SLO deadlines, token buckets and placement slack all see
+    consistent virtual time.  A real engine's clock is the wall clock: the
+    projection never touches it.
+    """
+    engine.sim_time += steps * price_epoch(engine, workload,
+                                           width).iteration_time_s
     if engine.execution == "sim":
         engine.clock.advance_to(engine.sim_time)
-    return est, seconds
 
 
-class SimExecutor(ArrayExecutor):
-    """An array executor that *simulates* training in virtual time.
+class SimPhysics:
+    """The physics of a *simulated* array: virtual time, no weights.
 
-    Created by :meth:`TrainingArrayEngine.make_executor` when the engine
-    runs with ``execution="sim"``.  Only the physics hooks differ from
-    :class:`ArrayExecutor`; every lifecycle decision above them — stop
-    signals, eviction order, freed-width admission, defrag merges,
-    preemption splits, checkpoint cadence, WAL journaling — is inherited
-    verbatim, which is the point: the control plane under test is the real
-    one.
-
-    One epoch costs what :func:`charge_epoch` charges the device's
-    timeline (``engine.sim_time``) for it at the array's current width;
-    that virtual time is the epoch's duration.
+    What ``execution="sim"`` engines hand their executors; the six-method
+    protocol is documented on :class:`~repro.runtime.engine.FusedPhysics`.
+    A simulated slot's whole training state is its progress counter and
+    loss curve, and the executor owns both — so this object is stateless:
+    narrowing, detaching and merging leave nothing to move.
     """
 
-    is_sim = True
+    def __init__(self, engine, plan):
+        self.engine = engine
+        self.workload = plan.workload
 
-    # ------------------------------------------------------------------ #
-    # physics hooks: cost-model projections instead of tensor math
-    # ------------------------------------------------------------------ #
-    def _build_fused(self) -> None:
-        pass        # nothing is materialized, not even the jobs' templates
+    def build(self, subs: Sequence[SubmittedJob], mate=None
+              ) -> List[SubmittedJob]:
+        # nothing is materialized, not even the jobs' templates
+        return list(subs)
 
-    def _make_criterion(self, num_models: int):
-        return None
+    def step(self, slots: Sequence, steps: int) -> Tuple[float, int]:
+        """One epoch lasts what :func:`charge_epoch` charges the device's
+        timeline for it at the array's current width."""
+        est = price_epoch(self.engine, self.workload, len(slots))
+        seconds = steps * est.iteration_time_s
+        for slot in slots:
+            fn = getattr(slot.job, "sim_loss", None) \
+                or functools.partial(default_sim_loss, slot.job)
+            slot.curve.extend(fn(slot.progress + i) for i in range(steps))
+        return seconds, int(est.throughput * seconds)
 
-    def _run_epoch(self, steps: int) -> float:
-        est, seconds = self.engine.charge_epoch(
-            self.workload, self.live_width, steps)
-        for slot in self.slots:
-            job = slot.job
-            start = slot.progress
-            fn = getattr(job, "sim_loss", None)
-            if fn is not None:
-                slot.curve.extend(fn(start + i) for i in range(steps))
-            else:
-                slot.curve.extend(default_sim_loss(job, start + i)
-                                  for i in range(steps))
-        self.samples += int(est.throughput * seconds)
-        return seconds
+    def take(self, indices: Sequence[int]) -> "SimPhysics":
+        return self
 
-    def _export_slot(self, index: int, slot: _Slot) -> None:
+    def absorb(self, other: "SimPhysics") -> None:
+        pass
+
+    def export(self, index: int, slot) -> Tuple[None, Callable]:
         # a simulated job has no weights: progress and curve are its state
-        return None
+        return None, lambda: ({}, {})
 
-    def _export_optimizer_state(self, index: int) -> Dict:
-        return {}
-
-    def _load_resume_state(self, index: int, resume) -> None:
-        # no optimizer to inject into; _apply_resume still fast-forwards
+    def load_resume(self, index: int, resume) -> None:
+        # no optimizer to inject into; the executor still fast-forwards
         # progress and the loss curve, which is the whole training state
         # a simulated job carries
         pass
-
-    def _narrow(self, keep: Sequence[int]) -> None:
-        pass
-
-    def _admit_fused(self, subs: Sequence[SubmittedJob]
-                     ) -> List[SubmittedJob]:
-        return list(subs)
-
-    def _merge_fused_state(self, other: ArrayExecutor) -> None:
-        pass
-
-    def _split_out(self, moving: Sequence[int]) -> Tuple:
-        return None, None
-
-    def _now(self) -> float:
-        # the device's own timeline, not the global clock: a result
-        # finishes when ITS device finishes the epoch, even if another
-        # device has already simulated further ahead
-        return self.engine.sim_time
 
 
 class TraceReplayer:

@@ -185,24 +185,6 @@ class TestBackpressure:
         summary = gateway.metrics.tenant_summary()
         assert summary["slo"]["slo_hits"] == 1
 
-    def test_legacy_placer_signature_works_behind_the_gateway(self):
-        """Regression: a custom placer with the pre-gateway
-        place(cohorts, load=None) signature must keep working when an
-        admission policy is installed (it just skips slack ordering)."""
-        from repro.runtime import FleetPlacer, FleetScheduler
-
-        class LegacyPlacer(FleetPlacer):
-            def place(self, cohorts, load=None):
-                return super().place(cohorts, load)
-
-        fleet = FleetScheduler(
-            devices=(V100,), placer=LegacyPlacer(devices=(V100,),
-                                                 max_width=4))
-        gateway = ServingGateway(tenants=[TenantSpec("t")], fleet=fleet)
-        ids = [gateway.submit(make_job(i, "t")).job_id for i in range(3)]
-        results = gateway.run_until_idle()
-        assert set(results) == set(ids)
-
     def test_equal_priority_newcomer_is_shed_not_the_queue(self):
         gateway = ServingGateway(
             tenants=[TenantSpec("a", priority=1), TenantSpec("b",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Profile the fused training hot path and dump the cProfile top-N.
 
-Runs the exact per-step sequence ``ArrayExecutor._run_epoch`` executes
+Runs the exact per-step sequence ``FusedPhysics.step`` executes
 (zero_grad -> forward -> fused criterion -> backward -> optimizer.step ->
 per-model logging losses) on a synthetic width-``W`` MLP array, measures
 steps/sec without the profiler attached, then profiles the same loop and
@@ -61,7 +61,7 @@ def build_workload(width: int, seed: int = 0):
 
 
 def run_steps(model, optimizer, criterion, x, targets, steps: int) -> None:
-    """The hot loop: mirrors ArrayExecutor._run_epoch's per-step work."""
+    """The hot loop: mirrors FusedPhysics.step's per-step work."""
     for _ in range(steps):
         optimizer.zero_grad()
         out = model(x)
