@@ -3,12 +3,8 @@
 
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest
-# extra pytest flags for `make bench`, e.g.
-#   make bench BENCH_FLAGS="--benchmark-json=BENCH_runtime.json"
-BENCH_FLAGS ?=
 
-.PHONY: test bench bench-gate bench-smoke coverage docs-check api-docs \
-	examples lint profile
+.PHONY: test bench bench-smoke coverage docs-check api-docs examples lint
 
 # tier-1 verify: the whole suite, fail fast
 test:
@@ -16,21 +12,7 @@ test:
 
 # benchmark harness only, verbose so the reproduced tables/figures print
 bench:
-	$(PYTEST) benchmarks/ -q -s $(BENCH_FLAGS)
-
-# profile the fused training hot path (cProfile top-N by cumulative
-# time) and refresh the committed benchmarks/PROFILE_hotpath.txt
-# artifact; see docs/performance.md for the workflow
-profile:
-	$(PY) tools/profile_hotpath.py
-
-# perf-regression gate: run the harness with fresh artifacts, then diff
-# them against the committed baselines (benchmarks/baselines/); fails on
-# >15% throughput/efficiency regression.  Refresh the baselines with
-#   $(PY) tools/bench_compare.py --update-baselines
-bench-gate:
-	$(MAKE) bench BENCH_FLAGS="--benchmark-json=BENCH_runtime.json"
-	$(PY) tools/bench_compare.py
+	$(PYTEST) benchmarks/ -q -s
 
 # the repo benchmark (BENCHMARK.json, bench_e2e/README.md) at smoke size:
 # all four workloads end to end, two untraced laps and a traced one each,

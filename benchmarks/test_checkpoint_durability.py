@@ -1,33 +1,24 @@
-"""Checkpoint durability: write overhead and crash-recovery latency.
+"""Checkpoint durability: write volume and crash recovery.
 
 The durable layer (:mod:`repro.runtime.checkpoint`) must be cheap enough
 to leave on: every live slot is persisted at every epoch boundary here
 (``checkpoint_every=1``, the most aggressive cadence), and the benchmark
-measures both sides of the bargain —
+counts both sides of the bargain —
 
-* **write path**: serialized payload volume, bytes actually written
-  (content addressing deduplicates unchanged state), and cumulative write
-  latency for a fully checkpointed serving run;
+* **write path**: checkpoints written, serialized payload volume and
+  bytes actually written (content addressing deduplicates unchanged
+  state) for a fully checkpointed serving run;
 * **recovery path**: a device worker is killed mid-epoch, the fleet
   object is abandoned (the "process" dies), and a fresh fleet is rebuilt
-  purely from the write-ahead log + store — the measured recovery latency
-  spans rebuild, re-queue and the resumed training to completion.
+  purely from the write-ahead log + store and trained to completion.
 
 Acceptance: every lost job is recovered, and the recovered run's final
 checkpoints are **bit-identical** to an uninterrupted run
 (``recovery_integrity`` must be 1.0 — durability may not bend the
-serial-equivalence guarantee).
-
-The run emits ``BENCH_checkpoint.json``; CI's bench-gate diffs the
-machine-independent metrics (``jobs_recovered``, ``recovery_integrity``,
-``bytes_per_checkpoint``) against ``benchmarks/baselines/`` via
-``tools/bench_compare.py`` and uploads the artifact as part of the perf
-trajectory.
+serial-equivalence guarantee).  Checkpoint write latency on a real
+serving run is ``checkpoint.save_slot_s`` of ``python -m bench_e2e
+--workload serve_elastic --trace 1``.
 """
-
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -109,14 +100,13 @@ def serve_checkpointed(root):
     return fleet.metrics, store
 
 
-def test_checkpoint_write_and_recovery_latency(benchmark, tmp_path):
-    # ---- write path: a fully checkpointed serve, timed --------------- #
-    metrics, store = benchmark.pedantic(
-        serve_checkpointed, args=(tmp_path / "write",),
-        rounds=1, iterations=1)
+def test_checkpoint_write_volume_and_recovery(tmp_path):
+    # ---- write path: a fully checkpointed serve ---------------------- #
+    metrics, store = serve_checkpointed(tmp_path / "write")
     checkpoints = metrics.checkpoints_written
-    assert checkpoints == JOBS * (STEPS // EPOCH_STEPS)
+    assert checkpoints == JOBS * (STEPS // EPOCH_STEPS) == 48
     bytes_per_checkpoint = metrics.checkpoint_payload_bytes / checkpoints
+    assert bytes_per_checkpoint == 6738
 
     # ---- recovery path: crash, abandon the fleet, rebuild from disk -- #
     reference = FleetScheduler(devices=(V100,), max_width=JOBS)
@@ -137,12 +127,10 @@ def test_checkpoint_write_and_recovery_latency(benchmark, tmp_path):
     del doomed
 
     registry = {job.name: job for job in make_jobs()}
-    recovery_start = time.perf_counter()
     rebuilt = recovery.rebuild_fleet(registry, devices=(V100,),
                                      store=crash_store, recovery=recovery,
                                      checkpoint_every=1, max_width=JOBS)
     results = rebuilt.run_until_idle()
-    recovery_seconds = time.perf_counter() - recovery_start
 
     assert len(results) == JOBS
     jobs_recovered = rebuilt.metrics.jobs_recovered
@@ -158,12 +146,8 @@ def test_checkpoint_write_and_recovery_latency(benchmark, tmp_path):
         ("payload_bytes", float(metrics.checkpoint_payload_bytes)),
         ("bytes_written", float(metrics.checkpoint_bytes_written)),
         ("bytes_per_checkpoint", bytes_per_checkpoint),
-        ("write_ms_total", 1e3 * metrics.checkpoint_seconds),
-        ("write_ms_per_checkpoint",
-         1e3 * metrics.checkpoint_seconds / checkpoints),
         ("jobs_lost_to_crash", float(lost)),
         ("jobs_recovered", float(jobs_recovered)),
-        ("recovery_ms", 1e3 * recovery_seconds),
         ("recovery_integrity", recovery_integrity),
     ]
     print_table(
@@ -172,19 +156,5 @@ def test_checkpoint_write_and_recovery_latency(benchmark, tmp_path):
         header=("metric", "value"))
 
     # acceptance: nothing lost, nothing changed
-    assert jobs_recovered == lost > 0
+    assert jobs_recovered == lost == 8
     assert recovery_integrity == 1.0
-
-    Path("BENCH_checkpoint.json").write_text(json.dumps({
-        "jobs": JOBS,
-        "epochs": STEPS // EPOCH_STEPS,
-        "checkpoints_written": checkpoints,
-        "checkpoint_payload_bytes": metrics.checkpoint_payload_bytes,
-        "checkpoint_bytes_written": metrics.checkpoint_bytes_written,
-        "bytes_per_checkpoint": bytes_per_checkpoint,
-        "write_seconds": metrics.checkpoint_seconds,
-        "jobs_lost_to_crash": lost,
-        "jobs_recovered": jobs_recovered,
-        "recovery_seconds": recovery_seconds,
-        "recovery_integrity": recovery_integrity,
-    }, indent=2) + "\n")

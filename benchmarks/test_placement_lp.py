@@ -3,37 +3,33 @@
 The LP placement policy (:mod:`repro.runtime.placement_lp`) solves each
 scheduling cycle globally — every pending cohort against every device at
 once — where the greedy baseline ranks devices one cohort at a time.
-This benchmark quantifies what that buys on the ISSUE's reference
-workload: a 16-device heterogeneous fleet (four each of V100, RTX6000,
-A100, TPUv3) serving a 200-job bursty three-tenant trace with mixed step
-counts, replayed twice through the virtual-time backend — once per
-policy — over the *identical* arrival sequence.
+This benchmark replays one 200-job bursty three-tenant trace with mixed
+step counts over a 16-device heterogeneous fleet (four each of V100,
+RTX6000, A100, TPUv3) through the virtual-time backend, once per policy,
+over the *identical* arrival sequence, and pins what differs:
 
-What is measured (and what is gated):
+* **busiest-device busy seconds** — ``metrics.simulated_makespan``: the
+  summed virtual seconds of the arrays the most-loaded device ran.
+  Greedy stacks whole bursts onto the globally fastest devices; the LP's
+  makespan variable (in practice its greedy rounding plus live
+  migration) spreads them: 5.09 s -> 2.00 s here, the "60.7 %" of earlier
+  write-ups.  That is 5 busy seconds of a 1 617-second trace — every
+  device is under 1 % utilised — so **no job finishes earlier**: the
+  fleet's finish time is the same virtual second under both policies and
+  job latency p50/p90 move by 0.1 % (``docs/placement.md``, "What the
+  placement ablation measured", has the table over 11 trace seeds);
+* **SLO misses** — the ``prio`` tenant submits every job with a
+  deadline; neither policy may miss one;
+* **solver activity** — solve and migration counts (the solver's wall
+  milliseconds are machine-dependent and only printed).
 
-* **cost-model makespan** — ``metrics.simulated_makespan``: the busiest
-  device's summed virtual seconds, the same machine-independent makespan
-  convention ``benchmarks/test_scale.py`` gates.  Greedy stacks whole
-  bursts onto the globally fastest devices; the LP's makespan variable
-  spreads them, so its busiest device carries far less.  Gated via
-  ``placement_improvement`` (relative makespan reduction), which must
-  clear an absolute >=10% acceptance floor in ``tools/bench_compare.py``.
-* **SLO-miss rate** — the ``prio`` tenant submits every job with a
-  deadline; the optimizer must not trade deadlines for makespan.  Gated
-  at its 0.0 baseline: a single LP-policy miss fails the gate.
-* **solver overhead** — wall milliseconds spent in ``solve_instance``
-  plus solve/migration counts.  Reported, not gated (machine-dependent).
-
-Every gated number is pure virtual-time arithmetic, bit-reproducible
-across machines; the run emits ``BENCH_placement.json`` and CI's
-bench-gate diffs it against ``benchmarks/baselines/``.  The improvement
-holds with or without scipy — the deterministic greedy *rounding* under
-the LP objective, not the relaxation itself, carries most of the win —
-so the artifact is stable across scipy versions and the no-scipy leg.
+Every pinned number is virtual-time arithmetic, bit-reproducible across
+machines and the same with or without scipy on this trace (the relaxation
+wins one solve in ten; the greedy *rounding* under the LP objective
+carries the rest).
 """
 
-import json
-from pathlib import Path
+import pytest
 
 from repro import nn
 from repro.hfta.ops.factory import OpsLibrary
@@ -48,10 +44,6 @@ N_DEVICES = 16                   # ... over a 16-device heterogeneous fleet
 MAX_WIDTH = 8
 TRACE_SECONDS = 1800.0
 CYCLE_QUANTUM_S = 120.0
-#: acceptance floor: the LP policy must beat greedy by at least this
-#: relative margin on makespan (or SLO-miss rate); mirrored by
-#: ``PLACEMENT_IMPROVEMENT_FLOOR`` in tools/bench_compare.py
-IMPROVEMENT_FLOOR = 0.10
 FEATURES, CLASSES = 4, 2
 
 
@@ -125,9 +117,9 @@ def run_policy(placement, trace):
     deadlined = tenants["prio"]["submitted"]
     placement_summary = gateway.placement_report()
     return {
-        "makespan_s": metrics.simulated_makespan,
+        "busiest_device_busy_s": metrics.simulated_makespan,
+        "fleet_finish_s": gateway.fleet.virtual_makespan(),
         "slo_miss_rate": misses / deadlined if deadlined else 0.0,
-        "jobs_completed": metrics.jobs_completed,
         "solver_ms": placement_summary["lp_solver_seconds"] * 1e3,
         "solves": placement_summary["lp_solves"],
         "fallback_solves": placement_summary["lp_fallback_solves"],
@@ -135,7 +127,7 @@ def run_policy(placement, trace):
     }
 
 
-def test_lp_placement_beats_greedy():
+def test_lp_placement_spreads_the_busiest_device():
     trace = make_trace()
     assert len(trace) == N_JOBS
     assert all(ev.deadline_s for ev in trace if ev.tenant == "prio")
@@ -143,44 +135,18 @@ def test_lp_placement_beats_greedy():
     greedy = run_policy("greedy", trace)
     lp = run_policy("lp", trace)
 
-    assert greedy["solves"] == 0
-    assert lp["solves"] > 0
-
-    makespan_improvement = 1.0 - lp["makespan_s"] / greedy["makespan_s"]
-    # relative SLO improvement is undefined at greedy's 0.0 baseline;
-    # equal-or-better keeps it from dragging the max() below the floor
-    if greedy["slo_miss_rate"] > 0:
-        slo_improvement = 1.0 - lp["slo_miss_rate"] / greedy["slo_miss_rate"]
-    else:
-        slo_improvement = 0.0 if lp["slo_miss_rate"] == 0 else -1.0
-    improvement = max(makespan_improvement, slo_improvement)
-
-    # -- the acceptance bar: >=10% better on makespan OR SLO-miss rate,
-    #    and never worse on the one it did not win
-    assert improvement >= IMPROVEMENT_FLOOR, (
-        f"LP improves on greedy by {improvement:.1%} "
-        f"(floor {IMPROVEMENT_FLOOR:.0%})")
-    assert lp["slo_miss_rate"] <= greedy["slo_miss_rate"]
-
-    payload = {
-        "jobs": N_JOBS,
-        "devices": N_DEVICES,
-        "jobs_completed": lp["jobs_completed"],
-        "greedy_makespan_s": round(greedy["makespan_s"], 6),
-        "lp_makespan_s": round(lp["makespan_s"], 6),
-        "makespan_improvement": round(makespan_improvement, 4),
-        "greedy_slo_miss_rate": greedy["slo_miss_rate"],
-        "lp_slo_miss_rate": lp["slo_miss_rate"],
-        "placement_improvement": round(improvement, 4),
-        "lp_solves": lp["solves"],
-        "lp_fallback_solves": lp["fallback_solves"],
-        "lp_solver_ms": round(lp["solver_ms"], 3),
-        "lp_migrations": lp["migrations"],
-    }
-    Path("BENCH_placement.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
-
     print_table(
         "placement: greedy vs LP, 200 jobs / 16 heterogeneous devices",
-        [(k, v) for k, v in payload.items()],
-        header=("metric", "value"))
+        [(key, greedy[key], lp[key]) for key in greedy],
+        header=("metric", "greedy", "lp"))
+
+    assert greedy["busiest_device_busy_s"] == pytest.approx(5.094126,
+                                                            abs=1e-6)
+    assert lp["busiest_device_busy_s"] == pytest.approx(2.001628, abs=1e-6)
+    # ...of a trace this long: nothing finishes earlier for it
+    assert lp["fleet_finish_s"] == greedy["fleet_finish_s"] \
+        == pytest.approx(1616.706, abs=1e-3)
+    assert greedy["slo_miss_rate"] == lp["slo_miss_rate"] == 0.0
+
+    assert (greedy["solves"], greedy["migrations"]) == (0, 0)
+    assert (lp["solves"], lp["migrations"]) == (10, 37)

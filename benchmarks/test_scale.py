@@ -6,32 +6,26 @@ a :class:`~repro.runtime.sim.VirtualClock`, so one pytest process can
 push the *entire* scheduling stack — gateway admission, weighted-fair +
 priority dequeue, cost-model placement over a 1024-device fleet, elastic
 eviction/merge/defragmentation — through a diurnal, bursty multi-tenant
-trace of 100 000 jobs in well under a minute of wall-clock time.
+trace of 100 000 jobs (about ten seconds of wall-clock time).
 
-What is measured (and what is gated):
+Everything asserted is virtual-time arithmetic or a count, bit-reproducible
+across machines, so the test pins the values themselves:
 
-* **scheduler decisions/sec** — every dequeue/place/admit/retire/preempt
-  the fleet makes, divided by wall time.  Machine-dependent; reported
-  but not gated.
+* **scheduler decisions** — every dequeue/place/admit/retire/preempt the
+  fleet makes — and **arrays launched**: a control-plane change that is
+  meant to move cost only must not move either;
 * **makespan vs. serial oracle** — the cost model's serial execution
   time for the whole trace divided by the busiest device's simulated
-  busy time (``metrics.simulated_makespan``).  Pure virtual-time
-  arithmetic, bit-reproducible across machines; gated.
-* **SLO-miss rate** — the ``prio`` tenant submits every job with a
-  deadline; the weighted-fair scheduler must never miss one.  Gated at
-  exactly zero (a single miss fails the bench-gate).
+  busy time (``metrics.simulated_makespan``), and the fleet's virtual
+  finish time;
+* **SLO misses** — the ``prio`` tenant submits every job with a
+  deadline; the weighted-fair scheduler must never miss one.
 
-The run emits ``BENCH_scale.json``; CI's bench-gate diffs the
-machine-independent metrics (``oracle_speedup``, ``jobs_completed``,
-``scheduler_decisions``, ``slo_miss_rate``) against
-``benchmarks/baselines/`` via ``tools/bench_compare.py`` and uploads the
-artifact as part of the perf trajectory.
+Wall-clock throughput of the same control plane is the ``sim_fleet``
+workload of ``python -m bench_e2e``.
 """
 
-import json
-import os
-import time
-from pathlib import Path
+import pytest
 
 from repro import nn
 from repro.hfta.ops.factory import OpsLibrary
@@ -46,9 +40,6 @@ N_DEVICES = 1024                 # ... over >= 1k simulated devices
 MAX_WIDTH = 32
 TRACE_SECONDS = 7200.0           # two simulated hours of arrivals
 CYCLE_QUANTUM_S = 300.0          # virtual-time step while draining
-# acceptance bar: the whole run in one pytest process, under a minute of
-# wall-clock (override for slow CI runners / instrumented builds)
-WALL_BUDGET_S = float(os.environ.get("REPRO_SCALE_WALL_BUDGET_S", "60"))
 FEATURES, CLASSES = 4, 2
 
 
@@ -119,9 +110,7 @@ def test_scale_100k_jobs_1k_devices():
     replayer = TraceReplayer(gateway, trace, job_factory,
                              cycle_quantum_s=CYCLE_QUANTUM_S)
 
-    t0 = time.perf_counter()
     results = replayer.run()
-    wall = time.perf_counter() - t0
 
     metrics = gateway.metrics
     # -- completeness: no job lost, none shed (the queue bound admits the
@@ -137,7 +126,7 @@ def test_scale_100k_jobs_1k_devices():
     prio = by_tenant["prio"]
     assert prio["slo_misses"] == 0
     assert prio["slo_hits"] == prio["submitted"]
-    total_misses = sum(row[header.index("slo_misses")] for row in rows)
+    assert sum(row[header.index("slo_misses")] for row in rows) == 0
 
     # -- makespan vs. the serial oracle (cost model, one job at a time)
     oracle_s = sum(
@@ -145,33 +134,20 @@ def test_scale_100k_jobs_1k_devices():
         for ev in trace)
     busy_makespan_s = metrics.simulated_makespan
     virtual_makespan_s = gateway.fleet.virtual_makespan()
-    assert busy_makespan_s > 0
     speedup = oracle_s / busy_makespan_s
-    assert speedup > 1.0, "fused fleet should beat the serial oracle"
+    assert speedup == pytest.approx(290.367, abs=1e-3)
+    assert virtual_makespan_s == pytest.approx(7290.779, abs=1e-3)
 
-    # -- scale acceptance: one process, one minute
-    assert wall < WALL_BUDGET_S, (
-        f"scale run took {wall:.1f}s (budget {WALL_BUDGET_S:.0f}s)")
-
-    decisions = metrics.scheduler_decisions
-    payload = {
-        "jobs": N_JOBS,
-        "devices": N_DEVICES,
-        "wall_seconds": round(wall, 3),
-        "scheduler_decisions": decisions,
-        "decisions_per_sec": round(decisions / wall, 1),
-        "virtual_makespan_s": round(virtual_makespan_s, 3),
-        "busy_makespan_s": round(busy_makespan_s, 3),
-        "serial_oracle_s": round(oracle_s, 3),
-        "oracle_speedup": round(speedup, 3),
-        "jobs_completed": metrics.jobs_completed,
-        "slo_miss_rate": total_misses / N_JOBS,
-        "arrays": metrics.arrays_launched,
-        "mean_array_width": round(metrics.models_per_array, 3),
-    }
-    Path("BENCH_scale.json").write_text(json.dumps(payload, indent=2) + "\n")
+    assert metrics.scheduler_decisions == 205_718
+    assert metrics.arrays_launched == 5_718
 
     print_table(
         "scale: 100k jobs / 1024 simulated devices",
-        [(k, v) for k, v in payload.items()],
+        [("scheduler_decisions", metrics.scheduler_decisions),
+         ("virtual_makespan_s", virtual_makespan_s),
+         ("busy_makespan_s", busy_makespan_s),
+         ("serial_oracle_s", oracle_s),
+         ("oracle_speedup", speedup),
+         ("arrays", metrics.arrays_launched),
+         ("mean_array_width", metrics.models_per_array)],
         header=("metric", "value"))

@@ -64,7 +64,7 @@ class BufferPool:
         #: double-release that would alias two future ``take`` results
         self._held_ids: set = set()
         self.bytes_held = 0
-        #: lifetime counters (feed BENCH_hotpath.json and pool tuning)
+        #: lifetime counters (pool tuning)
         self.hits = 0
         self.misses = 0
         self.releases = 0

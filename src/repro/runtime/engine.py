@@ -180,9 +180,6 @@ class _Slot:
     #: times this slot was preempted (detached mid-training so a
     #: deadline-at-risk job could take its width); carried into JobResult
     preemptions: int = 0
-    #: static (non-elastic) mode: a stop signal fired but the slot keeps
-    #: training to its budget — it no longer counts as *occupied* width
-    useful: bool = True
     #: ``progress`` at the slot's last successful durable checkpoint —
     #: the dirty-slot tracker behind incremental checkpointing (a slot's
     #: training state changes only by stepping or resume injection, and
@@ -305,20 +302,18 @@ class FusedPhysics:
 
     def absorb(self, other: FusedPhysics) -> None:
         pool = self.engine.pool
-        allocator = pool.take if pool is not None else None
-        merged = merge_fused(self.fused, other.fused, allocator=allocator)
+        merged = merge_fused(self.fused, other.fused, allocator=pool.take)
         merged_opt = merge_optimizers(self.optimizer, other.optimizer,
                                       merged.parameters(),
-                                      allocator=allocator)
+                                      allocator=pool.take)
         # merge_fused/merge_optimizers never mutate their inputs, so a
         # raise above leaves the live array untouched; past this point the
         # swap is atomic
         dead = [(self.fused, self.optimizer), (other.fused, other.optimizer)]
         self._install(merged, merged_opt)
         other.fused = other.optimizer = other.criterion = None
-        if pool is not None:
-            for fused, optimizer in dead:
-                pool.release_all(self._allocations(fused, optimizer))
+        for fused, optimizer in dead:
+            pool.release_all(self._allocations(fused, optimizer))
 
     @staticmethod
     def _allocations(fused: Module, optimizer) -> List[np.ndarray]:
@@ -375,7 +370,6 @@ class ArrayExecutor:
         self.plan = plan
         self.array_id = array_id
         self.state = ArrayState.PENDING
-        self.elastic = engine.elastic
         self.device_name = plan.device or engine.device_name
         self.width_cap = plan.width_cap
         jobs = plan.jobs
@@ -404,7 +398,6 @@ class ArrayExecutor:
         self.seconds = 0.0
         self.max_progress = 0
         self.slot_steps_total = 0
-        self.slot_steps_occupied = 0
         self.evictions = 0
         self.admissions = 0
         self.merges = 0
@@ -425,7 +418,7 @@ class ArrayExecutor:
     @property
     def freed_width(self) -> int:
         """Width available for admission (never on solo/quarantine arrays)."""
-        if self.solo or not self.elastic:
+        if self.solo:
             return 0
         return max(0, self.width_cap - self.live_width)
 
@@ -503,14 +496,13 @@ class ArrayExecutor:
                       force: bool = False) -> None:
         """Write one slot's state to the engine's checkpoint store.
 
-        Incremental (``engine.checkpoint_incremental``, default on): a
-        slot whose ``progress`` has not moved since its last durable write
-        is *clean* — its training state cannot have changed (stepping and
-        resume injection are the only mutators, and both move
-        ``progress``).  A clean cadence checkpoint is skipped outright; a
-        clean *final* checkpoint rewrites only the manifest, pointing at
-        the already-stored objects.  ``force`` re-encodes regardless (a
-        durability sweep that must not trust the tracker).
+        Incremental: a slot whose ``progress`` has not moved since its
+        last durable write is *clean* — its training state cannot have
+        changed (stepping and resume injection are the only mutators, and
+        both move ``progress``).  A clean cadence checkpoint is skipped
+        outright; a clean *final* checkpoint rewrites only the manifest,
+        pointing at the already-stored objects.  ``force`` re-encodes
+        regardless (a durability sweep that must not trust the tracker).
 
         A failed write is counted and swallowed: losing one epoch of
         durability must not take a healthy array down with it.
@@ -518,8 +510,7 @@ class ArrayExecutor:
         store = self.engine.store
         if store is None:
             return
-        clean = (self.engine.checkpoint_incremental and not force
-                 and slot.persist_refs is not None
+        clean = (not force and slot.persist_refs is not None
                  and slot.persisted_progress == slot.progress)
         if clean and not final:
             self.engine.metrics.record_checkpoint_skip()
@@ -552,9 +543,9 @@ class ArrayExecutor:
     def checkpoint_now(self, force: bool = False) -> None:
         """Persist every live slot immediately (durability sweep).
 
-        With incremental checkpointing on, clean slots cost nothing; pass
-        ``force=True`` to re-encode every slot from live state regardless
-        of the dirty tracker (e.g. after swapping checkpoint stores).
+        Clean slots cost nothing; pass ``force=True`` to re-encode every
+        slot from live state regardless of the dirty tracker (e.g. after
+        swapping checkpoint stores).
         """
         for index, slot in enumerate(self.slots):
             self._persist_slot(index, slot, force=force)
@@ -599,9 +590,7 @@ class ArrayExecutor:
         self.samples += samples
 
         self.epochs += 1
-        occupied = sum(1 for slot in self.slots if slot.useful)
         self.slot_steps_total += steps * num_models
-        self.slot_steps_occupied += steps * occupied
         usage: Dict[str, Tuple[int, float]] = {}
         for slot in self.slots:
             slot.progress += steps
@@ -615,19 +604,15 @@ class ArrayExecutor:
 
         retired = self._retire_finished()
         # durability hook: retiring slots were persisted (final) by
-        # _retire_finished when persist_on_evict is set; the survivors
-        # reach the store at the checkpoint_every cadence, after the
-        # narrowing split so indices match the live array
+        # _retire_finished; the survivors reach the store at the
+        # checkpoint_every cadence, after the narrowing split so indices
+        # match the live array
         every = self.engine.checkpoint_every
         if every > 0 and self.epochs % every == 0:
             self.checkpoint_now()
         return retired
 
     def _stop_reason(self, slot: _Slot) -> Optional[str]:
-        # budget first: a slot with no steps left must always retire as
-        # BUDGET — the one reason static (non-elastic) mode honors — or a
-        # cancel request on a static engine would pin the slot forever
-        # (step_epoch would spin on zero-step epochs)
         if slot.remaining <= 0:
             return StopReason.BUDGET
         if slot.sub.cancel_requested:
@@ -644,26 +629,18 @@ class ArrayExecutor:
 
     def _retire_finished(self) -> List[JobResult]:
         """EVICTING: export finished slots, narrow the array, free width."""
-        stopping: List[Tuple[int, str]] = []
+        stop_map: Dict[int, str] = {}
         for index, slot in enumerate(self.slots):
             reason = self._stop_reason(slot)
-            if reason is None:
-                continue
-            if not self.elastic and reason != StopReason.BUDGET:
-                # static baseline: the signal fires but the slot rides its
-                # fused width to the end — the waste the elastic runtime
-                # reclaims, kept measurable via the occupancy accounting
-                slot.useful = False
-                continue
-            stopping.append((index, reason))
-        if not stopping:
+            if reason is not None:
+                stop_map[index] = reason
+        if not stop_map:
             return []
 
         self.state = ArrayState.EVICTING
         retired: List[JobResult] = []
-        stop_map = dict(stopping)
         keep = [i for i in range(self.live_width) if i not in stop_map]
-        for index, reason in stopping:
+        for index, reason in stop_map.items():
             slot = self.slots[index]
             checkpoint, durable = self.physics.export(index, slot)
             result = JobResult(
@@ -676,11 +653,10 @@ class ArrayExecutor:
                 preemptions=slot.preemptions,
                 finished_at=self.engine.result_clock(),
                 sim=self.engine.execution == "sim")
-            if self.engine.persist_on_evict:
-                # the exported checkpoint doubles as the final durable
-                # state — a restart after this point replays nothing
-                self._persist_slot(index, slot, durable=durable,
-                                   final=True, stop_reason=reason)
+            # the exported checkpoint doubles as the final durable state
+            # — a restart after this point replays nothing
+            self._persist_slot(index, slot, durable=durable,
+                               final=True, stop_reason=reason)
             if reason == StopReason.CANCELLED:
                 self.engine.queue.mark_cancelled(slot.sub, result)
                 self.engine.metrics.record_cancelled()
@@ -697,8 +673,8 @@ class ArrayExecutor:
         # only *early* retirements count as evictions — budget completions
         # inside a heterogeneous array free width too, but they are the
         # normal end of a job, not the stop-signal machinery at work
-        early = sum(1 for _, r in stopping if r != StopReason.BUDGET)
-        if early and self.elastic:
+        early = sum(1 for r in stop_map.values() if r != StopReason.BUDGET)
+        if early:
             self.evictions += early
             self.engine.metrics.record_eviction(early)
         if keep:
@@ -774,7 +750,6 @@ class ArrayExecutor:
         self.seconds += other.seconds
         self.max_progress = max(self.max_progress, other.max_progress)
         self.slot_steps_total += other.slot_steps_total
-        self.slot_steps_occupied += other.slot_steps_occupied
         self.evictions += other.evictions
         self.admissions += other.admissions
         self.merges += other.merges + 1
@@ -856,7 +831,9 @@ class ArrayExecutor:
             sim_seconds=self.plan.projected_seconds,
             jobs_served=self.jobs_served,
             slot_steps_total=self.slot_steps_total,
-            slot_steps_occupied=self.slot_steps_occupied,
+            # every executed slot-step trains a live job: a slot whose stop
+            # signal fired leaves at that epoch boundary
+            slot_steps_occupied=self.slot_steps_total,
             evictions=self.evictions, admissions=self.admissions,
             merges=self.merges)
 
@@ -871,16 +848,10 @@ class TrainingArrayEngine:
     ``array_ids`` is the fleet's shared id allocator, so array ids stay
     unique across the fleet's devices.
 
-    ``elastic`` (default on) enables the stepwise lifecycle: stop signals,
-    live eviction and freed-width admission.  With ``elastic=False`` the
-    engine reproduces the old run-to-completion behavior — every job trains
-    its full budget at its array's launch width — which is the baseline the
-    elastic utilization benchmark measures against.
-
     Durability (:mod:`repro.runtime.checkpoint`): with a ``store``
     attached, every live slot is persisted at the ``checkpoint_every``
     epoch cadence (0 disables cadence checkpoints) and every retiring
-    slot's final checkpoint is persisted when ``persist_on_evict`` is set;
+    slot's final checkpoint is persisted as it leaves;
     a ``recovery`` manager additionally journals array lifecycle
     transitions and terminal job states to the write-ahead log.  A failing
     multi-job array's quarantined jobs then retry *from their last durable
@@ -893,12 +864,8 @@ class TrainingArrayEngine:
                  queue: Optional[JobQueue] = None,
                  device=None,
                  array_ids: Optional[Callable[[], int]] = None,
-                 elastic: bool = True,
                  store: Optional[CheckpointStore] = None,
                  checkpoint_every: int = 0,
-                 persist_on_evict: bool = True,
-                 checkpoint_incremental: bool = True,
-                 pool: Optional[BufferPool] = None,
                  recovery: Optional[RecoveryManager] = None,
                  execution: str = "real",
                  clock=None,
@@ -912,21 +879,12 @@ class TrainingArrayEngine:
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
         self.device = device
         self.device_name = getattr(device, "name", "") if device else ""
-        self.elastic = elastic
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         self.store = store
         self.checkpoint_every = checkpoint_every
-        # persist_on_evict is inert without a store; keeping it True by
-        # default means attaching a store is the single switch that makes
-        # every completed job durable
-        self.persist_on_evict = persist_on_evict
-        #: dirty-slot tracking: cadence checkpoints skip slots that have
-        #: not stepped since their last durable write (see _persist_slot)
-        self.checkpoint_incremental = checkpoint_incremental
-        #: allocation reuse for evict->admit churn; pass an explicit pool
-        #: to share it across engines, or None for a private one
-        self.pool = pool if pool is not None else BufferPool()
+        #: allocation reuse for evict->admit churn
+        self.pool = BufferPool()
         self.recovery = recovery
         if execution not in ("real", "sim"):
             raise ValueError(f"execution must be 'real' or 'sim', "
@@ -979,9 +937,8 @@ class TrainingArrayEngine:
 
     def cancel(self, job_id: int) -> bool:
         """Cancel a job: immediately if still queued; if already training,
-        the *elastic* lifecycle evicts it at the next epoch boundary with
-        its partial checkpoint (a non-elastic engine runs every started job
-        to completion — the request is recorded but has no effect)."""
+        it is evicted at the next epoch boundary with its partial
+        checkpoint."""
         cancelled = self.queue.cancel(job_id)
         if cancelled and self.queue.state(job_id) == JobState.CANCELLED:
             # cancelled straight out of the queue; running jobs are counted
@@ -1058,7 +1015,7 @@ class TrainingArrayEngine:
                 if after_epoch is not None:
                     if after_epoch(executor) == "detach":
                         return executor.take_results()
-                elif self.elastic:
+                else:
                     self.refill_from_queue(executor)
         except Exception as exc:  # noqa: BLE001 — isolate array failures
             self.metrics.record_array_failure()

@@ -54,7 +54,8 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Deque, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..hwsim import DeviceSpec
 from .batcher import Batcher
@@ -103,11 +104,10 @@ class FleetScheduler:
     devices' projected timelines say they would finish (see the module
     docstring); ``execution`` picks the physics, never the schedule.
 
-    ``elastic`` (default on) turns on the stepwise lifecycle (stop
-    signals, eviction, freed-width admission); ``defrag`` additionally
-    merges under-filled stragglers across devices and re-places the merged
-    array via the hwsim cost model.  Pass ``defrag=None`` to disable
-    defragmentation while keeping eviction.
+    ``defrag`` merges under-filled stragglers across devices and
+    re-places the merged array via the hwsim cost model; pass
+    ``defrag=None`` to disable it (eviction and freed-width admission
+    stay).
 
     ``admission`` plugs a serving gateway's admission policy into the
     scheduling loop (duck-typed so :mod:`repro.runtime.gateway` stays an
@@ -125,29 +125,21 @@ class FleetScheduler:
 
     def __init__(self, devices: Sequence[DeviceSpec] = DEFAULT_FLEET,
                  placer: Optional[FleetPlacer] = None,
-                 batcher: Optional[Batcher] = None,
                  metrics: Optional[RuntimeMetrics] = None,
-                 queue: Optional[JobQueue] = None,
                  max_width: int = 8, precision: str = "amp",
                  default_workload: str = "pointnet_cls",
-                 elastic: bool = True,
                  defrag: Optional[DefragPolicy] = DefragPolicy(),
                  admission=None,
                  store: Optional[CheckpointStore] = None,
                  checkpoint_every: int = 0,
-                 persist_on_evict: bool = True,
-                 checkpoint_incremental: bool = True,
                  recovery: Optional[RecoveryManager] = None,
-                 quarantine_cycles: int = 1,
                  execution: str = "real",
                  clock: Optional[VirtualClock] = None,
                  placement: str = "greedy",
-                 migration_budget: int = 4,
-                 resolve_every: int = 1):
-        # `is not None`, not `or`: an empty JobQueue is falsy (__len__ == 0)
-        self.queue = queue if queue is not None else JobQueue()
+                 migration_budget: int = 4):
+        self.queue = JobQueue()
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
-        self.batcher = batcher if batcher is not None else Batcher()
+        self.batcher = Batcher()
         if placement not in ("greedy", "lp"):
             raise ValueError(f"placement must be 'greedy' or 'lp', "
                              f"got {placement!r}")
@@ -163,18 +155,12 @@ class FleetScheduler:
                 precision=precision, default_workload=default_workload)
         if migration_budget < 0:
             raise ValueError("migration_budget must be >= 0")
-        if resolve_every < 1:
-            raise ValueError("resolve_every must be >= 1")
-        #: live-array migration bound per re-solve window, and the re-solve
-        #: cadence in scheduling cycles: cycles between re-solves pass
-        #: ``begin_cycle(0)``, freezing voluntary migration (forced moves —
-        #: a home device that can no longer hold its array — stay legal)
+        #: live-array migration bound per scheduling cycle (each cycle
+        #: re-solves and opens a fresh window; forced moves — a home device
+        #: that can no longer hold its array — stay legal past it)
         self.migration_budget = migration_budget
-        self.resolve_every = resolve_every
-        self._cycle_index = 0
         self._last_solution_seen = None
-        self.elastic = elastic
-        self.defrag = defrag if elastic else None
+        self.defrag = defrag
         self.admission = admission
         if execution not in ("real", "sim"):
             raise ValueError(f"execution must be 'real' or 'sim', "
@@ -201,9 +187,6 @@ class FleetScheduler:
             # job ids key the WAL and the store's manifests: never reissue
             # one a previous process on the same log already used
             self.queue.reserve_ids(recovery.next_job_id())
-        if quarantine_cycles < 1:
-            raise ValueError("quarantine_cycles must be >= 1")
-        self.quarantine_cycles = quarantine_cycles
         #: guards what another thread may read while a cycle runs: the
         #: in-flight and quarantine tables behind stalled_workers() and
         #: quarantined_devices().  Work deques, the straggler pool and the
@@ -228,20 +211,17 @@ class FleetScheduler:
         #: every work-item pickup and epoch boundary; stalled_workers()
         #: is the operator-facing liveness probe built on it
         self.heartbeats: Dict[str, float] = {}
-        #: device name -> cycles it remains quarantined after a crash:
-        #: placement avoids it and the event loop offers it no turn until
-        #: the counter expires (quarantine-then-recover)
-        self._quarantined: Dict[str, int] = {}
+        #: devices quarantined after a crash: placement avoids one and the
+        #: event loop offers it no turn for the one cycle that follows
+        #: (quarantine-then-recover)
+        self._quarantined: Set[str] = set()
         self.workers: Dict[str, DeviceWorker] = {}
         for device in self.placer.devices:
             engine = TrainingArrayEngine(
                 queue=self.queue, metrics=self.metrics, device=device,
                 batcher=self.batcher,
                 array_ids=self._array_ids.__next__,
-                elastic=elastic, store=store,
-                checkpoint_every=checkpoint_every,
-                persist_on_evict=persist_on_evict,
-                checkpoint_incremental=checkpoint_incremental,
+                store=store, checkpoint_every=checkpoint_every,
                 recovery=recovery,
                 execution=execution, clock=self.clock,
                 precision=getattr(self.placer, "precision", precision),
@@ -272,9 +252,7 @@ class FleetScheduler:
 
     def cancel(self, job_id: int) -> bool:
         """Cancel a job fleet-wide: immediately if still queued; if already
-        training, the elastic lifecycle evicts it at its array's next epoch
-        boundary (with ``elastic=False`` a started job runs to completion —
-        the request is recorded but has no effect)."""
+        training, it is evicted at its array's next epoch boundary."""
         cancelled = self.queue.cancel(job_id)
         if cancelled and self.queue.state(job_id) == JobState.CANCELLED:
             self.metrics.record_cancelled()
@@ -299,15 +277,9 @@ class FleetScheduler:
             # every device engine shares this fleet's queue, metrics and WAL
             next(iter(self.workers.values())).engine._fail_job(sub, error)
 
-        # optimizer protocol: open the re-solve window before placing.
-        # Off-cadence cycles pass budget 0 — the solver still places new
-        # cohorts (that costs no migration), but voluntary live-array
-        # moves are frozen until the next re-solve cycle
-        self._cycle_index += 1
+        # optimizer protocol: open the re-solve window before placing
         if hasattr(self.placer, "begin_cycle"):
-            on_cadence = (self._cycle_index - 1) % self.resolve_every == 0
-            self.placer.begin_cycle(
-                self.migration_budget if on_cadence else 0)
+            self.placer.begin_cycle(self.migration_budget)
         # `now` turns on SLO-slack ordering; without a policy there is no
         # gateway clock to read it from
         decisions = (self.placer.place(cohorts, now=policy.now())
@@ -396,9 +368,8 @@ class FleetScheduler:
         durable checkpoint store instead (:meth:`_recover_crashed`).
         """
         results: List[JobResult] = []
-        # expiring quarantines tick down one cycle at a time; if every
-        # device is quarantined, lift them all — the fleet must make
-        # progress even after a correlated crash
+        # if every device is quarantined, lift them all — the fleet must
+        # make progress even after a correlated crash
         if len(self._quarantined) >= len(self.workers):
             with self._state_lock:
                 self._quarantined.clear()
@@ -460,14 +431,11 @@ class FleetScheduler:
         return crashed
 
     def _finish_cycle(self, results: List[JobResult]) -> List[JobResult]:
-        """End-of-cycle sweep: tick quarantines, recover crashed devices
+        """End-of-cycle sweep: expire quarantines, recover crashed devices
         (in-flight registrations that were never cleared), flush orphans.
         """
         with self._state_lock:
-            for name in list(self._quarantined):
-                self._quarantined[name] -= 1
-                if self._quarantined[name] <= 0:
-                    del self._quarantined[name]
+            self._quarantined.clear()
             crashed, self._inflight = dict(self._inflight), {}
         for name, executor in crashed.items():
             self._recover_crashed(name, executor)
@@ -490,13 +458,13 @@ class FleetScheduler:
         recover), from scratch otherwise (the job loses at most
         ``checkpoint_every`` epochs of work, never its correctness: the
         resumed run stays serial-equivalent).  The device is quarantined
-        for ``quarantine_cycles`` scheduling cycles and its undispatched
-        plans move to healthy workers.
+        for the next scheduling cycle and its undispatched plans move to
+        healthy workers.
         """
         self.metrics.record_worker_crash()
         worker = self.workers[name]
         with self._state_lock:
-            self._quarantined[name] = self.quarantine_cycles
+            self._quarantined.add(name)
         stranded = list(worker.plans)
         worker.plans.clear()
         fallbacks = [w for n, w in self.workers.items()
@@ -556,8 +524,6 @@ class FleetScheduler:
             # mid-array, leaving its in-flight registration for the crash
             # sweep (the crash rule of _run_item)
             raise SimulatedCrash(f"chaos hook killed device {worker.name}")
-        if not self.elastic:
-            return None
         # freed-width admission from the shared queue (emits freed
         # capacity back to the scheduler the moment eviction creates it),
         # bounded by *this* device's memory cap — the executor may have
@@ -602,12 +568,7 @@ class FleetScheduler:
         admitted into the width the victims vacated.
         """
         policy = self.admission
-        # the non-elastic guard is redundant today (_after_epoch bails out
-        # first) but load-bearing if this is ever called elsewhere: a
-        # static executor's freed_width is pinned to 0, so detaching
-        # victims could never seat the at-risk job
-        if policy is None or not executor.elastic or executor.solo \
-                or executor.done:
+        if policy is None or executor.solo or executor.done:
             return
         batcher = worker.engine.batcher
         profile = executor.admission_profile

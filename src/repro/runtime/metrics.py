@@ -22,14 +22,12 @@ __all__ = ["ArrayRecord", "RuntimeMetrics"]
 class ArrayRecord:
     """Accounting for one launched fused array.
 
-    With the elastic lifecycle an array may shrink (evictions), grow
-    (freed-width admissions) and absorb whole stragglers (defrag merges)
-    before it drains; the ``slot_steps_*`` pair captures the utilization
-    story: ``slot_steps_total`` counts every physically executed
-    slot-step, ``slot_steps_occupied`` only those doing useful work for a
-    live job.  A static (run-to-completion) array that keeps early-stopped
-    jobs on board executes unoccupied slot-steps; an elastic array frees
-    that width instead.
+    An array may shrink (evictions), grow (freed-width admissions) and
+    absorb whole stragglers (defrag merges) before it drains;
+    ``slot_steps_total`` counts every physically executed slot-step and
+    ``slot_steps_occupied`` those doing useful work for a live job — equal
+    for every array the engine runs, since a slot whose stop signal fired
+    leaves at that epoch boundary instead of riding its width to the end.
     """
 
     array_id: int
@@ -41,10 +39,8 @@ class ArrayRecord:
     seconds: float        # wall-clock training time
     device: str = ""      # fleet device that executed the array ("" = n/a)
     sim_seconds: float = 0.0  # placer's cost-model projection for the array
-    jobs_served: int = -1  # distinct jobs completed; -1 (records predating
-                           # the elastic lifecycle) means "= num_models".
-                           # 0 is a real value: an array whose jobs were
-                           # all cancelled completed nothing.
+    jobs_served: int = 0  # distinct jobs completed (evicted + drained,
+                          # not cancelled)
     slot_steps_total: int = 0     # physically executed slot-steps
     slot_steps_occupied: int = 0  # slot-steps spent on live (useful) jobs
     evictions: int = 0    # slots retired before the array drained
@@ -118,7 +114,7 @@ class RuntimeMetrics:
         #: engine, whose train_seconds IS its wall time
         self.wall_seconds = 0.0
         #: paused stragglers adopted by a device other than the one they
-        #: paused on (freed-width work stealing)
+        #: paused on (queued plans never change device)
         self.plans_stolen = 0
         #: scheduler decisions taken (dequeues, placements, admissions,
         #: retirements, preemptions) — the scale benchmark's throughput
@@ -154,12 +150,7 @@ class RuntimeMetrics:
         """A drained array's lifetime record (credits its completions)."""
         with self._lock:
             self.records.append(record)
-            # jobs_served is the elastic count (evicted + drained, not
-            # cancelled); legacy records leave it -1 and complete exactly
-            # their launch width
-            self.jobs_completed += (record.jobs_served
-                                    if record.jobs_served >= 0
-                                    else record.num_models)
+            self.jobs_completed += record.jobs_served
 
     def record_failure(self, count: int = 1) -> None:
         """Jobs that reached the terminal FAILED state."""
@@ -202,7 +193,8 @@ class RuntimeMetrics:
             self.wall_seconds += seconds
 
     def record_steal(self) -> None:
-        """An idle device stole a plan from another device's queue."""
+        """A paused straggler from the pool was adopted by a device other
+        than the one it paused on (queued plans never change device)."""
         with self._lock:
             self.plans_stolen += 1
 
@@ -441,10 +433,10 @@ class RuntimeMetrics:
     def fused_width_efficiency(self) -> float:
         """Occupied over executed slot-steps across all arrays.
 
-        1.0 means no fused slot ever carried a finished job; a static
-        runtime serving early-stopping workloads scores below 1.0, and the
-        ratio elastic/static is the utilization gain the eviction machinery
-        buys (``benchmarks/test_elastic_utilization.py``).
+        1.0 means no fused slot ever carried a finished job, which is what
+        eviction at epoch boundaries guarantees
+        (``benchmarks/test_elastic_utilization.py`` counts the slot-steps
+        that saves against run-to-completion).
         """
         total = self.slot_steps_total
         if total == 0:

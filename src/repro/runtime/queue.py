@@ -373,11 +373,10 @@ class JobQueue:
 
     def cancel(self, job_id: int) -> bool:
         """Cancel a job: immediately when still queued, else at the next
-        epoch boundary of the array training it (the elastic executor evicts
-        the slot with its partial checkpoint; a *non-elastic* engine runs
-        every started job to completion, so there the request only sets the
-        flag).  Returns whether the request did anything (unknown ids and
-        completed/failed jobs cannot be cancelled)."""
+        epoch boundary of the array training it (the executor evicts the
+        slot with its partial checkpoint).  Returns whether the request did
+        anything (unknown ids and completed/failed jobs cannot be
+        cancelled)."""
         with self._lock:
             sub = self._jobs.get(job_id)
             if sub is None:

@@ -4,8 +4,8 @@ Three layers under test:
 
 * the :class:`CheckpointStore` object model — content addressing,
   atomic publication, dedup, manifest provenance;
-* the engine wiring — ``checkpoint_every`` cadence, ``persist_on_evict``
-  final checkpoints, resume payloads applied bit-exactly;
+* the engine wiring — ``checkpoint_every`` cadence, final checkpoints
+  at retirement, resume payloads applied bit-exactly;
 * the fleet/gateway crash path — a device worker is *murdered* (a
   ``BaseException`` that bypasses every failure-isolation handler, the
   in-process stand-in for ``kill -9``) mid-epoch, and the recovered run
@@ -191,8 +191,8 @@ class TestEngineCheckpointing:
         ids = engine.submit_all(jobs)
         engine.run_until_idle()
         # 6 epochs, cadence 2 -> boundaries at epochs 2 and 4 persist live
-        # slots (the epoch-6 boundary retires everyone: persist_on_evict
-        # writes the finals instead)
+        # slots (the epoch-6 boundary retires everyone: retirement writes
+        # the finals instead)
         assert engine.metrics.checkpoints_written == 3 * 2 + 3
         assert engine.metrics.checkpoint_payload_bytes > 0
         for job_id in ids:
@@ -200,16 +200,6 @@ class TestEngineCheckpointing:
             assert manifest["final"] is True
             assert manifest["progress"] == STEPS
             assert manifest["provenance"]["launch_width"] == 3
-
-    def test_persist_on_evict_disabled_keeps_cadence_only(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        engine = TrainingArrayEngine(store=store, checkpoint_every=2,
-                                     persist_on_evict=False)
-        engine.submit_all(make_jobs(2))
-        engine.run_until_idle()
-        assert engine.metrics.checkpoints_written == 2 * 2
-        for job_id in store.job_ids():
-            assert store.manifest(job_id)["final"] is False
 
     def test_checkpoint_restores_bit_exact_optimizer_state(self, tmp_path):
         """Kill an array mid-epoch (engine level), resume the quarantined

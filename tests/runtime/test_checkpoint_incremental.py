@@ -83,38 +83,25 @@ class TestDirtySlotTracking:
         assert store.objects_written > objects
         assert engine.metrics.checkpoints_skipped == 0
 
-    def test_incremental_disabled_always_reencodes(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        engine = TrainingArrayEngine(store=store,
-                                     checkpoint_incremental=False)
-        executor = build_executor(engine, make_jobs(2))
-        executor.step_epoch()
-        executor.checkpoint_now()
-        payload = engine.metrics.checkpoint_payload_bytes
-        executor.checkpoint_now()                 # re-encodes (then dedups)
-        assert engine.metrics.checkpoints_skipped == 0
-        assert engine.metrics.checkpoint_payload_bytes == 2 * payload
-
     def test_write_amplification_halves_on_sweep_heavy_cadence(
             self, tmp_path):
         """The acceptance workload: a cadence checkpoint plus durability
         sweeps every epoch.  Incremental tracking encodes each slot once
-        per epoch instead of three times — >=50% fewer payload bytes."""
-        def run(incremental):
-            store = CheckpointStore(tmp_path / f"inc-{incremental}")
-            engine = TrainingArrayEngine(
-                store=store, checkpoint_every=1,
-                checkpoint_incremental=incremental)
+        per epoch instead of three times (what forced sweeps, which do
+        not trust the tracker, pay) — >=50% fewer payload bytes."""
+        def run(force):
+            store = CheckpointStore(tmp_path / f"force-{force}")
+            engine = TrainingArrayEngine(store=store, checkpoint_every=1)
             executor = build_executor(engine, make_jobs(3))
             while not executor.done:
                 executor.step_epoch()             # cadence persists here
-                executor.checkpoint_now()         # sweeps: clean slots
-                executor.checkpoint_now()
+                executor.checkpoint_now(force=force)  # sweeps: clean slots
+                executor.checkpoint_now(force=force)
             return engine.metrics.checkpoint_payload_bytes
 
-        legacy = run(False)
-        incremental = run(True)
-        assert incremental <= 0.5 * legacy
+        full = run(force=True)
+        incremental = run(force=False)
+        assert incremental <= 0.5 * full
 
     def test_clean_final_checkpoint_reuses_objects_manifest_only(
             self, tmp_path):
@@ -168,7 +155,6 @@ class TestCrashRecoveryWithIncrementalCheckpoints:
 
         store = CheckpointStore(tmp_path)
         engine = TrainingArrayEngine(store=store, checkpoint_every=1)
-        assert engine.checkpoint_incremental      # the default
         trigger = [True]
         jobs = make_jobs(3)
 

@@ -282,43 +282,6 @@ class TestElasticEngine:
         assert engine.metrics.jobs_completed == 0
         assert engine.metrics.records[0].jobs_served == 0
 
-    def test_cancel_on_static_engine_does_not_hang(self):
-        """Regression: a cancel request on a non-elastic engine used to pin
-        the slot forever (CANCELLED outranked BUDGET, and static mode
-        skips every non-BUDGET retirement -> zero-step epochs forever)."""
-        engine = TrainingArrayEngine(policy=ArrayPolicy(max_width=4),
-                                     elastic=False)
-        victim_id = []
-
-        def cancel_victim(epochs, curve):
-            if epochs >= 2:
-                engine.cancel(victim_id[0])
-            return False
-
-        ids = engine.submit_all([make_job(0), make_job(1,
-                                                       stop=cancel_victim)])
-        victim_id.append(ids[0])
-        results = engine.run_until_idle()
-        # static mode = legacy run-to-completion: the job trains its full
-        # budget and completes (the cancel request is only honored by the
-        # elastic lifecycle)
-        assert results[ids[0]].steps_trained == STEPS
-        assert engine.queue.state(ids[0]) == JobState.COMPLETED
-
-    def test_static_mode_ignores_stop_signals_and_wastes_width(self):
-        jobs = [make_job(i, stop=stop_after(1) if i < 2 else None)
-                for i in range(4)]
-        engine = TrainingArrayEngine(policy=ArrayPolicy(max_width=4),
-                                     elastic=False)
-        ids = engine.submit_all(jobs)
-        results = engine.run_until_idle()
-
-        assert engine.metrics.jobs_evicted == 0
-        assert all(results[i].steps_trained == STEPS for i in ids)
-        # 2 slots useful for 4 steps + 2 useful only for 1 epoch:
-        # occupied = 2*4 + 2*1 = 10 of 16 executed slot-steps
-        assert engine.metrics.fused_width_efficiency == pytest.approx(10 / 16)
-
     def test_elastic_mode_frees_the_width_static_mode_wastes(self):
         jobs = [make_job(i, stop=stop_after(1) if i < 2 else None)
                 for i in range(4)]
@@ -471,14 +434,6 @@ class TestElasticFleet:
         assert len(results) == 4
         assert fleet.metrics.jobs_evicted == 2    # eviction still on
         assert fleet.metrics.arrays_merged == 0
-
-    def test_non_elastic_fleet_reproduces_legacy_behavior(self):
-        jobs = [make_job(i, stop=stop_after(1)) for i in range(4)]
-        fleet = FleetScheduler(devices=(V100,), max_width=4, elastic=False)
-        ids = fleet.submit_all(jobs)
-        results = fleet.run_until_idle()
-        assert fleet.metrics.jobs_evicted == 0
-        assert all(results[i].steps_trained == STEPS for i in ids)
 
 
 # --------------------------------------------------------------------- #

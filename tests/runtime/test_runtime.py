@@ -356,10 +356,10 @@ class TestRuntimeMetrics:
         metrics.record_submit(5)
         metrics.record_array(ArrayRecord(
             array_id=0, signature="a", num_models=4, width_cap=4,
-            steps=10, samples=400, seconds=2.0))
+            steps=10, samples=400, seconds=2.0, jobs_served=4))
         metrics.record_array(ArrayRecord(
             array_id=1, signature="a", num_models=1, width_cap=4,
-            steps=10, samples=100, seconds=1.0))
+            steps=10, samples=100, seconds=1.0, jobs_served=1))
         metrics.record_failure()
 
         assert metrics.jobs_submitted == 5

@@ -132,7 +132,7 @@ class TestSchedulingBuildsNoModels:
         monkeypatch.setattr(
             SimNet, "state_dict",
             lambda self, *a, **k: exported.append(self) or {})
-        engine = TrainingArrayEngine()          # persist_on_evict, no store
+        engine = TrainingArrayEngine()          # no store
         engine.submit_all([real_job(i, build_sim_model) for i in range(3)])
         assert len(engine.run_until_idle()) == 3
         assert exported == []
