@@ -106,7 +106,7 @@ def test_checkpoint_write_volume_and_recovery(tmp_path):
     checkpoints = metrics.checkpoints_written
     assert checkpoints == JOBS * (STEPS // EPOCH_STEPS) == 48
     bytes_per_checkpoint = metrics.checkpoint_payload_bytes / checkpoints
-    assert bytes_per_checkpoint == 6738
+    assert bytes_per_checkpoint == 4525
 
     # ---- recovery path: crash, abandon the fleet, rebuild from disk -- #
     reference = FleetScheduler(devices=(V100,), max_width=JOBS)

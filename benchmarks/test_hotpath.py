@@ -5,16 +5,16 @@ PR 8 rebuilt the training hot path around zero-copy re-fusion, buffer
 pooling, an in-place fused Adam and incremental checkpoints.  What that
 work must keep true is machine-independent, and pinned here:
 
-* **in-place Adam** follows, bit for bit, the trajectory of
-  :class:`LegacyAdam` — the rebinding implementation it replaced, kept
-  only as that reference;
+* **in-place Adam** follows, bit for bit, the trajectory of the
+  reference it must reproduce: ``B`` unfused models each trained alone
+  with the serial :class:`repro.optim.Adam`;
 * **merge + pool** — the ``BufferPool`` hit rate over an evict->admit
   churn loop (steady-state churn reuses every fused allocation: 18 hits
   in 20 takes);
 * **checkpoint write amplification** — payload bytes encoded by a
   sweep-heavy durable workload whose sweeps re-encode every slot
   (``checkpoint_now(force=True)``) vs. trust the dirty-slot tracker
-  (deterministic byte counts: 448 448 vs. 160 160).
+  (deterministic byte counts: 322 336 vs. 115 120).
 
 Where step time goes is ``python -m bench_e2e --trace``'s job.
 """
@@ -22,10 +22,10 @@ Where step time goes is ``python -m bench_e2e --trace``'s job.
 import numpy as np
 import pytest
 
-from repro import hfta, nn
+from repro import hfta, nn, optim as serial_optim
 from repro.hfta import ops as hops
 from repro.hfta import optim as fused_optim
-from repro.hfta.optim.utils import broadcastable
+from repro.nn import functional as F
 from repro.runtime import (BufferPool, CheckpointStore, TrainingArrayEngine,
                            TrainingJob)
 from repro.hfta.ops.factory import OpsLibrary
@@ -34,50 +34,9 @@ from .conftest import print_table
 IN_FEATURES, HIDDEN, CLASSES, BATCH = 16, 32, 10, 32
 
 
-# --------------------------------------------------------------------- #
-# the reference the in-place Adam must reproduce
-# --------------------------------------------------------------------- #
-class LegacyAdam(fused_optim.Adam):
-    """Fused Adam as it was before the in-place rewrite: every moment
-    update and the update math rebind fresh arrays (~6 update-sized
-    temporaries per parameter per step).  Bit-identical trajectory to
-    the in-place version — only the allocation behavior differs."""
-
-    def step(self) -> None:
-        for group in self.param_groups:
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                lr = self._hyper(group, "lr", p)
-                beta1 = self._hyper(group, "beta1", p)
-                beta2 = self._hyper(group, "beta2", p)
-                eps = self._hyper(group, "eps", p)
-                wd = self._hyper(group, "weight_decay", p)
-                grad = p.grad
-                if not self.decoupled_weight_decay and wd.any():
-                    grad = grad + wd * p.data
-                st = self._get_state(p)
-                fused_group = group["model_index"] is None
-                if not st:
-                    st["step"] = (np.zeros(self.num_models) if fused_group
-                                  else 0)
-                    mdt = np.result_type(beta1, p.data)
-                    st["exp_avg"] = np.zeros(p.data.shape, dtype=mdt)
-                    st["exp_avg_sq"] = np.zeros(p.data.shape, dtype=mdt)
-                st["step"] = st["step"] + 1
-                t = (broadcastable(st["step"], p.shape) if fused_group
-                     else st["step"])
-                st["exp_avg"] = beta1 * st["exp_avg"] + (1 - beta1) * grad
-                st["exp_avg_sq"] = (beta2 * st["exp_avg_sq"]
-                                    + ((1 - beta2) * grad) * grad)
-                bias1 = 1 - beta1 ** t
-                bias2 = 1 - beta2 ** t
-                denom = np.sqrt(st["exp_avg_sq"] / bias2) + eps
-                update = lr * (st["exp_avg"] / bias1) / denom
-                p.data -= update.astype(p.data.dtype, copy=False)
-
-
-def build_workload(width, seed=0, legacy=False):
+def build_workload(width, seed=0):
+    """A fused MLP array with its Adam, and the ``width`` unfused twins
+    (same weights, data and learning rates) each with a serial Adam."""
     rng = np.random.default_rng(seed)
     model = nn.Sequential(
         hops.Linear(width, IN_FEATURES, HIDDEN),
@@ -85,14 +44,20 @@ def build_workload(width, seed=0, legacy=False):
         hops.Linear(width, HIDDEN, CLASSES))
     for p in model.parameters():
         p.data[...] = rng.standard_normal(p.shape).astype(p.data.dtype)
-    adam = LegacyAdam if legacy else fused_optim.Adam
-    optimizer = adam(model.parameters(), num_models=width,
-                     lr=[1e-3] * width)
+    lrs = [1e-3 * (1 + b % 4) for b in range(width)]
+    optimizer = fused_optim.Adam(model.parameters(), num_models=width,
+                                 lr=lrs)
     criterion = hfta.FusedCrossEntropyLoss(width)
     x = nn.tensor(rng.standard_normal(
         (width, BATCH, IN_FEATURES)).astype(np.float32))
     targets = rng.integers(0, CLASSES, size=(width, BATCH))
-    return model, optimizer, criterion, x, targets
+    twins = []
+    for b in range(width):
+        twin = nn.Sequential(nn.Linear(IN_FEATURES, HIDDEN), nn.ReLU(),
+                             nn.Linear(HIDDEN, CLASSES))
+        hfta.export_to_unfused(model, b, twin)
+        twins.append((twin, serial_optim.Adam(twin.parameters(), lr=lrs[b])))
+    return (model, optimizer, criterion, x, targets), twins
 
 
 def run_steps(model, optimizer, criterion, x, targets, steps):
@@ -177,12 +142,18 @@ def checkpoint_payload_bytes(root, force):
 
 # --------------------------------------------------------------------- #
 def test_inplace_adam_follows_the_legacy_trajectory():
-    fast, slow = build_workload(32), build_workload(32, legacy=True)
-    run_steps(*fast, steps=8)
-    run_steps(*slow, steps=8)
-    for (name, p_f), (_, p_s) in zip(fast[0].named_parameters(),
-                                     slow[0].named_parameters()):
-        np.testing.assert_array_equal(p_f.data, p_s.data, err_msg=name)
+    fused, twins = build_workload(32)
+    run_steps(*fused, steps=8)
+    model, _, _, x, targets = fused
+    fused_params = dict(model.named_parameters())
+    for b, (twin, optimizer) in enumerate(twins):
+        for _ in range(8):
+            optimizer.zero_grad()
+            F.cross_entropy(twin(nn.tensor(x.data[b])), targets[b]).backward()
+            optimizer.step()
+        for name, p in twin.named_parameters():
+            np.testing.assert_array_equal(fused_params[name].data[b], p.data,
+                                          err_msg=f"slot {b} {name}")
 
 
 def test_pool_churn_and_checkpoint_write_amplification(tmp_path):
@@ -203,5 +174,5 @@ def test_pool_churn_and_checkpoint_write_amplification(tmp_path):
         header=("metric", "value"))
 
     assert hit_rate == 0.9
-    assert (full_bytes, incr_bytes) == (448_448, 160_160)
+    assert (full_bytes, incr_bytes) == (322_336, 115_120)
     assert amplification == pytest.approx(2.8)

@@ -12,12 +12,12 @@ from .adadelta import Adadelta
 from .sgd import SGD
 from .lr_scheduler import (FusedLRScheduler, StepLR, ExponentialLR,
                            CosineAnnealingLR)
-from .utils import coerce_hyperparam, broadcastable
+from .utils import coerce_hyperparam
 from .elastic import (split_optimizer, merge_optimizers, snapshot_optimizer,
                       restore_optimizer, export_slot_state, load_slot_state)
 
 __all__ = ["FusedOptimizer", "Adam", "AdamW", "Adadelta", "SGD",
            "FusedLRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR",
-           "coerce_hyperparam", "broadcastable",
+           "coerce_hyperparam",
            "split_optimizer", "merge_optimizers", "snapshot_optimizer",
            "restore_optimizer", "export_slot_state", "load_slot_state"]

@@ -3,16 +3,15 @@ supported fused optimizer)."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
 from ...nn.tensor import Tensor
 from .optimizer import FusedOptimizer
+from .utils import HyperParam
 
 __all__ = ["Adadelta"]
-
-HyperParam = Union[float, Sequence[float], np.ndarray]
 
 
 class Adadelta(FusedOptimizer):
@@ -27,21 +26,34 @@ class Adadelta(FusedOptimizer):
         super().__init__(params, num_models, defaults)
 
     def step(self) -> None:
+        # Element for element :meth:`repro.optim.Adadelta.step`, in place.
         for group in self.param_groups:
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                lr = self._hyper(group, "lr", p)
-                rho = self._hyper(group, "rho", p)
-                eps = self._hyper(group, "eps", p)
-                wd = self._hyper(group, "weight_decay", p)
-                grad = p.grad + wd * p.data
-                st = self._get_state(p)
+            rho = group["rho"]
+            for p, grad, columns, (s1, delta, *_) in self._updates(
+                    group, 2, group["lr"], rho, 1 - rho, group["eps"]):
+                lr, keep, rest, eps = columns
+                st = self.state.setdefault(id(p), {})
                 if not st:
                     st["square_avg"] = np.zeros_like(p.data)
                     st["acc_delta"] = np.zeros_like(p.data)
-                st["square_avg"] = rho * st["square_avg"] + (1 - rho) * grad * grad
-                std = np.sqrt(st["square_avg"] + eps)
-                delta = np.sqrt(st["acc_delta"] + eps) / std * grad
-                st["acc_delta"] = rho * st["acc_delta"] + (1 - rho) * delta * delta
-                p.data -= (lr * delta).astype(p.data.dtype, copy=False)
+                square_avg, acc_delta = st["square_avg"], st["acc_delta"]
+                # square_avg = rho * square_avg + (1 - rho) * grad * grad
+                np.multiply(grad, rest, out=s1)
+                s1 *= grad
+                square_avg *= keep
+                square_avg += s1
+                # s1 = std = sqrt(square_avg + eps)
+                np.add(square_avg, eps, out=s1)
+                np.sqrt(s1, out=s1)
+                # delta = sqrt(acc_delta + eps) / std * grad
+                np.add(acc_delta, eps, out=delta)
+                np.sqrt(delta, out=delta)
+                delta /= s1
+                delta *= grad
+                # acc_delta = rho * acc_delta + (1 - rho) * delta * delta
+                np.multiply(delta, rest, out=s1)
+                s1 *= delta
+                acc_delta *= keep
+                acc_delta += s1
+                np.multiply(delta, lr, out=s1)
+                p.data -= s1

@@ -8,17 +8,19 @@ decay — but executed as a handful of broadcasted array operations over the
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from ...nn.tensor import Tensor
 from .optimizer import FusedOptimizer
-from .utils import broadcastable
+from .utils import HyperParam
 
 __all__ = ["Adam", "AdamW"]
 
-HyperParam = Union[float, Sequence[float], np.ndarray]
+#: ``float ** float`` per element (an array of Python floats) — the serial
+#: optimizer's own call; ``np.power`` rounds ~4 % of inputs differently
+_pow = np.frompyfunc(pow, 2, 1)
 
 
 class Adam(FusedOptimizer):
@@ -31,7 +33,6 @@ class Adam(FusedOptimizer):
     """
 
     _vector_hyperparams = ("lr", "beta1", "beta2", "eps", "weight_decay")
-    decoupled_weight_decay = False
 
     def __init__(self, params: Iterable[Tensor], num_models: int,
                  lr: HyperParam = 1e-3,
@@ -42,79 +43,56 @@ class Adam(FusedOptimizer):
         super().__init__(params, num_models, defaults)
 
     def step(self) -> None:
-        # The moment updates and the update/denominator math run in place
-        # (``out=`` ufuncs into the state and two per-parameter scratch
-        # arrays) — the profiled hot path allocated six update-sized
-        # temporaries per parameter per step here.  Every in-place form
-        # below replays the exact operation sequence (and operand dtypes)
-        # of the original rebinding expressions, so the trajectories stay
-        # bit-identical; ``tests/hfta/test_fused_optim.py`` pins this
-        # against the serial reference.
-        try:
-            scratch = self._scratch
-        except AttributeError:
-            # ``merge_optimizers``/``split_optimizer`` build instances via
-            # ``__new__`` without running ``__init__``, so lazily attach.
-            scratch = self._scratch = {}
+        # Element for element :meth:`repro.optim.Adam.step`, in place: same
+        # operations, same operand dtypes (test_optimizer_serial_bitwise.py).
         for group in self.param_groups:
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                lr = self._hyper(group, "lr", p)
-                beta1 = self._hyper(group, "beta1", p)
-                beta2 = self._hyper(group, "beta2", p)
-                eps = self._hyper(group, "eps", p)
-                wd = self._hyper(group, "weight_decay", p)
-                grad = p.grad
-                if not self.decoupled_weight_decay and wd.any():
-                    grad = grad + wd * p.data
-                st = self._get_state(p)
-                fused_group = group["model_index"] is None
+            lr, beta1, beta2 = group["lr"], group["beta1"], group["beta2"]
+            decays = (self.decoupled_weight_decay
+                      and self._any(group, "weight_decay"))
+            bias_casts = {}
+            for p, grad, columns, (s1, s2, *_) in self._updates(
+                    group, 2, beta1, 1 - beta1, beta2, 1 - beta2,
+                    group["eps"], lr, lr * group["weight_decay"]):
+                b1, rest1, b2, rest2, eps, rate, rate_wd = columns
+                st = self.state.setdefault(id(p), {})
                 if not st:
-                    # The step counter is *per model* for fused groups: the
-                    # elastic runtime merges arrays whose slots sit at
-                    # different training progress (live re-fusion), and
-                    # Adam's bias correction must keep using each slot's own
-                    # step count to stay serial-equivalent.  Moments start
-                    # at the promoted dtype the float64 hyperparameter
-                    # vectors would have produced on the first rebind.
-                    st["step"] = (np.zeros(self.num_models) if fused_group
-                                  else 0)
-                    mdt = np.result_type(beta1, p.data)
-                    st["exp_avg"] = np.zeros(p.data.shape, dtype=mdt)
-                    st["exp_avg_sq"] = np.zeros(p.data.shape, dtype=mdt)
-                st["step"] = st["step"] + 1
-                t = (broadcastable(st["step"], p.shape) if fused_group
-                     else st["step"])
+                    # The step counter is per model: re-fusion merges arrays
+                    # whose slots sit at different progress, and each slot's
+                    # bias correction must keep using its own step count.
+                    st["step"] = (np.zeros(self.num_models)
+                                  if group["model_index"] is None else 0)
+                    st["exp_avg"] = np.zeros_like(p.data)
+                    st["exp_avg_sq"] = np.zeros_like(p.data)
+                step = st["step"] = st["step"] + 1
+                key = np.asarray(step).tobytes()
+                cast = bias_casts.get(key)
+                if cast is None:
+                    cast = bias_casts[key] = self._columns(
+                        group, 1 - _pow(beta1, step), 1 - _pow(beta2, step))
+                bias1, bias2 = cast(p.data.dtype, p.data.ndim)
                 ea, easq = st["exp_avg"], st["exp_avg_sq"]
-                sc = scratch.get(id(p))
-                if sc is None or sc[0].shape != p.data.shape \
-                        or sc[0].dtype != ea.dtype:
-                    sc = (np.empty(p.data.shape, dtype=ea.dtype),
-                          np.empty(p.data.shape, dtype=ea.dtype))
-                    scratch[id(p)] = sc
-                s1, s2 = sc
                 # ea = beta1 * ea + (1 - beta1) * grad
-                np.multiply(ea, beta1, out=ea)
-                ea += (1 - beta1) * grad
-                # easq = beta2 * easq + ((1 - beta2) * grad) * grad
-                tmp = (1 - beta2) * grad
-                tmp *= grad
-                np.multiply(easq, beta2, out=easq)
-                easq += tmp
-                bias1 = 1 - beta1 ** t
-                bias2 = 1 - beta2 ** t
+                np.multiply(grad, rest1, out=s1)
+                ea *= b1
+                ea += s1
+                # easq = beta2 * easq + (1 - beta2) * grad * grad
+                np.multiply(grad, rest2, out=s1)
+                s1 *= grad
+                easq *= b2
+                easq += s1
                 # s1 = denom = sqrt(easq / bias2) + eps
                 np.divide(easq, bias2, out=s1)
                 np.sqrt(s1, out=s1)
                 s1 += eps
                 # s2 = update = lr * (ea / bias1) / denom
                 np.divide(ea, bias1, out=s2)
-                np.multiply(s2, lr, out=s2)
-                np.divide(s2, s1, out=s2)
-                if self.decoupled_weight_decay:
-                    s2 += lr * wd * p.data
-                p.data -= s2.astype(p.data.dtype, copy=False)
+                s2 *= rate
+                s2 /= s1
+                if decays:
+                    # update = update + lr * wd * p
+                    np.multiply(p.data, rate_wd, out=s1)
+                    s2 += s1
+                p.data -= s2
 
 
 class AdamW(Adam):

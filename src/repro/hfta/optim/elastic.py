@@ -30,7 +30,6 @@ import numpy as np
 from ...nn.tensor import Tensor
 from ..fusion import contiguous_run
 from .optimizer import FusedOptimizer
-from .utils import coerce_hyperparam
 
 __all__ = ["split_optimizer", "merge_optimizers", "snapshot_optimizer",
            "restore_optimizer", "export_slot_state", "load_slot_state"]
@@ -50,6 +49,20 @@ def _flat_params(optimizer: FusedOptimizer) -> List[Tensor]:
 def _is_per_model(value, num_models: int) -> bool:
     return (isinstance(value, np.ndarray) and value.ndim >= 1
             and value.shape[0] == num_models)
+
+
+def _empty_like(like: FusedOptimizer, num_models: int, defaults: Dict,
+                params: Sequence[Tensor]):
+    """An optimizer of ``like``'s class without groups yet, and an iterator
+    over ``params`` — which must be as many as ``like`` manages."""
+    params, managed = list(params), len(_flat_params(like))
+    if len(params) != managed:
+        raise ValueError(f"parameter count mismatch: optimizer manages "
+                         f"{managed}, re-fused model has {len(params)}")
+    new = object.__new__(type(like))
+    new.num_models, new.defaults = num_models, defaults
+    new.param_groups, new.state, new._buffers = [], {}, {}
+    return new, iter(params)
 
 
 def split_optimizer(optimizer: FusedOptimizer, new_params: Sequence[Tensor],
@@ -86,32 +99,15 @@ def split_optimizer(optimizer: FusedOptimizer, new_params: Sequence[Tensor],
     if any(not 0 <= i < old_width for i in keep):
         raise ValueError(f"keep_indices {keep} out of range for "
                          f"num_models={old_width}")
-    new_params = list(new_params)
-    old_params = _flat_params(optimizer)
-    if len(new_params) != len(old_params):
-        raise ValueError(
-            f"parameter count mismatch: optimizer manages "
-            f"{len(old_params)}, split model has {len(new_params)}")
 
-    new_opt = object.__new__(type(optimizer))
-    new_opt.num_models = len(keep)
-    # defaults hold raw constructor values (scalar or length-B sequence);
-    # normalize the per-model ones so the slice is well-defined
-    new_opt.defaults = {
-        k: (coerce_hyperparam(v, old_width, k)[keep].copy()
-            if k in optimizer._vector_hyperparams else v)
-        for k, v in optimizer.defaults.items()}
-    new_opt.param_groups = []
-    new_opt.state = {}
+    def take_hypers(values: Dict) -> Dict:
+        return {k: (v[keep].copy() if _is_per_model(v, old_width) else v)
+                for k, v in values.items() if k != "params"}
 
-    taken = iter(new_params)
+    new_opt, taken = _empty_like(optimizer, len(keep),
+                                 take_hypers(optimizer.defaults), new_params)
     for group in optimizer.param_groups:
-        new_group = {}
-        for key, value in group.items():
-            if key == "params":
-                continue
-            new_group[key] = (value[keep].copy()
-                             if _is_per_model(value, old_width) else value)
+        new_group = take_hypers(group)
         new_group["params"] = [next(taken) for _ in group["params"]]
         for p_old, p_new in zip(group["params"], new_group["params"]):
             if p_new.shape != (len(keep),) + p_old.shape[1:]:
@@ -154,13 +150,7 @@ def merge_optimizers(a: FusedOptimizer, b: FusedOptimizer,
     _check_fully_fused(b, "merge_optimizers")
     if len(a.param_groups) != len(b.param_groups):
         raise ValueError("cannot merge: different parameter group counts")
-    merged_params = list(merged_params)
-    if len(merged_params) != len(_flat_params(a)):
-        raise ValueError("merged parameter count does not match")
-
     width_a, width_b = a.num_models, b.num_models
-    merged = object.__new__(type(a))
-    merged.num_models = width_a + width_b
 
     def join(name, va, vb):
         per_a, per_b = _is_per_model(va, width_a), _is_per_model(vb, width_b)
@@ -173,47 +163,29 @@ def merge_optimizers(a: FusedOptimizer, b: FusedOptimizer,
         if per_a or per_b:
             raise ValueError(f"cannot merge '{name}': per-model on one side "
                              f"only ({np.shape(va)} vs {np.shape(vb)})")
-        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-            if not np.array_equal(va, vb):
-                raise ValueError(f"cannot merge '{name}': shared array "
-                                 f"state differs between the two arrays")
-            return copy.deepcopy(va)
-        if va != vb:
-            raise ValueError(f"cannot merge '{name}': scalar state differs "
-                             f"({va!r} vs {vb!r})")
-        return va
+        if not np.array_equal(va, vb):
+            raise ValueError(f"cannot merge '{name}': shared value differs "
+                             f"between the two arrays ({va!r} vs {vb!r})")
+        return copy.deepcopy(va)
 
-    # defaults hold the raw constructor values (scalars or sequences); for
-    # hyper-parameters the optimizer treats as per-model vectors, coerce
-    # both sides and concatenate so a later add_param_group sees the
-    # merged-width vector
-    merged.defaults = {}
-    for key in a.defaults:
-        if key not in b.defaults:
-            raise ValueError(f"cannot merge: '{key}' missing from second "
-                             f"optimizer's defaults")
-        va, vb = a.defaults[key], b.defaults[key]
-        if key in a._vector_hyperparams:
-            merged.defaults[key] = np.concatenate([
-                coerce_hyperparam(va, width_a, key),
-                coerce_hyperparam(vb, width_b, key)])
-        else:
-            merged.defaults[key] = join(key, va, vb)
+    def join_hypers(values_a: Dict, values_b: Dict) -> Dict:
+        joined = {}
+        for key, va in values_a.items():
+            if key == "params":
+                continue
+            if key not in values_b:
+                raise ValueError(f"cannot merge: '{key}' missing from "
+                                 f"second optimizer")
+            joined[key] = join(key, va, values_b[key])
+        return joined
 
-    merged.param_groups = []
-    merged.state = {}
-    taken = iter(merged_params)
+    merged, taken = _empty_like(a, width_a + width_b,
+                                join_hypers(a.defaults, b.defaults),
+                                merged_params)
     for group_a, group_b in zip(a.param_groups, b.param_groups):
         if len(group_a["params"]) != len(group_b["params"]):
             raise ValueError("cannot merge: parameter groups differ in size")
-        new_group = {}
-        for key, va in group_a.items():
-            if key == "params":
-                continue
-            if key not in group_b:
-                raise ValueError(f"cannot merge: group key '{key}' missing "
-                                 f"from second optimizer")
-            new_group[key] = join(key, va, group_b[key])
+        new_group = join_hypers(group_a, group_b)
         new_group["params"] = [next(taken) for _ in group_a["params"]]
         merged.param_groups.append(new_group)
 
@@ -225,25 +197,27 @@ def merge_optimizers(a: FusedOptimizer, b: FusedOptimizer,
                     f"[{merged.num_models}] + {p_a.shape[1:]}")
             st_a = a.state.get(id(p_a)) or {}
             st_b = b.state.get(id(p_b)) or {}
-            if not st_a and not st_b:
-                continue
             new_st = {}
             for key in dict(st_a, **st_b):
                 va, vb = st_a.get(key), st_b.get(key)
                 if va is None:
-                    va = _zeros_like_state(vb, width_b, width_a)
+                    va = _zeros_like_state(vb, width_b, width_a, p_m)
                 if vb is None:
-                    vb = _zeros_like_state(va, width_a, width_b)
+                    vb = _zeros_like_state(va, width_a, width_b, p_m)
                 new_st[key] = join(key, va, vb)
-            merged.state[id(p_m)] = new_st
+            if new_st:
+                merged.state[id(p_m)] = new_st
     return merged
 
 
-def _zeros_like_state(present, present_width: int, missing_width: int):
-    """Zero-state for the side that never stepped (== lazy initialization)."""
+def _zeros_like_state(present, present_width: int, missing_width: int,
+                      param: Tensor):
+    """Zero-state for the side that never stepped (== lazy initialization):
+    parameter-shaped state in ``param``'s dtype, counters in their own."""
     if _is_per_model(present, present_width):
-        return np.zeros((missing_width,) + present.shape[1:],
-                        dtype=present.dtype)
+        shape = present.shape[1:]
+        return np.zeros((missing_width,) + shape, dtype=(
+            param.data.dtype if shape == param.shape[1:] else present.dtype))
     raise ValueError(
         "cannot merge: one array has scalar optimizer state the other "
         "lacks; scalar state cannot be synthesized per slot")
@@ -314,6 +288,12 @@ def load_slot_state(optimizer: FusedOptimizer, index: int,
         st = optimizer.state.setdefault(id(param), {})
         for key, value in slot.items():
             value = np.asarray(value)
+            if value.shape == param.shape[1:]:
+                # an export from when moments were float64 still resumes
+                value = value.astype(param.data.dtype, copy=False)
+            elif value.size == 1:
+                # the checkpoint codec stores a 0-d step counter as ``(1,)``
+                value = value.reshape(())
             if key not in st:
                 st[key] = np.zeros(
                     (optimizer.num_models,) + value.shape, dtype=value.dtype)
@@ -334,16 +314,13 @@ def snapshot_optimizer(optimizer: FusedOptimizer) -> Dict:
     snapshot stays valid for :func:`restore_optimizer` after the parameter
     objects' data arrays were modified in place.
     """
-    params = _flat_params(optimizer)
-    index_of = {id(p): i for i, p in enumerate(params)}
+    index_of = {id(p): i for i, p in enumerate(_flat_params(optimizer))}
     return {
         "num_models": optimizer.num_models,
         "state": {index_of[pid]: copy.deepcopy(st)
                   for pid, st in optimizer.state.items()
                   if pid in index_of},
-        "groups": [
-            {k: copy.deepcopy(v) for k, v in g.items() if k != "params"}
-            for g in optimizer.param_groups],
+        "groups": optimizer.state_dict()["param_groups"],
     }
 
 
@@ -357,5 +334,4 @@ def restore_optimizer(optimizer: FusedOptimizer, snapshot: Dict) -> None:
     optimizer.state = {id(params[i]): copy.deepcopy(st)
                        for i, st in snapshot["state"].items()}
     for group, saved in zip(optimizer.param_groups, snapshot["groups"]):
-        for key, value in saved.items():
-            group[key] = copy.deepcopy(value)
+        group.update(copy.deepcopy(saved))

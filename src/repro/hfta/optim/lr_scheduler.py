@@ -9,16 +9,14 @@ vector in one broadcasted operation per epoch.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List
 
 import numpy as np
 
 from .optimizer import FusedOptimizer
-from .utils import coerce_hyperparam
+from .utils import HyperParam, coerce_hyperparam
 
 __all__ = ["FusedLRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR"]
-
-HyperParam = Union[float, Sequence[float], np.ndarray]
 
 
 class FusedLRScheduler:

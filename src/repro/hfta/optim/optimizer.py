@@ -4,8 +4,9 @@ A fused optimizer manages parameters whose *leading dimension is the array
 dimension* ``B`` (one slice per fused model) and hyper-parameters that are
 per-model vectors of length ``B``.  The update rule of the underlying
 optimizer is executed once on the whole ``[B, ...]`` array with the
-hyper-parameter vectors broadcast along the array dimension, which is
-mathematically identical to running ``B`` independent optimizers — but in a
+hyper-parameter vectors broadcast along the array dimension: operation for
+operation, in the parameter's dtype, what ``B`` independent :mod:`repro.optim`
+optimizers compute (every slot bitwise the model trained alone) — but in a
 handful of large vectorized operations instead of ``B`` small ones.
 
 Partial fusion (paper Appendix H.4) is supported through *unfused parameter
@@ -16,12 +17,13 @@ that model's scalar hyper-parameters.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+import functools
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from ...nn.tensor import Tensor
-from .utils import broadcastable, coerce_hyperparam
+from .utils import coerce_hyperparam
 
 __all__ = ["FusedOptimizer"]
 
@@ -31,6 +33,8 @@ class FusedOptimizer:
 
     #: names of hyper-parameters that are per-model vectors
     _vector_hyperparams: Sequence[str] = ("lr",)
+    #: AdamW-style decay: applied to the update, not added to the gradient
+    decoupled_weight_decay = False
 
     def __init__(self, params: Iterable[Tensor], num_models: int,
                  defaults: Dict):
@@ -40,14 +44,17 @@ class FusedOptimizer:
         if num_models < 1:
             raise ValueError(f"num_models must be >= 1, got {num_models}")
         self.num_models = num_models
-        self.defaults = dict(defaults)
+        # length-B vectors here as in the groups: re-fusion slices both alike
+        self.defaults = {
+            k: (coerce_hyperparam(v, num_models, k)
+                if k in self._vector_hyperparams else v)
+            for k, v in defaults.items()}
         self.param_groups: List[Dict] = []
         self.state: Dict[int, Dict] = {}
-        if isinstance(params[0], dict):
-            for group in params:
-                self.add_param_group(dict(defaults, **group))
-        else:
-            self.add_param_group(dict(defaults, params=params))
+        self._buffers: Dict[np.dtype, np.ndarray] = {}   # work arrays
+        for group in (params if isinstance(params[0], dict)
+                      else [dict(params=params)]):
+            self.add_param_group(group)
 
     # ------------------------------------------------------------------ #
     def add_param_group(self, group: Dict) -> None:
@@ -55,9 +62,7 @@ class FusedOptimizer:
         group = dict(self.defaults, **group)
         group.setdefault("model_index", None)
         for name in self._vector_hyperparams:
-            if name in group:
-                group[name] = coerce_hyperparam(group[name], self.num_models,
-                                                name)
+            group[name] = coerce_hyperparam(group[name], self.num_models, name)
         for p in group["params"]:
             if group["model_index"] is None and p.shape[0] != self.num_models:
                 raise ValueError(
@@ -76,14 +81,8 @@ class FusedOptimizer:
         """
         if not 0 <= model_index < self.num_models:
             raise ValueError(f"model_index must be in [0, {self.num_models})")
-        group = dict(self.defaults, **overrides)
-        group["params"] = list(params)
-        group["model_index"] = model_index
-        for name in self._vector_hyperparams:
-            if name in group:
-                group[name] = coerce_hyperparam(group[name], self.num_models,
-                                                name)
-        self.param_groups.append(group)
+        self.add_param_group(dict(overrides, params=list(params),
+                                  model_index=model_index))
 
     # ------------------------------------------------------------------ #
     def zero_grad(self) -> None:
@@ -94,24 +93,64 @@ class FusedOptimizer:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _get_state(self, param: Tensor) -> Dict:
-        st = self.state.get(id(param))
-        if st is None:
-            st = {}
-            self.state[id(param)] = st
-        return st
+    def _any(self, group: Dict, name: str) -> bool:
+        """Whether ``name`` is non-zero for a model this group updates."""
+        index = group["model_index"]
+        return bool(group[name].any() if index is None
+                    else group[name][index])
 
-    def _hyper(self, group: Dict, name: str, param: Tensor) -> np.ndarray:
-        """Return hyper-parameter ``name`` shaped to broadcast against ``param``.
+    def _columns(self, group: Dict, *rows) -> Callable[..., Tuple]:
+        """Per-model scalars of one step as same-dtype operands of a parameter.
 
-        For fused groups this is a ``[B, 1, ..., 1]`` column; for unfused
-        (partial-fusion) groups it is the scalar belonging to the group's
-        ``model_index``.
+        ``rows`` are float64 ``[B]`` vectors: what the serial optimizer holds
+        as Python floats (``lr``, ``1 - beta1``, ...), computed as it computes
+        them.  ``cast(dtype, ndim)`` rounds them once to a parameter's dtype,
+        as numpy does when a Python float meets a float32 array: one 0-d
+        scalar per row, or a ``[B, 1, ...]`` column where the models differ.
         """
-        vector = group[name]
-        if group["model_index"] is not None:
-            return np.asarray(vector[group["model_index"]])
-        return broadcastable(vector, param.shape)
+        table = np.array(rows)
+        index = group["model_index"]
+        if index is not None:
+            table = table[:, index]
+
+        @functools.lru_cache(maxsize=None)      # dies with the step
+        def cast(dtype: np.dtype, ndim: int) -> Tuple:
+            columns = table.astype(dtype)
+            if index is not None:
+                return tuple(columns)
+            # a value all models share stays one scalar: numpy's fast path
+            shared = (columns == columns[:, :1]).all(axis=1).tolist()
+            shape = (-1,) + (1,) * (ndim - 1)
+            return tuple(row[0] if same else row.reshape(shape)
+                         for row, same in zip(columns, shared))
+        return cast
+
+    def _updates(self, group: Dict, work_arrays: int, *rows):
+        """Yield ``(param, grad, columns, work)`` per parameter with a gradient.
+
+        ``columns`` are ``rows`` through :meth:`_columns`; ``work`` stacks
+        ``work_arrays`` arrays like the parameter, carved from one buffer per
+        dtype that every update reuses (a warm step allocates none); ``grad``
+        gains ``weight_decay * p``, in one more work array, when a model of
+        the group decays and the decay is not decoupled.
+        """
+        decays = (not self.decoupled_weight_decay
+                  and self._any(group, "weight_decay"))
+        cast = self._columns(group, group["weight_decay"], *rows)
+        for p in group["params"]:
+            if p.grad is None:
+                continue
+            data, grad = p.data, p.grad
+            wd, *columns = cast(data.dtype, data.ndim)
+            size = (work_arrays + decays) * data.size
+            buffer = self._buffers.get(data.dtype)
+            if buffer is None or buffer.size < size:
+                buffer = self._buffers[data.dtype] = np.empty(size, data.dtype)
+            work = buffer[:size].reshape((-1,) + data.shape)
+            if decays:
+                grad = np.multiply(data, wd, out=work[-1])
+                grad += p.grad
+            yield p, grad, columns, work
 
     @property
     def lr(self) -> np.ndarray:

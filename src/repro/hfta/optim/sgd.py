@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
 from ...nn.tensor import Tensor
 from .optimizer import FusedOptimizer
+from .utils import HyperParam
 
 __all__ = ["SGD"]
-
-HyperParam = Union[float, Sequence[float], np.ndarray]
 
 
 class SGD(FusedOptimizer):
@@ -27,23 +26,26 @@ class SGD(FusedOptimizer):
         super().__init__(params, num_models, defaults)
 
     def step(self) -> None:
+        # Element for element :meth:`repro.optim.SGD.step`, in place.
         for group in self.param_groups:
-            nesterov = group["nesterov"]
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                lr = self._hyper(group, "lr", p)
-                momentum = self._hyper(group, "momentum", p)
-                wd = self._hyper(group, "weight_decay", p)
-                grad = p.grad + wd * p.data
-                use_momentum = np.any(np.asarray(group["momentum"]) != 0.0)
+            use_momentum = self._any(group, "momentum")
+            for p, grad, (lr, mu), work in self._updates(
+                    group, 1, group["lr"], group["momentum"]):
                 if use_momentum:
-                    st = self._get_state(p)
+                    st = self.state.setdefault(id(p), {})
                     buf = st.get("momentum_buffer")
                     if buf is None:
-                        buf = grad.copy()
+                        buf = st["momentum_buffer"] = grad.copy()
                     else:
-                        buf = momentum * buf + grad
-                    st["momentum_buffer"] = buf
-                    grad = grad + momentum * buf if nesterov else buf
-                p.data -= (lr * grad).astype(p.data.dtype, copy=False)
+                        # buf = momentum * buf + grad
+                        buf *= mu
+                        buf += grad
+                    if group["nesterov"]:
+                        # grad = grad + momentum * buf
+                        ahead = np.multiply(buf, mu, out=work[0])
+                        ahead += grad
+                        grad = ahead
+                    else:
+                        grad = buf
+                update = np.multiply(grad, lr, out=work[0])
+                p.data -= update

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = ["coerce_hyperparam", "broadcastable"]
+__all__ = ["HyperParam", "coerce_hyperparam"]
 
 HyperParam = Union[float, int, Sequence[float], np.ndarray]
 
@@ -25,7 +25,7 @@ HyperParam = Union[float, int, Sequence[float], np.ndarray]
 def coerce_hyperparam(value: HyperParam, num_models: int,
                       name: str = "hyper-parameter") -> np.ndarray:
     """Normalize ``value`` to a float64 vector of length ``num_models``."""
-    arr = np.asarray(value, dtype=np.float64)
+    arr = np.array(value, dtype=np.float64)     # a copy the caller owns
     if arr.ndim == 0:
         arr = np.full(num_models, float(arr), dtype=np.float64)
     if arr.shape != (num_models,):
@@ -33,8 +33,3 @@ def coerce_hyperparam(value: HyperParam, num_models: int,
             f"{name} must be a scalar or a length-{num_models} vector, got "
             f"shape {arr.shape}")
     return arr
-
-
-def broadcastable(vector: np.ndarray, param_shape: Sequence[int]) -> np.ndarray:
-    """Reshape a per-model vector ``[B]`` to broadcast against ``[B, ...]``."""
-    return vector.reshape((vector.shape[0],) + (1,) * (len(param_shape) - 1))

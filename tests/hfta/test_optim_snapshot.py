@@ -222,6 +222,47 @@ class TestSlotStatePrimitives:
                     p_r.data[slot], p_ref.data[slot],
                     err_msg=f"{name} slot {slot}")
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_float64_export_resumes_as_its_float32_cast(self, kind):
+        """A checkpoint written while fused moments were float64 (and whose
+        0-d step counter the codec stored as ``(1,)``) still resumes: the
+        slot continues bit-identically to the same export cast to float32,
+        and no float64 moment re-enters the optimizer."""
+        fused = build_fused()
+        opt = make_optimizer(kind, fused, B, [1e-3] * B)
+        fake_step(fused, opt, seed=1)
+        index = 2
+        old_export = {
+            pos: {key: (value.reshape(1) if key == "step"
+                        else value * (1 + 1e-10)).astype(np.float64)
+                  for key, value in state.items()}
+            for pos, state in export_slot_state(opt, index).items()}
+        cast_export = {
+            pos: {key: (value.reshape(()) if key == "step"
+                        else value.astype(np.float32))
+                  for key, value in state.items()}
+            for pos, state in old_export.items()}
+
+        runs = []
+        for export in (old_export, cast_export):
+            resumed = build_fused()
+            for p_new, p_old in zip(resumed.parameters(), fused.parameters()):
+                p_new.data[...] = p_old.data
+            opt_new = make_optimizer(kind, resumed, B, [1e-3] * B)
+            load_slot_state(opt_new, index, export)
+            for p in resumed.parameters():
+                for key, value in opt_new.state.get(id(p), {}).items():
+                    assert value.dtype == (np.float64 if key == "step"
+                                           else p.data.dtype), key
+                    assert value.shape == ((B,) if key == "step"
+                                           else p.shape), key
+            for seed in (2, 3):
+                fake_step(resumed, opt_new, seed=seed)
+            runs.append([p.data[index].copy()
+                         for p in resumed.parameters()])
+        for from_old, from_cast in zip(*runs):
+            np.testing.assert_array_equal(from_old, from_cast)
+
     def test_out_of_range_inputs_rejected(self):
         fused = build_fused()
         opt = make_optimizer("adam", fused, B, [1e-3] * B)

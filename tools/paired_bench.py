@@ -1,6 +1,8 @@
 """Paired parent/change runs of the repo benchmark.
 
     python tools/paired_bench.py PARENT_REF --workload sweep_paper --pairs 10
+    python tools/paired_bench.py PARENT_REF --pairs 4 \
+        --workload sweep_mlp,sweep_paper,serve_elastic,sim_fleet
 
 Exports ``PARENT_REF`` with ``git archive`` into a temporary directory (no
 worktree, nothing left in ``.git``), then runs ``python -m bench_e2e
@@ -13,7 +15,9 @@ sides' quartiles; for workloads with a serial lap, the fused and the serial
 ``slot_steps_per_s`` of every pair as well, so that a ``fused_speedup``
 bought by slowing the width-1 path shows, and each run's failed operations
 (the checker's ``failed``; every attempted one when a run is not
-``correct``).  Standard library only.
+``correct``).  ``--workload`` takes a comma-separated list: the parent is
+exported once, the workloads run one after another, and each gets its own
+summary block as soon as its pairs are done.  Standard library only.
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ def report(workload: str, pairs, better: dict) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_ref", metavar="PARENT_REF")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="one workload, or several separated by commas")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
@@ -105,26 +110,28 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     names = list(better)
     better.update({"failed": "lower", SERIAL_RATE: "higher"})
-    pairs = []
     with tempfile.TemporaryDirectory(prefix="paired_bench.") as scratch:
         scratch = Path(scratch)
         trees = {"parent": scratch / "parent", "change": ROOT}
         export_parent(args.parent_ref, trees["parent"])
-        for seed in range(args.pairs):
-            order = ("parent", "change") if seed % 2 == 0 \
-                else ("change", "parent")
-            values = {side: values_of(
-                run_once(trees[side], args.workload, seed,
-                         scratch / f"out.{side}"), names)
-                for side in order}
-            pairs.append((values["parent"], values["change"]))
-            print(f"pair {seed} ({order[0]} first): " + "  ".join(
-                f"{name} {values['parent'][name]:.4g}->"
-                f"{values['change'][name]:.4g}"
-                for name in ("slot_steps_per_s", "jobs_per_s",
-                             "fused_speedup", SERIAL_RATE)
-                if name in values["parent"]), flush=True)
-    report(args.workload, pairs, better)
+        for workload in args.workload.split(","):
+            pairs = []
+            for seed in range(args.pairs):
+                order = ("parent", "change") if seed % 2 == 0 \
+                    else ("change", "parent")
+                values = {side: values_of(
+                    run_once(trees[side], workload, seed,
+                             scratch / f"out.{side}"), names)
+                    for side in order}
+                pairs.append((values["parent"], values["change"]))
+                print(f"{workload} pair {seed} ({order[0]} first): "
+                      + "  ".join(
+                          f"{name} {values['parent'][name]:.4g}->"
+                          f"{values['change'][name]:.4g}"
+                          for name in ("slot_steps_per_s", "jobs_per_s",
+                                       "fused_speedup", SERIAL_RATE)
+                          if name in values["parent"]), flush=True)
+            report(workload, pairs, better)
     return 0
 
 
