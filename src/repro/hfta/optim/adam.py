@@ -49,7 +49,7 @@ class Adam(FusedOptimizer):
             lr, beta1, beta2 = group["lr"], group["beta1"], group["beta2"]
             decays = (self.decoupled_weight_decay
                       and self._any(group, "weight_decay"))
-            bias_casts = {}
+            bias_step = bias_cast = None
             for p, grad, columns, (s1, s2, *_) in self._updates(
                     group, 2, beta1, 1 - beta1, beta2, 1 - beta2,
                     group["eps"], lr, lr * group["weight_decay"]):
@@ -64,12 +64,10 @@ class Adam(FusedOptimizer):
                     st["exp_avg"] = np.zeros_like(p.data)
                     st["exp_avg_sq"] = np.zeros_like(p.data)
                 step = st["step"] = st["step"] + 1
-                key = np.asarray(step).tobytes()
-                cast = bias_casts.get(key)
-                if cast is None:
-                    cast = bias_casts[key] = self._columns(
+                if not np.array_equal(step, bias_step):    # else: shared
+                    bias_step, bias_cast = step, self._columns(
                         group, 1 - _pow(beta1, step), 1 - _pow(beta2, step))
-                bias1, bias2 = cast(p.data.dtype, p.data.ndim)
+                bias1, bias2 = bias_cast(p.data.dtype, p.data.ndim)
                 ea, easq = st["exp_avg"], st["exp_avg_sq"]
                 # ea = beta1 * ea + (1 - beta1) * grad
                 np.multiply(grad, rest1, out=s1)

@@ -200,10 +200,11 @@ def merge_optimizers(a: FusedOptimizer, b: FusedOptimizer,
             new_st = {}
             for key in dict(st_a, **st_b):
                 va, vb = st_a.get(key), st_b.get(key)
+                dtype = None if key in a._counters else p_m.data.dtype
                 if va is None:
-                    va = _zeros_like_state(vb, width_b, width_a, p_m)
+                    va = _zeros_like_state(vb, width_b, width_a, dtype)
                 if vb is None:
-                    vb = _zeros_like_state(va, width_a, width_b, p_m)
+                    vb = _zeros_like_state(va, width_a, width_b, dtype)
                 new_st[key] = join(key, va, vb)
             if new_st:
                 merged.state[id(p_m)] = new_st
@@ -211,13 +212,12 @@ def merge_optimizers(a: FusedOptimizer, b: FusedOptimizer,
 
 
 def _zeros_like_state(present, present_width: int, missing_width: int,
-                      param: Tensor):
-    """Zero-state for the side that never stepped (== lazy initialization):
-    parameter-shaped state in ``param``'s dtype, counters in their own."""
+                      dtype=None):
+    """Zero-state for the side that never stepped (== lazy initialization),
+    in ``dtype`` (the live parameter's) or, for a counter, its own."""
     if _is_per_model(present, present_width):
-        shape = present.shape[1:]
-        return np.zeros((missing_width,) + shape, dtype=(
-            param.data.dtype if shape == param.shape[1:] else present.dtype))
+        return np.zeros((missing_width,) + present.shape[1:],
+                        dtype=dtype or present.dtype)
     raise ValueError(
         "cannot merge: one array has scalar optimizer state the other "
         "lacks; scalar state cannot be synthesized per slot")
@@ -288,12 +288,12 @@ def load_slot_state(optimizer: FusedOptimizer, index: int,
         st = optimizer.state.setdefault(id(param), {})
         for key, value in slot.items():
             value = np.asarray(value)
-            if value.shape == param.shape[1:]:
-                # an export from when moments were float64 still resumes
-                value = value.astype(param.data.dtype, copy=False)
-            elif value.size == 1:
+            if key in optimizer._counters:
                 # the checkpoint codec stores a 0-d step counter as ``(1,)``
                 value = value.reshape(())
+            else:
+                # an export from when moments were float64 still resumes
+                value = value.astype(param.data.dtype, copy=False)
             if key not in st:
                 st[key] = np.zeros(
                     (optimizer.num_models,) + value.shape, dtype=value.dtype)

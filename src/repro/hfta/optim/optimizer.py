@@ -17,7 +17,6 @@ that model's scalar hyper-parameters.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +34,8 @@ class FusedOptimizer:
     _vector_hyperparams: Sequence[str] = ("lr",)
     #: AdamW-style decay: applied to the update, not added to the gradient
     decoupled_weight_decay = False
+    #: state keys holding per-model float64 counters, not parameter-like arrays
+    _counters: Sequence[str] = ("step",)
 
     def __init__(self, params: Iterable[Tensor], num_models: int,
                  defaults: Dict):
@@ -108,21 +109,22 @@ class FusedOptimizer:
         as numpy does when a Python float meets a float32 array: one 0-d
         scalar per row, or a ``[B, 1, ...]`` column where the models differ.
         """
-        table = np.array(rows)
+        table, done = np.array(rows), {}
         index = group["model_index"]
         if index is not None:
             table = table[:, index]
 
-        @functools.lru_cache(maxsize=None)      # dies with the step
         def cast(dtype: np.dtype, ndim: int) -> Tuple:
-            columns = table.astype(dtype)
-            if index is not None:
-                return tuple(columns)
-            # a value all models share stays one scalar: numpy's fast path
-            shared = (columns == columns[:, :1]).all(axis=1).tolist()
-            shape = (-1,) + (1,) * (ndim - 1)
-            return tuple(row[0] if same else row.reshape(shape)
-                         for row, same in zip(columns, shared))
+            if (dtype, ndim) not in done:
+                columns = table.astype(dtype)
+                if index is None:
+                    # a shared value stays one scalar: numpy's fast path
+                    shared = (columns == columns[:, :1]).all(axis=1).tolist()
+                    shape = (-1,) + (1,) * (ndim - 1)
+                    columns = [row[0] if same else row.reshape(shape)
+                               for row, same in zip(columns, shared)]
+                done[dtype, ndim] = tuple(columns)
+            return done[dtype, ndim]
         return cast
 
     def _updates(self, group: Dict, work_arrays: int, *rows):

@@ -21,7 +21,8 @@ element near zero cannot blow the count up.
 fused optimizers.  The tests assert every cell at twice its value in that
 column (a zero stays a zero), that every ``mlp/*`` and ``pointnet/*`` cell
 of it is exactly zero, and that no cell is more than twice its value in
-the column before.  To re-measure:
+the column before (one cell excepted by name, ``ABOVE_TWICE_PREVIOUS``).  To
+re-measure:
 
     PYTHONPATH=src python -m tests.hfta.test_equivalence_matrix > cells.json
 """
@@ -220,17 +221,25 @@ def test_mlp_and_pointnet_cells_are_recorded_bitwise(record):
             assert cell == dict.fromkeys(METRICS, 0.0), key
 
 
+#: the one recorded cell above twice its value in the column before, named
+#: so that no other can join it.  Its PR 21 value is back-filled (PR 24 added
+#: AdamW to the matrix and measured PR 21's code with it): the step-4 losses
+#: happened to coincide there and are one float32 ulp apart (1.13e-7
+#: relative) since.  The fused AdamW step itself is bitwise the serial one
+#: (test_optimizer_serial_bitwise.py); what moved is which way the LM's
+#: backward-side gap rounds.  ISSUE 24's "no lm/* cell above its PR 21
+#: value" is not met by this cell.
+ABOVE_TWICE_PREVIOUS = {("lm/adamw/w4", "drift4")}
+
+
 def test_no_recorded_cell_above_twice_its_parent(record):
-    """Latest column against the one before.  The LM keeps a 1-ulp forward
-    gap, so its cells move when rounding is reordered; they may not grow by
-    an order.  ``drift4`` is a relative loss gap, so one float32 ulp is the
-    smallest step a zero can take."""
-    floor = dict.fromkeys(METRICS, 0.0)
-    floor["drift4"] = float(np.finfo(np.float32).eps)
     for key, cell in record[LATEST].items():
         for metric in METRICS:
-            assert cell[metric] <= max(2 * record[PREVIOUS][key][metric],
-                                       floor[metric]), (key, metric)
+            if (key, metric) not in ABOVE_TWICE_PREVIOUS:
+                assert cell[metric] <= 2 * record[PREVIOUS][key][metric], \
+                    (key, metric)
+    for key, metric in ABOVE_TWICE_PREVIOUS:     # and it stays at one ulp
+        assert record[LATEST][key][metric] <= np.finfo(np.float32).eps
 
 
 def test_doc_table_is_the_record(record):

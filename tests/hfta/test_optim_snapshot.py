@@ -30,6 +30,21 @@ def build_fused(num_models=B):
         hops.Linear(num_models, 5, 2))
 
 
+class SizeOneParams:
+    """Bare fused parameters with one element per slot — the shapes a
+    ``(1,)`` step counter out of the checkpoint codec could be taken for."""
+
+    def __init__(self, num_models=B):
+        rng = np.random.default_rng(5)
+        self.tensors = [
+            nn.Tensor(rng.standard_normal((num_models,) + shape)
+                      .astype(np.float32), requires_grad=True)
+            for shape in ((1,), (1, 1), (3, 1))]
+
+    def parameters(self):
+        return list(self.tensors)
+
+
 def make_optimizer(kind, fused, num_models, lr):
     if kind == "adam":
         return Adam(fused.parameters(), num_models=num_models, lr=lr)
@@ -222,13 +237,16 @@ class TestSlotStatePrimitives:
                     p_r.data[slot], p_ref.data[slot],
                     err_msg=f"{name} slot {slot}")
 
+    @pytest.mark.parametrize("build", (build_fused, SizeOneParams),
+                             ids=("mlp", "size-one"))
     @pytest.mark.parametrize("kind", KINDS)
-    def test_float64_export_resumes_as_its_float32_cast(self, kind):
+    def test_float64_export_resumes_as_its_float32_cast(self, kind, build):
         """A checkpoint written while fused moments were float64 (and whose
         0-d step counter the codec stored as ``(1,)``) still resumes: the
         slot continues bit-identically to the same export cast to float32,
-        and no float64 moment re-enters the optimizer."""
-        fused = build_fused()
+        and no float64 moment re-enters the optimizer — also where the
+        parameter itself has one element per slot, like the counter."""
+        fused = build()
         opt = make_optimizer(kind, fused, B, [1e-3] * B)
         fake_step(fused, opt, seed=1)
         index = 2
@@ -245,7 +263,7 @@ class TestSlotStatePrimitives:
 
         runs = []
         for export in (old_export, cast_export):
-            resumed = build_fused()
+            resumed = build()
             for p_new, p_old in zip(resumed.parameters(), fused.parameters()):
                 p_new.data[...] = p_old.data
             opt_new = make_optimizer(kind, resumed, B, [1e-3] * B)

@@ -23,8 +23,9 @@ from repro.nn.tensor import Tensor
 STEPS = 50
 WIDTHS = (1, 3, 8)
 DTYPES = (np.float32, np.float64)
-#: per-slot shapes of the fused parameters (1-d, broadcast-row and matrix)
-SHAPES = ((5, 7), (1, 7), (3,))
+#: per-slot shapes of the fused parameters: matrix, broadcast row, 1-d, and
+#: one element (the shape of a step counter out of the checkpoint codec)
+SHAPES = ((5, 7), (1, 7), (3,), (1,))
 UNFUSED_SHAPE = (4, 2)
 
 

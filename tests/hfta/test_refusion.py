@@ -300,3 +300,114 @@ class TestSnapshotRestore:
             for key, value in st.items():
                 np.testing.assert_array_equal(opt.state[id(p)][key], value,
                                               err_msg=f"state {key}")
+
+
+# --------------------------------------------------------------------- #
+class TestHyperParametersAcrossRefusion:
+    """``defaults`` and group hyper-parameters through split and merge.
+
+    A fused optimizer coerces its ``defaults`` to owned length-``B`` vectors
+    at construction, like its groups, so re-fusion slices and joins both
+    with the same code; these tests pin what that code promises."""
+
+    LR = [1e-3, 2e-3, 3e-3, 4e-3]
+    MOMENTUM = [0.9, 0.8, 0.0, 0.6]
+
+    def sgd(self, fused, slots, **overrides):
+        kwargs = dict(lr=[self.LR[b] for b in slots],
+                      momentum=[self.MOMENTUM[b] for b in slots],
+                      nesterov=True)
+        kwargs.update(overrides)
+        return SGD(fused.parameters(), num_models=len(slots), **kwargs)
+
+    def test_optimizer_owns_its_vectors(self):
+        """Neither the caller's array, nor ``defaults``, nor another group
+        shares memory with a group's vector: retuning one retunes one."""
+        fused = build_family("linear")
+        params = fused.parameters()
+        mine = np.array(self.LR)
+        opt = SGD([dict(params=params[:1]), dict(params=params[1:])],
+                  num_models=B, lr=mine, momentum=0.5)
+        first, second = opt.param_groups
+        first["lr"] *= 10                     # what an LR scheduler does
+        np.testing.assert_array_equal(mine, self.LR)
+        np.testing.assert_array_equal(second["lr"], self.LR)
+        np.testing.assert_array_equal(opt.defaults["lr"], self.LR)
+        mine[:] = 0.0
+        np.testing.assert_array_equal(second["lr"], self.LR)
+        # a scalar default is a length-B vector too
+        np.testing.assert_array_equal(opt.defaults["momentum"], [0.5] * B)
+
+    def test_split_slices_defaults_and_groups_alike(self):
+        fused = build_family("linear")
+        opt = self.sgd(fused, range(B))
+        keep = [3, 1]
+        part = split_optimizer(
+            opt, hfta.split_fused(fused, keep).parameters(), keep)
+        for values in (part.defaults, part.param_groups[0]):
+            np.testing.assert_array_equal(values["lr"],
+                                          [self.LR[b] for b in keep])
+            np.testing.assert_array_equal(values["momentum"],
+                                          [self.MOMENTUM[b] for b in keep])
+            assert values["nesterov"] is True
+        part.defaults["lr"][:] = 7.0          # copies, not views of the source
+        part.param_groups[0]["momentum"][:] = 7.0
+        np.testing.assert_array_equal(opt.defaults["lr"], self.LR)
+        np.testing.assert_array_equal(opt.param_groups[0]["momentum"],
+                                      self.MOMENTUM)
+
+    def test_merge_joins_defaults_so_a_later_group_is_full_width(self):
+        fused = build_family("linear")
+        left = hfta.split_fused(fused, [0, 1])
+        right = hfta.split_fused(fused, [2, 3])
+        merged_model = hfta.merge_fused(left, right)
+        params = merged_model.parameters()
+        merged = merge_optimizers(self.sgd(left, [0, 1]),
+                                  self.sgd(right, [2, 3]), params)
+        for values in (merged.defaults, merged.param_groups[0]):
+            np.testing.assert_array_equal(values["lr"], self.LR)
+            np.testing.assert_array_equal(values["momentum"], self.MOMENTUM)
+            assert values["nesterov"] is True
+        assert merged.defaults["lr"] is not merged.param_groups[0]["lr"]
+        merged.add_param_group(dict(params=params[:1], lr=0.5))
+        late = merged.param_groups[-1]
+        np.testing.assert_array_equal(late["lr"], [0.5] * B)
+        np.testing.assert_array_equal(late["momentum"], self.MOMENTUM)
+
+    def test_merge_requires_shared_values_to_agree(self):
+        fused = build_family("linear")
+        left = hfta.split_fused(fused, [0, 1])
+        right = hfta.split_fused(fused, [2, 3])
+        params = hfta.merge_fused(left, right).parameters()
+        with pytest.raises(ValueError, match="'nesterov'.*differs"):
+            merge_optimizers(self.sgd(left, [0, 1]),
+                             self.sgd(right, [2, 3], nesterov=False), params)
+        lopsided = self.sgd(right, [2, 3])
+        del lopsided.param_groups[0]["momentum"]
+        with pytest.raises(ValueError, match="'momentum' missing from second"):
+            merge_optimizers(self.sgd(left, [0, 1]), lopsided, params)
+
+    def test_parameter_count_must_match_the_optimizer(self):
+        fused = build_family("linear")
+        opt = self.sgd(fused, range(B))
+        left = hfta.split_fused(fused, [0, 1])
+        with pytest.raises(ValueError, match="parameter count mismatch"):
+            split_optimizer(opt, left.parameters()[:-1], [0, 1])
+        right = hfta.split_fused(fused, [2, 3])
+        with pytest.raises(ValueError, match="parameter count mismatch"):
+            merge_optimizers(self.sgd(left, [0, 1]), self.sgd(right, [2, 3]),
+                             fused.parameters()[:-1])
+
+    def test_snapshot_copies_group_vectors_and_restore_copies_them_back(self):
+        fused = build_family("linear")
+        opt = self.sgd(fused, range(B))
+        snap = snapshot_optimizer(opt)
+        assert all("params" not in saved for saved in snap["groups"])
+        group = opt.param_groups[0]
+        for _ in range(2):                    # a snapshot restores repeatedly
+            group["lr"] *= 3
+            group["nesterov"] = False
+            restore_optimizer(opt, snap)
+            np.testing.assert_array_equal(group["lr"], self.LR)
+            assert group["nesterov"] is True
+            assert len(group["params"]) == len(fused.parameters())
