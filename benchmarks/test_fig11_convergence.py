@@ -58,12 +58,11 @@ def run_fused(batches):
     for x, y in batches:
         optimizer.zero_grad()
         logits = fused(fused.fuse_inputs([nn.tensor(x)] * B))
-        loss = criterion(logits, np.stack([y] * B))
-        loss.backward()
+        losses = criterion.per_model(logits, np.stack([y] * B))
+        losses.sum().backward()
         optimizer.step()
-        per_model = criterion.per_model(logits, np.stack([y] * B))
         for b in range(B):
-            curves[b].append(float(per_model[b]))
+            curves[b].append(float(losses.data[b]))
     return curves
 
 

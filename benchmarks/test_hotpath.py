@@ -64,11 +64,8 @@ def run_steps(model, optimizer, criterion, x, targets, steps):
     """Mirrors ``FusedPhysics.step``'s per-step sequence."""
     for _ in range(steps):
         optimizer.zero_grad()
-        out = model(x)
-        loss = criterion(out, targets)
-        loss.backward()
+        criterion.per_model(model(x), targets).sum().backward()
         optimizer.step()
-        criterion.per_model(out, targets)
 
 
 # --------------------------------------------------------------------- #

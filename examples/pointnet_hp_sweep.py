@@ -50,13 +50,12 @@ def main():
         optimizer.zero_grad()
         fused_points = fused.fuse_inputs([nn.tensor(points)] * NUM_MODELS)
         log_probs = fused(fused_points)
-        loss = criterion(log_probs, np.stack([labels] * NUM_MODELS))
-        loss.backward()
+        losses = criterion.per_model(log_probs,
+                                     np.stack([labels] * NUM_MODELS))
+        losses.sum().backward()
         optimizer.step()
         scheduler.step()
-        per_model = criterion.per_model(log_probs,
-                                        np.stack([labels] * NUM_MODELS))
-        print(f"  step {step}  " + "  ".join(f"{v:.3f}" for v in per_model))
+        print(f"  step {step}  " + "  ".join(f"{v:.3f}" for v in losses.data))
 
     # --- verify against one independently trained job ----------------------
     check_index = 1

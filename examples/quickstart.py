@@ -63,12 +63,12 @@ def main():
         features = fused_trunk(fused_images)                    # [N, B*32, 1, 1]
         features = hops.channel_to_batch(features, num_models)  # [B, N, 32, 1, 1]
         logits = fused_head(features.reshape(num_models, 8, 32))
-        loss = criterion(logits, np.stack([labels] * num_models))
-        loss.backward()
+        # each job's own loss; their sum is the fused loss (Appendix C)
+        losses = criterion.per_model(logits, np.stack([labels] * num_models))
+        losses.sum().backward()
         optimizer.step()
-        per_model = criterion.per_model(logits, np.stack([labels] * num_models))
         print(f"  step {step:2d}  per-job losses: "
-              + "  ".join(f"{v:.4f}" for v in per_model))
+              + "  ".join(f"{v:.4f}" for v in losses.data))
 
     # --- what would this buy on real hardware? ----------------------------
     workload = hwsim.get_workload("pointnet_cls")

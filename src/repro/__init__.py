@@ -8,7 +8,7 @@ Top-level subpackages
     Unfused optimizers and LR schedulers (serial baselines).
 ``repro.hfta``
     The paper's contribution: horizontally fused operators, optimizers,
-    LR schedulers, loss scaling and model-array fusion helpers.
+    LR schedulers, fused losses and model-array fusion helpers.
 ``repro.models``
     The paper's benchmark models (PointNet, DCGAN, ResNet-18,
     MobileNetV3-Large, Transformer-LM, BERT-Medium) in serial and fused form.

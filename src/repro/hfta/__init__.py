@@ -9,8 +9,9 @@ into a single *array-of-models* that trains on one shared accelerator:
   embeddings, fused attention, ...
 * :mod:`repro.hfta.optim` — fused optimizers (Adam, Adadelta, SGD) and LR
   schedulers operating on per-model hyper-parameter vectors.
-* :mod:`repro.hfta.losses` — fused criteria with the Appendix C loss-scaling
-  rule that reconstructs each model's independent gradients.
+* :mod:`repro.hfta.losses` — fused criteria: Appendix C's fused loss is
+  the sum of each model's own loss, which gives each model exactly its
+  independent gradients.
 * :mod:`repro.hfta.fusion` — helpers to move weights between unfused models
   and fused arrays, and to validate fusibility.
 
@@ -21,8 +22,8 @@ launching fewer, larger, better-utilizing kernels.
 
 from . import ops
 from . import optim
-from .losses import (scale_fused_loss, FusedCrossEntropyLoss, FusedNLLLoss,
-                     FusedMSELoss, FusedBCELoss)
+from .losses import (FusedCrossEntropyLoss, FusedNLLLoss, FusedMSELoss,
+                     FusedBCELoss)
 from .fusion import (load_from_unfused, export_to_unfused,
                      validate_fusibility, is_fusible, fusibility_error,
                      structural_signature, fused_parameter_report,
@@ -30,10 +31,9 @@ from .fusion import (load_from_unfused, export_to_unfused,
                      split_fused, merge_fused)
 
 __all__ = [
-    "ops", "optim", "scale_fused_loss", "FusedCrossEntropyLoss",
-    "FusedNLLLoss", "FusedMSELoss", "FusedBCELoss", "load_from_unfused",
-    "export_to_unfused", "validate_fusibility", "is_fusible",
-    "fusibility_error", "structural_signature", "fused_parameter_report",
-    "fused_array_width", "snapshot_array", "restore_array", "split_fused",
-    "merge_fused",
+    "ops", "optim", "FusedCrossEntropyLoss", "FusedNLLLoss", "FusedMSELoss",
+    "FusedBCELoss", "load_from_unfused", "export_to_unfused",
+    "validate_fusibility", "is_fusible", "fusibility_error",
+    "structural_signature", "fused_parameter_report", "fused_array_width",
+    "snapshot_array", "restore_array", "split_fused", "merge_fused",
 ]

@@ -1,22 +1,19 @@
-"""Fused loss handling (paper Section 3 "Loss Scaling" and Appendix C).
+"""Fused losses (paper Section 3 "Loss Scaling" and Appendix C).
 
-When ``B`` models are horizontally fused, their per-model losses are combined
-into a single scalar so that one backward pass trains all ``B`` models.  The
-paper's Appendix C derives the scaling rule that reconstructs exactly the
-gradients each model would have received if trained independently:
+When ``B`` models are horizontally fused, one backward pass from one scalar
+trains all ``B`` of them.  Appendix C's rule for that scalar reconstructs
+exactly the gradients each model would have received if trained alone:
+with ``l_b`` model ``b``'s own loss, the fused loss is ``L = sum_b l_b``
+(the paper's ``B * mean_b l_b``), so ``grad_{theta_b} L = grad_{theta_b}
+l_b``.  The derivation makes no assumption on the form of ``l_b``, so the
+rule applies to any criterion, including ones with regularization terms.
 
-* **mean reduction** — the fused loss ``L = (1/B) * sum_b l_b`` must be
-  scaled by ``B`` before ``backward()`` (because ``grad_{theta_b} L =
-  (1/B) grad_{theta_b} l_b``);
-* **sum reduction / no reduction** — no scaling is needed
-  (``grad_{theta_b} L = grad_{theta_b} l_b``).
-
-The derivation makes no assumption on the form of ``l_b``, so the rule
-applies to any criterion, including ones with regularization terms.
+Each criterion computes ``l_b`` with the serial functional's operations on
+model ``b``'s rows, so the per-model values and the gradients are bitwise
+those of ``B`` serial criterion calls, at any ``B`` and batch size.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -24,197 +21,78 @@ from ..nn import functional as F
 from ..nn.modules.module import Module
 from ..nn.tensor import Tensor
 
-__all__ = ["scale_fused_loss", "FusedCrossEntropyLoss", "FusedNLLLoss",
-           "FusedMSELoss", "FusedBCELoss"]
-
-
-def scale_fused_loss(loss: Tensor, num_models: int,
-                     reduction: str = "mean") -> Tensor:
-    """Apply Appendix C's gradient-reconstruction scaling to a fused loss.
-
-    Parameters
-    ----------
-    loss:
-        The scalar loss computed over the *fused* outputs of all ``B``
-        models (e.g. cross entropy over ``B*N`` predictions).
-    num_models:
-        ``B``, the number of horizontally fused models.
-    reduction:
-        The reduction used when computing ``loss``.  Only ``"mean"``
-        requires scaling.
-    """
-    if reduction == "mean":
-        return loss * float(num_models)
-    if reduction in ("sum", "none"):
-        return loss
-    raise ValueError(f"unsupported reduction: {reduction}")
+__all__ = ["FusedCrossEntropyLoss", "FusedNLLLoss", "FusedMSELoss",
+           "FusedBCELoss"]
 
 
 class _FusedLoss(Module):
-    """Base class for fused criteria.
+    """Base class for fused criteria over the batched layout ``[B, ...]``.
 
-    The fused criteria expect predictions in the batched layout
-    ``[B, N, ...]`` (or channel-folded layouts flattened by the caller), and
-    return the *already scaled* scalar loss so that calling ``backward()``
-    reproduces each model's independent gradients.  ``per_model()`` exposes
-    the individual losses, which HFHT uses to report each job's metric.
+    A criterion supplies ``_per_sample(prediction, target)``: the ``B``
+    models' unreduced losses, ``[B, ...]``, in the operation order of the
+    serial functional.  Everything else — the per-model means and their
+    sum — lives here, once.
     """
 
-    def __init__(self, num_models: int, reduction: str = "mean"):
+    def __init__(self, num_models: int):
         super().__init__()
-        if reduction not in ("mean", "sum"):
-            raise ValueError(f"unsupported reduction: {reduction}")
         self.num_models = num_models
-        self.reduction = reduction
 
-    def _per_model_loss(self, prediction: Tensor, target) -> list:
+    def _per_sample(self, prediction: Tensor, target) -> Tensor:
         raise NotImplementedError
 
-    def per_model(self, prediction: Tensor, target) -> np.ndarray:
-        """Return the ``B`` per-model loss values (detached, for logging).
+    def per_model(self, prediction: Tensor, target) -> Tensor:
+        """Each model's own mean loss, ``[B]`` and connected to the graph.
 
-        Computed in a single vectorized numpy pass over the batched
-        layout, with no autograd graph — this runs once per training step
-        purely for logging, and the profiled hot path showed the old
-        per-model Python loop (``B`` graph-building criterion calls per
-        step) dominating epoch time.  Bit-identical to
-        :meth:`per_model_reference`: the vectorized kernels replay the
-        exact floating-point operation sequence of the per-slice graph
-        ops, row by row (``tests/hfta/test_refusion_views.py`` asserts
-        equality across the op-family matrix).
+        The rows are reduced as ``Tensor.mean`` reduces a serial loss
+        (``sum * (1 / M)``), so ``per_model(...).sum().backward()`` is one
+        fused training step's backward and ``.data`` holds the values to
+        log — no second pass.
         """
-        values = self._per_model_values(prediction, target)
-        if values is None:                 # criterion without a kernel yet
-            return self.per_model_reference(prediction, target)
-        return values.astype(np.float64)
+        rows = self._per_sample(prediction, target)
+        if rows.ndim != 2:
+            rows = rows.reshape(rows.shape[0], -1)
+        return rows.mean(axis=-1)
 
-    def per_model_reference(self, prediction: Tensor, target) -> np.ndarray:
-        """Reference per-model losses via ``B`` unfused criterion calls.
-
-        The original (pre-vectorization) implementation, kept as the
-        ground truth the fast path is tested against and as the legacy
-        configuration ``benchmarks/test_hotpath.py`` measures speedup
-        over.
-        """
-        losses = self._per_model_loss(prediction, target)
-        return np.array([float(l.data) for l in losses], dtype=np.float64)
-
-    def _per_model_values(self, prediction: Tensor, target):
-        """Vectorized ``[B]`` loss values, or ``None`` to use the reference."""
-        return None
-
-    def _reduce_rows(self, flat: np.ndarray) -> np.ndarray:
-        """Reduce ``[B, M]`` rows exactly like ``Tensor.mean``/``sum`` do.
-
-        ``Tensor.mean`` computes ``sum * (1.0 / count)`` (not ``sum /
-        count``) — replicated verbatim so the vectorized values stay
-        bit-identical to the graph-op reference.
-        """
-        if self.reduction == "mean":
-            return flat.sum(axis=-1) * (1.0 / flat.shape[-1])
-        return flat.sum(axis=-1)
-
-    @staticmethod
-    def _target_array(target) -> np.ndarray:
-        return target.data if isinstance(target, Tensor) \
-            else np.asarray(target)
+    def forward(self, prediction: Tensor, target) -> Tensor:
+        """The fused loss ``sum_b l_b``."""
+        return self.per_model(prediction, target).sum()
 
     def extra_repr(self) -> str:
-        return f"B={self.num_models}, reduction={self.reduction}"
+        return f"B={self.num_models}"
+
+
+def _negated_pick(log_probs: Tensor, target) -> Tensor:
+    """``-log_probs`` at each sample's target class (the last axis), as
+    ``F.nll_loss`` picks and negates: ``[B, ..., C] -> [B, ...]``."""
+    tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
+    tgt = tgt.astype(np.int64).reshape(log_probs.shape[:-1])
+    return -log_probs[(*np.indices(tgt.shape, sparse=True), tgt)]
 
 
 class FusedCrossEntropyLoss(_FusedLoss):
     """Cross entropy over fused logits ``[B, N, C]`` and targets ``[B, N]``."""
 
-    def forward(self, logits: Tensor, target) -> Tensor:
-        b, n, c = logits.shape[0], logits.shape[1], logits.shape[-1]
-        tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
-        flat_logits = logits.reshape(b * int(np.prod(logits.shape[1:-1])), c)
-        flat_target = tgt.reshape(-1)
-        loss = F.cross_entropy(flat_logits, flat_target, self.reduction)
-        return scale_fused_loss(loss, self.num_models, self.reduction)
-
-    def _per_model_loss(self, logits: Tensor, target) -> list:
-        tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
-        out = []
-        for bidx in range(self.num_models):
-            c = logits.shape[-1]
-            lb = logits[bidx].reshape(-1, c)
-            tb = tgt[bidx].reshape(-1)
-            out.append(F.cross_entropy(lb, tb, self.reduction))
-        return out
-
-    def _per_model_values(self, logits: Tensor, target):
-        # Row-wise replay of F.cross_entropy = log_softmax + nll_loss:
-        # max-shift -> exp -> sum -> log -> subtract -> pick -> negate.
-        data = logits.data
-        b, c = data.shape[0], data.shape[-1]
-        flat = data.reshape(b, -1, c)
-        tgt = self._target_array(target).reshape(b, -1).astype(np.int64)
-        shifted = flat - flat.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        picked = np.take_along_axis(logp, tgt[:, :, None], axis=-1)[..., 0]
-        return self._reduce_rows(-picked)
+    def _per_sample(self, logits: Tensor, target) -> Tensor:
+        return _negated_pick(F.log_softmax(logits), target)
 
 
 class FusedNLLLoss(_FusedLoss):
     """NLL over fused log-probabilities ``[B, N, C]`` and targets ``[B, N]``."""
 
-    def forward(self, log_probs: Tensor, target) -> Tensor:
-        c = log_probs.shape[-1]
-        tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
-        loss = F.nll_loss(log_probs.reshape(-1, c), tgt.reshape(-1),
-                          self.reduction)
-        return scale_fused_loss(loss, self.num_models, self.reduction)
-
-    def _per_model_loss(self, log_probs: Tensor, target) -> list:
-        tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
-        c = log_probs.shape[-1]
-        return [F.nll_loss(log_probs[b].reshape(-1, c), tgt[b].reshape(-1),
-                           self.reduction)
-                for b in range(self.num_models)]
-
-    def _per_model_values(self, log_probs: Tensor, target):
-        data = log_probs.data
-        b, c = data.shape[0], data.shape[-1]
-        flat = data.reshape(b, -1, c)
-        tgt = self._target_array(target).reshape(b, -1).astype(np.int64)
-        picked = np.take_along_axis(flat, tgt[:, :, None], axis=-1)[..., 0]
-        return self._reduce_rows(-picked)
+    def _per_sample(self, log_probs: Tensor, target) -> Tensor:
+        return _negated_pick(log_probs, target)
 
 
 class FusedMSELoss(_FusedLoss):
     """Mean-squared error over fused predictions ``[B, ...]``."""
 
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        loss = F.mse_loss(prediction, target, self.reduction)
-        return scale_fused_loss(loss, self.num_models, self.reduction)
-
-    def _per_model_loss(self, prediction: Tensor, target) -> list:
-        tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
-        return [F.mse_loss(prediction[b], tgt[b], self.reduction)
-                for b in range(self.num_models)]
-
-    def _per_model_values(self, prediction: Tensor, target):
-        tgt = self._target_array(target)
-        diff = (prediction.data - tgt) ** 2
-        return self._reduce_rows(diff.reshape(diff.shape[0], -1))
+    def _per_sample(self, prediction: Tensor, target) -> Tensor:
+        return F.mse_loss(prediction, target, "none")
 
 
 class FusedBCELoss(_FusedLoss):
     """Binary cross entropy over fused probabilities ``[B, ...]`` (DCGAN)."""
 
-    def forward(self, prob: Tensor, target) -> Tensor:
-        loss = F.binary_cross_entropy(prob, target, self.reduction)
-        return scale_fused_loss(loss, self.num_models, self.reduction)
-
-    def _per_model_loss(self, prob: Tensor, target) -> list:
-        tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
-        return [F.binary_cross_entropy(prob[b], tgt[b], self.reduction)
-                for b in range(self.num_models)]
-
-    def _per_model_values(self, prob: Tensor, target):
-        tgt = self._target_array(target)
-        p = np.clip(prob.data, 1e-7, 1.0 - 1e-7)
-        loss = -(tgt * np.log(p) + (1.0 - tgt) * np.log(1.0 - p))
-        return self._reduce_rows(loss.reshape(loss.shape[0], -1))
+    def _per_sample(self, prob: Tensor, target) -> Tensor:
+        return F.binary_cross_entropy(prob, target, "none")

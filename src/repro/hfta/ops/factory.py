@@ -10,6 +10,9 @@ hands back either the plain serial classes from :mod:`repro.nn` (when
 :mod:`repro.hfta.ops` with the array size bound (when ``num_models`` is an
 integer).
 
+The criteria come from the library too (``CrossEntropyLoss``, ``BCELoss``),
+so a model's loss never says how the ``B`` models' losses combine.
+
 It also provides the small set of layout helpers a model needs when it mixes
 convolutional stages (channel-folded fused layout ``[N, B*C, ...]``) with
 fully connected stages (batched fused layout ``[B, N, F]``).
@@ -24,6 +27,7 @@ import numpy as np
 
 from ... import nn
 from ...nn.tensor import Tensor
+from ..losses import FusedBCELoss, FusedCrossEntropyLoss
 from . import (activation, attention, conv, dropout, embedding, linear, norm,
                pooling)
 from .utils import batch_to_channel, channel_to_batch, fuse_batch, fuse_channel
@@ -45,6 +49,7 @@ _SERIAL_CLASSES = {
     "Softmax": nn.Softmax, "LogSoftmax": nn.LogSoftmax,
     "MultiheadAttention": nn.MultiheadAttention,
     "TransformerEncoderLayer": nn.TransformerEncoderLayer,
+    "CrossEntropyLoss": nn.CrossEntropyLoss, "BCELoss": nn.BCELoss,
 }
 
 _FUSED_CLASSES = {
@@ -65,6 +70,7 @@ _FUSED_CLASSES = {
     "Softmax": activation.Softmax, "LogSoftmax": activation.LogSoftmax,
     "MultiheadAttention": attention.MultiheadAttention,
     "TransformerEncoderLayer": attention.TransformerEncoderLayer,
+    "CrossEntropyLoss": FusedCrossEntropyLoss, "BCELoss": FusedBCELoss,
 }
 
 
@@ -153,12 +159,6 @@ class OpsLibrary:
         if not self.fused:
             return [x]
         return [x[b] for b in range(self.num_models)]
-
-    def scale_loss(self, loss: Tensor, reduction: str = "mean") -> Tensor:
-        """Apply the Appendix C loss-scaling rule (no-op when unfused)."""
-        if not self.fused or reduction != "mean":
-            return loss
-        return loss * float(self.num_models)
 
     def generators(self, seeds: Optional[Sequence[int]] = None):
         """Per-model RNGs (length ``B``; a single RNG when unfused)."""

@@ -121,17 +121,23 @@ class BertMaskedLM(nn.Module):
 
         ``mask`` selects which positions contribute (1 = masked position to
         predict); when omitted every position contributes (useful for tiny
-        smoke tests).  The fused scaling rule is applied automatically.
+        smoke tests).  Fused, each model's loss is the mean over its own
+        masked positions, exactly as if it were trained alone.
         """
         logits = self.forward(token_ids)
         tgt = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
         vocab = self.config.vocab_size
-        flat_logits = logits.reshape(-1, vocab)
-        flat_targets = tgt.reshape(-1)
-        if mask is not None:
-            mask_flat = np.asarray(mask).reshape(-1).astype(bool)
-            idx = np.nonzero(mask_flat)[0]
-            flat_logits = flat_logits[idx]
-            flat_targets = flat_targets[idx]
-        loss = nn.functional.cross_entropy(flat_logits, flat_targets)
-        return self.lib.scale_loss(loss)
+        if mask is None:
+            if not self.lib.fused:
+                logits, tgt = logits.reshape(-1, vocab), tgt.reshape(-1)
+            return self.lib.CrossEntropyLoss()(logits, tgt)
+        # models mask different numbers of positions, so each takes its own
+        # serial criterion call over its own rows
+        keep = np.asarray(mask).astype(bool)
+        if not self.lib.fused:
+            tgt, keep = tgt[None], keep[None]
+        criterion = nn.CrossEntropyLoss()
+        losses = [criterion(out.reshape(-1, vocab)[idx], t.reshape(-1)[idx])
+                  for out, t, idx in zip(self.lib.split_outputs(logits), tgt,
+                                         map(np.flatnonzero, keep))]
+        return sum(losses[1:], losses[0])

@@ -115,9 +115,9 @@ class DCGAN(nn.Module):
     """Generator/discriminator pair with the standard alternating GAN step.
 
     The training step uses the non-saturating BCE formulation of the PyTorch
-    DCGAN example.  When fused, the per-model losses are combined with the
-    Appendix C scaling rule so each of the ``B`` GANs follows exactly the
-    trajectory it would follow when trained alone.
+    DCGAN example.  The criterion comes from the library: fused, it sums the
+    ``B`` per-model losses (Appendix C), so each GAN gets exactly the
+    gradients it would get when trained alone.
     """
 
     def __init__(self, nz: int = 100, ngf: int = 64, ndf: int = 64, nc: int = 3,
@@ -146,19 +146,15 @@ class DCGAN(nn.Module):
 
     def discriminator_loss(self, real: Tensor, fake: Tensor) -> Tensor:
         """BCE loss for the discriminator on a batch of real and fake images."""
-        lib = self.lib
+        criterion = self.lib.BCELoss()
         d_real = self.discriminator(real)
         d_fake = self.discriminator(fake)
         ones = np.ones(d_real.shape, dtype=np.float32)
         zeros = np.zeros(d_fake.shape, dtype=np.float32)
-        loss = (nn.functional.binary_cross_entropy(d_real, ones)
-                + nn.functional.binary_cross_entropy(d_fake, zeros))
-        return lib.scale_loss(loss)
+        return criterion(d_real, ones) + criterion(d_fake, zeros)
 
     def generator_loss(self, fake: Tensor) -> Tensor:
         """Non-saturating generator loss (label fake images as real)."""
-        lib = self.lib
         d_fake = self.discriminator(fake)
         ones = np.ones(d_fake.shape, dtype=np.float32)
-        loss = nn.functional.binary_cross_entropy(d_fake, ones)
-        return lib.scale_loss(loss)
+        return self.lib.BCELoss()(d_fake, ones)

@@ -78,9 +78,9 @@ class TransformerLM(nn.Module):
         return self.output(h)
 
     def lm_loss(self, token_ids, targets) -> Tensor:
-        """Cross-entropy next-token loss with the fused scaling rule applied."""
+        """Cross-entropy next-token loss (the library's criterion)."""
         logits = self.forward(token_ids)
         tgt = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-        flat = logits.reshape(-1, self.vocab_size)
-        loss = nn.functional.cross_entropy(flat, tgt.reshape(-1))
-        return self.lib.scale_loss(loss)
+        if not self.lib.fused:
+            logits, tgt = logits.reshape(-1, self.vocab_size), tgt.reshape(-1)
+        return self.lib.CrossEntropyLoss()(logits, tgt)

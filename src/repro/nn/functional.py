@@ -571,8 +571,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """One node; backward is ``g - softmax(x) * sum(g)``.
 
-    The forward keeps the order max-shift -> exp -> sum -> log -> subtract
-    that the fused losses' ``_per_model_values`` replay bit for bit.
+    The forward is max-shift -> exp -> sum -> log -> subtract, row by row
+    along ``axis``: a fused cross entropy runs it over the last axis of
+    ``[B, N, C]`` and gets each model's rows bit for bit as serial.
     """
     out_data = x.data - x.data.max(axis=axis, keepdims=True)
     exps = np.exp(out_data)

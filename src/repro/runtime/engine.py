@@ -285,12 +285,11 @@ class FusedPhysics:
             targets = np.stack([y for _, y in batches])
             self.optimizer.zero_grad()
             out = self.fused(self.fused.fuse_inputs(inputs))
-            loss = self.criterion(out, targets)
-            loss.backward()
+            losses = self.criterion.per_model(out, targets)
+            losses.sum().backward()
             self.optimizer.step()
-            per_model = self.criterion.per_model(out, targets)
-            for b, slot in enumerate(slots):
-                slot.curve.append(float(per_model[b]))
+            for slot, value in zip(slots, losses.data.tolist()):
+                slot.curve.append(value)
             samples += sum(len(y) for _, y in batches)
         return time.perf_counter() - start, samples
 

@@ -157,8 +157,9 @@ def measure_cell(model_name, optimizer_name, width):
         pred = adapt(fused(fused.fuse_inputs([x for x, _ in batches])))
         targets = np.stack([y for _, y in batches])
         fused_losses = criterion.per_model(pred, targets)
-        criterion(pred, targets).backward()
+        fused_losses.sum().backward()
         fused_opt.step()
+        fused_losses = fused_losses.data
 
         gap = np.abs(fused_losses - serial_losses)
         if step == 1:

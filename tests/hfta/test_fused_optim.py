@@ -1,4 +1,4 @@
-"""Fused optimizer / LR-scheduler / loss-scaling equivalence tests.
+"""Fused optimizer / LR-scheduler / fused-loss equivalence tests.
 
 The central claim (paper Section 3 "Convergence", Appendix C/D): training B
 models inside one fused array with per-model hyper-parameter vectors follows
@@ -16,11 +16,12 @@ B = 3
 LRS = [1e-2, 5e-3, 2e-2]
 
 
-def build_pair(seed_base=50):
-    """B serial Linear models and the fused array initialized identically."""
+def build_pair(seed_base=50, width=B):
+    """``width`` serial Linear models and the fused array initialized
+    identically."""
     serial = [nn.Linear(6, 4, generator=np.random.default_rng(seed_base + b))
-              for b in range(B)]
-    fused = hops.Linear(B, 6, 4)
+              for b in range(width)]
+    fused = hops.Linear(width, 6, 4)
     for b, m in enumerate(serial):
         fused.load_model_weights(b, m.weight.data, m.bias.data)
     return serial, fused
@@ -155,35 +156,54 @@ class TestFusedSchedulers:
         np.testing.assert_allclose(opt2.lr, 0.0, atol=1e-9)
 
 
+#: criterion -> (fused class, serial functional, target maker, and the
+#: map from a Linear's output to the criterion's input)
+CRITERIA = {
+    "cross_entropy": (hfta.FusedCrossEntropyLoss, F.cross_entropy,
+                      lambda rng, n: rng.integers(0, 4, size=n),
+                      lambda out: out),
+    "nll": (hfta.FusedNLLLoss, F.nll_loss,
+            lambda rng, n: rng.integers(0, 4, size=n),
+            lambda out: F.log_softmax(out, axis=-1)),
+    "mse": (hfta.FusedMSELoss, F.mse_loss,
+            lambda rng, n: rng.standard_normal((n, 4)).astype(np.float32),
+            lambda out: out),
+    "bce": (hfta.FusedBCELoss, F.binary_cross_entropy,
+            lambda rng, n: rng.integers(0, 2, size=(n, 4)).astype(np.float32),
+            F.sigmoid),
+}
+
+
 class TestLossScaling:
-    def test_mean_reduction_scaled_by_B(self):
-        loss = nn.tensor(np.array(2.0, dtype=np.float32), requires_grad=True)
-        scaled = hfta.scale_fused_loss(loss, 4, "mean")
-        assert scaled.item() == pytest.approx(8.0)
-
-    def test_sum_reduction_not_scaled(self):
-        loss = nn.tensor(np.array(2.0, dtype=np.float32))
-        assert hfta.scale_fused_loss(loss, 4, "sum").item() == pytest.approx(2.0)
-
-    def test_invalid_reduction_rejected(self):
-        with pytest.raises(ValueError):
-            hfta.scale_fused_loss(nn.tensor(1.0), 2, "max")
-
-    def test_fused_cross_entropy_gradient_equals_independent(self):
-        """Appendix C: the scaled fused loss reconstructs each model's grads."""
-        serial, fused = build_pair(90)
+    # every pair but (4, 16) has fl32(B * fl32(1/(B*N))) != fl32(1/N): a
+    # fused loss written as B * mean over B*N rows is an ulp off serial
+    # there, while power-of-two B and N (the (4, 16) control) hide it
+    @pytest.mark.parametrize("width,batch", [(3, 5), (3, 10), (5, 10),
+                                             (6, 10), (7, 7), (4, 16)])
+    @pytest.mark.parametrize("name", sorted(CRITERIA))
+    def test_fused_cross_entropy_gradient_equals_independent(self, name,
+                                                             width, batch):
+        """Appendix C: the fused loss gives each model exactly the gradients
+        and the loss value it gets alone — bitwise, at any (B, N)."""
+        fused_cls, serial_loss, make_target, adapt = CRITERIA[name]
+        serial, fused = build_pair(90, width)
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((5, 6)).astype(np.float32)
-        t = rng.integers(0, 4, size=5)
-        # independent gradients
-        for model in serial:
-            F.cross_entropy(model(nn.tensor(x)), t).backward()
-        # fused gradient with scaling
-        pred = fused(hops.fuse_batch([nn.tensor(x)] * B))
-        hfta.FusedCrossEntropyLoss(B)(pred, np.stack([t] * B)).backward()
+        xs = [rng.standard_normal((batch, 6)).astype(np.float32)
+              for _ in range(width)]
+        ts = [make_target(rng, batch) for _ in range(width)]
+        serial_losses = []
+        for model, x, t in zip(serial, xs, ts):
+            loss = serial_loss(adapt(model(nn.tensor(x))), t)
+            serial_losses.append(loss.data)
+            loss.backward()
+        pred = adapt(fused(hops.fuse_batch([nn.tensor(x) for x in xs])))
+        losses = fused_cls(width).per_model(pred, np.stack(ts))
+        losses.sum().backward()
+        np.testing.assert_array_equal(losses.data, serial_losses)
         for b, model in enumerate(serial):
-            np.testing.assert_allclose(fused.weight.grad[b], model.weight.grad,
-                                       rtol=1e-4, atol=1e-6)
+            np.testing.assert_array_equal(fused.weight.grad[b],
+                                          model.weight.grad)
+            np.testing.assert_array_equal(fused.bias.grad[b], model.bias.grad)
 
     def test_per_model_losses_reported(self):
         _, fused = build_pair(95)
@@ -194,7 +214,8 @@ class TestLossScaling:
         pred = fused(hops.fuse_batch([nn.tensor(x)] * B))
         per_model = crit.per_model(pred, t)
         assert per_model.shape == (B,)
-        assert np.all(np.isfinite(per_model))
+        assert np.all(np.isfinite(per_model.data))
+        assert crit(pred, t).data == per_model.data.sum()
 
 
 class TestFusionHelpers:

@@ -14,8 +14,8 @@ from repro import hfta, nn
 from repro.models import PointNetCls, TransformerLM
 
 #: op nodes reachable from the loss: (at the parent of the change that made
-#: each operator one node, at that change)
-POINTNET_NODES = (302, 131)
+#: each operator one node, pinned now)
+POINTNET_NODES = (302, 130)
 LM_NODES = (212, 147)
 
 

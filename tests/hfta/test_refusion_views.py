@@ -11,9 +11,8 @@ the elastic runtime's correctness rests on:
   its narrowed parent occupy *disjoint* slices, so mutating one never
   corrupts the other, and a merge always materializes fresh memory.
 
-The vectorized per-model loss kernels ride along here: they replaced a
-per-model graph-building loop on the hot path and must match the
-reference loop bitwise.
+The per-model loss values ride along here: they must equal ``B`` serial
+criterion calls bitwise.
 """
 
 import numpy as np
@@ -24,6 +23,7 @@ from repro.hfta.fusion import contiguous_run
 from repro.hfta.losses import (FusedBCELoss, FusedCrossEntropyLoss,
                                FusedMSELoss, FusedNLLLoss)
 from repro.hfta.optim import split_optimizer
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 from .test_refusion import (B, FAMILIES, assert_arrays_equal, build_family,
@@ -162,64 +162,84 @@ class TestAliasingContract:
 
 
 # --------------------------------------------------------------------- #
-class TestVectorizedPerModelLosses:
-    """per_model (vectorized) must equal per_model_reference bitwise."""
+#: per-model values recorded on these inputs (float32, hex) from the
+#: separate numpy logging pass the criteria used to run: matching them
+#: keeps every loss curve logged since bit-identical
+RECORDED = {
+    "cross_entropy": ("0x1.ce51a8p+0", "0x1.08e384p+1", "0x1.bc5322p+0",
+                      "0x1.3c6baap+1"),
+    "cross_entropy_extra_dims": ("0x1.0d6394p+1", "0x1.fc6864p+0",
+                                 "0x1.340d84p+1", "0x1.f2c11cp+0"),
+    "nll": ("0x1.a22be6p-1", "0x1.d82c88p-1", "0x1.cb2796p-1",
+            "0x1.0c59bep-1"),
+    "mse": ("0x1.1d6b90p+1", "0x1.9fe09ap+0", "0x1.85ab00p+1",
+            "0x1.457670p+0"),
+    "bce": ("0x1.774028p+0", "0x1.684d92p+0", "0x1.2775dap+0",
+            "0x1.3f1d52p+0"),
+    "tensor_target": ("0x1.5dc460p+0", "0x1.9606fap+0", "0x1.9dfd2ap+0",
+                      "0x1.0e49dep+1"),
+}
 
-    @pytest.mark.parametrize("reduction", ("mean", "sum"))
-    def test_cross_entropy(self, reduction):
+
+def serial_cross_entropy(logits, target):
+    return F.cross_entropy(logits.reshape(-1, logits.shape[-1]),
+                           target.reshape(-1))
+
+
+def serial_nll(log_probs, target):
+    return F.nll_loss(log_probs.reshape(-1, log_probs.shape[-1]),
+                      target.reshape(-1))
+
+
+class TestVectorizedPerModelLosses:
+    """``per_model(...).data`` equals ``B`` serial ``F.*`` calls and the
+    recorded values, bitwise."""
+
+    @staticmethod
+    def check(case, crit, prediction, target, serial):
+        values = crit.per_model(prediction, target).data
+        tgt = target.data if isinstance(target, Tensor) else target
+        np.testing.assert_array_equal(
+            values, [serial(prediction[b], tgt[b]).data for b in range(B)])
+        np.testing.assert_array_equal(
+            values, [float.fromhex(v) for v in RECORDED[case]])
+
+    def test_cross_entropy(self):
         rng = np.random.default_rng(0)
         logits = Tensor(rng.standard_normal((B, 9, 5)).astype(np.float32))
         tgt = rng.integers(0, 5, size=(B, 9))
-        crit = FusedCrossEntropyLoss(B, reduction)
-        np.testing.assert_array_equal(
-            crit.per_model(logits, tgt),
-            crit.per_model_reference(logits, tgt))
+        self.check("cross_entropy", FusedCrossEntropyLoss(B), logits, tgt,
+                   serial_cross_entropy)
 
-    @pytest.mark.parametrize("reduction", ("mean", "sum"))
-    def test_cross_entropy_extra_dims(self, reduction):
+    def test_cross_entropy_extra_dims(self):
         rng = np.random.default_rng(1)
         logits = Tensor(rng.standard_normal((B, 3, 4, 6)).astype(np.float32))
         tgt = rng.integers(0, 6, size=(B, 3, 4))
-        crit = FusedCrossEntropyLoss(B, reduction)
-        np.testing.assert_array_equal(
-            crit.per_model(logits, tgt),
-            crit.per_model_reference(logits, tgt))
+        self.check("cross_entropy_extra_dims", FusedCrossEntropyLoss(B),
+                   logits, tgt, serial_cross_entropy)
 
-    @pytest.mark.parametrize("reduction", ("mean", "sum"))
-    def test_nll(self, reduction):
+    def test_nll(self):
         rng = np.random.default_rng(2)
         lp = Tensor(np.log(rng.random((B, 9, 5)).astype(np.float32) + 1e-3))
         tgt = rng.integers(0, 5, size=(B, 9))
-        crit = FusedNLLLoss(B, reduction)
-        np.testing.assert_array_equal(
-            crit.per_model(lp, tgt),
-            crit.per_model_reference(lp, tgt))
+        self.check("nll", FusedNLLLoss(B), lp, tgt, serial_nll)
 
-    @pytest.mark.parametrize("reduction", ("mean", "sum"))
-    def test_mse(self, reduction):
+    def test_mse(self):
         rng = np.random.default_rng(3)
         pred = Tensor(rng.standard_normal((B, 9, 3)).astype(np.float32))
         tgt = rng.standard_normal((B, 9, 3)).astype(np.float32)
-        crit = FusedMSELoss(B, reduction)
-        np.testing.assert_array_equal(
-            crit.per_model(pred, tgt),
-            crit.per_model_reference(pred, tgt))
+        self.check("mse", FusedMSELoss(B), pred, tgt, F.mse_loss)
 
-    @pytest.mark.parametrize("reduction", ("mean", "sum"))
-    def test_bce(self, reduction):
+    def test_bce(self):
         rng = np.random.default_rng(4)
         prob = Tensor(rng.random((B, 9)).astype(np.float32))
         tgt = rng.integers(0, 2, size=(B, 9)).astype(np.float32)
-        crit = FusedBCELoss(B, reduction)
-        np.testing.assert_array_equal(
-            crit.per_model(prob, tgt),
-            crit.per_model_reference(prob, tgt))
+        self.check("bce", FusedBCELoss(B), prob, tgt,
+                   F.binary_cross_entropy)
 
     def test_tensor_target_accepted(self):
         rng = np.random.default_rng(5)
         logits = Tensor(rng.standard_normal((B, 9, 5)).astype(np.float32))
         tgt = Tensor(rng.integers(0, 5, size=(B, 9)).astype(np.float32))
-        crit = FusedCrossEntropyLoss(B)
-        np.testing.assert_array_equal(
-            crit.per_model(logits, tgt),
-            crit.per_model_reference(logits, tgt))
+        self.check("tensor_target", FusedCrossEntropyLoss(B), logits, tgt,
+                   serial_cross_entropy)

@@ -48,12 +48,11 @@ def train_fused_resnets(steps, batches, serial_init):
         optimizer.zero_grad()
         fused_x = fused.fuse_inputs([nn.tensor(x)] * B)
         logits = fused(fused_x)
-        loss = criterion(logits, np.stack([y] * B))
-        loss.backward()
+        losses = criterion.per_model(logits, np.stack([y] * B))
+        losses.sum().backward()
         optimizer.step()
-        per_model = criterion.per_model(logits, np.stack([y] * B))
         for b in range(B):
-            curves[b].append(float(per_model[b]))
+            curves[b].append(float(losses.data[b]))
     return fused, curves
 
 
@@ -114,13 +113,12 @@ class TestConvergenceEquivalence:
         for step in range(10):
             optimizer.zero_grad()
             out = fused(fused.fuse_inputs([nn.tensor(x)] * B))
-            loss = criterion(out, np.stack([y] * B))
-            loss.backward()
+            losses = criterion.per_model(out, np.stack([y] * B))
+            losses.sum().backward()
             optimizer.step()
-            per_model = criterion.per_model(out, np.stack([y] * B))
             if first is None:
-                first = per_model
-            last = per_model
+                first = losses.data
+            last = losses.data
         assert np.all(last < first)
 
     def test_different_lrs_diverge_models_within_array(self):

@@ -344,7 +344,7 @@ class TestSingleNodeKernelsMatchComposedPrimitives:
         check_grads(lambda: kernel(x, axis=axis), [x])
 
     def test_log_softmax_forward_is_bitwise_the_composed_order(self):
-        """The fused losses' ``_per_model_values`` replay this order."""
+        """max-shift -> exp -> sum -> log -> subtract, the composed order."""
         x = nn.tensor(rng.standard_normal((32, 10)).astype(np.float32) * 4)
         np.testing.assert_array_equal(F.log_softmax(x, axis=1).data,
                                       composed_log_softmax(x, axis=1).data)
