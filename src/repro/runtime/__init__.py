@@ -38,10 +38,11 @@ of a shared accelerator:
   defragmentation of under-filled arrays with cost-model re-placement,
   adoption of paused stragglers by idle devices, quarantine-and-retry
   failure isolation;
-* :mod:`repro.runtime.metrics` — throughput/occupancy counters in the
-  conventions of ``benchmarks/test_fig*_counters.py``, plus per-device
-  utilization, per-tenant admission/SLO/consumption counters, and the
-  fleet-level aggregate-throughput report;
+* :mod:`repro.runtime.metrics` — the lifecycle event stream and the
+  counters folded from it: throughput/occupancy in the conventions of
+  ``benchmarks/test_fig*_counters.py``, per-device utilization,
+  per-tenant admission/SLO/consumption counters, and the fleet-level
+  aggregate-throughput report;
 * :mod:`repro.runtime.gateway` — the multi-tenant front door: per-tenant
   token-bucket rate limits and quotas, weighted-fair + priority
   admission, SLO deadlines driving placement order and eviction-based
@@ -59,10 +60,9 @@ of a shared accelerator:
   atomic :class:`~repro.runtime.checkpoint.CheckpointStore` for per-slot
   training state (model weights + per-slot optimizer state + progress)
   and a write-ahead-log
-  :class:`~repro.runtime.checkpoint.RecoveryManager` that journals
-  admissions/lifecycle transitions and rebuilds a fleet from disk after
-  a crash — recovered jobs resume bit-exactly from their last
-  checkpoint.
+  :class:`~repro.runtime.checkpoint.RecoveryManager` that folds the
+  event stream into a log and rebuilds a fleet from disk after a crash
+  — recovered jobs resume bit-exactly from their last checkpoint.
 
 Quickstart (single device)::
 
@@ -93,14 +93,14 @@ of the documentation tree (``docs/runtime.md``, ``docs/elasticity.md``,
 end-to-end serving sessions.
 """
 
-from .queue import (JobState, TrainingJob, SubmittedJob, JobQueue,
-                    ResumeState)
+from .queue import (JobState, StopReason, TrainingJob, SubmittedJob,
+                    JobQueue, ResumeState)
 from .batcher import Batcher, Cohort, DEFAULT_INFUSIBLE_KEYS
 from .bufferpool import BufferPool
 from .policy import ArrayPlan, ArrayPolicy
-from .engine import (ArrayExecutor, ArrayState, JobResult, StopReason,
+from .engine import (ArrayExecutor, ArrayState, JobResult,
                      TrainingArrayEngine)
-from .metrics import ArrayRecord, RuntimeMetrics
+from .metrics import ArrayRecord, Event, RuntimeMetrics
 from .placement import (DEFAULT_FLEET, DefragPolicy, FleetPlacer,
                         PlacementDecision, PlacementPolicy, synthetic_fleet)
 from .placement_lp import (LPFleetPlacer, LPWeights, PlacementInstance,
@@ -120,7 +120,7 @@ __all__ = [
     "ArrayPlan", "ArrayPolicy",
     "ArrayExecutor", "ArrayState", "JobResult", "StopReason",
     "TrainingArrayEngine",
-    "ArrayRecord", "RuntimeMetrics",
+    "ArrayRecord", "Event", "RuntimeMetrics",
     "DEFAULT_FLEET", "DefragPolicy", "FleetPlacer", "PlacementDecision",
     "PlacementPolicy", "synthetic_fleet",
     "LPFleetPlacer", "LPWeights", "PlacementInstance", "PlacementSolution",

@@ -19,8 +19,9 @@ optimizer state — and two pieces use it:
   evicted or merged slot restores into a *different* array shape without
   translation.
 
-* :class:`RecoveryManager` — a write-ahead log (``wal.jsonl``) of gateway
-  admissions and array lifecycle transitions, plus the restart logic:
+* :class:`RecoveryManager` — a write-ahead log (``wal.jsonl``), the
+  durable fold of the runtime's lifecycle event stream (admissions,
+  terminal transitions, array lifecycle), plus the restart logic:
   :meth:`RecoveryManager.rebuild_fleet` builds a fresh
   :class:`~repro.runtime.fleet.FleetScheduler` from disk, re-queues every
   journaled-but-unsettled job with its tenant/priority/deadline intact,
@@ -57,7 +58,8 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .queue import JobState, ResumeState, TrainingJob
+from .metrics import Event
+from .queue import JobState, ResumeState, StopReason, TrainingJob
 
 __all__ = ["CheckpointStore", "RecoveryManager", "SlotCheckpoint",
            "WriteReceipt", "encode_arrays", "decode_arrays"]
@@ -70,6 +72,17 @@ _MAGIC = b"RPCK1\n"
 _TERMINAL_STATES = (JobState.COMPLETED, JobState.FAILED,
                     JobState.CANCELLED, JobState.SHED)
 _SETTLED_STATES = _TERMINAL_STATES + ("recovered",)
+
+#: terminal event kinds -> the job state their ``state`` record settles
+#: (None: a ``retire`` settles COMPLETED or CANCELLED by its stop reason)
+_STATE_OF = {"fail": JobState.FAILED, "cancel": JobState.CANCELLED,
+             "shed": JobState.SHED, "retire": None}
+
+#: array event kinds -> the key their ``data`` is journaled under (None:
+#: the record is the array, its device and its live job ids alone)
+_ARRAY_DATA = {"launch": None, "crash": None, "migrate": None,
+               "evict": "retired", "drain": "retired", "admit": "admitted",
+               "merge": "absorbed_array"}
 
 
 # --------------------------------------------------------------------- #
@@ -385,28 +398,21 @@ class CheckpointStore:
 # the write-ahead log and restart logic
 # --------------------------------------------------------------------- #
 class RecoveryManager:
-    """Journals admissions and array lifecycle; rebuilds a fleet from disk.
+    """The write-ahead log fold of the lifecycle events; rebuilds a fleet
+    from disk.
 
-    The write-ahead log is an append-only JSONL file inside the store's
-    root.  Two record families matter for recovery:
+    :meth:`record_event` appends one JSONL record per durable event to
+    ``wal.jsonl`` in the store's root (``docs/runtime.md`` tables which
+    kinds are durable); the restart logic adds its own ``replay``,
+    ``recovered`` and ``unrecovered`` provenance.  Recovery reads two
+    record types: ``admit`` (a job's serving contract — tenant, priority,
+    absolute deadline, budget) and ``state`` (a terminal transition).  An
+    admission with no terminal state is *unsettled*: it was in flight when
+    the process died and is re-queued on restart.  ``array`` records are
+    the operations trail of which fused array held which jobs where.
 
-    * ``admit`` — written by the serving gateway (or any caller) when a
-      job enters the system, carrying the serving contract that must
-      survive a restart: tenant, priority class, absolute SLO deadline,
-      step budget, workload hint.
-    * ``state`` — terminal transitions (completed / failed / cancelled /
-      shed).  A job with an ``admit`` record and no terminal ``state``
-      record is *unsettled*: it was in flight when the process died and
-      must be re-queued on restart.
-
-    ``array`` records (launch / evict / admit / merge / crash / drain)
-    are the operations trail: they let an operator reconstruct which
-    fused array held which jobs on which device at any point — the
-    provenance half of the checkpoint layer — but recovery itself only
-    needs the admission records plus the store's manifests.
-
-    Journal appends are serialized under a lock and flushed per record;
-    with ``store.fsync`` they are also fsync'd, making the WAL exactly as
+    Appends are serialized under a lock and flushed per record; with
+    ``store.fsync`` they are also fsync'd, making the WAL exactly as
     durable as the checkpoints it indexes.
     """
 
@@ -414,13 +420,42 @@ class RecoveryManager:
         self.store = store
         self.wal_path = os.path.join(store.root, "wal.jsonl")
         self._lock = threading.Lock()
-        #: (job_id, state) pairs already journaled — terminal transitions
-        #: are idempotent, and several layers may report the same one
-        self._journaled_states: Set[Tuple[int, str]] = set()
 
     # ------------------------------------------------------------------ #
     # journaling
     # ------------------------------------------------------------------ #
+    def record_event(self, event: Event) -> None:
+        """Append the WAL record of one lifecycle event (kinds that are not
+        durable write nothing; ``docs/runtime.md`` tables them)."""
+        kind, job_ids, job = event.kind, event.job_ids, event.data
+        if kind in ("submit", "accept"):   # data: the admitted TrainingJob
+            # deadline_s is absolute in the *gateway clock's* coordinates
+            # (default time.monotonic): it survives a process restart on
+            # the same machine, not a reboot — wall_time lets an operator
+            # re-base it by hand (see docs/operations.md)
+            record = {
+                "type": "admit", "job_id": job_ids[0], "name": job.name,
+                "tenant": job.tenant, "priority": job.priority,
+                "deadline_s": job.deadline_s, "steps": int(job.steps),
+                "epoch_steps": int(job.epoch_steps),
+                "workload": job.workload, "user": job.user,
+                "seed": int(job.seed), "loss": job.loss,
+                "wall_time": time.time()}
+        elif kind in _ARRAY_DATA:
+            record = {"type": "array", "event": kind,
+                      "array_id": event.array_id, "device": event.device,
+                      "job_ids": list(job_ids)}
+            if _ARRAY_DATA[kind] is not None:
+                record[_ARRAY_DATA[kind]] = event.data
+        elif kind in _STATE_OF:
+            state = _STATE_OF[kind] or (
+                JobState.CANCELLED if event.data[0] == StopReason.CANCELLED
+                else JobState.COMPLETED)
+            record = {"type": "state", "job_id": job_ids[0], "state": state}
+        else:
+            return
+        self._append(record)
+
     def _append(self, record: Dict[str, Any]) -> None:
         line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
@@ -429,53 +464,6 @@ class RecoveryManager:
                 handle.flush()
                 if self.store.fsync:
                     os.fsync(handle.fileno())
-
-    def journal_admission(self, job_id: int, job: TrainingJob,
-                          **extra: Any) -> None:
-        """Record one admitted job's serving contract
-        (:meth:`FleetScheduler.submit` calls this on every admission).
-
-        ``deadline_s`` is absolute in the *gateway clock's* coordinates
-        (default ``time.monotonic``), which survives process restarts on
-        the same machine but not a reboot; ``wall_time`` is journaled
-        alongside so an operator can re-base deadlines by hand after a
-        reboot (see docs/operations.md).
-        """
-        self._append(dict({
-            "type": "admit", "job_id": int(job_id), "name": job.name,
-            "tenant": job.tenant, "priority": job.priority,
-            "deadline_s": job.deadline_s, "steps": int(job.steps),
-            "epoch_steps": int(job.epoch_steps), "workload": job.workload,
-            "user": job.user, "seed": int(job.seed), "loss": job.loss,
-            "wall_time": time.time(),
-        }, **extra))
-
-    def journal_state(self, job_id: int, state: str) -> None:
-        """Record a terminal lifecycle transition (idempotent)."""
-        key = (int(job_id), state)
-        with self._lock:
-            if key in self._journaled_states:
-                return
-            self._journaled_states.add(key)
-        self._append({"type": "state", "job_id": int(job_id),
-                      "state": state})
-
-    def journal_unrecovered(self, job_id: int, name: str,
-                            reason: str) -> None:
-        """Record a job a restart could *not* recover (e.g. no builder
-        registered for its name) — an operator-visible gap, not an
-        exception."""
-        self._append({"type": "unrecovered", "job_id": int(job_id),
-                      "name": name, "reason": reason})
-
-    def journal_array(self, event: str, array_id: int, device: str,
-                      job_ids: Sequence[int], **extra: Any) -> None:
-        """Record an array lifecycle transition (launch/evict/admit/merge/
-        crash/drain) — the fused-array provenance trail."""
-        self._append(dict({
-            "type": "array", "event": event, "array_id": int(array_id),
-            "device": device, "job_ids": [int(j) for j in job_ids],
-        }, **extra))
 
     # ------------------------------------------------------------------ #
     # reading the log back
@@ -535,39 +523,41 @@ class RecoveryManager:
     # restart
     # ------------------------------------------------------------------ #
     def replay_unsettled_jobs(self, jobs_by_name: Dict[str, TrainingJob],
-                              submit) -> List[Tuple[Dict[str, Any],
-                                                    TrainingJob, int,
-                                                    Optional[ResumeState]]]:
+                              fleet) -> List[Tuple[TrainingJob, int, bool]]:
         """The shared replay loop behind :meth:`rebuild_fleet` and
         :meth:`ServingGateway.replay_unsettled`.
 
         For every unsettled admission: restore the journaled serving
         contract onto the registered job (tenant, priority class,
-        absolute deadline), hand it to ``submit`` (which journals the new
-        admission), journal a ``replay`` provenance record linking the
-        new id to the old one, and settle the old id as ``recovered`` so
-        a second restart cannot recover the same work twice.  Jobs with
-        no registered builder are journaled ``unrecovered`` and skipped.
-        Returns ``(admit record, job, new job id, resume payload)`` per
-        replayed job; attaching the resume payload to the new submission
-        is the caller's move (it owns the queue).
+        absolute deadline), submit it to ``fleet`` (its ``submit`` event
+        journals the new admission), journal a ``replay`` provenance
+        record linking the new id to the old one, settle the old id as
+        ``recovered`` so a second restart cannot recover the same work
+        twice, and attach the old id's latest durable checkpoint as the
+        new submission's resume payload.  Jobs with no registered builder
+        are journaled ``unrecovered`` and skipped.  Returns ``(job, new
+        job id, resumed from a checkpoint)`` per replayed job.
         """
         replayed = []
         for old_id, record in self.unsettled().items():
             job = jobs_by_name.get(record["name"])
             if job is None:
-                self.journal_unrecovered(old_id, record["name"],
-                                         "no builder registered")
+                # an operator-visible gap in the log, not an exception
+                self._append({"type": "unrecovered", "job_id": int(old_id),
+                              "name": record["name"],
+                              "reason": "no builder registered"})
                 continue
             job.tenant = record.get("tenant", job.tenant)
             job.priority = record.get("priority", job.priority)
             job.deadline_s = record.get("deadline_s", job.deadline_s)
-            new_id = submit(job)
+            new_id = fleet.submit(job)
             self._append({"type": "replay", "job_id": int(new_id),
                           "replayed_from": int(old_id)})
-            self.journal_state(old_id, "recovered")
-            replayed.append((record, job, new_id,
-                             self.resume_state(old_id)))
+            self._append({"type": "state", "job_id": int(old_id),
+                          "state": "recovered"})
+            resume = self.resume_state(old_id)
+            fleet.queue.get(new_id).resume = resume
+            replayed.append((job, new_id, resume is not None))
         return replayed
 
     def rebuild_fleet(self, jobs_by_name: Dict[str, TrainingJob],
@@ -614,9 +604,8 @@ class RecoveryManager:
                     engine.store = self.store
                     if engine.checkpoint_every == 0:
                         engine.checkpoint_every = 1
-        for _, _, new_id, resume in self.replay_unsettled_jobs(
-                jobs_by_name, fleet.submit):
-            if resume is not None:
-                fleet.queue.get(new_id).resume = resume
-                fleet.metrics.record_recovery()
+        for _, new_id, resumed in self.replay_unsettled_jobs(jobs_by_name,
+                                                             fleet):
+            if resumed:
+                fleet.emit(Event("recover", (new_id,)))
         return fleet

@@ -12,7 +12,7 @@ data path::
              evict finished slots            (hfta.fusion.split_fused)
              admit queued jobs into freed width  (hfta.fusion.merge_fused)
            -> DRAINED, JobResult per job     (hfta.fusion.export_to_unfused)
-      -> metrics.record_array()              (metrics.py)
+      -> emit(Event("array", record))        (metrics.py)
 
 The monolithic run-to-completion loop of the earlier runtime became the
 :class:`ArrayExecutor` *state machine*: an array is trained epoch by epoch,
@@ -66,9 +66,10 @@ from . import sim
 from .batcher import Batcher, Cohort
 from .bufferpool import BufferPool
 from .checkpoint import CheckpointStore, RecoveryManager
-from .metrics import ArrayRecord, RuntimeMetrics
+from .metrics import ArrayRecord, Event, RuntimeMetrics
 from .policy import ArrayPlan, ArrayPolicy
-from .queue import JobQueue, JobState, SubmittedJob, TrainingJob
+from .queue import JobQueue, JobState, StopReason, SubmittedJob, \
+    TrainingJob
 
 __all__ = ["JobResult", "StopReason", "ArrayState", "ArrayExecutor",
            "TrainingArrayEngine"]
@@ -117,15 +118,6 @@ def make_fused_optimizer(fused: Module, configs: Sequence[Dict],
         kwargs["betas"] = ([c.get("adam_beta1", 0.9) for c in configs],
                           [c.get("adam_beta2", 0.999) for c in configs])
     return cls(fused.parameters(), num_models=num_models, **kwargs)
-
-
-class StopReason:
-    """Why a slot left its array."""
-
-    BUDGET = "budget"          # trained its full step budget
-    CONVERGED = "converged"    # hit TrainingJob.target_loss
-    EARLY_STOP = "early_stop"  # TrainingJob.stop callback said so
-    CANCELLED = "cancelled"    # caller cancelled via JobQueue.cancel
 
 
 class ArrayState:
@@ -349,7 +341,7 @@ class ArrayExecutor:
 
     The executor owns everything about the array that is not a tensor —
     which job sits in which slot, per-slot progress and loss curves, stop
-    signals, lifetime accounting, WAL journaling and checkpoint cadence —
+    signals, lifetime accounting, lifecycle events and checkpoint cadence —
     and exposes it epoch by epoch, so the scheduler above can interleave
     stop-signal checks, evictions, admissions and defragmentation with
     training instead of waiting for a monolithic ``train_plan`` to return.
@@ -457,10 +449,10 @@ class ArrayExecutor:
         for index, slot in enumerate(self.slots):
             self._apply_resume(index, slot)
         self.state = ArrayState.FUSED
-        self._journal("launch")
+        self.engine.emit(self.event("launch"))
 
     # ------------------------------------------------------------------ #
-    # durability: resume application, per-slot persistence, journaling
+    # durability: resume application, per-slot persistence
     # ------------------------------------------------------------------ #
     def _apply_resume(self, index: int, slot: _Slot) -> None:
         """Fast-forward a freshly fused slot to its durable checkpoint."""
@@ -512,7 +504,7 @@ class ArrayExecutor:
         clean = (not force and slot.persist_refs is not None
                  and slot.persisted_progress == slot.progress)
         if clean and not final:
-            self.engine.metrics.record_checkpoint_skip()
+            self.engine.emit(Event("checkpoint_skip", (slot.sub.job_id,)))
             return
         try:
             if clean:
@@ -532,12 +524,11 @@ class ArrayExecutor:
             # the cached refs may be what failed (stale object) — drop
             # them so the next attempt re-encodes from live state
             slot.persist_refs = None
-            self.engine.metrics.record_checkpoint_failure()
+            self.engine.emit(Event("checkpoint_failed", (slot.sub.job_id,)))
             return
         slot.persisted_progress = slot.progress
         slot.persist_refs = dict(receipt.objects)
-        self.engine.metrics.record_checkpoint(
-            receipt.payload_bytes, receipt.written_bytes, receipt.seconds)
+        self.engine.emit(Event("checkpoint", (slot.sub.job_id,), data=receipt))
 
     def checkpoint_now(self, force: bool = False) -> None:
         """Persist every live slot immediately (durability sweep).
@@ -548,18 +539,6 @@ class ArrayExecutor:
         """
         for index, slot in enumerate(self.slots):
             self._persist_slot(index, slot, force=force)
-
-    def _journal(self, event: str, **extra) -> None:
-        recovery = self.engine.recovery
-        if recovery is None:
-            return
-        recovery.journal_array(
-            event, self.array_id, self.device_name,
-            [slot.sub.job_id for slot in self.slots], **extra)
-
-    def _journal_state(self, job_id: int, state: str) -> None:
-        if self.engine.recovery is not None:
-            self.engine.recovery.journal_state(job_id, state)
 
     # ------------------------------------------------------------------ #
     # STEPPING
@@ -599,7 +578,8 @@ class ArrayExecutor:
             prev = usage.get(slot.job.tenant, (0, 0.0))
             usage[slot.job.tenant] = (prev[0] + steps,
                                       prev[1] + epoch_seconds)
-        self.engine.metrics.record_tenant_usage(usage)
+        self.engine.emit(Event("usage", array_id=self.array_id,
+                               device=self.device_name, data=usage))
 
         retired = self._retire_finished()
         # durability hook: retiring slots were persisted (final) by
@@ -658,30 +638,26 @@ class ArrayExecutor:
                                final=True, stop_reason=reason)
             if reason == StopReason.CANCELLED:
                 self.engine.queue.mark_cancelled(slot.sub, result)
-                self.engine.metrics.record_cancelled()
-                self._journal_state(slot.sub.job_id, JobState.CANCELLED)
             else:
                 self.engine.queue.mark_completed(slot.sub, result)
                 self.jobs_served += 1
-                self._journal_state(slot.sub.job_id, JobState.COMPLETED)
-            self.engine.metrics.record_decision(
-                "retire", (result.job_id, reason, result.steps_trained))
+            self.engine.emit(Event(
+                "retire", (result.job_id,), self.array_id, self.device_name,
+                data=(reason, result.steps_trained)))
             retired.append(result)
         self._results.extend(retired)
 
         # only *early* retirements count as evictions — budget completions
         # inside a heterogeneous array free width too, but they are the
         # normal end of a job, not the stop-signal machinery at work
-        early = sum(1 for r in stop_map.values() if r != StopReason.BUDGET)
-        if early:
-            self.evictions += early
-            self.engine.metrics.record_eviction(early)
+        self.evictions += sum(1 for r in stop_map.values()
+                              if r != StopReason.BUDGET)
         if keep:
             self.physics = self.physics.take(keep)
         self.slots = [self.slots[i] for i in keep]
         self.state = ArrayState.STEPPING if keep else ArrayState.DRAINED
-        self._journal("evict" if keep else "drain",
-                      retired=[r.job_id for r in retired])
+        self.engine.emit(self.event("evict" if keep else "drain",
+                                     tuple(r.job_id for r in retired)))
         return retired
 
     # ------------------------------------------------------------------ #
@@ -723,8 +699,8 @@ class ArrayExecutor:
         self.state = ArrayState.STEPPING
         if subs:
             self.admissions += len(subs)
-            self.engine.metrics.record_admission(len(subs))
-            self._journal("admit", admitted=[sub.job_id for sub in subs])
+            self.engine.emit(self.event(
+                "admit", tuple(sub.job_id for sub in subs)))
         return subs
 
     def merge_with(self, other: "ArrayExecutor") -> None:
@@ -759,7 +735,7 @@ class ArrayExecutor:
         other.slots = []
         other.state = ArrayState.DRAINED
         self.state = ArrayState.STEPPING
-        self._journal("merge", absorbed_array=other.array_id)
+        self.engine.emit(self.event("merge", other.array_id))
 
     def detach_slots(self, indices: Sequence[int]) -> "ArrayExecutor":
         """Preemption: split live slots out into their own paused executor.
@@ -819,6 +795,11 @@ class ArrayExecutor:
         return child
 
     # ------------------------------------------------------------------ #
+    def event(self, kind: str, data=None) -> Event:
+        """A lifecycle event of this array, over its live slots."""
+        return Event(kind, tuple(slot.sub.job_id for slot in self.slots),
+                     self.array_id, self.device_name, data=data)
+
     def record(self) -> ArrayRecord:
         """The drained array's accounting record."""
         return ArrayRecord(
@@ -851,8 +832,8 @@ class TrainingArrayEngine:
     attached, every live slot is persisted at the ``checkpoint_every``
     epoch cadence (0 disables cadence checkpoints) and every retiring
     slot's final checkpoint is persisted as it leaves;
-    a ``recovery`` manager additionally journals array lifecycle
-    transitions and terminal job states to the write-ahead log.  A failing
+    with a ``recovery`` manager attached, :meth:`emit` also hands every
+    lifecycle event to the write-ahead log.  A failing
     multi-job array's quarantined jobs then retry *from their last durable
     checkpoint* instead of step 0 (quarantine-then-recover).
     """
@@ -922,12 +903,25 @@ class TrainingArrayEngine:
         self._array_ids = array_ids or itertools.count().__next__
 
     # ------------------------------------------------------------------ #
-    # submission
+    # intake and events (FleetScheduler shares these four methods)
     # ------------------------------------------------------------------ #
+    def emit(self, event: Event) -> None:
+        """Emit one lifecycle event to its two folds: the metrics, and the
+        write-ahead log when a recovery manager is attached."""
+        self.metrics.record_event(event)
+        if self.recovery is not None:
+            self.recovery.record_event(event)
+
     def submit(self, job: TrainingJob) -> int:
-        """Accept a job for the next scheduling cycle; returns its id."""
+        """Accept a job for the next scheduling cycle; returns its id.
+
+        With a :class:`RecoveryManager` attached the ``submit`` event is
+        also journaled to the write-ahead log, which is what makes the job
+        recoverable: a restart re-queues every journaled-but-unsettled
+        job (see :meth:`RecoveryManager.rebuild_fleet`).
+        """
         job_id = self.queue.submit(job)
-        self.metrics.record_submit()
+        self.emit(Event("submit", (job_id,), tenant=job.tenant, data=job))
         return job_id
 
     def submit_all(self, jobs: Sequence[TrainingJob]) -> List[int]:
@@ -940,9 +934,9 @@ class TrainingArrayEngine:
         checkpoint."""
         cancelled = self.queue.cancel(job_id)
         if cancelled and self.queue.state(job_id) == JobState.CANCELLED:
-            # cancelled straight out of the queue; running jobs are counted
-            # by the executor when the eviction actually happens
-            self.metrics.record_cancelled()
+            # cancelled straight out of the queue; a running job's cancel
+            # is its retirement, at the eviction that actually happens
+            self.emit(Event("cancel", (job_id,)))
         return cancelled
 
     # ------------------------------------------------------------------ #
@@ -1017,7 +1011,7 @@ class TrainingArrayEngine:
                 else:
                     self.refill_from_queue(executor)
         except Exception as exc:  # noqa: BLE001 — isolate array failures
-            self.metrics.record_array_failure()
+            self.emit(executor.event("array_failed"))
             live = [slot.sub for slot in executor.slots]
             executor.slots = []
             executor.state = ArrayState.DRAINED
@@ -1037,17 +1031,15 @@ class TrainingArrayEngine:
                 # evicted hold valid checkpoints and their slot-steps back
                 # the efficiency metric — losing the record would leave
                 # completed jobs uncounted
-                self.metrics.record_array(executor.record())
+                self.emit(executor.event("array", executor.record()))
             return executor.take_results()
-        self.metrics.record_array(executor.record())
+        self.emit(executor.event("array", executor.record()))
         return executor.take_results()
 
     def _fail_job(self, sub: SubmittedJob, error: str) -> None:
-        """Terminal failure of one job: queue state, counter, WAL."""
+        """Terminal failure of one job: queue state and its event."""
         self.queue.mark_failed(sub, error)
-        self.metrics.record_failure()
-        if self.recovery is not None:
-            self.recovery.journal_state(sub.job_id, JobState.FAILED)
+        self.emit(Event("fail", (sub.job_id,), data=error))
 
     def _refresh_resume(self, sub: SubmittedJob) -> None:
         """Attach the job's latest durable checkpoint as its resume
@@ -1071,7 +1063,7 @@ class TrainingArrayEngine:
             sub.resume = checkpoint.resume_state()
         except Exception:  # noqa: BLE001 — recovery is best-effort here
             return
-        self.metrics.record_recovery()
+        self.emit(Event("recover", (sub.job_id,)))
 
     # ------------------------------------------------------------------ #
     # freed-width admission
@@ -1129,8 +1121,4 @@ class TrainingArrayEngine:
                     self.queue.requeue(sub)
             executor.state = ArrayState.STEPPING
             return 0
-        if subs:
-            self.metrics.record_decision(
-                "admit", (executor.array_id, tuple(s.job_id for s in subs)),
-                count=len(subs))
         return len(subs)

@@ -18,7 +18,7 @@ runs the scheduling loop::
            compatible work item is still queued; that item absorbs it
            (hfta.fusion.merge_fused) at its first epoch boundary and is
            re-placed via the hwsim cost model
-      -> metrics.record_array(device=...)     (metrics.py)
+      -> emit(Event("array", ...))            (metrics.py)
 
 Concurrency model: there is none inside a cycle.  Devices are *simulated*
 accelerators, and ``run_cycle`` runs their work items one at a time on the
@@ -61,11 +61,11 @@ from ..hwsim import DeviceSpec
 from .batcher import Batcher
 from .checkpoint import CheckpointStore, RecoveryManager
 from .engine import ArrayExecutor, JobResult, TrainingArrayEngine
-from .metrics import RuntimeMetrics
+from .metrics import Event, RuntimeMetrics
 from .placement import (DEFAULT_FLEET, DefragPolicy, FleetPlacer,
                         PlacementDecision)
 from .placement_lp import LPFleetPlacer
-from .queue import JobQueue, JobState, TrainingJob
+from .queue import JobQueue, JobState
 from .sim import SimulatedCrash, VirtualClock
 
 __all__ = ["DeviceWorker", "FleetScheduler"]
@@ -179,8 +179,8 @@ class FleetScheduler:
         #: crash sweep and WAL recovery take over
         self.chaos = None
         #: durable-checkpoint layer (repro.runtime.checkpoint): shared by
-        #: every per-device engine; `recovery` additionally journals
-        #: admissions (see submit) and lifecycle transitions to the WAL
+        #: every per-device engine; `recovery` is the WAL fold of every
+        #: event the fleet and its engines emit
         self.store = store
         self.recovery = recovery
         if recovery is not None:
@@ -230,35 +230,13 @@ class FleetScheduler:
             self.workers[device.name] = DeviceWorker(device, engine)
 
     # ------------------------------------------------------------------ #
-    # submission (same surface as the single-device engine)
+    # intake and events: the engine's surface, unchanged — the fleet holds
+    # the queue, metrics and recovery manager its engines share
     # ------------------------------------------------------------------ #
-    def submit(self, job: TrainingJob) -> int:
-        """Accept a job for the next scheduling cycle; returns its id.
-
-        With a :class:`RecoveryManager` attached the admission is also
-        journaled to the write-ahead log, which is what makes the job
-        recoverable: a restart re-queues every journaled-but-unsettled
-        job (see :meth:`RecoveryManager.rebuild_fleet`).
-        """
-        job_id = self.queue.submit(job)
-        self.metrics.record_submit()
-        if self.recovery is not None:
-            self.recovery.journal_admission(job_id, job)
-        return job_id
-
-    def submit_all(self, jobs: Sequence[TrainingJob]) -> List[int]:
-        """Accept a batch of jobs; returns their ids in submission order."""
-        return [self.submit(job) for job in jobs]
-
-    def cancel(self, job_id: int) -> bool:
-        """Cancel a job fleet-wide: immediately if still queued; if already
-        training, it is evicted at its array's next epoch boundary."""
-        cancelled = self.queue.cancel(job_id)
-        if cancelled and self.queue.state(job_id) == JobState.CANCELLED:
-            self.metrics.record_cancelled()
-            if self.recovery is not None:
-                self.recovery.journal_state(job_id, JobState.CANCELLED)
-        return cancelled
+    emit = TrainingArrayEngine.emit
+    submit = TrainingArrayEngine.submit
+    submit_all = TrainingArrayEngine.submit_all
+    cancel = TrainingArrayEngine.cancel
 
     # ------------------------------------------------------------------ #
     # scheduling cycles
@@ -270,8 +248,7 @@ class FleetScheduler:
             max_jobs, key=policy.rank if policy is not None else None)
         if not batch:
             return []
-        self.metrics.record_decision(
-            "dequeue", tuple(sub.job_id for sub in batch), count=len(batch))
+        self.emit(Event("dequeue", tuple(sub.job_id for sub in batch)))
         cohorts, failures = self.batcher.form_cohorts(batch)
         for sub, error in failures:
             # every device engine shares this fleet's queue, metrics and WAL
@@ -299,9 +276,9 @@ class FleetScheduler:
                 if fallback is not None:
                     decision = self._reroute(decision, fallback)
             self.workers[decision.device_name].plans.append(decision)
-            self.metrics.record_decision(
-                "place", (decision.device_name,
-                          tuple(sub.job_id for sub in decision.plan.jobs)))
+            self.emit(Event(
+                "place", tuple(sub.job_id for sub in decision.plan.jobs),
+                device=decision.device_name))
         return self._run_workers()
 
     def run_until_idle(self) -> Dict[int, JobResult]:
@@ -316,11 +293,11 @@ class FleetScheduler:
         while self.queue.pending_count:
             for result in self.run_cycle():
                 results[result.job_id] = result
-        self.metrics.record_wall(time.perf_counter() - start)
+        self.emit(Event("wall", data=time.perf_counter() - start))
         return results
 
     def _record_solve(self) -> None:
-        """Drain the optimizer's latest solve into the metrics ledger.
+        """Emit the optimizer's latest solve (the metrics ledger's entry).
 
         Solver wall latency is recorded but never charged to virtual
         time; in sim mode the clock advances by the solution's
@@ -331,11 +308,7 @@ class FleetScheduler:
         if solution is None or solution is self._last_solution_seen:
             return
         self._last_solution_seen = solution
-        self.metrics.record_lp_solve(
-            solution.solver, solution.objective, solution.makespan,
-            solution.solve_seconds)
-        self.metrics.record_decision(
-            "solve", (solution.solver, len(solution.assignment)))
+        self.emit(Event("solve", data=solution))
         if self.execution == "sim" and solution.virtual_cost_s > 0:
             self.clock.advance(solution.virtual_cost_s)
 
@@ -417,7 +390,7 @@ class FleetScheduler:
                 executor,
                 after_epoch=lambda ex: self._after_epoch(worker, ex))
         except Exception:  # noqa: BLE001 — device must outlive any array
-            self.metrics.record_array_failure()
+            self.emit(executor.event("array_failed"))
             out = executor.take_results()
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -461,7 +434,6 @@ class FleetScheduler:
         for the next scheduling cycle and its undispatched plans move to
         healthy workers.
         """
-        self.metrics.record_worker_crash()
         worker = self.workers[name]
         with self._state_lock:
             self._quarantined.add(name)
@@ -482,10 +454,8 @@ class FleetScheduler:
             target.plans.append(item)
         live = [slot.sub for slot in executor.slots
                 if slot.sub.state in (JobState.SCHEDULED, JobState.RUNNING)]
-        if self.recovery is not None:
-            self.recovery.journal_array(
-                "crash", executor.array_id, name,
-                [sub.job_id for sub in live])
+        self.emit(Event("crash", tuple(sub.job_id for sub in live),
+                        executor.array_id, name))
         # requeue inserts at the front — reversed() preserves slot order,
         # so the recovered cohort re-fuses in the original slot layout
         for sub in reversed(live):
@@ -547,7 +517,6 @@ class FleetScheduler:
             if straggler is None:
                 break
             executor.merge_with(straggler)
-            self.metrics.record_merge()
             absorbed += 1
         if absorbed:
             return self._replace(worker, executor)
@@ -602,11 +571,10 @@ class FleetScheduler:
         if not victims:
             return
         detached = executor.detach_slots(victims)
-        for slot in detached.slots:
-            self.metrics.record_preemption(slot.job.tenant)
-        self.metrics.record_decision(
+        self.emit(Event(
             "preempt", tuple(slot.sub.job_id for slot in detached.slots),
-            count=len(detached.slots))
+            executor.array_id, worker.name,
+            data=tuple(slot.job.tenant for slot in detached.slots)))
         worker.plans.append(detached)
         worker.engine.refill_from_queue(executor, device_cap=device_cap,
                                         key=policy.rank)
@@ -662,15 +630,11 @@ class FleetScheduler:
             return None
         executor.device_name = target
         self.workers[target].plans.append(executor)
-        self.metrics.record_migration()
-        self.metrics.record_decision(
-            "migrate", (executor.array_id, worker.name, target))
-        if self.recovery is not None:
-            live = [slot.sub.job_id for slot in executor.slots
-                    if slot.sub.state in (JobState.SCHEDULED,
-                                          JobState.RUNNING)]
-            self.recovery.journal_array(
-                "migrate", executor.array_id, target, live)
+        live = tuple(slot.sub.job_id for slot in executor.slots
+                     if slot.sub.state in (JobState.SCHEDULED,
+                                           JobState.RUNNING))
+        self.emit(Event("migrate", live, executor.array_id, target,
+                        data=worker.name))
         return "detach"
 
     def _replace(self, worker: DeviceWorker,
@@ -687,7 +651,7 @@ class FleetScheduler:
             return None
         executor.device_name = device.name
         self.workers[device.name].plans.append(executor)
-        self.metrics.record_replacement()
+        self.emit(executor.event("replace"))
         return "detach"
 
     def _maybe_pause(self, worker: DeviceWorker,
@@ -745,7 +709,8 @@ class FleetScheduler:
                                           worker.device):
                     self._straggler_pool.remove(straggler)
                     if straggler.device_name != worker.name:
-                        self.metrics.record_steal()
+                        self.emit(Event("steal", array_id=straggler.array_id,
+                                        device=worker.name))
                     return worker, straggler
         return None
 

@@ -50,9 +50,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .engine import ArrayExecutor, JobResult, StopReason
+from .engine import ArrayExecutor, JobResult
 from .fleet import FleetScheduler
-from .queue import JobState, SubmittedJob, TrainingJob
+from .metrics import Event
+from .queue import JobState, StopReason, SubmittedJob, TrainingJob
 
 __all__ = ["TenantSpec", "AdmissionTicket", "ShedReason", "ServingGateway"]
 
@@ -177,6 +178,9 @@ class _Tracked:
     #: scores hits/misses correctly (offset ~0 under the default clock)
     clock_offset: float = 0.0
     slo_recorded: bool = False
+    #: re-admitted by replay_unsettled: never counted on the tenant
+    #: ledger's ``admitted``, so displacing it must not take one back
+    replayed: bool = False
 
 
 class ServingGateway:
@@ -219,11 +223,9 @@ class ServingGateway:
         self.queue = self.fleet.queue
         self.metrics = self.fleet.metrics
         self.placer = self.fleet.placer
-        #: the fleet's RecoveryManager (None without durability).  The
-        #: fleet journals every admission as it enters the queue; the
-        #: gateway adds the terminal transitions it owns (displacement
-        #: sheds, settlement) and replays unsettled admissions on restart
-        #: (see replay_unsettled)
+        #: the fleet's RecoveryManager (None without durability): the
+        #: gateway's events reach it through ``fleet.emit`` like the
+        #: fleet's own; replay_unsettled re-admits from it on restart
         self.recovery = self.fleet.recovery
         #: guards the admission state below: submissions may arrive from
         #: any thread (including, via job callbacks, the one inside
@@ -296,44 +298,52 @@ class ServingGateway:
 
         granted, retry_after = self._buckets[spec.name].acquire(now)
         if not granted:
-            self.metrics.record_tenant_request(spec.name, admitted=False)
-            return AdmissionTicket(tenant=spec.name, admitted=False,
-                                   reason=ShedReason.RATE_LIMITED,
-                                   retry_after=retry_after)
+            return self._refuse(spec, ShedReason.RATE_LIMITED, retry_after)
 
         if spec.quota_steps and \
                 self.in_flight_steps(spec.name) + job.steps > \
                 spec.quota_steps:
-            self.metrics.record_tenant_request(spec.name, admitted=False)
             # the quota frees as in-flight work drains; the cost model's
             # solo projection is the honest "try again once one job's
             # worth of your backlog has retired" hint
-            return AdmissionTicket(
-                tenant=spec.name, admitted=False,
-                reason=ShedReason.OVER_QUOTA,
-                retry_after=self._projected_solo_seconds(job))
+            return self._refuse(spec, ShedReason.OVER_QUOTA,
+                                self._projected_solo_seconds(job))
 
         if self.queue.pending_count >= self.max_pending and \
                 not self._displace_for(job):
-            self.metrics.record_tenant_request(spec.name, admitted=False)
-            return AdmissionTicket(
-                tenant=spec.name, admitted=False,
-                reason=ShedReason.BACKPRESSURE,
-                retry_after=self._projected_solo_seconds(job))
+            return self._refuse(spec, ShedReason.BACKPRESSURE,
+                                self._projected_solo_seconds(job))
 
         relative = deadline_s if deadline_s is not None else spec.deadline_s
         if job.deadline_s is None and relative is not None:
             job.deadline_s = now + relative
 
-        job_id = self.fleet.submit(job)
+        # one "accept" event: the fleet's submission and the tenant
+        # ledger's admission are the same transition
+        job_id = self.queue.submit(job)
+        self.fleet.emit(Event("accept", (job_id,), tenant=spec.name,
+                              data=job))
+        return self._track(job_id, spec, now)
+
+    def _refuse(self, spec: TenantSpec, reason: str,
+                retry_after: float) -> AdmissionTicket:
+        self.fleet.emit(Event("refuse", tenant=spec.name, data=reason))
+        return AdmissionTicket(tenant=spec.name, admitted=False,
+                               reason=reason, retry_after=retry_after)
+
+    def _track(self, job_id: int, spec: TenantSpec, now: float,
+               replayed: bool = False) -> AdmissionTicket:
+        """Bill an admitted job's weighted-fair virtual time and start
+        tracking it (quota, SLO); returns its ticket."""
+        sub = self.queue.get(job_id)
+        job = sub.job
         self._vtime[spec.name] = \
             self._vtime.get(spec.name, 0.0) + job.steps / spec.weight
         self._tracked[job_id] = _Tracked(
-            sub=self.queue.get(job_id), tenant=spec.name, steps=job.steps,
+            sub=sub, tenant=spec.name, steps=job.steps,
             vtime=self._vtime[spec.name], deadline=job.deadline_s,
             projected=self._projected_solo_seconds(job),
-            clock_offset=time.monotonic() - now)
-        self.metrics.record_tenant_request(spec.name, admitted=True)
+            clock_offset=time.monotonic() - now, replayed=replayed)
         return AdmissionTicket(tenant=spec.name, admitted=True,
                                job_id=job_id, deadline=job.deadline_s)
 
@@ -366,9 +376,10 @@ class ServingGateway:
             return False
         if not self.queue.shed(victim.job_id):
             return False
-        self.metrics.record_shed(victim.job.tenant)
-        if self.recovery is not None:
-            self.recovery.journal_state(victim.job_id, JobState.SHED)
+        track = self._tracked.get(victim.job_id)
+        self.fleet.emit(Event("shed", (victim.job_id,),
+                              tenant=victim.job.tenant,
+                              data=track is not None and not track.replayed))
         return True
 
     # ------------------------------------------------------------------ #
@@ -494,15 +505,6 @@ class ServingGateway:
         results = self.fleet.run_until_idle()
         for result in results.values():
             self._settle_slo(result)
-        if self.recovery is not None:
-            # close out the write-ahead log: every terminal job is settled
-            # so a restart replays only work that was genuinely in flight
-            # (journal_state deduplicates repeated transitions)
-            terminal = (JobState.COMPLETED, JobState.FAILED,
-                        JobState.CANCELLED, JobState.SHED)
-            for sub in self.queue.jobs():
-                if sub.state in terminal:
-                    self.recovery.journal_state(sub.job_id, sub.state)
         self._prune_tracked()
         return results
 
@@ -528,29 +530,17 @@ class ServingGateway:
                                "(pass recovery=... to the fleet)")
         tickets: List[AdmissionTicket] = []
         with self._lock:
-            replayed = self.recovery.replay_unsettled_jobs(
-                jobs_by_name, self.fleet.submit)
-            for record, job, job_id, resume in replayed:
-                if resume is not None:
-                    self.queue.get(job_id).resume = resume
-                    self.metrics.record_recovery()
+            replayed = self.recovery.replay_unsettled_jobs(jobs_by_name,
+                                                           self.fleet)
+            for job, job_id, resumed in replayed:
                 # re-bill the gateway-side bookkeeping the shared replay
                 # loop cannot know about: weighted-fair virtual time and
                 # the SLO tracking table
                 spec = self.tenant(job.tenant)
-                now = self.clock()
-                self._vtime[spec.name] = \
-                    self._vtime.get(spec.name, 0.0) + job.steps / spec.weight
-                self._tracked[job_id] = _Tracked(
-                    sub=self.queue.get(job_id), tenant=spec.name,
-                    steps=job.steps, vtime=self._vtime[spec.name],
-                    deadline=job.deadline_s,
-                    projected=self._projected_solo_seconds(job),
-                    clock_offset=time.monotonic() - now)
-                self.metrics.record_replay()
-                tickets.append(AdmissionTicket(
-                    tenant=spec.name, admitted=True, job_id=job_id,
-                    deadline=job.deadline_s))
+                self.fleet.emit(Event("replay", (job_id,), tenant=spec.name,
+                                      data=resumed))
+                tickets.append(self._track(job_id, spec, self.clock(),
+                                           replayed=True))
         return tickets
 
     def _prune_tracked(self) -> None:
@@ -582,7 +572,8 @@ class ServingGateway:
         # the gateway clock itself — so no translation applies.
         finished = result.finished_at if result.sim \
             else result.finished_at - track.clock_offset
-        self.metrics.record_slo(track.tenant, hit=finished <= track.deadline)
+        self.fleet.emit(Event("slo", (result.job_id,), tenant=track.tenant,
+                              data=finished <= track.deadline))
 
     def report(self) -> Tuple[List[Tuple], Tuple[str, ...]]:
         """Per-tenant admission/SLO/consumption rows (printable table)."""

@@ -1,21 +1,53 @@
-"""Throughput and occupancy accounting for the training-array runtime.
+"""The lifecycle event stream and the runtime counters folded from it.
 
-The counters follow the conventions of the paper-reproduction benchmark
-harness (``benchmarks/test_fig*_counters.py``): each fused array contributes
-one record, aggregates expose the quantities the paper's figures report
-(training throughput in samples/s as in Figures 4-5, array occupancy as the
-runtime analogue of the Figure 7/14 utilization counters, jobs-per-array as
-the fusion ratio), and :meth:`RuntimeMetrics.report` emits rows directly
-printable by the harness's ``print_table``.
+Every runtime transition — a submission, a placement, an array launch, a
+retirement, a checkpoint, a crash — is emitted exactly once, as one
+:class:`Event`, through ``emit`` on the engine or the fleet.  Two sinks
+fold the stream: :meth:`RuntimeMetrics.record_event` (the counters, the
+per-tenant ledger, the :class:`ArrayRecord` list and the opt-in event
+log) and :meth:`repro.runtime.checkpoint.RecoveryManager.record_event`
+(the write-ahead log).  ``docs/runtime.md`` tables every event kind and
+what each fold does with it.
+
+The aggregates follow the conventions of the paper-reproduction benchmark
+harness (``benchmarks/test_fig*_counters.py``): each fused array
+contributes one record, aggregates expose the quantities the paper's
+figures report (training throughput in samples/s as in Figures 4-5, array
+occupancy as the runtime analogue of the Figure 7/14 utilization counters,
+jobs-per-array as the fusion ratio), and :meth:`RuntimeMetrics.report`
+emits rows directly printable by the harness's ``print_table``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["ArrayRecord", "RuntimeMetrics"]
+from .queue import StopReason
+
+__all__ = ["ArrayRecord", "Event", "RuntimeMetrics"]
+
+
+@dataclass(slots=True)
+class Event:
+    """One lifecycle transition of the runtime (never mutated once
+    emitted).
+
+    ``kind`` names the transition (the table in ``docs/runtime.md``);
+    ``job_ids``, ``array_id``, ``device`` and ``tenant`` say what it
+    happened to, and ``data`` carries the numbers its folds need — a
+    retirement's ``(stop reason, steps trained)``, a checkpoint's
+    :class:`~repro.runtime.checkpoint.WriteReceipt`, an epoch's
+    ``{tenant: (slot_steps, slot_seconds)}`` usage.
+    """
+
+    kind: str
+    job_ids: Tuple[int, ...] = ()
+    array_id: int = -1
+    device: str = ""
+    tenant: str = ""
+    data: Any = None
 
 
 @dataclass(frozen=True)
@@ -65,43 +97,49 @@ class ArrayRecord:
         return self.slot_steps_occupied / self.slot_steps_total
 
 
+#: the scheduler decisions among the event kinds, and the ``(kind,
+#: payload)`` payload :meth:`RuntimeMetrics.decisions` reports for each —
+#: time-free (job ids, devices, step counts), so a real fleet's decisions
+#: equal its simulation's element for element
+_DECISIONS = {
+    "dequeue": lambda e: e.job_ids,
+    "place": lambda e: (e.device, e.job_ids),
+    "solve": lambda e: (e.data.solver, len(e.data.assignment)),
+    "retire": lambda e: (e.job_ids[0],) + e.data,
+    "admit": lambda e: (e.array_id, e.data),
+    "preempt": lambda e: e.job_ids,
+    "migrate": lambda e: (e.array_id, e.data, e.device),
+}
+
+
 class RuntimeMetrics:
-    """Aggregated runtime counters."""
+    """Aggregated runtime counters: a fold over the lifecycle events.
+
+    :meth:`record_event` is the only writer, so replaying a logged event
+    stream into a fresh object rebuilds every counter, the tenant ledger
+    and ``records`` exactly.  What each kind moves is tabled in
+    ``docs/runtime.md``; :meth:`as_dict` is the flat scrape surface.
+    """
 
     def __init__(self):
-        # submissions may come from any thread (see JobQueue), so counter
-        # updates take a lock
+        # submissions may come from any thread (see JobQueue): fold locked
         self._lock = threading.Lock()
         self.jobs_submitted = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
         self.jobs_cancelled = 0
         self.arrays_failed = 0
-        #: elastic-lifecycle counters: slots retired before their array
-        #: drained, queued jobs admitted into freed width, straggler arrays
-        #: absorbed by defragmentation, and merged arrays re-placed onto a
-        #: different device by the cost model
         self.jobs_evicted = 0
         self.jobs_admitted = 0
         self.arrays_merged = 0
         self.arrays_replaced = 0
-        #: serving-gateway counters: jobs dropped by admission control
-        #: (rate limit / quota / backpressure) and slots preempted out of a
-        #: live array so a deadline-at-risk job could board
         self.jobs_shed = 0
         self.jobs_preempted = 0
-        #: durability counters (repro.runtime.checkpoint): per-slot
-        #: checkpoints persisted, their serialized/deduplicated byte
-        #: volumes and cumulative write latency, plus the recovery side —
-        #: jobs resumed from a durable checkpoint, device workers detected
-        #: dead mid-array, and gateway admissions replayed after a restart
         self.checkpoints_written = 0
         self.checkpoint_payload_bytes = 0
         self.checkpoint_bytes_written = 0
         self.checkpoint_seconds = 0.0
         self.checkpoint_failures = 0
-        #: cadence checkpoints skipped outright because the slot had not
-        #: stepped since its last durable write (incremental checkpointing)
         self.checkpoints_skipped = 0
         self.jobs_recovered = 0
         self.workers_crashed = 0
@@ -109,29 +147,19 @@ class RuntimeMetrics:
         #: tenant -> admission/SLO/consumption counters (see tenant_summary)
         self._tenants: "Dict[str, Dict[str, float]]" = {}
         self.records: List[ArrayRecord] = []
-        #: wall-clock seconds the fleet spent serving (devices concurrent),
-        #: recorded by FleetScheduler.run_until_idle; 0 for the single-device
-        #: engine, whose train_seconds IS its wall time
+        #: wall-clock seconds the fleet spent serving (devices concurrent);
+        #: 0 for the single-device engine, whose train_seconds is its wall
         self.wall_seconds = 0.0
-        #: paused stragglers adopted by a device other than the one they
-        #: paused on (queued plans never change device)
         self.plans_stolen = 0
-        #: scheduler decisions taken (dequeues, placements, admissions,
-        #: retirements, preemptions) — the scale benchmark's throughput
-        #: numerator.  ``decision_log`` is off by default (a 100k-job sim
-        #: would hold 100k+ tuples); :meth:`enable_decision_log` turns it
-        #: on for the real-vs-sim equivalence test, which compares the
-        #: exact decision sequences of both backends
+        #: decisions taken (jobs dequeued, placements, admissions,
+        #: retirements, preemptions, solves, migrations) — the scale
+        #: benchmark's throughput numerator
         self.scheduler_decisions = 0
-        self.decision_log: Optional[List[Tuple[str, Tuple]]] = None
-        #: placement-optimizer counters (repro.runtime.placement_lp): LP
-        #: solves run, how many fell back to the standalone greedy rounder
-        #: (scipy absent, instance over the variable cap, or the rounded
-        #: relaxation losing to greedy under the shared objective), summed
-        #: solver wall latency, live-array migrations actually emitted, and
-        #: the makespan ledger — one (solver, objective, projected
-        #: makespan) entry per solve, the before/after trail an operator
-        #: reads to see what the optimizer is buying
+        #: every folded event, in order, once enable_event_log() turned it
+        #: on — off by default: a 100k-job simulation would hold them all
+        self.events: Optional[List[Event]] = None
+        #: placement optimizer (repro.runtime.placement_lp): one (solver,
+        #: objective, projected makespan) ledger entry per solve
         self.lp_solves = 0
         self.lp_fallback_solves = 0
         self.lp_solver_seconds = 0.0
@@ -139,110 +167,132 @@ class RuntimeMetrics:
         self.makespan_ledger: List[Tuple[str, float, float]] = []
 
     # ------------------------------------------------------------------ #
-    # recording
+    # the fold
     # ------------------------------------------------------------------ #
-    def record_submit(self, count: int = 1) -> None:
-        """Jobs accepted into the intake queue."""
-        with self._lock:
-            self.jobs_submitted += count
+    def record_event(self, event: Event) -> None:
+        """Fold one lifecycle event into the counters (the only writer)."""
+        # acquire/release, not ``with``: half the cost on the hottest path
+        self._lock.acquire()
+        try:
+            _FOLDS[event.kind](self, event)
+            if self.events is not None:
+                self.events.append(event)
+        finally:
+            self._lock.release()
 
-    def record_array(self, record: ArrayRecord) -> None:
-        """A drained array's lifetime record (credits its completions)."""
+    def enable_event_log(self) -> None:
+        """Start keeping every folded event in ``events``."""
         with self._lock:
-            self.records.append(record)
-            self.jobs_completed += record.jobs_served
-
-    def record_failure(self, count: int = 1) -> None:
-        """Jobs that reached the terminal FAILED state."""
-        with self._lock:
-            self.jobs_failed += count
-
-    def record_cancelled(self, count: int = 1) -> None:
-        """A job cancelled by its caller (partial checkpoint exported)."""
-        with self._lock:
-            self.jobs_cancelled += count
-
-    def record_eviction(self, count: int = 1) -> None:
-        """Slots retired from a live array, freeing fused width."""
-        with self._lock:
-            self.jobs_evicted += count
-
-    def record_admission(self, count: int = 1) -> None:
-        """Queued jobs admitted into a live array's freed width."""
-        with self._lock:
-            self.jobs_admitted += count
-
-    def record_merge(self) -> None:
-        """A straggler array absorbed into another (defragmentation)."""
-        with self._lock:
-            self.arrays_merged += 1
-
-    def record_replacement(self) -> None:
-        """A merged array moved to the cost-model-optimal device."""
-        with self._lock:
-            self.arrays_replaced += 1
-
-    def record_array_failure(self) -> None:
-        """An array launch that raised (its jobs retry solo or fail)."""
-        with self._lock:
-            self.arrays_failed += 1
-
-    def record_wall(self, seconds: float) -> None:
-        """Add fleet wall-clock serving time (devices run concurrently)."""
-        with self._lock:
-            self.wall_seconds += seconds
-
-    def record_steal(self) -> None:
-        """A paused straggler from the pool was adopted by a device other
-        than the one it paused on (queued plans never change device)."""
-        with self._lock:
-            self.plans_stolen += 1
-
-    def enable_decision_log(self) -> None:
-        """Start keeping the ordered (kind, payload) decision trace."""
-        with self._lock:
-            if self.decision_log is None:
-                self.decision_log = []
-
-    def record_decision(self, kind: str, payload: Tuple = (),
-                        count: int = 1) -> None:
-        """One scheduler decision (``count`` jobs affected); appends to
-        the decision trace when :meth:`enable_decision_log` turned it on."""
-        with self._lock:
-            self.scheduler_decisions += count
-            if self.decision_log is not None:
-                self.decision_log.append((kind, tuple(payload)))
+            if self.events is None:
+                self.events = []
 
     def decisions(self, *kinds: str) -> "List[Tuple[str, Tuple]]":
-        """The decision trace, optionally filtered to the given kinds."""
+        """The scheduler decisions in the event log as ``(kind, payload)``
+        tuples, optionally only the given kinds."""
+        wanted = set(kinds or _DECISIONS) & set(_DECISIONS)
         with self._lock:
-            log = list(self.decision_log or ())
-        if not kinds:
-            return log
-        wanted = set(kinds)
-        return [entry for entry in log if entry[0] in wanted]
+            log = list(self.events or ())
+        return [(e.kind, _DECISIONS[e.kind](e)) for e in log
+                if e.kind in wanted]
+
+    # the folds of the kinds that do more than count (see _FOLDS below the
+    # class); each runs under the lock
+    def _on_accept(self, e: Event) -> None:
+        self.jobs_submitted += 1
+        ledger = self._tenant(e.tenant)
+        ledger["submitted"] += 1
+        ledger["admitted"] += 1
+
+    def _on_refuse(self, e: Event) -> None:
+        ledger = self._tenant(e.tenant)
+        ledger["submitted"] += 1
+        ledger["shed"] += 1
+        self.jobs_shed += 1
+
+    def _on_shed(self, e: Event) -> None:
+        ledger = self._tenant(e.tenant)
+        if e.data:              # the gateway had counted the victim admitted
+            ledger["admitted"] -= 1
+        ledger["shed"] += 1
+        self.jobs_shed += 1
+
+    def _on_dequeue(self, e: Event) -> None:
+        self.scheduler_decisions += len(e.job_ids)
+
+    def _on_solve(self, e: Event) -> None:
+        solution = e.data
+        self.lp_solves += 1
+        if solution.solver != "lp+round":
+            self.lp_fallback_solves += 1
+        self.lp_solver_seconds += solution.solve_seconds
+        self.makespan_ledger.append(
+            (solution.solver, solution.objective, solution.makespan))
+        self.scheduler_decisions += 1
+
+    def _on_usage(self, e: Event) -> None:
+        for tenant, (steps, seconds) in e.data.items():
+            ledger = self._tenant(tenant)
+            ledger["slot_steps"] += steps
+            ledger["slot_seconds"] += seconds
+
+    def _on_retire(self, e: Event) -> None:
+        reason = e.data[0]
+        if reason == StopReason.CANCELLED:
+            self.jobs_cancelled += 1
+        if reason != StopReason.BUDGET:
+            self.jobs_evicted += 1
+        self.scheduler_decisions += 1
+
+    def _on_admit(self, e: Event) -> None:
+        self.jobs_admitted += len(e.data)
+        self.scheduler_decisions += len(e.data)
+
+    def _on_preempt(self, e: Event) -> None:
+        for tenant in e.data:
+            self._tenant(tenant)["preempted"] += 1
+        self.jobs_preempted += len(e.job_ids)
+        self.scheduler_decisions += len(e.job_ids)
+
+    def _on_migrate(self, e: Event) -> None:
+        self.migrations_emitted += 1
+        self.scheduler_decisions += 1
+
+    def _on_array(self, e: Event) -> None:
+        self.records.append(e.data)
+        self.jobs_completed += e.data.jobs_served
+
+    def _on_checkpoint(self, e: Event) -> None:
+        receipt = e.data
+        self.checkpoints_written += 1
+        self.checkpoint_payload_bytes += receipt.payload_bytes
+        self.checkpoint_bytes_written += receipt.written_bytes
+        self.checkpoint_seconds += receipt.seconds
+
+    def _on_replay(self, e: Event) -> None:
+        self.admissions_replayed += 1
+        self.jobs_recovered += bool(e.data)
+
+    def _on_slo(self, e: Event) -> None:
+        self._tenant(e.tenant)["slo_hits" if e.data else "slo_misses"] += 1
+
+    def _on_wall(self, e: Event) -> None:
+        self.wall_seconds += e.data
 
     # ------------------------------------------------------------------ #
-    # placement optimization (repro.runtime.placement_lp)
+    # per-tenant accounting (serving gateway)
     # ------------------------------------------------------------------ #
-    def record_lp_solve(self, solver: str, objective: float,
-                        makespan: float, seconds: float) -> None:
-        """One global placement solve: the winning path (``"lp+round"``
-        or ``"greedy"``), its objective value and projected makespan, and
-        the solver's wall latency (never charged to virtual time)."""
-        with self._lock:
-            self.lp_solves += 1
-            if solver != "lp+round":
-                self.lp_fallback_solves += 1
-            self.lp_solver_seconds += seconds
-            self.makespan_ledger.append((solver, objective, makespan))
+    _TENANT_KEYS = ("submitted", "admitted", "shed", "preempted",
+                    "slo_hits", "slo_misses", "slot_steps", "slot_seconds")
 
-    def record_migration(self) -> None:
-        """A live array migrated to the device the optimizer chose (a
-        bounded, budget-charged move — distinct from defrag replacement)."""
-        with self._lock:
-            self.migrations_emitted += 1
+    def _tenant(self, tenant: str) -> Dict[str, float]:
+        # caller holds self._lock
+        if tenant not in self._tenants:
+            self._tenants[tenant] = {k: 0.0 for k in self._TENANT_KEYS}
+        return self._tenants[tenant]
 
+    # ------------------------------------------------------------------ #
+    # aggregates
+    # ------------------------------------------------------------------ #
     def placement_summary(self) -> Dict[str, float]:
         """Placement-optimizer aggregates: solve counts, fallback share,
         summed solver latency, migrations emitted, and the latest ledger
@@ -259,119 +309,6 @@ class RuntimeMetrics:
                 "last_makespan": last[2],
             }
 
-    # ------------------------------------------------------------------ #
-    # durability (checkpointing and crash recovery)
-    # ------------------------------------------------------------------ #
-    def record_checkpoint(self, payload_bytes: int, written_bytes: int,
-                          seconds: float) -> None:
-        """One per-slot checkpoint persisted: serialized payload size,
-        bytes that actually hit disk (0 when content-addressing
-        deduplicated every object), and the write latency."""
-        with self._lock:
-            self.checkpoints_written += 1
-            self.checkpoint_payload_bytes += payload_bytes
-            self.checkpoint_bytes_written += written_bytes
-            self.checkpoint_seconds += seconds
-
-    def record_checkpoint_skip(self) -> None:
-        """A cadence checkpoint skipped with zero encode/write work: the
-        slot's state was already durable (dirty-slot tracking)."""
-        with self._lock:
-            self.checkpoints_skipped += 1
-
-    def record_checkpoint_failure(self) -> None:
-        """A checkpoint write raised (training continued; durability of
-        that epoch was lost)."""
-        with self._lock:
-            self.checkpoint_failures += 1
-
-    def record_recovery(self, count: int = 1) -> None:
-        """Jobs re-queued with a durable checkpoint attached instead of
-        restarting from step 0 (crash recovery / quarantine retry)."""
-        with self._lock:
-            self.jobs_recovered += count
-
-    def record_worker_crash(self) -> None:
-        """A fleet device worker died mid-array (in-flight registration
-        never cleared); its device is quarantined and its jobs recovered."""
-        with self._lock:
-            self.workers_crashed += 1
-
-    def record_replay(self, count: int = 1) -> None:
-        """Gateway admissions replayed from the write-ahead log after a
-        restart (the jobs were admitted before the crash and never
-        settled)."""
-        with self._lock:
-            self.admissions_replayed += count
-
-    # ------------------------------------------------------------------ #
-    # per-tenant accounting (serving gateway)
-    # ------------------------------------------------------------------ #
-    _TENANT_KEYS = ("submitted", "admitted", "shed", "preempted",
-                    "slo_hits", "slo_misses", "slot_steps", "slot_seconds")
-
-    def _tenant(self, tenant: str) -> Dict[str, float]:
-        # caller holds self._lock
-        if tenant not in self._tenants:
-            self._tenants[tenant] = {k: 0.0 for k in self._TENANT_KEYS}
-        return self._tenants[tenant]
-
-    def record_tenant_request(self, tenant: str, admitted: bool) -> None:
-        """One gateway submission: admitted into the queue, or shed."""
-        with self._lock:
-            counters = self._tenant(tenant)
-            counters["submitted"] += 1
-            if admitted:
-                counters["admitted"] += 1
-            else:
-                counters["shed"] += 1
-                self.jobs_shed += 1
-
-    def record_shed(self, tenant: str) -> None:
-        """An *already queued* job dropped later (priority displacement).
-
-        The admitted counter only rolls back when this tenant was counted
-        admitted in the first place — a displaced job that entered the
-        queue without passing the gateway (legacy direct submission) must
-        not drive the ledger negative.
-        """
-        with self._lock:
-            counters = self._tenant(tenant)
-            if counters["admitted"] > 0:
-                counters["admitted"] -= 1
-            counters["shed"] += 1
-            self.jobs_shed += 1
-
-    def record_preemption(self, tenant: str, count: int = 1) -> None:
-        """Slots of ``tenant`` detached from a live array mid-training so a
-        deadline-at-risk job could take their fused width."""
-        with self._lock:
-            self._tenant(tenant)["preempted"] += count
-            self.jobs_preempted += count
-
-    def record_slo(self, tenant: str, hit: bool) -> None:
-        """A deadline-carrying job finished before (hit) or after (miss)
-        its SLO deadline."""
-        with self._lock:
-            self._tenant(tenant)["slo_hits" if hit else "slo_misses"] += 1
-
-    def record_tenant_usage(self,
-                            usage: Dict[str, Tuple[int, float]]) -> None:
-        """Fused-slot consumption for one epoch: ``usage`` maps tenant ->
-        ``(slot_steps, slot_seconds)``.  Slot-seconds attribute the epoch's
-        wall clock to every live slot (gang-stepping means each fused slot
-        occupies the device for the whole epoch), so a tenant's total is
-        the fused-slot-seconds its jobs consumed — the quantity gateway
-        quotas and fair shares are denominated in."""
-        with self._lock:
-            for tenant, (steps, seconds) in usage.items():
-                counters = self._tenant(tenant)
-                counters["slot_steps"] += steps
-                counters["slot_seconds"] += seconds
-
-    # ------------------------------------------------------------------ #
-    # aggregates
-    # ------------------------------------------------------------------ #
     @property
     def arrays_launched(self) -> int:
         """Fused arrays that completed and recorded their accounting."""
@@ -447,12 +384,6 @@ class RuntimeMetrics:
     # tenant aggregates (gateway-free runs bill the "default" tenant:
     # every epoch records usage, so consumption is complete either way)
     # ------------------------------------------------------------------ #
-    @property
-    def tenants(self) -> List[str]:
-        """Tenant names with any recorded activity, in first-use order."""
-        with self._lock:
-            return list(self._tenants)
-
     def tenant_summary(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant admission/SLO/consumption counters.
 
@@ -620,3 +551,29 @@ class RuntimeMetrics:
                  s["throughput"])
                 for name, s in self.device_summary().items()]
         return rows, header
+
+
+#: the kinds whose fold adds one to one counter
+_COUNTERS = {
+    "submit": "jobs_submitted", "cancel": "jobs_cancelled",
+    "fail": "jobs_failed", "place": "scheduler_decisions",
+    "merge": "arrays_merged", "replace": "arrays_replaced",
+    "steal": "plans_stolen", "array_failed": "arrays_failed",
+    "crash": "workers_crashed", "checkpoint_skip": "checkpoints_skipped",
+    "checkpoint_failed": "checkpoint_failures", "recover": "jobs_recovered",
+}
+
+
+def _count(counter: str):
+    def fold(metrics: RuntimeMetrics, event: Event) -> None:
+        setattr(metrics, counter, getattr(metrics, counter) + 1)
+    return fold
+
+
+#: event kind -> its fold; launch, evict and drain move only the WAL
+_FOLDS = {kind: _count(counter) for kind, counter in _COUNTERS.items()}
+_FOLDS.update(dict.fromkeys(("launch", "evict", "drain"),
+                            lambda metrics, event: None))
+_FOLDS.update((name[len("_on_"):], fold)
+              for name, fold in vars(RuntimeMetrics).items()
+              if name.startswith("_on_"))

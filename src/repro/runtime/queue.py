@@ -28,8 +28,8 @@ import numpy as np
 from ..hfht.space import SearchSpace, Value
 from ..nn.modules.module import Module
 
-__all__ = ["JobState", "TrainingJob", "SubmittedJob", "JobQueue",
-           "ResumeState"]
+__all__ = ["JobState", "StopReason", "TrainingJob", "SubmittedJob",
+           "JobQueue", "ResumeState"]
 
 
 class JobState:
@@ -44,6 +44,15 @@ class JobState:
     SHED = "shed"              # gateway backpressure dropped it pre-training
 
     ALL = (QUEUED, SCHEDULED, RUNNING, COMPLETED, FAILED, CANCELLED, SHED)
+
+
+class StopReason:
+    """Why a slot left its array."""
+
+    BUDGET = "budget"          # trained its full step budget
+    CONVERGED = "converged"    # hit TrainingJob.target_loss
+    EARLY_STOP = "early_stop"  # TrainingJob.stop callback said so
+    CANCELLED = "cancelled"    # caller cancelled via JobQueue.cancel
 
 
 #: ``build_model(num_models, generator)`` — returns an unfused model when

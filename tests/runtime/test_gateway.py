@@ -212,6 +212,20 @@ class TestBackpressure:
         assert summary["legacy"]["shed"] == 1
         assert summary["legacy"]["admitted"] == 0
 
+        # the same tenant also holds a gateway admission: displacing its
+        # direct job must not take that admission back off the ledger
+        gateway = ServingGateway(tenants=[TenantSpec("a", priority=1),
+                                          TenantSpec("hi", priority=2)],
+                                 devices=(V100,), max_width=4,
+                                 max_pending=2)
+        kept = gateway.submit(make_job(0, "a"))
+        gateway.fleet.submit(make_job(1, tenant="a", priority=0))
+        assert gateway.submit(make_job(2, "hi")).admitted
+        assert gateway.queue.state(kept.job_id) == JobState.QUEUED
+        summary = gateway.metrics.tenant_summary()
+        assert (summary["a"]["submitted"], summary["a"]["admitted"],
+                summary["a"]["shed"]) == (1, 1, 1)
+
     def test_explicit_priority_zero_is_not_promoted(self):
         """Regression: priority 0 is a legitimate class, not an 'unset'
         sentinel — a deliberately deprioritized job under a hot tenant

@@ -62,7 +62,7 @@ def run_trace(placement):
         max_pending=N_JOBS + 1,
         devices=synthetic_fleet(N_DEVICES), max_width=MAX_WIDTH,
         execution="sim", placement=placement)
-    gateway.metrics.enable_decision_log()
+    gateway.metrics.enable_event_log()
     replayer = TraceReplayer(gateway, make_trace(), job_factory,
                              cycle_quantum_s=120.0)
     results = replayer.run()

@@ -10,7 +10,7 @@ from repro.hwsim import V100, get_workload
 from repro.nn import functional as F
 from repro.runtime import (ArrayPolicy, Batcher, JobQueue, JobState,
                            RuntimeMetrics, TrainingArrayEngine, TrainingJob)
-from repro.runtime.metrics import ArrayRecord
+from repro.runtime.metrics import ArrayRecord, Event
 
 STEPS = 4
 BATCH = 6
@@ -353,14 +353,15 @@ class TestEngine:
 class TestRuntimeMetrics:
     def test_aggregates(self):
         metrics = RuntimeMetrics()
-        metrics.record_submit(5)
-        metrics.record_array(ArrayRecord(
+        for job_id in range(5):
+            metrics.record_event(Event("submit", (job_id,)))
+        metrics.record_event(Event("array", data=ArrayRecord(
             array_id=0, signature="a", num_models=4, width_cap=4,
-            steps=10, samples=400, seconds=2.0, jobs_served=4))
-        metrics.record_array(ArrayRecord(
+            steps=10, samples=400, seconds=2.0, jobs_served=4)))
+        metrics.record_event(Event("array", data=ArrayRecord(
             array_id=1, signature="a", num_models=1, width_cap=4,
-            steps=10, samples=100, seconds=1.0, jobs_served=1))
-        metrics.record_failure()
+            steps=10, samples=100, seconds=1.0, jobs_served=1)))
+        metrics.record_event(Event("fail", (5,)))
 
         assert metrics.jobs_submitted == 5
         assert metrics.jobs_completed == 5

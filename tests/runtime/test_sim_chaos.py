@@ -145,7 +145,7 @@ class TestChaosMidMigration:
         fleet = FleetScheduler(placer=placer, execution="sim",
                                migration_budget=8, store=store,
                                checkpoint_every=1, recovery=recovery)
-        fleet.metrics.enable_decision_log()
+        fleet.metrics.enable_event_log()
         if kill_migrated:
             fired = []
 

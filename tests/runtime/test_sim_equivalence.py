@@ -62,7 +62,7 @@ def make_trace_jobs(early_stops=False):
 
 def run_backend(execution, devices=(V100,)):
     metrics = RuntimeMetrics()
-    metrics.enable_decision_log()
+    metrics.enable_event_log()
     fleet = FleetScheduler(devices=devices, max_width=4,
                            execution=execution, metrics=metrics)
     fleet.submit_all(make_trace_jobs(early_stops=len(devices) > 1))
@@ -127,7 +127,7 @@ class TestDecisionEquivalence:
 
     def test_decision_counter_matches_log_length(self):
         metrics = RuntimeMetrics()
-        metrics.enable_decision_log()
+        metrics.enable_event_log()
         fleet = FleetScheduler(devices=(V100,), max_width=4,
                                execution="sim", metrics=metrics)
         fleet.submit_all(make_trace_jobs())

@@ -88,7 +88,7 @@ def replay_sim_trace(builder_for):
                  TenantSpec("prio", weight=4.0, priority=2)),
         max_pending=301, devices=synthetic_fleet(8), max_width=8,
         execution="sim")
-    gateway.metrics.enable_decision_log()
+    gateway.metrics.enable_event_log()
     results = TraceReplayer(gateway, trace, factory,
                             cycle_quantum_s=120.0).run()
     assert len(results) == 300

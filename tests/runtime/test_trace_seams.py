@@ -5,15 +5,20 @@ their callers look them up* — the re-fusion primitives as attributes of
 ``repro.runtime.engine``, the lifecycle as ``ArrayExecutor`` methods.  A
 refactor that imports a primitive somewhere else, or binds it at import
 time, keeps every test green and silently zeroes ``hfta.split_s`` /
-``merge_s`` / ``load_s`` / ``export_s`` in the layer table.  This guard
-reads ``bench_e2e`` and changes nothing in it.
+``merge_s`` / ``load_s`` / ``export_s`` in the layer table.  Likewise
+``metrics.record_s`` / ``metrics.records`` count every ``RuntimeMetrics``
+method named ``record_*`` — today the one fold, ``record_event`` — and
+``checkpoint.wal_*`` count ``RecoveryManager._append``.  This guard reads
+``bench_e2e`` and changes nothing in it.
 """
+
+from collections import Counter
 
 import numpy as np
 
 from bench_e2e import tracing
 from repro.runtime import engine as engine_module
-from repro.runtime import (ArrayExecutor, CheckpointStore,
+from repro.runtime import (ArrayExecutor, CheckpointStore, RecoveryManager,
                            TrainingArrayEngine, TrainingJob)
 
 from .conftest import SIM_CLASSES, SIM_FEATURES, build_sim_model
@@ -77,3 +82,29 @@ def test_an_elastic_run_calls_the_primitives_through_engine_globals(
     assert calls["export_slot_state"] == 3
     assert (calls["prepare"], calls["admit"]) == (1, 1)
     assert calls["step_epoch"] >= 4
+
+
+def test_the_tracer_sees_every_event_and_every_wal_line(tmp_path):
+    store = CheckpointStore(tmp_path)
+    recovery = RecoveryManager(store)
+    engine = TrainingArrayEngine(store=store, checkpoint_every=1,
+                                 recovery=recovery)
+    engine.metrics.enable_event_log()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        engine.submit_all([
+            TrainingJob(name=f"seam{i}", build_model=build_sim_model,
+                        data=stream(i, 6), steps=6, epoch_steps=2, seed=i,
+                        stop=(lambda epochs, curve: True) if i == 0
+                        else None)
+            for i in range(3)])
+        engine.run_cycle(max_jobs=2)
+    finally:
+        tracer.uninstall()
+
+    spans = Counter(span[1] for span in tracer.spans)
+    kinds = {event.kind for event in engine.metrics.events}
+    assert {"submit", "launch", "retire", "admit", "checkpoint"} <= kinds
+    assert spans["metrics.record"] == len(engine.metrics.events)
+    assert spans["checkpoint.wal_append"] == len(recovery.entries()) > 0
