@@ -5,7 +5,8 @@ operator types, same shapes — e.g. the jobs of a hyper-parameter sweep)
 into a single *array-of-models* that trains on one shared accelerator:
 
 * :mod:`repro.hfta.ops` — fused operators (Table 6 rules): grouped
-  convolutions, batched linear (``baddbmm``), folded batch norm, offset
+  convolutions, batched linear (one ``F.linear`` node over ``[B, out, in]``
+  weights), folded batch norm, offset
   embeddings, fused attention, ...
 * :mod:`repro.hfta.optim` — fused optimizers (Adam, Adadelta, SGD) and LR
   schedulers operating on per-model hyper-parameter vectors.

@@ -2,10 +2,10 @@
 
 ``B`` independent ``Linear(in_features, out_features)`` layers applied to
 ``B`` inputs of identical shape are mathematically equivalent to a single
-batched matrix multiply with an additive bias (``baddbmm``): the per-model
-weights are stacked along a new leading dimension and the per-model inputs
-are processed as one batched GEMM, which modern accelerators execute far
-more efficiently than ``B`` small GEMMs.
+batched matrix multiply with an additive bias: the per-model weights are
+stacked along a new leading dimension and the per-model inputs are processed
+by one ``F.linear`` node, ``[B, M, in] @ [B, in, out]``, whose slice ``b`` is
+exactly the ``[M, in] @ [in, out]`` GEMM model ``b`` runs alone.
 """
 
 from __future__ import annotations
@@ -84,23 +84,7 @@ class Linear(Module):
         return self.weight.data[index], bias
 
     def forward(self, x: Tensor) -> Tensor:
-        b = self.num_models
-        if x.shape[0] != b:
-            raise ValueError(f"fused Linear expects a leading array dim of "
-                             f"{b}, got {x.shape[0]}")
-        if x.shape[-1] != self.in_features:
-            raise ValueError(f"expected {self.in_features} input features, "
-                             f"got {x.shape[-1]}")
-        middle = x.shape[1:-1]
-        m = int(np.prod(middle)) if middle else 1
-        x2 = x.reshape(b, m, self.in_features)
-        # y = bias + x @ W^T  (batched over the array dimension)
-        w_t = self.weight.permute(0, 2, 1)  # [B, in, out]
-        if self.bias is not None:
-            out = F.baddbmm(self.bias.reshape(b, 1, self.out_features), x2, w_t)
-        else:
-            out = F.bmm(x2, w_t)
-        return out.reshape(b, *middle, self.out_features)
+        return F.linear(x, self.weight, self.bias)
 
     def extra_repr(self) -> str:
         return (f"B={self.num_models}, in_features={self.in_features}, "

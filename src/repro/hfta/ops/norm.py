@@ -3,8 +3,8 @@
 ``B`` batch-norm layers over per-model channel count ``C`` fuse into one
 batch-norm over ``B * C`` channels (the statistics of different models'
 channels never mix because batch norm normalizes each channel
-independently).  ``B`` layer-norm layers fuse into a single normalization
-over the trailing dims with the affine transform applied with per-model
+independently).  ``B`` layer-norm layers fuse into a single ``F.layer_norm``
+node over the trailing dims whose affine transform takes per-model
 ``[B, 1, ..., E]`` weight/bias tensors.
 """
 
@@ -164,13 +164,13 @@ class LayerNorm(Module):
         if x.shape[0] != self.num_models:
             raise ValueError(f"fused LayerNorm expects leading array dim "
                              f"{self.num_models}, got {x.shape[0]}")
-        out = F.layer_norm(x, self.normalized_shape, None, None, self.eps)
+        weight = bias = None
         if self.elementwise_affine:
             # weight/bias: [B, *normalized_shape] -> [B, 1, ..., 1, *normalized_shape]
             n_mid = x.ndim - 1 - len(self.normalized_shape)
             shape = (self.num_models,) + (1,) * n_mid + self.normalized_shape
-            out = out * self.weight.reshape(*shape) + self.bias.reshape(*shape)
-        return out
+            weight, bias = self.weight.reshape(shape), self.bias.reshape(shape)
+        return F.layer_norm(x, self.normalized_shape, weight, bias, self.eps)
 
     def extra_repr(self) -> str:
         return f"B={self.num_models}, {self.normalized_shape}, eps={self.eps}"

@@ -73,8 +73,9 @@ class TNet(nn.Module):
         # symmetric function: max over points
         h = h.max(axis=2)  # [N, (B*)C]
         dense = lib.conv_to_dense(h.unsqueeze(2))  # [N, C] or [B, N, C]
-        h = self.relu(self._dense_bn(self.bn4, self.fc1(dense)))
-        h = self.relu(self._dense_bn(self.bn5, self.fc2(h)))
+        # fused BatchNorm1d accepts the dense [B, N, C] layout
+        h = self.relu(self.bn4(self.fc1(dense)))
+        h = self.relu(self.bn5(self.fc2(h)))
         mat = self.fc3(h)
         identity = np.eye(self.k, dtype=np.float32).reshape(-1)
         mat = mat + Tensor(identity)
@@ -82,12 +83,6 @@ class TNet(nn.Module):
             b, n = mat.shape[0], mat.shape[1]
             return mat.reshape(b, n, self.k, self.k)
         return mat.reshape(mat.shape[0], self.k, self.k)
-
-    def _dense_bn(self, bn, x: Tensor) -> Tensor:
-        """Apply BatchNorm1d to dense activations in either layout."""
-        if self.lib.fused:
-            return bn(x)  # fused BatchNorm1d accepts [B, N, C]
-        return bn(x)
 
 
 def _apply_transform(lib: OpsLibrary, x: Tensor, trans: Tensor) -> Tensor:
@@ -179,8 +174,7 @@ class PointNetCls(nn.Module):
         self.bn2 = lib.BatchNorm1d(f2)
         self.dropout = lib.Dropout(dropout) if dropout > 0 else None
         self.relu = lib.ReLU()
-        self.log_softmax = lib.LogSoftmax(dim=-1) if not lib.fused \
-            else lib.LogSoftmax(dim=-1)
+        self.log_softmax = lib.LogSoftmax(dim=-1)
 
     def fuse_inputs(self, clouds: Sequence[Tensor]) -> Tensor:
         """Build the fused (channel-folded) input from per-model batches."""

@@ -28,7 +28,7 @@ import numpy as np
 from .tensor import Tensor, _accumulate, _make_out
 
 __all__ = [
-    "conv2d", "conv1d", "conv_transpose2d", "linear", "baddbmm", "bmm",
+    "conv2d", "conv1d", "conv_transpose2d", "linear",
     "max_pool2d", "adaptive_avg_pool2d", "avg_pool2d",
     "batch_norm", "layer_norm", "embedding", "dropout",
     "relu", "relu6", "leaky_relu", "tanh", "sigmoid", "gelu", "hardswish",
@@ -243,28 +243,38 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine transform ``y = x @ W^T + b`` (PyTorch ``Linear`` convention).
 
-    ``weight`` has shape ``[out_features, in_features]``.
+    ``weight`` is ``[out, in]`` with ``x`` ``[*, in]``, or ``[B, out, in]``
+    for ``B`` fused layers (paper Table 6) with ``x`` ``[B, *, in]`` and
+    ``bias`` ``[B, out]``.  One autograd node: the leading dims of ``x``
+    flatten into one ``[M, in] @ [in, out]`` GEMM per model, so each slice of
+    a fused call runs exactly the GEMM its model runs alone.
     """
-    out = x.matmul(weight.T)
+    lead = weight.shape[:-2]                 # () serial, (B,) fused
+    out_features, in_features = weight.shape[-2:]
+    x_shape = x.shape
+    if x_shape[-1] != in_features or x_shape[:len(lead)] != lead:
+        raise ValueError(f"linear: input {x_shape} does not match weight "
+                         f"{weight.shape}")
+    x2 = x.data.reshape(lead + (-1, in_features))
+    w = weight.data
+    out_data = np.matmul(x2, w.swapaxes(-1, -2))
     if bias is not None:
-        out = out + bias
+        out_data += bias.data.reshape(lead + (1, out_features))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = _make_out(out_data.reshape(x_shape[:-1] + (out_features,)), parents,
+                    "linear")
+    if out.requires_grad:
+        def _bw(grad_out):
+            g = grad_out.reshape(out_data.shape)
+            if _needs_grad(x):
+                _accumulate(x, np.matmul(g, w).reshape(x_shape))
+            if _needs_grad(weight):
+                _accumulate(weight, np.matmul(g.swapaxes(-1, -2), x2))
+            if _needs_grad(bias):
+                _accumulate(bias, g.sum(axis=-2).reshape(bias.shape))
+        out._backward = _bw
     return out
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix multiply: ``[B, N, K] @ [B, K, M] -> [B, N, M]``."""
-    return a.matmul(b)
-
-
-def baddbmm(bias: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul with additive bias: ``bias + a @ b``.
-
-    This mirrors ``torch.baddbmm`` and is the fused counterpart of ``B``
-    independent ``Linear`` layers in HFTA's fusion rules (Table 6): the
-    per-model weights are stacked into ``a``/``b`` batch dimensions and the
-    per-model biases broadcast through ``bias``.
-    """
-    return bias + a.matmul(b)
 
 
 # --------------------------------------------------------------------- #
@@ -422,13 +432,15 @@ def layer_norm(x: Tensor, normalized_shape: Tuple[int, ...],
                eps: float = 1e-5) -> Tensor:
     """Layer normalization over the trailing ``normalized_shape`` dims.
 
-    One autograd node: backward keeps ``x_hat`` and ``rstd`` and applies
-    ``dx = rstd * (gw - mean(gw) - x_hat * mean(gw * x_hat))``, ``gw`` the
-    incoming gradient times ``weight``.
+    ``weight``/``bias`` broadcast against ``x``: ``normalized_shape`` for one
+    layer, ``[B, 1, ..., 1, *normalized_shape]`` for ``B`` fused layers (paper
+    Table 6).  One autograd node: backward keeps ``x_hat`` and ``rstd`` and
+    applies ``dx = rstd * (gw - mean(gw) - x_hat * mean(gw * x_hat))``, ``gw``
+    the incoming gradient times ``weight``; a parameter's gradient is summed
+    in one pass over the axes where the parameter has size 1.
     """
     data = x.data
-    split = data.ndim - len(normalized_shape)
-    lead, axes = tuple(range(split)), tuple(range(split, data.ndim))
+    axes = tuple(range(data.ndim - len(normalized_shape), data.ndim))
     inv_count = 1.0 / int(np.prod(normalized_shape))
     x_hat = data - _sum_over(data, axes) * inv_count
     rstd = 1.0 / np.sqrt(_sum_over(x_hat, axes, x_hat) * inv_count + eps)
@@ -440,12 +452,16 @@ def layer_norm(x: Tensor, normalized_shape: Tuple[int, ...],
     parents = tuple(p for p in (x, weight, bias) if p is not None)
     out = _make_out(out_data, parents, "layer_norm")
     if out.requires_grad:
+        def _param_grad(p, g, b=None):
+            shape = (1,) * (data.ndim - p.ndim) + p.shape
+            broadcast = tuple(i for i, d in enumerate(shape) if d == 1)
+            return _sum_over(g, broadcast, b).reshape(p.shape)
+
         def _bw(g):
             if _needs_grad(weight):
-                _accumulate(weight,
-                            _sum_over(g, lead, x_hat).reshape(weight.shape))
+                _accumulate(weight, _param_grad(weight, g, x_hat))
             if _needs_grad(bias):
-                _accumulate(bias, _sum_over(g, lead).reshape(bias.shape))
+                _accumulate(bias, _param_grad(bias, g))
             if _needs_grad(x):
                 gw = g if weight is None else g * weight.data
                 gx = x_hat * (_sum_over(gw, axes, x_hat) * inv_count)

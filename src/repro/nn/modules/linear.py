@@ -20,7 +20,8 @@ class Linear(Module):
     ``[out_features, in_features]`` (PyTorch convention).
 
     The HFTA fused counterpart (:class:`repro.hfta.ops.Linear`) stacks ``B``
-    weights into a batched matmul (``baddbmm``), per the paper's Table 6.
+    weights into ``[B, out, in]`` and calls the same :func:`F.linear` node,
+    a batched matmul with additive bias, per the paper's Table 6.
     """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,

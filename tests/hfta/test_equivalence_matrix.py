@@ -19,9 +19,8 @@ element near zero cannot blow the count up.
 ``equivalence_matrix.json`` holds one column of the table per commit in
 ``COLUMNS``, the last being the change that last touched the kernels or the
 fused optimizers.  The tests assert every cell at twice its value in that
-column (a zero stays a zero), that every ``mlp/*`` and ``pointnet/*`` cell
-of it is exactly zero, and that no cell is more than twice its value in
-the column before (one cell excepted by name, ``ABOVE_TWICE_PREVIOUS``).  To
+column (a zero stays a zero), that every cell of it is exactly zero, and
+that no cell is more than twice its value in the column before.  To
 re-measure:
 
     PYTHONPATH=src python -m tests.hfta.test_equivalence_matrix > cells.json
@@ -43,7 +42,9 @@ from repro.nn import functional as F
 RECORD = Path(__file__).with_name("equivalence_matrix.json")
 DOC = Path(__file__).resolve().parents[2] / "docs" / "equivalence.md"
 #: the record's columns, oldest first: commit key -> heading in the doc
-COLUMNS = {"pr21-parent": "PR 21's parent", "pr21": "PR 21", "pr24": "PR 24"}
+COLUMNS = {"one-node-kernels": "one autograd node per paper operator",
+           "serial-optimizer": "fused optimizers in the serial arithmetic",
+           "one-node-linear": "Linear as one node, serial GEMM per slice"}
 *_, PREVIOUS, LATEST = COLUMNS
 WIDTHS = (1, 2, 4)
 OPTIMIZERS = {"sgd": (serial_optim.SGD, fused_optim.SGD),
@@ -214,33 +215,20 @@ def test_cell_within_twice_its_recorded_value(cell, record):
             f"recorded {recorded[metric]:.3g}")
 
 
-def test_mlp_and_pointnet_cells_are_recorded_bitwise(record):
-    """Forward, backward and (since PR 24) the fused optimizer step run the
-    unfused models' arithmetic: these cells may not be re-recorded above 0."""
+def test_every_cell_is_recorded_bitwise(record):
+    """Forward, backward, loss and fused optimizer step run the unfused
+    models' arithmetic, each fused slice in the serial GEMM shape: no cell,
+    ``lm/*`` included, may be re-recorded above 0."""
+    assert set(record[LATEST]) == {cell_key(*cell) for cell in CELLS}
     for key, cell in record[LATEST].items():
-        if not key.startswith("lm/"):
-            assert cell == dict.fromkeys(METRICS, 0.0), key
-
-
-#: the one recorded cell above twice its value in the column before, named
-#: so that no other can join it.  Its PR 21 value is back-filled (PR 24 added
-#: AdamW to the matrix and measured PR 21's code with it): the step-4 losses
-#: happened to coincide there and are one float32 ulp apart (1.13e-7
-#: relative) since.  The fused AdamW step itself is bitwise the serial one
-#: (test_optimizer_serial_bitwise.py); what moved is which way the LM's
-#: backward-side gap rounds.  ISSUE 24's "no lm/* cell above its PR 21
-#: value" is not met by this cell.
-ABOVE_TWICE_PREVIOUS = {("lm/adamw/w4", "drift4")}
+        assert cell == dict.fromkeys(METRICS, 0.0), key
 
 
 def test_no_recorded_cell_above_twice_its_parent(record):
     for key, cell in record[LATEST].items():
         for metric in METRICS:
-            if (key, metric) not in ABOVE_TWICE_PREVIOUS:
-                assert cell[metric] <= 2 * record[PREVIOUS][key][metric], \
-                    (key, metric)
-    for key, metric in ABOVE_TWICE_PREVIOUS:     # and it stays at one ulp
-        assert record[LATEST][key][metric] <= np.finfo(np.float32).eps
+            assert cell[metric] <= 2 * record[PREVIOUS][key][metric], \
+                (key, metric)
 
 
 def test_doc_table_is_the_record(record):

@@ -90,17 +90,42 @@ class TestFusedConvFamily:
         np.testing.assert_array_equal(grad[2], 0)
 
 
+def assert_fused_slices_bitwise(fused, serial, shape):
+    """Slice ``b`` of the fused layer's output and of its x, weight and bias
+    gradients is bit for bit serial layer ``b``'s, on ``[B, *shape]`` input."""
+    xs = [rng.standard_normal(shape).astype(np.float32) for _ in range(B)]
+    x = nn.tensor(np.stack(xs), requires_grad=True)
+    out = fused(x)
+    cotangent = rng.standard_normal(out.shape).astype(np.float32)
+    (out * nn.tensor(cotangent)).sum().backward()
+    for b, m in enumerate(serial):
+        x_b = nn.tensor(xs[b], requires_grad=True)
+        out_b = m(x_b)
+        (out_b * nn.tensor(cotangent[b])).sum().backward()
+        np.testing.assert_array_equal(out.data[b], out_b.data)
+        np.testing.assert_array_equal(x.grad[b], x_b.grad)
+        np.testing.assert_array_equal(fused.weight.grad[b], m.weight.grad)
+        np.testing.assert_array_equal(fused.bias.grad[b], m.bias.grad)
+
+
 class TestFusedLinearAndNorm:
-    def test_linear_equivalence_matches_baddbmm_rule(self):
+    def test_linear_slices_are_bitwise_serial(self):
+        """N*L = 21 rows: each slice must run the serial [N*L, E] GEMM."""
         serial = [nn.Linear(10, 7, generator=np.random.default_rng(b))
                   for b in range(B)]
         fused = hops.Linear(B, 10, 7)
         for b, m in enumerate(serial):
             fused.load_model_weights(b, m.weight.data, m.bias.data)
-        xs = per_model_inputs((4, 10))
-        fused_out = fused(hops.fuse_batch(xs))
-        assert_slotwise_equal([fused_out[b] for b in range(B)],
-                              [m(x) for m, x in zip(serial, xs)])
+        assert_fused_slices_bitwise(fused, serial, (3, 7, 10))
+
+    def test_layernorm_parameter_gradients_are_bitwise_serial(self):
+        serial = [nn.LayerNorm(8) for _ in range(B)]
+        fused = hops.LayerNorm(B, 8)
+        for b, m in enumerate(serial):
+            m.weight.data[...] = rng.standard_normal(8)
+            m.bias.data[...] = rng.standard_normal(8)
+            fused.load_model_weights(b, m.weight.data, m.bias.data)
+        assert_fused_slices_bitwise(fused, serial, (3, 7, 8))
 
     def test_linear_middle_dims(self):
         fused = hops.Linear(B, 8, 4)

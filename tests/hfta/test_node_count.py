@@ -1,10 +1,11 @@
 """Autograd-graph size of one fused training step: a count, not a clock.
 
-Each of the paper's operators (grouped conv, BatchNorm, LayerNorm, softmax,
-log-softmax) is one autograd node with a hand-written backward.  Composing
-them from primitive ``Tensor`` ops again would multiply the passes over the
-activations without failing any numerical test, so the node count of a
-fused PointNet step and of a fused LM step is pinned here.
+Each of the paper's operators (grouped conv, Linear, BatchNorm, LayerNorm,
+softmax, log-softmax) is one autograd node with a hand-written backward.
+Composing them from primitive ``Tensor`` ops again would multiply the passes
+over the activations without failing any numerical test, so the node count
+of a fused PointNet step, of a fused LM step and of a fused sweep-MLP step
+is pinned here.
 """
 
 import numpy as np
@@ -12,11 +13,13 @@ import pytest
 
 from repro import hfta, nn
 from repro.models import PointNetCls, TransformerLM
+from .test_equivalence_matrix import SweepMLP
 
-#: op nodes reachable from the loss: (at the parent of the change that made
-#: each operator one node, pinned now)
-POINTNET_NODES = (302, 130)
-LM_NODES = (212, 147)
+#: op nodes reachable from the loss: (while ``Linear`` was composed of six
+#: nodes and the fused LayerNorm affine of four, pinned now)
+POINTNET_NODES = (130, 100)
+LM_NODES = (147, 72)
+MLP_NODES = (18, 9)
 
 
 def op_nodes(loss) -> int:
@@ -52,14 +55,26 @@ def lm_loss():
     return model.lm_loss(ids[..., :-1], ids[..., 1:])
 
 
+def mlp_loss():
+    """The sweep MLP at width 8, as the engine steps it."""
+    model = SweepMLP(8, [np.random.default_rng(b) for b in range(8)])
+    rng = np.random.default_rng(0)
+    features = [nn.tensor(rng.standard_normal((16, 32)).astype(np.float32))
+                for _ in range(8)]
+    targets = rng.integers(0, 10, size=(8, 16))
+    logits = model(model.fuse_inputs(features))
+    return hfta.FusedCrossEntropyLoss(8).per_model(logits, targets).sum()
+
+
 @pytest.mark.parametrize("build,nodes", [(pointnet_loss, POINTNET_NODES),
-                                         (lm_loss, LM_NODES)],
-                         ids=["pointnet", "lm"])
+                                         (lm_loss, LM_NODES),
+                                         (mlp_loss, MLP_NODES)],
+                         ids=["pointnet", "lm", "mlp"])
 def test_fused_step_graph_does_not_grow(build, nodes):
     parent, pinned = nodes
     loss = build()
     count = op_nodes(loss)
     print(f"{build.__name__}: {count} op nodes (pinned {pinned}, "
-          f"{parent} before the single-node kernels)")
+          f"{parent} with the composed Linear)")
     assert count <= pinned
     loss.backward()     # the counted graph is a trainable one

@@ -163,6 +163,30 @@ class TestPointwiseConv:
             np.testing.assert_array_equal(fused[:, 24 * b:24 * (b + 1)], alone)
 
 
+class TestLinear:
+    def test_gradients_3d_input(self):
+        x, w, b = t64((3, 5, 4)), t64((6, 4)), t64((6,))
+        check_grads(lambda: F.linear(x, w, b), [x, w, b])
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_gradients_fused_weight(self, bias):
+        x, w = t64((2, 3, 5, 4)), t64((2, 6, 4))
+        b = t64((2, 6)) if bias else None
+        check_grads(lambda: F.linear(x, w, b), [x, w] + [b] * bias)
+
+    def test_is_one_graph_node(self):
+        x, w, b = t64((2, 3, 4)), t64((2, 5, 4)), t64((2, 5))
+        out = F.linear(x, w, b)
+        assert out.shape == (2, 3, 5)
+        assert out._op == "linear" and out._prev == (x, w, b)
+
+    def test_rejects_mismatched_input(self):
+        with pytest.raises(ValueError):
+            F.linear(nn.zeros(3, 5), nn.zeros(6, 4))
+        with pytest.raises(ValueError):     # array dim differs from weight's
+            F.linear(nn.zeros(3, 2, 4), nn.zeros(2, 6, 4))
+
+
 class TestPooling:
     def test_max_pool2d_values(self):
         x = nn.tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
