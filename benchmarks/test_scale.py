@@ -5,7 +5,7 @@ op and wall-clock read with :mod:`repro.hwsim` cost-model projections on
 a :class:`~repro.runtime.sim.VirtualClock`, so one pytest process can
 push the *entire* scheduling stack — gateway admission, weighted-fair +
 priority dequeue, cost-model placement over a 1024-device fleet, elastic
-eviction/merge/defragmentation — through a diurnal, bursty multi-tenant
+eviction/admission/preemption — through a diurnal, bursty multi-tenant
 trace of 100 000 jobs (about ten seconds of wall-clock time).
 
 Everything asserted is virtual-time arithmetic or a count, bit-reproducible

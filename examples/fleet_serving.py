@@ -207,7 +207,6 @@ def main():
     print(f"\nFleet counters: {m.arrays_launched} arrays for "
           f"{m.jobs_completed} jobs over {len(m.devices)} devices "
           f"(mean width {m.models_per_array:.2f}), "
-          f"{m.plans_stolen} paused stragglers adopted across devices, "
           f"aggregate throughput {m.aggregate_throughput:,.0f} samples/s.")
 
 

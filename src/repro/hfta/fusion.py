@@ -22,8 +22,7 @@ re-fusion primitives operating on whole fused arrays mid-training:
 * :func:`split_fused` slices a fused array down to a subset of its slots
   (live eviction of early-stopped jobs frees their fused width);
 * :func:`merge_fused` concatenates two structurally identical fused arrays
-  into one (defragmentation of under-filled stragglers, and admission of
-  freshly fused jobs into freed width);
+  into one (admission of freshly fused jobs into freed width);
 * :func:`snapshot_array` / :func:`restore_array` capture and roll back an
   array's full state, so a failed split/merge cannot corrupt live training.
 

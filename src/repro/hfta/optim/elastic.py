@@ -8,7 +8,7 @@ moments, SGD's momentum buffer, Adadelta's accumulators) plus per-model
 step counters and per-model hyper-parameter vectors in its groups.  All of
 them are sliced / concatenated along the array dimension here, so an
 evicted slot takes exactly its own optimizer state with it and a merged
-straggler keeps training as if nothing happened.
+slot keeps training as if nothing happened.
 
 Mapping convention: ``new_params`` must be the new fused model's parameters
 in the same flat order as the old optimizer's parameters across its groups

@@ -12,9 +12,9 @@ of a shared accelerator:
 * :mod:`repro.runtime.batcher` — groups pending jobs into fusible cohorts
   (workload signatures from :mod:`repro.cluster`, structural fusibility
   from :mod:`repro.hfta.fusion`);
-* :mod:`repro.runtime.policy`  — sizes each array against a width cap and
-  the :mod:`repro.hwsim` memory model, splitting oversized cohorts with
-  HFHT's partial-fusion logic (:func:`repro.hfht.split_oversized`);
+* :mod:`repro.runtime.policy`  — sizes each array against a width cap,
+  splitting oversized cohorts with HFHT's partial-fusion logic
+  (:func:`repro.hfht.split_oversized`);
 * :mod:`repro.runtime.engine`  — steps each array through the *elastic*
   lifecycle (``ArrayExecutor``: PENDING -> FUSED -> STEPPING ->
   {EVICTING, MERGING} -> DRAINED): per-slot progress and stop signals,
@@ -34,10 +34,9 @@ of a shared accelerator:
   (``FleetScheduler(placement="lp")``);
 * :mod:`repro.runtime.fleet`   — the multi-device scheduler: per-device
   work queues over a shared intake queue, drained by one deterministic
-  event loop (the same on ``execution="real"`` and ``"sim"``),
-  defragmentation of under-filled arrays with cost-model re-placement,
-  adoption of paused stragglers by idle devices, quarantine-and-retry
-  failure isolation;
+  event loop (the same on ``execution="real"`` and ``"sim"``); a live
+  array trains on the device it was placed on until it drains;
+  quarantine-and-retry failure isolation;
 * :mod:`repro.runtime.metrics` — the lifecycle event stream and the
   counters folded from it: throughput/occupancy in the conventions of
   ``benchmarks/test_fig*_counters.py``, per-device utilization,
@@ -101,8 +100,8 @@ from .policy import ArrayPlan, ArrayPolicy
 from .engine import (ArrayExecutor, ArrayState, JobResult,
                      TrainingArrayEngine)
 from .metrics import ArrayRecord, Event, RuntimeMetrics
-from .placement import (DEFAULT_FLEET, DefragPolicy, FleetPlacer,
-                        PlacementDecision, PlacementPolicy, synthetic_fleet)
+from .placement import (DEFAULT_FLEET, FleetPlacer, PlacementDecision,
+                        PlacementPolicy, synthetic_fleet)
 from .placement_lp import (LPFleetPlacer, LPWeights, PlacementInstance,
                            PlacementSolution, lp_available, solve_instance)
 from .checkpoint import (CheckpointStore, RecoveryManager, SlotCheckpoint,
@@ -121,7 +120,7 @@ __all__ = [
     "ArrayExecutor", "ArrayState", "JobResult", "StopReason",
     "TrainingArrayEngine",
     "ArrayRecord", "Event", "RuntimeMetrics",
-    "DEFAULT_FLEET", "DefragPolicy", "FleetPlacer", "PlacementDecision",
+    "DEFAULT_FLEET", "FleetPlacer", "PlacementDecision",
     "PlacementPolicy", "synthetic_fleet",
     "LPFleetPlacer", "LPWeights", "PlacementInstance", "PlacementSolution",
     "lp_available", "solve_instance",

@@ -1,7 +1,7 @@
 """Reusable allocation pool for fused-array and optimizer-state buffers.
 
 Every elastic transition of an :class:`~repro.runtime.engine.ArrayExecutor`
-(evict -> narrow, admit -> merge, defragment -> merge) used to allocate
+(evict -> narrow, admit -> merge) used to allocate
 brand-new fused parameter arrays and Adam-moment arrays and drop the old
 ones on the floor.  Under churn — the serving gateway admits and evicts
 continuously — that is a steady stream of large, identically shaped

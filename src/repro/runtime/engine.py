@@ -6,7 +6,7 @@ data path::
     queue.pop_pending()                      (queue.py)
       -> batcher.form_cohorts()              (batcher.py)   which jobs fuse?
       -> policy.plan()                       (policy.py)    how wide?
-      -> train_plan() per plan               (this module)
+      -> run_executor() per plan             (this module)
            ArrayExecutor: PENDING -> FUSED -> STEPPING
              step_epoch() x epochs           per-slot progress + stop signals
              evict finished slots            (hfta.fusion.split_fused)
@@ -22,10 +22,9 @@ convergence (``TrainingJob.target_loss``), early-stopping callbacks
 cancellation (:meth:`~repro.runtime.queue.JobQueue.cancel`).  A finished
 slot is *evicted*: its checkpoint is exported as of its own last step, the
 fused parameters/buffers/optimizer-state are narrowed with the re-fusion
-primitives, and the freed width goes back to the scheduler — which may
-admit compatible queued jobs straight into the running array, or (at fleet
-scale, :mod:`repro.runtime.fleet`) merge under-filled stragglers from other
-devices.  The executor itself never touches a tensor: it owns the slots and
+primitives, and the freed width goes back to the scheduler, which may
+admit compatible queued jobs straight into the running array.  The
+executor itself never touches a tensor: it owns the slots and
 decides, and the :class:`FusedPhysics` object it holds does (six methods;
 ``execution="sim"`` swaps in :class:`repro.runtime.sim.SimPhysics`).
 
@@ -133,7 +132,7 @@ class ArrayState:
     FUSED = "fused"          # weights loaded, optimizer ready
     STEPPING = "stepping"    # training epoch by epoch
     EVICTING = "evicting"    # exporting finished slots, narrowing the array
-    MERGING = "merging"      # widening: admission or straggler defrag
+    MERGING = "merging"      # widening: admission or merge_with
     DRAINED = "drained"      # no live slots remain
 
 
@@ -207,7 +206,7 @@ class FusedPhysics:
       ``(seconds, samples)``;
     * ``take(indices)`` — a new physics holding just those slots (eviction
       keeps the survivors; preemption takes the victims, then the rest);
-    * ``absorb(other)`` — append ``other``'s slots (admission, defrag);
+    * ``absorb(other)`` — append ``other``'s slots (admission, merge);
       succeeds, or raises with the live state untouched;
     * ``export(index, slot)`` — ``(checkpoint, durable)``: the slot's
       unfused model as of its last step, or ``None`` without weights, and
@@ -343,16 +342,16 @@ class ArrayExecutor:
     which job sits in which slot, per-slot progress and loss curves, stop
     signals, lifetime accounting, lifecycle events and checkpoint cadence —
     and exposes it epoch by epoch, so the scheduler above can interleave
-    stop-signal checks, evictions, admissions and defragmentation with
-    training instead of waiting for a monolithic ``train_plan`` to return.
+    stop-signal checks, evictions, admissions and preemptions with
+    training instead of running each array to completion in one call.
     The tensors (or their cost-model projection) live in ``self.physics``,
     whose six methods (see :class:`FusedPhysics`) are the only way the
     lifecycle reaches them; the engine picks the physics, the device
     timeline charge and the result clock once, for every array it runs.
 
-    It is driven by :meth:`TrainingArrayEngine.run_executor`; the fleet
-    additionally pauses executors (straggler pool), moves them between
-    devices and merges them (:meth:`merge_with`).
+    It is driven by :meth:`TrainingArrayEngine.run_executor`, whose
+    ``after_epoch`` hook is where the fleet admits, preempts
+    (:meth:`detach_slots`) and migrates.
     """
 
     def __init__(self, engine: "TrainingArrayEngine", plan: ArrayPlan,
@@ -371,7 +370,7 @@ class ArrayExecutor:
         #: solo (quarantine-retry) arrays must keep training alone
         self.solo = any(sub.solo for sub in jobs)
         #: cheap fusibility profile + exact structure, for freed-width
-        #: admission and fleet defragmentation compatibility
+        #: admission and merge compatibility
         self.admission_profile = engine.batcher.admission_profile(jobs[0])
         self.structural_sig = engine.batcher.structural_signature(jobs[0])
         #: job ids this array turned away (structure mismatch or a failed
@@ -415,7 +414,7 @@ class ArrayExecutor:
 
     @property
     def remaining_steps(self) -> int:
-        """The longest live slot's remaining budget (re-placement input)."""
+        """The longest live slot's remaining budget (migration input)."""
         return max((slot.remaining for slot in self.slots), default=0)
 
     @property
@@ -661,7 +660,7 @@ class ArrayExecutor:
         return retired
 
     # ------------------------------------------------------------------ #
-    # MERGING: freed-width admission and straggler defragmentation
+    # MERGING: freed-width admission and whole-array merges
     # ------------------------------------------------------------------ #
     def admit(self, subs: Sequence[SubmittedJob]) -> List[SubmittedJob]:
         """Fuse fresh queued jobs into this array's freed width.
@@ -704,10 +703,11 @@ class ArrayExecutor:
         return subs
 
     def merge_with(self, other: "ArrayExecutor") -> None:
-        """Absorb a paused straggler executor (fleet defragmentation).
+        """Absorb another paused executor of the same fusibility profile.
 
-        ``other``'s live slots and their training state join this array; its lifetime accounting is carried over so the
-        final :class:`~repro.runtime.metrics.ArrayRecord` credits the work
+        ``other``'s live slots and their training state join this array;
+        its lifetime accounting is carried over so the final
+        :class:`~repro.runtime.metrics.ArrayRecord` credits the work
         wherever it was done.  ``other`` must be paused (not stepping).
         """
         if other.compat_key != self.compat_key:
@@ -743,8 +743,7 @@ class ArrayExecutor:
         The inverse of :meth:`merge_with`: the detached slots leave with
         their training state (fused parameters, buffers, per-slot optimizer
         state) and progress counters moved wholesale, so resuming the
-        detached executor later — alone, on another device, or merged into
-        a different array — continues training bit-exactly where it
+        detached executor later continues training bit-exactly where it
         stopped.  This is how the fleet preempts over-quota tenants: their
         slots lose the fused width *now* (a deadline-at-risk job boards
         it) but lose none of their training state.
@@ -953,7 +952,7 @@ class TrainingArrayEngine:
 
         results: List[JobResult] = []
         for plan in self.policy.plan(cohorts):
-            results.extend(self.train_plan(plan))
+            results.extend(self.run_executor(self.make_executor(plan)))
         return results
 
     def run_until_idle(self) -> Dict[int, JobResult]:
@@ -972,26 +971,16 @@ class TrainingArrayEngine:
         return ArrayExecutor(engine=self, plan=plan,
                              array_id=self._array_ids())
 
-    def train_plan(self, plan: ArrayPlan) -> List[JobResult]:
-        """Train one fused array to completion and return its results.
-
-        The last stage of the standalone :meth:`run_cycle`; the fleet
-        drives its per-device engines through :meth:`make_executor` and
-        :meth:`run_executor` instead, to hook epoch boundaries.
-        """
-        return self.run_executor(self.make_executor(plan))
-
     def run_executor(self, executor: ArrayExecutor,
                      after_epoch: Optional[
                          Callable[[ArrayExecutor], Optional[str]]] = None
                      ) -> List[JobResult]:
-        """Drive an executor until it drains, pauses, or is handed off.
+        """Drive an executor until it drains or is handed off.
 
         ``after_epoch`` runs at every epoch boundary and may return
         ``"detach"`` to stop stepping here without draining — the fleet
-        uses this to pause under-filled stragglers into its defrag pool and
-        to migrate merged arrays to the cost-model-optimal device.  Without
-        a hook, the engine's own freed-width admission runs instead.
+        uses this to migrate a live array to another device.  Without a
+        hook, the engine's own freed-width admission runs instead.
 
         A failing multi-job array does not fail its jobs outright: its
         still-live jobs are requeued in quarantine (``solo``) and retried
@@ -1077,8 +1066,8 @@ class TrainingArrayEngine:
         cycles: a queued job whose fusibility profile matches a running
         under-filled array boards it immediately instead of waiting for the
         array to drain.  ``device_cap`` additionally bounds the admission
-        target width — an adopted or re-placed executor may sit on a device
-        with a smaller memory cap than the one its plan was sized for, and
+        target width — a migrated executor may sit on a device with a
+        smaller memory cap than the one its plan was sized for, and
         admission must never regrow the array past where it now runs.
         ``key`` ranks the candidates (the gateway's fair-admission order:
         deadline-at-risk first, then priority, then weighted fairness).

@@ -11,14 +11,14 @@ runs the scheduling loop::
            device + width per array, cost-model driven
       -> per-device work queues, drained by one event loop (_run_workers)
            ArrayExecutor stepped epoch by epoch (engine.py):
-             evict finished slots, admit queued jobs into freed width
-           with every queue empty, devices adopt paused stragglers
-      -> defragmentation between epochs:
-           an under-filled array pauses into the straggler pool when a
-           compatible work item is still queued; that item absorbs it
-           (hfta.fusion.merge_fused) at its first epoch boundary and is
-           re-placed via the hwsim cost model
+             evict finished slots, admit queued jobs into freed width,
+             preempt for deadline-at-risk jobs (the victims stay queued
+             on the same device)
       -> emit(Event("array", ...))            (metrics.py)
+
+A live array trains on the device it was placed on until it drains.  Only
+crash recovery (the jobs requeue from the store) and ``placement="lp"``
+migration move work off its device.
 
 Concurrency model: there is none inside a cycle.  Devices are *simulated*
 accelerators, and ``run_cycle`` runs their work items one at a time on the
@@ -26,16 +26,16 @@ caller's thread: the next turn goes to the live device with queued work
 and the smallest ``(timeline, name)``, where a device's timeline
 (``engine.sim_time``) is the hwsim cost-model price of every epoch it has
 run.  That is the order concurrent devices would finish their work in, so
-defrag and adoption fire as they would on parallel hardware — and the
-schedule is a pure function of the submitted jobs, identical for
-``execution="real"`` and ``execution="sim"``; the backends differ only in
-the physics (numpy training vs. cost-model projection) and in which clock
-stamps results, SLOs and heartbeats.  In real mode the timelines are
+freed-width admission takes queued jobs as it would on parallel hardware
+— and the schedule is a pure function of the submitted jobs, identical
+for ``execution="real"`` and ``execution="sim"``; the backends differ only
+in the physics (numpy training vs. cost-model projection) and in which
+clock stamps results, SLOs and heartbeats.  In real mode the timelines are
 ordering keys, never charged to a wall-clock metric.  Each array's
-training state has one owner at a time (the running item, the pool, or a
-work deque), which is why fleet execution preserves the runtime's core
+training state has one owner at a time (the running item or a work
+deque), which is why fleet execution preserves the runtime's core
 invariant — every checkpoint is serial-equivalent no matter how often its
-array was split, merged or moved.  Callers on other threads may submit,
+array was split or widened.  Callers on other threads may submit,
 cancel and probe liveness while a cycle runs: the queue, the metrics and
 the state behind ``stalled_workers()`` / ``quarantined_devices()`` stay
 locked.
@@ -62,8 +62,7 @@ from .batcher import Batcher
 from .checkpoint import CheckpointStore, RecoveryManager
 from .engine import ArrayExecutor, JobResult, TrainingArrayEngine
 from .metrics import Event, RuntimeMetrics
-from .placement import (DEFAULT_FLEET, DefragPolicy, FleetPlacer,
-                        PlacementDecision)
+from .placement import DEFAULT_FLEET, FleetPlacer, PlacementDecision
 from .placement_lp import LPFleetPlacer
 from .queue import JobQueue, JobState
 from .sim import SimulatedCrash, VirtualClock
@@ -71,7 +70,7 @@ from .sim import SimulatedCrash, VirtualClock
 __all__ = ["DeviceWorker", "FleetScheduler"]
 
 #: what a device worker's deque holds: a placed-but-unstarted plan, or a
-#: live executor handed over mid-training (defrag re-placement, migration)
+#: live executor handed over mid-training (a preempted child, a migration)
 WorkItem = Union[PlacementDecision, ArrayExecutor]
 
 
@@ -104,11 +103,6 @@ class FleetScheduler:
     devices' projected timelines say they would finish (see the module
     docstring); ``execution`` picks the physics, never the schedule.
 
-    ``defrag`` merges under-filled stragglers across devices and
-    re-places the merged array via the hwsim cost model; pass
-    ``defrag=None`` to disable it (eviction and freed-width admission
-    stay).
-
     ``admission`` plugs a serving gateway's admission policy into the
     scheduling loop (duck-typed so :mod:`repro.runtime.gateway` stays an
     optional layer): ``rank(sub)`` orders dequeue/admission (smallest
@@ -128,7 +122,6 @@ class FleetScheduler:
                  metrics: Optional[RuntimeMetrics] = None,
                  max_width: int = 8, precision: str = "amp",
                  default_workload: str = "pointnet_cls",
-                 defrag: Optional[DefragPolicy] = DefragPolicy(),
                  admission=None,
                  store: Optional[CheckpointStore] = None,
                  checkpoint_every: int = 0,
@@ -160,7 +153,6 @@ class FleetScheduler:
         #: that can no longer hold its array — stay legal past it)
         self.migration_budget = migration_budget
         self._last_solution_seen = None
-        self.defrag = defrag
         self.admission = admission
         if execution not in ("real", "sim"):
             raise ValueError(f"execution must be 'real' or 'sim', "
@@ -189,17 +181,13 @@ class FleetScheduler:
             self.queue.reserve_ids(recovery.next_job_id())
         #: guards what another thread may read while a cycle runs: the
         #: in-flight and quarantine tables behind stalled_workers() and
-        #: quarantined_devices().  Work deques, the straggler pool and the
-        #: array-id counter belong to the run_cycle caller alone
+        #: quarantined_devices().  Work deques and the array-id counter
+        #: belong to the run_cycle caller alone
         self._state_lock = threading.Lock()
         self._array_ids = itertools.count()
-        #: paused under-filled executors awaiting a merge (or adoption);
-        #: one only pauses when a compatible work item is still queued to
-        #: absorb it (see _maybe_pause)
-        self._straggler_pool: List[ArrayExecutor] = []
         #: devices the event loop still offers turns this cycle (healthy
-        #: and not crashed); re-placement and migration only target these,
-        #: so a moved executor never lands in a queue nobody drains
+        #: and not crashed); migration only targets these, so a moved
+        #: executor never lands in a queue nobody drains
         self._live_workers: Dict[str, DeviceWorker] = {}
         #: crash detection: worker name -> executor it is currently
         #: running.  Registered before run_executor, cleared after it
@@ -321,12 +309,12 @@ class FleetScheduler:
         Devices run *serially but interleaved along their timelines*: each
         turn, the live device with queued work and the smallest
         ``(engine.sim_time, name)`` runs its next item until the array
-        drains, pauses or is handed off, which advances the device's
-        timeline by the cost model's price of the epochs it ran.  This
-        visits work in the order concurrent devices would finish it, so
-        defrag/adoption interactions and the fleet makespan mirror
-        parallel hardware — deterministically, and identically on both
-        execution backends (see :meth:`_take` for the turn rule).
+        drains or is handed off, which advances the device's timeline by
+        the cost model's price of the epochs it ran.  This visits work in
+        the order concurrent devices would finish it, so freed-width
+        admissions and the fleet makespan mirror parallel hardware —
+        deterministically, and identically on both execution backends
+        (see :meth:`_take` for the turn rule).
 
         A device whose timeline lags the cycle start (it sat idle while
         arrivals accumulated) first jumps forward to the cycle floor — the
@@ -334,11 +322,11 @@ class FleetScheduler:
         idle time passes, it is never rewound.
 
         Quarantined devices get no turn this cycle (their queued plans
-        were re-routed at placement; stragglers are adopted elsewhere),
-        and a device whose item crashed gets no further one: its
-        in-flight registration stays behind, its in-memory array state is
-        untrusted, and the end-of-cycle sweep recovers the jobs from the
-        durable checkpoint store instead (:meth:`_recover_crashed`).
+        were re-routed at placement), and a device whose item crashed
+        gets no further one: its in-flight registration stays behind, its
+        in-memory array state is untrusted, and the end-of-cycle sweep
+        recovers the jobs from the durable checkpoint store instead
+        (:meth:`_recover_crashed`).
         """
         results: List[JobResult] = []
         # if every device is quarantined, lift them all — the fleet must
@@ -412,9 +400,8 @@ class FleetScheduler:
             crashed, self._inflight = dict(self._inflight), {}
         for name, executor in crashed.items():
             self._recover_crashed(name, executor)
-        # Belt and braces: a straggler no live device can hold, or an
-        # executor re-routed off a crashed device just now, must not
-        # outlive the cycle — finish it on its home device.
+        # Belt and braces: an executor re-routed off a crashed device just
+        # now must not outlive the cycle — finish it on its new device.
         for executor in self._flush_orphans():
             worker = self.workers.get(executor.device_name) or \
                 next(iter(self.workers.values()))
@@ -463,7 +450,7 @@ class FleetScheduler:
             self.queue.requeue(sub)
 
     def _flush_orphans(self) -> List[ArrayExecutor]:
-        orphans, self._straggler_pool = self._straggler_pool, []
+        orphans: List[ArrayExecutor] = []
         for worker in self.workers.values():
             leftover = [item for item in worker.plans
                         if isinstance(item, ArrayExecutor)]
@@ -477,15 +464,14 @@ class FleetScheduler:
         return self.clock() if self.clock is not None else time.monotonic()
 
     # ------------------------------------------------------------------ #
-    # the defragmentation pass (between epochs of the running item)
+    # the epoch-boundary hook (between epochs of the running item)
     # ------------------------------------------------------------------ #
     def _after_epoch(self, worker: DeviceWorker,
                      executor: ArrayExecutor) -> Optional[str]:
-        """Epoch-boundary hook: admission, straggler absorption, pausing.
+        """Epoch-boundary hook: chaos, admission, preemption, migration.
 
-        Returns ``"detach"`` when the executor left this device (paused
-        into the pool, or queued on another device after a merge or a
-        migration).
+        Returns ``"detach"`` when the executor left this device (queued on
+        another device by a migration).
         """
         self.heartbeats[worker.name] = self._heartbeat_now()
         if self.chaos is not None and self.chaos(worker.name, executor):
@@ -496,31 +482,15 @@ class FleetScheduler:
             raise SimulatedCrash(f"chaos hook killed device {worker.name}")
         # freed-width admission from the shared queue (emits freed
         # capacity back to the scheduler the moment eviction creates it),
-        # bounded by *this* device's memory cap — the executor may have
-        # been adopted by or re-placed onto a smaller device than its
-        # plan was sized for
+        # bounded by *this* device's memory cap — a migrated executor may
+        # sit on a smaller device than its plan was sized for
         device_cap = self.placer.width_cap(
             self.placer.resolve_workload(executor), worker.device)
         worker.engine.refill_from_queue(
             executor, device_cap=device_cap,
             key=self.admission.rank if self.admission is not None else None)
         self._preempt_for_deadlines(worker, executor, device_cap)
-        migrated = self._maybe_migrate(worker, executor)
-        if migrated is not None:
-            return migrated
-        if self.defrag is None:
-            return None
-
-        absorbed = 0
-        while True:
-            straggler = self._pop_compatible(executor, worker)
-            if straggler is None:
-                break
-            executor.merge_with(straggler)
-            absorbed += 1
-        if absorbed:
-            return self._replace(worker, executor)
-        return self._maybe_pause(worker, executor)
+        return self._maybe_migrate(worker, executor)
 
     def _preempt_for_deadlines(self, worker: DeviceWorker,
                                executor: ArrayExecutor,
@@ -579,21 +549,6 @@ class FleetScheduler:
         worker.engine.refill_from_queue(executor, device_cap=device_cap,
                                         key=policy.rank)
 
-    def _pop_compatible(self, executor: ArrayExecutor,
-                        worker: DeviceWorker) -> Optional[ArrayExecutor]:
-        """A pool straggler this executor can legally absorb, if any."""
-        for straggler in self._straggler_pool:
-            if straggler.compat_key != executor.compat_key:
-                continue
-            if not self.placer.fits_width(
-                    executor.workload,
-                    executor.live_width + straggler.live_width,
-                    worker.device):
-                continue
-            self._straggler_pool.remove(straggler)
-            return straggler
-        return None
-
     def _device_loads(self) -> Dict[str, float]:
         """Projected busy seconds per device: the timeline already spent
         plus the projections of every queued plan — the load picture the
@@ -611,12 +566,11 @@ class FleetScheduler:
         :class:`~repro.runtime.placement_lp.LPFleetPlacer`) are asked at
         every epoch boundary whether this live array belongs elsewhere
         under the global solution; the answer is budget-bounded per
-        re-solve window (``begin_cycle``).  A move rides the same
-        detach-and-requeue rails as defrag re-placement: the executor's
-        training state transfers wholesale, so the migrated jobs stay
-        serial-equivalent, and with a :class:`RecoveryManager` attached
-        the move is journaled so a crash mid-migration re-queues the
-        in-flight cohort exactly once.
+        re-solve window (``begin_cycle``).  A move detaches the executor
+        and queues it on the target device: its training state transfers
+        wholesale, so the migrated jobs stay serial-equivalent, and with a
+        :class:`RecoveryManager` attached the move is journaled so a crash
+        mid-migration re-queues the in-flight cohort exactly once.
         """
         target_fn = getattr(self.placer, "migration_target", None)
         if target_fn is None or executor.done or executor.live_width < 1:
@@ -624,8 +578,8 @@ class FleetScheduler:
         target = target_fn(executor, worker.name, self._device_loads())
         if target is None or target == worker.name:
             return None
-        # same liveness rule as _replace: never strand the array in a
-        # queue nobody drains this cycle (a crashed or quarantined device)
+        # never strand the array in a queue nobody drains this cycle (a
+        # crashed or quarantined device)
         if target not in self._live_workers:
             return None
         executor.device_name = target
@@ -637,82 +591,19 @@ class FleetScheduler:
                         data=worker.name))
         return "detach"
 
-    def _replace(self, worker: DeviceWorker,
-                 executor: ArrayExecutor) -> Optional[str]:
-        """Re-place a merged array on the cost-model-optimal device."""
-        device, _ = self.placer.replan(
-            executor.workload, executor.live_width, executor.remaining_steps)
-        if device.name == worker.name:
-            return None
-        # never move to a device the loop offers no more turns this cycle
-        # (crashed or quarantined) — the array would strand; finishing it
-        # here is always correct, just not cost-model-optimal
-        if device.name not in self._live_workers:
-            return None
-        executor.device_name = device.name
-        self.workers[device.name].plans.append(executor)
-        self.emit(executor.event("replace"))
-        return "detach"
-
-    def _maybe_pause(self, worker: DeviceWorker,
-                     executor: ArrayExecutor) -> Optional[str]:
-        """Pause an under-filled array into the straggler pool — only when
-        a compatible work item is queued and will absorb it when it runs
-        later this cycle; otherwise nobody would, so it keeps going."""
-        if executor.solo or not self.defrag.underfilled(executor) \
-                or not self._absorber_queued(executor):
-            return None
-        self._straggler_pool.append(executor)
-        return "detach"
-
-    def _absorber_queued(self, executor: ArrayExecutor) -> bool:
-        """Whether a compatible work item is waiting in any device queue
-        (a not-yet-launched plan has the compat key its executor will)."""
-        key = executor.compat_key
-        for item in (i for w in self.workers.values() for i in w.plans):
-            if isinstance(item, ArrayExecutor):
-                if item is not executor and item.compat_key == key:
-                    return True
-                continue
-            sub = item.plan.cohort.jobs[item.plan.indices[0]]
-            if (self.batcher.admission_profile(sub),
-                    self.batcher.structural_signature(sub),
-                    sub.job.loss) == key:
-                return True
-        return False
-
     # ------------------------------------------------------------------ #
     # taking work: the turn rule
     # ------------------------------------------------------------------ #
     def _take(self) -> Optional[Tuple[DeviceWorker, WorkItem]]:
         """The next turn as ``(device, work item)``, or ``None`` when the
-        cycle is drained.
-
-        The live device with queued work and the smallest ``(timeline,
-        name)`` runs the head of its own queue.  Only with every live
-        queue empty do paused stragglers come out of the pool: nothing
-        queued is left to absorb them, so the earliest device that can
-        hold one adopts it — freed-width work stealing, counted in
-        ``plans_stolen`` when the straggler changes device.
-        """
-        live = self._live_workers.values()
-        busy = [worker for worker in live if worker.plans]
-        if busy:
-            worker = min(busy, key=DeviceWorker.turn_key)
-            return worker, worker.plans.popleft()
-        if not self._straggler_pool:
+        cycle is drained: the live device with queued work and the
+        smallest ``(timeline, name)`` runs the head of its own queue."""
+        busy = [worker for worker in self._live_workers.values()
+                if worker.plans]
+        if not busy:
             return None
-        for worker in sorted(live, key=DeviceWorker.turn_key):
-            for straggler in self._straggler_pool:
-                if self.placer.fits_width(straggler.workload,
-                                          straggler.live_width,
-                                          worker.device):
-                    self._straggler_pool.remove(straggler)
-                    if straggler.device_name != worker.name:
-                        self.emit(Event("steal", array_id=straggler.array_id,
-                                        device=worker.name))
-                    return worker, straggler
-        return None
+        worker = min(busy, key=DeviceWorker.turn_key)
+        return worker, worker.plans.popleft()
 
     def _reroute(self, decision: PlacementDecision,
                  worker: DeviceWorker) -> PlacementDecision:

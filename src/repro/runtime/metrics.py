@@ -55,7 +55,8 @@ class ArrayRecord:
     """Accounting for one launched fused array.
 
     An array may shrink (evictions), grow (freed-width admissions) and
-    absorb whole stragglers (defrag merges) before it drains;
+    absorb whole executors (:meth:`ArrayExecutor.merge_with`) before it
+    drains;
     ``slot_steps_total`` counts every physically executed slot-step and
     ``slot_steps_occupied`` those doing useful work for a live job — equal
     for every array the engine runs, since a slot whose stop signal fired
@@ -77,7 +78,7 @@ class ArrayRecord:
     slot_steps_occupied: int = 0  # slot-steps spent on live (useful) jobs
     evictions: int = 0    # slots retired before the array drained
     admissions: int = 0   # queued jobs admitted into freed width
-    merges: int = 0       # straggler arrays absorbed (defragmentation)
+    merges: int = 0       # executors absorbed whole (merge_with)
 
     @property
     def occupancy(self) -> float:
@@ -132,7 +133,6 @@ class RuntimeMetrics:
         self.jobs_evicted = 0
         self.jobs_admitted = 0
         self.arrays_merged = 0
-        self.arrays_replaced = 0
         self.jobs_shed = 0
         self.jobs_preempted = 0
         self.checkpoints_written = 0
@@ -150,7 +150,6 @@ class RuntimeMetrics:
         #: wall-clock seconds the fleet spent serving (devices concurrent);
         #: 0 for the single-device engine, whose train_seconds is its wall
         self.wall_seconds = 0.0
-        self.plans_stolen = 0
         #: decisions taken (jobs dequeued, placements, admissions,
         #: retirements, preemptions, solves, migrations) — the scale
         #: benchmark's throughput numerator
@@ -504,7 +503,6 @@ class RuntimeMetrics:
             "arrays_launched": self.arrays_launched,
             "arrays_failed": self.arrays_failed,
             "arrays_merged": self.arrays_merged,
-            "arrays_replaced": self.arrays_replaced,
             "fused_width_efficiency": self.fused_width_efficiency,
             "models_per_array": self.models_per_array,
             "occupancy": self.occupancy,
@@ -514,7 +512,6 @@ class RuntimeMetrics:
             "train_seconds": self.train_seconds,
             "throughput_samples_per_s": self.throughput,
             "wall_seconds": self.wall_seconds,
-            "plans_stolen": self.plans_stolen,
             "scheduler_decisions": self.scheduler_decisions,
             "lp_solves": self.lp_solves,
             "lp_fallback_solves": self.lp_fallback_solves,
@@ -557,8 +554,7 @@ class RuntimeMetrics:
 _COUNTERS = {
     "submit": "jobs_submitted", "cancel": "jobs_cancelled",
     "fail": "jobs_failed", "place": "scheduler_decisions",
-    "merge": "arrays_merged", "replace": "arrays_replaced",
-    "steal": "plans_stolen", "array_failed": "arrays_failed",
+    "merge": "arrays_merged", "array_failed": "arrays_failed",
     "crash": "workers_crashed", "checkpoint_skip": "checkpoints_skipped",
     "checkpoint_failed": "checkpoint_failures", "recover": "jobs_recovered",
 }

@@ -38,7 +38,7 @@ from .batcher import Cohort
 from .policy import ArrayPlan
 
 __all__ = ["DEFAULT_FLEET", "PlacementDecision", "PlacementPolicy",
-           "FleetPlacer", "DefragPolicy", "synthetic_fleet"]
+           "FleetPlacer", "synthetic_fleet"]
 
 #: the paper's evaluation devices (Tables 2-4): three generations of NVIDIA
 #: data-center GPUs plus a TPU v3 core — a deliberately heterogeneous fleet
@@ -79,7 +79,7 @@ class PlacementPolicy:
 
     Beyond :meth:`place`, the fleet and gateway duck-type the cost-model
     helpers every policy inherits from :class:`FleetPlacer`:
-    ``width_cap`` / ``fits`` / ``fits_width`` (capacity checks),
+    ``width_cap`` (the capacity check),
     ``estimate`` / ``replan`` / ``projected_seconds`` (projections),
     ``cohort_slack`` (SLO ordering) and the ``devices`` /
     ``precision`` / ``default_workload`` attributes.  Policies may
@@ -221,13 +221,6 @@ class FleetPlacer(PlacementPolicy):
                                    plan.num_models)
         return self._scaled(base, device, max(1, getattr(plan, "steps", 1)))
 
-    def fits_width(self, workload_hint: Optional[str], num_models: int,
-                   device: DeviceSpec) -> bool:
-        """Whether a ``num_models``-wide array fits ``device`` (used for
-        straggler adoption and defrag merges)."""
-        workload = get_workload(workload_hint or self.default_workload)
-        return num_models <= self.width_cap(workload, device)
-
     def projected_seconds(self, workload_hint: Optional[str],
                           num_models: int, steps: int) -> float:
         """Cost-model training time of a hypothetical array on its best
@@ -258,13 +251,9 @@ class FleetPlacer(PlacementPolicy):
 
     def replan(self, workload_hint: Optional[str], num_models: int,
                steps: int) -> Tuple[DeviceSpec, ArrayCostEstimate]:
-        """Re-place a live array: the device projected to finish its
-        remaining ``steps`` at width ``num_models`` first.
-
-        This is the defragmentation pass's second half — after two
-        under-filled stragglers merge, the merged array's width changed,
-        so the device the cost model would pick may change with it.
-        """
+        """The device projected to finish ``steps`` at width
+        ``num_models`` first, on an idle fleet (the best case behind
+        :meth:`projected_seconds`)."""
         workload = get_workload(workload_hint or self.default_workload)
         steps = max(1, steps)
         # the winning device is steps-independent (train_seconds is linear
@@ -398,31 +387,3 @@ class _CostProbe:
 
     num_models: int
     steps: int
-
-
-@dataclass(frozen=True)
-class DefragPolicy:
-    """When is a live array a *straggler* worth defragmenting?
-
-    An array whose evictions left it at or below
-    ``occupancy_threshold`` of its launch width is under-filled: it still
-    occupies a device but uses a fraction of the fused width the device
-    was sized for.  The fleet pauses such arrays into a straggler pool and
-    merges compatible pairs (same fusibility profile, see
-    ``ArrayExecutor.compat_key``) back into one well-filled array, then
-    re-places it with :meth:`FleetPlacer.replan`.
-    """
-
-    occupancy_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.occupancy_threshold <= 1.0:
-            raise ValueError("occupancy_threshold must be in (0, 1]")
-
-    def underfilled(self, executor) -> bool:
-        """Whether ``executor`` (duck-typed: evictions / live_width /
-        launch_width) should enter the straggler pool."""
-        return (executor.evictions > 0
-                and executor.live_width >= 1
-                and executor.live_width
-                <= self.occupancy_threshold * executor.launch_width)

@@ -48,7 +48,7 @@ builds an instance from the cycle's cohorts and emits
 the greedy baseline, and the optimizer protocol (``begin_cycle`` /
 ``migration_target``) lets the fleet diff each live array against the
 current solution at epoch boundaries and execute a *bounded* migration
-set through the existing pause/``merge_with``/``replan`` primitives.
+set by detaching each moved executor onto its target device's queue.
 Solver latency, objective values and emitted migrations land in
 :class:`~repro.runtime.metrics.RuntimeMetrics`; under ``execution="sim"``
 the solve is charged to the virtual clock as a deterministic
@@ -734,8 +734,8 @@ class LPFleetPlacer(FleetPlacer):
         the migration hysteresis penalty priced in for every device but
         home.  Returns the target device name when moving wins by at
         least ``migration_min_gain_s`` and budget remains, else ``None``.
-        A home device that can no longer hold the array (post-merge
-        growth) forces a move without charging the budget.
+        A home device that can no longer hold the array forces a move
+        without charging the budget.
         """
         width = executor.live_width
         if width < 1:

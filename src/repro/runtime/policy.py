@@ -2,15 +2,12 @@
 
 The policy answers the runtime's second scheduling question: given a
 fusible cohort, *how many* of its models may actually train as one array.
-Two limits apply:
-
-* an explicit ``max_width`` (operator-configured: fairness, latency SLOs,
-  convergence-monitoring granularity), and
-* the device-memory capacity of the accelerator, obtained from the
-  :mod:`repro.hwsim` analytical model when the policy is bound to a
-  workload/device pair — the same ``max_models`` bound HFHT's scheduler
-  uses (paper Figure 6: HFTA pays the framework-overhead intercept once,
-  so the bound is far higher than for process-based sharing).
+On the single-device engine the answer is an explicit ``max_width``
+(operator-configured: fairness, latency SLOs, convergence-monitoring
+granularity).  A fleet also bounds each array by its device's memory
+capacity under HFTA sharing (:mod:`repro.hwsim`'s ``max_models``, the
+bound HFHT's scheduler uses); that cap lives in
+:class:`repro.runtime.placement.FleetPlacer`.
 
 Cohorts wider than the cap fall back to **partial fusion**: the cohort is
 split into capacity-sized chunks via :func:`repro.hfht.partition.
@@ -22,10 +19,9 @@ becomes its own :class:`ArrayPlan`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..hfht.partition import Partition, split_oversized
-from ..hwsim import DeviceSpec, WorkloadSpec, max_models
 from .batcher import Cohort
 from .queue import SubmittedJob
 
@@ -40,7 +36,8 @@ class ArrayPlan:
     indices: List[int]          # positions within cohort.jobs
     width_cap: int
     #: name of the device the fleet placer assigned this array to ("" when
-    #: the plan runs on the single-device engine); workers retag stolen plans
+    #: the plan runs on the single-device engine); a crash or quarantine
+    #: re-route retags it
     device: str = ""
     #: the placer's cost-model projection of this array's training time on
     #: ``device`` (seconds); recorded into the array's ArrayRecord
@@ -74,41 +71,20 @@ class ArrayPlan:
 
 @dataclass
 class ArrayPolicy:
-    """Sizing rules for fused arrays.
-
-    ``max_width`` alone gives a pure width cap; binding ``workload`` and
-    ``device`` additionally enforces the simulated memory capacity of the
-    accelerator under HFTA sharing.
-    """
+    """Sizing rule for the single-device engine's fused arrays: a width
+    cap.  (A fleet sizes arrays per device with
+    :meth:`repro.runtime.placement.FleetPlacer.width_cap`, which adds the
+    device's memory cap.)"""
 
     max_width: int = 8
-    workload: Optional[WorkloadSpec] = None
-    device: Optional[DeviceSpec] = None
-    precision: str = "amp"
 
     def __post_init__(self):
         if self.max_width < 1:
             raise ValueError("max_width must be >= 1")
-        if (self.workload is None) != (self.device is None):
-            raise ValueError("workload and device must be given together")
-
-    # ------------------------------------------------------------------ #
-    def width_cap(self) -> int:
-        """The effective array-width limit under this policy."""
-        cap = self.max_width
-        if self.workload is not None:
-            memory_cap = max_models(self.workload, self.device, "hfta",
-                                    self.precision)
-            if memory_cap < 1:
-                raise RuntimeError(
-                    f"device {self.device.name} cannot fit a single "
-                    f"{self.workload.name} model under HFTA")
-            cap = min(cap, memory_cap)
-        return cap
 
     def plan(self, cohorts: Sequence[Cohort]) -> List[ArrayPlan]:
         """Turn cohorts into launchable arrays honoring the width cap."""
-        cap = self.width_cap()
+        cap = self.max_width
         plans: List[ArrayPlan] = []
         for cohort in cohorts:
             # Reuse HFHT's partial-fusion splitter on an index partition.

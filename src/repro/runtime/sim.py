@@ -1,7 +1,7 @@
 """Virtual-time simulation backend for the training-array runtime.
 
 The elastic runtime's control plane — admission, placement, eviction,
-defragmentation, preemption, checkpointing, crash recovery — has until now
+preemption, checkpointing, crash recovery — has until now
 only ever been exercised by *actually training* numpy models, which caps
 any test at tens of jobs.  This module replaces the training physics with
 the analytical device model that already prices placements

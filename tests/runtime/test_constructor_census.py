@@ -1,9 +1,9 @@
 """The runtime's constructor surface is a reviewed list.
 
 Every keyword below is one some workload, example or benchmark passes;
-adding one means editing this file, which is the point.  The keywords PR
-23 removed (comparator forks and never-set knobs) must fail loudly, by
-name, rather than be swallowed.
+adding one means editing this file, which is the point.  Removed keywords
+(comparator forks, never-set knobs, the fleet's deleted defragmentation)
+must fail loudly, by name, rather than be swallowed.
 """
 
 import inspect
@@ -14,7 +14,7 @@ from repro.runtime import FleetScheduler, ServingGateway, \
     TrainingArrayEngine
 
 FLEET = ("devices", "placer", "metrics", "max_width", "precision",
-         "default_workload", "defrag", "admission", "store",
+         "default_workload", "admission", "store",
          "checkpoint_every", "recovery", "execution", "clock", "placement",
          "migration_budget")
 ENGINE = ("policy", "batcher", "metrics", "queue", "device", "array_ids",
@@ -30,6 +30,7 @@ REMOVED = [
     (FleetScheduler, "resolve_every", 2),
     (FleetScheduler, "batcher", None),
     (FleetScheduler, "queue", None),
+    (FleetScheduler, "defrag", None),
     (TrainingArrayEngine, "elastic", False),
     (TrainingArrayEngine, "persist_on_evict", False),
     (TrainingArrayEngine, "checkpoint_incremental", False),

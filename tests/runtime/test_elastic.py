@@ -1,25 +1,23 @@
 """Tests for the elastic array lifecycle: stepwise execution, stop signals,
-live eviction, freed-width admission, and fleet defragmentation.
+live eviction and freed-width admission.
 
 The invariant under test everywhere: elasticity changes *when and with
 whom* a job trains — never what it learns.  Every exported checkpoint
 (evicted early or trained to budget, admitted mid-flight or launched
-normally, merged across devices or not) must match serial training of the
-same job for the same number of steps, in parameters *and buffers*.
+normally) must match serial training of the same job for the same number
+of steps, in parameters *and buffers*.
 """
 
 import numpy as np
-import pytest
 
 from repro import nn, optim as serial_optim
 from repro.hfta.ops.factory import OpsLibrary
 from repro.hfht import MedianStopper, SuccessiveHalvingStopper
 from repro.hwsim import RTX6000, V100
 from repro.nn import functional as F
-from repro.runtime import (ArrayPolicy, ArrayState, DefragPolicy,
-                           FleetPlacer, FleetScheduler, JobState,
-                           PlacementDecision, StopReason,
-                           TrainingArrayEngine, TrainingJob)
+from repro.runtime import (ArrayPolicy, ArrayState, FleetPlacer,
+                           FleetScheduler, JobState, PlacementDecision,
+                           StopReason, TrainingArrayEngine, TrainingJob)
 
 STEPS = 4
 BATCH = 6
@@ -383,13 +381,12 @@ class TestElasticFleet:
             assert fleet.queue.state(job_id) == JobState.COMPLETED
             assert_checkpoint_matches(results[job_id], job)
 
-    def test_defrag_merges_underfilled_stragglers_across_devices(self):
+    def test_early_stopped_arrays_drain_on_the_device_they_launched_on(self):
         """Two devices each hold a 4-wide array; 2 jobs of each early-stop
-        at epoch 1, leaving two half-empty stragglers.  The defrag pass
-        must merge them into one array (and every checkpoint must still
-        match serial training).  The event loop is serial, so this needs
-        no rendezvous: the first array pauses because the second is still
-        queued, and the second absorbs it at its own first boundary."""
+        at epoch 1, leaving two half-empty arrays and an empty queue.  Each
+        array keeps training at width 2 on its own device until it drains:
+        nothing merges, and every checkpoint still matches serial
+        training."""
         class AlternatingPlacer(FleetPlacer):
             """Pin chunk k to device k%2 so the arrays sit on two devices."""
 
@@ -411,50 +408,58 @@ class TestElasticFleet:
         fleet = FleetScheduler(
             devices=(V100, RTX6000),
             placer=AlternatingPlacer(devices=(V100, RTX6000), max_width=4))
+        fleet.metrics.enable_event_log()
         ids = fleet.submit_all(jobs)
         results = fleet.run_until_idle()
 
         assert len(results) == 8
         assert fleet.metrics.jobs_evicted == 4
-        assert fleet.metrics.arrays_merged == 1
-        merged_record = [r for r in fleet.metrics.records if r.merges]
-        assert len(merged_record) == 1
-        assert merged_record[0].jobs_served >= 4   # both halves' survivors
+        assert fleet.metrics.arrays_launched == 2
+        assert fleet.metrics.arrays_merged == 0
+        assert sorted(r.device for r in fleet.metrics.records) == \
+            ["RTX6000", "V100"]
+        for record in fleet.metrics.records:
+            assert record.jobs_served == 4
+            assert record.evictions == 2
+            assert record.slot_steps_total == 4 + 2 * (steps - 1)
+        devices_of = {job_id: set() for job_id in ids}
+        for event in fleet.metrics.events:
+            for job_id in event.job_ids:
+                if event.device:
+                    devices_of[job_id].add(event.device)
+        assert all(len(devices) == 1 for devices in devices_of.values())
+        assert {results[i].array_id for i in ids[:4]} != \
+            {results[i].array_id for i in ids[4:]}
         for job, job_id in zip(jobs, ids):
             expected = 1 if job.stop else steps
             assert results[job_id].steps_trained == expected
             assert_checkpoint_matches(results[job_id], job)
 
-    def test_defrag_can_be_disabled(self):
-        jobs = [make_job(i, steps=6, stop=stop_after(1) if i < 2 else None)
-                for i in range(4)]
-        fleet = FleetScheduler(devices=(V100,), max_width=4, defrag=None)
-        fleet.submit_all(jobs)
+    def test_half_empty_arrays_on_one_device_drain_separately(self):
+        """Two compatible 4-wide arrays queued on one device each lose 2
+        jobs at epoch 1.  The queue holds nothing to board the freed
+        width, so each array finishes at width 2 — the second is not
+        folded into the first."""
+        steps = 6
+        jobs = [make_job(i, steps=steps,
+                         stop=stop_after(1) if i in (0, 1, 4, 5) else None)
+                for i in range(8)]
+        fleet = FleetScheduler(devices=(V100,), max_width=4)
+        ids = fleet.submit_all(jobs)
         results = fleet.run_until_idle()
-        assert len(results) == 4
-        assert fleet.metrics.jobs_evicted == 2    # eviction still on
+
+        assert len(results) == 8
+        assert fleet.metrics.jobs_evicted == 4
+        assert fleet.metrics.jobs_admitted == 0
+        assert fleet.metrics.arrays_launched == 2
         assert fleet.metrics.arrays_merged == 0
-
-
-# --------------------------------------------------------------------- #
-class TestDefragPolicy:
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="occupancy_threshold"):
-            DefragPolicy(occupancy_threshold=0.0)
-        with pytest.raises(ValueError, match="occupancy_threshold"):
-            DefragPolicy(occupancy_threshold=1.5)
-
-    def test_underfilled_requires_evictions_and_low_occupancy(self):
-        class Probe:
-            def __init__(self, evictions, live, launch):
-                self.evictions, self.live_width = evictions, live
-                self.launch_width = launch
-
-        policy = DefragPolicy(occupancy_threshold=0.5)
-        assert policy.underfilled(Probe(2, 2, 4))
-        assert not policy.underfilled(Probe(0, 2, 4))   # never evicted
-        assert not policy.underfilled(Probe(1, 3, 4))   # still well-filled
-        assert not policy.underfilled(Probe(4, 0, 4))   # nothing live
+        for record in fleet.metrics.records:
+            assert record.jobs_served == 4
+            assert record.slot_steps_total == 4 + 2 * (steps - 1)
+        for job, job_id in zip(jobs, ids):
+            expected = 1 if job.stop else steps
+            assert results[job_id].steps_trained == expected
+            assert_checkpoint_matches(results[job_id], job)
 
 
 # --------------------------------------------------------------------- #

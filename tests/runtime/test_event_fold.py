@@ -43,17 +43,16 @@ def test_the_event_log_is_off_by_default():
 
 def test_a_real_serving_run_replays(tmp_path):
     """Gateway, store and WAL: shed, cancel, failure, preemption,
-    eviction, freed-width admission and a cross-device merge."""
+    eviction, freed-width admission and early stops on two devices."""
     metrics = logged_metrics()
     store = CheckpointStore(tmp_path)
     recovery = RecoveryManager(store)
     for phase in (scenario.shed_cancel_fail, scenario.serve,
-                  scenario.defrag):
+                  scenario.two_devices):
         phase(store, recovery, metrics)
     assert min(metrics.jobs_shed, metrics.jobs_failed,
                metrics.jobs_preempted, metrics.jobs_evicted,
-               metrics.jobs_admitted, metrics.arrays_merged,
-               metrics.checkpoints_written) >= 1
+               metrics.jobs_admitted, metrics.checkpoints_written) >= 1
     assert_the_log_replays(metrics)
 
 

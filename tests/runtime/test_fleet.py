@@ -143,6 +143,36 @@ class TestFleetPlacer:
         placed = sorted(i for d in decisions for i in d.plan.indices)
         assert placed == list(range(12))
 
+    def test_memory_bound_cap_uses_hwsim(self):
+        """The fleet's one memory cap is hwsim's HFTA ``max_models`` for the
+        device, the workload and the placer's precision."""
+        workload = get_workload("pointnet_cls")
+        caps = {}
+        for precision in ("amp", "fp32"):
+            placer = FleetPlacer(devices=FLEET, max_width=1000,
+                                 precision=precision)
+            for device in FLEET:
+                caps[precision, device.name] = placer.width_cap(workload,
+                                                                device)
+                assert caps[precision, device.name] == max_models(
+                    workload, device, "hfta", precision)
+        assert caps["amp", "V100"] > caps["fp32", "V100"]
+
+    def test_explicit_cap_wins_when_smaller(self):
+        """``max_width`` below the memory cap binds, and a wider cohort is
+        chunked at it."""
+        workload = get_workload("pointnet_cls")
+        placer = FleetPlacer(devices=(V100,), max_width=2,
+                             default_workload="pointnet_cls")
+        assert max_models(workload, V100, "hfta", "amp") > 2
+        assert placer.width_cap(workload, V100) == 2
+
+        decisions = placer.place(form_cohorts(
+            [make_job(i, lr=1e-3 * (i + 1), workload="pointnet_cls")
+             for i in range(5)]))
+        assert sorted(d.plan.num_models for d in decisions) == [1, 2, 2]
+        assert all(d.plan.width_cap == 2 for d in decisions)
+
     def test_load_awareness_spreads_chunks_across_devices(self):
         """Many same-cost arrays do not pile onto one device."""
         jobs = [make_job(i, hidden=8 + 2 * i, workload="pointnet_cls")

@@ -124,7 +124,7 @@ def test_lifecycle_reaches_tensors_only_through_the_six_methods():
     # freed-width admission
     assert engine.refill_from_queue(executor) == 1
     assert [slot.sub.job_id for slot in executor.slots] == [j1, j2, j3]
-    # preemption detach, then defrag merge of the detached child
+    # preemption detach, then merge_with of the detached child
     child = executor.detach_slots([0])
     assert [slot.sub.job_id for slot in child.slots] == [j1]
     assert child.physics.ids == [j1] and executor.physics.ids == [j2, j3]

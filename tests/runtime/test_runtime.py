@@ -6,7 +6,6 @@ import pytest
 from repro import nn, optim as serial_optim
 from repro.hfta.ops.factory import OpsLibrary
 from repro.hfht.space import HyperParameter, SearchSpace
-from repro.hwsim import V100, get_workload
 from repro.nn import functional as F
 from repro.runtime import (ArrayPolicy, Batcher, JobQueue, JobState,
                            RuntimeMetrics, TrainingArrayEngine, TrainingJob)
@@ -189,23 +188,9 @@ class TestArrayPolicy:
         assert plans[0].occupancy == 1.0
         assert plans[-1].occupancy == pytest.approx(1 / 3)
 
-    def test_memory_bound_cap_uses_hwsim(self):
-        workload = get_workload("pointnet_cls")
-        policy = ArrayPolicy(max_width=1000, workload=workload, device=V100)
-        from repro.hwsim import max_models
-        assert policy.width_cap() == max_models(workload, V100, "hfta", "amp")
-
-    def test_explicit_cap_wins_when_smaller(self):
-        policy = ArrayPolicy(max_width=2,
-                             workload=get_workload("pointnet_cls"),
-                             device=V100)
-        assert policy.width_cap() == 2
-
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError, match="max_width"):
             ArrayPolicy(max_width=0)
-        with pytest.raises(ValueError, match="together"):
-            ArrayPolicy(workload=get_workload("pointnet_cls"))
 
 
 # --------------------------------------------------------------------- #

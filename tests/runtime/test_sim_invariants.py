@@ -15,8 +15,11 @@ hand-picked ones:
   admission time;
 * **slot accounting** — every launched array's occupied slot-steps stay
   within its executed slot-steps across evictions, freed-width
-  admissions and defrag merges, and the per-device busy time never
+  admissions and preemptions, and the per-device busy time never
   exceeds the fleet's virtual makespan;
+* **placement is final** — under greedy placement a live array trains on
+  the device it was placed on until it drains: every event naming a job
+  carries the device the job was placed on (or boarded freed width on);
 * **determinism** — replaying the identical trace yields the identical
   result sequence and tenant ledger (the property the real-vs-sim
   equivalence suite then extends across backends).
@@ -28,10 +31,12 @@ import pytest
 
 from repro.cluster import ServingTraceConfig, TenantLoad, \
     generate_serving_trace
+from repro.hwsim import RTX6000, V100
 from repro.runtime import JobState, ServingGateway, TenantSpec, \
     VirtualClock, synthetic_fleet
 
 from .conftest import make_sim_job
+from .test_sim_equivalence import run_backend
 
 TERMINAL = (JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED,
             JobState.SHED)
@@ -105,11 +110,41 @@ def replay_checking_invariants(trace, gateway, specs,
         return admitted, served
 
 
+def assert_jobs_stay_on_their_device(events):
+    """Every event naming a job and a device names the device of the job's
+    latest ``place`` — or ``admit``, for a job that boarded freed width
+    of an array already running."""
+    device_of = {}
+    checked = 0
+    for event in events:
+        if event.kind == "place":
+            device_of.update(dict.fromkeys(event.job_ids, event.device))
+        elif event.kind == "admit":
+            device_of.update(dict.fromkeys(event.data, event.device))
+        if not event.device:
+            continue
+        for job_id in event.job_ids:
+            assert device_of[job_id] == event.device, \
+                f"job {job_id} placed on {device_of[job_id]}: {event}"
+            checked += 1
+    assert checked, "no event named a job and a device"
+
+
+def test_two_device_trace_keeps_every_job_where_it_was_placed():
+    """The real-vs-sim two-device trace: early stops free width on both
+    devices, and no array leaves the device it launched on."""
+    fleet, _, _ = run_backend("sim", (V100, RTX6000))
+    assert fleet.metrics.jobs_evicted and fleet.metrics.jobs_admitted
+    assert_jobs_stay_on_their_device(fleet.metrics.events)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_trace_invariants(seed):
     trace, gateway, specs = random_setup(seed)
+    gateway.metrics.enable_event_log()
     admitted, served, = replay_checking_invariants(trace, gateway, specs)
     assert admitted, "randomized trace admitted nothing"
+    assert_jobs_stay_on_their_device(gateway.metrics.events)
 
     # -- no job double-served
     assert len(served) == len(set(served))

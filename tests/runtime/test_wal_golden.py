@@ -1,8 +1,8 @@
 """The write-ahead log of one lifecycle scenario, pinned record by record.
 
 A seeded real fleet with a :class:`CheckpointStore` and a
-:class:`RecoveryManager` runs every transition the WAL records, in four
-phases on one log:
+:class:`RecoveryManager` runs every transition a greedy fleet makes, in
+four phases on one log:
 
 1. **shed, cancel, fail** — a full one-slot queue displaces a
    low-priority admission for a higher one, the newcomer is cancelled
@@ -11,7 +11,7 @@ phases on one log:
    preempts a slot of the over-share tenant, a slot early-stops (evict), a
    queued job boards the freed width (admit), a running job is cancelled,
    and every array drains;
-3. **defrag** — two half-empty stragglers on two devices merge;
+3. **two devices, early stops** — each array drains where it launched;
 4. **crash and rebuild** — the chaos hook kills a device mid-array, the
    process "dies", and :meth:`RecoveryManager.rebuild_fleet` replays the
    unsettled admissions from the log and drains them.
@@ -140,7 +140,7 @@ class AlternatingPlacer(FleetPlacer):
         return pinned
 
 
-def defrag(store, recovery, metrics):
+def two_devices(store, recovery, metrics):
     devices = (V100, RTX6000)
     fleet = FleetScheduler(
         devices=devices, placer=AlternatingPlacer(devices=devices,
@@ -185,7 +185,7 @@ def run_scenario(root, metrics=None):
     manager.  ``metrics`` is shared by every fleet when given."""
     store = CheckpointStore(root)
     recovery = RecoveryManager(store)
-    for phase in (shed_cancel_fail, serve, defrag, crash_and_rebuild):
+    for phase in (shed_cancel_fail, serve, two_devices, crash_and_rebuild):
         phase(store, recovery, metrics)
     return recovery
 
@@ -201,14 +201,12 @@ def test_the_wal_of_the_lifecycle_scenario_is_unchanged(tmp_path):
     # the scenario reaches every transition it claims to
     assert min(metrics.jobs_shed, metrics.jobs_cancelled,
                metrics.jobs_preempted, metrics.jobs_evicted,
-               metrics.jobs_admitted, metrics.arrays_merged,
-               metrics.workers_crashed, metrics.jobs_recovered,
-               metrics.jobs_failed) >= 1
+               metrics.jobs_admitted, metrics.workers_crashed,
+               metrics.jobs_recovered, metrics.jobs_failed) >= 1
     assert metrics.jobs_cancelled == 2       # one queued, one running
     array_events = {r["event"] for r in records if r["type"] == "array"}
     states = {r["state"] for r in records if r["type"] == "state"}
-    assert {"launch", "evict", "admit", "merge", "crash",
-            "drain"} <= array_events
+    assert {"launch", "evict", "admit", "crash", "drain"} <= array_events
     assert {"shed", "cancelled", "failed", "completed",
             "recovered"} <= states
     assert any(r["type"] == "replay" for r in records)
