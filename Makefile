@@ -4,7 +4,7 @@
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest
 
-.PHONY: test bench bench-smoke coverage docs-check api-docs examples lint
+.PHONY: test bench bench-smoke probe coverage docs-check api-docs examples lint
 
 # tier-1 verify: the whole suite, fail fast
 test:
@@ -19,6 +19,12 @@ bench:
 # results checked; exits non-zero unless every workload ends `correct`
 bench-smoke:
 	PYTHONPATH=src $(PY) -m bench_e2e --smoke
+
+# per-step wall ms, minor page faults and system ms of a fused width-4
+# step next to 4 serial steps, on the sweep_paper models at benchmark
+# size, plus the bytes each array's activation arena holds
+probe:
+	PYTHONPATH=src $(PY) tools/step_probe.py
 
 # line-coverage gate on the runtime package (>= 80%): coverage.py via
 # pytest-cov when installed (CI), else the stdlib trace fallback — same

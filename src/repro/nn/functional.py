@@ -25,6 +25,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from . import arena
 from .tensor import Tensor, _accumulate, _make_out
 
 __all__ = [
@@ -131,7 +132,9 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], x_shape, w_shape,
     k = c_in_per_group * kh * kw
     cols_g = cols.reshape(n, groups, k, L)
     w_g = weight.data.reshape(groups, c_out // groups, k)
-    out_data = np.matmul(w_g, cols_g).reshape(n, c_out, L)
+    out_data = np.matmul(w_g, cols_g, out=arena.empty(
+        (n, groups, c_out // groups, L),
+        np.promote_types(w_g.dtype, cols_g.dtype))).reshape(n, c_out, L)
     if bias is not None:
         out_data += bias.data.reshape(c_out, 1)
     spatial = (out_h, out_w) if x.ndim == 4 else (out_w,)
@@ -141,13 +144,20 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], x_shape, w_shape,
     if out.requires_grad:
         def _bw(grad_out):
             g = grad_out.reshape(n, groups, c_out // groups, L)
+            # a node's gradient arrives in its output's dtype, the promotion
+            # of the operands', so every product below has g's dtype
             if _needs_grad(weight):
-                gw = np.matmul(g, cols_g.swapaxes(-1, -2)).sum(axis=0)
+                per_sample = np.matmul(
+                    g, cols_g.swapaxes(-1, -2),
+                    out=arena.empty((n, groups, c_out // groups, k), g.dtype))
+                gw = per_sample.sum(axis=0, out=arena.empty(
+                    per_sample.shape[1:], g.dtype))
                 _accumulate(weight, gw.reshape(weight.shape))
             if _needs_grad(bias):
                 _accumulate(bias, np.einsum("ncl->c", g.reshape(n, c_out, L)))
             if _needs_grad(x):
-                gx = np.matmul(w_g.swapaxes(-1, -2), g)
+                gx = np.matmul(w_g.swapaxes(-1, -2), g,
+                               out=arena.empty((n, groups, k, L), g.dtype))
                 if not pointwise:
                     gx = _col2im(gx.reshape(n, c_in * kh * kw, L), x_shape,
                                  kh, kw, stride, padding, dilation)
@@ -270,7 +280,10 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             if _needs_grad(x):
                 _accumulate(x, np.matmul(g, w).reshape(x_shape))
             if _needs_grad(weight):
-                _accumulate(weight, np.matmul(g.swapaxes(-1, -2), x2))
+                # g carries the output's dtype, the promotion of x's and w's
+                _accumulate(weight, np.matmul(
+                    g.swapaxes(-1, -2), x2,
+                    out=arena.empty(weight.shape, g.dtype)))
             if _needs_grad(bias):
                 _accumulate(bias, g.sum(axis=-2).reshape(bias.shape))
         out._backward = _bw
@@ -387,7 +400,7 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
     if batch_stats:
         count = data.size // data.shape[channel_axis]
         mean = _sum_over(data, axes) * (1.0 / count)
-        xc = data - mean
+        xc = np.subtract(data, mean, out=arena.empty(data.shape, data.dtype))
         var = _sum_over(xc, axes, xc) * (1.0 / count)
         if running_mean is not None:
             unbiased = var * count / max(count - 1, 1)
@@ -400,7 +413,8 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
         var = running_var.reshape(shape)
     rstd = 1.0 / np.sqrt(var + eps)
     scale = rstd if weight is None else rstd * weight.data.reshape(shape)
-    out_data = xc * scale
+    out_data = np.multiply(xc, scale, out=arena.empty(
+        xc.shape, np.promote_types(xc.dtype, scale.dtype)))
     if bias is not None:
         out_data += bias.data.reshape(shape)
 
@@ -416,7 +430,10 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
                 _accumulate(bias, sum_g.reshape(bias.shape))
             if _needs_grad(x):
                 if batch_stats:
-                    gx = xc * (rstd * rstd * sum_gxc * (1.0 / count))
+                    # g has the output's dtype, which xc's promotes to
+                    gx = np.multiply(
+                        xc, rstd * rstd * sum_gxc * (1.0 / count),
+                        out=arena.empty(xc.shape, g.dtype))
                     gx += sum_g * (1.0 / count)
                     np.subtract(g, gx, out=gx)
                     gx *= scale

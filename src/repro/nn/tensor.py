@@ -29,6 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import arena
+
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones",
            "randn", "rand", "arange", "full", "stack", "cat"]
 
@@ -226,7 +228,7 @@ class Tensor:
             if node.requires_grad and node._backward is None:
                 # Leaf tensor: accumulate into .grad
                 if node.grad is None:
-                    node.grad = g.copy()
+                    node.grad = arena.copy(g)
                 else:
                     node.grad = node.grad + g
             if node._backward is not None:
@@ -407,10 +409,13 @@ class Tensor:
                 top = out_data
                 if axis is not None and not keepdims:
                     top, g = np.expand_dims(top, axis), np.expand_dims(g, axis)
-                mask = self.data == top
+                data = self.data
+                mask = np.equal(data, top,
+                                out=arena.empty(data.shape, arena.BOOL))
                 ties = np.count_nonzero(mask, axis=axis, keepdims=True)
-                _accumulate(self, mask * (g / ties).astype(self.data.dtype,
-                                                           copy=False))
+                share = (g / ties).astype(data.dtype, copy=False)
+                _accumulate(self, np.multiply(
+                    mask, share, out=arena.empty(data.shape, data.dtype)))
             out._backward = _bw
         return out
 
@@ -562,12 +567,17 @@ class Tensor:
         return out
 
     def relu(self) -> "Tensor":
-        out = _make_out(np.maximum(self.data, 0.0), (self,), "relu")
+        data = self.data
+        out_data = np.maximum(data, 0.0,
+                              out=arena.empty(data.shape, data.dtype))
+        out = _make_out(out_data, (self,), "relu")
         if out.requires_grad:
-            mask = self.data > 0
+            mask = np.greater(data, 0,
+                              out=arena.empty(data.shape, arena.BOOL))
 
             def _bw(g):
-                _accumulate(self, g * mask)
+                _accumulate(self, np.multiply(
+                    g, mask, out=arena.empty(g.shape, g.dtype)))
             out._backward = _bw
         return out
 
@@ -648,7 +658,9 @@ def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
         grads = stack[-1]
         key = id(tensor)
         if key in grads:
-            grads[key] = grads[key] + grad
+            # both have the tensor's shape and dtype (module docstring)
+            grads[key] = np.add(grads[key], grad,
+                                out=arena.empty(grad.shape, grad.dtype))
         else:
             grads[key] = grad
     else:  # direct call outside a traversal (rare; e.g. manual grad injection)

@@ -222,16 +222,19 @@ class FusedPhysics:
     def __init__(self, engine: TrainingArrayEngine, plan: ArrayPlan):
         self.engine = engine
         self.loss_key = plan.jobs[0].job.loss
-        self.fused = self.optimizer = self.criterion = None
+        self.fused = self.optimizer = self.criterion = self.arena = None
 
     def _install(self, fused: Module, optimizer) -> FusedPhysics:
-        """Swap in a fused model/optimizer pair and the criterion of their
-        width (nothing is assigned if the loss is unknown)."""
+        """Swap in a fused model/optimizer pair, the criterion of their
+        width and an empty activation arena — the old one's buffers have
+        the old width's shapes (nothing is assigned if the loss is
+        unknown)."""
         if self.loss_key not in _CRITERIA:
             raise ValueError(f"unknown loss '{self.loss_key}'; choose from "
                              f"{sorted(_CRITERIA)}")
         self.criterion = _CRITERIA[self.loss_key](optimizer.num_models)
         self.fused, self.optimizer = fused, optimizer
+        self.arena = nn.Arena()
         return self
 
     def build(self, subs: Sequence[SubmittedJob],
@@ -269,19 +272,23 @@ class FusedPhysics:
     def step(self, slots: Sequence[_Slot], steps: int) -> Tuple[float, int]:
         start = time.perf_counter()
         samples = 0
-        for i in range(steps):
-            batches = [slot.job.data(slot.progress + i) for slot in slots]
-            inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
-                      for x, _ in batches]
-            targets = np.stack([y for _, y in batches])
-            self.optimizer.zero_grad()
-            out = self.fused(self.fused.fuse_inputs(inputs))
-            losses = self.criterion.per_model(out, targets)
-            losses.sum().backward()
-            self.optimizer.step()
-            for slot, value in zip(slots, losses.data.tolist()):
-                slot.curve.append(value)
-            samples += sum(len(y) for _, y in batches)
+        with self.arena.active():
+            for i in range(steps):
+                batches = [slot.job.data(slot.progress + i) for slot in slots]
+                inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
+                          for x, _ in batches]
+                targets = np.stack([y for _, y in batches])
+                self.optimizer.zero_grad()
+                out = self.fused(self.fused.fuse_inputs(inputs))
+                losses = self.criterion.per_model(out, targets)
+                losses.sum().backward()
+                self.optimizer.step()
+                for slot, value in zip(slots, losses.data.tolist()):
+                    slot.curve.append(value)
+                samples += sum(len(y) for _, y in batches)
+                # the graph dies here, not after the next forward: two
+                # steps' activations never coexist in the arena
+                del out, losses
         return time.perf_counter() - start, samples
 
     def take(self, indices: Sequence[int]) -> FusedPhysics:
@@ -301,7 +308,7 @@ class FusedPhysics:
         # swap is atomic
         dead = [(self.fused, self.optimizer), (other.fused, other.optimizer)]
         self._install(merged, merged_opt)
-        other.fused = other.optimizer = other.criterion = None
+        other.fused = other.optimizer = other.criterion = other.arena = None
         for fused, optimizer in dead:
             pool.release_all(self._allocations(fused, optimizer))
 

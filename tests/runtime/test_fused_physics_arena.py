@@ -1,0 +1,46 @@
+"""A fused array's activation arena, driven through ``FusedPhysics.step``.
+
+The arena holds one step's peak set of large buffers only if each step's
+graph dies before the next forward.  Were the loop's ``out``/``losses``
+released only when the next step reassigns them, the previous graph would
+still hold every buffer while the next forward draws its own, and the
+arena would double.
+"""
+
+import numpy as np
+
+from repro.models import PointNetCls
+from repro.runtime import ArrayPolicy, TrainingArrayEngine, TrainingJob
+
+B = 4
+
+
+def build(num_models=None, generator=None):
+    return PointNetCls(num_classes=8, num_models=num_models, width=0.25,
+                       dropout=0.0, generator=generator)
+
+
+def clouds(seed):
+    rng = np.random.default_rng(seed)
+    batches = [(rng.standard_normal((8, 3, 64)).astype(np.float32),
+                rng.integers(0, 8, size=8)) for _ in range(3)]
+    return lambda step: batches[step % len(batches)]
+
+
+def test_a_step_graph_dies_before_the_next_forward():
+    engine = TrainingArrayEngine(policy=ArrayPolicy(max_width=B))
+    engine.submit_all([TrainingJob(
+        name=f"pointnet{i}", seed=i, steps=4, epoch_steps=4, loss="nll",
+        config={"lr": 1e-3, "optimizer": "adam"}, build_model=build,
+        data=clouds(i)) for i in range(B)])
+    cohorts, _ = engine.batcher.form_cohorts(engine.queue.pop_pending())
+    [plan] = engine.policy.plan(cohorts)
+    executor = engine.make_executor(plan)
+    executor.prepare()
+    physics, slots = executor.physics, executor.slots
+    assert len(slots) == B
+    physics.step(slots, 1)
+    after_first = physics.arena.misses
+    physics.step(slots, 2)       # step 3's forward runs after step 2's
+    assert after_first > 0
+    assert physics.arena.misses == after_first
