@@ -20,9 +20,11 @@ bench:
 bench-smoke:
 	PYTHONPATH=src $(PY) -m bench_e2e --smoke
 
-# per-step wall ms, minor page faults and system ms of a fused width-4
-# step next to 4 serial steps, on the sweep_paper models at benchmark
-# size, plus the bytes each array's activation arena holds
+# per-step wall ms, minor page faults, system ms and CPU share of a fused
+# width-4 step (split across two CPUs, and on one thread) next to 4
+# serial steps and two concurrent serial processes, on the sweep_paper
+# models at benchmark size, plus the bytes each array's activation arena
+# holds (`tools/step_probe.py --kernels`: the split threshold's table)
 probe:
 	PYTHONPATH=src $(PY) tools/step_probe.py
 

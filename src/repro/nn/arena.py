@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Arena", "BOOL", "MIN_BYTES", "copy", "empty"]
+__all__ = ["Arena", "BOOL", "MIN_BYTES", "buffer", "copy", "empty"]
 
 #: glibc's default ``M_MMAP_THRESHOLD``: smaller blocks come from the heap's
 #: free lists without faulting, so the arena leaves them alone — and the
@@ -111,6 +111,13 @@ def empty(shape: Tuple[int, ...], dtype: np.dtype) -> Optional[np.ndarray]:
         return None
     arena = getattr(_local, "arena", None)
     return None if arena is None else arena.take(shape, dtype)
+
+
+def buffer(shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An :func:`empty` buffer, or a new one when there is none: for a
+    kernel that writes its output in slices (:mod:`repro.nn.parallel`)."""
+    out = empty(shape, dtype)
+    return np.empty(shape, dtype) if out is None else out
 
 
 def copy(a: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from . import arena
+from . import arena, parallel
 from .tensor import Tensor, _accumulate, _make_out
 
 __all__ = [
@@ -111,7 +111,9 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], x_shape, w_shape,
     groups axis leading, ``[G, C_out/G, K] x [N, G, K, L]``: the ``B`` fused
     models of a ``groups=B`` call run exactly the GEMMs each would run alone.
     A pointwise convolution (kernel 1, stride 1, no padding) is its own column
-    matrix, so it gathers nothing forward and scatters nothing backward.
+    matrix, so it gathers nothing forward and scatters nothing backward.  A
+    large call runs its matmuls as two halves over ``N`` and the weight
+    gradient's sum over ``N`` as two column ranges (:mod:`.parallel`).
     """
     n, c_in, h, w = x_shape
     c_out, c_in_per_group, kh, kw = w_shape
@@ -132,32 +134,51 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], x_shape, w_shape,
     k = c_in_per_group * kh * kw
     cols_g = cols.reshape(n, groups, k, L)
     w_g = weight.data.reshape(groups, c_out // groups, k)
-    out_data = np.matmul(w_g, cols_g, out=arena.empty(
-        (n, groups, c_out // groups, L),
-        np.promote_types(w_g.dtype, cols_g.dtype))).reshape(n, c_out, L)
-    if bias is not None:
-        out_data += bias.data.reshape(c_out, 1)
+    out_g = arena.buffer((n, groups, c_out // groups, L),
+                         np.promote_types(w_g.dtype, cols_g.dtype))
+    bias_g = None if bias is None else bias.data.reshape(groups, -1, 1)
+    nbytes = parallel.gemm_bytes(out_g.nbytes, k)   # for backward too
+
+    def forward(lo, hi):
+        out_n = np.matmul(w_g, cols_g[lo:hi], out=out_g[lo:hi])
+        if bias_g is not None:
+            out_n += bias_g
+    parallel.split(n, nbytes, forward)
     spatial = (out_h, out_w) if x.ndim == 4 else (out_w,)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make_out(out_data.reshape((n, c_out) + spatial), parents, op)
+    out = _make_out(out_g.reshape((n, c_out) + spatial), parents, op)
     if out.requires_grad:
         def _bw(grad_out):
             g = grad_out.reshape(n, groups, c_out // groups, L)
             # a node's gradient arrives in its output's dtype, the promotion
             # of the operands', so every product below has g's dtype
+            per_sample = gx = None
             if _needs_grad(weight):
-                per_sample = np.matmul(
-                    g, cols_g.swapaxes(-1, -2),
-                    out=arena.empty((n, groups, c_out // groups, k), g.dtype))
-                gw = per_sample.sum(axis=0, out=arena.empty(
-                    per_sample.shape[1:], g.dtype))
+                per_sample = arena.buffer((n, groups, c_out // groups, k),
+                                          g.dtype)
+            if _needs_grad(x):
+                gx = arena.buffer((n, groups, k, L), g.dtype)
+
+            def products(lo, hi):
+                if per_sample is not None:
+                    np.matmul(g[lo:hi], cols_g[lo:hi].swapaxes(-1, -2),
+                              out=per_sample[lo:hi])
+                if gx is not None:
+                    np.matmul(w_g.swapaxes(-1, -2), g[lo:hi], out=gx[lo:hi])
+            parallel.split(n, nbytes, products)
+            if per_sample is not None:
+                # the sum over N, each column still summed in sample order
+                gw = arena.buffer(per_sample.shape[1:], g.dtype)
+                rows, gw_flat = per_sample.reshape(n, -1), gw.reshape(-1)
+
+                def column_sums(lo, hi):
+                    rows[:, lo:hi].sum(axis=0, out=gw_flat[lo:hi])
+                parallel.split(gw.size, nbytes, column_sums)
                 _accumulate(weight, gw.reshape(weight.shape))
             if _needs_grad(bias):
                 _accumulate(bias, np.einsum("ncl->c", g.reshape(n, c_out, L)))
-            if _needs_grad(x):
-                gx = np.matmul(w_g.swapaxes(-1, -2), g,
-                               out=arena.empty((n, groups, k, L), g.dtype))
+            if gx is not None:
                 if not pointwise:
                     gx = _col2im(gx.reshape(n, c_in * kh * kw, L), x_shape,
                                  kh, kw, stride, padding, dilation)
@@ -257,7 +278,8 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     for ``B`` fused layers (paper Table 6) with ``x`` ``[B, *, in]`` and
     ``bias`` ``[B, out]``.  One autograd node: the leading dims of ``x``
     flatten into one ``[M, in] @ [in, out]`` GEMM per model, so each slice of
-    a fused call runs exactly the GEMM its model runs alone.
+    a fused call runs exactly the GEMM its model runs alone.  A large fused
+    call runs its GEMMs as two halves of the ``B`` models (:mod:`.parallel`).
     """
     lead = weight.shape[:-2]                 # () serial, (B,) fused
     out_features, in_features = weight.shape[-2:]
@@ -267,9 +289,25 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                          f"{weight.shape}")
     x2 = x.data.reshape(lead + (-1, in_features))
     w = weight.data
-    out_data = np.matmul(x2, w.swapaxes(-1, -2))
-    if bias is not None:
-        out_data += bias.data.reshape(lead + (1, out_features))
+    shift = None if bias is None else bias.data.reshape(
+        lead + (1, out_features))
+    # the size test first: a small or serial call is the plain GEMM
+    nbytes = parallel.gemm_bytes(x2.nbytes // in_features * out_features,
+                                 in_features)     # for backward too
+    if lead and nbytes >= parallel.MIN_BYTES:
+        out_data = arena.buffer(x2.shape[:-1] + (out_features,),
+                                np.promote_types(x2.dtype, w.dtype))
+
+        def forward(lo, hi):
+            out_b = np.matmul(x2[lo:hi], w[lo:hi].swapaxes(-1, -2),
+                              out=out_data[lo:hi])
+            if shift is not None:
+                out_b += shift[lo:hi]
+        parallel.split(lead[0], nbytes, forward)
+    else:
+        out_data = np.matmul(x2, w.swapaxes(-1, -2))
+        if shift is not None:
+            out_data += shift
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make_out(out_data.reshape(x_shape[:-1] + (out_features,)), parents,
@@ -277,13 +315,31 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if out.requires_grad:
         def _bw(grad_out):
             g = grad_out.reshape(out_data.shape)
-            if _needs_grad(x):
-                _accumulate(x, np.matmul(g, w).reshape(x_shape))
-            if _needs_grad(weight):
-                # g carries the output's dtype, the promotion of x's and w's
-                _accumulate(weight, np.matmul(
-                    g.swapaxes(-1, -2), x2,
-                    out=arena.empty(weight.shape, g.dtype)))
+            # g carries the output's dtype, the promotion of x's and w's
+            gx = gw = None
+            if lead and nbytes >= parallel.MIN_BYTES:
+                if _needs_grad(x):
+                    gx = arena.buffer(x2.shape, g.dtype)
+                if _needs_grad(weight):
+                    gw = arena.buffer(weight.shape, g.dtype)
+
+                def backward(lo, hi):
+                    if gx is not None:
+                        np.matmul(g[lo:hi], w[lo:hi], out=gx[lo:hi])
+                    if gw is not None:
+                        np.matmul(g[lo:hi].swapaxes(-1, -2), x2[lo:hi],
+                                  out=gw[lo:hi])
+                parallel.split(lead[0], nbytes, backward)
+            else:
+                if _needs_grad(x):
+                    gx = np.matmul(g, w)
+                if _needs_grad(weight):
+                    gw = np.matmul(g.swapaxes(-1, -2), x2,
+                                   out=arena.empty(weight.shape, g.dtype))
+            if gx is not None:
+                _accumulate(x, gx.reshape(x_shape))
+            if gw is not None:
+                _accumulate(weight, gw)
             if _needs_grad(bias):
                 _accumulate(bias, g.sum(axis=-2).reshape(bias.shape))
         out._backward = _bw
@@ -390,18 +446,28 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
 
     One autograd node: backward keeps the centered input and ``rstd`` and
     applies ``dx = scale * (g - mean(g) - x_c * rstd^2 * mean(g * x_c))``.
+    Every full-size pass is per channel, so a large call runs as two
+    channel halves (:mod:`.parallel`).
     """
     data = x.data
     channel_axis %= data.ndim
     axes = tuple(i for i in range(data.ndim) if i != channel_axis)
+    channels = data.shape[channel_axis]
     shape = [1] * data.ndim
-    shape[channel_axis] = data.shape[channel_axis]
+    shape[channel_axis] = channels
+    lead = (slice(None),) * channel_axis     # lead + (slice(lo, hi),): a half
     batch_stats = training or running_mean is None
     if batch_stats:
-        count = data.size // data.shape[channel_axis]
-        mean = _sum_over(data, axes) * (1.0 / count)
-        xc = np.subtract(data, mean, out=arena.empty(data.shape, data.dtype))
-        var = _sum_over(xc, axes, xc) * (1.0 / count)
+        count = data.size // channels
+        mean, var = np.empty(shape, data.dtype), np.empty(shape, data.dtype)
+        xc = arena.buffer(data.shape, data.dtype)
+
+        def stats(lo, hi):
+            c = lead + (slice(lo, hi),)
+            np.multiply(_sum_over(data[c], axes), 1.0 / count, out=mean[c])
+            xc_c = np.subtract(data[c], mean[c], out=xc[c])
+            np.multiply(_sum_over(xc_c, axes, xc_c), 1.0 / count, out=var[c])
+        parallel.split(channels, data.nbytes, stats)
         if running_mean is not None:
             unbiased = var * count / max(count - 1, 1)
             running_mean *= (1 - momentum)
@@ -413,33 +479,45 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
         var = running_var.reshape(shape)
     rstd = 1.0 / np.sqrt(var + eps)
     scale = rstd if weight is None else rstd * weight.data.reshape(shape)
-    out_data = np.multiply(xc, scale, out=arena.empty(
-        xc.shape, np.promote_types(xc.dtype, scale.dtype)))
-    if bias is not None:
-        out_data += bias.data.reshape(shape)
+    shift = None if bias is None else bias.data.reshape(shape)
+    out_data = arena.buffer(xc.shape, np.promote_types(xc.dtype, scale.dtype))
+
+    def affine(lo, hi):
+        c = lead + (slice(lo, hi),)
+        out_c = np.multiply(xc[c], scale[c], out=out_data[c])
+        if shift is not None:
+            out_c += shift[c]
+    parallel.split(channels, data.nbytes, affine)
 
     parents = tuple(p for p in (x, weight, bias) if p is not None)
     out = _make_out(out_data, parents, "batch_norm")
     if out.requires_grad:
         def _bw(g):
-            sum_g = _sum_over(g, axes)
-            sum_gxc = _sum_over(g, axes, xc)
+            # g has the output's dtype, which xc's promotes to
+            sum_g, sum_gxc = np.empty(shape, g.dtype), np.empty(shape, g.dtype)
+            gx = None
+            if batch_stats and _needs_grad(x):
+                gx = arena.buffer(xc.shape, g.dtype)
+
+            def sums_and_dx(lo, hi):
+                c = lead + (slice(lo, hi),)
+                g_c, xc_c = g[c], xc[c]
+                sum_g[c] = _sum_over(g_c, axes)
+                sum_gxc[c] = _sum_over(g_c, axes, xc_c)
+                if gx is not None:
+                    gx_c = np.multiply(
+                        xc_c, rstd[c] * rstd[c] * sum_gxc[c] * (1.0 / count),
+                        out=gx[c])
+                    gx_c += sum_g[c] * (1.0 / count)
+                    np.subtract(g_c, gx_c, out=gx_c)
+                    gx_c *= scale[c]
+            parallel.split(channels, g.nbytes, sums_and_dx)
             if _needs_grad(weight):
                 _accumulate(weight, (sum_gxc * rstd).reshape(weight.shape))
             if _needs_grad(bias):
                 _accumulate(bias, sum_g.reshape(bias.shape))
             if _needs_grad(x):
-                if batch_stats:
-                    # g has the output's dtype, which xc's promotes to
-                    gx = np.multiply(
-                        xc, rstd * rstd * sum_gxc * (1.0 / count),
-                        out=arena.empty(xc.shape, g.dtype))
-                    gx += sum_g * (1.0 / count)
-                    np.subtract(g, gx, out=gx)
-                    gx *= scale
-                else:
-                    gx = g * scale
-                _accumulate(x, gx)
+                _accumulate(x, g * scale if gx is None else gx)
         out._backward = _bw
     return out
 

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import arena
+from . import arena, parallel
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones",
            "randn", "rand", "arange", "full", "stack", "cat"]
@@ -400,8 +400,26 @@ class Tensor:
         return sq.sum(axis=axis, keepdims=keepdims) * (1.0 / denom)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Maximum over ``axis``; tied maxima share the gradient equally."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        """Maximum over ``axis``; tied maxima share the gradient equally.
+
+        Along a non-leading axis, a large input is reduced as two halves of
+        its leading axis (:mod:`.parallel`).
+        """
+        data = self.data
+        if isinstance(axis, int) and axis % data.ndim:
+            shape = list(data.shape)
+            if keepdims:
+                shape[axis] = 1
+            else:
+                del shape[axis]
+            out_data = arena.buffer(tuple(shape), data.dtype)
+
+            def rows(lo, hi):
+                np.max(data[lo:hi], axis=axis, keepdims=keepdims,
+                       out=out_data[lo:hi])
+            parallel.split(len(data), data.nbytes, rows)
+        else:
+            out_data = data.max(axis=axis, keepdims=keepdims)
         out = _make_out(out_data, (self,), "max")
         if out.requires_grad:
             def _bw(g):
@@ -409,13 +427,17 @@ class Tensor:
                 top = out_data
                 if axis is not None and not keepdims:
                     top, g = np.expand_dims(top, axis), np.expand_dims(g, axis)
-                data = self.data
-                mask = np.equal(data, top,
-                                out=arena.empty(data.shape, arena.BOOL))
-                ties = np.count_nonzero(mask, axis=axis, keepdims=True)
-                share = (g / ties).astype(data.dtype, copy=False)
-                _accumulate(self, np.multiply(
-                    mask, share, out=arena.empty(data.shape, data.dtype)))
+                mask = parallel.ufunc(np.equal, data, top, arena.BOOL)
+                # one maximum in every row (a NaN row matches nothing, so it
+                # could hide a tie elsewhere): the share is g / 1, exactly
+                if (np.count_nonzero(mask) == top.size
+                        and not np.isnan(top).any()):
+                    share = g.astype(data.dtype, copy=False)
+                else:
+                    ties = np.count_nonzero(mask, axis=axis, keepdims=True)
+                    share = (g / ties).astype(data.dtype, copy=False)
+                _accumulate(self, parallel.ufunc(np.multiply, mask, share,
+                                                 data.dtype))
             out._backward = _bw
         return out
 
@@ -568,16 +590,14 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         data = self.data
-        out_data = np.maximum(data, 0.0,
-                              out=arena.empty(data.shape, data.dtype))
+        out_data = parallel.ufunc(np.maximum, data, 0.0, data.dtype)
         out = _make_out(out_data, (self,), "relu")
         if out.requires_grad:
-            mask = np.greater(data, 0,
-                              out=arena.empty(data.shape, arena.BOOL))
+            mask = parallel.ufunc(np.greater, data, 0, arena.BOOL)
 
             def _bw(g):
-                _accumulate(self, np.multiply(
-                    g, mask, out=arena.empty(g.shape, g.dtype)))
+                _accumulate(self, parallel.ufunc(np.multiply, g, mask,
+                                                 g.dtype))
             out._backward = _bw
         return out
 
