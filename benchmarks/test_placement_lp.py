@@ -11,17 +11,16 @@ over the *identical* arrival sequence, and pins what differs:
 * **busiest-device busy seconds** — ``metrics.simulated_makespan``: the
   summed virtual seconds of the arrays the most-loaded device ran.
   Greedy stacks whole bursts onto the globally fastest devices; the LP's
-  makespan variable (in practice its greedy rounding plus live
-  migration) spreads them: 5.09 s -> 2.00 s here, the "60.7 %" of earlier
-  write-ups.  That is 5 busy seconds of a 1 617-second trace — every
-  device is under 1 % utilised — so **no job finishes earlier**: the
+  makespan variable (in practice its greedy rounding) spreads them:
+  5.09 s -> 4.13 s here.  That is 5 busy seconds of a 1 617-second
+  trace — every device is under 1 % utilised — so **no job finishes earlier**: the
   fleet's finish time is the same virtual second under both policies and
   job latency p50/p90 move by 0.1 % (``docs/placement.md``, "What the
   placement ablation measured", has the table over 11 trace seeds);
 * **SLO misses** — the ``prio`` tenant submits every job with a
   deadline; neither policy may miss one;
-* **solver activity** — solve and migration counts (the solver's wall
-  milliseconds are machine-dependent and only printed).
+* **solver activity** — the solve count (the solver's wall milliseconds
+  are machine-dependent and only printed).
 
 Every pinned number is virtual-time arithmetic, bit-reproducible across
 machines and the same with or without scipy on this trace (the relaxation
@@ -123,7 +122,6 @@ def run_policy(placement, trace):
         "solver_ms": placement_summary["lp_solver_seconds"] * 1e3,
         "solves": placement_summary["lp_solves"],
         "fallback_solves": placement_summary["lp_fallback_solves"],
-        "migrations": placement_summary["migrations_emitted"],
     }
 
 
@@ -142,11 +140,10 @@ def test_lp_placement_spreads_the_busiest_device():
 
     assert greedy["busiest_device_busy_s"] == pytest.approx(5.094126,
                                                             abs=1e-6)
-    assert lp["busiest_device_busy_s"] == pytest.approx(2.001628, abs=1e-6)
+    assert lp["busiest_device_busy_s"] == pytest.approx(4.127178, abs=1e-6)
     # ...of a trace this long: nothing finishes earlier for it
     assert lp["fleet_finish_s"] == greedy["fleet_finish_s"] \
         == pytest.approx(1616.706, abs=1e-3)
     assert greedy["slo_miss_rate"] == lp["slo_miss_rate"] == 0.0
 
-    assert (greedy["solves"], greedy["migrations"]) == (0, 0)
-    assert (lp["solves"], lp["migrations"]) == (10, 37)
+    assert (greedy["solves"], lp["solves"]) == (0, 10)

@@ -29,14 +29,13 @@ of a shared accelerator:
 * :mod:`repro.runtime.placement_lp` — global placement as an assignment
   LP: the whole cycle solved at once with ``scipy.optimize.linprog``
   (deterministic greedy rounding as the always-on fallback and floor),
-  objective mixing projected completion, SLO urgency, migration cost and
-  fused-width efficiency, plus budget-bounded live-array migration
-  (``FleetScheduler(placement="lp")``);
+  objective mixing projected completion, SLO urgency and fused-width
+  efficiency (``FleetScheduler(placement="lp")``);
 * :mod:`repro.runtime.fleet`   — the multi-device scheduler: per-device
   work queues over a shared intake queue, drained by one deterministic
   event loop (the same on ``execution="real"`` and ``"sim"``); a live
-  array trains on the device it was placed on until it drains;
-  quarantine-and-retry failure isolation;
+  array trains on the device it was placed on, at its width cap, until
+  it drains; quarantine-and-retry failure isolation;
 * :mod:`repro.runtime.metrics` — the lifecycle event stream and the
   counters folded from it: throughput/occupancy in the conventions of
   ``benchmarks/test_fig*_counters.py``, per-device utilization,

@@ -80,7 +80,7 @@ _STATE_OF = {"fail": JobState.FAILED, "cancel": JobState.CANCELLED,
 
 #: array event kinds -> the key their ``data`` is journaled under (None:
 #: the record is the array, its device and its live job ids alone)
-_ARRAY_DATA = {"launch": None, "crash": None, "migrate": None,
+_ARRAY_DATA = {"launch": None, "crash": None,
                "evict": "retired", "drain": "retired", "admit": "admitted",
                "merge": "absorbed_array"}
 

@@ -357,8 +357,8 @@ class ArrayExecutor:
     timeline charge and the result clock once, for every array it runs.
 
     It is driven by :meth:`TrainingArrayEngine.run_executor`, whose
-    ``after_epoch`` hook is where the fleet admits, preempts
-    (:meth:`detach_slots`) and migrates.
+    ``after_epoch`` hook is where the fleet admits and preempts
+    (:meth:`detach_slots`).
     """
 
     def __init__(self, engine: "TrainingArrayEngine", plan: ArrayPlan,
@@ -418,11 +418,6 @@ class ArrayExecutor:
         if self.solo:
             return 0
         return max(0, self.width_cap - self.live_width)
-
-    @property
-    def remaining_steps(self) -> int:
-        """The longest live slot's remaining budget (migration input)."""
-        return max((slot.remaining for slot in self.slots), default=0)
 
     @property
     def compat_key(self) -> Tuple:
@@ -980,14 +975,13 @@ class TrainingArrayEngine:
 
     def run_executor(self, executor: ArrayExecutor,
                      after_epoch: Optional[
-                         Callable[[ArrayExecutor], Optional[str]]] = None
+                         Callable[[ArrayExecutor], None]] = None
                      ) -> List[JobResult]:
-        """Drive an executor until it drains or is handed off.
+        """Drive an executor until it drains.
 
-        ``after_epoch`` runs at every epoch boundary and may return
-        ``"detach"`` to stop stepping here without draining — the fleet
-        uses this to migrate a live array to another device.  Without a
-        hook, the engine's own freed-width admission runs instead.
+        ``after_epoch`` runs at every epoch boundary (the fleet's
+        admission and preemption hook).  Without a hook, the engine's own
+        freed-width admission runs instead.
 
         A failing multi-job array does not fail its jobs outright: its
         still-live jobs are requeued in quarantine (``solo``) and retried
@@ -1002,8 +996,7 @@ class TrainingArrayEngine:
                 if executor.done:
                     break
                 if after_epoch is not None:
-                    if after_epoch(executor) == "detach":
-                        return executor.take_results()
+                    after_epoch(executor)
                 else:
                     self.refill_from_queue(executor)
         except Exception as exc:  # noqa: BLE001 — isolate array failures
@@ -1065,24 +1058,18 @@ class TrainingArrayEngine:
     # freed-width admission
     # ------------------------------------------------------------------ #
     def refill_from_queue(self, executor: ArrayExecutor,
-                          device_cap: Optional[int] = None,
                           key: Optional[Callable] = None) -> int:
         """Admit compatible pending jobs into an executor's freed width.
 
         This is how freed capacity flows back to the scheduler between
         cycles: a queued job whose fusibility profile matches a running
         under-filled array boards it immediately instead of waiting for the
-        array to drain.  ``device_cap`` additionally bounds the admission
-        target width — a migrated executor may sit on a device with a
-        smaller memory cap than the one its plan was sized for, and
-        admission must never regrow the array past where it now runs.
-        ``key`` ranks the candidates (the gateway's fair-admission order:
-        deadline-at-risk first, then priority, then weighted fairness).
-        Returns the number of jobs admitted.
+        array to drain, up to the executor's width cap.  ``key`` ranks the
+        candidates (the gateway's fair-admission order: deadline-at-risk
+        first, then priority, then weighted fairness).  Returns the number
+        of jobs admitted.
         """
         freed = executor.freed_width
-        if device_cap is not None:
-            freed = min(freed, max(0, device_cap - executor.live_width))
         if freed <= 0 or executor.done:
             return 0
         profile = executor.admission_profile

@@ -16,9 +16,11 @@ runs the scheduling loop::
              on the same device)
       -> emit(Event("array", ...))            (metrics.py)
 
-A live array trains on the device it was placed on until it drains.  Only
-crash recovery (the jobs requeue from the store) and ``placement="lp"``
-migration move work off its device.
+A live array trains on the device it was placed on, at that device's
+width cap, until it drains.  Only crash recovery moves work off a device
+(:meth:`FleetScheduler._rehome`): the dead device's queued work moves to a
+healthy device that can hold it, and its running array's jobs requeue
+from the store.
 
 Concurrency model: there is none inside a cycle.  Devices are *simulated*
 accelerators, and ``run_cycle`` runs their work items one at a time on the
@@ -70,7 +72,7 @@ from .sim import SimulatedCrash, VirtualClock
 __all__ = ["DeviceWorker", "FleetScheduler"]
 
 #: what a device worker's deque holds: a placed-but-unstarted plan, or a
-#: live executor handed over mid-training (a preempted child, a migration)
+#: live executor handed over mid-training (a preempted child)
 WorkItem = Union[PlacementDecision, ArrayExecutor]
 
 
@@ -128,8 +130,7 @@ class FleetScheduler:
                  recovery: Optional[RecoveryManager] = None,
                  execution: str = "real",
                  clock: Optional[VirtualClock] = None,
-                 placement: str = "greedy",
-                 migration_budget: int = 4):
+                 placement: str = "greedy"):
         self.queue = JobQueue()
         self.metrics = metrics if metrics is not None else RuntimeMetrics()
         self.batcher = Batcher()
@@ -146,12 +147,6 @@ class FleetScheduler:
             self.placer = FleetPlacer(
                 devices=tuple(devices), max_width=max_width,
                 precision=precision, default_workload=default_workload)
-        if migration_budget < 0:
-            raise ValueError("migration_budget must be >= 0")
-        #: live-array migration bound per scheduling cycle (each cycle
-        #: re-solves and opens a fresh window; forced moves — a home device
-        #: that can no longer hold its array — stay legal past it)
-        self.migration_budget = migration_budget
         self._last_solution_seen = None
         self.admission = admission
         if execution not in ("real", "sim"):
@@ -186,8 +181,7 @@ class FleetScheduler:
         self._state_lock = threading.Lock()
         self._array_ids = itertools.count()
         #: devices the event loop still offers turns this cycle (healthy
-        #: and not crashed); migration only targets these, so a moved
-        #: executor never lands in a queue nobody drains
+        #: and not crashed)
         self._live_workers: Dict[str, DeviceWorker] = {}
         #: crash detection: worker name -> executor it is currently
         #: running.  Registered before run_executor, cleared after it
@@ -242,27 +236,19 @@ class FleetScheduler:
             # every device engine shares this fleet's queue, metrics and WAL
             next(iter(self.workers.values())).engine._fail_job(sub, error)
 
-        # optimizer protocol: open the re-solve window before placing
-        if hasattr(self.placer, "begin_cycle"):
-            self.placer.begin_cycle(self.migration_budget)
         # `now` turns on SLO-slack ordering; without a policy there is no
         # gateway clock to read it from
         decisions = (self.placer.place(cohorts, now=policy.now())
                      if policy is not None
                      else self.placer.place(cohorts))
         self._record_solve()
-        quarantined = set(self._quarantined)
         for decision in decisions:
-            if decision.device_name in quarantined:
+            if decision.device_name in self._quarantined:
                 # a quarantined (recently crashed) device takes no new
-                # work until its quarantine expires; re-cost the plan for
-                # the least-loaded healthy device instead
-                fallback = min(
-                    (w for name, w in self.workers.items()
-                     if name not in quarantined),
-                    key=lambda w: len(w.plans), default=None)
-                if fallback is not None:
-                    decision = self._reroute(decision, fallback)
+                # work until its quarantine expires
+                decision = self._rehome(decision)
+                if decision is None:
+                    continue
             self.workers[decision.device_name].plans.append(decision)
             self.emit(Event(
                 "place", tuple(sub.job_id for sub in decision.plan.jobs),
@@ -309,8 +295,8 @@ class FleetScheduler:
         Devices run *serially but interleaved along their timelines*: each
         turn, the live device with queued work and the smallest
         ``(engine.sim_time, name)`` runs its next item until the array
-        drains or is handed off, which advances the device's timeline by
-        the cost model's price of the epochs it ran.  This visits work in
+        drains, which advances the device's timeline by the cost model's
+        price of the epochs it ran.  This visits work in
         the order concurrent devices would finish it, so freed-width
         admissions and the fleet makespan mirror parallel hardware —
         deterministically, and identically on both execution backends
@@ -322,7 +308,7 @@ class FleetScheduler:
         idle time passes, it is never rewound.
 
         Quarantined devices get no turn this cycle (their queued plans
-        were re-routed at placement), and a device whose item crashed
+        were re-homed at placement), and a device whose item crashed
         gets no further one: its in-flight registration stays behind, its
         in-memory array state is untrusted, and the end-of-cycle sweep
         recovers the jobs from the durable checkpoint store instead
@@ -400,7 +386,7 @@ class FleetScheduler:
             crashed, self._inflight = dict(self._inflight), {}
         for name, executor in crashed.items():
             self._recover_crashed(name, executor)
-        # Belt and braces: an executor re-routed off a crashed device just
+        # Belt and braces: an executor re-homed off a crashed device just
         # now must not outlive the cycle — finish it on its new device.
         for executor in self._flush_orphans():
             worker = self.workers.get(executor.device_name) or \
@@ -418,27 +404,18 @@ class FleetScheduler:
         recover), from scratch otherwise (the job loses at most
         ``checkpoint_every`` epochs of work, never its correctness: the
         resumed run stays serial-equivalent).  The device is quarantined
-        for the next scheduling cycle and its undispatched plans move to
-        healthy workers.
+        for the next scheduling cycle and its queued work moves to
+        healthy workers (:meth:`_rehome`).
         """
         worker = self.workers[name]
         with self._state_lock:
             self._quarantined.add(name)
         stranded = list(worker.plans)
         worker.plans.clear()
-        fallbacks = [w for n, w in self.workers.items()
-                     if n not in self._quarantined]
         for item in stranded:
-            target = min(fallbacks, key=lambda w: len(w.plans),
-                         default=None)
-            if target is None:
-                worker.plans.append(item)      # all quarantined: keep; the
-                continue                       # lift-all rule will run it
-            if isinstance(item, PlacementDecision):
-                item = self._reroute(item, target)
-            else:
-                item.device_name = target.name
-            target.plans.append(item)
+            item = self._rehome(item)
+            if item is not None:
+                self.workers[item.device_name].plans.append(item)
         live = [slot.sub for slot in executor.slots
                 if slot.sub.state in (JobState.SCHEDULED, JobState.RUNNING)]
         self.emit(Event("crash", tuple(sub.job_id for sub in live),
@@ -467,12 +444,8 @@ class FleetScheduler:
     # the epoch-boundary hook (between epochs of the running item)
     # ------------------------------------------------------------------ #
     def _after_epoch(self, worker: DeviceWorker,
-                     executor: ArrayExecutor) -> Optional[str]:
-        """Epoch-boundary hook: chaos, admission, preemption, migration.
-
-        Returns ``"detach"`` when the executor left this device (queued on
-        another device by a migration).
-        """
+                     executor: ArrayExecutor) -> None:
+        """Epoch-boundary hook: chaos, freed-width admission, preemption."""
         self.heartbeats[worker.name] = self._heartbeat_now()
         if self.chaos is not None and self.chaos(worker.name, executor):
             # injected device failure: a BaseException passes through the
@@ -481,20 +454,15 @@ class FleetScheduler:
             # sweep (the crash rule of _run_item)
             raise SimulatedCrash(f"chaos hook killed device {worker.name}")
         # freed-width admission from the shared queue (emits freed
-        # capacity back to the scheduler the moment eviction creates it),
-        # bounded by *this* device's memory cap — a migrated executor may
-        # sit on a smaller device than its plan was sized for
-        device_cap = self.placer.width_cap(
-            self.placer.resolve_workload(executor), worker.device)
+        # capacity back to the scheduler the moment eviction creates it);
+        # an executor's width cap is its device's (see _rehome)
         worker.engine.refill_from_queue(
-            executor, device_cap=device_cap,
+            executor,
             key=self.admission.rank if self.admission is not None else None)
-        self._preempt_for_deadlines(worker, executor, device_cap)
-        return self._maybe_migrate(worker, executor)
+        self._preempt_for_deadlines(worker, executor)
 
     def _preempt_for_deadlines(self, worker: DeviceWorker,
-                               executor: ArrayExecutor,
-                               device_cap: int) -> None:
+                               executor: ArrayExecutor) -> None:
         """SLO enforcement: make room in a full array for at-risk jobs.
 
         When deadline-at-risk queued jobs could legally board this array
@@ -532,9 +500,7 @@ class FleetScheduler:
             at_risk.append(sub)
         if not at_risk:
             return
-        room = min(executor.freed_width,
-                   max(0, device_cap - executor.live_width))
-        need = len(at_risk) - room
+        need = len(at_risk) - executor.freed_width
         if need <= 0:
             return                  # freed width suffices; refill admits
         victims = policy.preemption_victims(executor, need)
@@ -546,50 +512,7 @@ class FleetScheduler:
             executor.array_id, worker.name,
             data=tuple(slot.job.tenant for slot in detached.slots)))
         worker.plans.append(detached)
-        worker.engine.refill_from_queue(executor, device_cap=device_cap,
-                                        key=policy.rank)
-
-    def _device_loads(self) -> Dict[str, float]:
-        """Projected busy seconds per device: the timeline already spent
-        plus the projections of every queued plan — the load picture the
-        optimizer's migration diff runs against."""
-        return {name: worker.engine.sim_time + sum(
-                    item.projected_seconds for item in worker.plans
-                    if isinstance(item, PlacementDecision))
-                for name, worker in self.workers.items()}
-
-    def _maybe_migrate(self, worker: DeviceWorker,
-                       executor: ArrayExecutor) -> Optional[str]:
-        """Execute the optimizer's bounded migration diff for one array.
-
-        Policies exposing ``migration_target`` (the optimizer protocol,
-        :class:`~repro.runtime.placement_lp.LPFleetPlacer`) are asked at
-        every epoch boundary whether this live array belongs elsewhere
-        under the global solution; the answer is budget-bounded per
-        re-solve window (``begin_cycle``).  A move detaches the executor
-        and queues it on the target device: its training state transfers
-        wholesale, so the migrated jobs stay serial-equivalent, and with a
-        :class:`RecoveryManager` attached the move is journaled so a crash
-        mid-migration re-queues the in-flight cohort exactly once.
-        """
-        target_fn = getattr(self.placer, "migration_target", None)
-        if target_fn is None or executor.done or executor.live_width < 1:
-            return None
-        target = target_fn(executor, worker.name, self._device_loads())
-        if target is None or target == worker.name:
-            return None
-        # never strand the array in a queue nobody drains this cycle (a
-        # crashed or quarantined device)
-        if target not in self._live_workers:
-            return None
-        executor.device_name = target
-        self.workers[target].plans.append(executor)
-        live = tuple(slot.sub.job_id for slot in executor.slots
-                     if slot.sub.state in (JobState.SCHEDULED,
-                                           JobState.RUNNING))
-        self.emit(Event("migrate", live, executor.array_id, target,
-                        data=worker.name))
-        return "detach"
+        worker.engine.refill_from_queue(executor, key=policy.rank)
 
     # ------------------------------------------------------------------ #
     # taking work: the turn rule
@@ -605,15 +528,44 @@ class FleetScheduler:
         worker = min(busy, key=DeviceWorker.turn_key)
         return worker, worker.plans.popleft()
 
-    def _reroute(self, decision: PlacementDecision,
-                 worker: DeviceWorker) -> PlacementDecision:
-        """Re-cost a plan for a device other than the one it was placed
-        on (quarantine fallback, crashed-worker plan migration)."""
-        estimate = self.placer.estimate(decision.plan, worker.device)
-        decision.plan.device = worker.name
-        decision.plan.projected_seconds = estimate.train_seconds
-        return PlacementDecision(plan=decision.plan, device=worker.device,
-                                 estimate=estimate)
+    def _rehome(self, item: WorkItem) -> Optional[WorkItem]:
+        """Move one work item off a dead (crashed or quarantined) device.
+
+        The item goes to the least-loaded healthy device whose width cap
+        holds it, re-costed for that device and with its width cap lowered
+        to the device's, so freed-width admission never grows it past what
+        its new device fits.  Returns the item to queue (on its
+        ``device_name``), or ``None`` when a plan fits no healthy device:
+        its jobs then go back to the queue for the next cycle to place.
+        With no healthy device at all, or for a live executor that fits
+        none, the item stays where it is (the lift-all rule of
+        :meth:`_run_workers`, the orphan flush of :meth:`_finish_cycle`).
+        """
+        plan = item.plan
+        width = (item.live_width if isinstance(item, ArrayExecutor)
+                 else plan.num_models)
+        workload = self.placer.resolve_workload(plan)
+        healthy = [(self.placer.width_cap(workload, worker.device), worker)
+                   for name, worker in self.workers.items()
+                   if name not in self._quarantined]
+        fits = [(cap, worker) for cap, worker in healthy if cap >= width]
+        if not fits:
+            if healthy and isinstance(item, PlacementDecision):
+                for sub in reversed(plan.jobs):
+                    self.queue.requeue(sub)
+                return None
+            return item
+        cap, target = min(fits, key=lambda pair: len(pair[1].plans))
+        estimate = self.placer.estimate(plan, target.device)
+        plan.device = target.name
+        plan.projected_seconds = estimate.train_seconds
+        plan.width_cap = min(plan.width_cap, cap)
+        if isinstance(item, PlacementDecision):
+            return PlacementDecision(plan=plan, device=target.device,
+                                     estimate=estimate)
+        item.device_name = target.name
+        item.width_cap = min(item.width_cap, cap)
+        return item
 
     # ------------------------------------------------------------------ #
     # liveness introspection (the operator-facing monitoring surface)

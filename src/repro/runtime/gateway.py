@@ -582,8 +582,8 @@ class ServingGateway:
     def placement_report(self) -> Dict[str, float]:
         """The placement optimizer's operator surface: the active policy
         name plus the solver aggregates — solves run, fallback share,
-        summed solver latency, migrations emitted, and the latest
-        objective/makespan ledger entry.  All zeros under the greedy
+        summed solver latency, and the latest objective/makespan ledger
+        entry.  All zeros under the greedy
         baseline (it never solves), so dashboards can scrape this
         unconditionally; see ``docs/placement.md``."""
         summary: Dict[str, float] = dict(self.metrics.placement_summary())

@@ -109,7 +109,6 @@ _DECISIONS = {
     "retire": lambda e: (e.job_ids[0],) + e.data,
     "admit": lambda e: (e.array_id, e.data),
     "preempt": lambda e: e.job_ids,
-    "migrate": lambda e: (e.array_id, e.data, e.device),
 }
 
 
@@ -151,8 +150,8 @@ class RuntimeMetrics:
         #: 0 for the single-device engine, whose train_seconds is its wall
         self.wall_seconds = 0.0
         #: decisions taken (jobs dequeued, placements, admissions,
-        #: retirements, preemptions, solves, migrations) — the scale
-        #: benchmark's throughput numerator
+        #: retirements, preemptions, solves) — the scale benchmark's
+        #: throughput numerator
         self.scheduler_decisions = 0
         #: every folded event, in order, once enable_event_log() turned it
         #: on — off by default: a 100k-job simulation would hold them all
@@ -162,7 +161,6 @@ class RuntimeMetrics:
         self.lp_solves = 0
         self.lp_fallback_solves = 0
         self.lp_solver_seconds = 0.0
-        self.migrations_emitted = 0
         self.makespan_ledger: List[Tuple[str, float, float]] = []
 
     # ------------------------------------------------------------------ #
@@ -252,10 +250,6 @@ class RuntimeMetrics:
         self.jobs_preempted += len(e.job_ids)
         self.scheduler_decisions += len(e.job_ids)
 
-    def _on_migrate(self, e: Event) -> None:
-        self.migrations_emitted += 1
-        self.scheduler_decisions += 1
-
     def _on_array(self, e: Event) -> None:
         self.records.append(e.data)
         self.jobs_completed += e.data.jobs_served
@@ -294,8 +288,8 @@ class RuntimeMetrics:
     # ------------------------------------------------------------------ #
     def placement_summary(self) -> Dict[str, float]:
         """Placement-optimizer aggregates: solve counts, fallback share,
-        summed solver latency, migrations emitted, and the latest ledger
-        entry's objective/makespan (0.0 before any solve)."""
+        summed solver latency, and the latest ledger entry's
+        objective/makespan (0.0 before any solve)."""
         with self._lock:
             last = self.makespan_ledger[-1] if self.makespan_ledger \
                 else ("", 0.0, 0.0)
@@ -303,7 +297,6 @@ class RuntimeMetrics:
                 "lp_solves": self.lp_solves,
                 "lp_fallback_solves": self.lp_fallback_solves,
                 "lp_solver_seconds": self.lp_solver_seconds,
-                "migrations_emitted": self.migrations_emitted,
                 "last_objective": last[1],
                 "last_makespan": last[2],
             }
@@ -516,7 +509,6 @@ class RuntimeMetrics:
             "lp_solves": self.lp_solves,
             "lp_fallback_solves": self.lp_fallback_solves,
             "lp_solver_seconds": self.lp_solver_seconds,
-            "migrations_emitted": self.migrations_emitted,
             "checkpoints_written": self.checkpoints_written,
             "checkpoint_payload_bytes": self.checkpoint_payload_bytes,
             "checkpoint_bytes_written": self.checkpoint_bytes_written,

@@ -75,18 +75,15 @@ class PlacementPolicy:
     * :class:`repro.runtime.placement_lp.LPFleetPlacer` — the same
       decision reformulated as a fleet-wide assignment LP (relaxed
       ``scipy.optimize.linprog`` solve plus deterministic greedy
-      rounding), with bounded live-array migration.
+      rounding).
 
     Beyond :meth:`place`, the fleet and gateway duck-type the cost-model
     helpers every policy inherits from :class:`FleetPlacer`:
     ``width_cap`` (the capacity check),
     ``estimate`` / ``replan`` / ``projected_seconds`` (projections),
     ``cohort_slack`` (SLO ordering) and the ``devices`` /
-    ``precision`` / ``default_workload`` attributes.  Policies may
-    additionally expose the *optimizer protocol* — ``begin_cycle(budget)``
-    and ``migration_target(executor, current_device, loads)`` — which the
-    fleet calls to bound and execute live-array migrations (see
-    ``docs/placement.md``).
+    ``precision`` / ``default_workload`` attributes.  A placed array is
+    final: the fleet never asks a policy to move a live one.
     """
 
     #: short tag stamped into solver telemetry and benchmark artifacts

@@ -21,17 +21,14 @@ the ``scipy.optimize.linprog`` idiom):
   where ``c`` mixes the cost model's projected completion time
   (:func:`repro.hwsim.estimate_array_cost` through the placer's caches),
   SLO urgency (items with little ``cohort_slack`` weight their completion
-  time up, so deadline work claims fast devices), migration cost (moving
-  an item off its current device pays a hysteresis penalty), and
-  fused-width efficiency (devices that would de-fuse the item into many
-  narrow chunks are penalized).
+  time up, so deadline work claims fast devices), and fused-width
+  efficiency (devices that would de-fuse the item into many narrow chunks
+  are penalized).
 * **Constraints** — each item fully assigned exactly once
   (``sum_d x[i, d] == 1``); per-device memory/width capacity (``x[i, d]``
   pinned to 0 when the device cannot fit even one model of the item's
   workload under HFTA, and every rounded chunk is at most the device's
-  width cap); the makespan rows ``load_d + sum_i t[i, d] x[i, d] <= T``;
-  and, when items carry a current device, a fleet-wide migration budget
-  ``sum x[i, d != current_i] <= budget``.
+  width cap); and the makespan rows ``load_d + sum_i t[i, d] x[i, d] <= T``.
 
 The relaxation is solved with :func:`scipy.optimize.linprog` when scipy
 is importable, then **always** rounded to an integral chunk assignment by
@@ -45,11 +42,8 @@ objective* — the fallback is the floor, the LP is upside.
 :class:`~repro.runtime.placement.PlacementPolicy` seam: ``place()``
 builds an instance from the cycle's cohorts and emits
 :class:`~repro.runtime.placement.PlacementDecision` lists exactly like
-the greedy baseline, and the optimizer protocol (``begin_cycle`` /
-``migration_target``) lets the fleet diff each live array against the
-current solution at epoch boundaries and execute a *bounded* migration
-set by detaching each moved executor onto its target device's queue.
-Solver latency, objective values and emitted migrations land in
+the greedy baseline; a placed array is never moved again.  Solver
+latency and objective values land in
 :class:`~repro.runtime.metrics.RuntimeMetrics`; under ``execution="sim"``
 the solve is charged to the virtual clock as a deterministic
 ``solver_virtual_cost_s`` rather than its wall-clock latency, so
@@ -111,8 +105,6 @@ class LPWeights:
     prices each item's own projected training seconds; ``slo_urgency``
     scales a deadline item's completion cost by its tightness (an at-risk
     item weighs ``1 + slo_urgency`` times its best-effort cost);
-    ``migration`` is the hysteresis penalty for moving an item off its
-    current device, as a fraction of the item's reference training time;
     ``defrag`` penalizes de-fusing an item into extra chunks, in the same
     reference-time units (the fused-width-efficiency term).
     """
@@ -120,23 +112,20 @@ class LPWeights:
     makespan: float = 1.0
     completion: float = 0.05
     slo_urgency: float = 4.0
-    migration: float = 0.5
     defrag: float = 0.05
 
     def __post_init__(self):
-        for name in ("makespan", "completion", "slo_urgency", "migration",
-                     "defrag"):
+        for name in ("makespan", "completion", "slo_urgency", "defrag"):
             if getattr(self, name) < 0:
                 raise ValueError(f"LPWeights.{name} must be >= 0")
 
 
 @dataclass(frozen=True)
 class LPItem:
-    """One assignable unit: a cohort (or live array) to place.
+    """One assignable unit: a cohort to place.
 
     ``slack`` is the item's SLO slack in seconds (``None`` = best
-    effort); ``current_device`` is the device the item trains on today
-    (``None`` = fresh work, no migration cost anywhere).
+    effort).
     """
 
     index: int
@@ -144,7 +133,6 @@ class LPItem:
     steps: int
     workload: str
     slack: Optional[float] = None
-    current_device: Optional[str] = None
 
     def __post_init__(self):
         if self.num_models < 1:
@@ -173,7 +161,6 @@ class PlacementInstance:
     chunk_fn: Callable[[int, int, int], float]
     loads: Dict[str, float] = field(default_factory=dict)
     weights: LPWeights = field(default_factory=LPWeights)
-    migration_budget: Optional[int] = None
 
     def __post_init__(self):
         if not self.devices:
@@ -191,10 +178,8 @@ class PlacementInstance:
                     rates: Sequence[Sequence[float]],
                     caps: Sequence[Sequence[int]],
                     slacks: Optional[Sequence[Optional[float]]] = None,
-                    current: Optional[Sequence[Optional[str]]] = None,
                     loads: Optional[Dict[str, float]] = None,
                     weights: Optional[LPWeights] = None,
-                    migration_budget: Optional[int] = None,
                     devices: Optional[Sequence[str]] = None
                     ) -> "PlacementInstance":
         """Build a synthetic instance from plain tables (test harness).
@@ -208,9 +193,7 @@ class PlacementInstance:
             else [f"dev{d}" for d in range(n_dev)]
         items = [LPItem(index=i, num_models=num_models[i], steps=steps[i],
                         workload="synthetic",
-                        slack=None if slacks is None else slacks[i],
-                        current_device=None if current is None
-                        else current[i])
+                        slack=None if slacks is None else slacks[i])
                  for i in range(len(num_models))]
 
         def chunk_fn(i: int, d: int, width: int) -> float:
@@ -219,8 +202,7 @@ class PlacementInstance:
         return cls(items=items, devices=names,
                    caps=[list(row) for row in caps], chunk_fn=chunk_fn,
                    loads=dict(loads or {}),
-                   weights=weights or LPWeights(),
-                   migration_budget=migration_budget)
+                   weights=weights or LPWeights())
 
     # ------------------------------------------------------------------ #
     # derived costs (memoized: the relaxation, rounder and scorer all
@@ -253,7 +235,7 @@ class PlacementInstance:
 
     def ref_seconds(self, i: int) -> float:
         """Item ``i``'s reference time: its best full projection anywhere
-        (the unit the migration/defrag penalties are denominated in)."""
+        (the unit the defrag penalty is denominated in)."""
         value = self._ref.get(i)
         if value is None:
             value = min(self.full_seconds(i, d)
@@ -283,9 +265,6 @@ class PlacementInstance:
         ref = self.ref_seconds(i)
         cost = w.completion * self.urgency(i) * full
         cost += w.defrag * ref * (len(self.chunk_widths(i, d)) - 1)
-        current = self.items[i].current_device
-        if current is not None and self.devices[d] != current:
-            cost += w.migration * ref
         return cost
 
     def load_of(self, d: int) -> float:
@@ -300,12 +279,7 @@ class PlacementSolution:
     ``objective`` is the assignment's score under
     :func:`score_assignment`; ``solver`` names the path that won
     (``"lp+round"`` or ``"greedy"``); ``relaxed_objective`` is the LP
-    lower bound when the relaxation solved.  ``migrations`` lists
-    ``(item_index, from_device, to_device)`` for every item whose chunks
-    left its current device — voluntary moves only, bounded by the
-    instance's ``migration_budget``; ``forced_migrations`` counts items
-    whose current device could not legally hold them (those moves are
-    feasibility, not optimization, and are exempt from the budget).
+    lower bound when the relaxation solved.
     """
 
     assignment: Assignment
@@ -314,8 +288,6 @@ class PlacementSolution:
     solver: str
     solve_seconds: float
     relaxed_objective: Optional[float] = None
-    migrations: List[Tuple[int, str, str]] = field(default_factory=list)
-    forced_migrations: int = 0
     virtual_cost_s: float = 0.0
 
 
@@ -360,20 +332,6 @@ def solve_lp_relaxation(instance: PlacementInstance
         row[n_x] = -1.0
         rows.append(row)
         rhs.append(-instance.load_of(d))
-    # fleet-wide migration budget over items that live somewhere already
-    if instance.migration_budget is not None:
-        row = np.zeros(n_x + 1)
-        any_current = False
-        for i, item in enumerate(items):
-            if item.current_device is None:
-                continue
-            for d in range(n_d):
-                if devices[d] != item.current_device:
-                    row[i * n_d + d] = 1.0
-                    any_current = True
-        if any_current:
-            rows.append(row)
-            rhs.append(float(instance.migration_budget))
 
     try:
         result = _linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
@@ -408,38 +366,26 @@ def greedy_round(instance: PlacementInstance,
     remaining weight, so an item the LP split 70/30 across two devices
     lands as a 70/30 chunk split.  Without it, the rounder is the
     standalone fallback: per item, each chunk goes to the device with the
-    smallest marginal objective (projected finish plus the SLO, defrag
-    and migration terms), load accumulating as it commits.  Both paths
-    honor capacity exactly, keep every tie-break deterministic, and
-    charge voluntary migrations against the instance budget.
+    smallest marginal objective (projected finish plus the SLO and defrag
+    terms), load accumulating as it commits.  Both paths honor capacity
+    exactly and keep every tie-break deterministic.
     """
     n_d = len(instance.devices)
     loads = {name: instance.loads.get(name, 0.0)
              for name in instance.devices}
     out: Assignment = [[] for _ in instance.items]
-    budget = instance.migration_budget
-    migrations_left = math.inf if budget is None else int(budget)
 
     for i in _round_order(instance):
         item = instance.items[i]
         eligible = [d for d in range(n_d) if instance.caps[i][d] >= 1]
-        current = item.current_device
-        cur_idx = instance.devices.index(current) \
-            if current in instance.devices else None
-        stay_possible = cur_idx is not None and cur_idx in eligible
-        # out of voluntary-migration budget: pin the item home when home
-        # can still hold it; an infeasible home is a forced move (exempt)
-        if stay_possible and current is not None and migrations_left <= 0:
-            eligible = [cur_idx]
         weight = None
         if fractional is not None:
             weight = [fractional[i][d] * item.num_models
                       for d in range(n_d)]
         remaining = item.num_models
-        used: List[int] = []
         while remaining > 0:
             d_star = _pick_device(instance, i, eligible, remaining, loads,
-                                  weight, cur_idx)
+                                  weight)
             width = min(instance.caps[i][d_star], remaining)
             if weight is not None and weight[d_star] > 1e-9:
                 # honor the fractional split: do not carve more mass off
@@ -451,18 +397,12 @@ def greedy_round(instance: PlacementInstance,
             if weight is not None:
                 weight[d_star] = max(0.0, weight[d_star] - width)
             remaining -= width
-            if d_star not in used:
-                used.append(d_star)
-        if current is not None and stay_possible \
-                and any(instance.devices[d] != current for d in used):
-            migrations_left -= 1
     return out
 
 
 def _pick_device(instance: PlacementInstance, i: int, eligible: List[int],
                  remaining: int, loads: Dict[str, float],
-                 weight: Optional[List[float]],
-                 cur_idx: Optional[int]) -> int:
+                 weight: Optional[List[float]]) -> int:
     """The rounder's device choice for one chunk (deterministic)."""
     if weight is not None:
         heavy = [d for d in eligible if weight[d] > 1e-9]
@@ -482,8 +422,6 @@ def _pick_device(instance: PlacementInstance, i: int, eligible: List[int],
         chunk = instance.chunk_fn(i, d, width)
         marginal = w.makespan * (loads[instance.devices[d]] + chunk) \
             + w.completion * instance.urgency(i) * chunk
-        if cur_idx is not None and d != cur_idx:
-            marginal += w.migration * instance.ref_seconds(i)
         # prefer devices that swallow the remainder whole (defrag term)
         if width < remaining:
             marginal += w.defrag * instance.ref_seconds(i)
@@ -503,44 +441,17 @@ def score_assignment(instance: PlacementInstance,
     for i, chunks in enumerate(assignment):
         item = instance.items[i]
         placed = 0
-        used: List[str] = []
         for d, width in chunks:
             seconds = instance.chunk_fn(i, d, width)
             loads[instance.devices[d]] += seconds
             cost += w.completion * instance.urgency(i) * seconds
             placed += width
-            if instance.devices[d] not in used:
-                used.append(instance.devices[d])
         if placed != item.num_models:
             raise ValueError(f"item {i} placed {placed} of "
                              f"{item.num_models} models")
         cost += w.defrag * instance.ref_seconds(i) * (len(chunks) - 1)
-        current = item.current_device
-        if current is not None and any(name != current for name in used):
-            cost += w.migration * instance.ref_seconds(i)
     makespan = max(loads.values(), default=0.0)
     return cost + w.makespan * makespan, makespan
-
-
-def _solution_migrations(instance: PlacementInstance,
-                         assignment: Assignment
-                         ) -> Tuple[List[Tuple[int, str, str]], int]:
-    """Voluntary migrations in an assignment, plus the forced count."""
-    moves: List[Tuple[int, str, str]] = []
-    forced = 0
-    for i, chunks in enumerate(assignment):
-        current = instance.items[i].current_device
-        if current is None:
-            continue
-        targets = {instance.devices[d] for d, _ in chunks}
-        if targets == {current}:
-            continue
-        if current in instance.devices and \
-                instance.caps[i][instance.devices.index(current)] >= 1:
-            moves.append((i, current, sorted(targets - {current})[0]))
-        else:
-            forced += 1
-    return moves, forced
 
 
 def solve_instance(instance: PlacementInstance,
@@ -572,17 +483,15 @@ def solve_instance(instance: PlacementInstance,
         if best is None or objective < best[0] - 1e-12:
             best = (objective, makespan, solver, assignment)
     objective, makespan, solver, assignment = best
-    migrations, forced = _solution_migrations(instance, assignment)
     return PlacementSolution(
         assignment=assignment, objective=objective, makespan=makespan,
         solver=solver, solve_seconds=time.perf_counter() - start,
-        relaxed_objective=relaxed, migrations=migrations,
-        forced_migrations=forced, virtual_cost_s=virtual_cost_s)
+        relaxed_objective=relaxed, virtual_cost_s=virtual_cost_s)
 
 
 @dataclass
 class LPFleetPlacer(FleetPlacer):
-    """The LP placement policy: global solve, greedy floor, bounded moves.
+    """The LP placement policy: global solve, greedy floor.
 
     A drop-in :class:`~repro.runtime.placement.PlacementPolicy` (the
     fleet builds one with ``placement="lp"``): every cost-model helper is
@@ -606,17 +515,12 @@ class LPFleetPlacer(FleetPlacer):
         Deterministic virtual seconds one solve costs under
         ``execution="sim"`` (wall latency is *never* charged to the
         virtual clock: simulations must stay bit-reproducible).
-    ``migration_min_gain_s``
-        A live array only migrates when the projected finish improves by
-        at least this many seconds (on top of the objective's hysteresis
-        penalty).
     """
 
     weights: LPWeights = field(default_factory=LPWeights)
     use_lp: bool = True
     max_lp_variables: int = 20_000
     solver_virtual_cost_s: float = 0.0
-    migration_min_gain_s: float = 0.0
 
     policy_name = "lp"
 
@@ -626,9 +530,6 @@ class LPFleetPlacer(FleetPlacer):
         #: RuntimeMetrics after every placement)
         self.last_instance: Optional[PlacementInstance] = None
         self.last_solution: Optional[PlacementSolution] = None
-        #: voluntary live-array migrations left in the current re-solve
-        #: window (the fleet resets it via begin_cycle)
-        self._migrations_left = 0
 
     # ------------------------------------------------------------------ #
     # the placement seam
@@ -712,61 +613,4 @@ class LPFleetPlacer(FleetPlacer):
 
         return PlacementInstance(
             items=items, devices=[d.name for d in device_list], caps=caps,
-            chunk_fn=chunk_fn, loads=dict(load), weights=self.weights,
-            migration_budget=None)
-
-    # ------------------------------------------------------------------ #
-    # the optimizer protocol (live-array migration, bounded per window)
-    # ------------------------------------------------------------------ #
-    def begin_cycle(self, migration_budget: int) -> None:
-        """Open a re-solve window: up to ``migration_budget`` voluntary
-        live-array migrations may be emitted until the next call (the
-        fleet calls this once per scheduling cycle, passing 0 on cycles
-        the cadence skips)."""
-        self._migrations_left = max(0, int(migration_budget))
-
-    def migration_target(self, executor, current_device: str,
-                         loads: Dict[str, float]) -> Optional[str]:
-        """Diff one live array against the current solution's choice.
-
-        A marginal one-item re-solve under the same objective: the device
-        minimizing the array's projected finish given today's loads, with
-        the migration hysteresis penalty priced in for every device but
-        home.  Returns the target device name when moving wins by at
-        least ``migration_min_gain_s`` and budget remains, else ``None``.
-        A home device that can no longer hold the array forces a move
-        without charging the budget.
-        """
-        width = executor.live_width
-        if width < 1:
-            return None
-        workload = get_workload(executor.workload or self.default_workload)
-        steps = max(1, executor.remaining_steps)
-        best: Optional[Tuple[float, str]] = None
-        stay: Optional[float] = None
-        for device in self.devices:
-            if self.width_cap(workload, device) < width:
-                continue
-            base = self._base_estimate(workload, device, width)
-            seconds = steps * base.iteration_time_s
-            finish = loads.get(device.name, 0.0) + seconds
-            if device.name == current_device:
-                stay = finish
-            else:
-                finish += self.weights.migration * seconds
-            key = (finish, device.name)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            return None
-        target = best[1]
-        if target == current_device:
-            return None
-        if stay is None:                  # home can no longer hold it:
-            return target                 # forced move, budget exempt
-        if self._migrations_left <= 0:
-            return None
-        if stay - best[0] < self.migration_min_gain_s:
-            return None
-        self._migrations_left -= 1
-        return target
+            chunk_fn=chunk_fn, loads=dict(load), weights=self.weights)

@@ -36,8 +36,8 @@ class ArrayPlan:
     indices: List[int]          # positions within cohort.jobs
     width_cap: int
     #: name of the device the fleet placer assigned this array to ("" when
-    #: the plan runs on the single-device engine); a crash or quarantine
-    #: re-route retags it
+    #: the plan runs on the single-device engine); moving it off a crashed
+    #: or quarantined device retags it
     device: str = ""
     #: the placer's cost-model projection of this array's training time on
     #: ``device`` (seconds); recorded into the array's ArrayRecord

@@ -17,6 +17,8 @@ The recovery procedure these tests exercise is documented as the
 operator runbook in ``docs/operations.md``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,27 @@ class TestFleetCrashRecovery:
         assert fleet.quarantined_devices() == []   # quarantine expired
         fleet.run_until_idle()
         assert fleet.metrics.workers_crashed == 1
+
+    def test_a_journaled_migrate_record_changes_no_recovery_answer(
+            self, tmp_path):
+        """Logs written while live arrays could still migrate between
+        devices hold ``{"type": "array", "event": "migrate"}`` records.
+        Recovery reads only admissions and states, so such a record
+        changes neither the unsettled set nor the next job id."""
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        fleet = FleetScheduler(devices=(V100, RTX6000), max_width=4,
+                               store=store, checkpoint_every=1,
+                               recovery=recovery)
+        ids = fleet.submit_all(make_jobs(4, trigger=[True]))
+        fleet.run_cycle()                     # the cycle that crashes
+        before = recovery.unsettled(), recovery.next_job_id()
+        assert sorted(before[0]) == ids
+        with open(recovery.wal_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(
+                {"type": "array", "event": "migrate", "array_id": 0,
+                 "device": "RTX6000", "job_ids": ids}) + "\n")
+        assert (recovery.unsettled(), recovery.next_job_id()) == before
 
     def test_crash_without_store_retrains_from_scratch(self, tmp_path):
         """Crash detection works without durability: the jobs are requeued

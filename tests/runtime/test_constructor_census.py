@@ -2,21 +2,21 @@
 
 Every keyword below is one some workload, example or benchmark passes;
 adding one means editing this file, which is the point.  Removed keywords
-(comparator forks, never-set knobs, the fleet's deleted defragmentation)
-must fail loudly, by name, rather than be swallowed.
+(comparator forks, never-set knobs, the fleet's deleted defragmentation
+and live-array migration) must fail loudly, by name, rather than be
+swallowed.
 """
 
 import inspect
 
 import pytest
 
-from repro.runtime import FleetScheduler, ServingGateway, \
-    TrainingArrayEngine
+from repro.runtime import FleetScheduler, LPFleetPlacer, LPWeights, \
+    ServingGateway, TrainingArrayEngine
 
 FLEET = ("devices", "placer", "metrics", "max_width", "precision",
          "default_workload", "admission", "store",
-         "checkpoint_every", "recovery", "execution", "clock", "placement",
-         "migration_budget")
+         "checkpoint_every", "recovery", "execution", "clock", "placement")
 ENGINE = ("policy", "batcher", "metrics", "queue", "device", "array_ids",
           "store", "checkpoint_every", "recovery", "execution", "clock",
           "precision", "default_workload")
@@ -31,6 +31,9 @@ REMOVED = [
     (FleetScheduler, "batcher", None),
     (FleetScheduler, "queue", None),
     (FleetScheduler, "defrag", None),
+    (FleetScheduler, "migration_budget", 4),
+    (LPFleetPlacer, "migration_min_gain_s", 0.0),
+    (LPWeights, "migration", 0.0),
     (TrainingArrayEngine, "elastic", False),
     (TrainingArrayEngine, "persist_on_evict", False),
     (TrainingArrayEngine, "checkpoint_incremental", False),

@@ -15,9 +15,8 @@ contracts they sit under must be policy-invariant:
   misses under both policies (the optimizer must not trade SLOs for
   makespan);
 * **determinism** — two LP runs with the same seed emit byte-identical
-  scheduler decision logs, including the solve and migrate entries (the
-  solver's wall latency is kept out of virtual time precisely so this
-  holds).
+  scheduler decision logs, including the solve entries (the solver's
+  wall latency is kept out of virtual time precisely so this holds).
 """
 
 import pytest
@@ -136,8 +135,8 @@ def test_zero_priority_tenant_slo_misses(runs):
 
 def test_decision_log_deterministic_across_same_seed_runs():
     """Two identically-seeded LP runs replay the exact same scheduler
-    decision sequence — dequeues, solves, placements, migrations, all of
-    it, byte for byte."""
+    decision sequence — dequeues, solves, placements, all of it, byte
+    for byte."""
     logs = []
     for _ in range(2):
         gateway, results = run_trace("lp")

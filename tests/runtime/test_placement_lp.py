@@ -9,7 +9,6 @@ rather than specific assignments:
   chunk lands on a device whose cap for the item is zero;
 * conservation — every item is assigned exactly once (its chunk widths
   sum to its width, its indices partition its cohort);
-* bounded migration — voluntary moves never exceed the instance budget;
 * the greedy floor — the solved objective is never worse than the
   standalone greedy rounding scored under the same objective;
 * feasibility agreement — the LP path and the scipy-free fallback raise
@@ -36,7 +35,7 @@ from .conftest import make_sim_job
 SEEDS = range(24)
 
 
-def random_instance(seed, force_budget=None):
+def random_instance(seed):
     """A feasible random instance: fleets of 1-6 devices, 1-8 items."""
     rng = random.Random(seed)
     n_dev = rng.randint(1, 6)
@@ -54,24 +53,15 @@ def random_instance(seed, force_budget=None):
     devices = [f"dev{d}" for d in range(n_dev)]
     slacks = [rng.choice((None, None, rng.uniform(-5.0, 50.0)))
               for _ in range(n_items)]
-    current = []
-    for i in range(n_items):
-        if rng.random() < 0.5:
-            current.append(None)
-        else:
-            current.append(rng.choice(devices))
-    budget = force_budget if force_budget is not None \
-        else rng.choice((None, 0, 1, 2, 3))
     loads = {name: rng.uniform(0.0, 10.0) for name in devices
              if rng.random() < 0.7}
     return PlacementInstance.from_tables(
         num_models=num_models, steps=steps, rates=rates, caps=caps,
-        slacks=slacks, current=current, loads=loads,
-        migration_budget=budget, devices=devices)
+        slacks=slacks, loads=loads, devices=devices)
 
 
 def assert_solution_legal(instance, solution):
-    """The shared capacity/conservation/budget contract."""
+    """The shared capacity/conservation contract."""
     for i, chunks in enumerate(solution.assignment):
         item = instance.items[i]
         assert chunks, f"item {i} got no chunks"
@@ -85,8 +75,6 @@ def assert_solution_legal(instance, solution):
             total += width
         assert total == item.num_models, (
             f"item {i} assigned {total}/{item.num_models} models")
-    if instance.migration_budget is not None:
-        assert len(solution.migrations) <= instance.migration_budget
     # the reported objective is exactly what the scorer recomputes
     objective, makespan = score_assignment(instance, solution.assignment)
     assert objective == pytest.approx(solution.objective)
@@ -117,17 +105,6 @@ def test_objective_never_worse_than_greedy(seed):
     greedy = greedy_round(instance, None)
     greedy_objective, _ = score_assignment(instance, greedy)
     assert solved.objective <= greedy_objective + 1e-9
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("budget", [0, 1, 2])
-def test_migrations_bounded_by_budget(seed, budget):
-    instance = random_instance(seed, force_budget=budget)
-    for use_lp in (True, False):
-        solution = solve_instance(instance, use_lp=use_lp)
-        assert len(solution.migrations) <= budget
-        if budget == 0:
-            assert solution.migrations == []
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -263,37 +240,3 @@ def test_placer_objective_never_worse_than_greedy_policy():
             (by_name[decision.device_name], len(decision.plan.indices)))
     greedy_objective, _ = score_assignment(instance, greedy_assignment)
     assert lp.last_solution.objective <= greedy_objective + 1e-9
-
-
-def test_migration_budget_protocol():
-    """begin_cycle(0) freezes voluntary moves; a budget of one allows
-    exactly one; a forced move (home cannot hold the array) is exempt."""
-    fleet = synthetic_fleet(4)
-    placer = LPFleetPlacer(devices=fleet, max_width=8,
-                           weights=LPWeights(migration=0.0))
-
-    class FakeExecutor:
-        live_width = 2
-        remaining_steps = 50
-        workload = None
-
-    loads = {d.name: 0.0 for d in fleet}
-    # make the current device maximally unattractive
-    slow = max(fleet, key=lambda d: placer._base_estimate(
-        placer.resolve_workload(FakeExecutor), d, 2).iteration_time_s)
-    loads[slow.name] = 1000.0
-
-    placer.begin_cycle(0)
-    assert placer.migration_target(FakeExecutor(), slow.name, loads) is None
-
-    placer.begin_cycle(1)
-    first = placer.migration_target(FakeExecutor(), slow.name, loads)
-    assert first is not None and first != slow.name
-    # budget spent: an identical second request is refused
-    assert placer.migration_target(FakeExecutor(), slow.name, loads) is None
-
-    # forced move: no device fits width 99 except... none; target is None
-    class TooWide(FakeExecutor):
-        live_width = 99
-    placer.begin_cycle(0)
-    assert placer.migration_target(TooWide(), slow.name, loads) is None

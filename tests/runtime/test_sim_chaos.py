@@ -16,20 +16,30 @@ What must survive the murder:
 * **exactly-once completion** — every job completes exactly once; the
   WAL settles (no unsettled admissions remain) and records the crash;
 * **SLO protection** — a priority tenant with deadlines on every job
-  sees zero SLO misses even when a device dies mid-trace.
+  sees zero SLO misses even when a device dies mid-trace;
+* **placement is final** — under LP placement, over random fleets and
+  cohorts, no array ever changes device, crash or not;
+* **work moved off a dead device fits where it lands** — a queued plan
+  or a preempted child stranded behind a crashed array, and a plan placed
+  on a quarantined device, move only to a healthy device whose width cap
+  holds them, re-costed and capped at that device's width (or, for a
+  plan no healthy device holds, back to the queue).
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster import ServingTraceConfig, TenantLoad, \
     generate_serving_trace
-from repro.runtime import CheckpointStore, FleetScheduler, JobState, \
-    LPFleetPlacer, LPWeights, RecoveryManager, ServingGateway, TenantSpec, \
+from repro.hwsim import A100, V100
+from repro.runtime import ArrayExecutor, CheckpointStore, FleetScheduler, \
+    JobState, LPFleetPlacer, RecoveryManager, ServingGateway, TenantSpec, \
     TraceReplayer, synthetic_fleet
 
 from .conftest import make_sim_job
+from .test_sim_invariants import assert_arrays_fit_their_devices
 
 JOBS = 12
 STEPS = 6
@@ -119,93 +129,73 @@ def fleet_device_names():
     return [device.name for device in synthetic_fleet(3)]
 
 
-class TestChaosMidMigration:
-    """Device death *mid-migration* (the LP optimizer's moving parts).
+def assert_arrays_never_move(events):
+    """Every event of one array names the device the array first ran on:
+    a live array trains where it was placed until it drains or dies."""
+    device_of = {}
+    for event in events:
+        if event.array_id < 0 or not event.device:
+            continue
+        home = device_of.setdefault(event.array_id, event.device)
+        assert home == event.device, \
+            f"array {event.array_id} ran on {home}, then on {event.device}"
+    assert device_of, "no event named an array and a device"
 
-    The LP policy migrates live arrays between devices at epoch
-    boundaries; a device that dies while hosting a freshly migrated
-    array is the nastiest interleaving the WAL has to get right — the
-    array's provenance spans two devices, and the recovery sweep must
-    re-queue its in-flight cohort exactly once so the next solve can
-    re-place it without double-assignment.
-    """
 
-    MJOBS = 10
-    MSTEPS = 40
+class TestLPPlacementIsFinal:
+    """LP placement over random fleets and cohorts, with and without a
+    device killed mid-trace: no array ever changes device, every array
+    fits its device's width cap, every job completes exactly once with
+    the losses of the uninterrupted run, and the WAL settles."""
 
-    def run_lp_fleet(self, tmp_path, subdir, kill_migrated=False):
-        """An LP-placement sim run that provably migrates; optionally
-        kill the migration *target* while it steps the migrated array."""
-        store = CheckpointStore(tmp_path / subdir)
+    def run_lp_fleet(self, tmp_path, seed, kill_epoch=None):
+        """A seeded LP-placed sim run; with ``kill_epoch``, the device
+        reaching the fleet's ``kill_epoch``-th epoch boundary dies there."""
+        rng = random.Random(31_000 + seed)
+        store = CheckpointStore(tmp_path / f"kill{kill_epoch}")
         recovery = RecoveryManager(store)
-        # zero hysteresis: any marginal improvement migrates, so this
-        # small trace reliably exercises the mover
-        placer = LPFleetPlacer(devices=synthetic_fleet(3), max_width=4,
-                               weights=LPWeights(migration=0.0))
-        fleet = FleetScheduler(placer=placer, execution="sim",
-                               migration_budget=8, store=store,
+        placer = LPFleetPlacer(devices=synthetic_fleet(rng.choice((2, 3, 5))),
+                               max_width=rng.choice((2, 4, 8)))
+        fleet = FleetScheduler(placer=placer, execution="sim", store=store,
                                checkpoint_every=1, recovery=recovery)
         fleet.metrics.enable_event_log()
-        if kill_migrated:
-            fired = []
-
+        boundaries, fired = [], []
+        if kill_epoch is not None:
             def chaos(device_name, executor):
-                if fired:
-                    return False
-                for _, payload in fleet.metrics.decisions("migrate"):
-                    array_id, _, target = payload
-                    if device_name == target \
-                            and executor.array_id == array_id:
-                        fired.append((device_name, array_id))
-                        return True
+                boundaries.append(device_name)
+                if not fired and len(boundaries) == kill_epoch:
+                    fired.append(device_name)
+                    return True
                 return False
 
             fleet.chaos = chaos
-        fleet.submit_all([make_sim_job(i, steps=self.MSTEPS,
-                                       epoch_steps=2)
-                          for i in range(self.MJOBS)])
+        jobs = [make_sim_job(i, steps=rng.choice((4, 8, 12)), epoch_steps=2)
+                for i in range(rng.randint(6, 14))]
+        fleet.submit_all(jobs)
         results = fleet.run_until_idle()
-        return fleet, results, recovery
+        return fleet, results, recovery, len(jobs), fired
 
-    def test_migration_target_dies_while_stepping_migrated_array(
-            self, tmp_path):
-        reference, expected, _ = self.run_lp_fleet(tmp_path, "reference")
-        assert reference.metrics.migrations_emitted > 0
-        assert reference.metrics.workers_crashed == 0
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("kill_epoch", [None, 1, 2])
+    def test_live_array_never_leaves_its_device(self, tmp_path, seed,
+                                                kill_epoch):
+        fleet, results, recovery, num_jobs, fired = self.run_lp_fleet(
+            tmp_path, seed, kill_epoch)
 
-        fleet, results, recovery = self.run_lp_fleet(
-            tmp_path, "chaos", kill_migrated=True)
-
-        # the victim really was a migration target running the moved
-        # array (the chaos hook only fires on that exact interleaving)
-        assert fleet.metrics.migrations_emitted > 0
-        assert fleet.metrics.workers_crashed == 1
-        migrated_ids = {payload[0] for _, payload
-                        in fleet.metrics.decisions("migrate")}
-        crash_events = [r for r in recovery.entries()
-                        if r["type"] == "array" and r["event"] == "crash"]
-        assert len(crash_events) == 1
-        assert crash_events[0]["array_id"] in migrated_ids
-
-        # the WAL carries the move itself: provenance spans both devices
-        migrate_events = [r for r in recovery.entries()
-                          if r["type"] == "array"
-                          and r["event"] == "migrate"]
-        assert migrate_events, "migration was never journaled"
-
-        # exactly-once: the in-flight migrated cohort was re-queued once,
-        # re-placed by a later solve, and nothing completed twice
-        assert len(results) == self.MJOBS
-        assert fleet.metrics.jobs_completed == self.MJOBS
+        assert fleet.metrics.lp_solves >= 1
+        assert fleet.metrics.workers_crashed == len(fired)
+        assert len(fired) == (kill_epoch is not None)
+        assert len(results) == num_jobs
+        assert fleet.metrics.jobs_completed == num_jobs
         for job_id in results:
             assert fleet.queue.state(job_id) == JobState.COMPLETED
-        assert fleet.metrics.jobs_recovered > 0
-        assert fleet.metrics.lp_solves >= 2, \
-            "recovery never reached a re-solve"
         assert recovery.unsettled() == {}
-
-        # recovery changed *where* jobs ran, never *what* they computed
-        assert curves(results) == curves(expected)
+        assert_arrays_never_move(fleet.metrics.events)
+        assert_arrays_fit_their_devices(fleet)
+        if kill_epoch is not None:
+            assert fleet.metrics.jobs_recovered > 0
+            _, expected, _, _, _ = self.run_lp_fleet(tmp_path, seed)
+            assert curves(results) == curves(expected)
 
 
 class TestChaosUnderServingLoad:
@@ -255,3 +245,120 @@ class TestChaosUnderServingLoad:
         summary = gateway.metrics.tenant_summary()
         assert summary["prio"]["slo_misses"] == 0
         assert summary["prio"]["slo_hits"] == summary["prio"]["submitted"]
+
+
+def kill_once(fleet, victim, when=lambda fleet: True):
+    """Arm ``fleet.chaos`` to kill ``victim`` at its first epoch boundary
+    where ``when(fleet)`` holds; returns the list the kill is logged in."""
+    fired = []
+
+    def chaos(device_name, executor):
+        if not fired and device_name == victim and when(fleet):
+            fired.append(executor.array_id)
+            return True
+        return False
+
+    fleet.chaos = chaos
+    return fired
+
+
+class TestWorkOffADeadDevice:
+    """V100 and A100 differ in width cap for the default workload (9 and
+    16 at ``max_width=16``), so work moved off a dead A100 must shrink to
+    fit the V100 or wait for the A100 to come back."""
+
+    def test_plan_on_a_quarantined_device_never_outgrows_the_fallback(self):
+        """Regression: the quarantine fallback re-routed a 16-wide plan to
+        the V100, which launched it past its width cap of 9."""
+        fleet = FleetScheduler(devices=(V100, A100), max_width=16,
+                               execution="sim")
+        fired = kill_once(fleet, "A100")
+        fleet.submit_all([make_sim_job(i, steps=8) for i in range(16)])
+        assert fleet.run_cycle() == []
+        assert fired and fleet.quarantined_devices() == ["A100"]
+
+        fleet.submit_all([make_sim_job(16 + i, steps=8) for i in range(16)])
+        results = fleet.run_until_idle()
+
+        assert_arrays_fit_their_devices(fleet)
+        assert len(results) == 32
+        assert fleet.metrics.jobs_completed == 32
+
+    def test_plan_stranded_behind_a_crash_runs_recosted_elsewhere(
+            self, tmp_path):
+        """A plan queued on the A100 behind its running array when the
+        A100 dies runs on the V100, priced for the V100."""
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        fleet = FleetScheduler(devices=(V100, A100), max_width=4,
+                               execution="sim", store=store,
+                               checkpoint_every=1, recovery=recovery)
+        fleet.metrics.enable_event_log()
+        fired = kill_once(fleet, "A100",
+                          when=lambda f: bool(f.workers["A100"].plans))
+        fleet.submit_all([make_sim_job(i, steps=8) for i in range(16)])
+        results = fleet.run_until_idle()
+
+        assert fired and fleet.metrics.workers_crashed == 1
+        assert len(results) == 16
+        assert fleet.metrics.jobs_completed == 16
+        assert recovery.unsettled() == {}
+        assert_arrays_fit_their_devices(fleet)
+
+        placed, launched = {}, {}
+        for event in fleet.metrics.events:
+            if event.kind == "place":
+                placed.setdefault(event.job_ids, event.device)
+            elif event.kind == "launch":
+                launched.setdefault(event.job_ids, event)
+        stranded = [launched[ids] for ids, device in placed.items()
+                    if device == "A100" and launched[ids].device == "V100"]
+        assert len(stranded) == 1
+        record, = [r for r in fleet.metrics.records
+                   if r.array_id == stranded[0].array_id]
+        shape = SimpleNamespace(workload=None, num_models=4, steps=8)
+        on_v100 = fleet.placer.estimate(shape, V100).train_seconds
+        assert record.sim_seconds == on_v100
+        assert on_v100 != fleet.placer.estimate(shape, A100).train_seconds
+
+    def test_preempted_child_stranded_behind_a_crash_is_capped(
+            self, tmp_path):
+        """A preempted child queued behind its crashing parent moves to
+        the V100 with the V100's width cap, so the freed-width admissions
+        that refill it there stop at 9."""
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        gateway = ServingGateway(
+            tenants=[TenantSpec("hog", weight=1.0, priority=0),
+                     TenantSpec("slo", weight=1.0, priority=2)],
+            devices=(V100, A100), max_width=16, execution="sim",
+            store=store, checkpoint_every=1, recovery=recovery)
+        fleet = gateway.fleet
+        slo = []
+
+        def submit_slo(epochs, curve):
+            # the first epoch boundary, while the array is full: preempt
+            if epochs == 1 and not slo:
+                slo.append(gateway.submit(
+                    make_sim_job(99, steps=8, tenant="slo"), deadline_s=0.0))
+            return False
+
+        fired = kill_once(fleet, "A100", when=lambda f: any(
+            isinstance(item, ArrayExecutor)
+            for item in f.workers["A100"].plans))
+        hogs = [gateway.submit(make_sim_job(
+                    i, steps=8, tenant="hog",
+                    stop=submit_slo if i == 0 else None)).job_id
+                for i in range(16)]
+        results = gateway.run_until_idle()
+
+        assert fired and fleet.metrics.workers_crashed == 1
+        assert fleet.metrics.jobs_preempted == 1
+        assert set(results) == set(hogs) | {slo[0].job_id}
+        assert fleet.metrics.jobs_completed == 17
+        assert recovery.unsettled() == {}
+        assert_arrays_fit_their_devices(fleet)
+        child, = [result.array_id for result in results.values()
+                  if result.preemptions]
+        record, = [r for r in fleet.metrics.records if r.array_id == child]
+        assert (record.device, record.width_cap) == ("V100", 9)

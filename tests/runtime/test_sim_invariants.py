@@ -17,6 +17,8 @@ hand-picked ones:
   within its executed slot-steps across evictions, freed-width
   admissions and preemptions, and the per-device busy time never
   exceeds the fleet's virtual makespan;
+* **width** — every launched array is at most its width cap, and that
+  cap is at most its device's;
 * **placement is final** — under greedy placement a live array trains on
   the device it was placed on until it drains: every event naming a job
   carries the device the job was placed on (or boarded freed width on);
@@ -31,7 +33,7 @@ import pytest
 
 from repro.cluster import ServingTraceConfig, TenantLoad, \
     generate_serving_trace
-from repro.hwsim import RTX6000, V100
+from repro.hwsim import RTX6000, V100, get_workload
 from repro.runtime import JobState, ServingGateway, TenantSpec, \
     VirtualClock, synthetic_fleet
 
@@ -130,6 +132,17 @@ def assert_jobs_stay_on_their_device(events):
     assert checked, "no event named a job and a device"
 
 
+def assert_arrays_fit_their_devices(fleet):
+    """Every launched array is at most its width cap, and the cap at most
+    its device's for the default workload (the one every job here runs)."""
+    workload = get_workload(fleet.placer.default_workload)
+    assert fleet.metrics.records, "no array launched"
+    for record in fleet.metrics.records:
+        device = fleet.workers[record.device].device
+        assert record.num_models <= record.width_cap \
+            <= fleet.placer.width_cap(workload, device), record
+
+
 def test_two_device_trace_keeps_every_job_where_it_was_placed():
     """The real-vs-sim two-device trace: early stops free width on both
     devices, and no array leaves the device it launched on."""
@@ -173,6 +186,7 @@ def test_randomized_trace_invariants(seed):
         assert record.fused_width_efficiency <= 1.0
         assert record.evictions >= 0 and record.admissions >= 0
         assert record.sim_seconds >= 0.0
+    assert_arrays_fit_their_devices(gateway.fleet)
     # busy time on the busiest device never exceeds the virtual makespan
     assert metrics.simulated_makespan <= \
         gateway.fleet.virtual_makespan() + 1e-9
