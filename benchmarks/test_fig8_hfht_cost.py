@@ -30,6 +30,31 @@ CASES = [("pointnet_cls", hfht.pointnet_search_space, "random_search"),
          ("mobilenet_v3_large", hfht.mobilenet_search_space, "random_search"),
          ("mobilenet_v3_large", hfht.mobilenet_search_space, "hyperband")]
 
+#: GPU hours per (task, algorithm) and scheduler, as the static
+#: partition-and-fuse scheduler billed them.  The process baselines are
+#: priced by hwsim alone and must not move at all; ``hfta`` now comes from
+#: the runtime's sim fleet and agrees up to summation order.
+EXPECTED_GPU_HOURS = {
+    ("pointnet_cls", "random_search"): {
+        "serial": 0.2771897430835199, "concurrent": 0.24305640975018655,
+        "mps": 0.2385124097501866, "hfta": 0.13677374308352003},
+    ("pointnet_cls", "hyperband"): {
+        "serial": 0.9095288444927998, "concurrent": 0.7975288444927996,
+        "mps": 0.7827608444927998, "hfta": 0.5959576444927999},
+    ("mobilenet_v3_large", "random_search"): {
+        "serial": 0.20116658227554976, "concurrent": 0.13972658227554988,
+        "mps": 0.0574137131598428, "hfta": 0.04564147437370028},
+    ("mobilenet_v3_large", "hyperband"): {
+        "serial": 0.6600778480916479, "concurrent": 0.45847784809164804,
+        "mps": 0.19906608609728207, "hfta": 0.3197184320476138},
+}
+
+#: fused arrays the ``hfta`` scheduler launches per (task, algorithm)
+EXPECTED_ARRAYS = {("pointnet_cls", "random_search"): 6,
+                   ("pointnet_cls", "hyperband"): 28,
+                   ("mobilenet_v3_large", "random_search"): 4,
+                   ("mobilenet_v3_large", "hyperband"): 23}
+
 
 def test_fig8_total_gpu_hours(benchmark):
     device = hwsim.V100
@@ -67,6 +92,19 @@ def test_fig8_total_gpu_hours(benchmark):
         assert results[(workload_name, algo_name, "serial")].best_score == \
             pytest.approx(results[(workload_name, algo_name, "hfta")].best_score,
                           rel=1e-9)
+
+    for (workload_name, algo_name), hours in EXPECTED_GPU_HOURS.items():
+        for mode in ("serial", "concurrent", "mps"):
+            assert results[(workload_name, algo_name, mode)].total_gpu_hours \
+                == hours[mode]
+        fused = results[(workload_name, algo_name, "hfta")]
+        assert fused.total_gpu_hours == pytest.approx(hours["hfta"],
+                                                      rel=1e-12)
+        assert fused.total_jobs_launched == \
+            EXPECTED_ARRAYS[(workload_name, algo_name)]
+        scores = {results[(workload_name, algo_name, mode)].best_score
+                  for mode in SCHEDULERS}
+        assert len(scores) == 1
 
     # Random search benefits more from HFTA than Hyperband (Section 5.4).
     def saving(workload_name, algo_name):

@@ -21,14 +21,16 @@ Top-level subpackages
 ``repro.cluster``
     GPU-cluster usage trace generation and the paper's repetitive-job
     classifier (Table 1 / Figures 9-10).
-``repro.hfht``
-    Horizontally Fused Hyper-parameter Tuning: random search and Hyperband
-    integrated with HFTA/MPS/concurrent/serial job scheduling (Figure 8).
 ``repro.runtime``
     Dynamic training-array runtime: accepts a live stream of heterogeneous
     training jobs, batches fusible ones into width-capped arrays (falling
     back to partial fusion), trains them, and hands back serial-equivalent
     checkpoints with throughput/occupancy accounting.
+``repro.hfht``
+    Horizontally Fused Hyper-parameter Tuning: random search and Hyperband
+    over serial/concurrent/MPS/MIG baselines priced by ``repro.hwsim`` and
+    an HFTA scheduler that runs each batch of trials on the runtime's
+    virtual-time backend (Figure 8).
 
 See ``docs/architecture.md`` for the layer-by-layer walkthrough and the
 data-flow diagram connecting these subpackages.

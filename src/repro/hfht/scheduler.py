@@ -7,12 +7,17 @@ The scheduler is the piece HFHT swaps between Figure 8's four configurations:
 * ``concurrent`` — trials run as independent processes sharing the device
   without MPS;
 * ``mps`` / ``mig`` — same, via the hardware sharing features;
-* ``hfta``       — the trials of each fusible partition are horizontally
-  fused into one job.
+* ``hfta``       — the trials are submitted to the training-array runtime
+  (:mod:`repro.runtime`): a one-device :class:`~repro.runtime.FleetScheduler`
+  on the virtual-time backend (``execution="sim"``) whose batcher fuses
+  trials sharing their infusible hyper-parameters and step budget, and
+  whose placer splits a cohort wider than the device's HFTA memory cap
+  into capacity-sized arrays (partial fusion).
 
-Each scheduler returns the per-trial quality results (from the surrogate
-response surface) and accounts the *GPU hours* spent, which is what Figure 8
-reports.
+The first four are priced directly with :func:`repro.hwsim.simulate`; the
+``hfta`` cost is the runtime's own device timeline.  Each scheduler returns
+the per-trial quality results (from the surrogate response surface) and
+accounts the *GPU hours* spent, which is what Figure 8 reports.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-
-from ..hwsim import DeviceSpec, WorkloadSpec, max_models, simulate
+from ..hwsim import (DeviceSpec, WorkloadSpec, get_workload, max_models,
+                     simulate)
+from ..nn import Module
+from ..runtime import FleetScheduler, TrainingJob
 from .algorithms import Trial
-from .partition import Partition, partition_and_fuse, unfuse_and_reorder
 from .space import SearchSpace
 from .surrogate import surrogate_accuracy
 
@@ -41,6 +47,18 @@ class SchedulerResult:
     num_jobs_launched: int
 
 
+def _placeholder_model(num_models=None, generator=None) -> Module:
+    """What every ``hfta`` trial's job builds.  The sim trains no tensors,
+    so one empty module shared by all trials fuses them all; fusibility
+    comes from the trials' configs alone."""
+    return Module()
+
+
+def _no_data(step):
+    """The sim never reads a job's data stream."""
+    return (None, None)
+
+
 class JobScheduler:
     """Evaluates tuning trials on one device under a sharing scheme."""
 
@@ -49,14 +67,33 @@ class JobScheduler:
                  precision: str = "amp", task: Optional[str] = None):
         if mode not in SCHEDULER_MODES:
             raise ValueError(f"unknown scheduler mode '{mode}'")
+        capacity = max_models(workload, device, mode, precision)
+        if capacity < 1:
+            raise RuntimeError(
+                f"{mode} cannot fit a single {workload.name} job on "
+                f"{device.name}")
         self.workload = workload
         self.device = device
         self.space = space
         self.mode = mode
         self.precision = precision
         self.task = task or workload.name
+        self.capacity = capacity
         self.total_gpu_hours = 0.0
         self.total_jobs = 0
+        #: the ``hfta`` mode's runtime: one device, virtual time, arrays at
+        #: most as wide as the device's HFTA memory cap
+        self.fleet = None
+        if mode == "hfta":
+            if get_workload(workload.name) != workload:
+                # the runtime prices arrays by registered workload name
+                raise ValueError(
+                    f"hfta prices only registered hwsim workloads; "
+                    f"{workload.name!r} differs from get_workload"
+                    f"({workload.name!r})")
+            self.fleet = FleetScheduler(
+                devices=(device,), max_width=capacity, precision=precision,
+                default_workload=workload.name, execution="sim")
 
     # ------------------------------------------------------------------ #
     def _epoch_hours(self, sharing_mode: str, num_jobs: int,
@@ -64,8 +101,6 @@ class JobScheduler:
         """GPU hours consumed by ``num_jobs`` co-scheduled jobs for ``epochs``."""
         result = simulate(self.workload, self.device, sharing_mode, num_jobs,
                           self.precision)
-        if not result.fits or result.throughput <= 0:
-            return float("inf")
         iterations = epochs * self.workload.iterations_per_epoch
         samples = iterations * self.workload.batch_size * num_jobs
         seconds = samples / result.throughput
@@ -98,54 +133,36 @@ class JobScheduler:
                 gpu_hours += self._epoch_hours("serial", 1, trial.epochs)
             return SchedulerResult(results, gpu_hours, len(trials))
 
-        capacity = max_models(self.workload, self.device, self.mode,
-                              self.precision)
-        if capacity < 1:
-            raise RuntimeError(
-                f"{self.mode} cannot fit a single {self.workload.name} job on "
-                f"{self.device.name}")
         # Greedily co-schedule as many processes as fit; different epoch
         # budgets within one wave are conservatively billed at the longest.
         remaining = sorted(trials, key=lambda t: -t.epochs)
         while remaining:
-            wave = remaining[:capacity]
-            remaining = remaining[capacity:]
+            wave = remaining[:self.capacity]
+            remaining = remaining[self.capacity:]
             epochs = max(t.epochs for t in wave)
             gpu_hours += self._epoch_hours(self.mode, len(wave), epochs)
         return SchedulerResult(results, gpu_hours, len(trials))
 
-    def fused_capacity(self) -> int:
-        """Largest array width that fits on the device under HFTA."""
-        return max_models(self.workload, self.device, "hfta", self.precision)
-
-    def plan_batch(self, trials: Sequence[Trial]) -> List[Partition]:
-        """Partition a batch of trials into device-sized fusible arrays.
-
-        This is the planning half of the ``hfta`` scheduling mode, exposed
-        separately so that other schedulers — in particular the dynamic
-        training-array runtime (:mod:`repro.runtime`) — can reuse HFHT's
-        partitioning without committing to its execution model.
-        """
-        configs = [t.config for t in trials]
-        return partition_and_fuse(configs, self.space,
-                                  max_fusion=self.fused_capacity())
-
     def _run_fused(self, trials: Sequence[Trial]) -> SchedulerResult:
-        """HFTA: partition by infusible hyper-parameters, fuse each partition."""
-        partitions = self.plan_batch(trials)
-        # Trials within a partition may request different epoch budgets
-        # (Hyperband); the fused job runs for the longest budget, and each
-        # model simply stops updating after its own budget — the cost is the
-        # fused job's duration.
-        per_partition_results: List[List[float]] = []
-        gpu_hours = 0.0
-        trial_by_index = {i: t for i, t in enumerate(trials)}
-        for part in partitions:
-            part_trials = [trial_by_index[i] for i in part.original_indices]
-            epochs = max(t.epochs for t in part_trials)
-            gpu_hours += self._epoch_hours("hfta", part.num_models, epochs)
-            per_partition_results.append(
-                [surrogate_accuracy(self.task, t.config, t.epochs)
-                 for t in part_trials])
-        results = unfuse_and_reorder(partitions, per_partition_results)
-        return SchedulerResult(results, gpu_hours, len(partitions))
+        """HFTA: every trial is one job of the runtime's sim fleet.
+
+        The fleet's batcher groups the trials by infusible values and step
+        budget, its placer chunks each group to the device's width cap,
+        and each array's epochs are charged to the device timeline; the
+        batch costs what that timeline advanced by.
+        """
+        fleet = self.fleet
+        engine = fleet.workers[self.device.name].engine
+        start_seconds = engine.sim_time
+        start_arrays = fleet.metrics.arrays_launched
+        iterations = self.workload.iterations_per_epoch
+        fleet.submit_all([
+            TrainingJob(name=f"trial{i}", build_model=_placeholder_model,
+                        data=_no_data, config=trial.config, space=self.space,
+                        steps=trial.epochs * iterations,
+                        epoch_steps=iterations, workload=self.workload.name)
+            for i, trial in enumerate(trials)])
+        fleet.run_until_idle()
+        gpu_hours = (engine.sim_time - start_seconds) / 3600.0
+        return SchedulerResult(self._evaluate_trials(trials), gpu_hours,
+                               fleet.metrics.arrays_launched - start_arrays)

@@ -1,4 +1,4 @@
-"""HFHT driver: tuning algorithm + partition-and-fuse + job scheduler.
+"""HFHT driver: tuning algorithm + job scheduler.
 
 This is the paper's Algorithm 1 loop.  Running the same tuning workload with
 the ``serial`` / ``concurrent`` / ``mps`` / ``hfta`` schedulers and comparing

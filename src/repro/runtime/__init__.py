@@ -13,8 +13,7 @@ of a shared accelerator:
   (workload signatures from :mod:`repro.cluster`, structural fusibility
   from :mod:`repro.hfta.fusion`);
 * :mod:`repro.runtime.policy`  — sizes each array against a width cap,
-  splitting oversized cohorts with HFHT's partial-fusion logic
-  (:func:`repro.hfht.split_oversized`);
+  splitting oversized cohorts into capacity-sized chunks (partial fusion);
 * :mod:`repro.runtime.engine`  — steps each array through the *elastic*
   lifecycle (``ArrayExecutor``: PENDING -> FUSED -> STEPPING ->
   {EVICTING, MERGING} -> DRAINED): per-slot progress and stop signals,

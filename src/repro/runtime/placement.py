@@ -20,9 +20,10 @@ device (equal work), never one device's narrow chunk against another's
 full-width array.
 
 A cohort wider than the chosen device's cap falls back to **partial
-fusion**: :func:`repro.hfht.partition.split_oversized` carves a
-capacity-sized chunk off the cohort, and the remainder is placed
-independently — possibly on a different device.
+fusion**: a capacity-sized chunk is carved off the front of the cohort,
+and the remainder is placed independently — possibly on a different
+device.  HFHT's ``hfta`` scheduler is a one-device fleet, so this is also
+how a tuning batch larger than the device's cap is split.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..hfht.partition import Partition, split_oversized
 from ..hwsim import (A100, RTX6000, TPU_V3, V100, ArrayCostEstimate,
                      DeviceSpec, WorkloadSpec, estimate_array_cost,
                      get_workload, max_models)
@@ -303,23 +303,15 @@ class FleetPlacer(PlacementPolicy):
         decisions: List[PlacementDecision] = []
         for cohort in cohorts:
             workload = self.resolve_workload(cohort)
-            remaining = Partition(
-                infusible_values=cohort.infusible_values,
-                configs=[sub.job.config for sub in cohort.jobs],
-                original_indices=list(range(cohort.num_models)))
-            while remaining.num_models:
+            remaining = list(range(cohort.num_models))
+            while remaining:
                 device, cap, estimate = self._best_device(
-                    cohort, workload, remaining.num_models, load)
+                    cohort, workload, len(remaining), load)
                 # partial-fusion fallback: carve one capacity-sized chunk
                 # off the front; the rest is re-placed (the load this chunk
                 # adds may make another device finish the next chunk first)
-                chunk, *rest = split_oversized([remaining], cap)
-                remaining = Partition(
-                    remaining.infusible_values,
-                    [c for part in rest for c in part.configs],
-                    [i for part in rest for i in part.original_indices])
-                plan = ArrayPlan(cohort=cohort,
-                                 indices=list(chunk.original_indices),
+                chunk, remaining = remaining[:cap], remaining[cap:]
+                plan = ArrayPlan(cohort=cohort, indices=chunk,
                                  width_cap=cap, device=device.name,
                                  projected_seconds=estimate.train_seconds)
                 decisions.append(PlacementDecision(

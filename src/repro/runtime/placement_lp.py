@@ -60,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..hfht.partition import Partition
 from ..hwsim import get_workload
 from .batcher import Cohort
 from .placement import FleetPlacer, PlacementDecision
@@ -575,17 +574,10 @@ class LPFleetPlacer(FleetPlacer):
         devices_by_name = {d.name: d for d in self.devices}
         for idx, cohort in enumerate(cohorts):
             workload = get_workload(items[idx].workload)
-            remaining = Partition(
-                infusible_values=cohort.infusible_values,
-                configs=[sub.job.config for sub in cohort.jobs],
-                original_indices=list(range(cohort.num_models)))
+            remaining = list(range(cohort.num_models))
             for d_idx, width in solution.assignment[idx]:
                 device = devices_by_name[self.devices[d_idx].name]
-                chunk_indices = remaining.original_indices[:width]
-                remaining = Partition(
-                    remaining.infusible_values,
-                    remaining.configs[width:],
-                    remaining.original_indices[width:])
+                chunk_indices, remaining = remaining[:width], remaining[width:]
                 cap = self.width_cap(workload, device)
                 base = self._base_estimate(workload, device, width)
                 estimate = self._scaled(base, device, items[idx].steps)

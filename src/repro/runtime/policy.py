@@ -5,14 +5,11 @@ fusible cohort, *how many* of its models may actually train as one array.
 On the single-device engine the answer is an explicit ``max_width``
 (operator-configured: fairness, latency SLOs, convergence-monitoring
 granularity).  A fleet also bounds each array by its device's memory
-capacity under HFTA sharing (:mod:`repro.hwsim`'s ``max_models``, the
-bound HFHT's scheduler uses); that cap lives in
-:class:`repro.runtime.placement.FleetPlacer`.
+capacity under HFTA sharing (:mod:`repro.hwsim`'s ``max_models``); that
+cap lives in :class:`repro.runtime.placement.FleetPlacer`.
 
 Cohorts wider than the cap fall back to **partial fusion**: the cohort is
-split into capacity-sized chunks via :func:`repro.hfht.partition.
-split_oversized` — the same logic HFHT applies when a tuning algorithm
-proposes more fusible trials than fit on the device — and each chunk
+split, in submission order, into capacity-sized chunks, and each chunk
 becomes its own :class:`ArrayPlan`.
 """
 
@@ -21,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..hfht.partition import Partition, split_oversized
 from .batcher import Cohort
 from .queue import SubmittedJob
 
@@ -87,13 +83,9 @@ class ArrayPolicy:
         cap = self.max_width
         plans: List[ArrayPlan] = []
         for cohort in cohorts:
-            # Reuse HFHT's partial-fusion splitter on an index partition.
-            whole = Partition(
-                infusible_values=cohort.infusible_values,
-                configs=[sub.job.config for sub in cohort.jobs],
-                original_indices=list(range(cohort.num_models)))
-            for chunk in split_oversized([whole], cap):
+            indices = list(range(cohort.num_models))
+            for start in range(0, len(indices), cap):
                 plans.append(ArrayPlan(cohort=cohort,
-                                       indices=list(chunk.original_indices),
+                                       indices=indices[start:start + cap],
                                        width_cap=cap))
         return plans

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..hfht.space import SearchSpace, Value
 from ..nn.modules.module import Module
+
+if TYPE_CHECKING:
+    from ..hfht.space import SearchSpace, Value
 
 __all__ = ["JobState", "StopReason", "TrainingJob", "SubmittedJob",
            "JobQueue", "ResumeState"]

@@ -1,4 +1,6 @@
-"""Tests for HFHT: search spaces, partitioning, algorithms, schedulers."""
+"""Tests for HFHT: search spaces, runtime fusion, algorithms, schedulers."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -52,49 +54,56 @@ class TestSearchSpace:
             hfht.SearchSpace([hp, hp])
 
 
-class TestPartitioning:
-    def test_partition_groups_by_infusible_values(self, space):
-        rng = np.random.default_rng(1)
-        configs = space.sample_batch(40, rng)
-        partitions = hfht.partition_and_fuse(configs, space)
-        assert sum(p.num_models for p in partitions) == 40
-        for part in partitions:
-            infusible = dict(part.infusible_values)
-            for config in part.configs:
-                for name, value in infusible.items():
-                    assert config[name] == value
-
-    def test_partition_respects_max_fusion(self, space):
-        rng = np.random.default_rng(2)
-        configs = space.sample_batch(50, rng)
-        partitions = hfht.partition_and_fuse(configs, space, max_fusion=4)
-        assert all(p.num_models <= 4 for p in partitions)
-
-    def test_unfuse_and_reorder_restores_original_order(self, space):
-        rng = np.random.default_rng(3)
-        configs = space.sample_batch(12, rng)
-        partitions = hfht.partition_and_fuse(configs, space)
-        results = [[float(i) for i in part.original_indices]
-                   for part in partitions]
-        restored = hfht.unfuse_and_reorder(partitions, results)
-        assert restored == [float(i) for i in range(12)]
-
-    def test_unfuse_validates_result_counts(self, space):
-        base = space.sample(np.random.default_rng(0))
-        configs = [dict(base, lr=lr) for lr in (1e-4, 1e-3, 1e-2)]
-        partitions = hfht.partition_and_fuse(configs, space)
-        assert partitions[0].num_models == 3
-        with pytest.raises(ValueError):
-            hfht.unfuse_and_reorder(partitions, [[1.0]] * len(partitions))
+class TestRuntimeFusion:
+    """The ``hfta`` scheduler's partition-and-fuse is the runtime's: read
+    back from the one-device sim fleet's place events and array records."""
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(1, 30))
-    def test_property_partitions_cover_all_configs(self, count):
+    @given(st.integers(1, 30), st.sampled_from((8, 16, 32)))
+    def test_property_arrays_fuse_infusible_groups_within_cap(self, count,
+                                                              mem_gb):
         space = hfht.pointnet_search_space()
-        configs = space.sample_batch(count, np.random.default_rng(count))
-        partitions = hfht.partition_and_fuse(configs, space, max_fusion=5)
-        indices = sorted(i for p in partitions for i in p.original_indices)
-        assert indices == list(range(count))
+        workload = hwsim.get_workload("pointnet_cls")
+        device = dataclasses.replace(hwsim.V100, mem_gb=mem_gb)
+        rng = np.random.default_rng(count)
+        trials = [hfht.Trial(config, int(rng.integers(1, 3)))
+                  for config in space.sample_batch(count, rng)]
+        sched = hfht.JobScheduler(workload, device, space, mode="hfta")
+        metrics = sched.fleet.metrics
+        metrics.enable_event_log()
+        batch = sched.run_batch(trials)
+
+        cap = hwsim.max_models(workload, device, "hfta", "amp")
+        placed = [ids for _, (_, ids) in metrics.decisions("place")]
+        infusible = space.infusible_names()
+        for ids in placed:
+            jobs = [sched.fleet.queue.get(i).job for i in ids]
+            assert len({tuple(j.config[n] for n in infusible)
+                        for j in jobs}) == 1
+            assert len({j.steps for j in jobs}) == 1
+        records = metrics.records
+        assert len(records) == len(placed) == batch.num_jobs_launched
+        assert all(r.num_models <= cap for r in records)
+        assert sorted(r.num_models for r in records) == \
+            sorted(len(ids) for ids in placed)
+        # every trial trains exactly once
+        assert sorted(i for ids in placed for i in ids) == list(range(count))
+        assert sum(r.jobs_served for r in records) == count
+        assert batch.results == [
+            hfht.surrogate_accuracy("pointnet_cls", t.config, t.epochs)
+            for t in trials]
+
+    def test_mixed_budgets_train_as_separate_arrays(self, workload, space):
+        """Trials of one infusible group but different epoch budgets train
+        as one array per budget; none is billed the longest's epochs."""
+        base = space.sample(np.random.default_rng(0))
+        trials = [hfht.Trial(dict(base, lr=1e-4 * (i + 1)), 2 if i < 3 else 6)
+                  for i in range(6)]
+        sched = hfht.JobScheduler(workload, hwsim.V100, space, mode="hfta")
+        batch = sched.run_batch(trials)
+        assert batch.num_jobs_launched == 2
+        assert batch.gpu_hours == pytest.approx(0.03235094688199111,
+                                                rel=1e-12)
 
 
 class TestAlgorithms:
@@ -214,3 +223,25 @@ class TestSchedulersAndTuner:
     def test_invalid_scheduler_mode(self, workload, space):
         with pytest.raises(ValueError):
             hfht.JobScheduler(workload, hwsim.V100, space, mode="bogus")
+
+    def test_hfta_rejects_unregistered_workload_variant(self, workload,
+                                                       space):
+        """The runtime prices arrays by workload name, so a modified spec
+        would be billed as the registered one."""
+        variant = dataclasses.replace(workload, batch_size=8)
+        with pytest.raises(ValueError, match="registered hwsim workloads"):
+            hfht.JobScheduler(variant, hwsim.V100, space, mode="hfta")
+
+    @pytest.mark.parametrize("mode", hfht.SCHEDULER_MODES)
+    def test_trial_too_large_for_device_raises(self, mode):
+        """A device that cannot hold one job fails every mode up front
+        instead of billing the tuning run infinite GPU hours."""
+        space = hfht.mobilenet_search_space()
+        tiny = dataclasses.replace(hwsim.V100, name="tiny", mem_gb=0.5)
+        with pytest.raises(RuntimeError,
+                           match=f"{mode} cannot fit a single "
+                                 f"mobilenet_v3_large job on tiny"):
+            sched = hfht.JobScheduler(
+                hwsim.get_workload("mobilenet_v3_large"), tiny, space,
+                mode=mode)
+            hfht.HFHT(hfht.RandomSearch(space, 4, 1, seed=0), sched).run()

@@ -6,7 +6,7 @@ Covers the fleet layer's contract:
   array is the one :func:`repro.hwsim.estimate_array_cost` projects to
   finish it first;
 * a cohort wider than the chosen device's memory cap falls back to partial
-  fusion (``split_oversized`` chunking), not rejection;
+  fusion (capacity-sized chunks), not rejection;
 * a failing array on one device neither stalls the other devices nor loses
   its healthy cohort-mates (quarantine-and-retry across cycles);
 * fleet execution preserves the runtime invariant: every exported
@@ -122,8 +122,8 @@ class TestFleetPlacer:
             projected[decision.device_name])
 
     def test_memory_cap_fallback_splits_via_partial_fusion(self):
-        """A cohort wider than the best device's memory cap is chunked by
-        split_oversized, not rejected or truncated."""
+        """A cohort wider than the best device's memory cap is chunked to
+        that cap, not rejected or truncated."""
         placer = FleetPlacer(devices=(V100,), max_width=64,
                              default_workload="bert_medium")
         cap = placer.width_cap(get_workload("bert_medium"), V100)
