@@ -57,9 +57,11 @@ lint:
 # (tools/check_docs.py), and the committed docs/api.md matches what
 # tools/gen_api_docs.py would generate from the source docstrings
 docs-check:
-	PYTHONPATH=src $(PY) -c "import repro, repro.hfta, repro.hfht, \
+	PYTHONPATH=src $(PY) -c "import sys, repro, repro.hfta, repro.hfht, \
 	repro.hwsim, repro.cluster, repro.runtime, repro.models, repro.data; \
-	print('docs-check: all documented packages import cleanly')"
+	assert not any(m.startswith('scipy') for m in sys.modules), \
+	'a package import loaded scipy'; \
+	print('docs-check: all documented packages import cleanly, no scipy')"
 	PYTHONPATH=src $(PY) tools/check_docs.py
 	PYTHONPATH=src $(PY) tools/gen_api_docs.py --check
 

@@ -102,8 +102,8 @@ from .placement import (DEFAULT_FLEET, FleetPlacer, PlacementDecision,
                         PlacementPolicy, synthetic_fleet)
 from .placement_lp import (LPFleetPlacer, LPWeights, PlacementInstance,
                            PlacementSolution, lp_available, solve_instance)
-from .checkpoint import (CheckpointStore, RecoveryManager, SlotCheckpoint,
-                         WriteReceipt)
+from .checkpoint import (CheckpointStore, CorruptObjectError,
+                         RecoveryManager, SlotCheckpoint, WriteReceipt)
 from .fleet import DeviceWorker, FleetScheduler
 from .gateway import (AdmissionTicket, ServingGateway, ShedReason,
                       TenantSpec)
@@ -122,7 +122,8 @@ __all__ = [
     "PlacementPolicy", "synthetic_fleet",
     "LPFleetPlacer", "LPWeights", "PlacementInstance", "PlacementSolution",
     "lp_available", "solve_instance",
-    "CheckpointStore", "RecoveryManager", "SlotCheckpoint", "WriteReceipt",
+    "CheckpointStore", "CorruptObjectError", "RecoveryManager",
+    "SlotCheckpoint", "WriteReceipt",
     "DeviceWorker", "FleetScheduler",
     "AdmissionTicket", "ServingGateway", "ShedReason", "TenantSpec",
     "SimulatedCrash", "TraceReplayer", "VirtualClock",

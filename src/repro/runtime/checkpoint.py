@@ -61,8 +61,9 @@ import numpy as np
 from .metrics import Event
 from .queue import JobState, ResumeState, StopReason, TrainingJob
 
-__all__ = ["CheckpointStore", "RecoveryManager", "SlotCheckpoint",
-           "WriteReceipt", "encode_arrays", "decode_arrays"]
+__all__ = ["CheckpointStore", "CorruptObjectError", "RecoveryManager",
+           "SlotCheckpoint", "WriteReceipt", "encode_arrays",
+           "decode_arrays"]
 
 _MAGIC = b"RPCK1\n"
 
@@ -162,6 +163,16 @@ def _unflatten_optimizer_state(
 # --------------------------------------------------------------------- #
 # the store
 # --------------------------------------------------------------------- #
+class CorruptObjectError(ValueError):
+    """A store object's bytes no longer hash to the SHA-256 that names it
+    (bit rot, a torn copy, a tampered file).  ``digest`` is the name."""
+
+    def __init__(self, digest: str):
+        super().__init__(f"checkpoint object {digest} fails its SHA-256 "
+                         f"check")
+        self.digest = digest
+
+
 @dataclass(frozen=True)
 class WriteReceipt:
     """What one checkpoint write cost (feeds the runtime metrics)."""
@@ -264,6 +275,8 @@ class CheckpointStore:
             return digest, len(payload)
 
     def _get_object(self, digest: str) -> bytearray:
+        """The object's bytes, verified against its name; raises
+        :class:`CorruptObjectError` when they no longer match."""
         # a writable buffer, so decode_arrays can hand out zero-copy
         # writable views instead of copying every restored array
         path = os.path.join(self._objects_dir, digest[:2], digest)
@@ -273,6 +286,8 @@ class CheckpointStore:
             read = handle.readinto(buf)
         if read != size:
             del buf[read:]
+        if hashlib.sha256(buf).hexdigest() != digest:
+            raise CorruptObjectError(digest)
         return buf
 
     def _manifest_path(self, job_id: int) -> str:
@@ -366,7 +381,9 @@ class CheckpointStore:
             return json.loads(handle.read())
 
     def load_slot(self, job_id: int) -> Optional[SlotCheckpoint]:
-        """The job's latest checkpoint with its arrays decoded, or None."""
+        """The job's latest checkpoint with its arrays decoded, or None.
+        Raises :class:`CorruptObjectError` when an object it references
+        fails its digest check."""
         manifest = self.manifest(job_id)
         if manifest is None:
             return None
@@ -511,10 +528,23 @@ class RecoveryManager:
         return 1 + max((int(record["job_id"]) for record in self.entries()
                         if "job_id" in record), default=-1)
 
+    def record_corrupt(self, job_id: int, exc: CorruptObjectError) -> None:
+        """Journal that the job's checkpoint failed its digest check.  The
+        rule every restore path follows: a corrupt checkpoint counts as no
+        checkpoint, so the job restarts from step 0 (or from a resume
+        payload it already holds in memory)."""
+        self._append({"type": "corrupt", "job_id": int(job_id),
+                      "digest": exc.digest})
+
     def resume_state(self, job_id: int) -> Optional[ResumeState]:
         """The job's latest durable checkpoint as a resume payload, or
-        ``None`` when it never reached a checkpoint boundary."""
-        checkpoint = self.store.load_slot(job_id)
+        ``None`` when it never reached a checkpoint boundary or the
+        checkpoint is corrupt (journaled by :meth:`record_corrupt`)."""
+        try:
+            checkpoint = self.store.load_slot(job_id)
+        except CorruptObjectError as exc:
+            self.record_corrupt(job_id, exc)
+            return None
         if checkpoint is None or checkpoint.progress <= 0:
             return None
         return checkpoint.resume_state()

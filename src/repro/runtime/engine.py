@@ -64,7 +64,7 @@ from ..nn.modules.module import Module
 from . import sim
 from .batcher import Batcher, Cohort
 from .bufferpool import BufferPool
-from .checkpoint import CheckpointStore, RecoveryManager
+from .checkpoint import CheckpointStore, CorruptObjectError, RecoveryManager
 from .metrics import ArrayRecord, Event, RuntimeMetrics
 from .policy import ArrayPlan, ArrayPolicy
 from .queue import JobQueue, JobState, StopReason, SubmittedJob, \
@@ -1050,6 +1050,10 @@ class TrainingArrayEngine:
             if checkpoint is None:
                 return
             sub.resume = checkpoint.resume_state()
+        except CorruptObjectError as exc:
+            if self.recovery is not None:
+                self.recovery.record_corrupt(sub.job_id, exc)
+            return
         except Exception:  # noqa: BLE001 — recovery is best-effort here
             return
         self.emit(Event("recover", (sub.job_id,)))

@@ -65,10 +65,12 @@ from .batcher import Cohort
 from .placement import FleetPlacer, PlacementDecision
 from .policy import ArrayPlan
 
-try:                               # scipy is an optional accelerant: the
-    from scipy.optimize import linprog as _linprog    # deterministic
-except Exception:                  # greedy rounder is the always-on floor
-    _linprog = None
+#: :func:`scipy.optimize.linprog` once ``_solver()`` has imported it at the
+#: first LP use, ``None`` when scipy is absent.  scipy is an optional
+#: accelerant (the deterministic greedy rounder is the always-on floor) and
+#: slow to import, so no package import pays for it.
+_UNLOADED = object()
+_linprog = _UNLOADED
 
 __all__ = ["LPWeights", "LPItem", "PlacementInstance", "PlacementSolution",
            "InfeasiblePlacement", "lp_available", "solve_lp_relaxation",
@@ -82,10 +84,23 @@ Chunk = Tuple[int, int]
 Assignment = List[List[Chunk]]
 
 
+def _solver():
+    """:func:`scipy.optimize.linprog`, imported on first use, or ``None``
+    when scipy is absent."""
+    global _linprog
+    if _linprog is _UNLOADED:
+        try:
+            from scipy.optimize import linprog as _linprog
+        except Exception:
+            _linprog = None
+    return _linprog
+
+
 def lp_available() -> bool:
     """Whether :func:`scipy.optimize.linprog` is importable here (the
-    greedy-rounding fallback runs standalone when it is not)."""
-    return _linprog is not None
+    greedy-rounding fallback runs standalone when it is not).  Imports
+    scipy on the first call."""
+    return _solver() is not None
 
 
 class InfeasiblePlacement(RuntimeError):
@@ -295,7 +310,8 @@ def solve_lp_relaxation(instance: PlacementInstance
     """Solve the relaxed assignment LP; ``(x[i, d], objective)`` on
     success, ``None`` when scipy is absent or the solver fails (the
     greedy rounder then runs standalone)."""
-    if _linprog is None:
+    linprog = _solver()
+    if linprog is None:
         return None
     items, devices = instance.items, instance.devices
     n_i, n_d = len(items), len(devices)
@@ -333,9 +349,9 @@ def solve_lp_relaxation(instance: PlacementInstance
         rhs.append(-instance.load_of(d))
 
     try:
-        result = _linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                          A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                          method="highs")
+        result = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
+                         A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                         method="highs")
     except Exception:                     # solver crash != infeasible:
         return None                       # fall back to greedy rounding
     if not result.success:
@@ -463,8 +479,11 @@ def solve_instance(instance: PlacementInstance,
     returns whichever scores better under :func:`score_assignment` —
     ties go to greedy, so the LP path only ever *improves* the fallback.
     Raises :class:`InfeasiblePlacement` (from the instance) when an item
-    fits nowhere, identically on both paths.
+    fits nowhere, identically on both paths.  ``solve_seconds`` excludes
+    the one-off scipy import, which happens before the clock starts.
     """
+    if use_lp:
+        _solver()
     start = time.perf_counter()
     relaxed: Optional[float] = None
     candidates: List[Tuple[str, Assignment]] = []
@@ -525,6 +544,8 @@ class LPFleetPlacer(FleetPlacer):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.use_lp:
+            _solver()           # pay for scipy when the fleet is built
         #: telemetry of the most recent solve (the fleet drains it into
         #: RuntimeMetrics after every placement)
         self.last_instance: Optional[PlacementInstance] = None

@@ -19,6 +19,7 @@ partial checkpoint.)
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
@@ -181,12 +182,28 @@ class TrainingJob:
     sim_loss: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
+        for name in ("steps", "epoch_steps"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise TypeError(f"TrainingJob.{name} must be an integer, "
+                                f"got {value!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.epoch_steps < 1:
             raise ValueError("epoch_steps must be >= 1")
         if self.data is None:
             raise ValueError(f"job '{self.name}' has no data stream")
+
+
+def _is_integer(value) -> bool:
+    """An ``int`` or a numpy integer, never a ``bool``, float or string."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass

@@ -18,6 +18,7 @@ operator runbook in ``docs/operations.md``.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ import pytest
 from repro import nn
 from repro.hfta.ops.factory import OpsLibrary
 from repro.hwsim import RTX6000, V100
-from repro.runtime import (CheckpointStore, FleetScheduler, JobState,
-                           RecoveryManager, ServingGateway, TenantSpec,
-                           TrainingArrayEngine, TrainingJob)
+from repro.runtime import (CheckpointStore, CorruptObjectError,
+                           FleetScheduler, JobState, RecoveryManager,
+                           ServingGateway, TenantSpec, TrainingArrayEngine,
+                           TrainingJob)
 from repro.runtime.checkpoint import decode_arrays, encode_arrays
 
 FEATURES, CLASSES, BATCH = 10, 3, 6
@@ -92,6 +94,17 @@ def final_params(results):
     return {r.name: {n: p.data.copy()
                      for n, p in r.checkpoint.named_parameters()}
             for r in results.values()}
+
+
+def flip_model_object(store, job_id):
+    """XOR one byte of the job's stored model weights (the low byte of
+    the last weight); returns the digest that names the object."""
+    digest = store.manifest(job_id)["objects"]["model"]
+    path = Path(store.root) / "objects" / digest[:2] / digest
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    return digest
 
 
 def assert_bit_identical(expected, actual):
@@ -174,6 +187,20 @@ class TestCheckpointStore:
         assert store.manifest(99) is None
         assert store.load_slot(99) is None
 
+    def test_flipped_object_raises_corrupt_object_error(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        job = make_jobs(1)[0]
+        weights = np.random.default_rng(0).standard_normal(
+            (8, 8)).astype(np.float32)
+        store.save_slot(job_id=0, job=job, progress=2, loss_curve=[1.0],
+                        model_state={"w": weights}, optimizer_state={},
+                        provenance={})
+        digest = flip_model_object(store, 0)
+        with pytest.raises(CorruptObjectError, match=digest) as info:
+            store.load_slot(0)
+        assert info.value.digest == digest
+        assert isinstance(info.value, ValueError)
+
     def test_no_temp_files_survive_a_save(self, tmp_path):
         store = CheckpointStore(tmp_path, fsync=True)
         job = make_jobs(1)[0]
@@ -234,6 +261,39 @@ class TestEngineCheckpointing:
         assert engine.metrics.arrays_failed == 1
         assert engine.metrics.jobs_recovered == 3
         assert_bit_identical(expected, final_params(results))
+
+    def test_corrupt_checkpoint_restarts_the_job_from_scratch(self,
+                                                              tmp_path):
+        """The engine's quarantine path: job 0's latest checkpoint is
+        bit-flipped when its array dies, so job 0 retrains from step 0
+        (a corrupt checkpoint counts as none), its cohort-mates resume,
+        and the WAL names the bad digest."""
+        reference = TrainingArrayEngine()
+        reference.submit_all(make_jobs(3))
+        expected = final_params(reference.run_until_idle())
+
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        engine = TrainingArrayEngine(store=store, recovery=recovery,
+                                     checkpoint_every=1)
+        trigger = [True]
+        jobs = make_jobs(3)
+        flipped = []
+        def failing(step, inner=jobs[0].data):
+            if step == CRASH_STEP and trigger:
+                trigger.pop()
+                flipped.append(flip_model_object(store, ids[0]))
+                raise IOError("data stream broke mid-epoch")
+            return inner(step)
+        jobs[0].data = failing
+        ids = engine.submit_all(jobs)
+        results = engine.run_until_idle()
+
+        assert engine.metrics.jobs_recovered == 2
+        assert_bit_identical(expected, final_params(results))
+        corrupt = [r for r in recovery.entries() if r["type"] == "corrupt"]
+        assert corrupt == [{"type": "corrupt", "job_id": ids[0],
+                            "digest": flipped[0]}]
 
     def test_quarantine_without_store_restarts_from_scratch(self):
         """The pre-durability behavior still holds without a store: the
@@ -372,6 +432,37 @@ class TestFleetCrashRecovery:
         assert_bit_identical(expected, final_params(results))
         # idempotence: a second restart finds nothing left to recover
         assert recovery.unsettled() == {}
+
+    def test_replayed_job_with_a_flipped_object_restarts_from_scratch(
+            self, tmp_path):
+        """A corrupt checkpoint counts as no checkpoint on replay too: the
+        job is re-queued with no resume payload, retrains from step 0 and
+        finishes bit-identical to an uninterrupted run; the others resume,
+        and the WAL names the bad digest."""
+        reference = FleetScheduler(devices=(V100,), max_width=4)
+        reference.submit_all(make_jobs(4))
+        expected = final_params(reference.run_until_idle())
+
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        fleet = FleetScheduler(devices=(V100,), max_width=4, store=store,
+                               checkpoint_every=1, recovery=recovery)
+        fleet.submit_all(make_jobs(4, trigger=[True]))
+        fleet.run_cycle()
+        del fleet                             # the process "dies"
+        digest = flip_model_object(store, 0)
+
+        registry = {job.name: job for job in make_jobs(4)}
+        rebuilt = recovery.rebuild_fleet(registry, devices=(V100,),
+                                         max_width=4)
+        assert rebuilt.metrics.jobs_recovered == 3
+        results = rebuilt.run_until_idle()
+        assert_bit_identical(expected, final_params(results))
+        assert all(r.steps_trained == STEPS for r in results.values())
+        assert recovery.unsettled() == {}
+        corrupt = [r for r in recovery.entries() if r["type"] == "corrupt"]
+        assert corrupt == [{"type": "corrupt", "job_id": 0,
+                            "digest": digest}]
 
     def test_rebuild_wires_a_prebuilt_fleet_to_the_store(self, tmp_path):
         """Regression: a prebuilt fleet handed to rebuild_fleet must be

@@ -18,6 +18,7 @@ rather than specific assignments:
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -144,6 +145,24 @@ def test_fallback_matches_lp_contract_without_scipy(seed, monkeypatch):
     assert solution.solver == "greedy"
     assert solution.relaxed_objective is None
     assert_solution_legal(instance, solution)
+
+
+def test_solve_seconds_exclude_the_solver_import(monkeypatch):
+    """scipy loads at the first LP solve, before its clock starts: a slow
+    first import never lands in ``solve_seconds``."""
+    clock = [0.0]
+    monkeypatch.setattr(placement_lp, "time",
+                        SimpleNamespace(perf_counter=lambda: clock[0]))
+    real_solver, calls = placement_lp._solver, []
+
+    def slow_first_import():
+        if not calls:
+            clock[0] += 100.0
+        calls.append(1)
+        return real_solver()
+    monkeypatch.setattr(placement_lp, "_solver", slow_first_import)
+    solution = solve_instance(random_instance(0))
+    assert calls and solution.solve_seconds == 0.0
 
 
 def test_lp_improves_on_greedy_when_it_can():

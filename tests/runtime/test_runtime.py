@@ -103,6 +103,17 @@ class TestJobQueue:
             TrainingJob(name="nodata", build_model=lambda B, g: TinyMLP(8),
                         data=None)
 
+    @pytest.mark.parametrize("field", ["steps", "epoch_steps"])
+    @pytest.mark.parametrize("value", [2.5, True, "3", np.float32(4)])
+    def test_non_integer_step_budget_is_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"TrainingJob.{field} must be "
+                                            f"an integer"):
+            make_job(0, **{field: value})
+
+    def test_numpy_integer_step_budget_is_accepted(self):
+        job = make_job(0, steps=np.int64(4), epoch_steps=np.int64(2))
+        assert job.steps == 4 and job.epoch_steps == 2
+
 
 # --------------------------------------------------------------------- #
 class TestBatcher:
