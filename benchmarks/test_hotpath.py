@@ -1,34 +1,26 @@
-"""Hot-path invariants: in-place Adam, buffer-pool churn, checkpoint
-write amplification.
+"""Hot-path invariants: in-place Adam and buffer-pool churn.
 
-PR 8 rebuilt the training hot path around zero-copy re-fusion, buffer
-pooling, an in-place fused Adam and incremental checkpoints.  What that
-work must keep true is machine-independent, and pinned here:
+The training hot path rests on zero-copy re-fusion, buffer pooling and
+an in-place fused Adam.  What that work must keep true is
+machine-independent, and pinned here:
 
 * **in-place Adam** follows, bit for bit, the trajectory of the
   reference it must reproduce: ``B`` unfused models each trained alone
   with the serial :class:`repro.optim.Adam`;
 * **merge + pool** — the ``BufferPool`` hit rate over an evict->admit
   churn loop (steady-state churn reuses every fused allocation: 18 hits
-  in 20 takes);
-* **checkpoint write amplification** — payload bytes encoded by a
-  sweep-heavy durable workload whose sweeps re-encode every slot
-  (``checkpoint_now(force=True)``) vs. trust the dirty-slot tracker
-  (deterministic byte counts: 322 336 vs. 115 120).
+  in 20 takes).
 
 Where step time goes is ``python -m bench_e2e --trace``'s job.
 """
 
 import numpy as np
-import pytest
 
 from repro import hfta, nn, optim as serial_optim
 from repro.hfta import ops as hops
 from repro.hfta import optim as fused_optim
 from repro.nn import functional as F
-from repro.runtime import (BufferPool, CheckpointStore, TrainingArrayEngine,
-                           TrainingJob)
-from repro.hfta.ops.factory import OpsLibrary
+from repro.runtime import BufferPool
 from .conftest import print_table
 
 IN_FEATURES, HIDDEN, CLASSES, BATCH = 16, 32, 10, 32
@@ -90,54 +82,6 @@ def pool_churn_stats(width=32, rounds=20):
 
 
 # --------------------------------------------------------------------- #
-# checkpoint write amplification
-# --------------------------------------------------------------------- #
-class ChurnMLP(nn.Module):
-    def __init__(self, hidden=8, num_models=None, generator=None):
-        super().__init__()
-        lib = self.lib = OpsLibrary(num_models)
-        self.fc1 = lib.Linear(12, hidden, generator=generator)
-        self.fc2 = lib.Linear(hidden, 4, generator=generator)
-        self.relu = lib.ReLU()
-
-    def fuse_inputs(self, features):
-        return self.lib.fuse_dense_inputs(features)
-
-    def forward(self, x):
-        return self.fc2(self.relu(self.fc1(x)))
-
-
-def _churn_jobs(count=4, steps=20, epoch_steps=2):
-    def stream(seed):
-        rng = np.random.default_rng(seed)
-        batches = [(rng.standard_normal((8, 12)).astype(np.float32),
-                    rng.integers(0, 4, size=8)) for _ in range(steps)]
-        return lambda step: batches[step]
-    return [TrainingJob(
-        name=f"churn{i}", seed=i, steps=steps, epoch_steps=epoch_steps,
-        config={"lr": 1e-3 * (i + 1), "optimizer": "adam"},
-        build_model=lambda B=None, g=None: ChurnMLP(8, B, g),
-        data=stream(300 + i)) for i in range(count)]
-
-
-def checkpoint_payload_bytes(root, force):
-    """A 10-epoch durable run with two durability sweeps per epoch."""
-    engine = TrainingArrayEngine(store=CheckpointStore(root),
-                                 checkpoint_every=1)
-    engine.submit_all(_churn_jobs())
-    batch = engine.queue.pop_pending()
-    cohorts, _ = engine.batcher.form_cohorts(batch)
-    (plan,) = engine.policy.plan(cohorts)
-    executor = engine.make_executor(plan)
-    executor.prepare()
-    while not executor.done:
-        executor.step_epoch()
-        executor.checkpoint_now(force=force)
-        executor.checkpoint_now(force=force)
-    return engine.metrics.checkpoint_payload_bytes
-
-
-# --------------------------------------------------------------------- #
 def test_inplace_adam_follows_the_legacy_trajectory():
     fused, twins = build_workload(32)
     run_steps(*fused, steps=8)
@@ -153,23 +97,12 @@ def test_inplace_adam_follows_the_legacy_trajectory():
                                           err_msg=f"slot {b} {name}")
 
 
-def test_pool_churn_and_checkpoint_write_amplification(tmp_path):
+def test_pool_churn():
     pool = pool_churn_stats()
     hit_rate = pool["hits"] / (pool["hits"] + pool["misses"])
 
-    full_bytes = checkpoint_payload_bytes(tmp_path / "full", force=True)
-    incr_bytes = checkpoint_payload_bytes(tmp_path / "incr", force=False)
-    amplification = full_bytes / incr_bytes
-
     print_table(
-        "Hot path: merge 2x16 slots of 256x256 arrays through a pool; "
-        "two durability sweeps per epoch",
-        [("pool_hit_rate", hit_rate),
-         ("checkpoint_payload_bytes_full", full_bytes),
-         ("checkpoint_payload_bytes_incremental", incr_bytes),
-         ("checkpoint_write_amplification", amplification)],
-        header=("metric", "value"))
+        "Hot path: merge 2x16 slots of 256x256 arrays through a pool",
+        [("pool_hit_rate", hit_rate)], header=("metric", "value"))
 
     assert hit_rate == 0.9
-    assert (full_bytes, incr_bytes) == (322_336, 115_120)
-    assert amplification == pytest.approx(2.8)

@@ -28,13 +28,12 @@ from .losses import (FusedCrossEntropyLoss, FusedNLLLoss, FusedMSELoss,
 from .fusion import (load_from_unfused, export_to_unfused,
                      validate_fusibility, is_fusible, fusibility_error,
                      structural_signature, fused_parameter_report,
-                     fused_array_width, snapshot_array, restore_array,
-                     split_fused, merge_fused)
+                     fused_array_width, split_fused, merge_fused)
 
 __all__ = [
     "ops", "optim", "FusedCrossEntropyLoss", "FusedNLLLoss", "FusedMSELoss",
     "FusedBCELoss", "load_from_unfused", "export_to_unfused",
     "validate_fusibility", "is_fusible", "fusibility_error",
     "structural_signature", "fused_parameter_report", "fused_array_width",
-    "snapshot_array", "restore_array", "split_fused", "merge_fused",
+    "split_fused", "merge_fused",
 ]

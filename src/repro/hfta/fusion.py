@@ -16,17 +16,15 @@ This module provides the glue between *unfused* models (one
   paper's key observation relies on: the models must have the same operator
   types with the same shapes.
 
-The *elastic* array lifecycle (``runtime.engine.ArrayExecutor``) adds three
+The *elastic* array lifecycle (``runtime.engine.ArrayExecutor``) adds two
 re-fusion primitives operating on whole fused arrays mid-training:
 
 * :func:`split_fused` slices a fused array down to a subset of its slots
   (live eviction of early-stopped jobs frees their fused width);
 * :func:`merge_fused` concatenates two structurally identical fused arrays
-  into one (admission of freshly fused jobs into freed width);
-* :func:`snapshot_array` / :func:`restore_array` capture and roll back an
-  array's full state, so a failed split/merge cannot corrupt live training.
+  into one (admission of freshly fused jobs into freed width).
 
-All three follow the repo-wide layout conventions: fused parameters carry a
+Both follow the repo-wide layout conventions: fused parameters carry a
 leading array dimension ``[B, *s]``, fused buffers are block-folded
 ``[B * c, ...]`` (see :func:`load_from_unfused`).  The per-slot *optimizer*
 state moves through the matching primitives in
@@ -53,9 +51,6 @@ non-contiguous keep sets.  The exact contract per primitive:
   through a :class:`~repro.runtime.bufferpool.BufferPool` allocator) and
   copies both inputs in; the output never aliases either input, and the
   inputs are never mutated.
-* :func:`snapshot_array` / :func:`restore_array` — snapshots are always
-  deep copies: a rollback target aliased to the live array would be
-  corrupted by the very in-place training steps it exists to undo.
 """
 
 from __future__ import annotations
@@ -69,8 +64,8 @@ from ..nn.modules.module import Module
 
 __all__ = ["load_from_unfused", "export_to_unfused", "validate_fusibility",
            "is_fusible", "fusibility_error", "structural_signature",
-           "fused_parameter_report", "fused_array_width", "snapshot_array",
-           "restore_array", "split_fused", "merge_fused", "contiguous_run"]
+           "fused_parameter_report", "fused_array_width",
+           "split_fused", "merge_fused", "contiguous_run"]
 
 
 def _fused_param_map(fused: Module) -> Dict[str, np.ndarray]:
@@ -454,27 +449,6 @@ def merge_fused(a: Module, b: Module, allocator=None) -> Module:
     _copy_leftover_shared_buffers(out, a)
     _rewrite_num_models(out, width_a, width_a + width_b)
     return out
-
-
-def snapshot_array(fused: Module) -> Dict[str, np.ndarray]:
-    """Deep copy of a fused array's parameters and buffers.
-
-    The executor snapshots an array before a split/merge transition so a
-    failure mid-surgery can roll the live array back with
-    :func:`restore_array` instead of corrupting healthy cohort-mates.
-    Snapshots are deliberately exempt from the zero-copy contract: the
-    optimizer steps parameters *in place*, so a snapshot aliasing the live
-    array would be corrupted by the very training it exists to undo —
-    rollback state must always own its memory.  Optimizer state snapshots
-    live in :func:`repro.hfta.optim.elastic.snapshot_optimizer`.
-    """
-    return fused.state_dict()
-
-
-def restore_array(fused: Module, snapshot: Dict[str, np.ndarray]) -> Module:
-    """Restore a fused array to a :func:`snapshot_array` capture in place."""
-    fused.load_state_dict(snapshot)
-    return fused
 
 
 def fused_parameter_report(fused: Module) -> Dict[str, int]:

@@ -13,11 +13,11 @@ from .sgd import SGD
 from .lr_scheduler import (FusedLRScheduler, StepLR, ExponentialLR,
                            CosineAnnealingLR)
 from .utils import coerce_hyperparam
-from .elastic import (split_optimizer, merge_optimizers, snapshot_optimizer,
-                      restore_optimizer, export_slot_state, load_slot_state)
+from .elastic import (split_optimizer, merge_optimizers, export_slot_state,
+                      load_slot_state)
 
 __all__ = ["FusedOptimizer", "Adam", "AdamW", "Adadelta", "SGD",
            "FusedLRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR",
            "coerce_hyperparam",
-           "split_optimizer", "merge_optimizers", "snapshot_optimizer",
-           "restore_optimizer", "export_slot_state", "load_slot_state"]
+           "split_optimizer", "merge_optimizers", "export_slot_state",
+           "load_slot_state"]

@@ -1,4 +1,4 @@
-"""Elastic re-fusion of fused-optimizer state: split, merge, snapshot.
+"""Elastic re-fusion of fused-optimizer state: split, merge, per-slot export.
 
 The counterparts of :func:`repro.hfta.fusion.split_fused` /
 :func:`~repro.hfta.fusion.merge_fused` for the *optimizer* half of an
@@ -31,8 +31,8 @@ from ...nn.tensor import Tensor
 from ..fusion import contiguous_run
 from .optimizer import FusedOptimizer
 
-__all__ = ["split_optimizer", "merge_optimizers", "snapshot_optimizer",
-           "restore_optimizer", "export_slot_state", "load_slot_state"]
+__all__ = ["split_optimizer", "merge_optimizers", "export_slot_state",
+           "load_slot_state"]
 
 
 def _check_fully_fused(optimizer: FusedOptimizer, op: str) -> None:
@@ -228,8 +228,7 @@ def export_slot_state(optimizer: FusedOptimizer, index: int
     """One slot's optimizer state, sliced out of a fused optimizer.
 
     Returns ``{parameter position: {state key: per-slot array}}`` in the
-    optimizer's flat parameter order — the per-slot analogue of
-    :func:`snapshot_optimizer`, and the payload the durable checkpoint
+    optimizer's flat parameter order — the payload the durable checkpoint
     layer (:mod:`repro.runtime.checkpoint`) persists per job.  Every array
     is a *copy* of the slot's slice (Adam's moments shaped like the
     parameter without the leading array dimension; the per-model step
@@ -305,33 +304,3 @@ def load_slot_state(optimizer: FusedOptimizer, index: int,
                     f"state has {np.shape(target)} (expected "
                     f"[{optimizer.num_models}] + {value.shape})")
             target[index] = value
-
-
-def snapshot_optimizer(optimizer: FusedOptimizer) -> Dict:
-    """Deep copy of an optimizer's per-slot state and group vectors.
-
-    Keys reference parameter *positions* (flat order), not ids, so the
-    snapshot stays valid for :func:`restore_optimizer` after the parameter
-    objects' data arrays were modified in place.
-    """
-    index_of = {id(p): i for i, p in enumerate(_flat_params(optimizer))}
-    return {
-        "num_models": optimizer.num_models,
-        "state": {index_of[pid]: copy.deepcopy(st)
-                  for pid, st in optimizer.state.items()
-                  if pid in index_of},
-        "groups": optimizer.state_dict()["param_groups"],
-    }
-
-
-def restore_optimizer(optimizer: FusedOptimizer, snapshot: Dict) -> None:
-    """Restore a :func:`snapshot_optimizer` capture in place."""
-    if snapshot["num_models"] != optimizer.num_models:
-        raise ValueError(
-            f"snapshot was taken at num_models={snapshot['num_models']}, "
-            f"optimizer now has {optimizer.num_models}")
-    params = _flat_params(optimizer)
-    optimizer.state = {id(params[i]): copy.deepcopy(st)
-                       for i, st in snapshot["state"].items()}
-    for group, saved in zip(optimizer.param_groups, snapshot["groups"]):
-        group.update(copy.deepcopy(saved))

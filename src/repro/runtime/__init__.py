@@ -99,7 +99,7 @@ from .engine import (ArrayExecutor, ArrayState, JobResult,
                      TrainingArrayEngine)
 from .metrics import ArrayRecord, Event, RuntimeMetrics
 from .placement import (DEFAULT_FLEET, FleetPlacer, PlacementDecision,
-                        PlacementPolicy, synthetic_fleet)
+                        synthetic_fleet)
 from .placement_lp import (LPFleetPlacer, LPWeights, PlacementInstance,
                            PlacementSolution, lp_available, solve_instance)
 from .checkpoint import (CheckpointStore, CorruptObjectError,
@@ -118,8 +118,7 @@ __all__ = [
     "ArrayExecutor", "ArrayState", "JobResult", "StopReason",
     "TrainingArrayEngine",
     "ArrayRecord", "Event", "RuntimeMetrics",
-    "DEFAULT_FLEET", "FleetPlacer", "PlacementDecision",
-    "PlacementPolicy", "synthetic_fleet",
+    "DEFAULT_FLEET", "FleetPlacer", "PlacementDecision", "synthetic_fleet",
     "LPFleetPlacer", "LPWeights", "PlacementInstance", "PlacementSolution",
     "lp_available", "solve_instance",
     "CheckpointStore", "CorruptObjectError", "RecoveryManager",

@@ -73,20 +73,12 @@ class Cohort:
 class Batcher:
     """Groups pending jobs into fusible cohorts.
 
-    ``tenant_isolation`` makes :attr:`TrainingJob.tenant` part of every
-    fusibility key (cohort grouping *and* admission profiles): jobs of
-    different tenants then never share a fused array, trading packing
-    density for hard isolation — one tenant's failing array can no longer
-    quarantine another tenant's jobs, and preemption never touches a
-    cohort-mate of the job it makes room for.  Off by default: the runtime
-    packs across tenants exactly as it packs across users, which is where
-    the fusion win comes from.
+    Tenants are not part of any fusibility key: the runtime packs across
+    tenants exactly as it packs across users, which is where the fusion
+    win comes from.
     """
 
-    def __init__(self, infusible_keys: Sequence[str] = DEFAULT_INFUSIBLE_KEYS,
-                 tenant_isolation: bool = False):
-        self.infusible_keys = tuple(infusible_keys)
-        self.tenant_isolation = tenant_isolation
+    def __init__(self):
         #: ``build_model`` callable -> structural signature of what it
         #: builds, keyed by identity with a strong reference (a recycled id
         #: can never alias a dead builder; unhashable callables work).  A
@@ -122,7 +114,7 @@ class Batcher:
         serial-equivalence guarantee.
         """
         job = sub.job
-        names = [k for k in self.infusible_keys if k in job.config]
+        names = [k for k in DEFAULT_INFUSIBLE_KEYS if k in job.config]
         if job.space is not None:
             names.extend(n for n in job.space.infusible_names()
                          if n not in names)
@@ -170,11 +162,7 @@ class Batcher:
                                  job.workload,
                                  str(job.config.get("optimizer",
                                                     "adam")).lower(),
-                                 job.epoch_steps,
-                                 # tenant-aware admission: isolated tenants
-                                 # never board another tenant's array
-                                 job.tenant if self.tenant_isolation
-                                 else None)
+                                 job.epoch_steps)
         return sub.profile_cache
 
     # ------------------------------------------------------------------ #
@@ -206,8 +194,6 @@ class Batcher:
                 structure,                        # level 2: exact structure
                 # quarantined retries train alone (see SubmittedJob.solo)
                 sub.job_id if sub.solo else None,
-                # tenant isolation: one tenant per array when requested
-                job.tenant if self.tenant_isolation else None,
             )
             cohort = groups.get(key)
             if cohort is None:

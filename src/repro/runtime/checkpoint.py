@@ -160,6 +160,14 @@ def _unflatten_optimizer_state(
     return state
 
 
+def _file_equals(path: str, payload: bytes) -> bool:
+    """Whether the file at ``path`` holds exactly ``payload``."""
+    if os.path.getsize(path) != len(payload):
+        return False
+    with open(path, "rb") as handle:
+        return handle.read() == payload
+
+
 # --------------------------------------------------------------------- #
 # the store
 # --------------------------------------------------------------------- #
@@ -182,9 +190,6 @@ class WriteReceipt:
     written_bytes: int        # bytes that hit disk (0 when deduplicated)
     seconds: float            # wall-clock write latency (encode + fsync)
     deduplicated: bool        # every object was already in the store
-    #: refs of the stored objects ({"model": ..., "optimizer": ...}) —
-    #: callers cache these to reuse a clean slot's objects manifest-only
-    objects: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -206,8 +211,7 @@ class SlotCheckpoint:
         return ResumeState(progress=self.progress,
                            loss_curve=list(self.manifest["loss_curve"]),
                            model_state=self.model_state,
-                           optimizer_state=self.optimizer_state,
-                           source=dict(self.manifest))
+                           optimizer_state=self.optimizer_state)
 
 
 class CheckpointStore:
@@ -260,12 +264,16 @@ class CheckpointStore:
         os.replace(tmp, path)
 
     def _put_object(self, payload: bytes) -> Tuple[str, int]:
-        """Store ``payload`` content-addressed; returns (digest, bytes)."""
+        """Store ``payload`` content-addressed; returns (digest, bytes).
+
+        A file already under the digest is a dedup hit only when its bytes
+        equal ``payload``; a corrupt one is rewritten, so the job that
+        retrains after a :class:`CorruptObjectError` heals its object."""
         digest = hashlib.sha256(payload).hexdigest()
         shard = os.path.join(self._objects_dir, digest[:2])
         path = os.path.join(shard, digest)
         with self._lock:
-            if os.path.exists(path):
+            if os.path.exists(path) and _file_equals(path, payload):
                 self.dedup_hits += 1
                 return digest, 0
             os.makedirs(shard, exist_ok=True)
@@ -296,13 +304,11 @@ class CheckpointStore:
     # ------------------------------------------------------------------ #
     def save_slot(self, *, job_id: int, job: TrainingJob, progress: int,
                   loss_curve: Sequence[float],
-                  model_state: Optional[Dict[str, np.ndarray]] = None,
-                  optimizer_state: Optional[
-                      Dict[int, Dict[str, np.ndarray]]] = None,
+                  model_state: Dict[str, np.ndarray],
+                  optimizer_state: Dict[int, Dict[str, np.ndarray]],
                   provenance: Dict[str, Any],
                   final: bool = False,
-                  stop_reason: Optional[str] = None,
-                  objects: Optional[Dict[str, str]] = None) -> WriteReceipt:
+                  stop_reason: Optional[str] = None) -> WriteReceipt:
         """Persist one slot's training state; returns the write receipt.
 
         ``provenance`` is the fused-array context the checkpoint was taken
@@ -310,38 +316,13 @@ class CheckpointStore:
         signature) — recorded for the operations trail, *not* required for
         restore: the payload is the job's own unfused state, so it resumes
         into whatever array shape the scheduler next packs it into.
-
-        ``objects`` is the incremental-checkpoint fast path: object refs
-        from a previous :class:`WriteReceipt` for a slot whose state has
-        not changed since.  The manifest is rewritten to point at the
-        already-stored objects and *nothing is encoded or written* to the
-        object store (``payload_bytes == written_bytes == 0``).  The refs
-        must exist in this store; ``model_state``/``optimizer_state`` are
-        ignored when ``objects`` is given.
         """
         start = time.perf_counter()
-        if objects is not None:
-            for kind in ("model", "optimizer"):
-                ref = objects.get(kind)
-                if not ref or not os.path.exists(os.path.join(
-                        self._objects_dir, ref[:2], ref)):
-                    raise ValueError(
-                        f"stale checkpoint ref for {kind!r}: {ref!r}")
-            model_ref, optim_ref = objects["model"], objects["optimizer"]
-            model_written = optim_written = 0
-            payload_bytes = 0
-            with self._lock:
-                self.dedup_hits += 2
-        else:
-            if model_state is None or optimizer_state is None:
-                raise ValueError("save_slot needs model_state and "
-                                 "optimizer_state unless objects is given")
-            model_payload = encode_arrays(model_state)
-            optim_payload = encode_arrays(
-                _flatten_optimizer_state(optimizer_state))
-            model_ref, model_written = self._put_object(model_payload)
-            optim_ref, optim_written = self._put_object(optim_payload)
-            payload_bytes = len(model_payload) + len(optim_payload)
+        model_payload = encode_arrays(model_state)
+        optim_payload = encode_arrays(
+            _flatten_optimizer_state(optimizer_state))
+        model_ref, model_written = self._put_object(model_payload)
+        optim_ref, optim_written = self._put_object(optim_payload)
         manifest = {
             "job_id": int(job_id),
             "name": job.name,
@@ -365,11 +346,10 @@ class CheckpointStore:
         written = model_written + optim_written
         return WriteReceipt(
             job_id=int(job_id),
-            payload_bytes=payload_bytes,
+            payload_bytes=len(model_payload) + len(optim_payload),
             written_bytes=written,
             seconds=time.perf_counter() - start,
-            deduplicated=written == 0,
-            objects={"model": model_ref, "optimizer": optim_ref})
+            deduplicated=written == 0)
 
     # ------------------------------------------------------------------ #
     def manifest(self, job_id: int) -> Optional[Dict[str, Any]]:
@@ -591,7 +571,7 @@ class RecoveryManager:
         return replayed
 
     def rebuild_fleet(self, jobs_by_name: Dict[str, TrainingJob],
-                      fleet=None, **fleet_kwargs):
+                      **fleet_kwargs):
         """Rebuild a :class:`FleetScheduler` from the WAL and the store.
 
         ``jobs_by_name`` supplies the *code* half of each journaled job
@@ -606,34 +586,14 @@ class RecoveryManager:
         ``unrecovered`` record) — losing code is an operator error the
         log should show, not silently swallow.
 
-        Pass a prebuilt ``fleet`` to repopulate it, or ``fleet_kwargs``
-        to construct a fresh one; either way the fleet is wired to this
+        ``fleet_kwargs`` construct the fresh fleet; it is wired to this
         manager (and its store) so the recovered run keeps checkpointing.
         """
         from .fleet import FleetScheduler   # runtime import: avoid cycle
-        if fleet is not None and fleet_kwargs:
-            raise ValueError("pass fleet kwargs or a prebuilt fleet, "
-                             "not both")
-        if fleet is None:
-            fleet_kwargs.setdefault("store", self.store)
-            fleet_kwargs.setdefault("recovery", self)
-            fleet_kwargs.setdefault("checkpoint_every", 1)
-            fleet = FleetScheduler(**fleet_kwargs)
-        else:
-            # wire a prebuilt fleet to this manager so the recovered run
-            # keeps checkpointing and journaling: the fleet-level handles
-            # AND every per-device engine (engines hold their own refs)
-            fleet.recovery = self
-            fleet.queue.reserve_ids(self.next_job_id())
-            if fleet.store is None:
-                fleet.store = self.store
-            for worker in fleet.workers.values():
-                engine = worker.engine
-                engine.recovery = self
-                if engine.store is None:
-                    engine.store = self.store
-                    if engine.checkpoint_every == 0:
-                        engine.checkpoint_every = 1
+        fleet_kwargs.setdefault("store", self.store)
+        fleet_kwargs.setdefault("recovery", self)
+        fleet_kwargs.setdefault("checkpoint_every", 1)
+        fleet = FleetScheduler(**fleet_kwargs)
         for _, new_id, resumed in self.replay_unsettled_jobs(jobs_by_name,
                                                              fleet):
             if resumed:

@@ -171,15 +171,6 @@ class _Slot:
     #: times this slot was preempted (detached mid-training so a
     #: deadline-at-risk job could take its width); carried into JobResult
     preemptions: int = 0
-    #: ``progress`` at the slot's last successful durable checkpoint —
-    #: the dirty-slot tracker behind incremental checkpointing (a slot's
-    #: training state changes only by stepping or resume injection, and
-    #: both move ``progress``), -1 until a first checkpoint lands
-    persisted_progress: int = -1
-    #: object refs (``{"model": ref, "optimizer": ref}``) of the last
-    #: durable checkpoint, so a clean slot's *final* manifest can reuse
-    #: the stored objects without re-encoding a byte
-    persist_refs: Optional[Dict[str, str]] = None
 
     @property
     def job(self) -> TrainingJob:
@@ -464,14 +455,6 @@ class ArrayExecutor:
         slot.progress = resume.progress
         slot.curve = list(resume.loss_curve)
         self.max_progress = max(self.max_progress, slot.progress)
-        # the durable checkpoint this slot resumed from is by definition
-        # up to date — seed the dirty tracker so a cadence sweep before
-        # the first new step does not re-encode identical state
-        refs = (resume.source or {}).get("objects")
-        if isinstance(refs, dict) and \
-                all(isinstance(v, str) for v in refs.values()):
-            slot.persisted_progress = resume.progress
-            slot.persist_refs = dict(refs)
 
     def _provenance(self, index: int) -> Dict:
         """The fused-array context a checkpoint is taken in (manifests)."""
@@ -484,62 +467,36 @@ class ArrayExecutor:
     def _persist_slot(self, index: int, slot: _Slot,
                       durable: Optional[Callable] = None,
                       final: bool = False,
-                      stop_reason: Optional[str] = None,
-                      force: bool = False) -> None:
+                      stop_reason: Optional[str] = None) -> None:
         """Write one slot's state to the engine's checkpoint store.
 
-        Incremental: a slot whose ``progress`` has not moved since its
-        last durable write is *clean* — its training state cannot have
-        changed (stepping and resume injection are the only mutators, and
-        both move ``progress``).  A clean cadence checkpoint is skipped
-        outright; a clean *final* checkpoint rewrites only the manifest,
-        pointing at the already-stored objects.  ``force`` re-encodes
-        regardless (a durability sweep that must not trust the tracker).
-
+        Every write encodes the slot's live state; the store's content
+        addressing writes 0 object bytes when that state is unchanged.
         A failed write is counted and swallowed: losing one epoch of
         durability must not take a healthy array down with it.
         """
         store = self.engine.store
         if store is None:
             return
-        clean = (not force and slot.persist_refs is not None
-                 and slot.persisted_progress == slot.progress)
-        if clean and not final:
-            self.engine.emit(Event("checkpoint_skip", (slot.sub.job_id,)))
-            return
         try:
-            if clean:
-                payload = {"objects": slot.persist_refs}
-            else:
-                if durable is None:
-                    _, durable = self.physics.export(index, slot)
-                model_state, optimizer_state = durable()
-                payload = {"model_state": model_state,
-                           "optimizer_state": optimizer_state}
+            if durable is None:
+                _, durable = self.physics.export(index, slot)
+            model_state, optimizer_state = durable()
             receipt = store.save_slot(
                 job_id=slot.sub.job_id, job=slot.job,
                 progress=slot.progress, loss_curve=slot.curve,
+                model_state=model_state, optimizer_state=optimizer_state,
                 provenance=self._provenance(index),
-                final=final, stop_reason=stop_reason, **payload)
+                final=final, stop_reason=stop_reason)
         except Exception:  # noqa: BLE001 — durability is best-effort
-            # the cached refs may be what failed (stale object) — drop
-            # them so the next attempt re-encodes from live state
-            slot.persist_refs = None
             self.engine.emit(Event("checkpoint_failed", (slot.sub.job_id,)))
             return
-        slot.persisted_progress = slot.progress
-        slot.persist_refs = dict(receipt.objects)
         self.engine.emit(Event("checkpoint", (slot.sub.job_id,), data=receipt))
 
-    def checkpoint_now(self, force: bool = False) -> None:
-        """Persist every live slot immediately (durability sweep).
-
-        Clean slots cost nothing; pass ``force=True`` to re-encode every
-        slot from live state regardless of the dirty tracker (e.g. after
-        swapping checkpoint stores).
-        """
+    def checkpoint_now(self) -> None:
+        """Persist every live slot immediately (durability sweep)."""
         for index, slot in enumerate(self.slots):
-            self._persist_slot(index, slot, force=force)
+            self._persist_slot(index, slot)
 
     # ------------------------------------------------------------------ #
     # STEPPING

@@ -139,7 +139,6 @@ class RuntimeMetrics:
         self.checkpoint_bytes_written = 0
         self.checkpoint_seconds = 0.0
         self.checkpoint_failures = 0
-        self.checkpoints_skipped = 0
         self.jobs_recovered = 0
         self.workers_crashed = 0
         self.admissions_replayed = 0
@@ -547,8 +546,8 @@ _COUNTERS = {
     "submit": "jobs_submitted", "cancel": "jobs_cancelled",
     "fail": "jobs_failed", "place": "scheduler_decisions",
     "merge": "arrays_merged", "array_failed": "arrays_failed",
-    "crash": "workers_crashed", "checkpoint_skip": "checkpoints_skipped",
-    "checkpoint_failed": "checkpoint_failures", "recover": "jobs_recovered",
+    "crash": "workers_crashed", "checkpoint_failed": "checkpoint_failures",
+    "recover": "jobs_recovered",
 }
 
 

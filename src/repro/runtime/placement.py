@@ -37,8 +37,8 @@ from ..hwsim import (A100, RTX6000, TPU_V3, V100, ArrayCostEstimate,
 from .batcher import Cohort
 from .policy import ArrayPlan
 
-__all__ = ["DEFAULT_FLEET", "PlacementDecision", "PlacementPolicy",
-           "FleetPlacer", "synthetic_fleet"]
+__all__ = ["DEFAULT_FLEET", "PlacementDecision", "FleetPlacer",
+           "synthetic_fleet"]
 
 #: the paper's evaluation devices (Tables 2-4): three generations of NVIDIA
 #: data-center GPUs plus a TPU v3 core — a deliberately heterogeneous fleet
@@ -62,38 +62,6 @@ def synthetic_fleet(num_devices: int,
         replace(base[i % len(base)],
                 name=f"{base[i % len(base)].name.lower()}-{i:04d}")
         for i in range(num_devices))
-
-
-class PlacementPolicy:
-    """The fleet scheduler's pluggable placement seam.
-
-    A placement policy turns fusible cohorts into device-assigned
-    :class:`PlacementDecision` lists.  Two implementations ship:
-
-    * :class:`FleetPlacer` (this module) — the greedy baseline: per-cohort
-      shortest-completion-time with load accumulation;
-    * :class:`repro.runtime.placement_lp.LPFleetPlacer` — the same
-      decision reformulated as a fleet-wide assignment LP (relaxed
-      ``scipy.optimize.linprog`` solve plus deterministic greedy
-      rounding).
-
-    Beyond :meth:`place`, the fleet and gateway duck-type the cost-model
-    helpers every policy inherits from :class:`FleetPlacer`:
-    ``width_cap`` (the capacity check),
-    ``estimate`` / ``replan`` / ``projected_seconds`` (projections),
-    ``cohort_slack`` (SLO ordering) and the ``devices`` /
-    ``precision`` / ``default_workload`` attributes.  A placed array is
-    final: the fleet never asks a policy to move a live one.
-    """
-
-    #: short tag stamped into solver telemetry and benchmark artifacts
-    policy_name: str = "base"
-
-    def place(self, cohorts: Sequence[Cohort],
-              load: Optional[Dict[str, float]] = None,
-              now: Optional[float] = None) -> List["PlacementDecision"]:
-        """Turn cohorts into device-assigned, width-sized array plans."""
-        raise NotImplementedError
 
 
 @dataclass
@@ -121,7 +89,7 @@ class PlacementDecision:
 
 
 @dataclass
-class FleetPlacer(PlacementPolicy):
+class FleetPlacer:
     """Places fusible cohorts onto a heterogeneous device fleet.
 
     Parameters

@@ -38,8 +38,8 @@ candidate under the one objective and returns the best, so the emitted
 solution is *never worse than the greedy assignment scored under the same
 objective* — the fallback is the floor, the LP is upside.
 
-:class:`LPFleetPlacer` plugs the solver into the runtime through the
-:class:`~repro.runtime.placement.PlacementPolicy` seam: ``place()``
+:class:`LPFleetPlacer` plugs the solver into the runtime as a
+:class:`~repro.runtime.placement.FleetPlacer` subclass: ``place()``
 builds an instance from the cycle's cohorts and emits
 :class:`~repro.runtime.placement.PlacementDecision` lists exactly like
 the greedy baseline; a placed array is never moved again.  Solver
@@ -511,9 +511,9 @@ def solve_instance(instance: PlacementInstance,
 class LPFleetPlacer(FleetPlacer):
     """The LP placement policy: global solve, greedy floor.
 
-    A drop-in :class:`~repro.runtime.placement.PlacementPolicy` (the
-    fleet builds one with ``placement="lp"``): every cost-model helper is
-    inherited from :class:`~repro.runtime.placement.FleetPlacer`, so
+    A drop-in :class:`~repro.runtime.placement.FleetPlacer` (the fleet
+    builds one with ``placement="lp"``): every cost-model helper is
+    inherited from it, so
     projections, capacity checks and caches behave identically to the
     greedy baseline — only the *assignment decision* changes.
 

@@ -19,6 +19,7 @@ partial checkpoint.)
 
 from __future__ import annotations
 
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..hwsim.workloads import WORKLOADS
 from ..nn.modules.module import Module
 
 if TYPE_CHECKING:
@@ -130,7 +132,7 @@ class TrainingJob:
         Serving-gateway tenant the job bills to.  The gateway
         (:mod:`repro.runtime.gateway`) enforces per-tenant quotas, rate
         limits and weighted-fair admission on this key; the batcher packs
-        across tenants unless ``Batcher(tenant_isolation=True)``.
+        across tenants, so jobs of different tenants share fused arrays.
     priority:
         Admission priority class (higher = more important; ``None`` means
         "inherit the tenant's class" at the gateway, and class 0
@@ -193,6 +195,18 @@ class TrainingJob:
             raise ValueError("epoch_steps must be >= 1")
         if self.data is None:
             raise ValueError(f"job '{self.name}' has no data stream")
+        if self.priority is not None and not _is_integer(self.priority):
+            raise TypeError(f"TrainingJob.priority must be an integer or "
+                            f"None, got {self.priority!r}")
+        if self.deadline_s is not None and (
+                isinstance(self.deadline_s, bool)
+                or not isinstance(self.deadline_s, numbers.Real)):
+            raise TypeError(f"TrainingJob.deadline_s must be a real number "
+                            f"or None, got {self.deadline_s!r}")
+        if self.workload is not None and self.workload not in WORKLOADS:
+            raise ValueError(f"TrainingJob.workload {self.workload!r} is not "
+                             f"a repro.hwsim workload; known: "
+                             f"{sorted(WORKLOADS)}")
 
 
 def _is_integer(value) -> bool:
@@ -224,9 +238,7 @@ class ResumeState:
     The payload is deliberately *array-shape agnostic*: ``model_state``
     is the job's own unfused state dict and ``optimizer_state`` its own
     per-slot slice, so a job checkpointed in one fused array (width 6,
-    slot 4) can resume in a completely different one (width 2, slot 0) —
-    the provenance of the source array lives in ``source`` for
-    accounting, not for restore-time layout.
+    slot 4) can resume in a completely different one (width 2, slot 0).
     """
 
     progress: int                             # steps already trained
@@ -237,8 +249,6 @@ class ResumeState:
     #: :func:`repro.hfta.optim.elastic.export_slot_state`)
     optimizer_state: Dict[int, Dict[str, np.ndarray]] = \
         field(default_factory=dict)
-    #: the manifest this payload was restored from (provenance/debugging)
-    source: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -275,22 +285,18 @@ class SubmittedJob:
 class JobQueue:
     """Thread-safe, non-blocking intake queue for training jobs."""
 
-    def __init__(self, max_pending: int = 0):
+    def __init__(self):
         self._lock = threading.Lock()
         self._next_id = 0
         self._jobs: "Dict[int, SubmittedJob]" = {}
         self._pending: List[int] = []
-        self.max_pending = max_pending
 
     # ------------------------------------------------------------------ #
     # producer side
     # ------------------------------------------------------------------ #
     def submit(self, job: TrainingJob) -> int:
-        """Accept a job; returns its id.  Raises when the queue is full."""
+        """Accept a job; returns its id."""
         with self._lock:
-            if self.max_pending and len(self._pending) >= self.max_pending:
-                raise RuntimeError(
-                    f"queue is full ({self.max_pending} pending jobs)")
             job_id = self._next_id
             self._next_id += 1
             self._jobs[job_id] = SubmittedJob(job_id=job_id, job=job)

@@ -1,14 +1,8 @@
-"""Optimizer snapshot/restore round-trips under eviction, and the
-per-slot state primitives the durable checkpoint layer is built on.
-
-``snapshot_optimizer`` / ``restore_optimizer`` were until now exercised
-only indirectly (via ``test_refusion.py``'s split/merge suites); these
-tests pin their contract directly — including the interaction with
-*eviction* (a snapshot taken before the array narrows cannot silently
-restore into the narrowed optimizer) — and the newer
-``export_slot_state`` / ``load_slot_state`` pair, whose bit-exactness is
-what makes crash recovery (:mod:`repro.runtime.checkpoint`) preserve the
-serial-equivalence guarantee.
+"""The per-slot optimizer state primitives the durable checkpoint layer
+is built on: ``export_slot_state`` / ``load_slot_state``, whose
+bit-exactness is what makes crash recovery
+(:mod:`repro.runtime.checkpoint`) preserve the serial-equivalence
+guarantee.
 """
 
 import numpy as np
@@ -17,8 +11,7 @@ import pytest
 from repro import hfta, nn
 from repro.hfta import ops as hops
 from repro.hfta.optim import (Adadelta, Adam, AdamW, SGD, export_slot_state,
-                              load_slot_state, restore_optimizer,
-                              snapshot_optimizer, split_optimizer)
+                              load_slot_state, split_optimizer)
 
 B = 4
 
@@ -74,92 +67,6 @@ def optimizer_state_by_position(optimizer):
 
 
 KINDS = ("adam", "adamw", "sgd", "adadelta")
-
-
-# --------------------------------------------------------------------- #
-class TestSnapshotRestoreRoundTrip:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_restore_undoes_further_stepping(self, kind):
-        """Snapshot, keep training, restore: the optimizer state must be
-        bit-identical to the snapshot instant."""
-        fused = build_fused()
-        opt = make_optimizer(kind, fused, B, [1e-3 * (b + 1) for b in
-                                              range(B)])
-        fake_step(fused, opt, seed=1)
-        snapshot = snapshot_optimizer(opt)
-        before = optimizer_state_by_position(opt)
-
-        fake_step(fused, opt, seed=2)       # state diverges...
-        fake_step(fused, opt, seed=3)
-        restore_optimizer(opt, snapshot)    # ...and is rolled back
-        after = optimizer_state_by_position(opt)
-        assert set(before) == set(after)
-        for pos, state in before.items():
-            assert set(state) == set(after[pos])
-            for key, value in state.items():
-                np.testing.assert_array_equal(
-                    after[pos][key], value, err_msg=f"{kind} [{pos}] {key}")
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_stepping_after_restore_is_bit_identical(self, kind):
-        """The eviction rollback story: two identical optimizers, one
-        snapshot/restored mid-way, must keep producing identical updates."""
-        fused_a, fused_b = build_fused(), build_fused()
-        for p_a, p_b in zip(fused_a.parameters(), fused_b.parameters()):
-            p_b.data[...] = p_a.data
-        opt_a = make_optimizer(kind, fused_a, B, [1e-3] * B)
-        opt_b = make_optimizer(kind, fused_b, B, [1e-3] * B)
-        fake_step(fused_a, opt_a, seed=1)
-        fake_step(fused_b, opt_b, seed=1)
-
-        snapshot = snapshot_optimizer(opt_b)
-        fake_step(fused_b, opt_b, seed=9)   # a transition that fails...
-        restore_optimizer(opt_b, snapshot)  # ...rolls the optimizer back
-        for p_a, p_b in zip(fused_a.parameters(), fused_b.parameters()):
-            p_b.data[...] = p_a.data        # (the model half, via
-                                            #  snapshot_array in the engine)
-        fake_step(fused_a, opt_a, seed=2)
-        fake_step(fused_b, opt_b, seed=2)
-        for (name, p_a), (_, p_b) in zip(fused_a.named_parameters(),
-                                         fused_b.named_parameters()):
-            np.testing.assert_array_equal(p_b.data, p_a.data,
-                                          err_msg=f"{kind} {name}")
-
-    def test_restore_into_evicted_width_is_rejected(self):
-        """Eviction narrows the optimizer; a pre-eviction snapshot must be
-        refused, not silently misapplied to the wrong slots."""
-        fused = build_fused()
-        opt = make_optimizer("adam", fused, B, [1e-3] * B)
-        fake_step(fused, opt)
-        snapshot = snapshot_optimizer(opt)
-
-        narrowed = hfta.split_fused(fused, [0, 2])      # slots 1, 3 evicted
-        opt_narrow = split_optimizer(opt, narrowed.parameters(), [0, 2])
-        with pytest.raises(ValueError, match="num_models"):
-            restore_optimizer(opt_narrow, snapshot)
-
-    def test_snapshot_survives_eviction_of_other_slots(self):
-        """A snapshot taken *of the narrowed optimizer* after eviction
-        restores exactly, and its arrays are copies — further stepping of
-        the live optimizer must not mutate the snapshot."""
-        fused = build_fused()
-        opt = make_optimizer("adam", fused, B,
-                             [1e-3 * (b + 1) for b in range(B)])
-        fake_step(fused, opt, seed=1)
-        narrowed = hfta.split_fused(fused, [1, 3])
-        opt_narrow = split_optimizer(opt, narrowed.parameters(), [1, 3])
-
-        snapshot = snapshot_optimizer(opt_narrow)
-        frozen = {pos: {k: np.copy(v) for k, v in st.items()}
-                  for pos, st in snapshot["state"].items()}
-        fake_step(narrowed, opt_narrow, seed=2)
-        for pos, st in snapshot["state"].items():
-            for key, value in st.items():
-                np.testing.assert_array_equal(value, frozen[pos][key])
-        restore_optimizer(opt_narrow, snapshot)
-        # per-model lr of the kept slots survived both transitions
-        np.testing.assert_allclose(opt_narrow.param_groups[0]["lr"],
-                                   [2e-3, 4e-3])
 
 
 # --------------------------------------------------------------------- #

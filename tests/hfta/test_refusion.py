@@ -1,4 +1,4 @@
-"""Re-fusion round trip: split_fused / merge_fused / snapshot are lossless.
+"""Re-fusion round trip: split_fused / merge_fused are lossless.
 
 The elastic array lifecycle rests on one property: slicing a fused array
 apart and concatenating the pieces back reconstructs it *exactly* — in
@@ -10,7 +10,7 @@ operator family.  These tests check
 for complementary contiguous partitions ``A``/``B`` (and slot-level
 equality for arbitrary index subsets), across conv / linear / embedding /
 attention / norm / dropout arrays, plus the matching optimizer-state
-primitives for Adam / AdamW / SGD / Adadelta, plus snapshot/restore.
+primitives for Adam / AdamW / SGD / Adadelta.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ import pytest
 from repro import hfta, nn
 from repro.hfta import ops as hops
 from repro.hfta.optim import (Adadelta, Adam, AdamW, SGD, merge_optimizers,
-                              restore_optimizer, snapshot_optimizer,
                               split_optimizer)
 
 B = 4
@@ -111,9 +110,9 @@ class TestSplitMergeRoundTrip:
 
     def test_split_preserves_the_input_array(self):
         fused = randomize(build_family("conv"))
-        before = hfta.snapshot_array(fused)
+        before = fused.state_dict()
         hfta.split_fused(fused, [0, 2])
-        for name, value in hfta.snapshot_array(fused).items():
+        for name, value in fused.state_dict().items():
             np.testing.assert_array_equal(value, before[name], err_msg=name)
 
     def test_split_forward_matches_original_slots(self):
@@ -277,32 +276,6 @@ class TestOptimizerRoundTrip:
 
 
 # --------------------------------------------------------------------- #
-class TestSnapshotRestore:
-    def test_array_snapshot_rolls_back_parameters_and_buffers(self):
-        fused = randomize(build_family("conv"))
-        snap = hfta.snapshot_array(fused)
-        randomize(fused, seed=99)     # clobber everything
-        hfta.restore_array(fused, snap)
-        for name, value in hfta.snapshot_array(fused).items():
-            np.testing.assert_array_equal(value, snap[name], err_msg=name)
-
-    def test_optimizer_snapshot_rolls_back_state(self):
-        fused = randomize(build_family("linear"))
-        opt = make_optimizer("adam", fused, B, [1e-3] * B)
-        fake_step(fused, opt)
-        snap = snapshot_optimizer(opt)
-        fake_step(fused, opt, seed=13)   # moves state further
-        restore_optimizer(opt, snap)
-        first = next(iter(fused.parameters()))
-        assert opt.state[id(first)]["step"].tolist() == [1] * B
-        for i, st in snap["state"].items():
-            p = fused.parameters()[i]
-            for key, value in st.items():
-                np.testing.assert_array_equal(opt.state[id(p)][key], value,
-                                              err_msg=f"state {key}")
-
-
-# --------------------------------------------------------------------- #
 class TestHyperParametersAcrossRefusion:
     """``defaults`` and group hyper-parameters through split and merge.
 
@@ -397,17 +370,3 @@ class TestHyperParametersAcrossRefusion:
         with pytest.raises(ValueError, match="parameter count mismatch"):
             merge_optimizers(self.sgd(left, [0, 1]), self.sgd(right, [2, 3]),
                              fused.parameters()[:-1])
-
-    def test_snapshot_copies_group_vectors_and_restore_copies_them_back(self):
-        fused = build_family("linear")
-        opt = self.sgd(fused, range(B))
-        snap = snapshot_optimizer(opt)
-        assert all("params" not in saved for saved in snap["groups"])
-        group = opt.param_groups[0]
-        for _ in range(2):                    # a snapshot restores repeatedly
-            group["lr"] *= 3
-            group["nesterov"] = False
-            restore_optimizer(opt, snap)
-            np.testing.assert_array_equal(group["lr"], self.LR)
-            assert group["nesterov"] is True
-            assert len(group["params"]) == len(fused.parameters())

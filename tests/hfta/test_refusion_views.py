@@ -152,9 +152,9 @@ class TestAliasingContract:
         assert_arrays_equal(left, ctl_left, "left half after steps")
         assert_arrays_equal(right, ctl_right, "right half after steps")
 
-    def test_snapshot_owns_its_memory(self):
+    def test_state_dict_owns_its_memory(self):
         fused = randomize(build_family("linear"))
-        snap = hfta.snapshot_array(fused)
+        snap = fused.state_dict()
         for p in fused.parameters():
             p.data[...] = 7.0
         for name, value in snap.items():

@@ -201,6 +201,26 @@ class TestCheckpointStore:
         assert info.value.digest == digest
         assert isinstance(info.value, ValueError)
 
+    def test_re_put_of_a_corrupt_object_rewrites_it(self, tmp_path):
+        """A dedup hit must hold the payload's bytes: re-saving a state
+        whose object was flipped on disk heals the object, so the job
+        that retrains after a CorruptObjectError can resume again."""
+        store = CheckpointStore(tmp_path)
+        payload = encode_arrays({"w": np.arange(16, dtype=np.float32)})
+        digest, written = store._put_object(payload)
+        assert written == len(payload)
+        path = Path(store.root) / "objects" / digest[:2] / digest
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptObjectError):
+            store._get_object(digest)
+
+        assert store._put_object(payload) == (digest, len(payload))
+        assert bytes(store._get_object(digest)) == payload
+        assert store._put_object(payload) == (digest, 0)   # clean: dedup
+        assert store.dedup_hits == 1
+
     def test_no_temp_files_survive_a_save(self, tmp_path):
         store = CheckpointStore(tmp_path, fsync=True)
         job = make_jobs(1)[0]
@@ -464,33 +484,38 @@ class TestFleetCrashRecovery:
         assert corrupt == [{"type": "corrupt", "job_id": 0,
                             "digest": digest}]
 
-    def test_rebuild_wires_a_prebuilt_fleet_to_the_store(self, tmp_path):
-        """Regression: a prebuilt fleet handed to rebuild_fleet must be
-        wired to the manager's store/recovery (engines included), so the
-        recovered run keeps checkpointing and settling the WAL."""
+    def test_second_crash_after_a_corrupt_checkpoint_resumes(
+            self, tmp_path):
+        """The job whose checkpoint was corrupt retrains from step 0 and
+        re-saves byte-identical state onto the bad object's name; that
+        write must heal the object, so when the job's device dies again
+        it resumes from it (one ``corrupt`` record, not two) and still
+        finishes bit-identical to an uninterrupted run."""
+        reference = FleetScheduler(devices=(V100,), max_width=4)
+        reference.submit_all(make_jobs(4))
+        expected = final_params(reference.run_until_idle())
+
         store = CheckpointStore(tmp_path)
         recovery = RecoveryManager(store)
         fleet = FleetScheduler(devices=(V100,), max_width=4, store=store,
                                checkpoint_every=1, recovery=recovery)
-        trigger = [True]
-        fleet.submit_all(make_jobs(4, trigger=trigger))
+        fleet.submit_all(make_jobs(4, trigger=[True]))
         fleet.run_cycle()
-        del fleet
+        del fleet                             # the process "dies"
+        digest = flip_model_object(store, 0)
 
-        registry = {job.name: job for job in make_jobs(4)}
-        prebuilt = FleetScheduler(devices=(V100,), max_width=4)  # unwired
-        rebuilt = recovery.rebuild_fleet(registry, fleet=prebuilt)
-        assert rebuilt is prebuilt
-        assert rebuilt.recovery is recovery and rebuilt.store is store
+        # job0 retrains from step 0 and its device dies again at the
+        # same step, after the checkpoint that re-saves the bad object
+        registry = {job.name: job for job in make_jobs(4, trigger=[True])}
+        rebuilt = recovery.rebuild_fleet(registry, devices=(V100,),
+                                         max_width=4)
         results = rebuilt.run_until_idle()
-        assert len(results) == 4
-        assert rebuilt.metrics.jobs_recovered == 4
-        # the recovered run checkpointed and settled its own completions
-        assert rebuilt.metrics.checkpoints_written > 0
-        assert recovery.unsettled() == {}
-        # the provenance trail links each new admission to the old one
-        replays = [r for r in recovery.entries() if r["type"] == "replay"]
-        assert len(replays) == 4
+        assert rebuilt.metrics.workers_crashed == 1
+        assert rebuilt.metrics.jobs_recovered == 3 + 1
+        assert_bit_identical(expected, final_params(results))
+        corrupt = [r for r in recovery.entries() if r["type"] == "corrupt"]
+        assert corrupt == [{"type": "corrupt", "job_id": 0,
+                            "digest": digest}]
 
     def test_second_restart_before_any_cycle_loses_nothing(self, tmp_path):
         """Regression: a queue rebuilt on an existing WAL used to number

@@ -1,16 +1,13 @@
-"""Incremental (dirty-slot) checkpointing and zero-copy restore (PR 8).
+"""Content-addressed checkpoint dedup and zero-copy restore.
 
-``ArrayExecutor`` tracks each slot's ``progress`` at its last durable
-write; a slot that has not stepped since is *clean* and a cadence sweep
-skips it without encoding a byte — write amplification drops from
-O(live slots) per sweep to O(dirty slots).  These tests pin:
+Every checkpoint encodes the slot's live state; the store names each
+object by its SHA-256, so re-saving unchanged state writes no object
+bytes.  These tests pin:
 
-* a no-op durability sweep writes **zero new objects** (and the
-  content-addressed dedup receipt backs up a forced re-encode);
-* recovery from dirty-slot-only snapshots after a mid-epoch crash is
+* a durability sweep with no step in between writes **zero new
+  objects** and zero object bytes, and stepping writes new ones;
+* recovery with a checkpoint every epoch after a mid-epoch crash is
   **bit-identical** to an uninterrupted run;
-* a clean slot's *final* checkpoint reuses the stored objects
-  manifest-only (``save_slot(objects=...)``);
 * ``decode_arrays`` hands out writable zero-copy views of a writable
   payload buffer instead of copying every restored array.
 """
@@ -36,41 +33,25 @@ def build_executor(engine, jobs):
 
 
 # --------------------------------------------------------------------- #
-class TestDirtySlotTracking:
+class TestContentAddressedDedup:
     def test_noop_sweep_writes_zero_new_objects(self, tmp_path):
         store = CheckpointStore(tmp_path)
         engine = TrainingArrayEngine(store=store)
         executor = build_executor(engine, make_jobs(3))
         executor.step_epoch()
 
-        executor.checkpoint_now()                 # all slots dirty: writes
-        objects = store.objects_written
-        written = engine.metrics.checkpoints_written
-        assert objects > 0 and written == 3
-
-        executor.checkpoint_now()                 # nothing stepped: no-op
-        assert store.objects_written == objects
-        assert store.bytes_written == engine.metrics.checkpoint_bytes_written
-        assert engine.metrics.checkpoints_written == written
-        assert engine.metrics.checkpoints_skipped == 3
-
-    def test_forced_sweep_is_fully_deduplicated(self, tmp_path):
-        """force=True re-encodes clean slots; content addressing proves
-        the skipped encodes were byte-identical (the dedup receipt)."""
-        store = CheckpointStore(tmp_path)
-        engine = TrainingArrayEngine(store=store)
-        executor = build_executor(engine, make_jobs(2))
-        executor.step_epoch()
-        executor.checkpoint_now()
+        executor.checkpoint_now()                 # first write: new objects
         objects, disk = store.objects_written, store.bytes_written
+        assert objects > 0 and engine.metrics.checkpoints_written == 3
 
-        executor.checkpoint_now(force=True)
+        executor.checkpoint_now()                 # nothing stepped
         assert store.objects_written == objects   # every object deduped
         assert store.bytes_written == disk
-        assert store.dedup_hits >= 4              # model+optimizer per slot
-        assert engine.metrics.checkpoints_written == 4
+        assert store.bytes_written == engine.metrics.checkpoint_bytes_written
+        assert store.dedup_hits == 6              # model+optimizer per slot
+        assert engine.metrics.checkpoints_written == 6
 
-    def test_stepping_marks_slots_dirty_again(self, tmp_path):
+    def test_stepping_writes_new_objects(self, tmp_path):
         store = CheckpointStore(tmp_path)
         engine = TrainingArrayEngine(store=store)
         executor = build_executor(engine, make_jobs(2))
@@ -81,29 +62,8 @@ class TestDirtySlotTracking:
         executor.step_epoch()                     # slots move again
         executor.checkpoint_now()
         assert store.objects_written > objects
-        assert engine.metrics.checkpoints_skipped == 0
 
-    def test_write_amplification_halves_on_sweep_heavy_cadence(
-            self, tmp_path):
-        """The acceptance workload: a cadence checkpoint plus durability
-        sweeps every epoch.  Incremental tracking encodes each slot once
-        per epoch instead of three times (what forced sweeps, which do
-        not trust the tracker, pay) — >=50% fewer payload bytes."""
-        def run(force):
-            store = CheckpointStore(tmp_path / f"force-{force}")
-            engine = TrainingArrayEngine(store=store, checkpoint_every=1)
-            executor = build_executor(engine, make_jobs(3))
-            while not executor.done:
-                executor.step_epoch()             # cadence persists here
-                executor.checkpoint_now(force=force)  # sweeps: clean slots
-                executor.checkpoint_now(force=force)
-            return engine.metrics.checkpoint_payload_bytes
-
-        full = run(force=True)
-        incremental = run(force=False)
-        assert incremental <= 0.5 * full
-
-    def test_clean_final_checkpoint_reuses_objects_manifest_only(
+    def test_final_checkpoint_of_an_unchanged_slot_writes_no_object(
             self, tmp_path):
         store = CheckpointStore(tmp_path)
         engine = TrainingArrayEngine(store=store)
@@ -116,7 +76,7 @@ class TestDirtySlotTracking:
         executor._persist_slot(0, executor.slots[0], final=True,
                                stop_reason="cancelled")
         after = store.manifest(executor.slots[0].sub.job_id)
-        assert store.objects_written == objects   # manifest-only rewrite
+        assert store.objects_written == objects
         assert after["final"] is True
         assert after["objects"] == before["objects"]
 
@@ -124,31 +84,37 @@ class TestDirtySlotTracking:
         assert restored.progress == executor.slots[0].progress
         assert restored.model_state          # objects still load fine
 
-    def test_stale_refs_raise_and_tracker_recovers(self, tmp_path):
+
+    def test_failed_write_is_counted_and_swallowed(self, tmp_path,
+                                                   monkeypatch):
+        """Losing one sweep of durability must not fail the array: the
+        write error is counted, training goes on, and the next write
+        lands."""
         store = CheckpointStore(tmp_path)
         engine = TrainingArrayEngine(store=store)
         executor = build_executor(engine, make_jobs(2))
         executor.step_epoch()
+
+        def full_disk(payload):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(store, "_put_object", full_disk)
         executor.checkpoint_now()
-        slot = executor.slots[0]
-        slot.persist_refs = {"model": "0" * 64, "optimizer": "0" * 64}
+        assert engine.metrics.checkpoint_failures == 2
+        assert engine.metrics.checkpoints_written == 0
 
-        executor._persist_slot(0, slot, final=True)   # stale refs raise...
-        assert engine.metrics.checkpoint_failures == 1
-        assert slot.persist_refs is None              # ...and are dropped
-
-        executor._persist_slot(0, slot, final=True)   # re-encodes cleanly
-        assert engine.metrics.checkpoint_failures == 1
-        assert store.manifest(slot.sub.job_id)["final"] is True
+        monkeypatch.undo()
+        executor.step_epoch()
+        executor.checkpoint_now()
+        assert engine.metrics.checkpoint_failures == 2
+        assert engine.metrics.checkpoints_written == 2
 
 
 # --------------------------------------------------------------------- #
 class TestCrashRecoveryWithIncrementalCheckpoints:
     def test_midepoch_crash_recovers_bit_identical(self, tmp_path):
-        """Dirty-slot-only snapshots carry full recoverability: resuming
-        after a mid-epoch crash reproduces an uninterrupted run bitwise
-        (incremental checkpointing changes what is *re-encoded*, never
-        what is durable)."""
+        """Resuming after a mid-epoch crash reproduces an uninterrupted
+        run bitwise."""
         reference = TrainingArrayEngine()
         reference.submit_all(make_jobs(3))
         expected = final_params(reference.run_until_idle())

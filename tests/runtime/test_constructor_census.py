@@ -11,7 +11,8 @@ import inspect
 
 import pytest
 
-from repro.runtime import FleetScheduler, LPFleetPlacer, LPWeights, \
+from repro.runtime import ArrayExecutor, Batcher, CheckpointStore, \
+    FleetScheduler, JobQueue, LPFleetPlacer, LPWeights, RecoveryManager, \
     ServingGateway, TrainingArrayEngine
 
 FLEET = ("devices", "placer", "metrics", "max_width", "precision",
@@ -38,6 +39,18 @@ REMOVED = [
     (TrainingArrayEngine, "persist_on_evict", False),
     (TrainingArrayEngine, "checkpoint_incremental", False),
     (TrainingArrayEngine, "pool", None),
+    (Batcher, "tenant_isolation", True),
+    (Batcher, "infusible_keys", ()),
+    (JobQueue, "max_pending", 1),
+]
+
+#: keywords deleted from methods with the features they drove: the
+#: checkpoint dirty-slot tracker's refs and force flag, and rebuilding
+#: into a prebuilt fleet
+REMOVED_METHOD_KEYWORDS = [
+    (CheckpointStore.save_slot, "objects"),
+    (ArrayExecutor.checkpoint_now, "force"),
+    (RecoveryManager.rebuild_fleet, "fleet"),
 ]
 
 
@@ -56,6 +69,11 @@ def test_constructor_keywords_are_the_reviewed_list(cls, expected):
 def test_removed_keyword_is_a_type_error_naming_it(cls, keyword, value):
     with pytest.raises(TypeError, match=keyword):
         cls(**{keyword: value})
+
+
+@pytest.mark.parametrize("method, keyword", REMOVED_METHOD_KEYWORDS)
+def test_removed_method_keyword_is_gone(method, keyword):
+    assert keyword not in inspect.signature(method).parameters
 
 
 def test_gateway_forwards_a_removed_keyword_to_the_same_error():

@@ -504,39 +504,19 @@ class TestSLOAccounting:
         assert summary["t"]["slo_hits"] == 2
 
 
-class TestTenantIsolation:
-    def test_isolated_tenants_never_share_an_array(self):
+class TestCrossTenantPacking:
+    def test_tenants_share_arrays_and_admission_profiles(self):
         queue = JobQueue()
         for i in range(4):
             queue.submit(make_job(i, tenant="a" if i % 2 else "b"))
         batch = queue.pop_pending()
+        batcher = Batcher()
 
-        cohorts, failures = Batcher().form_cohorts(batch)
+        cohorts, failures = batcher.form_cohorts(batch)
         assert not failures
-        assert len(cohorts) == 1            # default: packs across tenants
-
-        for sub in batch:
-            sub.profile_cache = None        # profiles are batcher-specific
-        isolated, failures = Batcher(
-            tenant_isolation=True).form_cohorts(batch)
-        assert not failures
-        assert len(isolated) == 2
-        for cohort in isolated:
-            assert len({sub.job.tenant for sub in cohort.jobs}) == 1
-
-    def test_isolation_splits_admission_profiles_too(self):
-        queue = JobQueue()
-        ids = [queue.submit(make_job(i, tenant="a" if i else "b"))
-               for i in range(2)]
-        subs = [queue.get(i) for i in ids]
-        shared = Batcher()
-        assert shared.admission_profile(subs[0]) == \
-            shared.admission_profile(subs[1])
-        for sub in subs:
-            sub.profile_cache = None
-        isolated = Batcher(tenant_isolation=True)
-        assert isolated.admission_profile(subs[0]) != \
-            isolated.admission_profile(subs[1])
+        assert len(cohorts) == 1
+        assert batcher.admission_profile(batch[0]) == \
+            batcher.admission_profile(batch[1])
 
 
 class TestTenantSpecValidation:

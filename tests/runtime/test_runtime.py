@@ -84,12 +84,6 @@ class TestJobQueue:
         queue.requeue(sub)
         assert [s.job_id for s in queue.pop_pending()] == ids
 
-    def test_full_queue_rejects_submissions(self):
-        queue = JobQueue(max_pending=1)
-        queue.submit(make_job(0))
-        with pytest.raises(RuntimeError, match="full"):
-            queue.submit(make_job(1))
-
     def test_result_of_failed_job_raises(self):
         queue = JobQueue()
         job_id = queue.submit(make_job(0))
@@ -113,6 +107,27 @@ class TestJobQueue:
     def test_numpy_integer_step_budget_is_accepted(self):
         job = make_job(0, steps=np.int64(4), epoch_steps=np.int64(2))
         assert job.steps == 4 and job.epoch_steps == 2
+
+    @pytest.mark.parametrize("field, value, error, match", [
+        ("workload", "no_such_workload", ValueError, "pointnet_cls"),
+        ("priority", "high", TypeError, "TrainingJob.priority"),
+        ("priority", True, TypeError, "TrainingJob.priority"),
+        ("priority", 1.5, TypeError, "TrainingJob.priority"),
+        ("deadline_s", "soon", TypeError, "TrainingJob.deadline_s"),
+        ("deadline_s", False, TypeError, "TrainingJob.deadline_s"),
+    ])
+    def test_malformed_serving_field_is_rejected(self, field, value, error,
+                                                 match):
+        """Rejected at construction: admitted, such a job raised later
+        inside placement or the fair dequeue and stranded its batch."""
+        with pytest.raises(error, match=match):
+            make_job(0, **{field: value})
+
+    def test_well_formed_serving_fields_are_accepted(self):
+        job = make_job(0, workload="dcgan", priority=np.int64(2),
+                       deadline_s=np.float32(30.0))
+        assert job.priority == 2 and job.deadline_s == 30.0
+        assert make_job(1, deadline_s=5).deadline_s == 5
 
 
 # --------------------------------------------------------------------- #
