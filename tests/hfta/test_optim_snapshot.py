@@ -116,6 +116,46 @@ class TestSlotStatePrimitives:
                 p_new.data[index], p_old.data[index],
                 err_msg=f"{kind} {name} slot {index}")
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_export_owns_its_memory(self, kind):
+        """An export is a copy: further stepping of the live optimizer
+        must not reach into a capture a checkpoint is about to encode."""
+        fused = build_fused()
+        opt = make_optimizer(kind, fused, B, [1e-3] * B)
+        fake_step(fused, opt, seed=1)
+        exported = export_slot_state(opt, 1)
+        frozen = {pos: {k: np.copy(v) for k, v in st.items()}
+                  for pos, st in exported.items()}
+        fake_step(fused, opt, seed=2)
+        assert set(exported) == set(frozen)
+        for pos, state in exported.items():
+            for key, value in state.items():
+                np.testing.assert_array_equal(
+                    value, frozen[pos][key], err_msg=f"{kind} [{pos}] {key}")
+
+    def test_export_after_eviction_matches_the_kept_slot(self):
+        """Eviction narrows the optimizer; a kept slot exports the same
+        state at its new position as it did at its old one, and keeps
+        its per-model learning rate."""
+        fused = build_fused()
+        opt = make_optimizer("adam", fused, B,
+                             [1e-3 * (b + 1) for b in range(B)])
+        fake_step(fused, opt, seed=1)
+        narrowed = hfta.split_fused(fused, [1, 3])
+        opt_narrow = split_optimizer(opt, narrowed.parameters(), [1, 3])
+        for new_slot, old_slot in enumerate([1, 3]):
+            before = export_slot_state(opt, old_slot)
+            after = export_slot_state(opt_narrow, new_slot)
+            assert set(after) == set(before)
+            for pos, state in before.items():
+                assert set(after[pos]) == set(state)
+                for key, value in state.items():
+                    np.testing.assert_array_equal(
+                        after[pos][key], value,
+                        err_msg=f"slot {old_slot} [{pos}] {key}")
+        np.testing.assert_allclose(opt_narrow.param_groups[0]["lr"],
+                                   [2e-3, 4e-3])
+
     def test_load_leaves_other_slots_at_lazy_init(self):
         """Injected zeros must equal lazy initialization: slots that never
         stepped behave exactly like a brand-new optimizer's."""

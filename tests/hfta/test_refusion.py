@@ -276,6 +276,21 @@ class TestOptimizerRoundTrip:
 
 
 # --------------------------------------------------------------------- #
+class TestStateDictRestore:
+    def test_state_dict_rolls_back_parameters_and_buffers(self):
+        """A fused array's ``state_dict`` is the model half of a resume
+        (the batcher loads a checkpoint's model state into a fresh
+        template with ``load_state_dict``): it must own its memory and
+        restore parameters and batch-norm buffers exactly."""
+        fused = randomize(build_family("conv"))
+        saved = fused.state_dict()
+        randomize(fused, seed=99)     # clobber everything
+        fused.load_state_dict(saved)
+        for name, value in fused.state_dict().items():
+            np.testing.assert_array_equal(value, saved[name], err_msg=name)
+
+
+# --------------------------------------------------------------------- #
 class TestHyperParametersAcrossRefusion:
     """``defaults`` and group hyper-parameters through split and merge.
 
