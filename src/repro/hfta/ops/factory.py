@@ -106,6 +106,27 @@ class OpsLibrary:
             return _SERIAL_CLASSES[name]
         raise AttributeError(f"OpsLibrary has no operator '{name}'")
 
+    def conv_bn(self, conv, bn, x: Tensor, relu: bool = True) -> Tensor:
+        """``relu(bn(conv(x)))`` (``relu=False``: ``bn(conv(x))``) for a
+        pointwise ``Conv1d`` and the ``BatchNorm1d`` over its output, both
+        from this library, as one :func:`repro.nn.functional.conv1d_bn`
+        node: bitwise the modules' three nodes, with two fewer activations
+        kept for backward."""
+        if (conv.kernel_size, conv.stride, conv.padding) != ((1,), (1,),
+                                                             (0,)):
+            raise ValueError("conv_bn takes a pointwise Conv1d (kernel 1, "
+                             "stride 1, no padding)")
+        if bn.num_features != conv.out_channels:
+            raise ValueError(f"BatchNorm1d over {bn.num_features} channels "
+                             f"after a Conv1d of {conv.out_channels}")
+        if x.ndim != 3 or x.shape[1] != self.B * conv.in_channels:
+            raise ValueError(f"conv_bn expects [N, {self.B * conv.in_channels}"
+                             f", L] input, got {x.shape}")
+        return nn.functional.conv1d_bn(
+            x, conv.weight, conv.bias, bn.weight, bn.bias, bn.running_mean,
+            bn.running_var, bn.training, bn.momentum, bn.eps,
+            groups=self.B * conv.groups, relu=relu)
+
     # ------------------------------------------------------------------ #
     # Layout helpers
     # ------------------------------------------------------------------ #

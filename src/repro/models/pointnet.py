@@ -67,9 +67,9 @@ class TNet(nn.Module):
         fused:   input ``[N, B*k, P]`` -> output ``[B, N, k, k]``
         """
         lib = self.lib
-        h = self.relu(self.bn1(self.conv1(x)))
-        h = self.relu(self.bn2(self.conv2(h)))
-        h = self.relu(self.bn3(self.conv3(h)))
+        h = lib.conv_bn(self.conv1, self.bn1, x)
+        h = lib.conv_bn(self.conv2, self.bn2, h)
+        h = lib.conv_bn(self.conv3, self.bn3, h)
         # symmetric function: max over points
         h = h.max(axis=2)  # [N, (B*)C]
         dense = lib.conv_to_dense(h.unsqueeze(2))  # [N, C] or [B, N, C]
@@ -128,6 +128,8 @@ class PointNetFeatures(nn.Module):
         self.bn1 = lib.BatchNorm1d(c1)
         self.bn2 = lib.BatchNorm1d(c2)
         self.bn3 = lib.BatchNorm1d(c3)
+        # unused (the conv blocks apply their ReLU), kept in the module
+        # tree: the structural signature fusion groups jobs by
         self.relu = lib.ReLU()
 
     def forward(self, x: Tensor, return_point_features: bool = False):
@@ -135,13 +137,13 @@ class PointNetFeatures(nn.Module):
         if self.input_transform:
             trans = self.stn(x)
             x = _apply_transform(lib, x, trans)
-        h = self.relu(self.bn1(self.conv1(x)))
+        h = lib.conv_bn(self.conv1, self.bn1, x)
         if self.feature_transform:
             ftrans = self.fstn(h)
             h = _apply_transform(lib, h, ftrans)
         point_features = h
-        h = self.relu(self.bn2(self.conv2(h)))
-        h = self.bn3(self.conv3(h))
+        h = lib.conv_bn(self.conv2, self.bn2, h)
+        h = lib.conv_bn(self.conv3, self.bn3, h, relu=False)
         global_feature = h.max(axis=2)  # [N, (B*)C3]
         if return_point_features:
             return global_feature, point_features
@@ -219,6 +221,8 @@ class PointNetSeg(nn.Module):
         self.bn1 = lib.BatchNorm1d(d1)
         self.bn2 = lib.BatchNorm1d(d2)
         self.bn3 = lib.BatchNorm1d(d3)
+        # unused (the conv blocks apply their ReLU), kept in the module
+        # tree: the structural signature fusion groups jobs by
         self.relu = lib.ReLU()
 
     def fuse_inputs(self, clouds: Sequence[Tensor]) -> Tensor:
@@ -244,9 +248,9 @@ class PointNetSeg(nn.Module):
                 n, b * (c1 + c3), num_points)
         else:
             combined = nn.cat([point_features, expanded], axis=1)
-        h = self.relu(self.bn1(self.conv1(combined)))
-        h = self.relu(self.bn2(self.conv2(h)))
-        h = self.relu(self.bn3(self.conv3(h)))
+        h = lib.conv_bn(self.conv1, self.bn1, combined)
+        h = lib.conv_bn(self.conv2, self.bn2, h)
+        h = lib.conv_bn(self.conv3, self.bn3, h)
         logits = self.conv4(h)  # [N, (B*)num_parts, P]
         if lib.fused:
             b = lib.num_models

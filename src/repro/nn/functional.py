@@ -31,7 +31,7 @@ from .tensor import Tensor, _accumulate, _make_out
 __all__ = [
     "conv2d", "conv1d", "conv_transpose2d", "linear",
     "max_pool2d", "adaptive_avg_pool2d", "avg_pool2d",
-    "batch_norm", "layer_norm", "embedding", "dropout",
+    "batch_norm", "conv1d_bn", "layer_norm", "embedding", "dropout",
     "relu", "relu6", "leaky_relu", "tanh", "sigmoid", "gelu", "hardswish",
     "hardsigmoid", "softmax", "log_softmax",
     "cross_entropy", "nll_loss", "mse_loss", "binary_cross_entropy",
@@ -433,6 +433,40 @@ def _sum_over(a: np.ndarray, axes: Tuple[int, ...],
     return out.reshape([1 if i in axes else d for i, d in enumerate(a.shape)])
 
 
+def _centre(data: np.ndarray, xc: np.ndarray, mean: np.ndarray,
+            var: np.ndarray, axes: Tuple[int, ...], count: int) -> None:
+    """Batch statistics of one channel range: ``mean``, ``x_c = data -
+    mean`` into ``xc`` (which may be ``data`` itself) and ``var = sum(x_c^2)
+    / count``."""
+    np.multiply(_sum_over(data, axes), 1.0 / count, out=mean)
+    np.subtract(data, mean, out=xc)
+    np.multiply(_sum_over(xc, axes, xc), 1.0 / count, out=var)
+
+
+def _update_running(running_mean: np.ndarray, running_var: np.ndarray,
+                    mean: np.ndarray, var: np.ndarray, count: int,
+                    momentum: float) -> None:
+    """Fold a batch's statistics into the running ones, in place, with the
+    unbiased variance."""
+    unbiased = var * count / max(count - 1, 1)
+    running_mean *= (1 - momentum)
+    running_mean += momentum * mean.reshape(-1)
+    running_var *= (1 - momentum)
+    running_var += momentum * unbiased.reshape(-1)
+
+
+def _batch_norm_dx(g, xc, rstd, scale, sum_g, sum_gxc, count: int,
+                   out: np.ndarray, tmp: Optional[np.ndarray] = None) -> None:
+    """Batch norm's input gradient of one channel range into ``out``:
+    ``scale * (g - (x_c * rstd^2 * sum(g x_c) / count + sum(g) / count))``.
+    The bracket goes to ``tmp``, a new array by default; ``tmp`` may be
+    ``out`` unless ``g`` is."""
+    tmp = np.multiply(xc, rstd * rstd * sum_gxc * (1.0 / count), out=tmp)
+    tmp += sum_g * (1.0 / count)
+    np.subtract(g, tmp, out=out)
+    out *= scale
+
+
 def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
                running_var: Optional[np.ndarray], weight: Optional[Tensor],
                bias: Optional[Tensor], training: bool, momentum: float = 0.1,
@@ -464,16 +498,11 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
 
         def stats(lo, hi):
             c = lead + (slice(lo, hi),)
-            np.multiply(_sum_over(data[c], axes), 1.0 / count, out=mean[c])
-            xc_c = np.subtract(data[c], mean[c], out=xc[c])
-            np.multiply(_sum_over(xc_c, axes, xc_c), 1.0 / count, out=var[c])
+            _centre(data[c], xc[c], mean[c], var[c], axes, count)
         parallel.split(channels, data.nbytes, stats)
         if running_mean is not None:
-            unbiased = var * count / max(count - 1, 1)
-            running_mean *= (1 - momentum)
-            running_mean += momentum * mean.reshape(-1)
-            running_var *= (1 - momentum)
-            running_var += momentum * unbiased.reshape(-1)
+            _update_running(running_mean, running_var, mean, var, count,
+                            momentum)
     else:
         xc = data - running_mean.reshape(shape)
         var = running_var.reshape(shape)
@@ -505,12 +534,8 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
                 sum_g[c] = _sum_over(g_c, axes)
                 sum_gxc[c] = _sum_over(g_c, axes, xc_c)
                 if gx is not None:
-                    gx_c = np.multiply(
-                        xc_c, rstd[c] * rstd[c] * sum_gxc[c] * (1.0 / count),
-                        out=gx[c])
-                    gx_c += sum_g[c] * (1.0 / count)
-                    np.subtract(g_c, gx_c, out=gx_c)
-                    gx_c *= scale[c]
+                    _batch_norm_dx(g_c, xc_c, rstd[c], scale[c], sum_g[c],
+                                   sum_gxc[c], count, gx[c], tmp=gx[c])
             parallel.split(channels, g.nbytes, sums_and_dx)
             if _needs_grad(weight):
                 _accumulate(weight, (sum_gxc * rstd).reshape(weight.shape))
@@ -518,6 +543,158 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
                 _accumulate(bias, sum_g.reshape(bias.shape))
             if _needs_grad(x):
                 _accumulate(x, g * scale if gx is None else gx)
+        out._backward = _bw
+    return out
+
+
+#: bytes of one channel chunk of :func:`conv1d_bn`'s batch-norm backward
+_CHUNK_BYTES = 256 * 1024
+
+
+def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
+              bn_weight: Optional[Tensor], bn_bias: Optional[Tensor],
+              running_mean: Optional[np.ndarray],
+              running_var: Optional[np.ndarray], training: bool,
+              momentum: float = 0.1, eps: float = 1e-5, groups: int = 1,
+              relu: bool = False) -> Tensor:
+    """A pointwise (kernel-1) grouped ``conv1d``, then :func:`batch_norm`
+    over its channels, then (``relu=True``) a ReLU: one autograd node.
+
+    ``x`` is ``[N, C_in, L]``.  ``weight`` holds ``C_out x C_in/groups``
+    values and ``bias`` and the batch-norm operands ``C_out``, in any shape
+    (a fused ``[B, C, ...]`` parameter needs no reshape node): each gets its
+    gradient in its own shape.
+
+    The convolution's output buffer never becomes a tensor: batch norm
+    centres it in place, and the affine and the ReLU run in place in the
+    output buffer, so besides the output (the next node's input) the node
+    keeps only the centred input and per-channel ``rstd`` and scale.
+    Backward reads the ReLU mask off the output (``out > 0`` exactly where
+    the affine was) and runs batch norm's passes channel chunk by chunk,
+    with chunk-sized temporaries.  Every element gets the operations of
+    :func:`conv1d`, :func:`batch_norm` and ``Tensor.relu`` in their order,
+    so outputs, running statistics and gradients are bitwise the three
+    nodes'.  A large call runs forward, and again backward, as two halves
+    of its groups in one handoff each (:mod:`.parallel`): the convolution,
+    statistics, affine and ReLU of a group's channels touch no other
+    group's.  A one-group call runs inline.
+    """
+    n, c_in, length = x.shape
+    if c_in % groups:
+        raise ValueError(f"channels ({c_in}) not divisible by groups "
+                         f"({groups})")
+    k = c_in // groups
+    c_out = weight.size // k
+    m = c_out // groups                      # output channels per group
+    if m * groups * k != weight.size:
+        raise ValueError(f"weight of {weight.size} values does not fit "
+                         f"{groups} groups of {k} input channels")
+    # the reshapes of conv1d's height-1 lift, so the GEMMs see its strides
+    cols_g = x.data.reshape(n, c_in, 1, length).reshape(n, groups, k, length)
+    w_g = weight.data.reshape(groups, m, k)
+    bias_g = None if bias is None else bias.data.reshape(groups, m, 1)
+    xc = arena.buffer((n, c_out, length),
+                      np.promote_types(w_g.dtype, cols_g.dtype))
+    xc_g = xc.reshape(n, groups, m, length)
+    shape, axes, count = (1, c_out, 1), (0, 2), n * length
+    batch_stats = training or running_mean is None
+    if batch_stats:
+        mean, var = np.empty(shape, xc.dtype), np.empty(shape, xc.dtype)
+    else:
+        mean, var = running_mean.reshape(shape), running_var.reshape(shape)
+    rstd = np.empty(shape, var.dtype)      # the dtype 1 / sqrt(var + eps) has
+    gamma = None if bn_weight is None else bn_weight.data.reshape(shape)
+    shift = None if bn_bias is None else bn_bias.data.reshape(shape)
+    scale = rstd if gamma is None else np.empty(
+        shape, np.promote_types(rstd.dtype, gamma.dtype))
+    out_data = arena.buffer(xc.shape, np.promote_types(xc.dtype, scale.dtype))
+    nbytes = max(xc.nbytes, parallel.gemm_bytes(xc.nbytes, k))
+
+    def forward(lo, hi):
+        g, c = slice(lo, hi), (slice(None), slice(lo * m, hi * m))
+        conv = np.matmul(w_g[g], cols_g[:, g], out=xc_g[:, g])
+        if bias_g is not None:
+            conv += bias_g[g]
+        xc_c = xc[c]
+        if batch_stats:
+            _centre(xc_c, xc_c, mean[c], var[c], axes, count)
+        else:
+            np.subtract(xc_c, mean[c], out=xc_c)
+        rstd[c] = 1.0 / np.sqrt(var[c] + eps)
+        if gamma is not None:
+            np.multiply(rstd[c], gamma[c], out=scale[c])
+        out_c = np.multiply(xc_c, scale[c], out=out_data[c])
+        if shift is not None:
+            out_c += shift[c]
+        if relu:
+            np.maximum(out_c, 0.0, out=out_c)
+    parallel.split(groups, nbytes, forward)
+    if batch_stats and running_mean is not None:
+        _update_running(running_mean, running_var, mean, var, count, momentum)
+
+    parents = tuple(p for p in (x, weight, bias, bn_weight, bn_bias)
+                    if p is not None)
+    out = _make_out(out_data, parents, "conv1d_bn")
+    if out.requires_grad:
+        def _bw(g):
+            # g has the output's dtype, so every product below has g's
+            sum_g, sum_gxc = np.empty(shape, g.dtype), np.empty(shape, g.dtype)
+            per_sample = gw = gx = gbias = None
+            dx = arena.buffer(g.shape, g.dtype)
+            dx_g = dx.reshape(xc_g.shape)
+            if _needs_grad(weight):
+                per_sample = arena.buffer((n, groups, m, k), g.dtype)
+                gw = arena.buffer(weight.shape, g.dtype)
+                rows, gw_flat = per_sample.reshape(n, -1), gw.reshape(-1)
+            if _needs_grad(x):
+                gx = arena.buffer(x.shape, g.dtype)
+                gx_g = gx.reshape(cols_g.shape)
+            if _needs_grad(bias):
+                gbias = np.empty(c_out, g.dtype)
+            step = max(1, _CHUNK_BYTES // (n * length * g.itemsize))
+
+            def batch_norm_backward(c):
+                g_c, xc_c, dx_c = g[c], xc[c], dx[c]
+                if relu:        # ReLU's product, in dx's buffer
+                    g_c = np.multiply(g_c, out_data[c] > 0, out=dx_c)
+                sum_g[c] = _sum_over(g_c, axes)
+                sum_gxc[c] = _sum_over(g_c, axes, xc_c)
+                if batch_stats:
+                    _batch_norm_dx(g_c, xc_c, rstd[c], scale[c], sum_g[c],
+                                   sum_gxc[c], count, dx_c)
+                else:
+                    np.multiply(g_c, scale[c], out=dx_c)
+
+            def backward(lo, hi):
+                # batch norm's passes channel chunk by chunk: a chunk's
+                # temporaries stay small and its operands in cache
+                for c0 in range(lo * m, hi * m, step):
+                    batch_norm_backward(
+                        (slice(None), slice(c0, min(c0 + step, hi * m))))
+                gs, c = slice(lo, hi), (slice(None), slice(lo * m, hi * m))
+                if gbias is not None:
+                    gbias[lo * m:hi * m] = np.einsum("ncl->c", dx[c])
+                if per_sample is not None:
+                    np.matmul(dx_g[:, gs], cols_g[:, gs].swapaxes(-1, -2),
+                              out=per_sample[:, gs])
+                    # the sum over N, each column still summed in sample order
+                    cols = slice(lo * m * k, hi * m * k)
+                    rows[:, cols].sum(axis=0, out=gw_flat[cols])
+                if gx is not None:
+                    np.matmul(w_g[gs].swapaxes(-1, -2), dx_g[:, gs],
+                              out=gx_g[:, gs])
+            parallel.split(groups, nbytes, backward)
+            if _needs_grad(bn_weight):
+                _accumulate(bn_weight,
+                            (sum_gxc * rstd).reshape(bn_weight.shape))
+            if _needs_grad(bn_bias):
+                _accumulate(bn_bias, sum_g.reshape(bn_bias.shape))
+            if gw is not None:
+                _accumulate(weight, gw)
+            if gbias is not None:
+                _accumulate(bias, gbias.reshape(bias.shape))
+            if gx is not None:
+                _accumulate(x, gx)
         out._backward = _bw
     return out
 

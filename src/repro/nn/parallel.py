@@ -7,8 +7,9 @@ can each run half of one kernel at once.  :func:`split` hands the upper
 half of a kernel's range to one process-wide helper thread and runs the
 lower half on the calling thread.  The kernels that split: ``_conv`` (over
 samples, its weight gradient's sum over columns), ``batch_norm`` (over
-channels), ``Tensor.relu`` and ``Tensor.max`` (over leading rows) and a
-fused ``linear`` (over its ``B`` models).
+channels), ``Tensor.relu`` and ``Tensor.max`` (over leading rows), a fused
+``linear`` (over its ``B`` models) and a conv block, ``conv1d_bn`` (over
+its groups).
 
 The helper pins itself to one CPU this process may use, the last one
 unless the calling thread runs there, and moves when the caller moves onto

@@ -54,7 +54,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import nn
-from ..hfta import losses as fused_losses
 from ..hfta import optim as fused_optim
 from ..hfta.fusion import export_to_unfused, load_from_unfused, merge_fused, \
     split_fused, validate_fusibility
@@ -67,17 +66,11 @@ from .bufferpool import BufferPool
 from .checkpoint import CheckpointStore, CorruptObjectError, RecoveryManager
 from .metrics import ArrayRecord, Event, RuntimeMetrics
 from .policy import ArrayPlan, ArrayPolicy
-from .queue import JobQueue, JobState, StopReason, SubmittedJob, \
-    TrainingJob
+from .queue import CRITERIA, JobQueue, JobState, StopReason, \
+    SubmittedJob, TrainingJob
 
 __all__ = ["JobResult", "StopReason", "ArrayState", "ArrayExecutor",
            "TrainingArrayEngine"]
-
-_CRITERIA = {
-    "cross_entropy": fused_losses.FusedCrossEntropyLoss,
-    "nll": fused_losses.FusedNLLLoss,
-    "mse": fused_losses.FusedMSELoss,
-}
 
 #: fusible hyper-parameter keys forwarded to each optimizer as per-model
 #: vectors: config key -> (constructor keyword, default).  The defaults
@@ -218,12 +211,8 @@ class FusedPhysics:
     def _install(self, fused: Module, optimizer) -> FusedPhysics:
         """Swap in a fused model/optimizer pair, the criterion of their
         width and an empty activation arena — the old one's buffers have
-        the old width's shapes (nothing is assigned if the loss is
-        unknown)."""
-        if self.loss_key not in _CRITERIA:
-            raise ValueError(f"unknown loss '{self.loss_key}'; choose from "
-                             f"{sorted(_CRITERIA)}")
-        self.criterion = _CRITERIA[self.loss_key](optimizer.num_models)
+        the old width's shapes."""
+        self.criterion = CRITERIA[self.loss_key](optimizer.num_models)
         self.fused, self.optimizer = fused, optimizer
         self.arena = nn.Arena()
         return self

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..hfta import losses as fused_losses
 from ..hwsim.workloads import WORKLOADS
 from ..nn.modules.module import Module
 
@@ -35,6 +36,13 @@ if TYPE_CHECKING:
 
 __all__ = ["JobState", "StopReason", "TrainingJob", "SubmittedJob",
            "JobQueue", "ResumeState"]
+
+#: ``TrainingJob.loss`` key -> the fused criterion an array trains with
+CRITERIA = {
+    "cross_entropy": fused_losses.FusedCrossEntropyLoss,
+    "nll": fused_losses.FusedNLLLoss,
+    "mse": fused_losses.FusedMSELoss,
+}
 
 
 class JobState:
@@ -110,7 +118,8 @@ class TrainingJob:
     target_loss:
         Convergence stop: once the job's training loss reaches this value
         at an epoch boundary, the elastic executor evicts the job with its
-        checkpoint as of that step (``None`` disables).
+        checkpoint as of that step (``None`` disables).  A real number,
+        never a ``bool``.
     stop:
         Early-stop signal, called at every epoch boundary as
         ``stop(epochs_done, loss_curve)`` with the job's own per-step loss
@@ -119,9 +128,11 @@ class TrainingJob:
         :class:`repro.hfht.MedianStopper` /
         :class:`repro.hfht.SuccessiveHalvingStopper`).
     seed:
-        Seed of the job's deterministic weight initialization.
+        Seed of the job's deterministic weight initialization: an integer,
+        never a ``bool``.
     loss:
-        Criterion key: ``cross_entropy``, ``nll`` or ``mse``.
+        Criterion key: ``cross_entropy``, ``nll`` or ``mse`` (the keys of
+        :data:`CRITERIA`).
     space:
         Optional :class:`repro.hfht.SearchSpace` declaring which config
         keys are infusible; without it the batcher falls back to the
@@ -184,7 +195,7 @@ class TrainingJob:
     sim_loss: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        for name in ("steps", "epoch_steps"):
+        for name in ("steps", "epoch_steps", "seed"):
             value = getattr(self, name)
             if not _is_integer(value):
                 raise TypeError(f"TrainingJob.{name} must be an integer, "
@@ -198,11 +209,15 @@ class TrainingJob:
         if self.priority is not None and not _is_integer(self.priority):
             raise TypeError(f"TrainingJob.priority must be an integer or "
                             f"None, got {self.priority!r}")
-        if self.deadline_s is not None and (
-                isinstance(self.deadline_s, bool)
-                or not isinstance(self.deadline_s, numbers.Real)):
-            raise TypeError(f"TrainingJob.deadline_s must be a real number "
-                            f"or None, got {self.deadline_s!r}")
+        for name in ("deadline_s", "target_loss"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or
+                                      not isinstance(value, numbers.Real)):
+                raise TypeError(f"TrainingJob.{name} must be a real number "
+                                f"or None, got {value!r}")
+        if self.loss not in CRITERIA:
+            raise ValueError(f"TrainingJob.loss {self.loss!r} is not a "
+                             f"criterion; known: {sorted(CRITERIA)}")
         if self.workload is not None and self.workload not in WORKLOADS:
             raise ValueError(f"TrainingJob.workload {self.workload!r} is not "
                              f"a repro.hwsim workload; known: "

@@ -46,7 +46,8 @@ def make_job(index, lr=1e-3, hidden=8, steps=STEPS, **kwargs):
     config = {"lr": lr, "optimizer": kwargs.pop("optimizer", "adam")}
     config.update(kwargs.pop("config", {}))
     return TrainingJob(
-        name=f"job{index}_lr{lr}", seed=index, steps=steps, config=config,
+        name=f"job{index}_lr{lr}", seed=kwargs.pop("seed", index),
+        steps=steps, config=config,
         build_model=lambda B=None, g=None: TinyMLP(hidden, B, g),
         data=stream(1000 + index), **kwargs)
 
@@ -115,6 +116,12 @@ class TestJobQueue:
         ("priority", 1.5, TypeError, "TrainingJob.priority"),
         ("deadline_s", "soon", TypeError, "TrainingJob.deadline_s"),
         ("deadline_s", False, TypeError, "TrainingJob.deadline_s"),
+        ("seed", 2.5, TypeError, "TrainingJob.seed must be an integer"),
+        ("seed", True, TypeError, "TrainingJob.seed must be an integer"),
+        ("seed", "7", TypeError, "TrainingJob.seed must be an integer"),
+        ("target_loss", "0.1", TypeError, "TrainingJob.target_loss"),
+        ("target_loss", True, TypeError, "TrainingJob.target_loss"),
+        ("loss", "hinge", ValueError, r"'cross_entropy', 'mse', 'nll'"),
     ])
     def test_malformed_serving_field_is_rejected(self, field, value, error,
                                                  match):
@@ -128,6 +135,10 @@ class TestJobQueue:
                        deadline_s=np.float32(30.0))
         assert job.priority == 2 and job.deadline_s == 30.0
         assert make_job(1, deadline_s=5).deadline_s == 5
+        job = make_job(2, seed=np.int64(3), target_loss=np.float32(0.5),
+                       loss="mse")
+        assert job.seed == 3 and job.target_loss == 0.5
+        assert make_job(3, target_loss=1).target_loss == 1
 
 
 # --------------------------------------------------------------------- #

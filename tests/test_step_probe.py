@@ -1,6 +1,7 @@
 """``tools/step_probe.py`` at one step: it runs and reports both models,
-the one-thread and concurrent-serial comparators and the CPU share, and
-its kernel table covers every split kernel."""
+the one-thread and concurrent-serial comparators, the CPU share, the arena
+and the process peak RSS, and its kernel table covers every split
+kernel."""
 
 import re
 import subprocess
@@ -22,8 +23,10 @@ def test_step_probe_reports_one_step_of_each_model():
     out = probe("--steps", "1")
     for family in ("pointnet", "lm"):
         assert f"{family}: a fused width-4 step vs 4 serial steps" in out
-    held = re.findall(r"arena held: fused ([\d.]+) MB", out)
-    assert len(held) == 2 and float(held[0]) > 0
+    held = re.findall(r"arena held: fused ([\d.]+) MB, serial [\d.]+ MB; "
+                      r"process peak RSS ([\d.]+) MB", out)
+    assert len(held) == 2 and float(held[0][0]) > 0
+    assert all(float(arena) < float(peak) for arena, peak in held)
     ratios = re.findall(r"fused split / one thread: ([\d.]+)x", out)
     assert len(ratios) == 2 and all(float(r) > 0 for r in ratios)
     pairs = re.findall(r"concurrent serial, 2 processes: ([\d.]+) ms per 4 "
@@ -39,8 +42,9 @@ def test_kernel_table_times_every_split_kernel_at_every_size():
     rows = re.findall(r"^(\w+ (?:forward|backward))\s+([\d.]+)\s+[\d.]+\s+"
                       r"[\d.]+\s+([\d.]+)$", probe("--kernels"), re.M)
     kernels = {name for name, _, _ in rows}
-    assert kernels == {f"{k} {d}" for k in ("conv1d", "batch_norm", "relu",
-                                           "max", "linear")
+    assert kernels == {f"{k} {d}" for k in ("conv1d", "batch_norm",
+                                           "conv1d_bn", "relu", "max",
+                                           "linear")
                        for d in ("forward", "backward")}
     assert len({mib for _, mib, _ in rows}) == 5
     assert all(float(ratio) > 0 for _, _, ratio in rows)

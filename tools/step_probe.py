@@ -22,9 +22,11 @@ faults, system-CPU ms and process CPU-seconds per wall second (above 1
 when the helper thread got a second CPU), then the medians of rows 2 on
 (the first step of an array allocates its activation arena, so it faults
 by construction), the split / one-thread ratio of the fused step, the
-concurrent pair's ms per ``B`` model-steps, and the MB (2^20 bytes, as
-``peak_rss_mb``) each array's activation arena holds.  The arrays run one
-after another, as in a benchmark lap.  BLAS runs one thread, as in
+concurrent pair's ms per ``B`` model-steps, the MB (2^20 bytes, as
+``peak_rss_mb``) each array's activation arena holds, and the process's
+peak RSS while the model's arrays ran (Linux resets the peak before each
+model; elsewhere it is the peak since the process started).  The arrays run
+one after another, as in a benchmark lap.  BLAS runs one thread, as in
 ``bench_e2e``.  Reads the benchmark's files, writes nothing.
 
 ``--kernels`` instead times each split kernel, forward and backward, on
@@ -162,12 +164,31 @@ def serial_worker(family, index, count):
     print(wall / 1e3, cpu_share * wall / 1e3)
 
 
+def reset_peak_rss():
+    """Start a new peak-RSS window where the kernel allows it (Linux's
+    ``/proc/self/clear_refs``); elsewhere the peak runs on."""
+    with contextlib.suppress(OSError):
+        with open("/proc/self/clear_refs", "w") as refs:
+            refs.write("5")
+
+
+def peak_rss_mb():
+    """The process's peak RSS in MB since :func:`reset_peak_rss` (``VmHWM``),
+    or since it started (``ru_maxrss``, KiB on Linux, as ``peak_rss_mb``)."""
+    with contextlib.suppress(OSError):
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def median_of_steady(samples, k):
     steady = samples[1:] or samples
     return statistics.median(sample[k] for sample in steady)
 
 
-def report(family, width, fused, serial, pair):
+def report(family, width, fused, serial, pair, peak_mb):
     (fused, single, fused_bytes), (serial, serial_bytes) = fused, serial
     print(f"\n{family}: a fused width-{width} step vs {width} serial steps")
     print(f"{'step':>4}  {'fused ms':>9} {'faults':>7} {'sys ms':>7} "
@@ -188,13 +209,15 @@ def report(family, width, fused, serial, pair):
           f"{width} model-steps, cpu/wall {pair[1]:.2f} (fused split / "
           f"concurrent: {f[0] / pair[0]:.2f}x)")
     print(f"  arena held: fused {fused_bytes / 2**20:.1f} MB, "
-          f"serial {serial_bytes / 2**20:.1f} MB")
+          f"serial {serial_bytes / 2**20:.1f} MB; process peak RSS "
+          f"{peak_mb:.1f} MB")
 
 
 def kernel_cases(channels):
     """(name, run) of each split kernel's forward and backward with an
     ``[8, channels, 128]`` float32 output, in a fused PointNet's shapes
-    (4 models; the conv's 32 input channels per model), and of a fused
+    (4 models; the conv's and the conv block's 32 input channels per
+    model), and of a fused
     linear's ``[4, 256, 64] x [64, channels]`` GEMMs, the LM's shape, whose
     output has the same bytes."""
     import numpy as np
@@ -214,6 +237,8 @@ def kernel_cases(channels):
     ops = {"conv1d": lambda: F.conv1d(cols, w, groups=4),
            "batch_norm": lambda: F.batch_norm(x, None, None, gamma, beta,
                                               True),
+           "conv1d_bn": lambda: F.conv1d_bn(cols, w, None, gamma, beta, None,
+                                            None, True, groups=4, relu=True),
            "relu": lambda: x.relu(),
            "max": lambda: x.max(axis=2),
            "linear": lambda: F.linear(tokens, fc)}
@@ -284,11 +309,13 @@ def main(argv=None) -> int:
 
     width = SIZES["sweep_paper"]["width"]
     for family in FAMILIES:
+        reset_peak_rss()
         jobs = family_jobs(family)[:width]
         fused = run_fused(jobs, args.steps)
         serial = run(jobs[:1], args.steps, repeats=width)
+        peak_mb = peak_rss_mb()
         report(family, width, fused, serial,
-               concurrent(family, width, args.steps))
+               concurrent(family, width, args.steps), peak_mb)
     return 0
 
 
