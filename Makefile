@@ -21,10 +21,11 @@ bench-smoke:
 	PYTHONPATH=src $(PY) -m bench_e2e --smoke
 
 # per-step wall ms, minor page faults, system ms and CPU share of a fused
-# width-4 step (split across two CPUs, and on one thread) next to 4
-# serial steps and two concurrent serial processes, on the sweep_paper
-# models at benchmark size, plus the bytes each array's activation arena
-# holds (`tools/step_probe.py --kernels`: the split threshold's table)
+# step (split across two CPUs, and on one thread) next to as many serial
+# steps and two concurrent serial processes, on the sweep_paper models
+# (width 4) and the sweep_mlp MLP (width 8) at benchmark size, plus the
+# bytes each array's activation arena holds (`tools/step_probe.py
+# --phases`: each step phase's us; `--kernels`: the split threshold's table)
 probe:
 	PYTHONPATH=src $(PY) tools/step_probe.py
 

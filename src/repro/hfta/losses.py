@@ -15,8 +15,6 @@ those of ``B`` serial criterion calls, at any ``B`` and batch size.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..nn import functional as F
 from ..nn.modules.module import Module
 from ..nn.tensor import Tensor
@@ -31,7 +29,9 @@ class _FusedLoss(Module):
     A criterion supplies ``_per_sample(prediction, target)``: the ``B``
     models' unreduced losses, ``[B, ...]``, in the operation order of the
     serial functional.  Everything else — the per-model means and their
-    sum — lives here, once.
+    sum — lives here, once.  Cross entropy and NLL instead override
+    ``_means`` with one node that also takes the means.  Either way
+    :meth:`per_model` is the one entry point (``bench_e2e`` times it).
     """
 
     def __init__(self, num_models: int):
@@ -41,18 +41,21 @@ class _FusedLoss(Module):
     def _per_sample(self, prediction: Tensor, target) -> Tensor:
         raise NotImplementedError
 
-    def per_model(self, prediction: Tensor, target) -> Tensor:
-        """Each model's own mean loss, ``[B]`` and connected to the graph.
-
-        The rows are reduced as ``Tensor.mean`` reduces a serial loss
-        (``sum * (1 / M)``), so ``per_model(...).sum().backward()`` is one
-        fused training step's backward and ``.data`` holds the values to
-        log — no second pass.
-        """
+    def _means(self, prediction: Tensor, target) -> Tensor:
         rows = self._per_sample(prediction, target)
         if rows.ndim != 2:
             rows = rows.reshape(rows.shape[0], -1)
         return rows.mean(axis=-1)
+
+    def per_model(self, prediction: Tensor, target) -> Tensor:
+        """Each model's own mean loss, ``[B]`` and connected to the graph.
+
+        The rows are reduced as ``Tensor.mean`` reduces a serial loss
+        (``sum * (1 / M)``), so ``per_model(...).backward(ones)`` is one
+        fused training step's backward (``d(sum_b l_b) / d l_b = 1``) and
+        ``.data`` holds the values to log — no second pass.
+        """
+        return self._means(prediction, target)
 
     def forward(self, prediction: Tensor, target) -> Tensor:
         """The fused loss ``sum_b l_b``."""
@@ -62,26 +65,20 @@ class _FusedLoss(Module):
         return f"B={self.num_models}"
 
 
-def _negated_pick(log_probs: Tensor, target) -> Tensor:
-    """``-log_probs`` at each sample's target class (the last axis), as
-    ``F.nll_loss`` picks and negates: ``[B, ..., C] -> [B, ...]``."""
-    tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
-    tgt = tgt.astype(np.int64).reshape(log_probs.shape[:-1])
-    return -log_probs[(*np.indices(tgt.shape, sparse=True), tgt)]
-
-
 class FusedCrossEntropyLoss(_FusedLoss):
-    """Cross entropy over fused logits ``[B, N, C]`` and targets ``[B, N]``."""
+    """Cross entropy over fused logits ``[B, N, C]`` and targets ``[B, N]``:
+    one :func:`repro.nn.functional.nll_per_group` node."""
 
-    def _per_sample(self, logits: Tensor, target) -> Tensor:
-        return _negated_pick(F.log_softmax(logits), target)
+    def _means(self, logits: Tensor, target) -> Tensor:
+        return F.nll_per_group(logits, target, from_logits=True)
 
 
 class FusedNLLLoss(_FusedLoss):
-    """NLL over fused log-probabilities ``[B, N, C]`` and targets ``[B, N]``."""
+    """NLL over fused log-probabilities ``[B, N, C]`` and targets ``[B, N]``:
+    one :func:`repro.nn.functional.nll_per_group` node."""
 
-    def _per_sample(self, log_probs: Tensor, target) -> Tensor:
-        return _negated_pick(log_probs, target)
+    def _means(self, log_probs: Tensor, target) -> Tensor:
+        return F.nll_per_group(log_probs, target)
 
 
 class FusedMSELoss(_FusedLoss):

@@ -30,7 +30,8 @@ class Adadelta(FusedOptimizer):
         for group in self.param_groups:
             rho = group["rho"]
             for p, grad, columns, (s1, delta, *_) in self._updates(
-                    group, 2, group["lr"], rho, 1 - rho, group["eps"]):
+                    group, 2, lambda: (group["lr"], rho, 1 - rho,
+                                       group["eps"])):
                 lr, keep, rest, eps = columns
                 st = self.state.setdefault(id(p), {})
                 if not st:

@@ -51,8 +51,9 @@ class Adam(FusedOptimizer):
                       and self._any(group, "weight_decay"))
             bias_step = bias_cast = None
             for p, grad, columns, (s1, s2, *_) in self._updates(
-                    group, 2, beta1, 1 - beta1, beta2, 1 - beta2,
-                    group["eps"], lr, lr * group["weight_decay"]):
+                    group, 2, lambda: (
+                        beta1, 1 - beta1, beta2, 1 - beta2, group["eps"],
+                        lr, lr * group["weight_decay"])):
                 b1, rest1, b2, rest2, eps, rate, rate_wd = columns
                 st = self.state.setdefault(id(p), {})
                 if not st:

@@ -62,6 +62,7 @@ def _empty_like(like: FusedOptimizer, num_models: int, defaults: Dict,
     new = object.__new__(type(like))
     new.num_models, new.defaults = num_models, defaults
     new.param_groups, new.state, new._buffers = [], {}, {}
+    new._column_memo = {}
     return new, iter(params)
 
 

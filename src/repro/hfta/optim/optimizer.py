@@ -53,6 +53,7 @@ class FusedOptimizer:
         self.param_groups: List[Dict] = []
         self.state: Dict[int, Dict] = {}
         self._buffers: Dict[np.dtype, np.ndarray] = {}   # work arrays
+        self._column_memo: Dict[int, Tuple] = {}   # id(group) -> (key, cast)
         for group in (params if isinstance(params[0], dict)
                       else [dict(params=params)]):
             self.add_param_group(group)
@@ -127,18 +128,37 @@ class FusedOptimizer:
             return done[dtype, ndim]
         return cast
 
-    def _updates(self, group: Dict, work_arrays: int, *rows):
+    def _hyper_columns(self, group: Dict, rows: Callable[[], Tuple]
+                       ) -> Callable[..., Tuple]:
+        """:meth:`_columns` of ``weight_decay`` and ``rows()``, kept from
+        step to step.
+
+        The memo is keyed by the bytes of the group's hyper-parameter
+        vectors, so an in-place ``group["lr"] *= 10``, a scheduler's new
+        vector or a re-fusion is seen at the next step; ``rows()`` — a
+        function of those vectors only — runs when the key changed.
+        """
+        key = (group["model_index"],) + tuple(
+            group[name].tobytes() for name in self._vector_hyperparams)
+        memo = self._column_memo.get(id(group))
+        if memo is None or memo[0] != key:
+            memo = self._column_memo[id(group)] = (key, self._columns(
+                group, group["weight_decay"], *rows()))
+        return memo[1]
+
+    def _updates(self, group: Dict, work_arrays: int,
+                 rows: Callable[[], Tuple]):
         """Yield ``(param, grad, columns, work)`` per parameter with a gradient.
 
-        ``columns`` are ``rows`` through :meth:`_columns`; ``work`` stacks
-        ``work_arrays`` arrays like the parameter, carved from one buffer per
-        dtype that every update reuses (a warm step allocates none); ``grad``
-        gains ``weight_decay * p``, in one more work array, when a model of
-        the group decays and the decay is not decoupled.
+        ``columns`` are ``rows()`` through :meth:`_hyper_columns`; ``work``
+        stacks ``work_arrays`` arrays like the parameter, carved from one
+        buffer per dtype that every update reuses (a warm step allocates
+        none); ``grad`` gains ``weight_decay * p``, in one more work array,
+        when a model of the group decays and the decay is not decoupled.
         """
         decays = (not self.decoupled_weight_decay
                   and self._any(group, "weight_decay"))
-        cast = self._columns(group, group["weight_decay"], *rows)
+        cast = self._hyper_columns(group, rows)
         for p in group["params"]:
             if p.grad is None:
                 continue

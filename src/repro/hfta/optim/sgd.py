@@ -30,7 +30,7 @@ class SGD(FusedOptimizer):
         for group in self.param_groups:
             use_momentum = self._any(group, "momentum")
             for p, grad, (lr, mu), work in self._updates(
-                    group, 1, group["lr"], group["momentum"]):
+                    group, 1, lambda: (group["lr"], group["momentum"])):
                 if use_momentum:
                     st = self.state.setdefault(id(p), {})
                     buf = st.get("momentum_buffer")

@@ -34,8 +34,8 @@ __all__ = [
     "batch_norm", "conv1d_bn", "layer_norm", "embedding", "dropout",
     "relu", "relu6", "leaky_relu", "tanh", "sigmoid", "gelu", "hardswish",
     "hardsigmoid", "softmax", "log_softmax",
-    "cross_entropy", "nll_loss", "mse_loss", "binary_cross_entropy",
-    "binary_cross_entropy_with_logits",
+    "cross_entropy", "nll_loss", "nll_per_group", "mse_loss",
+    "binary_cross_entropy", "binary_cross_entropy_with_logits",
 ]
 
 IntPair = Union[int, Tuple[int, int]]
@@ -877,9 +877,75 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def nll_per_group(x: Tensor, target: Union[Tensor, np.ndarray],
+                  from_logits: bool = False) -> Tensor:
+    """Each group's mean negative log-likelihood over a trailing class axis.
+
+    ``x`` is ``[G, ..., C]`` log-probabilities (logits with
+    ``from_logits=True``: cross entropy) and ``target`` the ``[G, ...]``
+    class indices; the result is ``[G]``, one mean per group — a fused
+    criterion's per-model losses.  One node (:func:`_nll_node`).
+    """
+    return _nll_node(x, target, from_logits, grouped=True)
+
+
+def _nll_node(x: Tensor, target: Union[Tensor, np.ndarray],
+              from_logits: bool, grouped: bool) -> Tensor:
+    """One node for (log-softmax →) pick at the target → negate → mean.
+
+    ``grouped``: ``[G, ..., C] -> [G]``; else ``[N, C] -> []``, the serial
+    ``reduction="mean"`` loss as one group.  Every element gets the
+    operations of the composition it replaces, in their order:
+    :func:`log_softmax` over the last axis, ``-picked``, and
+    ``Tensor.mean``'s ``sum * fl32(1 / M)`` over each group's ``M`` rows.
+    Backward writes the input's gradient directly: what the composition's
+    scatter left, ``0.0 + -(g * fl32(1 / M))`` at each row's target and
+    ``0.0`` elsewhere (``+0.0`` even for a zero ``g``), and for logits
+    :func:`log_softmax`'s ``g - exp(shifted) * Σg / total`` of it, whose
+    row sum ``Σg`` is that one entry.
+    """
+    data = x.data
+    if from_logits:
+        lp = data - data.max(axis=-1, keepdims=True)
+        exps = np.exp(lp)
+        total = exps.sum(axis=-1, keepdims=True)
+        lp -= np.log(total)
+    else:
+        lp = data
+    groups = lp.shape[0] if grouped else 1
+    rows = lp.reshape(groups, -1, lp.shape[-1])
+    shape = rows.shape          # backward keeps no log-probabilities
+    count = shape[1]
+    tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
+    index = (np.arange(groups)[:, None], np.arange(count),
+             tgt.astype(np.int64).reshape(groups, count))
+    scale = np.float32(1.0 / count)    # Tensor.mean's Tensor(1.0 / M)
+    losses = np.negative(rows[index]).sum(axis=-1) * scale
+    out = _make_out(losses if grouped else losses.reshape(()), (x,),
+                    "cross_entropy" if from_logits else "nll")
+    if out.requires_grad:
+        def _bw(g):
+            d_pick = np.negative(np.reshape(g, (groups,)) * scale)
+            d_pick = np.add(0.0, d_pick)[:, None]          # [G, 1]
+            if from_logits:
+                gx = exps.reshape(shape) * (
+                    d_pick[..., None] / total.reshape(groups, count, 1))
+                at_target = gx[index]
+                np.subtract(0.0, gx, out=gx)
+                gx[index] = d_pick - at_target
+            else:
+                gx = np.zeros(shape, x.dtype)
+                gx[index] = d_pick
+            _accumulate(x, gx.reshape(x.shape))
+        out._backward = _bw
+    return out
+
+
 def nll_loss(log_probs: Tensor, target: Union[Tensor, np.ndarray],
              reduction: str = "mean") -> Tensor:
     """Negative log-likelihood given log-probabilities ``[N, C]`` or ``[N, C, ...]``."""
+    if reduction == "mean" and log_probs.ndim == 2:
+        return _nll_node(log_probs, target, False, grouped=False)
     tgt = target.data if isinstance(target, Tensor) else np.asarray(target)
     tgt = tgt.astype(np.int64)
     if log_probs.ndim > 2:
@@ -892,8 +958,6 @@ def nll_loss(log_probs: Tensor, target: Union[Tensor, np.ndarray],
     n = log_probs.shape[0]
     picked = log_probs[np.arange(n), tgt]
     loss = -picked
-    if reduction == "mean":
-        return loss.mean()
     if reduction == "sum":
         return loss.sum()
     return loss
@@ -902,6 +966,8 @@ def nll_loss(log_probs: Tensor, target: Union[Tensor, np.ndarray],
 def cross_entropy(logits: Tensor, target: Union[Tensor, np.ndarray],
                   reduction: str = "mean") -> Tensor:
     """Softmax cross-entropy from raw logits."""
+    if reduction == "mean" and logits.ndim == 2:
+        return _nll_node(logits, target, True, grouped=False)
     return nll_loss(log_softmax(logits, axis=1 if logits.ndim > 1 else -1),
                     target, reduction)
 

@@ -220,29 +220,23 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # The closures call `_accumulate(parent, grad)`, which routes each
+        # gradient through this traversal's `grads` dict: one sink, pushed
+        # once for the whole traversal.
         grads = {id(self): grad}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate into .grad
-                if node.grad is None:
-                    node.grad = arena.copy(g)
-                else:
-                    node.grad = node.grad + g
-            if node._backward is not None:
-                node._backward_dispatch(g, grads)
-
-    def _backward_dispatch(self, g: np.ndarray, grads: dict) -> None:
-        """Invoke the stored backward closure with a gradient sink."""
-        # The closure calls `_accumulate(parent, grad)` which we re-route via
-        # a thread-local sink so gradients flow through the `grads` dict.
-        token = _push_sink(grads)
-        try:
-            self._backward(g)
-        finally:
-            _pop_sink(token)
+        with gradient_sink(grads):
+            for node in reversed(topo):
+                g = grads.pop(id(node), None)
+                if g is None:
+                    continue
+                if node._backward is not None:
+                    node._backward(g)
+                elif node.requires_grad:
+                    # Leaf tensor: accumulate into .grad
+                    if node.grad is None:
+                        node.grad = arena.copy(g)
+                    else:
+                        node.grad = node.grad + g
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -649,17 +643,18 @@ class Tensor:
 _sink_state = threading.local()
 
 
-def _push_sink(grads: dict):
+@contextlib.contextmanager
+def gradient_sink(grads: dict):
+    """Route every :func:`_accumulate` on this thread into ``grads`` (keyed
+    by tensor id) inside the block, instead of into ``.grad``."""
     stack = getattr(_sink_state, "stack", None)
     if stack is None:
-        stack = []
-        _sink_state.stack = stack
+        stack = _sink_state.stack = []
     stack.append(grads)
-    return len(stack)
-
-
-def _pop_sink(token: int):
-    _sink_state.stack.pop()
+    try:
+        yield
+    finally:
+        stack.pop()
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:

@@ -261,7 +261,8 @@ class FusedPhysics:
                 self.optimizer.zero_grad()
                 out = self.fused(self.fused.fuse_inputs(inputs))
                 losses = self.criterion.per_model(out, targets)
-                losses.sum().backward()
+                # backward of sum_b l_b, seeded without its node: d/dl_b = 1
+                losses.backward(np.ones_like(losses.data))
                 self.optimizer.step()
                 for slot, value in zip(slots, losses.data.tolist()):
                     slot.curve.append(value)

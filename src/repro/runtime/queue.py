@@ -22,6 +22,7 @@ from __future__ import annotations
 import numbers
 import operator
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -195,6 +196,14 @@ class TrainingJob:
     sim_loss: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
+        for name in ("name", "user", "tenant"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"TrainingJob.{name} must be a str, got "
+                                f"{value!r}")
+        if not isinstance(self.config, Mapping):
+            raise TypeError(f"TrainingJob.config must be a mapping, got "
+                            f"{self.config!r}")
         for name in ("steps", "epoch_steps", "seed"):
             value = getattr(self, name)
             if not _is_integer(value):
@@ -206,6 +215,13 @@ class TrainingJob:
             raise ValueError("epoch_steps must be >= 1")
         if self.data is None:
             raise ValueError(f"job '{self.name}' has no data stream")
+        for name in ("build_model", "data", "stop", "sim_loss"):
+            value = getattr(self, name)
+            optional = name in ("stop", "sim_loss")
+            if not (callable(value) or optional and value is None):
+                raise TypeError(
+                    f"TrainingJob.{name} must be callable"
+                    f"{' or None' if optional else ''}, got {value!r}")
         if self.priority is not None and not _is_integer(self.priority):
             raise TypeError(f"TrainingJob.priority must be an integer or "
                             f"None, got {self.priority!r}")

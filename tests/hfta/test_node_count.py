@@ -2,7 +2,8 @@
 
 Each of the paper's operators (grouped conv, Linear, BatchNorm, LayerNorm,
 softmax, log-softmax) is one autograd node with a hand-written backward, and
-so is a PointNet conv block (pointwise conv, BatchNorm, ReLU).
+so are a PointNet conv block (pointwise conv, BatchNorm, ReLU) and the
+cross-entropy/NLL criterion (log-softmax, pick, negation, per-model mean).
 Composing them from primitive ``Tensor`` ops again would multiply the passes
 over the activations without failing any numerical test, so the node count
 of a fused PointNet step, of a fused LM step and of a fused sweep-MLP step
@@ -17,12 +18,12 @@ from repro.models import PointNetCls, TransformerLM
 from .test_equivalence_matrix import SweepMLP
 
 #: op nodes reachable from the loss: (before, pinned now).  Before: while
-#: ``Linear`` was composed of six nodes and the fused LayerNorm affine of
-#: four; for PointNet, while each conv block was a conv, a batch-norm and a
-#: ReLU node, plus four parameter reshapes in a fused one
-POINTNET_NODES = (100, 65)
-LM_NODES = (147, 72)
-MLP_NODES = (18, 9)
+#: the criterion was a log-softmax, a pick, a negation, a reshape (PointNet)
+#: and a mean's sum and product, not one node — and, for the MLP, while
+#: the engine summed the per-model losses in a node before backward
+POINTNET_NODES = (65, 62)
+LM_NODES = (72, 67)
+MLP_NODES = (9, 4)
 
 
 def op_nodes(loss) -> int:
@@ -59,14 +60,15 @@ def lm_loss():
 
 
 def mlp_loss():
-    """The sweep MLP at width 8, as the engine steps it."""
+    """The sweep MLP at width 8, as the engine steps it: backward starts
+    at the per-model losses."""
     model = SweepMLP(8, [np.random.default_rng(b) for b in range(8)])
     rng = np.random.default_rng(0)
     features = [nn.tensor(rng.standard_normal((16, 32)).astype(np.float32))
                 for _ in range(8)]
     targets = rng.integers(0, 10, size=(8, 16))
     logits = model(model.fuse_inputs(features))
-    return hfta.FusedCrossEntropyLoss(8).per_model(logits, targets).sum()
+    return hfta.FusedCrossEntropyLoss(8).per_model(logits, targets)
 
 
 @pytest.mark.parametrize("build,nodes", [(pointnet_loss, POINTNET_NODES),
@@ -80,4 +82,4 @@ def test_fused_step_graph_does_not_grow(build, nodes):
     print(f"{build.__name__}: {count} op nodes (pinned {pinned}, "
           f"{parent} before)")
     assert count <= pinned
-    loss.backward()     # the counted graph is a trainable one
+    loss.backward(np.ones_like(loss.data))  # the graph is a trainable one

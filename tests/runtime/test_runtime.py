@@ -1,5 +1,7 @@
 """Unit and integration tests for the dynamic training-array runtime."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,13 +124,42 @@ class TestJobQueue:
         ("target_loss", "0.1", TypeError, "TrainingJob.target_loss"),
         ("target_loss", True, TypeError, "TrainingJob.target_loss"),
         ("loss", "hinge", ValueError, r"'cross_entropy', 'mse', 'nll'"),
+        ("name", 5, TypeError, "TrainingJob.name must be a str"),
+        ("user", None, TypeError, "TrainingJob.user must be a str"),
+        ("tenant", b"alpha", TypeError, "TrainingJob.tenant must be a str"),
+        ("config", None, TypeError, "TrainingJob.config must be a mapping"),
+        ("config", [("lr", 0.1)], TypeError, "TrainingJob.config"),
+        ("build_model", "mlp", TypeError,
+         "TrainingJob.build_model must be callable"),
+        ("data", [(np.zeros((BATCH, FEATURES)), np.zeros(BATCH))], TypeError,
+         "TrainingJob.data must be callable"),
+        ("stop", 1, TypeError, "TrainingJob.stop must be callable or None"),
+        ("sim_loss", 0.5, TypeError,
+         "TrainingJob.sim_loss must be callable or None"),
     ])
     def test_malformed_serving_field_is_rejected(self, field, value, error,
                                                  match):
         """Rejected at construction: admitted, such a job raised later
-        inside placement or the fair dequeue and stranded its batch."""
+        inside placement, the fair dequeue, the first cycle or the array,
+        and stranded its batch."""
         with pytest.raises(error, match=match):
-            make_job(0, **{field: value})
+            dataclasses.replace(make_job(0), **{field: value})
+
+    def test_well_formed_mates_of_rejected_jobs_are_delivered(self):
+        """``config=None``, ``config=[("lr", 0.1)]`` and ``name=5`` used to
+        be admitted; the first cycle raised after popping the batch and the
+        well-formed mates stayed ``scheduled``, never delivered."""
+        engine = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
+        for bad in (dict(config=None), dict(config=[("lr", 0.1)]),
+                    dict(name=5)):
+            with pytest.raises(TypeError):
+                engine.submit(dataclasses.replace(make_job(9), **bad))
+        mates = [engine.submit(make_job(i)) for i in range(2)]
+        results = engine.run_cycle()
+        assert sorted(r.job_id for r in results) == sorted(mates)
+        assert all(engine.queue.state(job_id) == JobState.COMPLETED
+                   for job_id in mates)
+        assert engine.queue.pending_count == 0
 
     def test_well_formed_serving_fields_are_accepted(self):
         job = make_job(0, workload="dcgan", priority=np.int64(2),

@@ -1,7 +1,8 @@
-"""``tools/step_probe.py`` at one step: it runs and reports both models,
-the one-thread and concurrent-serial comparators, the CPU share, the arena
-and the process peak RSS, and its kernel table covers every split
-kernel."""
+"""``tools/step_probe.py`` at one step: it runs and reports the two
+``sweep_paper`` models and the ``sweep_mlp`` MLP, the one-thread and
+concurrent-serial comparators, the CPU share, the arena and the process
+peak RSS; its phase table covers every phase of a fused and a width-1 step
+of each model, and its kernel table every split kernel."""
 
 import re
 import subprocess
@@ -19,23 +20,41 @@ def probe(*args):
     return done.stdout
 
 
+#: model -> its benchmark width
+FAMILIES = {"pointnet": 4, "lm": 4, "mlp": 8}
+
+
 def test_step_probe_reports_one_step_of_each_model():
     out = probe("--steps", "1")
-    for family in ("pointnet", "lm"):
-        assert f"{family}: a fused width-4 step vs 4 serial steps" in out
+    for family, width in FAMILIES.items():
+        assert (f"{family}: a fused width-{width} step vs {width} serial "
+                f"steps") in out
     held = re.findall(r"arena held: fused ([\d.]+) MB, serial [\d.]+ MB; "
                       r"process peak RSS ([\d.]+) MB", out)
-    assert len(held) == 2 and float(held[0][0]) > 0
+    assert len(held) == 3 and float(held[0][0]) > 0
     assert all(float(arena) < float(peak) for arena, peak in held)
     ratios = re.findall(r"fused split / one thread: ([\d.]+)x", out)
-    assert len(ratios) == 2 and all(float(r) > 0 for r in ratios)
-    pairs = re.findall(r"concurrent serial, 2 processes: ([\d.]+) ms per 4 "
-                       r"model-steps, cpu/wall ([\d.]+)", out)
-    assert len(pairs) == 2 and all(float(ms) > 0 for ms, _ in pairs)
+    assert len(ratios) == 3 and all(float(r) > 0 for r in ratios)
+    pairs = re.findall(r"concurrent serial, 2 processes: ([\d.]+) ms per "
+                       r"(\d) model-steps, cpu/wall ([\d.]+)", out)
+    assert [int(width) for _, width, _ in pairs] == list(FAMILIES.values())
+    assert all(float(ms) > 0 for ms, _, _ in pairs)
     shares = re.findall(r"fused [\d.]+ ms, \d+ faults, [\d.]+ sys ms, "
                         r"cpu/wall ([\d.]+); one thread [\d.]+ ms, "
                         r"cpu/wall ([\d.]+)", out)
-    assert len(shares) == 2 and all(float(s) > 0 for s in shares[0])
+    assert len(shares) == 3 and all(float(s) > 0 for s in shares[0])
+
+
+def test_phase_table_times_every_phase_of_each_model():
+    out = probe("--phases", "--steps", "2")
+    tables = re.findall(r"^(\w+): median us per step phase, fused width-(\d) "
+                        r"and width 1\n.*\n((?:.+\n?){5})", out, re.M)
+    assert {family: int(width) for family, width, _ in tables} == FAMILIES
+    for _, _, rows in tables:
+        rows = re.findall(r"^(.+?)\s+([\d.]+)\s+([\d.]+)$", rows, re.M)
+        assert [name for name, _, _ in rows] == [
+            "inputs + forward", "loss", "backward", "optimizer", "sum"]
+        assert all(float(f) > 0 and float(s) > 0 for _, f, s in rows)
 
 
 def test_kernel_table_times_every_split_kernel_at_every_size():

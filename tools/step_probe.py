@@ -2,12 +2,14 @@
 
     python tools/step_probe.py              # 10 steps
     python tools/step_probe.py --steps 20
+    python tools/step_probe.py --phases     # where a step's time goes
     python tools/step_probe.py --kernels    # the split threshold's table
 
-For each ``sweep_paper`` model at its benchmark size (the jobs of
-``bench_e2e.workloads.SweepPaper`` at ``bench_e2e.spec.SIZES``: PointNet
-and the Transformer LM, with their builders, data and learning rates),
-steps through the engine's own executor, one step per epoch:
+For each ``sweep_paper`` model and the ``sweep_mlp`` MLP at its benchmark
+size (the jobs of ``bench_e2e.workloads.SweepPaper`` and ``SweepMLP`` at
+``bench_e2e.spec.SIZES``: PointNet and the Transformer LM at width 4, the
+MLP at width 8, with their builders, data and learning rates), steps
+through the engine's own executor, one step per epoch:
 
 * one fused array at the benchmark's width ``B`` (4), its steps taken in
   pairs: one with its large kernels split across two CPUs as the library
@@ -29,6 +31,11 @@ model; elsewhere it is the peak since the process started).  The arrays run
 one after another, as in a benchmark lap.  BLAS runs one thread, as in
 ``bench_e2e``.  Reads the benchmark's files, writes nothing.
 
+``--phases`` instead prints, per model, the median microseconds of each
+phase of a step — inputs + forward, loss, backward, optimizer — of the
+fused array and of its width-1 twin (steps 2 on): the fixed per-step costs
+that a width-``B`` and a width-1 step pay alike show in both columns.
+
 ``--kernels`` instead times each split kernel, forward and backward, on
 one thread and split, at the activation sizes of a fused PointNet step:
 the table ``parallel.MIN_BYTES`` is read from.
@@ -49,7 +56,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FAMILIES = ("pointnet", "lm")
+FAMILIES = ("pointnet", "lm", "mlp")
+#: --phases: one training step's phases, in ``FusedPhysics.step``'s order
+PHASES = ("inputs + forward", "loss", "backward", "optimizer")
 #: --kernels: channels of an [8, C, 128] float32 activation, 256 KiB..4 MiB
 KERNEL_CHANNELS = (64, 128, 256, 512, 1024)
 
@@ -123,6 +132,49 @@ def run_fused(jobs, steps):
                     split_threshold(math.inf):
                 samples[split].append(measure(executor.step_epoch, 1))
     return samples[True], samples[False], executor.physics.arena.nbytes
+
+
+def phase_times(jobs, steps):
+    """Median microseconds of each of :data:`PHASES` over ``steps`` steps
+    (after a first, arena-filling one) of one array of ``jobs``: the body
+    of ``FusedPhysics.step``, with a clock read between its statements."""
+    import numpy as np
+
+    from repro import nn
+
+    executor = executor_for(jobs, steps)
+    physics, slots = executor.physics, executor.slots
+    clock = time.perf_counter
+    samples = []
+    with physics.arena.active():
+        for n in range(steps + 1):
+            start = clock()
+            batches = [slot.job.data(n) for slot in slots]
+            inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
+                      for x, _ in batches]
+            targets = np.stack([y for _, y in batches])
+            physics.optimizer.zero_grad()
+            out = physics.fused(physics.fused.fuse_inputs(inputs))
+            forward = clock()
+            losses = physics.criterion.per_model(out, targets)
+            loss = clock()
+            losses.backward(np.ones_like(losses.data))
+            backward = clock()
+            physics.optimizer.step()
+            samples.append((forward - start, loss - forward,
+                            backward - loss, clock() - backward))
+            del out, losses
+    return [statistics.median(sample[k] for sample in samples[1:]) * 1e6
+            for k in range(len(PHASES))]
+
+
+def report_phases(family, width, fused, single):
+    print(f"\n{family}: median us per step phase, fused width-{width} and "
+          f"width 1")
+    print(f"{'phase':<18} {'fused':>9} {'width 1':>9}")
+    for name, f, s in zip(PHASES + ("sum",), fused + [sum(fused)],
+                          single + [sum(single)]):
+        print(f"{name:<18} {f:9.1f} {s:9.1f}")
 
 
 def concurrent(family, width, steps):
@@ -224,6 +276,7 @@ def kernel_cases(channels):
 
     from repro import nn
     from repro.nn import functional as F
+    from repro.nn.tensor import gradient_sink
 
     rng = np.random.default_rng(0)
 
@@ -247,7 +300,11 @@ def kernel_cases(channels):
         # the node's own backward into a scratch sink: no leaf .grad copies
         out = op()
         grad = rng.standard_normal(out.shape).astype(np.float32)
-        return lambda: out._backward_dispatch(grad, {})
+
+        def run():
+            with gradient_sink({}):
+                out._backward(grad)
+        return run
     for name, op in ops.items():
         yield f"{name} forward", op
         yield f"{name} backward", backward(op)
@@ -279,10 +336,18 @@ def kernels(repeats=30):
 
 def family_jobs(family):
     from bench_e2e.spec import SIZES
-    from bench_e2e.workloads import SweepPaper
+    from bench_e2e.workloads import SweepMLP, SweepPaper
 
+    if family == "mlp":
+        return SweepMLP(SIZES["sweep_mlp"], seed=0, scratch=None).make_jobs()
     jobs = SweepPaper(SIZES["sweep_paper"], seed=0, scratch=None).make_jobs()
     return [job for job in jobs if job.name.startswith(family)]
+
+
+def family_width(family):
+    from bench_e2e.spec import SIZES
+
+    return SIZES["sweep_mlp" if family == "mlp" else "sweep_paper"]["width"]
 
 
 def main(argv=None) -> int:
@@ -290,6 +355,9 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=10,
                         help="rows per model: pairs of fused steps (split, "
                              "one thread), samples of B serial steps")
+    parser.add_argument("--phases", action="store_true",
+                        help="median us of each phase of a fused and a "
+                             "width-1 step instead")
     parser.add_argument("--kernels", action="store_true",
                         help="time each split kernel instead")
     parser.add_argument("--serial-worker", nargs=3, help=argparse.SUPPRESS)
@@ -305,12 +373,14 @@ def main(argv=None) -> int:
     if args.kernels:
         kernels()
         return 0
-    from bench_e2e.spec import SIZES
-
-    width = SIZES["sweep_paper"]["width"]
     for family in FAMILIES:
-        reset_peak_rss()
+        width = family_width(family)
         jobs = family_jobs(family)[:width]
+        if args.phases:
+            report_phases(family, width, phase_times(jobs, args.steps),
+                          phase_times(jobs[:1], args.steps))
+            continue
+        reset_peak_rss()
         fused = run_fused(jobs, args.steps)
         serial = run(jobs[:1], args.steps, repeats=width)
         peak_mb = peak_rss_mb()
