@@ -25,7 +25,8 @@ bench-smoke:
 # steps and two concurrent serial processes, on the sweep_paper models
 # (width 4) and the sweep_mlp MLP (width 8) at benchmark size, plus the
 # bytes each array's activation arena holds (`tools/step_probe.py
-# --phases`: each step phase's us; `--kernels`: the split threshold's table)
+# --phases`: each step phase's us; `--kernels`: the split threshold's table;
+# `--arena`: each arena's buffers by shape and dtype)
 probe:
 	PYTHONPATH=src $(PY) tools/step_probe.py
 

@@ -85,10 +85,16 @@ def load_from_unfused(fused: Module, unfused_models: Sequence[Module]) -> Module
     of shape ``s`` in slot ``b``; a fused buffer of shape ``[B * c, ...]``
     (e.g. batch-norm running stats) receives model ``b``'s buffer in the
     ``b``-th block of ``c`` entries.
+
+    Raises ``KeyError`` when a fused parameter or buffer is left with a
+    slot no model filled: the runtime builds fused arrays with
+    :func:`repro.nn.init.disabled`, so such a slot would hold uninitialised
+    memory.
     """
     num_models = len(unfused_models)
     fused_params = _fused_param_map(fused)
     fused_buffers = _fused_buffer_map(fused)
+    slots_filled: Dict[str, int] = {}
 
     for b, model in enumerate(unfused_models):
         for name, p in model.named_parameters():
@@ -100,6 +106,7 @@ def load_from_unfused(fused: Module, unfused_models: Sequence[Module]) -> Module
                     f"parameter '{name}': fused shape {target.shape} is not "
                     f"[B={num_models}] + unfused shape {p.shape}")
             target[b] = p.data
+            slots_filled[name] = slots_filled.get(name, 0) + 1
         for name, buf in model.named_buffers():
             if name not in fused_buffers or buf is None:
                 continue
@@ -112,6 +119,13 @@ def load_from_unfused(fused: Module, unfused_models: Sequence[Module]) -> Module
                 raise ValueError(
                     f"buffer '{name}': fused shape {target.shape} != {expected}")
             target[b * block:(b + 1) * block] = buf
+            slots_filled[name] = slots_filled.get(name, 0) + 1
+    unfilled = [name for name in (*fused_params, *(
+        name for name, buf in fused_buffers.items() if buf is not None))
+        if slots_filled.get(name, 0) < num_models]
+    if unfilled:
+        raise KeyError(f"no unfused model filled a slot of the fused "
+                       f"model's {', '.join(unfilled)}")
     return fused
 
 

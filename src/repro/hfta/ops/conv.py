@@ -83,6 +83,8 @@ class _FusedConvNd(Module):
         initialization as an unfused model constructed with RNG ``b`` — this
         is what makes bit-equivalent convergence comparisons possible.
         """
+        if not init.enabled():
+            return
         gens = self._per_model_generators(generator)
         fan_in = (self.in_channels if not self.transposed
                   else self.out_channels) // self.groups

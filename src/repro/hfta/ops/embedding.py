@@ -40,6 +40,8 @@ class Embedding(Module):
         self.reset_parameters(generator)
 
     def reset_parameters(self, generator=None) -> None:
+        if not init.enabled():
+            return
         gens = self._per_model_generators(generator)
         for b, gen in enumerate(gens):
             w_b = Tensor(self.weight.data[b])

@@ -106,12 +106,15 @@ class OpsLibrary:
             return _SERIAL_CLASSES[name]
         raise AttributeError(f"OpsLibrary has no operator '{name}'")
 
-    def conv_bn(self, conv, bn, x: Tensor, relu: bool = True) -> Tensor:
+    def conv_bn(self, conv, bn, x: Tensor, relu: bool = True,
+                global_max: bool = False) -> Tensor:
         """``relu(bn(conv(x)))`` (``relu=False``: ``bn(conv(x))``) for a
         pointwise ``Conv1d`` and the ``BatchNorm1d`` over its output, both
         from this library, as one :func:`repro.nn.functional.conv1d_bn`
         node: bitwise the modules' three nodes, with two fewer activations
-        kept for backward."""
+        kept for backward.  ``global_max=True`` ends the node with the max
+        over the points, ``.max(axis=2)``'s ``[N, (B*)C]``, and it keeps no
+        ``[N, (B*)C, L]`` output at all."""
         if (conv.kernel_size, conv.stride, conv.padding) != ((1,), (1,),
                                                              (0,)):
             raise ValueError("conv_bn takes a pointwise Conv1d (kernel 1, "
@@ -125,7 +128,7 @@ class OpsLibrary:
         return nn.functional.conv1d_bn(
             x, conv.weight, conv.bias, bn.weight, bn.bias, bn.running_mean,
             bn.running_var, bn.training, bn.momentum, bn.eps,
-            groups=self.B * conv.groups, relu=relu)
+            groups=self.B * conv.groups, relu=relu, global_max=global_max)
 
     # ------------------------------------------------------------------ #
     # Layout helpers

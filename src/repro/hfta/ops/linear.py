@@ -51,6 +51,8 @@ class Linear(Module):
         self.reset_parameters(generator)
 
     def reset_parameters(self, generator=None) -> None:
+        if not init.enabled():
+            return
         gens = self._per_model_generators(generator)
         bound = 1.0 / math.sqrt(self.in_features)
         for b, gen in enumerate(gens):

@@ -69,9 +69,8 @@ class TNet(nn.Module):
         lib = self.lib
         h = lib.conv_bn(self.conv1, self.bn1, x)
         h = lib.conv_bn(self.conv2, self.bn2, h)
-        h = lib.conv_bn(self.conv3, self.bn3, h)
-        # symmetric function: max over points
-        h = h.max(axis=2)  # [N, (B*)C]
+        # symmetric function: max over points, the block's last stage
+        h = lib.conv_bn(self.conv3, self.bn3, h, global_max=True)
         dense = lib.conv_to_dense(h.unsqueeze(2))  # [N, C] or [B, N, C]
         # fused BatchNorm1d accepts the dense [B, N, C] layout
         h = self.relu(self.bn4(self.fc1(dense)))
@@ -143,8 +142,8 @@ class PointNetFeatures(nn.Module):
             h = _apply_transform(lib, h, ftrans)
         point_features = h
         h = lib.conv_bn(self.conv2, self.bn2, h)
-        h = lib.conv_bn(self.conv3, self.bn3, h, relu=False)
-        global_feature = h.max(axis=2)  # [N, (B*)C3]
+        global_feature = lib.conv_bn(self.conv3, self.bn3, h, relu=False,
+                                     global_max=True)  # [N, (B*)C3]
         if return_point_features:
             return global_feature, point_features
         return global_feature

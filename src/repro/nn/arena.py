@@ -81,6 +81,13 @@ class Arena:
         return sum(buf.nbytes for bufs in self._buffers.values()
                    for buf in bufs)
 
+    def holdings(self) -> List[Tuple[Tuple[int, ...], np.dtype, int, int]]:
+        """``(shape, dtype, buffers, bytes)`` of each key the arena holds
+        buffers of, most bytes first."""
+        rows = [(shape, dtype, len(bufs), sum(buf.nbytes for buf in bufs))
+                for (shape, dtype), bufs in self._buffers.items() if bufs]
+        return sorted(rows, key=lambda row: -row[3])
+
     @contextlib.contextmanager
     def active(self):
         """Draw this thread's large kernel outputs from the arena inside

@@ -547,8 +547,16 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
     return out
 
 
-#: bytes of one channel chunk of :func:`conv1d_bn`'s batch-norm backward
+#: bytes of one channel chunk of :func:`conv1d_bn`'s batch-norm backward and
+#: of its ``global_max`` stage
 _CHUNK_BYTES = 256 * 1024
+
+
+def _channel_chunks(lo: int, hi: int, step: int):
+    """``(slice(None), slice(c0, c1))`` over channels ``[lo, hi)``, ``step``
+    channels at a time."""
+    for c0 in range(lo, hi, step):
+        yield slice(None), slice(c0, min(c0 + step, hi))
 
 
 def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
@@ -556,11 +564,13 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
               running_mean: Optional[np.ndarray],
               running_var: Optional[np.ndarray], training: bool,
               momentum: float = 0.1, eps: float = 1e-5, groups: int = 1,
-              relu: bool = False) -> Tensor:
+              relu: bool = False, global_max: bool = False) -> Tensor:
     """A pointwise (kernel-1) grouped ``conv1d``, then :func:`batch_norm`
-    over its channels, then (``relu=True``) a ReLU: one autograd node.
+    over its channels, then (``relu=True``) a ReLU, then (``global_max=
+    True``) the max over the ``L`` points: one autograd node.
 
-    ``x`` is ``[N, C_in, L]``.  ``weight`` holds ``C_out x C_in/groups``
+    ``x`` is ``[N, C_in, L]``; the output is ``[N, C_out, L]``, or ``[N,
+    C_out]`` with ``global_max``.  ``weight`` holds ``C_out x C_in/groups``
     values and ``bias`` and the batch-norm operands ``C_out``, in any shape
     (a fused ``[B, C, ...]`` parameter needs no reshape node): each gets its
     gradient in its own shape.
@@ -571,13 +581,20 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     keeps only the centred input and per-channel ``rstd`` and scale.
     Backward reads the ReLU mask off the output (``out > 0`` exactly where
     the affine was) and runs batch norm's passes channel chunk by chunk,
-    with chunk-sized temporaries.  Every element gets the operations of
-    :func:`conv1d`, :func:`batch_norm` and ``Tensor.relu`` in their order,
-    so outputs, running statistics and gradients are bitwise the three
-    nodes'.  A large call runs forward, and again backward, as two halves
-    of its groups in one handoff each (:mod:`.parallel`): the convolution,
-    statistics, affine and ReLU of a group's channels touch no other
-    group's.  A one-group call runs inline.
+    with chunk-sized temporaries.  With ``global_max`` no ``[N, C_out, L]``
+    output exists: forward runs the affine, the ReLU and the max a channel
+    chunk at a time, and backward recomputes each chunk's block output from
+    the centred input with forward's own operations, so its tie mask
+    ``out == max`` and ReLU mask are forward's.  Every element gets the
+    operations of :func:`conv1d`, :func:`batch_norm`, ``Tensor.relu`` and
+    ``Tensor.max`` in their order (a row's share of its maximum's gradient
+    is ``(g / ties).astype(dtype)``, which is ``g`` for one tie and NaN for
+    a NaN row, as in ``Tensor.max``), so outputs, running statistics and
+    gradients are bitwise the separate nodes'.  A large call runs forward,
+    and again backward, as two halves of its groups in one handoff each
+    (:mod:`.parallel`): the convolution, statistics, affine, ReLU and max
+    of a group's channels touch no other group's.  A one-group call runs
+    inline.
     """
     n, c_in, length = x.shape
     if c_in % groups:
@@ -607,8 +624,19 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     shift = None if bn_bias is None else bn_bias.data.reshape(shape)
     scale = rstd if gamma is None else np.empty(
         shape, np.promote_types(rstd.dtype, gamma.dtype))
-    out_data = arena.buffer(xc.shape, np.promote_types(xc.dtype, scale.dtype))
+    dtype = np.promote_types(xc.dtype, scale.dtype)
+    out_data = arena.buffer((n, c_out) if global_max else xc.shape, dtype)
     nbytes = max(xc.nbytes, parallel.gemm_bytes(xc.nbytes, k))
+    step = max(1, _CHUNK_BYTES // (n * length * dtype.itemsize))
+
+    def block(c, out=None):
+        """The block output of channels ``c``: the affine, then the ReLU."""
+        out_c = np.multiply(xc[c], scale[c], out=out)
+        if shift is not None:
+            out_c += shift[c]
+        if relu:
+            np.maximum(out_c, 0.0, out=out_c)
+        return out_c
 
     def forward(lo, hi):
         g, c = slice(lo, hi), (slice(None), slice(lo * m, hi * m))
@@ -623,24 +651,25 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         rstd[c] = 1.0 / np.sqrt(var[c] + eps)
         if gamma is not None:
             np.multiply(rstd[c], gamma[c], out=scale[c])
-        out_c = np.multiply(xc_c, scale[c], out=out_data[c])
-        if shift is not None:
-            out_c += shift[c]
-        if relu:
-            np.maximum(out_c, 0.0, out=out_c)
+        if not global_max:
+            block(c, out=out_data[c])
+            return
+        for chunk in _channel_chunks(lo * m, hi * m, step):
+            np.max(block(chunk), axis=2, out=out_data[chunk])
     parallel.split(groups, nbytes, forward)
     if batch_stats and running_mean is not None:
         _update_running(running_mean, running_var, mean, var, count, momentum)
 
     parents = tuple(p for p in (x, weight, bias, bn_weight, bn_bias)
                     if p is not None)
-    out = _make_out(out_data, parents, "conv1d_bn")
+    out = _make_out(out_data, parents,
+                    "conv1d_bn_max" if global_max else "conv1d_bn")
     if out.requires_grad:
         def _bw(g):
             # g has the output's dtype, so every product below has g's
             sum_g, sum_gxc = np.empty(shape, g.dtype), np.empty(shape, g.dtype)
             per_sample = gw = gx = gbias = None
-            dx = arena.buffer(g.shape, g.dtype)
+            dx = arena.buffer(xc.shape, g.dtype)
             dx_g = dx.reshape(xc_g.shape)
             if _needs_grad(weight):
                 per_sample = arena.buffer((n, groups, m, k), g.dtype)
@@ -651,12 +680,26 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                 gx_g = gx.reshape(cols_g.shape)
             if _needs_grad(bias):
                 gbias = np.empty(c_out, g.dtype)
-            step = max(1, _CHUNK_BYTES // (n * length * g.itemsize))
+
+            def block_grad(c):
+                """The gradient at the block output of channels ``c`` —
+                with ``global_max``, Tensor.max's share at each row's ties
+                — times the ReLU's mask, in dx's buffer (or ``g``'s)."""
+                if not global_max:
+                    if not relu:
+                        return g[c]
+                    return np.multiply(g[c], out_data[c] > 0, out=dx[c])
+                out_c = block(c)
+                mask = np.equal(out_c, out_data[c][..., None])
+                ties = np.count_nonzero(mask, axis=2, keepdims=True)
+                share = (g[c][..., None] / ties).astype(dtype, copy=False)
+                g_c = np.multiply(mask, share, out=dx[c])
+                if relu:
+                    np.multiply(g_c, out_c > 0, out=g_c)
+                return g_c
 
             def batch_norm_backward(c):
-                g_c, xc_c, dx_c = g[c], xc[c], dx[c]
-                if relu:        # ReLU's product, in dx's buffer
-                    g_c = np.multiply(g_c, out_data[c] > 0, out=dx_c)
+                g_c, xc_c, dx_c = block_grad(c), xc[c], dx[c]
                 sum_g[c] = _sum_over(g_c, axes)
                 sum_gxc[c] = _sum_over(g_c, axes, xc_c)
                 if batch_stats:
@@ -668,9 +711,8 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
             def backward(lo, hi):
                 # batch norm's passes channel chunk by chunk: a chunk's
                 # temporaries stay small and its operands in cache
-                for c0 in range(lo * m, hi * m, step):
-                    batch_norm_backward(
-                        (slice(None), slice(c0, min(c0 + step, hi * m))))
+                for chunk in _channel_chunks(lo * m, hi * m, step):
+                    batch_norm_backward(chunk)
                 gs, c = slice(lo, hi), (slice(None), slice(lo * m, hi * m))
                 if gbias is not None:
                     gbias[lo * m:hi * m] = np.einsum("ncl->c", dx[c])
@@ -748,17 +790,47 @@ def layer_norm(x: Tensor, normalized_shape: Tuple[int, ...],
 # --------------------------------------------------------------------- #
 # Embedding
 # --------------------------------------------------------------------- #
+def _scatter_add_rows(out: np.ndarray, ids: np.ndarray,
+                      rows: np.ndarray) -> None:
+    """``np.add.at(out, ids, rows)`` for a 1-D ``ids``, bitwise, in
+    occurrence rounds: round ``k`` adds each id's ``k``-th row with one
+    fancy-indexed ``+=``, in which no id repeats.  Each row of ``out`` so
+    still sums its rows in occurrence order, ``((0 + r_a) + r_b) + ...``,
+    in as many passes as the most frequent id has rows."""
+    if not len(ids):
+        return
+    order = np.argsort(ids, kind="stable")      # each id's rows in order
+    run = np.empty(len(ids), bool)
+    run[0] = True
+    np.not_equal(ids[order[1:]], ids[order[:-1]], out=run[1:])
+    starts = np.flatnonzero(run)
+    rank = np.arange(len(ids)) - np.repeat(starts,
+                                           np.diff(starts, append=len(ids)))
+    by_round = order[np.argsort(rank, kind="stable")]
+    lo = 0
+    for size in np.bincount(rank):
+        pick = by_round[lo:lo + size]
+        out[ids[pick]] += rows[pick]
+        lo += size
+
+
 def embedding(indices: Union[Tensor, np.ndarray], weight: Tensor) -> Tensor:
-    """Look up rows of ``weight`` (``[num_embeddings, dim]``) by ``indices``."""
+    """Look up rows of ``weight`` (``[num_embeddings, dim]``) by ``indices``.
+
+    An id outside ``[0, num_embeddings)`` raises ``IndexError`` (numpy's
+    indexing would wrap a negative one), as the fused ``Embedding`` does.
+    """
     idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
     idx = idx.astype(np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= weight.shape[0]):
+        raise IndexError("embedding index out of range")
     out_data = weight.data[idx]
     out = _make_out(out_data, (weight,), "embedding")
     if out.requires_grad:
         def _bw(grad_out):
             gw = np.zeros_like(weight.data)
-            np.add.at(gw, idx.reshape(-1),
-                      grad_out.reshape(-1, weight.shape[-1]))
+            _scatter_add_rows(gw, idx.reshape(-1),
+                              grad_out.reshape(-1, weight.shape[-1]))
             _accumulate(weight, gw)
         out._backward = _bw
     return out

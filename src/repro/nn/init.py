@@ -9,7 +9,9 @@ constructors must be able to initialize *each fused model independently*
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from typing import Optional
 
 import numpy as np
@@ -17,9 +19,32 @@ import numpy as np
 from .tensor import Tensor
 
 __all__ = [
-    "calculate_gain", "uniform_", "normal_", "constant_", "zeros_", "ones_",
-    "xavier_uniform_", "xavier_normal_", "kaiming_uniform_", "kaiming_normal_",
+    "disabled", "enabled", "calculate_gain", "uniform_", "normal_",
+    "constant_", "zeros_", "ones_", "xavier_uniform_", "xavier_normal_", "kaiming_uniform_", "kaiming_normal_",
 ]
+
+
+_local = threading.local()
+
+
+@contextlib.contextmanager
+def disabled():
+    """Inside the block, on this thread, every initializer leaves its
+    tensor as it is and draws nothing, and a fused layer seeds no per-model
+    generators: for a model whose every parameter is overwritten as soon as
+    it is built, as :func:`repro.hfta.load_from_unfused` fills the runtime's
+    fused arrays."""
+    previous = getattr(_local, "off", False)
+    _local.off = True
+    try:
+        yield
+    finally:
+        _local.off = previous
+
+
+def enabled() -> bool:
+    """Whether initializers draw: false inside :func:`disabled`."""
+    return not getattr(_local, "off", False)
 
 
 def calculate_gain(nonlinearity: str, param: Optional[float] = None) -> float:
@@ -52,18 +77,21 @@ def _rng(generator: Optional[np.random.Generator]) -> np.random.Generator:
 
 def uniform_(tensor: Tensor, a: float = 0.0, b: float = 1.0,
              generator: Optional[np.random.Generator] = None) -> Tensor:
-    tensor.data[...] = _rng(generator).uniform(a, b, size=tensor.shape)
+    if enabled():
+        tensor.data[...] = _rng(generator).uniform(a, b, size=tensor.shape)
     return tensor
 
 
 def normal_(tensor: Tensor, mean: float = 0.0, std: float = 1.0,
             generator: Optional[np.random.Generator] = None) -> Tensor:
-    tensor.data[...] = _rng(generator).normal(mean, std, size=tensor.shape)
+    if enabled():
+        tensor.data[...] = _rng(generator).normal(mean, std, size=tensor.shape)
     return tensor
 
 
 def constant_(tensor: Tensor, value: float) -> Tensor:
-    tensor.data[...] = value
+    if enabled():
+        tensor.data[...] = value
     return tensor
 
 

@@ -238,7 +238,9 @@ class FusedPhysics:
         # (a boarding party is checked against what the live array runs)
         validate_fusibility(
             ([mate.template] if mate is not None else []) + templates)
-        fused = boarded[0].job.build_model(len(boarded), None)
+        # every weight is overwritten by the templates': draw none
+        with nn.init.disabled():
+            fused = boarded[0].job.build_model(len(boarded), None)
         if not hasattr(fused, "fuse_inputs"):
             raise TypeError(
                 f"fused model {type(fused).__name__} has no 'fuse_inputs'; "

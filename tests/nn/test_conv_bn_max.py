@@ -1,0 +1,105 @@
+"""A PointNet global-feature block as one node (``F.conv1d_bn`` with
+``global_max``, via ``OpsLibrary.conv_bn``), against the conv block node
+followed by ``Tensor.max(axis=2)``, the two nodes it replaces.
+
+For the serial and the fused (B = 3, 4) module pairs, with and without the
+ReLU, in training and eval mode, run inline, split over two halves of the
+groups (``parallel.MIN_BYTES`` 0) and with one channel per chunk, and on
+inputs that force ties, a channel the ReLU zeroes, signed zeros, a NaN row
+and a zero upstream gradient: the output, the running statistics and the
+gradients of the input and of all four parameters are byte for byte those
+of ``conv_bn(...).max(axis=2)`` — NaN for NaN, whose sign bit a
+NaN-carrying chunk's SIMD loops do not fix (the conv block's chunked
+backward already varies it with the chunk size).
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.nn import functional as F
+from repro.nn import parallel
+
+from ..conftest import same_bytes
+from .test_conv_bn import C_IN, C_OUT, L, N, block_modules
+
+CASES = ("random", "ties", "negative_channel", "signed_zeros", "nan_row",
+         "zero_grad")
+
+
+def inputs(lib, bn, case):
+    """(x, upstream gradient) of one case; a case may also set the batch
+    norm's affine."""
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((N, lib.B * C_IN, L)).astype(np.float32)
+    g = rng.standard_normal((N, lib.B * C_OUT)).astype(np.float32)
+    gamma, beta = bn.weight.data.reshape(-1), bn.bias.data.reshape(-1)
+    if case == "ties":              # every point twice: every maximum ties
+        x[..., L // 2:] = x[..., :L // 2]
+    elif case == "negative_channel":   # below zero at every point
+        gamma[1], beta[1] = 1e-3, -1e3
+    elif case == "signed_zeros":    # x_c * 0 + -0.0: +0.0 and -0.0 tie
+        gamma[2], beta[2] = 0.0, -0.0
+    elif case == "nan_row":
+        x[1, :, 3] = np.nan
+    elif case == "zero_grad":
+        g[...] = 0.0
+    return x, g
+
+
+def run(num_models, relu, training, case, as_node):
+    """(output, running mean, running var, grads of x, conv weight, conv
+    bias, bn weight, bn bias) of one forward and backward."""
+    lib, conv, bn = block_modules(num_models)
+    bn.train(training)
+    x, g = inputs(lib, bn, case)
+    x = nn.tensor(x, requires_grad=True)
+    with np.errstate(divide="ignore", invalid="ignore"):   # the NaN row
+        if as_node:
+            y = lib.conv_bn(conv, bn, x, relu=relu, global_max=True)
+        else:
+            y = lib.conv_bn(conv, bn, x, relu=relu).max(axis=2)
+        y.backward(g)
+    return [y.data, bn.running_mean, bn.running_var, x.grad,
+            conv.weight.grad, conv.bias.grad, bn.weight.grad, bn.bias.grad]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize(
+    "num_models, relu, training",
+    list(itertools.product([None, 3, 4], [True, False], [True, False])))
+@pytest.mark.parametrize("mode", ["inline", "split", "channel_chunks"])
+def test_node_is_bytewise_the_block_then_the_max(monkeypatch, num_models,
+                                                 relu, training, mode, case):
+    with monkeypatch.context() as inline:
+        inline.setattr(parallel, "MIN_BYTES", float("inf"))
+        reference = run(num_models, relu, training, case, as_node=False)
+    if mode != "inline":
+        monkeypatch.setattr(parallel, "MIN_BYTES", 0)
+    if mode == "channel_chunks":
+        monkeypatch.setattr(F, "_CHUNK_BYTES", 1)
+    node = run(num_models, relu, training, case, as_node=True)
+    for name, want, got in zip(("out", "running_mean", "running_var", "x",
+                                "conv.weight", "conv.bias", "bn.weight",
+                                "bn.bias"), reference, node):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert same_bytes(got, want), name
+
+
+@pytest.mark.parametrize("num_models", [None, 4])
+def test_node_is_one_node_keeping_one_activation(num_models):
+    """The block's only ``[N, C, L]`` buffer is the centred input: no
+    output or tie mask of that size is drawn from the arena."""
+    lib, conv, bn = block_modules(num_models)
+    points = 256                 # [N, B * C_OUT, points] float32 >= 128 KiB
+    x = nn.tensor(np.ones((N, lib.B * C_IN, points), np.float32),
+                  requires_grad=True)
+    arena = nn.Arena()
+    with arena.active():
+        y = lib.conv_bn(conv, bn, x, global_max=True)
+    assert y._op == "conv1d_bn_max" and y.shape == (N, lib.B * C_OUT)
+    assert y._prev == (x, conv.weight, conv.bias, bn.weight, bn.bias)
+    assert [(shape, count) for shape, _, count, _ in arena.holdings()] == [
+        ((N, lib.B * C_OUT, points), 1)]

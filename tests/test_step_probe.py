@@ -2,12 +2,15 @@
 ``sweep_paper`` models and the ``sweep_mlp`` MLP, the one-thread and
 concurrent-serial comparators, the CPU share, the arena and the process
 peak RSS; its phase table covers every phase of a fused and a width-1 step
-of each model, and its kernel table every split kernel."""
+of each model, its kernel table every split kernel, and its arena table
+each model's buffers, largest first."""
 
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBE = str(ROOT / "tools" / "step_probe.py")
@@ -67,3 +70,20 @@ def test_kernel_table_times_every_split_kernel_at_every_size():
                        for d in ("forward", "backward")}
     assert len({mib for _, mib, _ in rows}) == 5
     assert all(float(ratio) > 0 for _, _, ratio in rows)
+
+
+def test_arena_table_lists_each_models_buffers_largest_first():
+    out = probe("--arena", "--steps", "2")
+    tables = re.findall(r"^(\w+): the arena of a fused width-(\d) array, "
+                        r"([\d.]+) MB\n.*\n((?:\[.+\n?)*)", out, re.M)
+    assert {family: int(width) for family, width, _, _ in tables} == FAMILIES
+    for family, _, total, rows in tables:
+        rows = re.findall(r"^\[[\d, ]+\]\s+(\w+)\s+(\d+)\s+([\d.]+)$", rows,
+                          re.M)
+        sizes = [float(mb) for _, _, mb in rows]
+        assert sizes == sorted(sizes, reverse=True)
+        assert all(int(count) > 0 for _, count, _ in rows)
+        assert sum(sizes) == pytest.approx(float(total), abs=0.01 * len(rows)
+                                           + 0.01)
+        if family != "mlp":          # its activations are all below 128 KiB
+            assert rows and float(total) > 0

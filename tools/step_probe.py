@@ -4,6 +4,7 @@
     python tools/step_probe.py --steps 20
     python tools/step_probe.py --phases     # where a step's time goes
     python tools/step_probe.py --kernels    # the split threshold's table
+    python tools/step_probe.py --arena --steps 2   # what each arena holds
 
 For each ``sweep_paper`` model and the ``sweep_mlp`` MLP at its benchmark
 size (the jobs of ``bench_e2e.workloads.SweepPaper`` and ``SweepMLP`` at
@@ -39,6 +40,10 @@ that a width-``B`` and a width-1 step pay alike show in both columns.
 ``--kernels`` instead times each split kernel, forward and backward, on
 one thread and split, at the activation sizes of a fused PointNet step:
 the table ``parallel.MIN_BYTES`` is read from.
+
+``--arena`` instead steps each model's fused array ``--steps`` times and
+prints what its activation arena then holds: one row per buffer shape and
+dtype, with the buffers' count and MB, most bytes first.
 """
 
 from __future__ import annotations
@@ -334,6 +339,16 @@ def kernels(repeats=30):
                       f"{split / single:6.2f}")
 
 
+def report_arena(family, width, arena):
+    """Print ``arena``'s buffers by shape and dtype, most bytes first."""
+    print(f"\n{family}: the arena of a fused width-{width} array, "
+          f"{arena.nbytes / 2**20:.2f} MB")
+    print(f"{'shape':<22} {'dtype':<8} {'count':>5} {'MB':>7}")
+    for shape, dtype, count, nbytes in arena.holdings():
+        print(f"{str(list(shape)):<22} {str(dtype):<8} {count:5d} "
+              f"{nbytes / 2**20:7.2f}")
+
+
 def family_jobs(family):
     from bench_e2e.spec import SIZES
     from bench_e2e.workloads import SweepMLP, SweepPaper
@@ -360,6 +375,9 @@ def main(argv=None) -> int:
                              "width-1 step instead")
     parser.add_argument("--kernels", action="store_true",
                         help="time each split kernel instead")
+    parser.add_argument("--arena", action="store_true",
+                        help="print what each fused array's arena holds "
+                             "after --steps steps instead")
     parser.add_argument("--serial-worker", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -376,6 +394,12 @@ def main(argv=None) -> int:
     for family in FAMILIES:
         width = family_width(family)
         jobs = family_jobs(family)[:width]
+        if args.arena:
+            executor = executor_for(jobs, args.steps)
+            for _ in range(args.steps):
+                executor.step_epoch()
+            report_arena(family, width, executor.physics.arena)
+            continue
         if args.phases:
             report_phases(family, width, phase_times(jobs, args.steps),
                           phase_times(jobs[:1], args.steps))
