@@ -26,7 +26,8 @@ bench-smoke:
 # (width 4) and the sweep_mlp MLP (width 8) at benchmark size, plus the
 # bytes each array's activation arena holds (`tools/step_probe.py
 # --phases`: each step phase's us; `--kernels`: the split threshold's table;
-# `--arena`: each arena's buffers by shape and dtype)
+# `--arena`: each arena's buffers by shape and dtype; `--scatter`: the
+# embedding gradient's two scatter forms)
 probe:
 	PYTHONPATH=src $(PY) tools/step_probe.py
 

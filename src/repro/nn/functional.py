@@ -790,13 +790,20 @@ def layer_norm(x: Tensor, normalized_shape: Tuple[int, ...],
 # --------------------------------------------------------------------- #
 # Embedding
 # --------------------------------------------------------------------- #
-def _scatter_add_rows(out: np.ndarray, ids: np.ndarray,
-                      rows: np.ndarray) -> None:
+#: ``np.add.at`` over ``[n, dim]`` rows costs about the same per element
+#: (~9 ns on a 2-core x86 VM, numpy 2.4); one occurrence round costs about
+#: as much as ``_ROUND_COST`` of those elements, and sorting and ranking the
+#: ids about ``_ROW_COST`` per row.
+_ROUND_COST, _ROW_COST = 512, 16
+
+
+def _add_in_rounds(out: np.ndarray, ids: np.ndarray,
+                   rows: np.ndarray) -> None:
     """``np.add.at(out, ids, rows)`` for a 1-D ``ids``, bitwise, in
     occurrence rounds: round ``k`` adds each id's ``k``-th row with one
     fancy-indexed ``+=``, in which no id repeats.  Each row of ``out`` so
     still sums its rows in occurrence order, ``((0 + r_a) + r_b) + ...``,
-    in as many passes as the most frequent id has rows."""
+    in as many rounds as the most frequent id has rows."""
     if not len(ids):
         return
     order = np.argsort(ids, kind="stable")      # each id's rows in order
@@ -812,6 +819,29 @@ def _scatter_add_rows(out: np.ndarray, ids: np.ndarray,
         pick = by_round[lo:lo + size]
         out[ids[pick]] += rows[pick]
         lo += size
+
+
+def _round_budget(num_rows: int, dim: int) -> int:
+    """The most occurrence rounds that still beat ``np.add.at`` over
+    ``[num_rows, dim]`` rows: none for rows of ``_ROW_COST`` elements or
+    fewer."""
+    return num_rows * (dim - _ROW_COST) // _ROUND_COST
+
+
+def _scatter_add_rows(out: np.ndarray, ids: np.ndarray,
+                      rows: np.ndarray) -> None:
+    """``np.add.at(out, ids, rows)`` for a 1-D non-negative ``ids`` and
+    ``[n, dim]`` ``rows``, bitwise, by the cheaper form.  The occurrence
+    rounds' cost grows with the most frequent id's count, ``np.add.at``'s
+    with ``n * dim``: token and position ids of a language-model batch
+    scatter in rounds, while one id repeated through a batch (BERT's default
+    all-zero segment ids, a padding id) over narrow rows keeps
+    ``np.add.at``."""
+    budget = _round_budget(*rows.shape)
+    if budget >= 1 and np.bincount(ids).max() <= budget:
+        _add_in_rounds(out, ids, rows)
+    else:
+        np.add.at(out, ids, rows)
 
 
 def embedding(indices: Union[Tensor, np.ndarray], weight: Tensor) -> Tensor:

@@ -20,7 +20,8 @@ from .tensor import Tensor
 
 __all__ = [
     "disabled", "enabled", "calculate_gain", "uniform_", "normal_",
-    "constant_", "zeros_", "ones_", "xavier_uniform_", "xavier_normal_", "kaiming_uniform_", "kaiming_normal_",
+    "constant_", "zeros_", "ones_", "xavier_uniform_", "xavier_normal_",
+    "kaiming_uniform_", "kaiming_normal_",
 ]
 
 
@@ -29,11 +30,10 @@ _local = threading.local()
 
 @contextlib.contextmanager
 def disabled():
-    """Inside the block, on this thread, every initializer leaves its
-    tensor as it is and draws nothing, and a fused layer seeds no per-model
-    generators: for a model whose every parameter is overwritten as soon as
-    it is built, as :func:`repro.hfta.load_from_unfused` fills the runtime's
-    fused arrays."""
+    """Inside the block, on this thread, a fused ``hfta.ops`` layer's
+    ``reset_parameters`` seeds no per-model generators and draws no weights:
+    for a fused array whose every parameter is overwritten as soon as it is
+    built, as :func:`repro.hfta.load_from_unfused` fills the runtime's."""
     previous = getattr(_local, "off", False)
     _local.off = True
     try:
@@ -43,7 +43,8 @@ def disabled():
 
 
 def enabled() -> bool:
-    """Whether initializers draw: false inside :func:`disabled`."""
+    """Whether fused layers draw their weights: false inside
+    :func:`disabled`."""
     return not getattr(_local, "off", False)
 
 
@@ -77,21 +78,18 @@ def _rng(generator: Optional[np.random.Generator]) -> np.random.Generator:
 
 def uniform_(tensor: Tensor, a: float = 0.0, b: float = 1.0,
              generator: Optional[np.random.Generator] = None) -> Tensor:
-    if enabled():
-        tensor.data[...] = _rng(generator).uniform(a, b, size=tensor.shape)
+    tensor.data[...] = _rng(generator).uniform(a, b, size=tensor.shape)
     return tensor
 
 
 def normal_(tensor: Tensor, mean: float = 0.0, std: float = 1.0,
             generator: Optional[np.random.Generator] = None) -> Tensor:
-    if enabled():
-        tensor.data[...] = _rng(generator).normal(mean, std, size=tensor.shape)
+    tensor.data[...] = _rng(generator).normal(mean, std, size=tensor.shape)
     return tensor
 
 
 def constant_(tensor: Tensor, value: float) -> Tensor:
-    if enabled():
-        tensor.data[...] = value
+    tensor.data[...] = value
     return tensor
 
 

@@ -3,7 +3,8 @@
 concurrent-serial comparators, the CPU share, the arena and the process
 peak RSS; its phase table covers every phase of a fused and a width-1 step
 of each model, its kernel table every split kernel, and its arena table
-each model's buffers, largest first."""
+each model's buffers, largest first; its scatter table times both forms of
+the embedding gradient's scatter on each batch of ids."""
 
 import re
 import subprocess
@@ -87,3 +88,14 @@ def test_arena_table_lists_each_models_buffers_largest_first():
                                            + 0.01)
         if family != "mlp":          # its activations are all below 128 KiB
             assert rows and float(total) > 0
+
+
+def test_scatter_table_times_both_forms_on_each_batch_of_ids():
+    rows = re.findall(r"^(\w+ [\w ]+ B=\d)\s+\d+\s+\d+\s+(\d+)\s+(\d+)\s+"
+                      r"(\d+)\s+(\d+)\s+(rounds|add\.at)\s+([\d.]+)$",
+                      probe("--scatter"), re.M)
+    assert len(rows) == 12
+    assert {picked for *_, picked, _ in rows} == {"rounds", "add.at"}
+    for _, most, budget, at_us, rounds_us, picked, ratio in rows:
+        assert (picked == "rounds") == (int(most) <= int(budget))
+        assert int(at_us) > 0 and int(rounds_us) > 0 and float(ratio) > 0

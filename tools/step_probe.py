@@ -5,6 +5,7 @@
     python tools/step_probe.py --phases     # where a step's time goes
     python tools/step_probe.py --kernels    # the split threshold's table
     python tools/step_probe.py --arena --steps 2   # what each arena holds
+    python tools/step_probe.py --scatter    # embedding gradient scatters
 
 For each ``sweep_paper`` model and the ``sweep_mlp`` MLP at its benchmark
 size (the jobs of ``bench_e2e.workloads.SweepPaper`` and ``SweepMLP`` at
@@ -44,6 +45,12 @@ the table ``parallel.MIN_BYTES`` is read from.
 ``--arena`` instead steps each model's fused array ``--steps`` times and
 prints what its activation arena then holds: one row per buffer shape and
 dtype, with the buffers' count and MB, most bytes first.
+
+``--scatter`` instead times the embedding gradient's scatter,
+``np.add.at`` against occurrence rounds (``F._scatter_add_rows`` picks one
+by the most frequent id's count), on the ``sweep_paper`` LM's token and
+position ids and on BERT's default all-zero segment ids and a half-padded
+token batch, serial and fused.
 """
 
 from __future__ import annotations
@@ -339,6 +346,66 @@ def kernels(repeats=30):
                       f"{split / single:6.2f}")
 
 
+def scatter_cases():
+    """(name, ids, table rows, dim) of embedding gradient scatters: the
+    ``sweep_paper`` LM's batch at its width, and BERT batches of 32 x 32
+    tokens at hidden sizes 32 and 512 (``BertConfig.tiny``/``medium``), at
+    width 1 and fused at the LM's width (model ``b``'s ids offset by ``b``
+    tables, as the fused ``Embedding`` does)."""
+    import numpy as np
+
+    from bench_e2e.spec import SIZES
+
+    lm = SIZES["sweep_paper"]
+    rng = np.random.default_rng(0)
+    shape = (lm["batch"], lm["length"])
+    padded = rng.integers(1, 4000, (32, 32))
+    padded[:, 16:] = 0                           # the pad id
+    batches = [
+        ("lm tokens", rng.integers(0, lm["vocab"], shape), lm["vocab"],
+         lm["d_model"]),
+        ("lm positions", np.broadcast_to(np.arange(lm["length"]), shape),
+         lm["length"], lm["d_model"]),
+        *((f"bert segments d{dim}", np.zeros((32, 32), np.int64), 2, dim)
+          for dim in (32, 512)),
+        *((f"bert padded d{dim}", padded, 4000, dim) for dim in (32, 512))]
+    for name, ids, num, dim in batches:
+        for width in (1, lm["width"]):
+            fused = np.stack([ids + b * num for b in range(width)])
+            yield f"{name} B={width}", fused.reshape(-1), width * num, dim
+
+
+def scatter(repeats=20):
+    """Print the median us of ``np.add.at``, of the occurrence rounds and of
+    the form ``F._scatter_add_rows`` picks, per :func:`scatter_cases`."""
+    import numpy as np
+
+    from repro.nn import functional as F
+
+    def add_at(out, ids, rows):
+        np.add.at(out, ids, rows)
+
+    forms = (add_at, F._add_in_rounds, F._scatter_add_rows)
+    print(f"{'ids':<22} {'rows':>5} {'dim':>4} {'most':>5} {'budget':>6} "
+          f"{'add.at us':>9} {'rounds us':>9} {'picked':>7} {'ratio':>6}")
+    rng = np.random.default_rng(1)
+    for name, ids, num, dim in scatter_cases():
+        rows = rng.standard_normal((len(ids), dim)).astype(np.float32)
+        times = {form: [] for form in forms}
+        for _ in range(repeats):
+            for form in forms:
+                out = np.zeros((num, dim), np.float32)
+                start = time.perf_counter()
+                form(out, ids, rows)
+                times[form].append(time.perf_counter() - start)
+        at, rnd, picked = (statistics.median(times[f]) * 1e6 for f in forms)
+        most, budget = np.bincount(ids).max(), F._round_budget(*rows.shape)
+        print(f"{name:<22} {len(ids):5d} {dim:4d} {most:5d} {budget:6d} "
+              f"{at:9.0f} {rnd:9.0f} "
+              f"{'rounds' if most <= budget else 'add.at':>7} "
+              f"{picked / at:6.2f}")
+
+
 def report_arena(family, width, arena):
     """Print ``arena``'s buffers by shape and dtype, most bytes first."""
     print(f"\n{family}: the arena of a fused width-{width} array, "
@@ -378,6 +445,9 @@ def main(argv=None) -> int:
     parser.add_argument("--arena", action="store_true",
                         help="print what each fused array's arena holds "
                              "after --steps steps instead")
+    parser.add_argument("--scatter", action="store_true",
+                        help="time the embedding gradient's scatter "
+                             "instead")
     parser.add_argument("--serial-worker", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -390,6 +460,9 @@ def main(argv=None) -> int:
         return 0
     if args.kernels:
         kernels()
+        return 0
+    if args.scatter:
+        scatter()
         return 0
     for family in FAMILIES:
         width = family_width(family)
