@@ -5,14 +5,13 @@ HFTA also ships a fused multi-head attention layer and a fused Transformer
 encoder layer so that attention-based models (Transformer-LM, BERT) can be
 fused end-to-end.  These are straightforward compositions of the fused
 ``Linear`` and ``LayerNorm`` operators: every projection becomes a batched
-GEMM over the array dimension ``B`` and the attention math itself is
-independent per model because the array dimension is carried as an extra
-batch axis.
+GEMM over the array dimension ``B`` and the attention core, one
+``F.attention`` node, is independent per model because the array dimension
+is carried as an extra batch axis.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -53,24 +52,18 @@ class MultiheadAttention(Module):
     def forward(self, query: Tensor, key: Optional[Tensor] = None,
                 value: Optional[Tensor] = None,
                 attn_mask: Optional[np.ndarray] = None) -> Tensor:
+        """``attn_mask``: an additive float mask broadcast to the scores,
+        ``[B, N, H, Lq, Lk]`` (``[B, 1, 1, Lq, Lk]`` gives each model its
+        own; ``-inf`` forbids a position); any other dtype raises
+        ``TypeError``."""
         key = query if key is None else key
         value = query if value is None else value
-        b, n, lq, e = query.shape
-        lk = key.shape[2]
-        h, d = self.num_heads, self.head_dim
-
-        q = self.q_proj(query).reshape(b, n, lq, h, d).permute(0, 1, 3, 2, 4)
-        k = self.k_proj(key).reshape(b, n, lk, h, d).permute(0, 1, 3, 2, 4)
-        v = self.v_proj(value).reshape(b, n, lk, h, d).permute(0, 1, 3, 2, 4)
-
-        scores = q.matmul(k.permute(0, 1, 2, 4, 3)) * (1.0 / math.sqrt(d))
-        if attn_mask is not None:
-            scores = scores + Tensor(attn_mask.astype(np.float32))
-        attn = F.softmax(scores, axis=-1)
-        if self.dropout is not None:
-            attn = self.dropout(attn)
-        out = attn.matmul(v)  # [B, N, H, Lq, D]
-        out = out.permute(0, 1, 3, 2, 4).reshape(b, n, lq, e)
+        drop = self.dropout
+        out = F.attention(self.q_proj(query), self.k_proj(key),
+                          self.v_proj(value), self.num_heads, attn_mask,
+                          0.0 if drop is None else drop.p,
+                          drop is not None and drop.training,
+                          None if drop is None else drop.generator)
         return self.out_proj(out)
 
     def extra_repr(self) -> str:
@@ -109,8 +102,8 @@ class TransformerEncoderLayer(Module):
         attn_out = self.self_attn(x, attn_mask=attn_mask)
         if self.dropout is not None:
             attn_out = self.dropout(attn_out)
-        x = self.norm1(x + attn_out)
+        x = self.norm1(x, residual=attn_out)
         ff = self.linear2(self.activation(self.linear1(x)))
         if self.dropout is not None:
             ff = self.dropout(ff)
-        return self.norm2(x + ff)
+        return self.norm2(x, residual=ff)

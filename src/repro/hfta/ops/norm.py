@@ -160,7 +160,8 @@ class LayerNorm(Module):
             return None, None
         return self.weight.data[index], self.bias.data[index]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, residual: Optional[Tensor] = None) -> Tensor:
+        """Normalize ``x``, or ``x + residual`` in one node."""
         if x.shape[0] != self.num_models:
             raise ValueError(f"fused LayerNorm expects leading array dim "
                              f"{self.num_models}, got {x.shape[0]}")
@@ -170,7 +171,8 @@ class LayerNorm(Module):
             n_mid = x.ndim - 1 - len(self.normalized_shape)
             shape = (self.num_models,) + (1,) * n_mid + self.normalized_shape
             weight, bias = self.weight.reshape(shape), self.bias.reshape(shape)
-        return F.layer_norm(x, self.normalized_shape, weight, bias, self.eps)
+        return F.layer_norm(x, self.normalized_shape, weight, bias, self.eps,
+                            residual)
 
     def extra_repr(self) -> str:
         return f"B={self.num_models}, {self.normalized_shape}, eps={self.eps}"

@@ -26,14 +26,14 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import arena, parallel
-from .tensor import Tensor, _accumulate, _make_out
+from .tensor import Tensor, _accumulate, _make_out, _unbroadcast
 
 __all__ = [
     "conv2d", "conv1d", "conv_transpose2d", "linear",
     "max_pool2d", "adaptive_avg_pool2d", "avg_pool2d",
     "batch_norm", "conv1d_bn", "layer_norm", "embedding", "dropout",
     "relu", "relu6", "leaky_relu", "tanh", "sigmoid", "gelu", "hardswish",
-    "hardsigmoid", "softmax", "log_softmax",
+    "hardsigmoid", "softmax", "log_softmax", "attention",
     "cross_entropy", "nll_loss", "nll_per_group", "mse_loss",
     "binary_cross_entropy", "binary_cross_entropy_with_logits",
 ]
@@ -279,7 +279,8 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     ``bias`` ``[B, out]``.  One autograd node: the leading dims of ``x``
     flatten into one ``[M, in] @ [in, out]`` GEMM per model, so each slice of
     a fused call runs exactly the GEMM its model runs alone.  A large fused
-    call runs its GEMMs as two halves of the ``B`` models (:mod:`.parallel`).
+    call runs its GEMMs as two halves of the ``B`` models (:mod:`.parallel`);
+    a smaller one writes its output and input gradient to the arena too.
     """
     lead = weight.shape[:-2]                 # () serial, (B,) fused
     out_features, in_features = weight.shape[-2:]
@@ -305,7 +306,9 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                 out_b += shift[lo:hi]
         parallel.split(lead[0], nbytes, forward)
     else:
-        out_data = np.matmul(x2, w.swapaxes(-1, -2))
+        out_data = np.matmul(x2, w.swapaxes(-1, -2), out=arena.empty(
+            x2.shape[:-1] + (out_features,),
+            np.promote_types(x2.dtype, w.dtype)))
         if shift is not None:
             out_data += shift
 
@@ -332,7 +335,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                 parallel.split(lead[0], nbytes, backward)
             else:
                 if _needs_grad(x):
-                    gx = np.matmul(g, w)
+                    gx = np.matmul(g, w, out=arena.empty(x2.shape, g.dtype))
                 if _needs_grad(weight):
                     gw = np.matmul(g.swapaxes(-1, -2), x2,
                                    out=arena.empty(weight.shape, g.dtype))
@@ -741,9 +744,15 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     return out
 
 
+def _out_for(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """An arena ``out=`` buffer for an elementwise ``a (op) b``."""
+    return arena.empty(np.broadcast_shapes(a.shape, b.shape),
+                       np.result_type(a, b))
+
+
 def layer_norm(x: Tensor, normalized_shape: Tuple[int, ...],
                weight: Optional[Tensor] = None, bias: Optional[Tensor] = None,
-               eps: float = 1e-5) -> Tensor:
+               eps: float = 1e-5, residual: Optional[Tensor] = None) -> Tensor:
     """Layer normalization over the trailing ``normalized_shape`` dims.
 
     ``weight``/``bias`` broadcast against ``x``: ``normalized_shape`` for one
@@ -752,22 +761,36 @@ def layer_norm(x: Tensor, normalized_shape: Tuple[int, ...],
     applies ``dx = rstd * (gw - mean(gw) - x_hat * mean(gw * x_hat))``, ``gw``
     the incoming gradient times ``weight``; a parameter's gradient is summed
     in one pass over the axes where the parameter has size 1.
+
+    ``residual`` normalizes ``x + residual`` in the same node, a post-norm
+    block's ``norm(x + sublayer(x))``: the sum is formed in the buffer that
+    becomes ``x_hat``, so no sum is kept, and backward hands ``dx`` to ``x``
+    and then to ``residual``, as the sum's own node did.
     """
     data = x.data
+    if residual is not None:
+        data = np.add(data, residual.data, out=_out_for(data, residual.data))
     axes = tuple(range(data.ndim - len(normalized_shape), data.ndim))
     inv_count = 1.0 / int(np.prod(normalized_shape))
-    x_hat = data - _sum_over(data, axes) * inv_count
+    mean = _sum_over(data, axes) * inv_count
+    x_hat = np.subtract(data, mean,
+                        out=data if residual is not None else
+                        _out_for(data, mean))
     rstd = 1.0 / np.sqrt(_sum_over(x_hat, axes, x_hat) * inv_count + eps)
     x_hat *= rstd
-    out_data = x_hat if weight is None else x_hat * weight.data
+    out_data = x_hat
+    if weight is not None:
+        out_data = np.multiply(x_hat, weight.data,
+                               out=_out_for(x_hat, weight.data))
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data = np.add(out_data, bias.data,
+                          out=_out_for(out_data, bias.data))
 
-    parents = tuple(p for p in (x, weight, bias) if p is not None)
+    parents = tuple(p for p in (x, residual, weight, bias) if p is not None)
     out = _make_out(out_data, parents, "layer_norm")
     if out.requires_grad:
         def _param_grad(p, g, b=None):
-            shape = (1,) * (data.ndim - p.ndim) + p.shape
+            shape = (1,) * (x_hat.ndim - p.ndim) + p.shape
             broadcast = tuple(i for i, d in enumerate(shape) if d == 1)
             return _sum_over(g, broadcast, b).reshape(p.shape)
 
@@ -776,13 +799,18 @@ def layer_norm(x: Tensor, normalized_shape: Tuple[int, ...],
                 _accumulate(weight, _param_grad(weight, g, x_hat))
             if _needs_grad(bias):
                 _accumulate(bias, _param_grad(bias, g))
-            if _needs_grad(x):
-                gw = g if weight is None else g * weight.data
-                gx = x_hat * (_sum_over(gw, axes, x_hat) * inv_count)
+            if _needs_grad(x) or _needs_grad(residual):
+                gw = g if weight is None else np.multiply(
+                    g, weight.data, out=_out_for(g, weight.data))
+                gx = np.multiply(x_hat, _sum_over(gw, axes, x_hat) * inv_count,
+                                 out=arena.empty(x_hat.shape,
+                                                 np.result_type(x_hat, gw)))
                 gx += _sum_over(gw, axes) * inv_count
                 np.subtract(gw, gx, out=gx)
                 gx *= rstd
-                _accumulate(x, gx)
+                for p in (x, residual):
+                    if _needs_grad(p):
+                        _accumulate(p, _unbroadcast(gx, p.shape))
         out._backward = _bw
     return out
 
@@ -954,6 +982,110 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             gx = g - _sum_over(g, axes, probs)
             gx *= probs
             _accumulate(x, gx)
+        out._backward = _bw
+    return out
+
+
+def _heads(a: np.ndarray, num_heads: int) -> np.ndarray:
+    """``[..., L, E]`` as the ``[..., H, L, E / H]`` view of its heads."""
+    *lead, length, embed = a.shape
+    return a.reshape(*lead, length, num_heads,
+                     embed // num_heads).swapaxes(-2, -3)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+              attn_mask: Optional[np.ndarray] = None, dropout: float = 0.0,
+              training: bool = True,
+              generator: Optional[np.random.Generator] = None) -> Tensor:
+    """Multi-head scaled dot-product attention,
+    ``softmax(q_h k_h^T / sqrt(D) + attn_mask) v_h`` per head ``h``.
+
+    ``q`` is ``[..., Lq, E]`` and ``k``, ``v`` are ``[..., Lk, E]`` — the
+    projections' outputs, ``...`` being ``[N]`` for one layer and
+    ``[B, N]`` for ``B`` fused ones — and the result, the heads side by
+    side, is ``[..., Lq, E]``.  ``attn_mask`` is an additive float mask
+    that broadcasts to the scores, ``[..., H, Lq, Lk]`` (``-inf`` forbids a
+    position); any other dtype raises ``TypeError`` (a boolean mask would
+    otherwise add ``1.0``).  With ``training`` and ``dropout > 0``, each
+    attention weight is zeroed with probability ``dropout`` by
+    :func:`dropout`'s draw from ``generator``.
+
+    One autograd node.  The scores are scaled, masked and softmaxed in
+    place in one buffer, and the product with ``v`` is written straight
+    into the ``[..., Lq, E]`` output, so the node keeps only its parents,
+    the probabilities and the dropout mask.  Every GEMM runs on the operand
+    views of the composition it replaces (``matmul``, ``* s``, ``+ mask``,
+    :func:`softmax`, :func:`dropout`, ``matmul``, the heads' permutes and
+    reshapes), so its results are bitwise the composition's.
+    """
+    mask = None
+    if attn_mask is not None:
+        mask = np.asarray(attn_mask)
+        if not np.issubdtype(mask.dtype, np.floating):
+            raise TypeError(f"attn_mask must be an additive float mask, got "
+                            f"{mask.dtype}")
+        mask = mask.astype(np.float32, copy=False)
+    *lead, lq, embed = q.shape
+    lk = k.shape[-2]
+    scores_shape = (*lead, num_heads, lq, lk)
+    if mask is not None and np.broadcast_shapes(
+            mask.shape, scores_shape) != scores_shape:
+        raise ValueError(f"attn_mask of shape {mask.shape} does not "
+                         f"broadcast to the scores, {scores_shape}")
+    q4, k4, v4 = (_heads(t.data, num_heads) for t in (q, k, v))
+    scale = np.float32(1.0 / math.sqrt(embed // num_heads))
+    probs = np.matmul(q4, k4.swapaxes(-1, -2), out=arena.empty(
+        scores_shape, np.result_type(q4, k4)))
+    probs *= scale
+    if mask is not None:
+        probs += mask
+    np.subtract(probs, probs.max(axis=-1, keepdims=True), out=probs)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    keep = None
+    if training and dropout > 0.0:
+        rng = generator if generator is not None else np.random.default_rng()
+        keep = (rng.random(probs.shape) >= dropout).astype(probs.dtype)
+        keep /= 1.0 - dropout
+
+    def weights():
+        """The attention weights ``v`` is multiplied by: the probabilities,
+        after dropout."""
+        if keep is None:
+            return probs
+        return np.multiply(probs, keep, out=arena.empty(probs.shape,
+                                                        probs.dtype))
+    dtype = np.result_type(probs, v4)
+    out_data = arena.buffer((*lead, lq, embed), dtype)
+    np.matmul(weights(), v4, out=_heads(out_data, num_heads))
+
+    out = _make_out(out_data, (q, k, v), "attention")
+    if out.requires_grad:
+        def _bw(g):
+            g4 = _heads(g, num_heads)
+            gs = np.matmul(g4, v4.swapaxes(-1, -2),
+                           out=arena.empty(probs.shape, g.dtype))
+            if _needs_grad(v):
+                gv = arena.buffer(v.shape, g.dtype)
+                np.matmul(weights().swapaxes(-1, -2), g4,
+                          out=_heads(gv, num_heads))
+                _accumulate(v, gv)
+            if keep is not None:
+                gs *= keep
+            np.subtract(gs, _sum_over(gs, (gs.ndim - 1,), probs), out=gs)
+            gs *= probs
+            gs *= scale
+            if _needs_grad(q):
+                gq = arena.buffer(q.shape, g.dtype)
+                np.matmul(gs, k4, out=_heads(gq, num_heads))
+                _accumulate(q, gq)
+            if _needs_grad(k):
+                # k's gradient transposed, then transposed back
+                gkt = np.matmul(q4.swapaxes(-1, -2), gs, out=arena.empty(
+                    (*lead, num_heads, embed // num_heads, lk), g.dtype))
+                gk = arena.buffer(k.shape, g.dtype)
+                np.copyto(_heads(gk, num_heads), gkt.swapaxes(-1, -2))
+                _accumulate(k, gk)
         out._backward = _bw
     return out
 

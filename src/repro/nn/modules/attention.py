@@ -9,7 +9,6 @@ used by the Transformer-LM and BERT-Medium secondary benchmarks.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -49,24 +48,17 @@ class MultiheadAttention(Module):
     def forward(self, query: Tensor, key: Optional[Tensor] = None,
                 value: Optional[Tensor] = None,
                 attn_mask: Optional[np.ndarray] = None) -> Tensor:
+        """``attn_mask``: an additive float mask broadcast to the scores,
+        ``[N, H, Lq, Lk]`` (``-inf`` forbids a position); any other dtype
+        raises ``TypeError``."""
         key = query if key is None else key
         value = query if value is None else value
-        n, lq, e = query.shape
-        lk = key.shape[1]
-        h, d = self.num_heads, self.head_dim
-
-        q = self.q_proj(query).reshape(n, lq, h, d).permute(0, 2, 1, 3)
-        k = self.k_proj(key).reshape(n, lk, h, d).permute(0, 2, 1, 3)
-        v = self.v_proj(value).reshape(n, lk, h, d).permute(0, 2, 1, 3)
-
-        scores = q.matmul(k.permute(0, 1, 3, 2)) * (1.0 / math.sqrt(d))
-        if attn_mask is not None:
-            scores = scores + Tensor(attn_mask.astype(np.float32))
-        attn = F.softmax(scores, axis=-1)
-        if self.dropout is not None:
-            attn = self.dropout(attn)
-        out = attn.matmul(v)  # [N, H, Lq, D]
-        out = out.permute(0, 2, 1, 3).reshape(n, lq, e)
+        drop = self.dropout
+        out = F.attention(self.q_proj(query), self.k_proj(key),
+                          self.v_proj(value), self.num_heads, attn_mask,
+                          0.0 if drop is None else drop.p,
+                          drop is not None and drop.training,
+                          None if drop is None else drop.generator)
         return self.out_proj(out)
 
     def extra_repr(self) -> str:
@@ -97,8 +89,8 @@ class TransformerEncoderLayer(Module):
         attn_out = self.self_attn(x, attn_mask=attn_mask)
         if self.dropout is not None:
             attn_out = self.dropout(attn_out)
-        x = self.norm1(x + attn_out)
+        x = self.norm1(x, residual=attn_out)
         ff = self.linear2(self.activation(self.linear1(x)))
         if self.dropout is not None:
             ff = self.dropout(ff)
-        return self.norm2(x + ff)
+        return self.norm2(x, residual=ff)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -91,9 +91,10 @@ class LayerNorm(Module):
             self.register_parameter("weight", None)
             self.register_parameter("bias", None)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, residual: Optional[Tensor] = None) -> Tensor:
+        """Normalize ``x``, or ``x + residual`` in one node."""
         return F.layer_norm(x, self.normalized_shape, self.weight, self.bias,
-                            self.eps)
+                            self.eps, residual)
 
     def extra_repr(self) -> str:
         return f"{self.normalized_shape}, eps={self.eps}"

@@ -16,6 +16,9 @@ Design notes
   ``grad.shape == data.shape`` always holds.
 * A module-level ``no_grad`` context manager disables graph construction,
   which both optimizers and inference paths use.
+* :meth:`Tensor.backward` consumes the graph it traverses: each node drops
+  its closure and its parents once its closure has run, so activations
+  are freed during backward.
 * The op-level tracer hook (:mod:`repro.nn.tracer`) is invoked from the
   functional layer, not from this module, so that the tensor core stays free
   of instrumentation concerns.
@@ -186,6 +189,12 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
+        The traversal consumes the graph: each node drops its backward
+        closure and its parents as soon as its closure has run, so an
+        activation is freed (and its arena buffer reusable) during backward,
+        once nothing downstream needs it.  A node keeps its ``data``; a
+        second backward through a consumed node raises ``RuntimeError``.
+
         Parameters
         ----------
         grad:
@@ -214,6 +223,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                raise RuntimeError(_CONSUMED)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._prev:
@@ -222,16 +233,20 @@ class Tensor:
 
         # The closures call `_accumulate(parent, grad)`, which routes each
         # gradient through this traversal's `grads` dict: one sink, pushed
-        # once for the whole traversal.
+        # once for the whole traversal.  Popping `topo` drops the
+        # traversal's own reference to each node once it is done.
         grads = {id(self): grad}
         with gradient_sink(grads):
-            for node in reversed(topo):
+            while topo:
+                node = topo.pop()
                 g = grads.pop(id(node), None)
-                if g is None:
-                    continue
-                if node._backward is not None:
-                    node._backward(g)
-                elif node.requires_grad:
+                backward = node._backward
+                if backward is not None:
+                    node._backward, node._prev = _consumed, ()
+                    if g is not None:
+                        backward(g)
+                    backward = None
+                elif g is not None and node.requires_grad:
                     # Leaf tensor: accumulate into .grad
                     if node.grad is None:
                         node.grad = arena.copy(g)
@@ -635,6 +650,14 @@ class Tensor:
 
     def eq(self, other) -> "Tensor":
         return Tensor(self.data == _as_array(other))
+
+
+_CONSUMED = "backward() through a graph an earlier backward() consumed"
+
+
+def _consumed(grad: np.ndarray) -> None:
+    """The backward of a node whose graph a ``backward()`` consumed."""
+    raise RuntimeError(_CONSUMED)
 
 
 # ---------------------------------------------------------------------- #

@@ -263,15 +263,18 @@ class FusedPhysics:
                 self.optimizer.zero_grad()
                 out = self.fused(self.fused.fuse_inputs(inputs))
                 losses = self.criterion.per_model(out, targets)
+                # backward consumes the graph, freeing each activation as
+                # soon as its node has run: the output too, once unheld
+                del out
                 # backward of sum_b l_b, seeded without its node: d/dl_b = 1
                 losses.backward(np.ones_like(losses.data))
                 self.optimizer.step()
                 for slot, value in zip(slots, losses.data.tolist()):
                     slot.curve.append(value)
                 samples += sum(len(y) for _, y in batches)
-                # the graph dies here, not after the next forward: two
+                # the root dies here, not after the next forward: two
                 # steps' activations never coexist in the arena
-                del out, losses
+                del losses
         return time.perf_counter() - start, samples
 
     def take(self, indices: Sequence[int]) -> FusedPhysics:

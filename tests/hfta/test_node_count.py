@@ -3,8 +3,10 @@
 Each of the paper's operators (grouped conv, Linear, BatchNorm, LayerNorm,
 softmax, log-softmax) is one autograd node with a hand-written backward, and
 so are a PointNet conv block (pointwise conv, BatchNorm, ReLU, and for the
-global feature the max over the points) and the cross-entropy/NLL
-criterion (log-softmax, pick, negation, per-model mean).
+global feature the max over the points), the cross-entropy/NLL criterion
+(log-softmax, pick, negation, per-model mean), a multi-head attention core
+(``F.attention``) and a post-norm residual (``F.layer_norm(x, ...,
+residual=sub)``).
 Composing them from primitive ``Tensor`` ops again would multiply the passes
 over the activations without failing any numerical test, so the node count
 of a fused PointNet step, of a fused LM step and of a fused sweep-MLP step
@@ -23,9 +25,12 @@ from .test_equivalence_matrix import SweepMLP
 #: and a mean's sum and product, not one node — and, for the MLP, while
 #: the engine summed the per-model losses in a node before backward; for
 #: PointNet, while each global-feature block's max over the points (the
-#: STN's and the trunk's) was a node after the block's
+#: STN's and the trunk's) was a node after the block's; for the LM, while
+#: each attention core was 12 nodes (heads' reshapes and permutes, two
+#: matmuls, scale, softmax, the permute and reshape back) and each
+#: post-norm residual an add before its layer norm
 POINTNET_NODES = (62, 60)
-LM_NODES = (72, 67)
+LM_NODES = (67, 39)
 MLP_NODES = (9, 4)
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the Tensor/autograd core."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +211,44 @@ class TestNoGrad:
         a = t64([1.0])
         out = (a * 2).detach()
         assert not out.requires_grad
+
+
+class TestBackwardConsumesTheGraph:
+    """``backward()`` frees each activation once its node has run, and a
+    consumed graph cannot be traversed again."""
+
+    def test_activations_die_during_backward_while_the_loss_is_held(self):
+        x = t64(np.linspace(-1.0, 1.0, 6))
+        hidden = (x * 3.0).relu()
+        activation = weakref.ref(hidden.data)
+        loss = (hidden * hidden).sum()
+        del hidden
+        assert activation() is not None      # the graph holds it
+        loss.backward()
+        assert activation() is None
+        assert loss.data.shape == () and x.grad is not None
+
+    def test_a_second_backward_raises(self):
+        x = t64([1.0, 2.0])
+        loss = (x * x).sum()
+        loss.backward()
+        grad = x.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, grad)   # nothing accumulated
+
+    def test_a_graph_reaching_a_consumed_node_raises(self):
+        x = t64([1.0, 2.0])
+        shared = x * 2.0
+        (shared * shared).sum().backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            (shared * 3.0).sum().backward()
+
+    def test_a_leaf_is_not_consumed(self):
+        x = t64([1.0, 2.0])
+        x.backward(np.ones(2))
+        x.backward(np.ones(2))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,8 +3,10 @@
 concurrent-serial comparators, the CPU share, the arena and the process
 peak RSS; its phase table covers every phase of a fused and a width-1 step
 of each model, its kernel table every split kernel, and its arena table
-each model's buffers, largest first; its scatter table times both forms of
-the embedding gradient's scatter on each batch of ids."""
+each model's buffers, largest first, then what lives outside the arena
+(held at backward start, the step's peak, the top allocation sites); its
+scatter table times both forms of the embedding gradient's scatter on each
+batch of ids."""
 
 import re
 import subprocess
@@ -88,6 +90,16 @@ def test_arena_table_lists_each_models_buffers_largest_first():
                                            + 0.01)
         if family != "mlp":          # its activations are all below 128 KiB
             assert rows and float(total) > 0
+    outside = re.findall(r"^(\w+): outside the arena over one warm step: "
+                         r"([\d.]+) MB held at backward start, ([\d.]+) MB "
+                         r"peak\n((?:  .+\n?)*)", out, re.M)
+    assert [family for family, *_ in outside] == list(FAMILIES)
+    for _, held, peak, sites in outside:
+        assert 0 < float(held) <= float(peak)
+        sites = re.findall(r"^  (\S+:\d+)\s+([\d.]+) MB$", sites, re.M)
+        assert 0 < len(sites) <= 5
+        held_by = [float(mb) for _, mb in sites]
+        assert held_by == sorted(held_by, reverse=True)
 
 
 def test_scatter_table_times_both_forms_on_each_batch_of_ids():

@@ -4,7 +4,8 @@
     python tools/step_probe.py --steps 20
     python tools/step_probe.py --phases     # where a step's time goes
     python tools/step_probe.py --kernels    # the split threshold's table
-    python tools/step_probe.py --arena --steps 2   # what each arena holds
+    python tools/step_probe.py --arena --steps 2   # what each arena holds,
+                                                   # and what lives outside
     python tools/step_probe.py --scatter    # embedding gradient scatters
 
 For each ``sweep_paper`` model and the ``sweep_mlp`` MLP at its benchmark
@@ -44,7 +45,10 @@ the table ``parallel.MIN_BYTES`` is read from.
 
 ``--arena`` instead steps each model's fused array ``--steps`` times and
 prints what its activation arena then holds: one row per buffer shape and
-dtype, with the buffers' count and MB, most bytes first.
+dtype, with the buffers' count and MB, most bytes first.  Then it traces
+one more step with ``tracemalloc`` and prints what lives outside the
+arena: the MB the step allocated and still holds when backward starts,
+the step's peak MB and the source lines holding most at backward start.
 
 ``--scatter`` instead times the embedding gradient's scatter,
 ``np.add.at`` against occurrence rounds (``F._scatter_add_rows`` picks one
@@ -146,37 +150,45 @@ def run_fused(jobs, steps):
     return samples[True], samples[False], executor.physics.arena.nbytes
 
 
-def phase_times(jobs, steps):
-    """Median microseconds of each of :data:`PHASES` over ``steps`` steps
-    (after a first, arena-filling one) of one array of ``jobs``: the body
-    of ``FusedPhysics.step``, with a clock read between its statements."""
+def run_phases(executor, steps, mark):
+    """``steps`` steps of ``executor``'s array, each the body of
+    ``FusedPhysics.step`` inside its arena, calling ``mark(n, k)`` before
+    step ``n`` (``k = 0``) and after each of its :data:`PHASES` (``k = 1``
+    to 4)."""
     import numpy as np
 
     from repro import nn
 
-    executor = executor_for(jobs, steps)
     physics, slots = executor.physics, executor.slots
-    clock = time.perf_counter
-    samples = []
     with physics.arena.active():
-        for n in range(steps + 1):
-            start = clock()
+        for n in range(steps):
+            mark(n, 0)
             batches = [slot.job.data(n) for slot in slots]
             inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
                       for x, _ in batches]
             targets = np.stack([y for _, y in batches])
             physics.optimizer.zero_grad()
             out = physics.fused(physics.fused.fuse_inputs(inputs))
-            forward = clock()
+            mark(n, 1)
             losses = physics.criterion.per_model(out, targets)
-            loss = clock()
+            del out
+            mark(n, 2)
             losses.backward(np.ones_like(losses.data))
-            backward = clock()
+            mark(n, 3)
             physics.optimizer.step()
-            samples.append((forward - start, loss - forward,
-                            backward - loss, clock() - backward))
-            del out, losses
-    return [statistics.median(sample[k] for sample in samples[1:]) * 1e6
+            mark(n, 4)
+            del losses
+
+
+def phase_times(jobs, steps):
+    """Median microseconds of each of :data:`PHASES` over ``steps`` steps
+    (after a first, arena-filling one) of one array of ``jobs``."""
+    clock = time.perf_counter
+    stamps = [[] for _ in range(steps + 1)]
+    run_phases(executor_for(jobs, steps), steps + 1,
+               lambda n, k: stamps[n].append(clock()))
+    return [statistics.median(times[k + 1] - times[k]
+                              for times in stamps[1:]) * 1e6
             for k in range(len(PHASES))]
 
 
@@ -416,6 +428,41 @@ def report_arena(family, width, arena):
               f"{nbytes / 2**20:7.2f}")
 
 
+def outside_arena(executor, sites=5):
+    """``tracemalloc`` over one more step of ``executor``'s warm array:
+    (MB allocated in the step and still held when backward starts, the
+    step's peak MB, the ``sites`` lines holding most at backward start as
+    ``(file:line, MB)``).  The arena's buffers predate the trace, so this
+    is what lives outside the arena."""
+    import tracemalloc
+
+    seen = {}
+
+    def mark(n, k):
+        if k == 0:
+            tracemalloc.start()
+        elif k == 2:                                   # backward starts
+            seen["held"], seen["peak"] = tracemalloc.get_traced_memory()
+            stats = tracemalloc.take_snapshot().statistics("lineno")
+            seen["sites"] = [(f"{Path(s.traceback[0].filename).name}:"
+                              f"{s.traceback[0].lineno}", s.size / 2**20)
+                             for s in stats[:sites]]
+            del stats
+            tracemalloc.reset_peak()
+        elif k == 4:
+            seen["peak"] = max(seen["peak"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    run_phases(executor, 1, mark)
+    return seen["held"] / 2**20, seen["peak"] / 2**20, seen["sites"]
+
+
+def report_outside(family, held, peak, sites):
+    print(f"{family}: outside the arena over one warm step: {held:.2f} MB "
+          f"held at backward start, {peak:.2f} MB peak")
+    for site, mb in sites:
+        print(f"  {site:<28} {mb:7.2f} MB")
+
+
 def family_jobs(family):
     from bench_e2e.spec import SIZES
     from bench_e2e.workloads import SweepMLP, SweepPaper
@@ -472,6 +519,7 @@ def main(argv=None) -> int:
             for _ in range(args.steps):
                 executor.step_epoch()
             report_arena(family, width, executor.physics.arena)
+            report_outside(family, *outside_arena(executor))
             continue
         if args.phases:
             report_phases(family, width, phase_times(jobs, args.steps),
