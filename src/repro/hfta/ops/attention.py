@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ...nn import functional as F
+from ...nn.modules import attention as serial
 from ...nn.modules.module import Module
 from ...nn.tensor import Tensor
 from .activation import GELU, ReLU
@@ -31,7 +31,9 @@ class MultiheadAttention(Module):
     """``B`` fused multi-head self-attention layers.
 
     Input/output layout: ``[B, N, L, E]`` (array dim, batch, sequence,
-    embedding).
+    embedding).  ``forward`` is the unfused layer's: ``attn_mask`` is an
+    additive float mask broadcast to the scores ``[B, N, H, Lq, Lk]``
+    (``[B, 1, 1, Lq, Lk]`` gives each model its own).
     """
 
     def __init__(self, num_models: int, embed_dim: int, num_heads: int,
@@ -42,29 +44,13 @@ class MultiheadAttention(Module):
         self.num_models = num_models
         self.embed_dim = embed_dim
         self.num_heads = num_heads
-        self.head_dim = embed_dim // num_heads
         self.q_proj = Linear(num_models, embed_dim, embed_dim, generator=generator)
         self.k_proj = Linear(num_models, embed_dim, embed_dim, generator=generator)
         self.v_proj = Linear(num_models, embed_dim, embed_dim, generator=generator)
         self.out_proj = Linear(num_models, embed_dim, embed_dim, generator=generator)
         self.dropout = Dropout(num_models, dropout) if dropout > 0 else None
 
-    def forward(self, query: Tensor, key: Optional[Tensor] = None,
-                value: Optional[Tensor] = None,
-                attn_mask: Optional[np.ndarray] = None) -> Tensor:
-        """``attn_mask``: an additive float mask broadcast to the scores,
-        ``[B, N, H, Lq, Lk]`` (``[B, 1, 1, Lq, Lk]`` gives each model its
-        own; ``-inf`` forbids a position); any other dtype raises
-        ``TypeError``."""
-        key = query if key is None else key
-        value = query if value is None else value
-        drop = self.dropout
-        out = F.attention(self.q_proj(query), self.k_proj(key),
-                          self.v_proj(value), self.num_heads, attn_mask,
-                          0.0 if drop is None else drop.p,
-                          drop is not None and drop.training,
-                          None if drop is None else drop.generator)
-        return self.out_proj(out)
+    forward = serial.MultiheadAttention.forward
 
     def extra_repr(self) -> str:
         return (f"B={self.num_models}, embed_dim={self.embed_dim}, "

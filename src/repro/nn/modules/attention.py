@@ -38,7 +38,6 @@ class MultiheadAttention(Module):
             raise ValueError("embed_dim must be divisible by num_heads")
         self.embed_dim = embed_dim
         self.num_heads = num_heads
-        self.head_dim = embed_dim // num_heads
         self.q_proj = Linear(embed_dim, embed_dim, generator=generator)
         self.k_proj = Linear(embed_dim, embed_dim, generator=generator)
         self.v_proj = Linear(embed_dim, embed_dim, generator=generator)

@@ -1,7 +1,6 @@
 """One digest per model, width and split mode of a short seeded training run.
 
     python tools/train_hash.py                     # all 16 digests
-    python tools/train_hash.py --models lm bert --steps 2
 
 For PointNetCls (feature transform on), PointNetSeg, the Transformer LM
 (the ``sweep_paper`` configuration: dropout off) and BERT (tiny, dropout
@@ -9,9 +8,9 @@ For PointNetCls (feature transform on), PointNetSeg, the Transformer LM
 run twice — ``inline``: kernels inline, as the library runs them on one CPU
 (``parallel.MIN_BYTES`` infinite); ``split``: ``parallel.MIN_BYTES = 0`` and
 ``arena.MIN_BYTES = 0``, so every kernel that can split does and every
-output that can come from the arena does — it trains ``--steps`` Adam steps inside
-an activation arena, as ``FusedPhysics.step`` does, and prints a SHA-256
-digest of:
+output that can come from the arena does — it trains ``STEPS`` (3) Adam
+steps inside an activation arena, as ``FusedPhysics.step`` does, and prints
+a SHA-256 digest of:
 
 * the loss curve (every step's per-model loss values),
 * the gradients of the last step,
@@ -27,7 +26,6 @@ are not comparable with each other (different data and dropout draws).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import math
@@ -40,6 +38,7 @@ MODELS = ("pointnet_cls", "pointnet_seg", "lm", "bert")
 WIDTHS = {"serial": None, "w4": 4}
 #: mode -> (parallel.MIN_BYTES, arena.MIN_BYTES); None keeps the default
 SPLITS = {"inline": (math.inf, None), "split": (0, 0)}
+STEPS = 3
 
 
 def build(name, width):
@@ -100,7 +99,7 @@ def build(name, width):
     return model, batch, criterion
 
 
-def digest(name, width, steps):
+def digest(name, width):
     """The hex digest of one run (module docstring)."""
     import numpy as np
 
@@ -120,13 +119,13 @@ def digest(name, width, steps):
         sha.update(array.tobytes())
 
     with nn.Arena().active():
-        for step in range(steps):
+        for step in range(STEPS):
             x, labels = batch(rng)
             optimizer.zero_grad()
             losses = criterion(model(x), labels)
             feed(losses.data)
             losses.backward(np.ones_like(losses.data))
-            if step == steps - 1:
+            if step == STEPS - 1:
                 for _, param in model.named_parameters():
                     feed(param.grad)
             optimizer.step()
@@ -157,23 +156,17 @@ def thresholds(split_bytes, arena_bytes):
         parallel.MIN_BYTES, arena.MIN_BYTES = saved
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--models", nargs="+", choices=MODELS,
-                        default=list(MODELS))
-    parser.add_argument("--steps", type=int, default=3,
-                        help="training steps per run")
-    args = parser.parse_args(argv)
+def main() -> int:
     for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                      "MKL_NUM_THREADS"):
         os.environ.setdefault(variable, "1")     # before numpy is imported
     sys.path[:0] = [str(ROOT / "src")]
-    for name in args.models:
+    for name in MODELS:
         for label, width in WIDTHS.items():
             for mode, sizes in SPLITS.items():
                 with thresholds(*sizes):
                     print(f"{name:<13} {label:<6} {mode:<6} "
-                          f"{digest(name, width, args.steps)}", flush=True)
+                          f"{digest(name, width)}", flush=True)
     return 0
 
 
