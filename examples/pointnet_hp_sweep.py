@@ -41,8 +41,6 @@ def main():
     hfta.load_from_unfused(fused, serial_init)
     optimizer = fused_optim.Adam(fused.parameters(), num_models=NUM_MODELS,
                                  lr=LRS, weight_decay=WEIGHT_DECAYS)
-    scheduler = fused_optim.StepLR(optimizer, step_size=[4, 4, 8, 8],
-                                   gamma=[0.5, 0.1, 0.5, 0.1])
     criterion = hfta.FusedNLLLoss(NUM_MODELS)
 
     print(f"Fused sweep: {NUM_MODELS} PointNet jobs, lrs={LRS}")
@@ -54,7 +52,6 @@ def main():
                                      np.stack([labels] * NUM_MODELS))
         losses.sum().backward()
         optimizer.step()
-        scheduler.step()
         print(f"  step {step}  " + "  ".join(f"{v:.3f}" for v in losses.data))
 
     # --- verify against one independently trained job ----------------------
@@ -63,12 +60,10 @@ def main():
                             generator=np.random.default_rng(check_index))
     ref_opt = serial_optim.Adam(reference.parameters(), lr=LRS[check_index],
                                 weight_decay=WEIGHT_DECAYS[check_index])
-    ref_sched = serial_optim.StepLR(ref_opt, step_size=4, gamma=0.1)
     for points, labels in batches:
         ref_opt.zero_grad()
         F.nll_loss(reference(nn.tensor(points)), labels).backward()
         ref_opt.step()
-        ref_sched.step()
 
     extracted = PointNetCls(num_classes=8, width=0.25, dropout=0.0)
     hfta.export_to_unfused(fused, check_index, extracted)

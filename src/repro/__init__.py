@@ -5,10 +5,10 @@ Top-level subpackages
 ``repro.nn``
     Numpy-backed tensor/autograd substrate and the standard layer zoo.
 ``repro.optim``
-    Unfused optimizers and LR schedulers (serial baselines).
+    Unfused optimizers (serial baselines).
 ``repro.hfta``
     The paper's contribution: horizontally fused operators, optimizers,
-    LR schedulers, fused losses and model-array fusion helpers.
+    fused losses and model-array fusion helpers.
 ``repro.models``
     The paper's benchmark models (PointNet, DCGAN, ResNet-18,
     MobileNetV3-Large, Transformer-LM, BERT-Medium) in serial and fused form.

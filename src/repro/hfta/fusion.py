@@ -63,8 +63,7 @@ import numpy as np
 from ..nn.modules.module import Module
 
 __all__ = ["load_from_unfused", "export_to_unfused", "validate_fusibility",
-           "is_fusible", "fusibility_error", "structural_signature",
-           "fused_parameter_report", "fused_array_width",
+           "fusibility_error", "structural_signature", "fused_array_width",
            "split_fused", "merge_fused", "contiguous_run"]
 
 
@@ -225,11 +224,6 @@ def fusibility_error(models: Sequence[Module]) -> Optional[str]:
             return (f"model {i} has a parameter shape mismatch vs model 0: "
                     f"{mismatch[0]} vs {mismatch[1]}")
     return None
-
-
-def is_fusible(models: Sequence[Module]) -> bool:
-    """Non-throwing fusibility predicate (used by the runtime batcher)."""
-    return fusibility_error(models) is None
 
 
 def validate_fusibility(models: Sequence[Module]) -> bool:
@@ -464,17 +458,3 @@ def merge_fused(a: Module, b: Module, allocator=None) -> Module:
     _rewrite_num_models(out, width_a, width_a + width_b)
     return out
 
-
-def fused_parameter_report(fused: Module) -> Dict[str, int]:
-    """Summarize a fused model: array size, parameter count, per-model count."""
-    num_models = None
-    for module in fused.modules():
-        if hasattr(module, "num_models"):
-            num_models = module.num_models
-            break
-    total = fused.num_parameters()
-    return {
-        "num_models": num_models or 1,
-        "total_parameters": total,
-        "parameters_per_model": total // (num_models or 1),
-    }

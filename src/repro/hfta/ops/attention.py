@@ -12,13 +12,8 @@ is carried as an extra batch axis.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from ...nn.modules import attention as serial
 from ...nn.modules.module import Module
-from ...nn.tensor import Tensor
 from .activation import GELU, ReLU
 from .dropout import Dropout
 from .linear import Linear
@@ -60,7 +55,8 @@ class MultiheadAttention(Module):
 class TransformerEncoderLayer(Module):
     """``B`` fused post-norm Transformer encoder layers.
 
-    Input/output layout: ``[B, N, L, E]``.
+    Input/output layout: ``[B, N, L, E]``.  ``forward`` is the unfused
+    layer's: its fused sublayers carry the array dimension.
     """
 
     def __init__(self, num_models: int, d_model: int, nhead: int,
@@ -84,12 +80,4 @@ class TransformerEncoderLayer(Module):
         else:
             raise ValueError(f"unsupported activation: {activation}")
 
-    def forward(self, x: Tensor, attn_mask: Optional[np.ndarray] = None) -> Tensor:
-        attn_out = self.self_attn(x, attn_mask=attn_mask)
-        if self.dropout is not None:
-            attn_out = self.dropout(attn_out)
-        x = self.norm1(x, residual=attn_out)
-        ff = self.linear2(self.activation(self.linear1(x)))
-        if self.dropout is not None:
-            ff = self.dropout(ff)
-        return self.norm2(x, residual=ff)
+    forward = serial.TransformerEncoderLayer.forward

@@ -22,15 +22,15 @@ vectors; the forward pass reshapes them into the grouped-convolution layout.
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ...nn import functional as F
-from ...nn import init
+from ...nn.modules import conv as serial
 from ...nn.modules.module import Module, Parameter
 from ...nn.tensor import Tensor
+from .utils import init_per_model
 
 __all__ = ["Conv1d", "Conv2d", "ConvTranspose2d", "ConvTranspose1d"]
 
@@ -72,57 +72,24 @@ class _FusedConvNd(Module):
             self.register_parameter("bias", None)
         self.reset_parameters(generator)
 
-    def reset_parameters(self,
-                         generator: Optional[Union[np.random.Generator,
-                                                   Sequence[np.random.Generator]]] = None
-                         ) -> None:
-        """Initialize each of the ``B`` fused models independently.
+    def reset_parameters(self, generator=None) -> None:
+        init_per_model(self, serial._ConvNd.reset_parameters, generator)
 
-        ``generator`` may be a single RNG (shared) or a sequence of ``B``
-        RNGs so that fused model ``b`` receives exactly the same
-        initialization as an unfused model constructed with RNG ``b`` — this
-        is what makes bit-equivalent convergence comparisons possible.
-        """
-        if not init.enabled():
-            return
-        gens = self._per_model_generators(generator)
-        fan_in = (self.in_channels if not self.transposed
-                  else self.out_channels) // self.groups
-        fan_in *= int(np.prod(self.kernel_size))
-        for b, gen in enumerate(gens):
-            w_b = Tensor(self.weight.data[b])
-            init.kaiming_uniform_(w_b, a=math.sqrt(5), generator=gen)
-            self.weight.data[b] = w_b.data
-            if self.bias is not None:
-                bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
-                b_b = Tensor(self.bias.data[b])
-                init.uniform_(b_b, -bound, bound, generator=gen)
-                self.bias.data[b] = b_b.data
-
-    def _per_model_generators(self, generator):
-        if generator is None:
-            return [np.random.default_rng() for _ in range(self.num_models)]
-        if isinstance(generator, np.random.Generator):
-            return [generator] * self.num_models
-        gens = list(generator)
-        if len(gens) != self.num_models:
-            raise ValueError("need one generator per fused model")
-        return gens
-
-    # -------------------------------------------------------------- #
-    # Per-model weight import/export (used by repro.hfta.fusion)
-    # -------------------------------------------------------------- #
-    def load_model_weights(self, index: int, weight: np.ndarray,
-                           bias: Optional[np.ndarray] = None) -> None:
-        """Copy one unfused model's parameters into array slot ``index``."""
-        self.weight.data[index] = weight
-        if bias is not None and self.bias is not None:
-            self.bias.data[index] = bias
-
-    def export_model_weights(self, index: int):
-        """Return (weight, bias) views of array slot ``index``."""
-        bias = self.bias.data[index] if self.bias is not None else None
-        return self.weight.data[index], bias
+    def _grouped(self, x: Tensor):
+        """Check that ``x`` carries ``B x C_in`` channels; return the ``B``
+        models' weights and biases as one grouped convolution's
+        ``(weight, bias, groups)``."""
+        b = self.num_models
+        expected = b * self.in_channels
+        if x.shape[1] != expected:
+            raise ValueError(f"fused {type(self).__name__} expects {expected} "
+                             f"channels (B={b} x C_in={self.in_channels}), "
+                             f"got {x.shape[1]}")
+        shape = self.weight.shape
+        weight = self.weight.reshape(b * shape[1], *shape[2:])
+        bias = (self.bias.reshape(b * self.out_channels)
+                if self.bias is not None else None)
+        return weight, bias, b * self.groups
 
     def extra_repr(self) -> str:
         return (f"B={self.num_models}, {self.in_channels}, "
@@ -150,18 +117,9 @@ class Conv2d(_FusedConvNd):
                          transposed=False, generator=generator)
 
     def forward(self, x: Tensor) -> Tensor:
-        b = self.num_models
-        expected = b * self.in_channels
-        if x.shape[1] != expected:
-            raise ValueError(f"fused Conv2d expects {expected} channels "
-                             f"(B={b} x C_in={self.in_channels}), got {x.shape[1]}")
-        w = self.weight.reshape(b * self.out_channels,
-                                self.in_channels // self.groups,
-                                *self.kernel_size)
-        bias = (self.bias.reshape(b * self.out_channels)
-                if self.bias is not None else None)
-        return F.conv2d(x, w, bias, self.stride, self.padding, self.dilation,
-                        groups=b * self.groups)
+        weight, bias, groups = self._grouped(x)
+        return F.conv2d(x, weight, bias, self.stride, self.padding,
+                        self.dilation, groups)
 
 
 class Conv1d(_FusedConvNd):
@@ -180,18 +138,9 @@ class Conv1d(_FusedConvNd):
                          transposed=False, generator=generator)
 
     def forward(self, x: Tensor) -> Tensor:
-        b = self.num_models
-        expected = b * self.in_channels
-        if x.shape[1] != expected:
-            raise ValueError(f"fused Conv1d expects {expected} channels, "
-                             f"got {x.shape[1]}")
-        w = self.weight.reshape(b * self.out_channels,
-                                self.in_channels // self.groups,
-                                self.kernel_size[0])
-        bias = (self.bias.reshape(b * self.out_channels)
-                if self.bias is not None else None)
-        return F.conv1d(x, w, bias, self.stride[0], self.padding[0],
-                        self.dilation[0], groups=b * self.groups)
+        weight, bias, groups = self._grouped(x)
+        return F.conv1d(x, weight, bias, self.stride[0], self.padding[0],
+                        self.dilation[0], groups)
 
 
 class ConvTranspose2d(_FusedConvNd):
@@ -212,18 +161,9 @@ class ConvTranspose2d(_FusedConvNd):
         self.output_padding = F._pair(output_padding)
 
     def forward(self, x: Tensor) -> Tensor:
-        b = self.num_models
-        expected = b * self.in_channels
-        if x.shape[1] != expected:
-            raise ValueError(f"fused ConvTranspose2d expects {expected} "
-                             f"channels, got {x.shape[1]}")
-        w = self.weight.reshape(b * self.in_channels,
-                                self.out_channels // self.groups,
-                                *self.kernel_size)
-        bias = (self.bias.reshape(b * self.out_channels)
-                if self.bias is not None else None)
-        return F.conv_transpose2d(x, w, bias, self.stride, self.padding,
-                                  self.output_padding, groups=b * self.groups)
+        weight, bias, groups = self._grouped(x)
+        return F.conv_transpose2d(x, weight, bias, self.stride, self.padding,
+                                  self.output_padding, groups)
 
 
 class ConvTranspose1d(Module):

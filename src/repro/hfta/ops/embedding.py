@@ -13,9 +13,10 @@ from typing import Union
 import numpy as np
 
 from ...nn import functional as F
-from ...nn import init
+from ...nn.modules import embedding as serial
 from ...nn.modules.module import Module, Parameter
 from ...nn.tensor import Tensor
+from .utils import init_per_model
 
 __all__ = ["Embedding"]
 
@@ -40,29 +41,7 @@ class Embedding(Module):
         self.reset_parameters(generator)
 
     def reset_parameters(self, generator=None) -> None:
-        if not init.enabled():
-            return
-        gens = self._per_model_generators(generator)
-        for b, gen in enumerate(gens):
-            w_b = Tensor(self.weight.data[b])
-            init.normal_(w_b, 0.0, 1.0, gen)
-            self.weight.data[b] = w_b.data
-
-    def _per_model_generators(self, generator):
-        if generator is None:
-            return [np.random.default_rng() for _ in range(self.num_models)]
-        if isinstance(generator, np.random.Generator):
-            return [generator] * self.num_models
-        gens = list(generator)
-        if len(gens) != self.num_models:
-            raise ValueError("need one generator per fused model")
-        return gens
-
-    def load_model_weights(self, index: int, weight: np.ndarray) -> None:
-        self.weight.data[index] = weight
-
-    def export_model_weights(self, index: int):
-        return self.weight.data[index], None
+        init_per_model(self, serial.Embedding.reset_parameters, generator)
 
     def forward(self, indices: Union[Tensor, np.ndarray]) -> Tensor:
         idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)

@@ -10,15 +10,13 @@ exactly the ``[M, in] @ [in, out]`` GEMM model ``b`` runs alone.
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
 from ...nn import functional as F
-from ...nn import init
+from ...nn.modules import linear as serial
 from ...nn.modules.module import Module, Parameter
 from ...nn.tensor import Tensor
+from .utils import init_per_model
 
 __all__ = ["Linear"]
 
@@ -51,39 +49,7 @@ class Linear(Module):
         self.reset_parameters(generator)
 
     def reset_parameters(self, generator=None) -> None:
-        if not init.enabled():
-            return
-        gens = self._per_model_generators(generator)
-        bound = 1.0 / math.sqrt(self.in_features)
-        for b, gen in enumerate(gens):
-            w_b = Tensor(self.weight.data[b])
-            init.kaiming_uniform_(w_b, a=math.sqrt(5), generator=gen)
-            self.weight.data[b] = w_b.data
-            if self.bias is not None:
-                b_b = Tensor(self.bias.data[b])
-                init.uniform_(b_b, -bound, bound, generator=gen)
-                self.bias.data[b] = b_b.data
-
-    def _per_model_generators(self, generator):
-        if generator is None:
-            return [np.random.default_rng() for _ in range(self.num_models)]
-        if isinstance(generator, np.random.Generator):
-            return [generator] * self.num_models
-        gens = list(generator)
-        if len(gens) != self.num_models:
-            raise ValueError("need one generator per fused model")
-        return gens
-
-    def load_model_weights(self, index: int, weight: np.ndarray,
-                           bias: Optional[np.ndarray] = None) -> None:
-        """Copy one unfused ``Linear``'s parameters into array slot ``index``."""
-        self.weight.data[index] = weight
-        if bias is not None and self.bias is not None:
-            self.bias.data[index] = bias
-
-    def export_model_weights(self, index: int):
-        bias = self.bias.data[index] if self.bias is not None else None
-        return self.weight.data[index], bias
+        init_per_model(self, serial.Linear.reset_parameters, generator)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)

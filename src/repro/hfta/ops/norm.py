@@ -55,24 +55,6 @@ class _FusedBatchNorm(Module):
             self.register_buffer("running_mean", None)
             self.register_buffer("running_var", None)
 
-    def load_model_weights(self, index: int, weight: np.ndarray,
-                           bias: Optional[np.ndarray] = None,
-                           running_mean: Optional[np.ndarray] = None,
-                           running_var: Optional[np.ndarray] = None) -> None:
-        if self.affine:
-            self.weight.data[index] = weight
-            if bias is not None:
-                self.bias.data[index] = bias
-        c = self.num_features
-        if running_mean is not None and self.running_mean is not None:
-            self.running_mean[index * c:(index + 1) * c] = running_mean
-            self.running_var[index * c:(index + 1) * c] = running_var
-
-    def export_model_weights(self, index: int):
-        if not self.affine:
-            return None, None
-        return self.weight.data[index], self.bias.data[index]
-
     def _forward_folded(self, x: Tensor) -> Tensor:
         b, c = self.num_models, self.num_features
         if x.shape[1] != b * c:
@@ -147,18 +129,6 @@ class LayerNorm(Module):
         else:
             self.register_parameter("weight", None)
             self.register_parameter("bias", None)
-
-    def load_model_weights(self, index: int, weight: np.ndarray,
-                           bias: Optional[np.ndarray] = None) -> None:
-        if self.elementwise_affine:
-            self.weight.data[index] = weight
-            if bias is not None:
-                self.bias.data[index] = bias
-
-    def export_model_weights(self, index: int):
-        if not self.elementwise_affine:
-            return None, None
-        return self.weight.data[index], self.bias.data[index]
 
     def forward(self, x: Tensor, residual: Optional[Tensor] = None) -> Tensor:
         """Normalize ``x``, or ``x + residual`` in one node."""

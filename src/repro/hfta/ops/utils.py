@@ -13,19 +13,55 @@ operators.  Two fused data layouts are used, following the paper's Table 6:
 The helpers below convert a list of ``B`` per-model tensors to/from either
 layout, and convert between the two layouts (needed when a model mixes
 convolutional and fully-connected stages, e.g. PointNet or ResNet).
+:func:`init_per_model` initializes a fused layer's ``B`` slots with its
+serial layer's initializer.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Sequence
 
+import numpy as np
 
+from ...nn import init
 from ...nn.tensor import Tensor, cat, stack
 
 __all__ = [
     "fuse_channel", "unfuse_channel", "fuse_batch", "unfuse_batch",
-    "channel_to_batch", "batch_to_channel",
+    "channel_to_batch", "batch_to_channel", "init_per_model",
 ]
+
+
+def init_per_model(layer, reset, generator) -> None:
+    """Initialize each of fused ``layer``'s ``B`` slots as the serial
+    layer's ``reset_parameters`` (``reset``) initializes one.
+
+    ``reset`` runs once per slot ``b``, with generator ``b``, on a
+    stand-in holding ``layer``'s attributes with ``weight`` and ``bias``
+    bound to slot ``b``'s views.  ``generator`` is ``None`` (a fresh
+    generator per model), one ``Generator`` (shared, drawn in slot order)
+    or ``B`` of them, so slot ``b`` holds the bytes of a serial layer
+    built with generator ``b``.  Draws nothing inside
+    :func:`repro.nn.init.disabled`.
+    """
+    if not init.enabled():
+        return
+    width = layer.num_models
+    if generator is None:
+        gens = [np.random.default_rng() for _ in range(width)]
+    elif isinstance(generator, np.random.Generator):
+        gens = [generator] * width
+    else:
+        gens = list(generator)
+        if len(gens) != width:
+            raise ValueError("need one generator per fused model")
+    attrs = {k: v for k, v in vars(layer).items() if not k.startswith("_")}
+    bias = getattr(layer, "bias", None)
+    for b, gen in enumerate(gens):
+        attrs["weight"] = Tensor(layer.weight.data[b])
+        attrs["bias"] = None if bias is None else Tensor(bias.data[b])
+        reset(SimpleNamespace(**attrs), gen)
 
 
 def fuse_channel(inputs: Sequence[Tensor]) -> Tensor:

@@ -1,4 +1,4 @@
-"""Horizontally fused optimizers and LR schedulers.
+"""Horizontally fused optimizers.
 
 Fused optimizers update ``[B, ...]``-shaped fused parameters with per-model
 hyper-parameter *vectors*, replacing ``B`` scalar-vector operations by one
@@ -10,14 +10,11 @@ from .optimizer import FusedOptimizer
 from .adam import Adam, AdamW
 from .adadelta import Adadelta
 from .sgd import SGD
-from .lr_scheduler import (FusedLRScheduler, StepLR, ExponentialLR,
-                           CosineAnnealingLR)
 from .utils import coerce_hyperparam
 from .elastic import (split_optimizer, merge_optimizers, export_slot_state,
                       load_slot_state)
 
 __all__ = ["FusedOptimizer", "Adam", "AdamW", "Adadelta", "SGD",
-           "FusedLRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR",
            "coerce_hyperparam",
            "split_optimizer", "merge_optimizers", "export_slot_state",
            "load_slot_state"]

@@ -55,7 +55,9 @@ class _ConvNd(Module):
     def reset_parameters(self, generator: Optional[np.random.Generator] = None) -> None:
         init.kaiming_uniform_(self.weight, a=math.sqrt(5), generator=generator)
         if self.bias is not None:
-            fan_in = self.in_channels // self.groups * int(np.prod(self.kernel_size))
+            # from the weight, as torch does: a transposed conv's
+            # [C_in, C_out/g, *k] weight has fan-in C_out/g * prod(k)
+            fan_in, _ = init._fan_in_and_fan_out(self.weight)
             bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
             init.uniform_(self.bias, -bound, bound, generator=generator)
 

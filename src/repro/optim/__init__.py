@@ -1,4 +1,4 @@
-"""Unfused optimizers and learning-rate schedulers.
+"""Unfused optimizers.
 
 These mirror ``torch.optim`` and serve as the *serial* baselines of the
 reproduction: one optimizer instance per training job, scalar
@@ -11,8 +11,5 @@ from .optimizer import Optimizer
 from .sgd import SGD
 from .adam import Adam, AdamW
 from .adadelta import Adadelta
-from .lr_scheduler import (LRScheduler, StepLR, ExponentialLR,
-                           CosineAnnealingLR)
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "Adadelta", "LRScheduler",
-           "StepLR", "ExponentialLR", "CosineAnnealingLR"]
+__all__ = ["Optimizer", "SGD", "Adam", "AdamW", "Adadelta"]

@@ -14,8 +14,8 @@ class Optimizer:
     """Base class holding parameters, per-parameter state, and defaults.
 
     ``param_groups`` follows the PyTorch convention: a list of dictionaries,
-    each with a ``"params"`` list plus the group's hyper-parameters.  The
-    learning-rate schedulers mutate ``group["lr"]`` in place.
+    each with a ``"params"`` list plus the group's hyper-parameters, which
+    a caller may retune between steps (e.g. ``group["lr"] *= 0.1``).
     """
 
     def __init__(self, params: Iterable[Tensor], defaults: Dict):

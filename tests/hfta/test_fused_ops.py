@@ -2,7 +2,9 @@
 
 Every fused operator must produce, for each array slot ``b``, exactly the
 output the corresponding unfused operator would produce on model ``b``'s
-input — these tests check that property operator by operator.
+input — these tests check that property operator by operator, byte for
+byte, with the slots loaded the one way the runtime loads them:
+:func:`repro.hfta.load_from_unfused`.
 """
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import nn
+from repro.hfta import load_from_unfused
 from repro.hfta import ops as hops
+from ..conftest import same_bytes
 
 rng = np.random.default_rng(3)
 B = 3
@@ -21,10 +25,20 @@ def per_model_inputs(shape, count=B):
             for _ in range(count)]
 
 
-def assert_slotwise_equal(fused_out_per_model, serial_outs, atol=1e-5):
-    for fused, serial in zip(fused_out_per_model, serial_outs):
-        np.testing.assert_allclose(fused.data, serial.data, atol=atol,
-                                   rtol=1e-5)
+def assert_slotwise_equal(fused_out_per_model, serial_outs):
+    outs = list(zip(fused_out_per_model, serial_outs))
+    assert len(outs) == B
+    for b, (fused, serial) in enumerate(outs):
+        assert same_bytes(fused.data, serial.data), f"slot {b}"
+
+
+def randomize_affine(serial):
+    """Give each serial norm layer its own affine parameters (they start as
+    ones and zeros, which would hide a slot mix-up)."""
+    for m in serial:
+        m.weight.data[...] = rng.standard_normal(m.weight.shape)
+        m.bias.data[...] = rng.standard_normal(m.bias.shape)
+    return serial
 
 
 class TestFusedConvFamily:
@@ -34,8 +48,7 @@ class TestFusedConvFamily:
                             generator=np.random.default_rng(b))
                   for b in range(B)]
         fused = hops.Conv2d(B, 4, 6, 3, padding=1, groups=groups)
-        for b, m in enumerate(serial):
-            fused.load_model_weights(b, m.weight.data, m.bias.data)
+        load_from_unfused(fused, serial)
         xs = per_model_inputs((2, 4, 5, 5))
         fused_out = fused(hops.fuse_channel(xs))
         assert_slotwise_equal(hops.unfuse_channel(fused_out, B),
@@ -57,8 +70,7 @@ class TestFusedConvFamily:
         serial = [nn.Conv1d(3, 8, 1, generator=np.random.default_rng(b))
                   for b in range(B)]
         fused = hops.Conv1d(B, 3, 8, 1)
-        for b, m in enumerate(serial):
-            fused.load_model_weights(b, m.weight.data, m.bias.data)
+        load_from_unfused(fused, serial)
         xs = per_model_inputs((2, 3, 20))
         fused_out = fused(hops.fuse_channel(xs))
         assert_slotwise_equal(hops.unfuse_channel(fused_out, B),
@@ -69,8 +81,7 @@ class TestFusedConvFamily:
                                      generator=np.random.default_rng(b))
                   for b in range(B)]
         fused = hops.ConvTranspose2d(B, 6, 4, 4, stride=2, padding=1)
-        for b, m in enumerate(serial):
-            fused.load_model_weights(b, m.weight.data, m.bias.data)
+        load_from_unfused(fused, serial)
         xs = per_model_inputs((2, 6, 5, 5))
         fused_out = fused(hops.fuse_channel(xs))
         assert_slotwise_equal(hops.unfuse_channel(fused_out, B),
@@ -114,17 +125,12 @@ class TestFusedLinearAndNorm:
         serial = [nn.Linear(10, 7, generator=np.random.default_rng(b))
                   for b in range(B)]
         fused = hops.Linear(B, 10, 7)
-        for b, m in enumerate(serial):
-            fused.load_model_weights(b, m.weight.data, m.bias.data)
+        load_from_unfused(fused, serial)
         assert_fused_slices_bitwise(fused, serial, (3, 7, 10))
 
     def test_layernorm_parameter_gradients_are_bitwise_serial(self):
-        serial = [nn.LayerNorm(8) for _ in range(B)]
-        fused = hops.LayerNorm(B, 8)
-        for b, m in enumerate(serial):
-            m.weight.data[...] = rng.standard_normal(8)
-            m.bias.data[...] = rng.standard_normal(8)
-            fused.load_model_weights(b, m.weight.data, m.bias.data)
+        serial = randomize_affine([nn.LayerNorm(8) for _ in range(B)])
+        fused = load_from_unfused(hops.LayerNorm(B, 8), serial)
         assert_fused_slices_bitwise(fused, serial, (3, 7, 8))
 
     def test_linear_middle_dims(self):
@@ -140,12 +146,8 @@ class TestFusedLinearAndNorm:
             fused(nn.randn(B, 2, 9))
 
     def test_batchnorm2d_equivalence_train_and_eval(self):
-        serial = [nn.BatchNorm2d(5) for _ in range(B)]
-        fused = hops.BatchNorm2d(B, 5)
-        for b, m in enumerate(serial):
-            m.weight.data[...] = rng.standard_normal(5)
-            m.bias.data[...] = rng.standard_normal(5)
-            fused.load_model_weights(b, m.weight.data, m.bias.data)
+        serial = randomize_affine([nn.BatchNorm2d(5) for _ in range(B)])
+        fused = load_from_unfused(hops.BatchNorm2d(B, 5), serial)
         xs = per_model_inputs((4, 5, 3, 3))
         for training in (True, False):
             for m in serial:
@@ -153,8 +155,7 @@ class TestFusedLinearAndNorm:
             fused.train(training)
             fused_out = fused(hops.fuse_channel(xs))
             assert_slotwise_equal(hops.unfuse_channel(fused_out, B),
-                                  [m(x) for m, x in zip(serial, xs)],
-                                  atol=1e-4)
+                                  [m(x) for m, x in zip(serial, xs)])
 
     def test_batchnorm_running_stats_per_model(self):
         """Each model's running stats must track only its own activations."""
@@ -171,16 +172,12 @@ class TestFusedLinearAndNorm:
         assert out.shape == (B, 10, 6)
 
     def test_layernorm_equivalence(self):
-        serial = [nn.LayerNorm(8) for _ in range(B)]
-        fused = hops.LayerNorm(B, 8)
-        for b, m in enumerate(serial):
-            m.weight.data[...] = rng.standard_normal(8)
-            m.bias.data[...] = rng.standard_normal(8)
-            fused.load_model_weights(b, m.weight.data, m.bias.data)
+        serial = randomize_affine([nn.LayerNorm(8) for _ in range(B)])
+        fused = load_from_unfused(hops.LayerNorm(B, 8), serial)
         xs = per_model_inputs((4, 6, 8))
         fused_out = fused(hops.fuse_batch(xs))
         assert_slotwise_equal([fused_out[b] for b in range(B)],
-                              [m(x) for m, x in zip(serial, xs)], atol=1e-5)
+                              [m(x) for m, x in zip(serial, xs)])
 
 
 class TestFusedEmbeddingPoolingActivation:
@@ -188,13 +185,11 @@ class TestFusedEmbeddingPoolingActivation:
         serial = [nn.Embedding(12, 6, generator=np.random.default_rng(b))
                   for b in range(B)]
         fused = hops.Embedding(B, 12, 6)
-        for b, m in enumerate(serial):
-            fused.load_model_weights(b, m.weight.data)
+        load_from_unfused(fused, serial)
         ids = rng.integers(0, 12, size=(B, 4, 5))
         fused_out = fused(ids)
-        for b in range(B):
-            np.testing.assert_allclose(fused_out.data[b],
-                                       serial[b](ids[b]).data, atol=1e-6)
+        assert_slotwise_equal([fused_out[b] for b in range(B)],
+                              [m(ids[b]) for b, m in enumerate(serial)])
 
     def test_embedding_rejects_out_of_range(self):
         fused = hops.Embedding(B, 10, 4)
@@ -235,12 +230,60 @@ class TestFusedEmbeddingPoolingActivation:
                                              generator=np.random.default_rng(b))
                   for b in range(B)]
         fused = hops.TransformerEncoderLayer(B, 8, 2, 16, dropout=0.0)
-        from repro.hfta import load_from_unfused
         load_from_unfused(fused, serial)
         xs = per_model_inputs((2, 5, 8))
         fused_out = fused(hops.fuse_batch(xs))
         assert_slotwise_equal([fused_out[b] for b in range(B)],
-                              [m(x) for m, x in zip(serial, xs)], atol=1e-4)
+                              [m(x) for m, x in zip(serial, xs)])
+
+
+#: layer -> (fused constructor at width B, serial constructor); the
+#: transposed conv has C_in != C_out, so its bias bound's fan-in shows
+INIT_CASES = {
+    "Linear": (lambda g: hops.Linear(B, 10, 7, generator=g),
+               lambda g: nn.Linear(10, 7, generator=g)),
+    "Conv1d": (lambda g: hops.Conv1d(B, 3, 8, 1, generator=g),
+               lambda g: nn.Conv1d(3, 8, 1, generator=g)),
+    "Conv2d": (lambda g: hops.Conv2d(B, 4, 6, 3, groups=2, generator=g),
+               lambda g: nn.Conv2d(4, 6, 3, groups=2, generator=g)),
+    "ConvTranspose2d": (
+        lambda g: hops.ConvTranspose2d(B, 6, 4, 4, stride=2, generator=g),
+        lambda g: nn.ConvTranspose2d(6, 4, 4, stride=2, generator=g)),
+    "Embedding": (lambda g: hops.Embedding(B, 12, 6, generator=g),
+                  lambda g: nn.Embedding(12, 6, generator=g)),
+}
+
+
+def slot_params(module, b):
+    return [p.data[b] for _, p in module.named_parameters()]
+
+
+class TestPerModelInit:
+    @pytest.mark.parametrize("name", sorted(INIT_CASES))
+    def test_slot_b_is_the_serial_layer_built_with_generator_b(self, name):
+        build_fused, build_serial = INIT_CASES[name]
+        fused = build_fused([np.random.default_rng(b) for b in range(B)])
+        for b in range(B):
+            serial = build_serial(np.random.default_rng(b))
+            want = [p.data for _, p in serial.named_parameters()]
+            got = slot_params(fused, b)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), f"slot {b}"
+
+    def test_one_generator_is_drawn_in_slot_order(self):
+        build_fused, build_serial = INIT_CASES["Linear"]
+        fused = build_fused(np.random.default_rng(7))
+        shared = np.random.default_rng(7)
+        for b in range(B):
+            serial = build_serial(shared)
+            for g, (_, w) in zip(slot_params(fused, b),
+                                 serial.named_parameters()):
+                assert g.tobytes() == w.data.tobytes()
+
+    def test_generator_count_must_match_the_width(self):
+        with pytest.raises(ValueError, match="one generator per fused model"):
+            hops.Linear(B, 4, 4, generator=[np.random.default_rng(0)] * 2)
 
 
 class TestLayoutHelpers:
@@ -262,7 +305,7 @@ class TestLayoutHelpers:
         batched = hops.channel_to_batch(folded, B)
         assert batched.shape == (B, 2, 4, 3)
         back = hops.batch_to_channel(batched)
-        np.testing.assert_allclose(back.data, folded.data)
+        np.testing.assert_array_equal(back.data, folded.data)
 
     def test_unfuse_channel_validates_divisibility(self):
         with pytest.raises(ValueError):
@@ -274,4 +317,4 @@ class TestLayoutHelpers:
         x = nn.tensor(np.random.default_rng(0).standard_normal(
             (n, b * c, 2)).astype(np.float32))
         roundtrip = hops.batch_to_channel(hops.channel_to_batch(x, b))
-        np.testing.assert_allclose(roundtrip.data, x.data)
+        np.testing.assert_array_equal(roundtrip.data, x.data)

@@ -1,4 +1,4 @@
-"""Tests for the unfused optimizers and LR schedulers."""
+"""Tests for the unfused optimizers."""
 
 import numpy as np
 import pytest
@@ -103,39 +103,6 @@ class TestAdamFamily:
         opt = optim.Adam([p], lr=0.1)
         opt.step()  # no grad yet: should be a no-op, not an error
         assert p.data[0] == 5.0
-
-
-class TestSchedulers:
-    def _opt(self, lr=1.0):
-        return optim.SGD([quadratic_param()], lr=lr)
-
-    def test_step_lr_decays_every_period(self):
-        opt = self._opt()
-        sched = optim.StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(5):
-            lrs.append(opt.lr)
-            sched.step()
-        np.testing.assert_allclose(lrs, [1.0, 1.0, 0.1, 0.1, 0.01], rtol=1e-6)
-
-    def test_exponential_lr(self):
-        opt = self._opt()
-        sched = optim.ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_cosine_annealing_reaches_eta_min(self):
-        opt = self._opt()
-        sched = optim.CosineAnnealingLR(opt, T_max=10, eta_min=0.1)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1, abs=1e-6)
-
-    def test_get_last_lr(self):
-        opt = self._opt(lr=2.0)
-        sched = optim.StepLR(opt, step_size=1, gamma=0.5)
-        sched.step()
-        assert sched.get_last_lr() == [pytest.approx(1.0)]
 
 
 class TestEndToEndTraining:

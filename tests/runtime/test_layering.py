@@ -1,7 +1,8 @@
 """The runtime sits below HFHT: importing it loads no ``repro.hfht``
-module, and the two packages import in either order.  scipy, the LP
-placer's optional solver, loads at the first LP use, never with a
-package."""
+module, and the two packages import in either order.  Below the runtime,
+``repro.hfta`` loads no runtime module and the serial reference
+``repro.nn`` neither of them.  scipy, the LP placer's optional solver,
+loads at the first LP use, never with a package."""
 
 import os
 import subprocess
@@ -27,6 +28,17 @@ def test_runtime_loads_no_hfht_module():
     out = run("import sys, repro.runtime\n"
               "print(sorted(m for m in sys.modules\n"
               "             if m.startswith('repro.hfht')))")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("package,above", [
+    ("repro.nn", ("repro.hfta", "repro.runtime")),
+    ("repro.hfta", ("repro.runtime",)),
+])
+def test_a_lower_layer_loads_no_higher_one(package, above):
+    out = run(f"import sys, {package}\n"
+              "print(sorted(m for m in sys.modules\n"
+              f"             if m.startswith({above!r})))")
     assert out.strip() == "[]"
 
 

@@ -88,14 +88,12 @@ class TestValidateFusibility:
     def test_accepts_identical_structures(self):
         models = [build_serial(seed) for seed in range(B)]
         assert hfta.validate_fusibility(models)
-        assert hfta.is_fusible(models)
         assert hfta.fusibility_error(models) is None
 
     def test_rejects_shape_mismatch(self):
         models = [build_serial(0), build_serial(1, channels=8)]
         with pytest.raises(ValueError, match="shape mismatch"):
             hfta.validate_fusibility(models)
-        assert not hfta.is_fusible(models)
         assert "shape mismatch" in hfta.fusibility_error(models)
 
     def test_rejects_different_structure(self):
@@ -103,16 +101,17 @@ class TestValidateFusibility:
         mlp = nn.Sequential(nn.Linear(3, 4), nn.ReLU())
         with pytest.raises(ValueError, match="different module structure"):
             hfta.validate_fusibility([cnn, mlp])
-        assert not hfta.is_fusible([cnn, mlp])
+        assert "different module structure" in \
+            hfta.fusibility_error([cnn, mlp])
 
     def test_prefix_parameter_mismatch_is_reported_not_raised(self):
         """Same module structure, but one model's parameter list is a strict
-        prefix of the other's (bias present in only one): the predicate must
-        stay non-throwing and the validator must raise ValueError."""
+        prefix of the other's (bias present in only one): ``fusibility_error``
+        must report it without raising, and the validator must raise
+        ValueError."""
         with_bias = nn.Sequential(nn.Linear(4, 3))
         without_bias = nn.Sequential(nn.Linear(4, 3, bias=False))
         models = [with_bias, without_bias]
-        assert not hfta.is_fusible(models)
         assert "parameters" in hfta.fusibility_error(models)
         with pytest.raises(ValueError, match="parameters"):
             hfta.validate_fusibility(models)

@@ -6,13 +6,17 @@ of each model, its kernel table every split kernel, and its arena table
 each model's buffers, largest first, then what lives outside the arena
 (held at backward start, the step's peak, the top allocation sites); its
 scatter table times both forms of the embedding gradient's scatter on each
-batch of ids."""
+batch of ids.  And its phase loop is the engine's step: ``run_phases``
+leaves an array's parameters and optimizer state as
+``FusedPhysics.step`` does."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,3 +115,35 @@ def test_scatter_table_times_both_forms_on_each_batch_of_ids():
     for _, most, budget, at_us, rounds_us, picked, ratio in rows:
         assert (picked == "rounds") == (int(most) <= int(budget))
         assert int(at_us) > 0 and int(rounds_us) > 0 and float(ratio) > 0
+
+
+def training_state(executor):
+    """The bytes of an array's parameters, buffers and optimizer state."""
+    physics = executor.physics
+    state = [p.data for p in physics.fused.parameters()]
+    state += [buf for _, buf in physics.fused.named_buffers()
+              if buf is not None]
+    for p in physics.fused.parameters():
+        slot_state = physics.optimizer.state.get(id(p), {})
+        state += [np.asarray(slot_state[key]) for key in sorted(slot_state)]
+    return [array.tobytes() for array in state]
+
+
+@pytest.mark.parametrize("family", ["mlp", "lm"])
+def test_run_phases_trains_as_the_engine_step_does(family, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))       # bench_e2e, for the jobs
+    spec = importlib.util.spec_from_file_location("step_probe", PROBE)
+    step_probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_probe)
+    jobs = step_probe.family_jobs(family)
+    probed = step_probe.executor_for(jobs, 3)
+    stepped = step_probe.executor_for(jobs, 3)
+    for executor in (probed, stepped):
+        executor.step_epoch()            # later steps read later batches
+    before = training_state(probed)
+    assert before == training_state(stepped)
+    step_probe.run_phases(probed, 2, lambda n, k: None)
+    stepped.physics.step(stepped.slots, 2)
+    after = training_state(probed)
+    assert after != before
+    assert after == training_state(stepped)

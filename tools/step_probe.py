@@ -163,7 +163,7 @@ def run_phases(executor, steps, mark):
     with physics.arena.active():
         for n in range(steps):
             mark(n, 0)
-            batches = [slot.job.data(n) for slot in slots]
+            batches = [slot.job.data(slot.progress + n) for slot in slots]
             inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
                       for x, _ in batches]
             targets = np.stack([y for _, y in batches])
