@@ -73,8 +73,9 @@ api-docs:
 	PYTHONPATH=src $(PY) tools/gen_api_docs.py
 
 # run every example end-to-end (runtime_serving, fleet_serving,
-# elastic_tuning and gateway_serving assert serial equivalence of every
-# exported checkpoint, including checkpoints evicted mid-training;
+# elastic_tuning and gateway_serving assert bitwise serial equivalence of
+# every exported checkpoint, including checkpoints evicted mid-training,
+# and pointnet_hp_sweep of one fused slot;
 # crash_recovery murders a device worker mid-array and asserts the
 # recovered run is bit-identical to an uninterrupted one)
 examples:

@@ -19,7 +19,7 @@ operator runbook in ``docs/operations.md``):
    quarantine-then-drop).  The next cycle re-places the recovered cohort
    on a healthy device via the cost model and resumes from epoch 3.
 4. The verdict: every final checkpoint — from the crashed array and the
-   untouched one alike — is verified *serial-equivalent* (numerically
+   untouched one alike — is verified *serial-equivalent* (bitwise
    equal to training each job alone), and the recovered jobs' checkpoints
    are additionally **bit-identical** to an uninterrupted fleet run: the
    crash changed when and where the jobs trained, never what they learned.
@@ -114,9 +114,8 @@ def verify_serial_equivalence(results, jobs):
         for (name, p_ref), (_, p_out) in zip(
                 reference.named_parameters(),
                 result.checkpoint.named_parameters()):
-            np.testing.assert_allclose(p_out.data, p_ref.data, rtol=1e-4,
-                                       atol=1e-6,
-                                       err_msg=f"{result.name} {name}")
+            np.testing.assert_array_equal(p_out.data, p_ref.data,
+                                          err_msg=f"{result.name} {name}")
 
 
 def main():

@@ -118,8 +118,7 @@ def main():
     for (name, p_ref), (_, p_out) in zip(
             reference.named_parameters(),
             evicted.checkpoint.named_parameters()):
-        np.testing.assert_allclose(p_out.data, p_ref.data, rtol=1e-4,
-                                   atol=1e-6, err_msg=name)
+        np.testing.assert_array_equal(p_out.data, p_ref.data, err_msg=name)
     print(f"evicted checkpoint ({evicted.name}) verified against serial "
           f"training — eviction changed when it trained, not what it "
           f"learned")

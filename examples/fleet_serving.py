@@ -199,7 +199,7 @@ def main():
         print(f"  {job.name:16s} array {result.array_id} on "
               f"{record.device:8s} slot {result.slot} "
               f"(width {result.array_width})  max dev {deviation:.2e}")
-        assert deviation < 1e-4, f"{job.name} diverged from serial training"
+        assert deviation == 0, f"{job.name} diverged from serial training"
     print(f"\nAll {len(jobs)} checkpoints match serial training "
           f"(worst relative deviation {worst_overall:.2e}).")
 

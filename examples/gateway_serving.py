@@ -186,7 +186,7 @@ def main():
         deviation = max_param_deviation(results[job_id].checkpoint,
                                         train_serial_reference(job))
         worst = max(worst, deviation)
-        assert deviation < 1e-4, f"{job.name} diverged from serial training"
+        assert deviation == 0, f"{job.name} diverged from serial training"
     print(f"  all {len(survivors)} match "
           f"(worst relative deviation {worst:.2e}).")
 

@@ -196,7 +196,7 @@ def main():
         print(f"  {job.name:16s} array {result.array_id} slot {result.slot} "
               f"(width {result.array_width})  max dev {deviation:.2e}  "
               f"final loss {result.loss_curve[-1]:.4f}")
-        assert deviation < 1e-4, f"{job.name} diverged from serial training"
+        assert deviation == 0, f"{job.name} diverged from serial training"
     print(f"\nAll {len(jobs)} checkpoints match serial training "
           f"(worst relative deviation {worst_overall:.2e}).")
 

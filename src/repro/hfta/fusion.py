@@ -24,39 +24,40 @@ re-fusion primitives operating on whole fused arrays mid-training:
 * :func:`merge_fused` concatenates two structurally identical fused arrays
   into one (admission of freshly fused jobs into freed width).
 
-Both follow the repo-wide layout conventions: fused parameters carry a
-leading array dimension ``[B, *s]``, fused buffers are block-folded
-``[B * c, ...]`` (see :func:`load_from_unfused`).  The per-slot *optimizer*
-state moves through the matching primitives in
-:mod:`repro.hfta.optim.elastic`.
+Both rest on one layout rule: every per-model array carries the array
+dimension first.  Fused parameters are ``[B, *s]``, fused buffers are
+block-folded ``[B * c, ...]`` and read as ``[B, c, ...]`` (see
+:func:`load_from_unfused`); the per-slot *optimizer* state ``[B, *s]`` and
+hyper-parameter vectors ``[B]`` move through the matching primitives in
+:mod:`repro.hfta.optim.elastic`.  A split takes slots of every such array
+with :func:`take`, a merge joins two with :func:`join`, and an array that
+does not follow the rule (a buffer that is not per-model) raises.
 
 Ownership / copy-on-write contract
 ----------------------------------
-The re-fusion primitives are *zero-copy by default*: a split whose kept
-slots form one contiguous leading-dim run returns **views** into the input
-array's memory (a contiguous slice along axis 0 of a C-contiguous array is
-a strided view, never a copy), and only falls back to copies for
-non-contiguous keep sets.  The exact contract per primitive:
+One rule: a split whose kept slots form one ascending contiguous run
+returns **views** of the input's arrays (a slice along axis 0 of a
+C-contiguous array never copies); any other keep set returns gathered
+copies.  A merge always returns fresh memory.
 
-* :func:`split_fused` — the split itself never mutates the input.  With
-  ``copy=False`` (default) the result's parameters/buffers may *alias* the
-  input's memory; training the result in place then writes into the shared
-  base.  The two safe call patterns, both used by the executor, are
-  (a) *narrowing*: the input array is discarded right after the split, and
-  (b) *partitioning*: the array is split into **disjoint** slot ranges
-  (eviction + survivors, preemption parent + child) — in-place optimizer
-  updates land in disjoint slices of the shared base, so neither side can
-  corrupt the other.  Pass ``copy=True`` for fully owned results.
-* :func:`merge_fused` — always allocates a fresh destination (optionally
-  through a :class:`~repro.runtime.bufferpool.BufferPool` allocator) and
-  copies both inputs in; the output never aliases either input, and the
-  inputs are never mutated.
+* :func:`split_fused` never mutates its input, but its result may *alias*
+  it: training the result in place writes into the shared base.  The two
+  safe call patterns, both used by the executor, are (a) *narrowing*: the
+  input array is discarded right after the split, and (b)
+  *partitioning*: the array is split into **disjoint** slot ranges
+  (eviction + survivors, preemption parent + child) — in-place updates land
+  in disjoint slices of the shared base, so neither side can corrupt the
+  other.
+* :func:`merge_fused` allocates every destination (optionally through a
+  :class:`~repro.runtime.bufferpool.BufferPool` allocator) and copies both
+  inputs in; the output never aliases either input, and the inputs are
+  never mutated.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,9 +108,7 @@ def load_from_unfused(fused: Module, unfused_models: Sequence[Module]) -> Module
             target[b] = p.data
             slots_filled[name] = slots_filled.get(name, 0) + 1
         for name, buf in model.named_buffers():
-            if name not in fused_buffers or buf is None:
-                continue
-            target = fused_buffers[name]
+            target = fused_buffers.get(name)
             if target is None:
                 continue
             block = buf.shape[0]
@@ -119,9 +118,8 @@ def load_from_unfused(fused: Module, unfused_models: Sequence[Module]) -> Module
                     f"buffer '{name}': fused shape {target.shape} != {expected}")
             target[b * block:(b + 1) * block] = buf
             slots_filled[name] = slots_filled.get(name, 0) + 1
-    unfilled = [name for name in (*fused_params, *(
-        name for name, buf in fused_buffers.items() if buf is not None))
-        if slots_filled.get(name, 0) < num_models]
+    unfilled = [name for name in (*fused_params, *fused_buffers)
+                if slots_filled.get(name, 0) < num_models]
     if unfilled:
         raise KeyError(f"no unfused model filled a slot of the fused "
                        f"model's {', '.join(unfilled)}")
@@ -135,10 +133,9 @@ def export_to_unfused(fused: Module, index: int, template: Module) -> Module:
     as-is (e.g. BatchNorm running stats for inference), and the elastic
     runtime evicts jobs mid-training, so a buffer left behind would silently
     diverge from what serial training of the same job would have produced.
-    Buffers are matched by the block-folded ``[B * c, ...]`` convention of
-    :func:`load_from_unfused`, with a fallback for leading-dim ``[B, ...]``
-    layouts and scalar per-model buffers; a fused buffer that cannot be
-    sliced per slot raises instead of being skipped.
+    Buffers follow the block-folded ``[B * c, ...]`` convention of
+    :func:`load_from_unfused`; a fused buffer in any other layout raises
+    instead of being skipped.
     """
     num_models = fused_array_width(fused)
     fused_params = _fused_param_map(fused)
@@ -149,42 +146,29 @@ def export_to_unfused(fused: Module, index: int, template: Module) -> Module:
             raise KeyError(f"fused model has no parameter named '{name}'")
         p.data[...] = target[index]
     for name, buf in template.named_buffers():
-        if buf is None:
-            continue
         source = fused_buffers.get(name)
         if source is None:
             continue
-        if source.shape == (num_models,) + buf.shape:
-            # leading-dim layout [B, *s] (scalar per-model buffers included)
-            buf[...] = source[index]
-        elif buf.ndim >= 1 and source.shape == \
-                (num_models * buf.shape[0],) + buf.shape[1:]:
-            block = buf.shape[0]
-            buf[...] = source[index * block:(index + 1) * block]
-        else:
+        block = buf.shape[0] if buf.ndim else 0
+        if not block or source.shape != (num_models * block,) + buf.shape[1:]:
             raise ValueError(
-                f"buffer '{name}': fused shape {source.shape} is neither "
-                f"[B={num_models}] + {buf.shape} nor "
-                f"[B*{buf.shape[0] if buf.ndim else '?'}] block-folded; "
-                f"cannot export slot {index}")
+                f"buffer '{name}': fused shape {source.shape} is not "
+                f"{buf.shape} block-folded over B={num_models}; cannot "
+                f"export slot {index}")
+        buf[...] = source[index * block:(index + 1) * block]
     return template
 
 
 def fused_array_width(fused: Module) -> int:
-    """The array width ``B`` of a fused model.
-
-    Taken from the first submodule exposing ``num_models`` (every class in
-    :mod:`repro.hfta.ops` does), falling back to the leading dimension of
-    the first parameter.
-    """
+    """The array width ``B`` of a fused model: the ``num_models`` of its
+    first submodule exposing one (every class in :mod:`repro.hfta.ops`
+    does)."""
     for module in fused.modules():
         width = getattr(module, "num_models", None)
         if isinstance(width, int) and width >= 1:
             return width
-    for _, p in fused.named_parameters():
-        return p.shape[0]
-    raise ValueError("cannot infer array width: model has neither a "
-                     "'num_models' attribute nor parameters")
+    raise ValueError("cannot infer array width: no submodule has a "
+                     "'num_models' attribute; is this a fused model?")
 
 
 def structural_signature(model: Module) -> Tuple[Tuple, Tuple]:
@@ -257,16 +241,34 @@ def contiguous_run(indices: Sequence[int]):
     return int(indices[0]), int(indices[-1]) + 1
 
 
+def take(array: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Slots ``keep`` of a per-model array, along its array dimension.
+
+    A view when ``keep`` is one ascending contiguous run, a gathered copy
+    otherwise (see the module docstring's ownership contract).
+    """
+    run = contiguous_run(keep)
+    return array[keep] if run is None else array[run[0]:run[1]]
+
+
+def join(a: np.ndarray, b: np.ndarray, allocator=None) -> np.ndarray:
+    """``a``'s slots then ``b``'s, along the array dimension, in fresh
+    memory — from ``allocator(shape, dtype)`` when given and the dtypes
+    agree (its result is fully overwritten)."""
+    if allocator is None or a.dtype != b.dtype:
+        return np.concatenate([a, b])
+    return np.concatenate(
+        [a, b], out=allocator((len(a) + len(b),) + a.shape[1:], a.dtype))
+
+
 def _structural_clone(fused: Module) -> Module:
     """Clone the module *tree* while sharing every parameter/buffer array.
 
     ``copy.deepcopy`` with the memo pre-seeded so that each ``ndarray``
     hanging off a parameter (``data``/``grad``) or buffer maps to itself:
     the clone gets fresh ``Module``/``Parameter`` objects (safe to rebind
-    and retag) but zero array bytes are copied.  Callers rebind each
-    parameter's ``data`` to a slice/concatenation and re-register the
-    per-model buffers; :func:`_copy_leftover_shared_buffers` then breaks
-    the sharing of whatever slot-independent buffers remain.
+    and retag) but zero array bytes are copied.  Callers rebind every
+    parameter's ``data`` and every buffer to a split or joined array.
     """
     memo: Dict[int, object] = {}
     for _, p in fused.named_parameters():
@@ -275,27 +277,8 @@ def _structural_clone(fused: Module) -> Module:
         if p.grad is not None:
             memo[id(p.grad)] = p.grad
     for _, buf in fused.named_buffers():
-        if buf is not None:
-            memo[id(buf)] = buf
+        memo[id(buf)] = buf
     return copy.deepcopy(fused, memo)
-
-
-def _copy_leftover_shared_buffers(out: Module, source: Module) -> None:
-    """Break any remaining buffer sharing between a clone and its source.
-
-    After :func:`_structural_clone` + per-model buffer surgery, buffers
-    that were *not* re-registered (slot-independent ones whose leading dim
-    is no multiple of the array width) are still the source's own arrays;
-    give the clone private copies so in-place buffer updates on either
-    side can never leak into the other (the semantics the old
-    deepcopy-everything implementation provided).
-    """
-    source_ids = {id(buf) for _, buf in source.named_buffers()
-                  if buf is not None}
-    for module in out.modules():
-        for name, buf in list(module._buffers.items()):
-            if buf is not None and id(buf) in source_ids:
-                module.register_buffer(name, buf.copy())
 
 
 def _rewrite_num_models(model: Module, old_width: int, new_width: int) -> None:
@@ -312,42 +295,58 @@ def _rewrite_num_models(model: Module, old_width: int, new_width: int) -> None:
                 value.num_models = new_width
 
 
-def _resize_buffers(model: Module, take) -> None:
-    """Replace every per-model buffer with ``take(buffer, block_size)``.
+def _slot_arrays(model: Module, width: int, op: str
+                 ) -> Iterator[Tuple[str, np.ndarray, Callable]]:
+    """``(label, [B, ...] array, put)`` for every per-model array of ``model``.
 
-    Buffers follow the block-folded ``[B * c, ...]`` convention; buffers
-    whose leading dimension is not a multiple of the array width are treated
-    as slot-independent and left untouched.
+    Parameters are ``[B, *s]``; buffers are block-folded ``[B * c, ...]``
+    and read as ``[B, c, ...]``.  ``put(array)`` installs a re-fused array
+    of any width in the same place (a buffer folded back, a parameter with
+    its gradient dropped).  An array that does not carry the array width
+    ``B`` first raises ``ValueError`` naming it.
     """
-    for module in model.modules():
-        width = getattr(module, "num_models", None)
-        for name, buf in list(module._buffers.items()):
-            if buf is None or not isinstance(width, int) or width < 1:
+    for prefix, module in model.named_modules():
+        prefix = prefix + "." if prefix else ""
+        for name, p in module._parameters.items():
+            if p is None:
                 continue
-            if buf.ndim >= 1 and buf.shape[0] % width == 0:
+            if p.shape[0] != width:
+                raise ValueError(
+                    f"cannot {op}: parameter '{prefix}{name}' has leading "
+                    f"dim {p.shape[0]}, expected array width {width}; is "
+                    f"this a fused model?")
+
+            def put(data, p=p):
+                p.data, p.grad = data, None
+            yield f"parameter '{prefix}{name}'", p.data, put
+        for name, buf in module._buffers.items():
+            if buf is None:
+                continue
+            if buf.ndim == 0 or buf.shape[0] % width:
+                raise ValueError(
+                    f"cannot {op}: buffer '{prefix}{name}' of shape "
+                    f"{buf.shape} is not per-model (block-folded [B*c, ...] "
+                    f"over array width {width})")
+
+            def fold(slots, module=module, name=name):
                 module.register_buffer(
-                    name, take(buf, buf.shape[0] // width, width))
+                    name, slots.reshape((-1,) + slots.shape[2:]))
+            yield f"buffer '{prefix}{name}'", buf.reshape(
+                (width, buf.shape[0] // width) + buf.shape[1:]), fold
 
 
-def split_fused(fused: Module, keep_indices: Sequence[int],
-                copy: bool = False) -> Module:
+def split_fused(fused: Module, keep_indices: Sequence[int]) -> Module:
     """A new fused array holding only slots ``keep_indices`` of ``fused``.
 
-    Parameters ``[B, *s]`` are sliced along the array dimension, buffers
-    ``[B * c, ...]`` blockwise; the input array is left untouched by the
-    split itself (slot eviction exports the evicted checkpoints first,
-    then replaces the live array with the split).  Per-slot optimizer
-    state moves through :func:`repro.hfta.optim.elastic.split_optimizer`.
-
-    Zero-copy contract: with ``copy=False`` (default) and a *contiguous*
-    ``keep_indices`` run, parameters and per-model buffers come back as
-    views into the input's memory — O(kept slots) of metadata instead of
-    O(array) of bytes.  Training the result in place then writes through
-    to the shared base, so the caller must either discard the input
-    (narrowing) or only ever train disjoint slot ranges of it
-    (partitioning); see the module docstring for the full ownership
-    contract.  Non-contiguous keeps, and ``copy=True``, return owned
-    copies exactly like the historical implementation.
+    Every parameter ``[B, *s]`` and buffer (read as ``[B, c, ...]``) goes
+    through :func:`take`: views into the input's memory for a contiguous
+    ``keep_indices`` run, gathered copies otherwise, so the caller must
+    either discard the input (narrowing) or only ever train disjoint slot
+    ranges of it (partitioning); see the module docstring.  The split
+    itself leaves the input untouched (slot eviction exports the evicted
+    checkpoints first, then replaces the live array with the split).
+    Per-slot optimizer state moves through
+    :func:`repro.hfta.optim.elastic.split_optimizer`.
     """
     width = fused_array_width(fused)
     keep: List[int] = [int(i) for i in keep_indices]
@@ -359,27 +358,9 @@ def split_fused(fused: Module, keep_indices: Sequence[int],
     if len(set(keep)) != len(keep):
         raise ValueError(f"keep_indices {keep} contains duplicates")
 
-    run = None if copy else contiguous_run(keep)
     out = _structural_clone(fused)
-    for name, p in out.named_parameters():
-        if p.shape[0] != width:
-            raise ValueError(
-                f"parameter '{name}' has leading dim {p.shape[0]}, expected "
-                f"array width {width}; is this a fused model?")
-        if run is not None:
-            p.data = p.data[run[0]:run[1]]           # view, zero bytes moved
-        else:
-            p.data = np.ascontiguousarray(p.data[keep])
-        p.grad = None
-
-    def take(buf, block, _width):
-        if run is not None:
-            return buf[run[0] * block:run[1] * block]  # blockwise view
-        return np.concatenate(
-            [buf[i * block:(i + 1) * block] for i in keep])
-
-    _resize_buffers(out, take)
-    _copy_leftover_shared_buffers(out, fused)
+    for _, slots, put in list(_slot_arrays(out, width, "split")):
+        put(take(slots, keep))
     _rewrite_num_models(out, width, len(keep))
     return out
 
@@ -387,74 +368,34 @@ def split_fused(fused: Module, keep_indices: Sequence[int],
 def merge_fused(a: Module, b: Module, allocator=None) -> Module:
     """Concatenate two structurally identical fused arrays into one.
 
-    Slot order is ``a``'s slots followed by ``b``'s.  The inputs are left
-    untouched and the output never aliases them (every merged parameter is
-    a freshly filled destination array).  Raises ``ValueError`` when the
-    arrays are not re-fusible (mismatched parameter names or per-slot
-    shapes — the same condition :func:`validate_fusibility` enforces for
-    unfused models).  Per-slot optimizer state moves through
+    Slot order is ``a``'s slots followed by ``b``'s: every parameter and
+    buffer goes through :func:`join`, so the output never aliases the
+    inputs, which are left untouched.  Raises ``ValueError`` when the
+    arrays are not re-fusible (mismatched parameter or buffer names or
+    per-slot shapes — the same condition :func:`validate_fusibility`
+    enforces for unfused models).  Per-slot optimizer state moves through
     :func:`repro.hfta.optim.elastic.merge_optimizers`.
 
     ``allocator(shape, dtype) -> ndarray`` supplies the destination arrays
     when given (the executor passes its
     :class:`~repro.runtime.bufferpool.BufferPool`'s ``take``, so churn
-    reuses dead allocations); the allocator's result is fully overwritten.
+    reuses dead allocations).
     """
     width_a, width_b = fused_array_width(a), fused_array_width(b)
-    params_a = list(a.named_parameters())
-    params_b = dict(b.named_parameters())
-    if len(params_a) != len(params_b):
-        raise ValueError(
-            f"cannot merge: arrays have {len(params_a)} vs {len(params_b)} "
-            f"parameters")
-
-    def joined(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        if allocator is not None and left.dtype == right.dtype:
-            dest = allocator((left.shape[0] + right.shape[0],)
-                             + left.shape[1:], left.dtype)
-            return np.concatenate([left, right], out=dest)
-        return np.concatenate([left, right])
-
+    others = {label: slots for label, slots, _
+              in _slot_arrays(b, width_b, "merge")}
     out = _structural_clone(a)
-    out_params = dict(out.named_parameters())
-    for name, p_a in params_a:
-        p_b = params_b.get(name)
-        if p_b is None:
-            raise ValueError(f"cannot merge: second array has no parameter "
-                             f"named '{name}'")
-        if p_a.shape[1:] != p_b.shape[1:]:
+    for label, slots, put in list(_slot_arrays(out, width_a, "merge")):
+        other = others.pop(label, None)
+        if other is None:
+            raise ValueError(f"cannot merge: second array has no {label}")
+        if slots.shape[1:] != other.shape[1:]:
             raise ValueError(
-                f"cannot merge: parameter '{name}' has per-slot shape "
-                f"{p_a.shape[1:]} vs {p_b.shape[1:]}")
-        target = out_params[name]
-        target.data = joined(p_a.data, p_b.data)
-        target.grad = None
-
-    buffers_b = dict(b.named_buffers())
-
-    # named buffer lookup needs the prefix; walk modules of `out` in lockstep
-    # with their qualified names so register_buffer hits the right module
-    for (mod_name, module) in out.named_modules():
-        width = getattr(module, "num_models", None)
-        if not isinstance(width, int) or width < 1:
-            continue
-        prefix = mod_name + "." if mod_name else ""
-        for name, buf in list(module._buffers.items()):
-            if buf is None:
-                continue
-            other = buffers_b.get(prefix + name)
-            if buf.ndim < 1 or buf.shape[0] % width_a != 0:
-                continue
-            block = buf.shape[0] // width_a
-            if other is None or other.shape != \
-                    (width_b * block,) + buf.shape[1:]:
-                raise ValueError(
-                    f"cannot merge: buffer '{prefix + name}' has shape "
-                    f"{None if other is None else other.shape} in the second "
-                    f"array, expected {(width_b * block,) + buf.shape[1:]}")
-            module.register_buffer(name, np.concatenate([buf, other]))
-
-    _copy_leftover_shared_buffers(out, a)
+                f"cannot merge: {label} has per-slot shape "
+                f"{slots.shape[1:]} vs {other.shape[1:]}")
+        put(join(slots, other, allocator))
+    if others:
+        raise ValueError(f"cannot merge: first array has no "
+                         f"{', '.join(others)}")
     _rewrite_num_models(out, width_a, width_a + width_b)
     return out
-

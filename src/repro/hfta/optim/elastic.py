@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ...nn.tensor import Tensor
-from ..fusion import contiguous_run
+from ..fusion import join, take
 from .optimizer import FusedOptimizer
 
 __all__ = ["split_optimizer", "merge_optimizers", "export_slot_state",
@@ -66,49 +66,79 @@ def _empty_like(like: FusedOptimizer, num_models: int, defaults: Dict,
     return new, iter(params)
 
 
+def _taken(values: Dict, keep: List[int], width: int) -> Dict:
+    """``values`` (a group, ``defaults`` or one parameter's state) with
+    every per-model array narrowed to slots ``keep`` by :func:`take`."""
+    return {k: (take(v, keep) if _is_per_model(v, width) else v)
+            for k, v in values.items() if k != "params"}
+
+
+def _joined(values_a: Dict, values_b: Dict, width_a: int, width_b: int,
+            allocator) -> Dict:
+    """Per-model arrays of two value dicts joined by :func:`join`; a value
+    per-model on one side only, or a shared value that differs, raises."""
+    out = {}
+    for key, va in values_a.items():
+        if key == "params":
+            continue
+        if key not in values_b:
+            raise ValueError(f"cannot merge: '{key}' missing from "
+                             f"second optimizer")
+        vb = values_b[key]
+        per_a, per_b = _is_per_model(va, width_a), _is_per_model(vb, width_b)
+        if per_a and per_b:
+            out[key] = join(va, vb, allocator)
+        elif per_a or per_b:
+            raise ValueError(f"cannot merge '{key}': per-model on one side "
+                             f"only ({np.shape(va)} vs {np.shape(vb)})")
+        elif not np.array_equal(va, vb):
+            raise ValueError(f"cannot merge '{key}': shared value differs "
+                             f"between the two arrays ({va!r} vs {vb!r})")
+        else:
+            out[key] = copy.deepcopy(va)
+    return out
+
+
+def _lazy_zeros(optimizer: FusedOptimizer, key: str, present: np.ndarray,
+                present_width: int, param: Tensor, width: int) -> np.ndarray:
+    """State ``key`` of ``width`` never-stepped slots, shaped like a slot of
+    ``present`` (``present_width`` slots): zeros, the lazy initialization
+    every fused optimizer uses, in the parameter's dtype (a step counter
+    keeps its own).  Scalar state cannot be synthesized per slot: raises."""
+    if not _is_per_model(present, present_width):
+        raise ValueError(
+            "cannot merge: one array has scalar optimizer state the other "
+            "lacks; scalar state cannot be synthesized per slot")
+    dtype = present.dtype if key in optimizer._counters else param.data.dtype
+    return np.zeros((width,) + present.shape[1:], dtype)
+
+
 def split_optimizer(optimizer: FusedOptimizer, new_params: Sequence[Tensor],
-                    keep_indices: Sequence[int],
-                    copy_state: bool = False) -> FusedOptimizer:
+                    keep_indices: Sequence[int]) -> FusedOptimizer:
     """A new optimizer of the same class managing only ``keep_indices``.
 
     ``new_params`` are the parameters of the already-split fused model
     (:func:`repro.hfta.fusion.split_fused`), in the old flat order.  Every
-    per-model state array and hyper-parameter vector is sliced to the kept
-    slots; the split itself leaves the input optimizer untouched.
-
-    Zero-copy contract (mirrors :func:`~repro.hfta.fusion.split_fused`):
-    with ``copy_state=False`` (default) and a contiguous keep run, the big
-    per-*parameter* state arrays (Adam's moments, momentum buffers) come
-    back as views into the input optimizer's state — stepping the result
-    in place writes through to the shared base, so the caller must discard
-    the input or only ever step disjoint slot ranges of it.  Group
-    hyper-parameter vectors and ``defaults`` are always copied: they are
-    tiny and callers legitimately retune them (e.g. LR schedules) without
-    meaning to retune the sibling.  ``copy_state=True`` restores fully
-    owned state everywhere.
+    per-model state array and hyper-parameter vector goes through
+    :func:`~repro.hfta.fusion.take`: views of the input optimizer's arrays
+    for a contiguous keep run, gathered copies otherwise — the ownership
+    contract of :func:`~repro.hfta.fusion.split_fused`, so stepping the
+    result in place writes through to the shared base and the caller must
+    discard the input or only ever step disjoint slot ranges of it.  The
+    split itself leaves the input optimizer untouched.
     """
     _check_fully_fused(optimizer, "split_optimizer")
     keep = [int(i) for i in keep_indices]
-    run = None if copy_state else contiguous_run(keep)
-
-    def take_state(value: np.ndarray) -> np.ndarray:
-        if run is not None:
-            return value[run[0]:run[1]]          # view, zero bytes moved
-        return value[keep].copy()
-
-    old_width = optimizer.num_models
-    if any(not 0 <= i < old_width for i in keep):
+    width = optimizer.num_models
+    if any(not 0 <= i < width for i in keep):
         raise ValueError(f"keep_indices {keep} out of range for "
-                         f"num_models={old_width}")
-
-    def take_hypers(values: Dict) -> Dict:
-        return {k: (v[keep].copy() if _is_per_model(v, old_width) else v)
-                for k, v in values.items() if k != "params"}
+                         f"num_models={width}")
 
     new_opt, taken = _empty_like(optimizer, len(keep),
-                                 take_hypers(optimizer.defaults), new_params)
+                                 _taken(optimizer.defaults, keep, width),
+                                 new_params)
     for group in optimizer.param_groups:
-        new_group = take_hypers(group)
+        new_group = _taken(group, keep, width)
         new_group["params"] = [next(taken) for _ in group["params"]]
         for p_old, p_new in zip(group["params"], new_group["params"]):
             if p_new.shape != (len(keep),) + p_old.shape[1:]:
@@ -117,10 +147,7 @@ def split_optimizer(optimizer: FusedOptimizer, new_params: Sequence[Tensor],
                     f"[{len(keep)}] + {p_old.shape[1:]}")
             st = optimizer.state.get(id(p_old))
             if st:
-                new_opt.state[id(p_new)] = {
-                    k: (take_state(v) if _is_per_model(v, old_width)
-                        else copy.deepcopy(v))
-                    for k, v in st.items()}
+                new_opt.state[id(p_new)] = _taken(st, keep, width)
         new_opt.param_groups.append(new_group)
     return new_opt
 
@@ -132,17 +159,16 @@ def merge_optimizers(a: FusedOptimizer, b: FusedOptimizer,
 
     ``merged_params`` are the parameters of the merged fused model
     (:func:`repro.hfta.fusion.merge_fused`), flat order again.  Vector
-    hyper-parameters and per-model state arrays are concatenated.  A state
-    entry present on only one side is materialized as zeros for the other —
-    zeros are exactly the lazy initialization every fused optimizer uses,
-    so a freshly admitted slot trains identically to a slot whose state was
-    never touched.  Scalar state must agree on both sides (per-model step
-    counters make the one historic scalar, Adam's ``step``, a vector).
+    hyper-parameters and per-model state arrays go through
+    :func:`~repro.hfta.fusion.join`.  A state entry present on only one
+    side is materialized as zeros for the other — zeros are exactly the
+    lazy initialization every fused optimizer uses, so a freshly admitted
+    slot trains identically to a slot whose state was never touched.
+    Shared (non-vector) hyper-parameters must agree on both sides.
 
     The merged state never aliases either input.  ``allocator(shape,
-    dtype) -> ndarray`` supplies the concatenation destinations when given
-    (the executor passes its buffer pool's ``take``); results are fully
-    overwritten.
+    dtype) -> ndarray`` supplies the destinations when given (the executor
+    passes its buffer pool's ``take``).
     """
     if type(a) is not type(b):
         raise ValueError(f"cannot merge optimizers of different classes: "
@@ -151,42 +177,15 @@ def merge_optimizers(a: FusedOptimizer, b: FusedOptimizer,
     _check_fully_fused(b, "merge_optimizers")
     if len(a.param_groups) != len(b.param_groups):
         raise ValueError("cannot merge: different parameter group counts")
-    width_a, width_b = a.num_models, b.num_models
+    widths = a.num_models, b.num_models
 
-    def join(name, va, vb):
-        per_a, per_b = _is_per_model(va, width_a), _is_per_model(vb, width_b)
-        if per_a and per_b:
-            if allocator is not None and va.dtype == vb.dtype:
-                dest = allocator((va.shape[0] + vb.shape[0],) + va.shape[1:],
-                                 va.dtype)
-                return np.concatenate([va, vb], out=dest)
-            return np.concatenate([va, vb])
-        if per_a or per_b:
-            raise ValueError(f"cannot merge '{name}': per-model on one side "
-                             f"only ({np.shape(va)} vs {np.shape(vb)})")
-        if not np.array_equal(va, vb):
-            raise ValueError(f"cannot merge '{name}': shared value differs "
-                             f"between the two arrays ({va!r} vs {vb!r})")
-        return copy.deepcopy(va)
-
-    def join_hypers(values_a: Dict, values_b: Dict) -> Dict:
-        joined = {}
-        for key, va in values_a.items():
-            if key == "params":
-                continue
-            if key not in values_b:
-                raise ValueError(f"cannot merge: '{key}' missing from "
-                                 f"second optimizer")
-            joined[key] = join(key, va, values_b[key])
-        return joined
-
-    merged, taken = _empty_like(a, width_a + width_b,
-                                join_hypers(a.defaults, b.defaults),
-                                merged_params)
+    merged, taken = _empty_like(
+        a, sum(widths), _joined(a.defaults, b.defaults, *widths, allocator),
+        merged_params)
     for group_a, group_b in zip(a.param_groups, b.param_groups):
         if len(group_a["params"]) != len(group_b["params"]):
             raise ValueError("cannot merge: parameter groups differ in size")
-        new_group = join_hypers(group_a, group_b)
+        new_group = _joined(group_a, group_b, *widths, allocator)
         new_group["params"] = [next(taken) for _ in group_a["params"]]
         merged.param_groups.append(new_group)
 
@@ -196,32 +195,19 @@ def merge_optimizers(a: FusedOptimizer, b: FusedOptimizer,
                 raise ValueError(
                     f"merged parameter shape {p_m.shape} does not match "
                     f"[{merged.num_models}] + {p_a.shape[1:]}")
-            st_a = a.state.get(id(p_a)) or {}
-            st_b = b.state.get(id(p_b)) or {}
-            new_st = {}
+            st_a = dict(a.state.get(id(p_a)) or {})
+            st_b = dict(b.state.get(id(p_b)) or {})
             for key in dict(st_a, **st_b):
-                va, vb = st_a.get(key), st_b.get(key)
-                dtype = None if key in a._counters else p_m.data.dtype
-                if va is None:
-                    va = _zeros_like_state(vb, width_b, width_a, dtype)
-                if vb is None:
-                    vb = _zeros_like_state(va, width_a, width_b, dtype)
-                new_st[key] = join(key, va, vb)
-            if new_st:
-                merged.state[id(p_m)] = new_st
+                if key not in st_a:
+                    st_a[key] = _lazy_zeros(a, key, st_b[key], widths[1],
+                                            p_m, widths[0])
+                if key not in st_b:
+                    st_b[key] = _lazy_zeros(a, key, st_a[key], widths[0],
+                                            p_m, widths[1])
+            if st_a:
+                merged.state[id(p_m)] = _joined(st_a, st_b, *widths,
+                                                allocator)
     return merged
-
-
-def _zeros_like_state(present, present_width: int, missing_width: int,
-                      dtype=None):
-    """Zero-state for the side that never stepped (== lazy initialization),
-    in ``dtype`` (the live parameter's) or, for a counter, its own."""
-    if _is_per_model(present, present_width):
-        return np.zeros((missing_width,) + present.shape[1:],
-                        dtype=dtype or present.dtype)
-    raise ValueError(
-        "cannot merge: one array has scalar optimizer state the other "
-        "lacks; scalar state cannot be synthesized per slot")
 
 
 def export_slot_state(optimizer: FusedOptimizer, index: int
@@ -294,9 +280,9 @@ def load_slot_state(optimizer: FusedOptimizer, index: int,
             else:
                 # an export from when moments were float64 still resumes
                 value = value.astype(param.data.dtype, copy=False)
-            if key not in st:
-                st[key] = np.zeros(
-                    (optimizer.num_models,) + value.shape, dtype=value.dtype)
+            if key not in st:      # value[None]: the slot as a 1-slot array
+                st[key] = _lazy_zeros(optimizer, key, value[None], 1, param,
+                                      optimizer.num_models)
             target = st[key]
             if not _is_per_model(target, optimizer.num_models) or \
                     target.shape[1:] != value.shape:

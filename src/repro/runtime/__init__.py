@@ -16,7 +16,7 @@ of a shared accelerator:
   splitting oversized cohorts into capacity-sized chunks (partial fusion);
 * :mod:`repro.runtime.engine`  — steps each array through the *elastic*
   lifecycle (``ArrayExecutor``: PENDING -> FUSED -> STEPPING ->
-  {EVICTING, MERGING} -> DRAINED): per-slot progress and stop signals,
+  DRAINED): per-slot progress and stop signals,
   live eviction of finished jobs via :func:`repro.hfta.split_fused`,
   admission of queued jobs into freed width via
   :func:`repro.hfta.merge_fused` — and hands every job its

@@ -115,17 +115,15 @@ def make_fused_optimizer(fused: Module, configs: Sequence[Dict],
 class ArrayState:
     """Lifecycle states of a fused training array (see docs/elasticity.md)::
 
-        PENDING -> FUSED -> STEPPING -> {EVICTING, MERGING} -> DRAINED
+        PENDING -> FUSED -> STEPPING -> DRAINED
 
-    EVICTING and MERGING are transient: the executor returns to STEPPING
-    (or reaches DRAINED) within the same epoch boundary.
+    Eviction, admission, merges and detaches change a live array in place;
+    they are not states of their own (evicting the last slots drains it).
     """
 
     PENDING = "pending"      # created, fused model not built yet
     FUSED = "fused"          # weights loaded, optimizer ready
     STEPPING = "stepping"    # training epoch by epoch
-    EVICTING = "evicting"    # exporting finished slots, narrowing the array
-    MERGING = "merging"      # widening: admission or merge_with
     DRAINED = "drained"      # no live slots remain
 
 
@@ -560,7 +558,7 @@ class ArrayExecutor:
         return None
 
     def _retire_finished(self) -> List[JobResult]:
-        """EVICTING: export finished slots, narrow the array, free width."""
+        """Export finished slots, narrow the array, free width."""
         stop_map: Dict[int, str] = {}
         for index, slot in enumerate(self.slots):
             reason = self._stop_reason(slot)
@@ -569,7 +567,6 @@ class ArrayExecutor:
         if not stop_map:
             return []
 
-        self.state = ArrayState.EVICTING
         retired: List[JobResult] = []
         keep = [i for i in range(self.live_width) if i not in stop_map]
         for index, reason in stop_map.items():
@@ -614,7 +611,7 @@ class ArrayExecutor:
         return retired
 
     # ------------------------------------------------------------------ #
-    # MERGING: freed-width admission and whole-array merges
+    # widening: freed-width admission and whole-array merges
     # ------------------------------------------------------------------ #
     def admit(self, subs: Sequence[SubmittedJob]) -> List[SubmittedJob]:
         """Fuse fresh queued jobs into this array's freed width.
@@ -635,7 +632,6 @@ class ArrayExecutor:
         if width == 0 or width > self.freed_width:
             raise ValueError(f"cannot admit {width} jobs into freed width "
                              f"{self.freed_width}")
-        self.state = ArrayState.MERGING
         base = self.live_width
         newcomers = self.engine.make_physics(self.engine, self.plan)
         subs = newcomers.build(subs, mate=self.slots[0].sub)
@@ -649,7 +645,6 @@ class ArrayExecutor:
         # optimizer slice and progress counter land here
         for offset, slot in enumerate(self.slots[base:]):
             self._apply_resume(base + offset, slot)
-        self.state = ArrayState.STEPPING
         if subs:
             self.admissions += len(subs)
             self.engine.emit(self.event(
@@ -671,7 +666,6 @@ class ArrayExecutor:
             self.prepare()
         if other.state == ArrayState.PENDING:
             other.prepare()
-        self.state = ArrayState.MERGING
         self.physics.absorb(other.physics)
         self.slots.extend(other.slots)
 
@@ -688,7 +682,6 @@ class ArrayExecutor:
 
         other.slots = []
         other.state = ArrayState.DRAINED
-        self.state = ArrayState.STEPPING
         self.engine.emit(self.event("merge", other.array_id))
 
     def detach_slots(self, indices: Sequence[int]) -> "ArrayExecutor":
@@ -719,7 +712,6 @@ class ArrayExecutor:
                              "leave a live array behind")
         if self.state == ArrayState.PENDING:
             self.prepare()
-        self.state = ArrayState.EVICTING
 
         moved = [self.slots[i] for i in moving]
         moved_physics = self.physics.take(moving)
@@ -744,7 +736,6 @@ class ArrayExecutor:
         keep = [i for i in range(self.live_width) if i not in set(moving)]
         self.physics = self.physics.take(keep)
         self.slots = [self.slots[i] for i in keep]
-        self.state = ArrayState.STEPPING
         return child
 
     # ------------------------------------------------------------------ #
@@ -1058,6 +1049,5 @@ class TrainingArrayEngine:
                 if sub.state != JobState.FAILED:    # its builder raised
                     executor.admission_rejects.add(sub.job_id)
                     self.queue.requeue(sub)
-            executor.state = ArrayState.STEPPING
             return 0
         return len(subs)

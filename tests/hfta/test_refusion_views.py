@@ -1,24 +1,28 @@
-"""Aliasing regressions for zero-copy re-fusion (PR 8).
+"""Aliasing regressions for zero-copy re-fusion.
 
 ``split_fused``/``split_optimizer`` return *views* along the array
-dimension for contiguous keep sets; these tests pin the two properties
-the elastic runtime's correctness rests on:
+dimension for contiguous keep sets and gathers otherwise; these tests pin
+the properties the elastic runtime's correctness rests on:
 
-* the view implementation is **bit-identical** to the copy
-  implementation (``copy=True`` / ``copy_state=True``) across the whole
+* a split holds exactly the parent's arrays fancy-indexed by the keep set
+  (``value[keep]``; buffers read as ``[B, c, ...]``) across the whole
   re-fusion op-family matrix of ``test_refusion.py``;
 * aliasing is confined to the documented contract — a detached child and
   its narrowed parent occupy *disjoint* slices, so mutating one never
-  corrupts the other, and a merge always materializes fresh memory.
+  corrupts the other, and a merge always materializes fresh memory;
+* every buffer is per-model: a split or merge names one that is not, and
+  an export names a fused buffer that is not block-folded.
 
 The per-model loss values ride along here: they must equal ``B`` serial
 criterion calls bitwise.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro import hfta
+from repro import hfta, nn
 from repro.hfta.fusion import contiguous_run
 from repro.hfta.losses import (FusedBCELoss, FusedCrossEntropyLoss,
                                FusedMSELoss, FusedNLLLoss)
@@ -33,16 +37,29 @@ CONTIGUOUS_KEEPS = ([0, 1], [1, 2, 3], [2], [0, 1, 2, 3])
 FANCY_KEEPS = ([0, 2], [3, 1], [0, 3])
 
 
+def slots(buf, width=B):
+    """A block-folded ``[B * c, ...]`` buffer read as ``[B, c, ...]``."""
+    return buf.reshape((width, -1) + buf.shape[1:])
+
+
 # --------------------------------------------------------------------- #
-class TestViewEqualsCopy:
+class TestViewEqualsGather:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("keep", CONTIGUOUS_KEEPS + FANCY_KEEPS,
                              ids=str)
-    def test_split_matches_copy_implementation(self, family, keep):
+    def test_split_matches_fancy_indexing(self, family, keep):
         fused = randomize(build_family(family))
-        fast = hfta.split_fused(fused, keep)
-        slow = hfta.split_fused(fused, keep, copy=True)
-        assert_arrays_equal(fast, slow, f"{family} keep={keep}")
+        sub = hfta.split_fused(fused, keep)
+        context = f"{family} keep={keep}"
+        for (name, p_sub), (_, p_full) in zip(sub.named_parameters(),
+                                              fused.named_parameters()):
+            np.testing.assert_array_equal(p_sub.data, p_full.data[keep],
+                                          err_msg=f"{context} {name}")
+        for (name, b_sub), (_, b_full) in zip(sub.named_buffers(),
+                                              fused.named_buffers()):
+            np.testing.assert_array_equal(
+                slots(b_sub, len(keep)), slots(b_full)[keep],
+                err_msg=f"{context} {name}")
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_contiguous_split_returns_views(self, family):
@@ -72,22 +89,23 @@ class TestViewEqualsCopy:
             assert not np.shares_memory(p_m.data, p_f.data), name
 
     @pytest.mark.parametrize("kind", ("adam", "adamw", "sgd", "adadelta"))
-    def test_optimizer_split_matches_copy_implementation(self, kind):
+    @pytest.mark.parametrize("keep", ([1, 2], [3, 0]), ids=str)
+    def test_optimizer_split_matches_fancy_indexing(self, kind, keep):
         fused = randomize(build_family("linear"))
         opt = make_optimizer(kind, fused, B, [1e-3 * (b + 1)
                                               for b in range(B)])
         fake_step(fused, opt)
-        sub = hfta.split_fused(fused, [1, 2])
-        fast = split_optimizer(opt, sub.parameters(), [1, 2])
-        slow = split_optimizer(opt, sub.parameters(), [1, 2],
-                               copy_state=True)
-        for p in sub.parameters():
-            st_fast = fast.state.get(id(p)) or {}
-            st_slow = slow.state.get(id(p)) or {}
-            assert set(st_fast) == set(st_slow)
-            for key, value in st_fast.items():
-                np.testing.assert_array_equal(value, st_slow[key],
+        sub = hfta.split_fused(fused, keep)
+        part = split_optimizer(opt, sub.parameters(), keep)
+        for p_old, p_new in zip(fused.parameters(), sub.parameters()):
+            st_old = opt.state.get(id(p_old)) or {}
+            st_new = part.state.get(id(p_new)) or {}
+            assert set(st_new) == set(st_old)
+            for key, value in st_old.items():
+                np.testing.assert_array_equal(st_new[key], value[keep],
                                               err_msg=f"{kind} {key}")
+        np.testing.assert_array_equal(part.param_groups[0]["lr"],
+                                      opt.param_groups[0]["lr"][keep])
 
     def test_contiguous_run_detection(self):
         assert contiguous_run([1, 2, 3]) == (1, 4)
@@ -104,7 +122,7 @@ class TestAliasingContract:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_mutating_detached_view_never_corrupts_survivors(self, family):
         fused = randomize(build_family(family))
-        baseline = hfta.split_fused(fused, [2, 3], copy=True)
+        baseline = copy.deepcopy(hfta.split_fused(fused, [2, 3]))
         detached = hfta.split_fused(fused, [0, 1])   # views
         survivors = hfta.split_fused(fused, [2, 3])  # disjoint views
 
@@ -120,37 +138,37 @@ class TestAliasingContract:
     def test_optimizer_partition_steps_disjointly(self):
         """In-place optimizer steps on both halves of a partition land in
         disjoint slices: each half's state stays serial-equivalent."""
-        fused = randomize(build_family("linear"))
-        opt = make_optimizer("adam", fused, B, [1e-3] * B)
-        fake_step(fused, opt)
+        def parent():
+            fused = randomize(build_family("linear"))
+            opt = make_optimizer("adam", fused, B, [1e-3] * B)
+            fake_step(fused, opt)
+            return fused, opt
 
-        left, right = hfta.split_fused(fused, [0, 1]), \
-            hfta.split_fused(fused, [2, 3])
-        opt_left = split_optimizer(opt, left.parameters(), [0, 1])
-        opt_right = split_optimizer(opt, right.parameters(), [2, 3])
-        # the copy-based control: same state, provably unaliased
-        ctl_left = hfta.split_fused(fused, [0, 1], copy=True)
-        ctl_right = hfta.split_fused(fused, [2, 3], copy=True)
-        ctl_opt_left = split_optimizer(opt, ctl_left.parameters(), [0, 1],
-                                       copy_state=True)
-        ctl_opt_right = split_optimizer(opt, ctl_right.parameters(), [2, 3],
-                                        copy_state=True)
+        def half(fused, opt, keep):
+            part = hfta.split_fused(fused, keep)
+            return part, split_optimizer(opt, part.parameters(), keep)
+
+        fused, opt = parent()
+        left, right = half(fused, opt, [0, 1]), half(fused, opt, [2, 3])
+        # the control: each half split from its own identical parent, so
+        # nothing but that half ever writes its memory
+        ctl_left, ctl_right = half(*parent(), [0, 1]), \
+            half(*parent(), [2, 3])
 
         rng = np.random.default_rng(21)
         grads = [rng.standard_normal(p.shape).astype(np.float32)
                  for p in fused.parameters()]
-        for model, optimizer, half in ((left, opt_left, slice(0, 2)),
-                                       (right, opt_right, slice(2, 4)),
-                                       (ctl_left, ctl_opt_left, slice(0, 2)),
-                                       (ctl_right, ctl_opt_right,
-                                        slice(2, 4))):
+        for (model, optimizer), part in ((left, slice(0, 2)),
+                                         (right, slice(2, 4)),
+                                         (ctl_left, slice(0, 2)),
+                                         (ctl_right, slice(2, 4))):
             for p, g in zip(model.parameters(), grads):
-                p.grad = g[half].copy()
+                p.grad = g[part].copy()
             optimizer.step()
             optimizer.step()
 
-        assert_arrays_equal(left, ctl_left, "left half after steps")
-        assert_arrays_equal(right, ctl_right, "right half after steps")
+        assert_arrays_equal(left[0], ctl_left[0], "left half after steps")
+        assert_arrays_equal(right[0], ctl_right[0], "right half after steps")
 
     def test_state_dict_owns_its_memory(self):
         fused = randomize(build_family("linear"))
@@ -159,6 +177,39 @@ class TestAliasingContract:
             p.data[...] = 7.0
         for name, value in snap.items():
             assert not np.all(value == 7.0), name
+
+
+# --------------------------------------------------------------------- #
+class TestEveryBufferIsPerModel:
+    """Split, merge and export name a buffer outside the layout rule."""
+
+    def test_split_names_a_buffer_that_is_not_per_model(self):
+        fused = build_family("linear")
+        fused.register_buffer("stats", np.zeros(B + 1, np.float32))
+        with pytest.raises(ValueError, match="stats"):
+            hfta.split_fused(fused, [0, 1])
+
+    def test_split_names_a_scalar_buffer(self):
+        fused = build_family("linear")
+        fused.register_buffer("count", np.zeros((), np.float32))
+        with pytest.raises(ValueError, match="count"):
+            hfta.split_fused(fused, [0, 1])
+
+    def test_merge_names_a_buffer_that_is_not_per_model(self):
+        fused = build_family("linear")
+        fused.register_buffer("stats", np.zeros(B + 1, np.float32))
+        with pytest.raises(ValueError, match="stats"):
+            hfta.merge_fused(fused, build_family("linear"))
+        with pytest.raises(ValueError, match="stats"):
+            hfta.merge_fused(build_family("linear"), fused)
+
+    def test_export_names_a_leading_dim_buffer(self):
+        fused = build_family("linear")
+        fused.register_buffer("scale", np.zeros((B, 3), np.float32))
+        template = nn.Sequential(nn.Linear(6, 5), nn.ReLU(), nn.Linear(5, 2))
+        template.register_buffer("scale", np.zeros(3, np.float32))
+        with pytest.raises(ValueError, match="scale"):
+            hfta.export_to_unfused(fused, 0, template)
 
 
 # --------------------------------------------------------------------- #

@@ -11,6 +11,8 @@ import inspect
 
 import pytest
 
+from repro.hfta import split_fused
+from repro.hfta.optim import split_optimizer
 from repro.runtime import ArrayExecutor, Batcher, CheckpointStore, \
     FleetScheduler, JobQueue, LPFleetPlacer, LPWeights, RecoveryManager, \
     ServingGateway, TrainingArrayEngine
@@ -45,12 +47,14 @@ REMOVED = [
 ]
 
 #: keywords deleted from methods with the features they drove: the
-#: checkpoint dirty-slot tracker's refs and force flag, and rebuilding
-#: into a prebuilt fleet
+#: checkpoint dirty-slot tracker's refs and force flag, rebuilding into a
+#: prebuilt fleet, and the re-fusion splits' copy-everything switches
 REMOVED_METHOD_KEYWORDS = [
     (CheckpointStore.save_slot, "objects"),
     (ArrayExecutor.checkpoint_now, "force"),
     (RecoveryManager.rebuild_fleet, "fleet"),
+    (split_fused, "copy"),
+    (split_optimizer, "copy_state"),
 ]
 
 
