@@ -10,22 +10,27 @@ over the *identical* arrival sequence, and pins what differs:
 
 * **busiest-device busy seconds** — ``metrics.simulated_makespan``: the
   summed virtual seconds of the arrays the most-loaded device ran.
-  Greedy stacks whole bursts onto the globally fastest devices; the LP's
-  makespan variable (in practice its greedy rounding) spreads them:
-  5.09 s -> 4.13 s here.  That is 5 busy seconds of a 1 617-second
-  trace — every device is under 1 % utilised — so **no job finishes earlier**: the
-  fleet's finish time is the same virtual second under both policies and
-  job latency p50/p90 move by 0.1 % (``docs/placement.md``, "What the
-  placement ablation measured", has the table over 11 trace seeds);
+  Greedy ranks devices by finish time, then throughput, then the seconds
+  it has already placed on each, so equal-finish bursts rotate over the
+  replicas of the fastest profile; the LP's makespan variable (in
+  practice its greedy rounding) balances each cycle's cohorts against
+  the load it is handed and nothing more.  Greedy spreads the busiest
+  device better: 3.16 s against the LP's 4.01 s here.  Either way that
+  is a few busy seconds of a 1 617-second trace — every
+  device is under 1 % utilised — so **no job finishes earlier**: the
+  fleet's finish time is the same virtual second under both policies
+  (``docs/placement.md``, "What the placement ablation measured", has the
+  table over 11 trace seeds);
 * **SLO misses** — the ``prio`` tenant submits every job with a
   deadline; neither policy may miss one;
 * **solver activity** — the solve count (the solver's wall milliseconds
   are machine-dependent and only printed).
 
-Every pinned number is virtual-time arithmetic, bit-reproducible across
-machines and the same with or without scipy on this trace (the relaxation
-wins one solve in ten; the greedy *rounding* under the LP objective
-carries the rest).
+Every pinned number is virtual-time arithmetic and bit-reproducible
+across machines.  The LP's busiest device depends on whether scipy is
+installed: the relaxation wins two solves in ten on this trace (4.01 s),
+and without scipy the greedy *rounding* under the LP objective carries
+all ten (4.18 s).  Everything else is the same either way.
 """
 
 import pytest
@@ -35,7 +40,7 @@ from repro.hfta.ops.factory import OpsLibrary
 from repro.cluster import ServingTraceConfig, TenantLoad, \
     generate_serving_trace
 from repro.runtime import ServingGateway, TenantSpec, TraceReplayer, \
-    TrainingJob, synthetic_fleet
+    TrainingJob, lp_available, synthetic_fleet
 from .conftest import print_table
 
 N_JOBS = 200                     # the ISSUE's reference trace ...
@@ -125,7 +130,7 @@ def run_policy(placement, trace):
     }
 
 
-def test_lp_placement_spreads_the_busiest_device():
+def test_greedy_and_lp_placement_on_one_trace():
     trace = make_trace()
     assert len(trace) == N_JOBS
     assert all(ev.deadline_s for ev in trace if ev.tenant == "prio")
@@ -138,9 +143,10 @@ def test_lp_placement_spreads_the_busiest_device():
         [(key, greedy[key], lp[key]) for key in greedy],
         header=("metric", "greedy", "lp"))
 
-    assert greedy["busiest_device_busy_s"] == pytest.approx(5.094126,
+    assert greedy["busiest_device_busy_s"] == pytest.approx(3.159926,
                                                             abs=1e-6)
-    assert lp["busiest_device_busy_s"] == pytest.approx(4.127178, abs=1e-6)
+    assert lp["busiest_device_busy_s"] == pytest.approx(
+        4.013418 if lp_available() else 4.184820, abs=1e-6)
     # ...of a trace this long: nothing finishes earlier for it
     assert lp["fleet_finish_s"] == greedy["fleet_finish_s"] \
         == pytest.approx(1616.706, abs=1e-3)

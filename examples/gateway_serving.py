@@ -23,7 +23,10 @@ changes *when and with whom* a job trains, never what it learns:
 1. every surviving tenant received at least ``min(its surviving demand,
    its weighted fair share)`` of fused-slot-steps;
 2. the prod tenant finished with **zero SLO misses**;
-3. every surviving checkpoint matches serial training of the same job.
+3. every surviving checkpoint matches serial training of the same job;
+4. fusion is structural: the tenants' jobs share one builder and differ
+   only in fusible values, so the 24 survivors train in at most four
+   arrays of ``WIDTH_CAP`` = 6 whatever their names.
 
 Run:  PYTHONPATH=src python examples/gateway_serving.py
 """
@@ -196,6 +199,10 @@ def main():
           f"{m['arrays_launched']:.0f} arrays for "
           f"{m['jobs_completed']:.0f} jobs, "
           f"fused-width efficiency {m['fused_width_efficiency']:.2f}.")
+
+    # 4. cohorts are structural: names never split the tenants' jobs
+    assert m["arrays_launched"] <= 4, \
+        f"{m['arrays_launched']:.0f} arrays: cohorts split by job name?"
 
 
 if __name__ == "__main__":

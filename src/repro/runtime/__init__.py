@@ -10,8 +10,8 @@ of a shared accelerator:
 * :mod:`repro.runtime.queue`   — async-friendly intake of
   :class:`~repro.runtime.queue.TrainingJob` submissions;
 * :mod:`repro.runtime.batcher` — groups pending jobs into fusible cohorts
-  (workload signatures from :mod:`repro.cluster`, structural fusibility
-  from :mod:`repro.hfta.fusion`);
+  by structure (:mod:`repro.hfta.fusion`), infusible hyper-parameters,
+  step budget, loss and workload — never by name;
 * :mod:`repro.runtime.policy`  — sizes each array against a width cap,
   splitting oversized cohorts into capacity-sized chunks (partial fusion);
 * :mod:`repro.runtime.engine`  — steps each array through the *elastic*

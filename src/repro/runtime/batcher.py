@@ -1,25 +1,23 @@
 """Fusibility-aware grouping of pending jobs into cohorts.
 
 The batcher answers the runtime's first scheduling question: *which* of the
-pending jobs may share one horizontally fused array.  Fusibility has three
-increasingly strict levels, and the batcher applies them as a funnel so the
-expensive check runs on as few candidates as possible:
+pending jobs may share one horizontally fused array.  Fusibility is a
+property of structure, not of a job's name: the paper fuses models that
+"have the same types of operators with the same shapes" (Section 3).  The
+batcher checks it at two levels:
 
-1. **Workload signature** (cheap, O(n)) — jobs are bucketed by
-   :func:`repro.cluster.workload_signature` of their names, the same
-   collapse-the-values heuristic the paper's Appendix A classifier uses to
-   spot repetitive submissions, plus the values of their *infusible*
-   hyper-parameters and their step budget (arrays are gang-scheduled).
-2. **Structural signature** (exact, per *builder*) — within a bucket, jobs
-   are grouped by :func:`repro.hfta.fusion.structural_signature` of what
-   their ``build_model`` callable builds; equal signatures are the paper's
-   Section 3 precondition for horizontal fusion.  Repetitive jobs share a
-   builder: its first job pays one template build and one walk, every
-   later one a dictionary lookup — no model is built to *schedule* a job.
-3. **Validation** (safety net) — at every real array launch and freed-width
+1. **Cohort key** (exact, per *builder*) — jobs are grouped by
+   :func:`repro.hfta.fusion.structural_signature` of what their
+   ``build_model`` callable builds, plus the values of their *infusible*
+   hyper-parameters, their step budget and epoch cadence (arrays are
+   gang-scheduled), their loss, their hwsim workload and the solo flag of
+   quarantined retries.  Repetitive jobs share a builder: its first job
+   pays one template build and one walk, every later one a dictionary
+   lookup — no model is built to *schedule* a job.
+2. **Validation** (safety net) — at every real array launch and freed-width
    admission the executor builds the jobs' templates and passes them
    through :func:`repro.hfta.fusion.validate_fusibility`, so a builder whose
-   structure is not the constant level 2 assumes can never produce a
+   structure is not the constant level 1 assumes can never produce a
    corrupt array (its jobs are quarantined and retrained solo).
 
 A job whose builder raises fails with ``build_model failed: ...`` — in
@@ -37,7 +35,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.classifier import workload_signature
 from ..hfta.fusion import structural_signature
 from ..nn.modules.module import Module
 from .queue import SubmittedJob
@@ -52,11 +49,10 @@ DEFAULT_INFUSIBLE_KEYS = ("batch_size", "optimizer", "version",
 
 @dataclass
 class Cohort:
-    """One fusible group of jobs (equal name bucket, infusible values, step
-    budget and builder structure); it holds no models — the executor that
-    first touches a job's tensors builds its template."""
+    """One fusible group of jobs (equal builder structure, infusible values,
+    step budget, epoch cadence, loss and workload); it holds no models —
+    the executor that first touches a job's tensors builds its template."""
 
-    signature: str
     infusible_values: Tuple[Tuple[str, object], ...]
     steps: int
     jobs: List[SubmittedJob] = field(default_factory=list)
@@ -89,7 +85,7 @@ class Batcher:
     def structural_signature(self, sub: SubmittedJob) -> Tuple:
         """Structural signature of what the job's builder builds.
 
-        Funnel level 2, memoized per ``build_model`` callable; a miss
+        Level 1's structure, memoized per ``build_model`` callable; a miss
         builds the job's template and so raises what the builder raises."""
         builder = sub.job.build_model
         entry = self._builder_sigs.get(id(builder))
@@ -152,12 +148,11 @@ class Batcher:
         The result is memoized on the submission (the admission predicate
         evaluates it for every pending job, at every epoch boundary, under
         the queue lock — a job's profile never changes, so pay for the
-        name-signature regex and infusible-value extraction once).
+        infusible-value extraction once).  A job's name is not part of it.
         """
         if sub.profile_cache is None:
             job = sub.job
-            sub.profile_cache = (workload_signature(job.name),
-                                 self.infusible_values(sub),
+            sub.profile_cache = (self.infusible_values(sub),
                                  job.loss,
                                  job.workload,
                                  str(job.config.get("optimizer",
@@ -183,22 +178,21 @@ class Batcher:
             except Exception as exc:  # noqa: BLE001 — job-provided builder
                 failures.append((sub, f"build_model failed: {exc}"))
                 continue
-            name_signature, infusible = self.admission_profile(sub)[:2]
+            infusible = self.admission_profile(sub)[0]
             key = (
-                name_signature,                   # level 1: cheap name bucket
                 infusible,                        # shared infusible values
                 job.steps,                        # gang-scheduled budget
                 job.epoch_steps,                  # gang-scheduled epoch cadence
                 job.loss,
                 job.workload,                     # one cost model per array
-                structure,                        # level 2: exact structure
+                structure,                        # exact structure
                 # quarantined retries train alone (see SubmittedJob.solo)
                 sub.job_id if sub.solo else None,
             )
             cohort = groups.get(key)
             if cohort is None:
                 cohort = groups[key] = Cohort(
-                    signature=name_signature, infusible_values=infusible,
-                    steps=job.steps, workload=job.workload)
+                    infusible_values=infusible, steps=job.steps,
+                    workload=job.workload)
             cohort.jobs.append(sub)
         return list(groups.values()), failures

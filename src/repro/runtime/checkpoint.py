@@ -225,7 +225,7 @@ class CheckpointStore:
         manifests/job-<id>.json   latest manifest per job: progress, loss
                                   curve, object references, and the
                                   fused-array provenance (array id, slot,
-                                  live/launch width, device, signature)
+                                  live/launch width, device, epoch)
         wal.jsonl                 the RecoveryManager's write-ahead log
 
     Every file is written to a temporary name in the same directory and
@@ -312,8 +312,8 @@ class CheckpointStore:
         """Persist one slot's training state; returns the write receipt.
 
         ``provenance`` is the fused-array context the checkpoint was taken
-        in (array id, slot index, live/launch width, device, cohort
-        signature) — recorded for the operations trail, *not* required for
+        in (array id, slot index, live/launch width, device, epoch) —
+        recorded for the operations trail, *not* required for
         restore: the payload is the job's own unfused state, so it resumes
         into whatever array shape the scheduler next packs it into.
         """

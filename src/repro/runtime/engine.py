@@ -357,7 +357,6 @@ class ArrayExecutor:
         self.epoch_steps = jobs[0].job.epoch_steps
         self.loss_key = jobs[0].job.loss
         self.workload = plan.workload
-        self.signature = plan.cohort.signature
         #: solo (quarantine-retry) arrays must keep training alone
         self.solo = any(sub.solo for sub in jobs)
         #: cheap fusibility profile + exact structure, for freed-width
@@ -454,8 +453,7 @@ class ArrayExecutor:
         return {"array_id": self.array_id, "slot": index,
                 "live_width": self.live_width,
                 "launch_width": self.launch_width,
-                "device": self.device_name, "signature": self.signature,
-                "epoch": self.epochs}
+                "device": self.device_name, "epoch": self.epochs}
 
     def _persist_slot(self, index: int, slot: _Slot,
                       durable: Optional[Callable] = None,
@@ -716,7 +714,7 @@ class ArrayExecutor:
         moved = [self.slots[i] for i in moving]
         moved_physics = self.physics.take(moving)
         child_cohort = Cohort(
-            signature=self.signature, infusible_values=(),
+            infusible_values=(),
             steps=max(slot.job.steps for slot in moved),
             jobs=[slot.sub for slot in moved], workload=self.workload)
         child_plan = ArrayPlan(cohort=child_cohort,
@@ -747,8 +745,8 @@ class ArrayExecutor:
     def record(self) -> ArrayRecord:
         """The drained array's accounting record."""
         return ArrayRecord(
-            array_id=self.array_id, signature=self.signature,
-            num_models=self.launch_width, width_cap=self.width_cap,
+            array_id=self.array_id, num_models=self.launch_width,
+            width_cap=self.width_cap,
             steps=self.max_progress, samples=self.samples,
             seconds=self.seconds,
             device=self.device_name,

@@ -64,7 +64,6 @@ class ArrayRecord:
     """
 
     array_id: int
-    signature: str        # cohort workload signature
     num_models: int       # array width actually launched
     width_cap: int        # policy limit at launch time
     steps: int            # gang-scheduled step budget
@@ -523,9 +522,9 @@ class RuntimeMetrics:
 
     def report(self) -> Tuple[List[Tuple], Tuple[str, ...]]:
         """Per-array rows + header, printable by the benchmark harness."""
-        header = ("array", "signature", "models", "cap", "occupancy",
+        header = ("array", "device", "models", "cap", "occupancy",
                   "steps", "samples", "samples/s")
-        rows = [(r.array_id, r.signature[:14], r.num_models, r.width_cap,
+        rows = [(r.array_id, r.device, r.num_models, r.width_cap,
                  r.occupancy, r.steps, r.samples, r.throughput)
                 for r in self.records]
         return rows, header

@@ -17,7 +17,10 @@ cohort fastest, and under load it degrades gracefully into
 shortest-completion-time balancing, so one fast device does not absorb the
 whole stream.  Ranking always compares the *whole remaining chunk set* per
 device (equal work), never one device's narrow chunk against another's
-full-width array.
+full-width array.  Devices that tie on finish time and throughput — the
+replicas of one profile on an idle fleet — go to the one this placer has
+put the fewest projected seconds on, so a trace spreads over the replicas
+instead of piling onto the first in fleet order.
 
 A cohort wider than the chosen device's cap falls back to **partial
 fusion**: a capacity-sized chunk is carved off the front of the cohort,
@@ -95,7 +98,8 @@ class FleetPlacer:
     Parameters
     ----------
     devices:
-        The fleet.  Order only breaks exact cost ties.
+        The fleet.  Order only breaks ties that finish time, throughput
+        and the seconds already placed on each device leave.
     max_width:
         Operator-configured array-width cap, applied on every device on
         top of its memory cap (same role as ``ArrayPolicy.max_width``).
@@ -135,6 +139,9 @@ class FleetPlacer:
         self._est_cache: Dict[Tuple, ArrayCostEstimate] = {}
         self._replan_cache: Dict[Tuple, Tuple[DeviceSpec,
                                               ArrayCostEstimate]] = {}
+        #: device name -> projected seconds this placer has placed on it
+        #: over its lifetime: the last tie-break of :meth:`_best_device`
+        self._placed: Dict[str, float] = {d.name: 0.0 for d in self.devices}
 
     # ------------------------------------------------------------------ #
     # cost-model caching
@@ -285,6 +292,7 @@ class FleetPlacer:
                 decisions.append(PlacementDecision(
                     plan=plan, device=device, estimate=estimate))
                 load[device.name] += estimate.train_seconds
+                self._placed[device.name] += estimate.train_seconds
         return decisions
 
     def _best_device(self, cohort: Cohort, workload: WorkloadSpec,
@@ -300,6 +308,10 @@ class FleetPlacer:
         systematically preferring the device that de-fuses the cohort.
         Only the first chunk is committed per call; the remainder is
         re-ranked with the updated load.
+
+        Equal finish and throughput go to the device this placer has put
+        the fewest seconds on so far: each call starts from the load it is
+        handed, so only this tally spreads successive calls over replicas.
         """
         best = None
         # the per-device projection depends only on the device *profile*
@@ -326,7 +338,8 @@ class FleetPlacer:
             if cap < 1:
                 continue        # device cannot fit even one model
             finish = load[device.name] + total_seconds
-            key = (finish, -first_base.throughput)
+            key = (finish, -first_base.throughput,
+                   self._placed[device.name])
             if best is None or key < best[0]:
                 best = (key, device, cap, first_base)
         if best is None:

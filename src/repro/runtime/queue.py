@@ -87,10 +87,10 @@ class TrainingJob:
     Parameters
     ----------
     name:
-        Scheduler-visible job name.  Repetitive jobs of one sweep are
-        expected to differ only in embedded values
-        (``train_lr0.01`` / ``train_lr0.003``) — the batcher pre-groups
-        jobs by :func:`repro.cluster.workload_signature` of this name.
+        Scheduler-visible job name: a label for reports, events and
+        checkpoints.  It plays no part in fusibility — the batcher groups
+        jobs by what their builder builds, never by what they are
+        called.
     build_model:
         See :data:`ModelBuilder`.  The fused model it returns must expose
         ``fuse_inputs`` (the :class:`repro.hfta.ops.factory.OpsLibrary`

@@ -22,7 +22,7 @@ from repro.hwsim import (A100, RTX6000, TPU_V3, V100, estimate_array_cost,
 from repro.hfta.ops.factory import OpsLibrary
 from repro.nn import functional as F
 from repro.runtime import (Batcher, FleetPlacer, FleetScheduler, JobQueue,
-                           JobState, TrainingJob)
+                           JobState, TrainingJob, synthetic_fleet)
 
 STEPS = 4
 BATCH = 6
@@ -180,6 +180,36 @@ class TestFleetPlacer:
         placer = FleetPlacer(devices=FLEET, max_width=4)
         decisions = placer.place(form_cohorts(jobs))
         assert len({d.device_name for d in decisions}) > 1
+
+    def test_ties_spread_over_replicas_across_calls(self):
+        """On an idle fleet every replica of the fastest profile ties on
+        finish time and throughput; successive ``place`` calls, each
+        starting from zero load, visit every replica before any repeats
+        (the seconds the placer has already put on a device break the
+        tie) and never pick the slower profile."""
+        replicas = synthetic_fleet(4, base=(V100,))
+        placer = FleetPlacer(devices=replicas + (A100,), max_width=4,
+                             default_workload="pointnet_cls")
+        workload = get_workload("pointnet_cls")
+        probe = type("P", (), {"num_models": 1, "steps": STEPS})()
+        fast, slow = (estimate_array_cost(probe, device, "amp",
+                                          workload=workload).train_seconds
+                      for device in (V100, A100))
+        assert fast < slow                           # scenario premise
+
+        def place_one(index, load=None):
+            (decision,) = placer.place(form_cohorts([make_job(index)]),
+                                       load=load)
+            return decision.device_name
+
+        names = [d.name for d in replicas]
+        visited = [place_one(i) for i in range(4)]
+        assert sorted(visited) == names
+        # all four used once: the tie falls back to fleet order
+        assert place_one(4) == names[0]
+        # a strictly earlier finish beats a less-used device
+        load = {name: 1e-9 for name in names[1:]}
+        assert place_one(5, load=load) == names[0]
 
     def test_capacity_asymmetry_does_not_defuse_the_cohort(self):
         """Regression: ranking devices by a single chunk's finish time let a

@@ -365,7 +365,7 @@ class TestPreemption:
             devices=(V100,), max_width=4)
 
         steps = 6
-        # same name signature/optimizer/loss, different architecture
+        # same optimizer/loss/workload, different architecture
         alien = TrainingJob(
             name="job50_lr0.001", seed=50, steps=steps,
             config={"lr": 1e-3, "optimizer": "adam"},

@@ -1,8 +1,11 @@
 """The runtime sits below HFHT: importing it loads no ``repro.hfht``
-module, and the two packages import in either order.  Below the runtime,
-``repro.hfta`` loads no runtime module and the serial reference
-``repro.nn`` neither of them.  scipy, the LP placer's optional solver,
-loads at the first LP use, never with a package."""
+module, and the two packages import in either order.  It loads no
+``repro.cluster`` module either: the trace classifier and generator are
+inputs a caller may feed it, while fusibility is structural and never
+reads a job's name.  Below the runtime, ``repro.hfta`` loads no runtime
+module and the serial reference ``repro.nn`` neither of them.  scipy, the
+LP placer's optional solver, loads at the first LP use, never with a
+package."""
 
 import os
 import subprocess
@@ -28,6 +31,13 @@ def test_runtime_loads_no_hfht_module():
     out = run("import sys, repro.runtime\n"
               "print(sorted(m for m in sys.modules\n"
               "             if m.startswith('repro.hfht')))")
+    assert out.strip() == "[]"
+
+
+def test_runtime_loads_no_cluster_module():
+    out = run("import sys, repro.runtime\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.startswith('repro.cluster')))")
     assert out.strip() == "[]"
 
 

@@ -306,7 +306,7 @@ class TestEngine:
         with the optimizer's own default, not fail the array."""
         explicit = make_job(0, lr=5e-3)
         implicit = TrainingJob(
-            name="job1_lr0", seed=1, steps=STEPS,  # same name signature
+            name="job1_lr0", seed=1, steps=STEPS,  # same cohort key
             config={"optimizer": "adam"},
             build_model=lambda B=None, g=None: TinyMLP(8, B, g),
             data=stream(1001))
@@ -409,10 +409,10 @@ class TestRuntimeMetrics:
         for job_id in range(5):
             metrics.record_event(Event("submit", (job_id,)))
         metrics.record_event(Event("array", data=ArrayRecord(
-            array_id=0, signature="a", num_models=4, width_cap=4,
+            array_id=0, num_models=4, width_cap=4,
             steps=10, samples=400, seconds=2.0, jobs_served=4)))
         metrics.record_event(Event("array", data=ArrayRecord(
-            array_id=1, signature="a", num_models=1, width_cap=4,
+            array_id=1, num_models=1, width_cap=4,
             steps=10, samples=100, seconds=1.0, jobs_served=1)))
         metrics.record_event(Event("fail", (5,)))
 
