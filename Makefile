@@ -21,13 +21,13 @@ bench-smoke:
 	PYTHONPATH=src $(PY) -m bench_e2e --smoke
 
 # per-step wall ms, minor page faults, system ms and CPU share of a fused
-# step (split across two CPUs, and on one thread) next to as many serial
-# steps and two concurrent serial processes, on the sweep_paper models
-# (width 4) and the sweep_mlp MLP (width 8) at benchmark size, plus the
-# bytes each array's activation arena holds (`tools/step_probe.py
-# --phases`: each step phase's us; `--kernels`: the split threshold's table;
-# `--arena`: each arena's buffers by shape and dtype; `--scatter`: the
-# embedding gradient's two scatter forms)
+# step (sharded over a shard worker per extra CPU, and in one process)
+# next to as many serial steps and two concurrent serial processes, on the
+# sweep_paper models (width 4) and the sweep_mlp MLP (width 8) at
+# benchmark size, plus each shard worker's memory and the bytes each
+# array's activation arena holds (`tools/step_probe.py --phases`: each
+# step phase's us; `--arena`: each arena's buffers by shape and dtype;
+# `--scatter`: the embedding gradient's two scatter forms)
 probe:
 	PYTHONPATH=src $(PY) tools/step_probe.py
 

@@ -87,12 +87,16 @@ class BertMaskedLM(nn.Module):
         self.mlm_output = lib.Linear(cfg.hidden_size, cfg.vocab_size,
                                      generator=generator)
 
-    def fuse_inputs(self, token_batches: Sequence[np.ndarray]) -> np.ndarray:
+    def fuse_inputs(self, token_batches: Sequence) -> np.ndarray:
+        """Stack per-model ``[N, L]`` ids (arrays or ``Tensor``s, as the
+        runtime engine hands them over) into the fused ``[B, N, L]``."""
+        arrays = [t.data if isinstance(t, Tensor) else np.asarray(t)
+                  for t in token_batches]
         if not self.lib.fused:
-            if len(token_batches) != 1:
+            if len(arrays) != 1:
                 raise ValueError("unfused model takes exactly one input")
-            return np.asarray(token_batches[0])
-        return np.stack([np.asarray(t) for t in token_batches], axis=0)
+            return arrays[0]
+        return np.stack(arrays, axis=0)
 
     def forward(self, token_ids, segment_ids=None) -> Tensor:
         ids = token_ids.data if isinstance(token_ids, Tensor) else np.asarray(token_ids)

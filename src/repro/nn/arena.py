@@ -122,7 +122,7 @@ def empty(shape: Tuple[int, ...], dtype: np.dtype) -> Optional[np.ndarray]:
 
 def buffer(shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     """An :func:`empty` buffer, or a new one when there is none: for a
-    kernel that writes its output in slices (:mod:`repro.nn.parallel`)."""
+    kernel that writes its output in slices."""
     out = empty(shape, dtype)
     return np.empty(shape, dtype) if out is None else out
 

@@ -25,7 +25,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from . import arena, parallel
+from . import arena
 from .tensor import Tensor, _accumulate, _make_out, _unbroadcast
 
 __all__ = [
@@ -111,9 +111,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], x_shape, w_shape,
     groups axis leading, ``[G, C_out/G, K] x [N, G, K, L]``: the ``B`` fused
     models of a ``groups=B`` call run exactly the GEMMs each would run alone.
     A pointwise convolution (kernel 1, stride 1, no padding) is its own column
-    matrix, so it gathers nothing forward and scatters nothing backward.  A
-    large call runs its matmuls as two halves over ``N`` and the weight
-    gradient's sum over ``N`` as two column ranges (:mod:`.parallel`).
+    matrix, so it gathers nothing forward and scatters nothing backward.
     """
     n, c_in, h, w = x_shape
     c_out, c_in_per_group, kh, kw = w_shape
@@ -136,14 +134,9 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], x_shape, w_shape,
     w_g = weight.data.reshape(groups, c_out // groups, k)
     out_g = arena.buffer((n, groups, c_out // groups, L),
                          np.promote_types(w_g.dtype, cols_g.dtype))
-    bias_g = None if bias is None else bias.data.reshape(groups, -1, 1)
-    nbytes = parallel.gemm_bytes(out_g.nbytes, k)   # for backward too
-
-    def forward(lo, hi):
-        out_n = np.matmul(w_g, cols_g[lo:hi], out=out_g[lo:hi])
-        if bias_g is not None:
-            out_n += bias_g
-    parallel.split(n, nbytes, forward)
+    np.matmul(w_g, cols_g, out=out_g)
+    if bias is not None:
+        out_g += bias.data.reshape(groups, -1, 1)
     spatial = (out_h, out_w) if x.ndim == 4 else (out_w,)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -159,22 +152,14 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], x_shape, w_shape,
                                           g.dtype)
             if _needs_grad(x):
                 gx = arena.buffer((n, groups, k, L), g.dtype)
-
-            def products(lo, hi):
-                if per_sample is not None:
-                    np.matmul(g[lo:hi], cols_g[lo:hi].swapaxes(-1, -2),
-                              out=per_sample[lo:hi])
-                if gx is not None:
-                    np.matmul(w_g.swapaxes(-1, -2), g[lo:hi], out=gx[lo:hi])
-            parallel.split(n, nbytes, products)
             if per_sample is not None:
-                # the sum over N, each column still summed in sample order
+                np.matmul(g, cols_g.swapaxes(-1, -2), out=per_sample)
+            if gx is not None:
+                np.matmul(w_g.swapaxes(-1, -2), g, out=gx)
+            if per_sample is not None:
+                # the sum over N, each column summed in sample order
                 gw = arena.buffer(per_sample.shape[1:], g.dtype)
-                rows, gw_flat = per_sample.reshape(n, -1), gw.reshape(-1)
-
-                def column_sums(lo, hi):
-                    rows[:, lo:hi].sum(axis=0, out=gw_flat[lo:hi])
-                parallel.split(gw.size, nbytes, column_sums)
+                per_sample.reshape(n, -1).sum(axis=0, out=gw.reshape(-1))
                 _accumulate(weight, gw.reshape(weight.shape))
             if _needs_grad(bias):
                 _accumulate(bias, np.einsum("ncl->c", g.reshape(n, c_out, L)))
@@ -278,9 +263,8 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     for ``B`` fused layers (paper Table 6) with ``x`` ``[B, *, in]`` and
     ``bias`` ``[B, out]``.  One autograd node: the leading dims of ``x``
     flatten into one ``[M, in] @ [in, out]`` GEMM per model, so each slice of
-    a fused call runs exactly the GEMM its model runs alone.  A large fused
-    call runs its GEMMs as two halves of the ``B`` models (:mod:`.parallel`);
-    a smaller one writes its output and input gradient to the arena too.
+    a fused call runs exactly the GEMM its model runs alone.  The output
+    and both gradients come from the arena.
     """
     lead = weight.shape[:-2]                 # () serial, (B,) fused
     out_features, in_features = weight.shape[-2:]
@@ -292,25 +276,11 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     w = weight.data
     shift = None if bias is None else bias.data.reshape(
         lead + (1, out_features))
-    # the size test first: a small or serial call is the plain GEMM
-    nbytes = parallel.gemm_bytes(x2.nbytes // in_features * out_features,
-                                 in_features)     # for backward too
-    if lead and nbytes >= parallel.MIN_BYTES:
-        out_data = arena.buffer(x2.shape[:-1] + (out_features,),
-                                np.promote_types(x2.dtype, w.dtype))
-
-        def forward(lo, hi):
-            out_b = np.matmul(x2[lo:hi], w[lo:hi].swapaxes(-1, -2),
-                              out=out_data[lo:hi])
-            if shift is not None:
-                out_b += shift[lo:hi]
-        parallel.split(lead[0], nbytes, forward)
-    else:
-        out_data = np.matmul(x2, w.swapaxes(-1, -2), out=arena.empty(
-            x2.shape[:-1] + (out_features,),
-            np.promote_types(x2.dtype, w.dtype)))
-        if shift is not None:
-            out_data += shift
+    out_data = np.matmul(x2, w.swapaxes(-1, -2), out=arena.empty(
+        x2.shape[:-1] + (out_features,),
+        np.promote_types(x2.dtype, w.dtype)))
+    if shift is not None:
+        out_data += shift
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = _make_out(out_data.reshape(x_shape[:-1] + (out_features,)), parents,
@@ -320,25 +290,11 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             g = grad_out.reshape(out_data.shape)
             # g carries the output's dtype, the promotion of x's and w's
             gx = gw = None
-            if lead and nbytes >= parallel.MIN_BYTES:
-                if _needs_grad(x):
-                    gx = arena.buffer(x2.shape, g.dtype)
-                if _needs_grad(weight):
-                    gw = arena.buffer(weight.shape, g.dtype)
-
-                def backward(lo, hi):
-                    if gx is not None:
-                        np.matmul(g[lo:hi], w[lo:hi], out=gx[lo:hi])
-                    if gw is not None:
-                        np.matmul(g[lo:hi].swapaxes(-1, -2), x2[lo:hi],
-                                  out=gw[lo:hi])
-                parallel.split(lead[0], nbytes, backward)
-            else:
-                if _needs_grad(x):
-                    gx = np.matmul(g, w, out=arena.empty(x2.shape, g.dtype))
-                if _needs_grad(weight):
-                    gw = np.matmul(g.swapaxes(-1, -2), x2,
-                                   out=arena.empty(weight.shape, g.dtype))
+            if _needs_grad(x):
+                gx = np.matmul(g, w, out=arena.empty(x2.shape, g.dtype))
+            if _needs_grad(weight):
+                gw = np.matmul(g.swapaxes(-1, -2), x2,
+                               out=arena.empty(weight.shape, g.dtype))
             if gx is not None:
                 _accumulate(x, gx.reshape(x_shape))
             if gw is not None:
@@ -483,8 +439,6 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
 
     One autograd node: backward keeps the centered input and ``rstd`` and
     applies ``dx = scale * (g - mean(g) - x_c * rstd^2 * mean(g * x_c))``.
-    Every full-size pass is per channel, so a large call runs as two
-    channel halves (:mod:`.parallel`).
     """
     data = x.data
     channel_axis %= data.ndim
@@ -492,17 +446,12 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
     channels = data.shape[channel_axis]
     shape = [1] * data.ndim
     shape[channel_axis] = channels
-    lead = (slice(None),) * channel_axis     # lead + (slice(lo, hi),): a half
     batch_stats = training or running_mean is None
     if batch_stats:
         count = data.size // channels
         mean, var = np.empty(shape, data.dtype), np.empty(shape, data.dtype)
         xc = arena.buffer(data.shape, data.dtype)
-
-        def stats(lo, hi):
-            c = lead + (slice(lo, hi),)
-            _centre(data[c], xc[c], mean[c], var[c], axes, count)
-        parallel.split(channels, data.nbytes, stats)
+        _centre(data, xc, mean, var, axes, count)
         if running_mean is not None:
             _update_running(running_mean, running_var, mean, var, count,
                             momentum)
@@ -512,14 +461,10 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
     rstd = 1.0 / np.sqrt(var + eps)
     scale = rstd if weight is None else rstd * weight.data.reshape(shape)
     shift = None if bias is None else bias.data.reshape(shape)
-    out_data = arena.buffer(xc.shape, np.promote_types(xc.dtype, scale.dtype))
-
-    def affine(lo, hi):
-        c = lead + (slice(lo, hi),)
-        out_c = np.multiply(xc[c], scale[c], out=out_data[c])
-        if shift is not None:
-            out_c += shift[c]
-    parallel.split(channels, data.nbytes, affine)
+    out_data = np.multiply(xc, scale, out=arena.buffer(
+        xc.shape, np.promote_types(xc.dtype, scale.dtype)))
+    if shift is not None:
+        out_data += shift
 
     parents = tuple(p for p in (x, weight, bias) if p is not None)
     out = _make_out(out_data, parents, "batch_norm")
@@ -530,16 +475,11 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
             gx = None
             if batch_stats and _needs_grad(x):
                 gx = arena.buffer(xc.shape, g.dtype)
-
-            def sums_and_dx(lo, hi):
-                c = lead + (slice(lo, hi),)
-                g_c, xc_c = g[c], xc[c]
-                sum_g[c] = _sum_over(g_c, axes)
-                sum_gxc[c] = _sum_over(g_c, axes, xc_c)
-                if gx is not None:
-                    _batch_norm_dx(g_c, xc_c, rstd[c], scale[c], sum_g[c],
-                                   sum_gxc[c], count, gx[c], tmp=gx[c])
-            parallel.split(channels, g.nbytes, sums_and_dx)
+            sum_g[...] = _sum_over(g, axes)
+            sum_gxc[...] = _sum_over(g, axes, xc)
+            if gx is not None:
+                _batch_norm_dx(g, xc, rstd, scale, sum_g, sum_gxc, count, gx,
+                               tmp=gx)
             if _needs_grad(weight):
                 _accumulate(weight, (sum_gxc * rstd).reshape(weight.shape))
             if _needs_grad(bias):
@@ -555,11 +495,11 @@ def batch_norm(x: Tensor, running_mean: Optional[np.ndarray],
 _CHUNK_BYTES = 256 * 1024
 
 
-def _channel_chunks(lo: int, hi: int, step: int):
-    """``(slice(None), slice(c0, c1))`` over channels ``[lo, hi)``, ``step``
-    channels at a time."""
-    for c0 in range(lo, hi, step):
-        yield slice(None), slice(c0, min(c0 + step, hi))
+def _channel_chunks(channels: int, step: int):
+    """``(slice(None), slice(c0, c1))`` over ``channels`` channels, ``step``
+    at a time."""
+    for c0 in range(0, channels, step):
+        yield slice(None), slice(c0, min(c0 + step, channels))
 
 
 def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
@@ -593,11 +533,7 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     ``Tensor.max`` in their order (a row's share of its maximum's gradient
     is ``(g / ties).astype(dtype)``, which is ``g`` for one tie and NaN for
     a NaN row, as in ``Tensor.max``), so outputs, running statistics and
-    gradients are bitwise the separate nodes'.  A large call runs forward,
-    and again backward, as two halves of its groups in one handoff each
-    (:mod:`.parallel`): the convolution, statistics, affine, ReLU and max
-    of a group's channels touch no other group's.  A one-group call runs
-    inline.
+    gradients are bitwise the separate nodes'.
     """
     n, c_in, length = x.shape
     if c_in % groups:
@@ -612,7 +548,6 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     # the reshapes of conv1d's height-1 lift, so the GEMMs see its strides
     cols_g = x.data.reshape(n, c_in, 1, length).reshape(n, groups, k, length)
     w_g = weight.data.reshape(groups, m, k)
-    bias_g = None if bias is None else bias.data.reshape(groups, m, 1)
     xc = arena.buffer((n, c_out, length),
                       np.promote_types(w_g.dtype, cols_g.dtype))
     xc_g = xc.reshape(n, groups, m, length)
@@ -629,7 +564,6 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
         shape, np.promote_types(rstd.dtype, gamma.dtype))
     dtype = np.promote_types(xc.dtype, scale.dtype)
     out_data = arena.buffer((n, c_out) if global_max else xc.shape, dtype)
-    nbytes = max(xc.nbytes, parallel.gemm_bytes(xc.nbytes, k))
     step = max(1, _CHUNK_BYTES // (n * length * dtype.itemsize))
 
     def block(c, out=None):
@@ -641,25 +575,21 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
             np.maximum(out_c, 0.0, out=out_c)
         return out_c
 
-    def forward(lo, hi):
-        g, c = slice(lo, hi), (slice(None), slice(lo * m, hi * m))
-        conv = np.matmul(w_g[g], cols_g[:, g], out=xc_g[:, g])
-        if bias_g is not None:
-            conv += bias_g[g]
-        xc_c = xc[c]
-        if batch_stats:
-            _centre(xc_c, xc_c, mean[c], var[c], axes, count)
-        else:
-            np.subtract(xc_c, mean[c], out=xc_c)
-        rstd[c] = 1.0 / np.sqrt(var[c] + eps)
-        if gamma is not None:
-            np.multiply(rstd[c], gamma[c], out=scale[c])
-        if not global_max:
-            block(c, out=out_data[c])
-            return
-        for chunk in _channel_chunks(lo * m, hi * m, step):
+    np.matmul(w_g, cols_g, out=xc_g)
+    if bias is not None:
+        xc_g += bias.data.reshape(groups, m, 1)
+    if batch_stats:
+        _centre(xc, xc, mean, var, axes, count)
+    else:
+        np.subtract(xc, mean, out=xc)
+    rstd[...] = 1.0 / np.sqrt(var + eps)
+    if gamma is not None:
+        np.multiply(rstd, gamma, out=scale)
+    if not global_max:
+        block((slice(None), slice(None)), out=out_data)
+    else:
+        for chunk in _channel_chunks(c_out, step):
             np.max(block(chunk), axis=2, out=out_data[chunk])
-    parallel.split(groups, nbytes, forward)
     if batch_stats and running_mean is not None:
         _update_running(running_mean, running_var, mean, var, count, momentum)
 
@@ -677,7 +607,6 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
             if _needs_grad(weight):
                 per_sample = arena.buffer((n, groups, m, k), g.dtype)
                 gw = arena.buffer(weight.shape, g.dtype)
-                rows, gw_flat = per_sample.reshape(n, -1), gw.reshape(-1)
             if _needs_grad(x):
                 gx = arena.buffer(x.shape, g.dtype)
                 gx_g = gx.reshape(cols_g.shape)
@@ -711,24 +640,18 @@ def conv1d_bn(x: Tensor, weight: Tensor, bias: Optional[Tensor],
                 else:
                     np.multiply(g_c, scale[c], out=dx_c)
 
-            def backward(lo, hi):
-                # batch norm's passes channel chunk by chunk: a chunk's
-                # temporaries stay small and its operands in cache
-                for chunk in _channel_chunks(lo * m, hi * m, step):
-                    batch_norm_backward(chunk)
-                gs, c = slice(lo, hi), (slice(None), slice(lo * m, hi * m))
-                if gbias is not None:
-                    gbias[lo * m:hi * m] = np.einsum("ncl->c", dx[c])
-                if per_sample is not None:
-                    np.matmul(dx_g[:, gs], cols_g[:, gs].swapaxes(-1, -2),
-                              out=per_sample[:, gs])
-                    # the sum over N, each column still summed in sample order
-                    cols = slice(lo * m * k, hi * m * k)
-                    rows[:, cols].sum(axis=0, out=gw_flat[cols])
-                if gx is not None:
-                    np.matmul(w_g[gs].swapaxes(-1, -2), dx_g[:, gs],
-                              out=gx_g[:, gs])
-            parallel.split(groups, nbytes, backward)
+            # batch norm's passes channel chunk by chunk: a chunk's
+            # temporaries stay small and its operands in cache
+            for chunk in _channel_chunks(c_out, step):
+                batch_norm_backward(chunk)
+            if gbias is not None:
+                gbias[:] = np.einsum("ncl->c", dx)
+            if per_sample is not None:
+                np.matmul(dx_g, cols_g.swapaxes(-1, -2), out=per_sample)
+                # the sum over N, each column summed in sample order
+                per_sample.reshape(n, -1).sum(axis=0, out=gw.reshape(-1))
+            if gx is not None:
+                np.matmul(w_g.swapaxes(-1, -2), dx_g, out=gx_g)
             if _needs_grad(bn_weight):
                 _accumulate(bn_weight,
                             (sum_gxc * rstd).reshape(bn_weight.shape))

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import arena, parallel
+from . import arena
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones",
            "randn", "rand", "arange", "full", "stack", "cat"]
@@ -411,24 +411,18 @@ class Tensor:
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum over ``axis``; tied maxima share the gradient equally.
 
-        Along a non-leading axis, a large input is reduced as two halves of
-        its leading axis (:mod:`.parallel`).
+        Along a non-leading axis, the result comes from the arena.
         """
         data = self.data
+        out_buffer = None
         if isinstance(axis, int) and axis % data.ndim:
             shape = list(data.shape)
             if keepdims:
                 shape[axis] = 1
             else:
                 del shape[axis]
-            out_data = arena.buffer(tuple(shape), data.dtype)
-
-            def rows(lo, hi):
-                np.max(data[lo:hi], axis=axis, keepdims=keepdims,
-                       out=out_data[lo:hi])
-            parallel.split(len(data), data.nbytes, rows)
-        else:
-            out_data = data.max(axis=axis, keepdims=keepdims)
+            out_buffer = arena.empty(tuple(shape), data.dtype)
+        out_data = data.max(axis=axis, keepdims=keepdims, out=out_buffer)
         out = _make_out(out_data, (self,), "max")
         if out.requires_grad:
             def _bw(g):
@@ -436,7 +430,8 @@ class Tensor:
                 top = out_data
                 if axis is not None and not keepdims:
                     top, g = np.expand_dims(top, axis), np.expand_dims(g, axis)
-                mask = parallel.ufunc(np.equal, data, top, arena.BOOL)
+                mask = np.equal(data, top,
+                                out=arena.empty(data.shape, arena.BOOL))
                 # one maximum in every row (a NaN row matches nothing, so it
                 # could hide a tie elsewhere): the share is g / 1, exactly
                 if (np.count_nonzero(mask) == top.size
@@ -445,8 +440,8 @@ class Tensor:
                 else:
                     ties = np.count_nonzero(mask, axis=axis, keepdims=True)
                     share = (g / ties).astype(data.dtype, copy=False)
-                _accumulate(self, parallel.ufunc(np.multiply, mask, share,
-                                                 data.dtype))
+                _accumulate(self, np.multiply(
+                    mask, share, out=arena.empty(data.shape, data.dtype)))
             out._backward = _bw
         return out
 
@@ -599,14 +594,15 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         data = self.data
-        out_data = parallel.ufunc(np.maximum, data, 0.0, data.dtype)
+        out_data = np.maximum(data, 0.0,
+                              out=arena.empty(data.shape, data.dtype))
         out = _make_out(out_data, (self,), "relu")
         if out.requires_grad:
-            mask = parallel.ufunc(np.greater, data, 0, arena.BOOL)
+            mask = np.greater(data, 0, out=arena.empty(data.shape, arena.BOOL))
 
             def _bw(g):
-                _accumulate(self, parallel.ufunc(np.multiply, g, mask,
-                                                 g.dtype))
+                _accumulate(self, np.multiply(
+                    g, mask, out=arena.empty(g.shape, g.dtype)))
             out._backward = _bw
         return out
 

@@ -21,6 +21,9 @@ of a shared accelerator:
   admission of queued jobs into freed width via
   :func:`repro.hfta.merge_fused` — and hands every job its
   serial-equivalent checkpoint; doubles as the fleet's per-device worker;
+* :mod:`repro.runtime.shards`  — the second CPU: an array of large slots
+  is cut into one contiguous shard per allowed CPU, the upper shards
+  trained in forked shard worker processes;
 * :mod:`repro.runtime.placement` — hardware-aware placement: ranks the
   fleet's devices per array with the :mod:`repro.hwsim` cost model
   (:func:`repro.hwsim.estimate_array_cost`), partial-fusion fallback when

@@ -60,7 +60,7 @@ from ..hfta.fusion import export_to_unfused, load_from_unfused, merge_fused, \
 from ..hfta.optim.elastic import export_slot_state, load_slot_state, \
     merge_optimizers, split_optimizer
 from ..nn.modules.module import Module
-from . import sim
+from . import shards, sim
 from .batcher import Batcher, Cohort
 from .bufferpool import BufferPool
 from .checkpoint import CheckpointStore, CorruptObjectError, RecoveryManager
@@ -172,6 +172,125 @@ class _Slot:
         return self.job.steps - self.progress
 
 
+class _Shard:
+    """A fused model with its optimizer, criterion and activation arena:
+    a whole array, or one contiguous run of its slots (in this process, or
+    in a shard worker, :mod:`repro.runtime.shards`)."""
+
+    def __init__(self, fused: Module, optimizer, loss_key: str,
+                 scaffold: Optional[Module] = None):
+        self.fused, self.optimizer, self.loss_key = fused, optimizer, loss_key
+        self.width = optimizer.num_models
+        self.criterion = CRITERIA[loss_key](self.width)
+        # a fresh arena: an old one's buffers have the old width's shapes
+        self.arena = nn.Arena()
+        #: a worker's shard exports into this job template (the parent's
+        #: into each job's own)
+        self.scaffold = scaffold
+
+    @classmethod
+    def remote(cls, fused: Module, configs: Sequence[Dict], loss_key: str,
+               scaffold: Module) -> _Shard:
+        """What a worker makes of what the parent sends it: the optimizer,
+        criterion and arena are built there."""
+        return cls(fused, make_fused_optimizer(fused, configs, len(configs)),
+                   loss_key, scaffold)
+
+    def step(self, fetch: Callable[[int], List], steps: int
+             ) -> Tuple[List[List[float]], int]:
+        """Train ``steps`` steps on ``fetch(i)``, step ``i``'s ``(x, y)``
+        per slot: (each step's per-slot losses, samples)."""
+        per_step, samples = [], 0
+        with self.arena.active():
+            for i in range(steps):
+                batches = fetch(i)
+                inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
+                          for x, _ in batches]
+                targets = np.stack([y for _, y in batches])
+                self.optimizer.zero_grad()
+                out = self.fused(self.fused.fuse_inputs(inputs))
+                losses = self.criterion.per_model(out, targets)
+                # backward consumes the graph, freeing each activation as
+                # soon as its node has run: the output too, once unheld
+                del out
+                # backward of sum_b l_b, seeded without its node: d/dl_b = 1
+                losses.backward(np.ones_like(losses.data))
+                self.optimizer.step()
+                per_step.append(losses.data.tolist())
+                samples += sum(len(y) for _, y in batches)
+                # the root dies here, not after the next forward: two
+                # steps' activations never coexist in the arena
+                del losses
+        return per_step, samples
+
+    def take(self, indices: Sequence[int]) -> _Shard:
+        fused = split_fused(self.fused, indices)
+        optimizer = split_optimizer(self.optimizer, fused.parameters(),
+                                    indices)
+        return _Shard(fused, optimizer, self.loss_key, self.scaffold)
+
+    def merge(self, other: _Shard, pool: BufferPool) -> _Shard:
+        """Both shards' slots in one; raises with both untouched."""
+        fused = merge_fused(self.fused, other.fused, allocator=pool.take)
+        optimizer = merge_optimizers(self.optimizer, other.optimizer,
+                                     fused.parameters(), allocator=pool.take)
+        # merge_fused/merge_optimizers never mutate their inputs; the
+        # inputs' arrays are dead once the caller drops the two shards
+        for shard in (self, other):
+            pool.release_all(shard._allocations())
+        return _Shard(fused, optimizer, self.loss_key, self.scaffold)
+
+    def _allocations(self) -> List[np.ndarray]:
+        """A dead structure's arrays, for recycling into the buffer pool.
+
+        Safe only for structures nothing references anymore (both inputs
+        of a merge): the pool itself additionally rejects views — a
+        narrowed array's slices stay untouched — and anything not owning
+        its memory.  Gradients are never offered: autograd may hand the
+        same array to several parameters (shared-weight accumulation).
+        """
+        dead = [p.data for p in self.fused.parameters()]
+        dead.extend(buf for _, buf in self.fused.named_buffers()
+                    if buf is not None)
+        for slot_state in self.optimizer.state.values():
+            dead.extend(value for value in slot_state.values()
+                        if isinstance(value, np.ndarray))
+        return dead
+
+    def export(self, index: int, template: Module) -> Module:
+        """Slot ``index``'s weights and buffers, into ``template``."""
+        return export_to_unfused(self.fused, index, template)
+
+    def exported(self, index: int) -> Dict[str, np.ndarray]:
+        """A worker's export: what :meth:`export` writes into a template,
+        by name, for the parent to load into the job's own."""
+        state = self.export(index, self.scaffold).state_dict()
+        names = {name for name, _ in self.fused.named_parameters()}
+        names.update(name for name, buf in self.fused.named_buffers()
+                     if buf is not None)
+        return {name: state[name] for name in state if name in names}
+
+    def slot_state(self, index: int) -> Dict:
+        return export_slot_state(self.optimizer, index)
+
+    def load_slot(self, index: int, state: Dict) -> None:
+        load_slot_state(self.optimizer, index, state)
+
+
+class _RemoteShard(shards.Remote):
+    """A :class:`_Shard` a worker holds, with the same methods."""
+
+    def export(self, index: int, template: Module) -> Module:
+        template.load_state_dict(self.call("exported", index))
+        return template
+
+    def slot_state(self, index: int) -> Dict:
+        return self.call("slot_state", index)
+
+    def load_slot(self, index: int, state: Dict) -> None:
+        self.call("load_slot", index, state)
+
+
 class FusedPhysics:
     """The numpy training physics of one fused array.
 
@@ -197,23 +316,23 @@ class FusedPhysics:
     * ``load_resume(index, resume)`` — inject a durable checkpoint's
       optimizer slice (the weights arrive through the job's template).
 
+    The array's slots live in ``parts``, contiguous runs in slot order,
+    each a :class:`_Shard` in this process or a :class:`_RemoteShard` in a
+    shard worker.  ``build`` cuts an array of large slots into one run per
+    allowed CPU (:func:`repro.runtime.shards.split`), the lowest here;
+    otherwise, and always at width 1, the array is one ``_Shard``.  A
+    step sends each worker its shards' batches, steps this process's
+    shards meanwhile, then collects the workers' losses.
+
     The eight re-fusion primitives are called through this module's
-    globals, which is where ``bench_e2e.tracing`` measures them.
+    globals, which is where ``bench_e2e.tracing`` measures them — in this
+    process; a worker's calls are its own.
     """
 
     def __init__(self, engine: TrainingArrayEngine, plan: ArrayPlan):
         self.engine = engine
         self.loss_key = plan.jobs[0].job.loss
-        self.fused = self.optimizer = self.criterion = self.arena = None
-
-    def _install(self, fused: Module, optimizer) -> FusedPhysics:
-        """Swap in a fused model/optimizer pair, the criterion of their
-        width and an empty activation arena — the old one's buffers have
-        the old width's shapes."""
-        self.criterion = CRITERIA[self.loss_key](optimizer.num_models)
-        self.fused, self.optimizer = fused, optimizer
-        self.arena = nn.Arena()
-        return self
+        self.parts: List = []
 
     def build(self, subs: Sequence[SubmittedJob],
               mate: Optional[SubmittedJob] = None) -> List[SubmittedJob]:
@@ -236,94 +355,121 @@ class FusedPhysics:
         # (a boarding party is checked against what the live array runs)
         validate_fusibility(
             ([mate.template] if mate is not None else []) + templates)
+        configs = [sub.job.config for sub in boarded]
+        slot_bytes = sum(p.data.nbytes for p in templates[0].parameters())
+        runs = shards.split(len(boarded), slot_bytes)
+        job, remote, posted = boarded[0].job, [], []
+
+        def fuse_all() -> Module:
+            # the workers unpickle theirs while this process fuses its own
+            for lo, hi, worker in runs[1:]:
+                remote.append(_RemoteShard.make(
+                    worker, hi - lo, _Shard.remote,
+                    self._fuse(job, templates[lo:hi]), configs[lo:hi],
+                    self.loss_key, templates[lo]))
+                posted.append(worker)
+            return self._fuse(job, templates[:runs[0][1]])
+        here, _ = shards.overlap(posted, fuse_all)
+        width = runs[0][1]
+        optimizer = make_fused_optimizer(here, configs[:width], width)
+        self.parts = [_Shard(here, optimizer, self.loss_key)] + remote
+        return boarded
+
+    @staticmethod
+    def _fuse(job: TrainingJob, templates: Sequence[Module]) -> Module:
+        """The fused model of ``templates``, built by ``job``'s builder."""
         # every weight is overwritten by the templates': draw none
         with nn.init.disabled():
-            fused = boarded[0].job.build_model(len(boarded), None)
+            fused = job.build_model(len(templates), None)
         if not hasattr(fused, "fuse_inputs"):
             raise TypeError(
                 f"fused model {type(fused).__name__} has no 'fuse_inputs'; "
                 f"build models through repro.hfta.ops.factory.OpsLibrary "
                 f"(see repro.models for examples)")
-        load_from_unfused(fused, templates)
-        self._install(fused, make_fused_optimizer(
-            fused, [sub.job.config for sub in boarded], len(boarded)))
-        return boarded
+        return load_from_unfused(fused, templates)
+
+    def _runs(self, slots: Sequence) -> List[Tuple[object, Sequence]]:
+        """Each part with its run of ``slots``."""
+        runs, lo = [], 0
+        for part in self.parts:
+            runs.append((part, slots[lo:lo + part.width]))
+            lo += part.width
+        return runs
+
+    def _locate(self, index: int) -> Tuple[object, int]:
+        """The part holding slot ``index``, and the slot's index there."""
+        for part in self.parts:
+            if index < part.width:
+                return part, index
+            index -= part.width
+        raise IndexError("slot index out of range")
 
     def step(self, slots: Sequence[_Slot], steps: int) -> Tuple[float, int]:
         start = time.perf_counter()
+        runs = self._runs(slots)
+        requests: Dict[shards.Worker, List[Tuple]] = {}
+        for part, run in runs:
+            if isinstance(part, _RemoteShard):
+                batches = [_fetch(run, i) for i in range(steps)]
+                requests.setdefault(part.worker, []).append(
+                    part.request("step", batches.__getitem__, steps))
+        here, there = shards.overlap(shards.send(requests), lambda: [
+            part.step(functools.partial(_fetch, run), steps)
+            for part, run in runs if isinstance(part, _Shard)])
+        here = iter(here)
+        there = {worker: iter(replies) for worker, replies in there.items()}
         samples = 0
-        with self.arena.active():
-            for i in range(steps):
-                batches = [slot.job.data(slot.progress + i) for slot in slots]
-                inputs = [nn.tensor(np.asarray(x, dtype=np.float32))
-                          for x, _ in batches]
-                targets = np.stack([y for _, y in batches])
-                self.optimizer.zero_grad()
-                out = self.fused(self.fused.fuse_inputs(inputs))
-                losses = self.criterion.per_model(out, targets)
-                # backward consumes the graph, freeing each activation as
-                # soon as its node has run: the output too, once unheld
-                del out
-                # backward of sum_b l_b, seeded without its node: d/dl_b = 1
-                losses.backward(np.ones_like(losses.data))
-                self.optimizer.step()
-                for slot, value in zip(slots, losses.data.tolist()):
+        for part, run in runs:
+            if isinstance(part, _RemoteShard):
+                per_step, count = next(there[part.worker])
+            else:
+                per_step, count = next(here)
+            samples += count
+            for losses in per_step:
+                for slot, value in zip(run, losses):
                     slot.curve.append(value)
-                samples += sum(len(y) for _, y in batches)
-                # the root dies here, not after the next forward: two
-                # steps' activations never coexist in the arena
-                del losses
         return time.perf_counter() - start, samples
 
     def take(self, indices: Sequence[int]) -> FusedPhysics:
-        fused = split_fused(self.fused, indices)
-        optimizer = split_optimizer(self.optimizer, fused.parameters(),
-                                    indices)
-        return copy.copy(self)._install(fused, optimizer)
+        runs: List[Tuple[object, List[int]]] = []
+        for index in indices:
+            part, local = self._locate(index)
+            if runs and runs[-1][0] is part:
+                runs[-1][1].append(local)
+            else:
+                runs.append((part, [local]))
+        taken = copy.copy(self)
+        # a part kept whole is shared, not split: the physics taken from
+        # is dropped (eviction) or keeps only other parts (preemption)
+        taken.parts = [part if local == list(range(part.width))
+                       else part.take(local) for part, local in runs]
+        return taken
 
     def absorb(self, other: FusedPhysics) -> None:
-        pool = self.engine.pool
-        merged = merge_fused(self.fused, other.fused, allocator=pool.take)
-        merged_opt = merge_optimizers(self.optimizer, other.optimizer,
-                                      merged.parameters(),
-                                      allocator=pool.take)
-        # merge_fused/merge_optimizers never mutate their inputs, so a
-        # raise above leaves the live array untouched; past this point the
-        # swap is atomic
-        dead = [(self.fused, self.optimizer), (other.fused, other.optimizer)]
-        self._install(merged, merged_opt)
-        other.fused = other.optimizer = other.criterion = other.arena = None
-        for fused, optimizer in dead:
-            pool.release_all(self._allocations(fused, optimizer))
-
-    @staticmethod
-    def _allocations(fused: Module, optimizer) -> List[np.ndarray]:
-        """A dead structure's arrays, for recycling into the buffer pool.
-
-        Safe only for structures nothing references anymore (both inputs
-        of a merge): the pool itself additionally rejects views — a
-        narrowed array's slices stay untouched — and anything not owning
-        its memory.  Gradients are never offered: autograd may hand the
-        same array to several parameters (shared-weight accumulation).
-        """
-        dead = [p.data for p in fused.parameters()]
-        dead.extend(buf for _, buf in fused.named_buffers()
-                    if buf is not None)
-        for slot_state in optimizer.state.values():
-            dead.extend(value for value in slot_state.values()
-                        if isinstance(value, np.ndarray))
-        return dead
+        last, first = self.parts[-1], other.parts[0]
+        if isinstance(last, _Shard) and isinstance(first, _Shard):
+            joined = [last.merge(first, self.engine.pool)]
+            self.parts = self.parts[:-1] + joined + other.parts[1:]
+        else:
+            self.parts = self.parts + other.parts
+        other.parts = []
 
     def export(self, index: int, slot: _Slot
                ) -> Tuple[Module, Callable[[], Tuple[Dict, Dict]]]:
+        part, local = self._locate(index)
         # the job's template, overwritten in place
-        checkpoint = export_to_unfused(self.fused, index, slot.sub.template)
-        return checkpoint, lambda: (
-            checkpoint.state_dict(),
-            export_slot_state(self.optimizer, index))
+        checkpoint = part.export(local, slot.sub.template)
+        return checkpoint, lambda: (checkpoint.state_dict(),
+                                    part.slot_state(local))
 
     def load_resume(self, index: int, resume) -> None:
-        load_slot_state(self.optimizer, index, resume.optimizer_state)
+        part, local = self._locate(index)
+        part.load_slot(local, resume.optimizer_state)
+
+
+def _fetch(slots: Sequence[_Slot], i: int) -> List:
+    """Step ``i`` of an epoch's batch of every slot in ``slots``."""
+    return [slot.job.data(slot.progress + i) for slot in slots]
 
 
 class ArrayExecutor:
@@ -565,11 +711,18 @@ class ArrayExecutor:
         if not stop_map:
             return []
 
-        retired: List[JobResult] = []
         keep = [i for i in range(self.live_width) if i not in stop_map]
+        # every call that can raise from a shard worker comes before any
+        # job is marked finished (the durable write below swallows its
+        # failures): a worker lost here fails the array with all of its
+        # jobs still live, so each is requeued, and delivered, once
+        exports = {index: self.physics.export(index, self.slots[index])
+                   for index in stop_map}
+        physics = self.physics.take(keep) if keep else None
+        retired: List[JobResult] = []
         for index, reason in stop_map.items():
             slot = self.slots[index]
-            checkpoint, durable = self.physics.export(index, slot)
+            checkpoint, durable = exports[index]
             result = JobResult(
                 job_id=slot.sub.job_id, name=slot.job.name,
                 checkpoint=checkpoint, loss_curve=slot.curve,
@@ -601,7 +754,7 @@ class ArrayExecutor:
         self.evictions += sum(1 for r in stop_map.values()
                               if r != StopReason.BUDGET)
         if keep:
-            self.physics = self.physics.take(keep)
+            self.physics = physics
         self.slots = [self.slots[i] for i in keep]
         self.state = ArrayState.STEPPING if keep else ArrayState.DRAINED
         self.engine.emit(self.event("evict" if keep else "drain",

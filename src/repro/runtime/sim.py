@@ -232,7 +232,10 @@ class TraceReplayer:
     when the fleet drains with arrivals still ahead, the clock jumps to
     the next arrival (plus ``cycle_quantum_s``, which batches arrivals
     into periodic scheduler wake-ups the way a production control loop
-    would, instead of one cycle per lone arrival).
+    would, instead of one cycle per lone arrival).  When the fleet drains
+    between bursts, a job's latency is therefore mostly the wait for the
+    next wake-up: on ``sim_fleet`` (seed 0) its p50 was 0.33, 4.30 and
+    30.13 s at ``cycle_quantum_s`` 0, 10 and 60 s (ROADMAP item 17).
 
     Returns per-job results keyed by job id; shed submissions are kept in
     ``rejected`` with their tickets for assertion.

@@ -34,3 +34,22 @@ def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
     nan = np.isnan(want)
     return np.array_equal(np.isnan(got), nan) and \
         got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def shard_cuts(width: int, cpus: int):
+    """The ``(lo, hi)`` slot runs that :func:`repro.runtime.shards.split`
+    cuts a width-``width`` array of large slots into on a host of ``cpus``
+    CPUs (no worker is forked)."""
+    from unittest import mock
+
+    from repro.runtime import shards
+
+    with mock.patch.object(shards, "_cpus", lambda: cpus), \
+            mock.patch.object(shards, "workers", lambda: [None] * cpus):
+        return [(lo, hi) for lo, hi, _ in
+                shards.split(width, shards.MIN_SLOT_BYTES)]
+
+
+#: ``(array width, host CPUs)`` of the sharded kernel tests: two shards,
+#: and one slot per shard
+SHARDINGS = [(3, 2), (3, 3), (4, 2), (4, 4)]

@@ -7,9 +7,11 @@ permute and reshape back — and ``F.layer_norm(x, ..., residual=sub)``
 replaces ``F.layer_norm(x + sub, ...)``.  Both are checked byte for byte,
 forward output and every gradient, against that composition, kept here as
 the reference: serial and fused (B = 1, 3, 4), ``Lq != Lk``, no mask or a
-float one, dropout off or 0.1 from a seeded generator, kernels inline or
-split (``parallel.MIN_BYTES = 0``), and with no arena or one that hands out
-every buffer (``arena.MIN_BYTES = 0``).
+float one, dropout off or 0.1 from a seeded generator, and with no arena
+or one that hands out every buffer (``arena.MIN_BYTES = 0``).  A fused
+array cut into the shards a host of two or ``B`` CPUs trains it in, each
+shard run at its own width and drawing its rows of the whole array's
+dropout mask, gives those bytes joined.
 
 The attention mask is additive and must be a float array: a boolean mask
 would add ``1.0`` where PyTorch forbids a position, so it raises.  Fused
@@ -18,7 +20,6 @@ for byte what its serial layer computes with its own mask.
 """
 
 import contextlib
-import itertools
 import math
 
 import numpy as np
@@ -26,10 +27,12 @@ import pytest
 
 from repro import hfta, nn
 from repro.hfta import ops as fused_ops
-from repro.nn import arena, parallel
+from repro.nn import arena
 from repro.nn import functional as F
 
-from ..conftest import same_bytes
+from tools.train_hash import ShardDraws
+
+from ..conftest import SHARDINGS, same_bytes, shard_cuts
 
 N, LQ, LK, E, H = 2, 5, 7, 12, 2     # D = 6: 1/sqrt(D) is inexact
 
@@ -68,12 +71,9 @@ def float_mask(num_models, rng, lq, lk):
 
 
 @contextlib.contextmanager
-def kernels(split, arena_on):
-    """``parallel.MIN_BYTES`` 0 when ``split``; an arena handing out every
-    buffer when ``arena_on``."""
-    saved = parallel.MIN_BYTES, arena.MIN_BYTES
-    if split:
-        parallel.MIN_BYTES = 0
+def kernels(arena_on):
+    """An arena handing out every buffer when ``arena_on``."""
+    saved = arena.MIN_BYTES
     try:
         if arena_on:
             arena.MIN_BYTES = 0
@@ -82,7 +82,7 @@ def kernels(split, arena_on):
         else:
             yield
     finally:
-        parallel.MIN_BYTES, arena.MIN_BYTES = saved
+        arena.MIN_BYTES = saved
 
 
 def leaves(rng, *shapes):
@@ -102,8 +102,20 @@ def assert_same(got, want, names):
         assert same_bytes(a, b), name
 
 
-MODES = list(itertools.product([False, True], [False, True]))
 WIDTHS = [None, 1, 3, 4]
+
+
+def sharded(num_models, cpus, arrays, step):
+    """``step(lo, hi, tensors)``'s values per shard of a ``cpus``-CPU host,
+    joined on the array dimension; ``tensors`` are leaves of the shard's
+    slots of ``arrays``, and each value is copied before the next shard
+    runs, as a shard's step is read before its next."""
+    runs = []
+    for lo, hi in shard_cuts(num_models, cpus):
+        tensors = [nn.tensor(a[lo:hi].copy(), requires_grad=True)
+                   for a in arrays]
+        runs.append([value.copy() for value in step(lo, hi, tensors)])
+    return [np.concatenate(values) for values in zip(*runs)]
 
 
 def attention_run(num_models, lq, masked, dropout, as_node):
@@ -118,18 +130,44 @@ def attention_run(num_models, lq, masked, dropout, as_node):
     return grads_of(out, (q, k, v), rng)
 
 
-@pytest.mark.parametrize("split, arena_on", MODES)
+@pytest.mark.parametrize("arena_on", [False, True])
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("lq", [LQ, LK])
 @pytest.mark.parametrize("num_models", WIDTHS)
 def test_attention_node_is_bytewise_the_composition(num_models, lq, masked,
-                                                    dropout, split, arena_on):
+                                                    dropout, arena_on):
     want = attention_run(num_models, lq, masked, dropout, as_node=False)
-    with kernels(split, arena_on):
+    with kernels(arena_on):
         for _ in range(2):                 # the second reuses the arena
             got = attention_run(num_models, lq, masked, dropout,
                                 as_node=True)
+    assert_same(got, want, ("out", "q", "k", "v"))
+
+
+@pytest.mark.parametrize("arena_on", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("lq", [LQ, LK])
+@pytest.mark.parametrize("num_models, cpus", SHARDINGS)
+def test_sharded_attention_node_is_bytewise_the_whole_composition(
+        num_models, cpus, lq, masked, dropout, arena_on):
+    want = attention_run(num_models, lq, masked, dropout, as_node=False)
+    rng = np.random.default_rng([3, lq, masked])
+    lead = lead_of(num_models)
+    qkv = [rng.standard_normal(s).astype(np.float32)
+           for s in (lead + (lq, E), lead + (LK, E), lead + (LK, E))]
+    mask = float_mask(num_models, rng, lq, LK) if masked else None
+    g = rng.standard_normal(lead + (lq, E)).astype(np.float32)
+
+    def step(lo, hi, tensors):
+        out = F.attention(*tensors, H, None if mask is None else mask[lo:hi],
+                          dropout, True, ShardDraws(5, lo, hi, num_models))
+        out.backward(g[lo:hi].copy())
+        return [out.data] + [t.grad for t in tensors]
+
+    with kernels(arena_on):
+        got = sharded(num_models, cpus, qkv, step)
     assert_same(got, want, ("out", "q", "k", "v"))
 
 
@@ -148,14 +186,37 @@ def layer_norm_run(num_models, as_node):
     return grads_of(out, (x, sub, weight, bias), rng)
 
 
-@pytest.mark.parametrize("split, arena_on", MODES)
+@pytest.mark.parametrize("arena_on", [False, True])
 @pytest.mark.parametrize("num_models", WIDTHS)
 def test_residual_layer_norm_is_bytewise_the_sum_then_the_norm(
-        num_models, split, arena_on):
+        num_models, arena_on):
     want = layer_norm_run(num_models, as_node=False)
-    with kernels(split, arena_on):
+    with kernels(arena_on):
         for _ in range(2):
             got = layer_norm_run(num_models, as_node=True)
+    assert_same(got, want, ("out", "x", "sub", "weight", "bias"))
+
+
+@pytest.mark.parametrize("arena_on", [False, True])
+@pytest.mark.parametrize("num_models, cpus", SHARDINGS)
+def test_sharded_residual_layer_norm_is_bytewise_the_whole_sum_then_norm(
+        num_models, cpus, arena_on):
+    want = layer_norm_run(num_models, as_node=False)
+    rng = np.random.default_rng(4)
+    lead = lead_of(num_models) + (LQ,)
+    shape = (num_models, 1, 1, E)
+    arrays = [rng.standard_normal(s).astype(np.float32)
+              for s in (lead + (E,), lead + (E,), shape, shape)]
+    g = rng.standard_normal(lead + (E,)).astype(np.float32)
+
+    def step(lo, hi, tensors):
+        x, sub, weight, bias = tensors
+        out = F.layer_norm(x, (E,), weight, bias, residual=sub)
+        out.backward(g[lo:hi].copy())
+        return [out.data] + [t.grad for t in tensors]
+
+    with kernels(arena_on):
+        got = sharded(num_models, cpus, arrays, step)
     assert_same(got, want, ("out", "x", "sub", "weight", "bias"))
 
 
@@ -202,22 +263,51 @@ def layer_run(num_models, masked, dropout, as_node):
     return grads_of(out, [x] + list(layer.parameters()), rng)
 
 
-@pytest.mark.parametrize("split, arena_on", MODES)
+@pytest.mark.parametrize("arena_on", [False, True])
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("num_models", WIDTHS)
 def test_encoder_layer_is_bytewise_the_composition(num_models, masked,
-                                                   dropout, split, arena_on):
-    """Through the modules: the projections (split when fused and
-    ``MIN_BYTES`` is 0), the node's parents in ``(q, k, v)`` order — the
-    layer input's gradient sums in the composition's order — and the
-    residual norms."""
-    with kernels(split, False):
-        want = layer_run(num_models, masked, dropout, as_node=False)
-    with kernels(split, arena_on):
+                                                   dropout, arena_on):
+    """Through the modules: the projections, the node's parents in ``(q,
+    k, v)`` order — the layer input's gradient sums in the composition's
+    order — and the residual norms."""
+    want = layer_run(num_models, masked, dropout, as_node=False)
+    with kernels(arena_on):
         got = layer_run(num_models, masked, dropout, as_node=True)
     names = ["out", "x"] + [name for name, _ in
                             encoder_layer(num_models, 0.0).named_parameters()]
+    assert_same(got, want, names)
+
+
+@pytest.mark.parametrize("arena_on", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("num_models, cpus", SHARDINGS)
+def test_sharded_encoder_layer_is_bytewise_the_whole_composition(
+        num_models, cpus, masked, dropout, arena_on):
+    """Each shard is ``hfta.split_fused`` of the whole layer, every
+    dropout module drawing the shard's rows of the whole array's mask."""
+    want = layer_run(num_models, masked, dropout, as_node=False)
+    layer = encoder_layer(num_models, dropout)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(lead_of(num_models) + (LQ, E)).astype(np.float32)
+    mask = float_mask(num_models, rng, LQ, LQ) if masked else None
+    g = rng.standard_normal(x.shape).astype(np.float32)
+
+    def step(lo, hi, tensors):
+        shard = hfta.split_fused(layer, range(lo, hi))
+        for index, module in enumerate(shard.modules()):
+            if type(module).__name__ == "Dropout":
+                module.generator = ShardDraws([9, index], lo, hi, num_models)
+        [x_s] = tensors
+        out = shard(x_s, attn_mask=None if mask is None else mask[lo:hi])
+        out.backward(g[lo:hi].copy())
+        return [out.data, x_s.grad] + [p.grad for p in shard.parameters()]
+
+    with kernels(arena_on):
+        got = sharded(num_models, cpus, [x], step)
+    names = ["out", "x"] + [name for name, _ in layer.named_parameters()]
     assert_same(got, want, names)
 
 

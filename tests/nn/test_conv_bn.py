@@ -3,10 +3,12 @@
 
 For the serial (``nn.Conv1d`` + ``nn.BatchNorm1d``) and the fused (B = 3,
 4) module pairs, with and without the ReLU, in training and eval mode, run
-inline, split over two halves of the groups (``parallel.MIN_BYTES`` 0) and
-with one channel per batch-norm backward chunk: the output, the running
-statistics and the gradients of the input and of all four parameters are
-bitwise those of ``relu(bn(conv(x)))``, and the block is one node.
+whole and with one channel per batch-norm backward chunk: the output, the
+running statistics and the gradients of the input and of all four
+parameters are bitwise those of ``relu(bn(conv(x)))``, and the block is one
+node.  The fused arrays are also cut into the shards a host of two or ``B``
+CPUs trains them in, each shard run at its own width: joined, the shards'
+values are bitwise the whole array's.
 """
 
 import itertools
@@ -14,10 +16,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import hfta, nn
 from repro.hfta.ops.factory import OpsLibrary
 from repro.nn import functional as F
-from repro.nn import parallel
+
+from ..conftest import SHARDINGS, shard_cuts
 
 C_IN, C_OUT, N, L = 6, 32, 5, 40
 
@@ -52,23 +55,68 @@ def run(num_models, relu, training, as_block):
             conv.weight.grad, conv.bias.grad, bn.weight.grad, bn.bias.grad]
 
 
+def join_shards(runs):
+    """One :func:`run`'s list from its shards' lists: the output and the
+    input gradient joined on the channels, the rest on the array dimension
+    (the running statistics are block-folded ``[B * C]``)."""
+    return [np.concatenate(values, axis=1 if index in (0, 3) else 0)
+            for index, values in enumerate(zip(*runs))]
+
+
+def sharded_run(num_models, cpus, relu, training):
+    """:func:`run` of the block node with the fused array cut into the
+    shards of a ``cpus``-CPU host, each run at its own width on its slots'
+    channels of the same input and upstream gradient."""
+    _, conv, bn = block_modules(num_models)
+    bn.train(training)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((N, num_models * C_IN, L)).astype(np.float32)
+    g = rng.standard_normal((N, num_models * C_OUT, L)).astype(np.float32)
+    runs = []
+    for lo, hi in shard_cuts(num_models, cpus):
+        lib = OpsLibrary(hi - lo)
+        conv_s, bn_s = (hfta.split_fused(m, range(lo, hi)) for m in (conv, bn))
+        x_s = nn.tensor(x[:, lo * C_IN:hi * C_IN].copy(), requires_grad=True)
+        y = lib.conv_bn(conv_s, bn_s, x_s, relu=relu)
+        y.backward(g[:, lo * C_OUT:hi * C_OUT].copy())
+        runs.append([y.data, bn_s.running_mean, bn_s.running_var, x_s.grad,
+                     conv_s.weight.grad, conv_s.bias.grad, bn_s.weight.grad,
+                     bn_s.bias.grad])
+    return join_shards(runs)
+
+
 @pytest.mark.parametrize(
     "num_models, relu, training",
     list(itertools.product([None, 3, 4], [True, False], [True, False])))
-@pytest.mark.parametrize("mode", ["inline", "split", "channel_chunks"])
+@pytest.mark.parametrize("mode", ["inline", "channel_chunks"])
 def test_block_is_bitwise_the_three_nodes(monkeypatch, num_models, relu,
                                           training, mode):
-    with monkeypatch.context() as inline:
-        inline.setattr(parallel, "MIN_BYTES", float("inf"))
-        reference = run(num_models, relu, training, as_block=False)
-    if mode != "inline":
-        monkeypatch.setattr(parallel, "MIN_BYTES", 0)
+    reference = run(num_models, relu, training, as_block=False)
     if mode == "channel_chunks":
         monkeypatch.setattr(F, "_CHUNK_BYTES", 1)
     block = run(num_models, relu, training, as_block=True)
     for name, want, got in zip(("out", "running_mean", "running_var", "x",
                                 "conv.weight", "conv.bias", "bn.weight",
                                 "bn.bias"), reference, block):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("relu, training",
+                         list(itertools.product([True, False], repeat=2)))
+@pytest.mark.parametrize("num_models, cpus", SHARDINGS)
+@pytest.mark.parametrize("mode", ["inline", "channel_chunks"])
+def test_sharded_block_is_bitwise_the_whole_array(monkeypatch, num_models,
+                                                  cpus, relu, training, mode):
+    """Each shard chunks its own channels, so the batch-norm backward's
+    chunk boundaries move with the shard's width; its bytes must not."""
+    reference = run(num_models, relu, training, as_block=False)
+    if mode == "channel_chunks":
+        monkeypatch.setattr(F, "_CHUNK_BYTES", 1)
+    shards = sharded_run(num_models, cpus, relu, training)
+    for name, want, got in zip(("out", "running_mean", "running_var", "x",
+                                "conv.weight", "conv.bias", "bn.weight",
+                                "bn.bias"), reference, shards):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert np.array_equal(got, want), name
 

@@ -3,14 +3,16 @@
 followed by ``Tensor.max(axis=2)``, the two nodes it replaces.
 
 For the serial and the fused (B = 3, 4) module pairs, with and without the
-ReLU, in training and eval mode, run inline, split over two halves of the
-groups (``parallel.MIN_BYTES`` 0) and with one channel per chunk, and on
-inputs that force ties, a channel the ReLU zeroes, signed zeros, a NaN row
-and a zero upstream gradient: the output, the running statistics and the
-gradients of the input and of all four parameters are byte for byte those
-of ``conv_bn(...).max(axis=2)`` — NaN for NaN, whose sign bit a
+ReLU, in training and eval mode, run whole and with one channel per chunk,
+and on inputs that force ties, a channel the ReLU zeroes, signed zeros, a
+NaN row and a zero upstream gradient: the output, the running statistics
+and the gradients of the input and of all four parameters are byte for
+byte those of ``conv_bn(...).max(axis=2)`` — NaN for NaN, whose sign bit a
 NaN-carrying chunk's SIMD loops do not fix (the conv block's chunked
-backward already varies it with the chunk size).
+backward already varies it with the chunk size).  Cut into the shards a
+host of two or ``B`` CPUs trains a fused array in, each shard run at its
+own width, the node's joined values are those of the whole array's block
+then max, to the same bytes.
 """
 
 import itertools
@@ -18,12 +20,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import hfta, nn
+from repro.hfta.ops.factory import OpsLibrary
 from repro.nn import functional as F
-from repro.nn import parallel
 
-from ..conftest import same_bytes
-from .test_conv_bn import C_IN, C_OUT, L, N, block_modules
+from ..conftest import SHARDINGS, same_bytes, shard_cuts
+from .test_conv_bn import C_IN, C_OUT, L, N, block_modules, join_shards
 
 CASES = ("random", "ties", "negative_channel", "signed_zeros", "nan_row",
          "zero_grad")
@@ -66,24 +68,59 @@ def run(num_models, relu, training, case, as_node):
             conv.weight.grad, conv.bias.grad, bn.weight.grad, bn.bias.grad]
 
 
+def sharded_run(num_models, cpus, relu, training, case):
+    """:func:`run` of the node with the fused array cut into the shards of
+    a ``cpus``-CPU host, each run at its own width on its slots' channels
+    of the same input and upstream gradient."""
+    lib, conv, bn = block_modules(num_models)
+    bn.train(training)
+    x, g = inputs(lib, bn, case)
+    runs = []
+    for lo, hi in shard_cuts(num_models, cpus):
+        conv_s, bn_s = (hfta.split_fused(m, range(lo, hi)) for m in (conv, bn))
+        x_s = nn.tensor(x[:, lo * C_IN:hi * C_IN].copy(), requires_grad=True)
+        with np.errstate(divide="ignore", invalid="ignore"):   # the NaN row
+            y = OpsLibrary(hi - lo).conv_bn(conv_s, bn_s, x_s, relu=relu,
+                                            global_max=True)
+            y.backward(g[:, lo * C_OUT:hi * C_OUT].copy())
+        runs.append([y.data, bn_s.running_mean, bn_s.running_var, x_s.grad,
+                     conv_s.weight.grad, conv_s.bias.grad, bn_s.weight.grad,
+                     bn_s.bias.grad])
+    return join_shards(runs)
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize(
     "num_models, relu, training",
     list(itertools.product([None, 3, 4], [True, False], [True, False])))
-@pytest.mark.parametrize("mode", ["inline", "split", "channel_chunks"])
+@pytest.mark.parametrize("mode", ["inline", "channel_chunks"])
 def test_node_is_bytewise_the_block_then_the_max(monkeypatch, num_models,
                                                  relu, training, mode, case):
-    with monkeypatch.context() as inline:
-        inline.setattr(parallel, "MIN_BYTES", float("inf"))
-        reference = run(num_models, relu, training, case, as_node=False)
-    if mode != "inline":
-        monkeypatch.setattr(parallel, "MIN_BYTES", 0)
+    reference = run(num_models, relu, training, case, as_node=False)
     if mode == "channel_chunks":
         monkeypatch.setattr(F, "_CHUNK_BYTES", 1)
     node = run(num_models, relu, training, case, as_node=True)
     for name, want, got in zip(("out", "running_mean", "running_var", "x",
                                 "conv.weight", "conv.bias", "bn.weight",
                                 "bn.bias"), reference, node):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert same_bytes(got, want), name
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("relu, training",
+                         list(itertools.product([True, False], repeat=2)))
+@pytest.mark.parametrize("num_models, cpus", SHARDINGS)
+@pytest.mark.parametrize("mode", ["inline", "channel_chunks"])
+def test_sharded_node_is_bytewise_the_whole_block_then_the_max(
+        monkeypatch, num_models, cpus, relu, training, mode, case):
+    reference = run(num_models, relu, training, case, as_node=False)
+    if mode == "channel_chunks":
+        monkeypatch.setattr(F, "_CHUNK_BYTES", 1)
+    shards = sharded_run(num_models, cpus, relu, training, case)
+    for name, want, got in zip(("out", "running_mean", "running_var", "x",
+                                "conv.weight", "conv.bias", "bn.weight",
+                                "bn.bias"), reference, shards):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert same_bytes(got, want), name
 

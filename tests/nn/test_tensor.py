@@ -136,6 +136,29 @@ class TestReductionsAndShape:
         assert a.grad.dtype == np.float32
         np.testing.assert_array_equal(a.grad, [[0.25] * 4, [0.5] * 4])
 
+    def test_max_backward_with_and_without_ties_at_arena_size(self):
+        def max_grad(data, axis):
+            x = nn.tensor(data, requires_grad=True)
+            top = x.max(axis=axis)
+            g = np.arange(1, top.data.size + 1, dtype=np.float32).reshape(
+                top.shape)
+            top.backward(g)
+            return x.grad, g
+        # no ties: every row's gradient lands on its one maximum, unscaled
+        data = np.random.default_rng(0).standard_normal(
+            (8, 64, 128)).astype(np.float32)
+        with nn.Arena().active():
+            grad, g = max_grad(data, axis=2)
+        expected = np.where(data == data.max(axis=2, keepdims=True),
+                            g[..., None], np.float32(0))
+        assert np.array_equal(grad, expected)
+        # ties share equally; a NaN row (which matches nothing) cannot make
+        # a tie elsewhere look like one maximum per row
+        tied = np.array([[1, 3, 3], [2, 0, 1], [np.nan, 1, 0]], np.float32)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad, g = max_grad(tied, axis=1)
+        np.testing.assert_array_equal(grad[:2], [[0, 0.5, 0.5], [2, 0, 0]])
+
     def test_reshape_and_permute_backward(self):
         a = t64(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
         out = a.permute(2, 0, 1).reshape(4, 6)

@@ -1,4 +1,5 @@
-"""A fused array's activation arena, driven through ``FusedPhysics.step``.
+"""A fused array's activation arena, driven through its shard's step
+(``_Shard.step``, what ``FusedPhysics.step`` runs for each shard).
 
 The arena holds one step's peak set of large buffers only if each step's
 graph dies before the next forward.  Were the loop's ``out``/``losses``
@@ -11,12 +12,19 @@ is pinned in bytes: each conv block keeps its centred input and its output
 (``repro.nn.functional.conv1d_bn``), not the four activations and the mask
 of a conv, batch-norm and ReLU node each, and a block that ends in the max
 over the points keeps its centred input alone.
+
+The array trains in this process, unsharded (``shards.MIN_SLOT_BYTES``
+infinite), so its one arena is the whole width-``B`` step's.
 """
 
+import functools
+
 import numpy as np
+import pytest
 
 from repro.models import PointNetCls
-from repro.runtime import ArrayPolicy, TrainingArrayEngine, TrainingJob
+from repro.runtime import ArrayPolicy, TrainingArrayEngine, TrainingJob, \
+    engine, shards
 
 B = 4
 
@@ -39,8 +47,13 @@ def clouds(seed, points=64):
     return lambda step: batches[step % len(batches)]
 
 
+@pytest.fixture(autouse=True)
+def one_process(monkeypatch):
+    monkeypatch.setattr(shards, "MIN_SLOT_BYTES", float("inf"))
+
+
 def fused_physics(points=64):
-    """A prepared width-``B`` PointNet array: (its physics, its slots)."""
+    """A prepared width-``B`` PointNet array: (its one shard, its slots)."""
     engine = TrainingArrayEngine(policy=ArrayPolicy(max_width=B))
     engine.submit_all([TrainingJob(
         name=f"pointnet{i}", seed=i, steps=4, epoch_steps=4, loss="nll",
@@ -50,21 +63,24 @@ def fused_physics(points=64):
     [plan] = engine.policy.plan(cohorts)
     executor = engine.make_executor(plan)
     executor.prepare()
-    return executor.physics, executor.slots
+    [shard] = executor.physics.parts
+    return shard, executor.slots
 
 
 def test_a_step_graph_dies_before_the_next_forward():
-    physics, slots = fused_physics()
+    shard, slots = fused_physics()
     assert len(slots) == B
-    physics.step(slots, 1)
-    after_first = physics.arena.misses
-    physics.step(slots, 2)       # step 3's forward runs after step 2's
+    fetch = functools.partial(engine._fetch, slots)
+    shard.step(fetch, 1)
+    after_first = shard.arena.misses
+    shard.step(fetch, 2)         # step 3's forward runs after step 2's
     assert after_first > 0
-    assert physics.arena.misses == after_first
+    assert shard.arena.misses == after_first
 
 
 def test_the_arena_holds_two_activations_per_conv_block():
-    physics, slots = fused_physics(points=128)
-    physics.step(slots, 1)
-    physics.step(slots, 2)
-    assert physics.arena.nbytes == ARENA_BYTES
+    shard, slots = fused_physics(points=128)
+    fetch = functools.partial(engine._fetch, slots)
+    shard.step(fetch, 1)
+    shard.step(fetch, 2)
+    assert shard.arena.nbytes == ARENA_BYTES

@@ -1,16 +1,18 @@
 """``tools/step_probe.py`` at one step: it runs and reports the two
-``sweep_paper`` models and the ``sweep_mlp`` MLP, the one-thread and
-concurrent-serial comparators, the CPU share, the arena and the process
-peak RSS; its phase table covers every phase of a fused and a width-1 step
-of each model, its kernel table every split kernel, and its arena table
-each model's buffers, largest first, then what lives outside the arena
-(held at backward start, the step's peak, the top allocation sites); its
-scatter table times both forms of the embedding gradient's scatter on each
-batch of ids.  And its phase loop is the engine's step: ``run_phases``
-leaves an array's parameters and optimizer state as
-``FusedPhysics.step`` does."""
+``sweep_paper`` models and the ``sweep_mlp`` MLP, sharded and in one
+process, the concurrent-serial comparator, the CPU share, each shard
+worker's memory (on two CPUs, where the large arrays are sharded), the
+arena and the process peak RSS; its phase table covers every phase of a
+fused and a width-1 step of each model, and its arena table each model's
+buffers, largest first, then what lives outside the arena (held at
+backward start, the step's peak, the top allocation sites); its scatter
+table times both forms of the embedding gradient's scatter on each batch
+of ids.  And its phase loop is the engine's step: ``run_phases`` leaves
+an array's parameters and optimizer state as ``FusedPhysics.step``
+does."""
 
 import importlib.util
+import os
 import re
 import subprocess
 import sys
@@ -39,18 +41,25 @@ def test_step_probe_reports_one_step_of_each_model():
     for family, width in FAMILIES.items():
         assert (f"{family}: a fused width-{width} step vs {width} serial "
                 f"steps") in out
-    held = re.findall(r"arena held: fused ([\d.]+) MB, serial [\d.]+ MB; "
-                      r"process peak RSS ([\d.]+) MB", out)
+    held = re.findall(r"arena held: fused ([\d.]+) MB here, serial [\d.]+ "
+                      r"MB; process peak RSS ([\d.]+) MB", out)
     assert len(held) == 3 and float(held[0][0]) > 0
     assert all(float(arena) < float(peak) for arena, peak in held)
-    ratios = re.findall(r"fused split / one thread: ([\d.]+)x", out)
+    ratios = re.findall(r"fused sharded / one process: ([\d.]+)x", out)
     assert len(ratios) == 3 and all(float(r) > 0 for r in ratios)
+    workers = re.findall(r"shard worker \d+: VmHWM ([\d.]+) MB, Pss "
+                         r"([\d.]+) MB", out)
+    if len(os.sched_getaffinity(0)) > 1:     # pointnet's and lm's worker
+        assert len(workers) >= 2
+        assert all(float(hwm) > 0 and float(pss) > 0 for hwm, pss in workers)
+    else:
+        assert workers == []
     pairs = re.findall(r"concurrent serial, 2 processes: ([\d.]+) ms per "
                        r"(\d) model-steps, cpu/wall ([\d.]+)", out)
     assert [int(width) for _, width, _ in pairs] == list(FAMILIES.values())
     assert all(float(ms) > 0 for ms, _, _ in pairs)
-    shares = re.findall(r"fused [\d.]+ ms, \d+ faults, [\d.]+ sys ms, "
-                        r"cpu/wall ([\d.]+); one thread [\d.]+ ms, "
+    shares = re.findall(r"sharded [\d.]+ ms, \d+ faults, [\d.]+ sys ms, "
+                        r"cpu/wall ([\d.]+); one process [\d.]+ ms, "
                         r"cpu/wall ([\d.]+)", out)
     assert len(shares) == 3 and all(float(s) > 0 for s in shares[0])
 
@@ -65,18 +74,6 @@ def test_phase_table_times_every_phase_of_each_model():
         assert [name for name, _, _ in rows] == [
             "inputs + forward", "loss", "backward", "optimizer", "sum"]
         assert all(float(f) > 0 and float(s) > 0 for _, f, s in rows)
-
-
-def test_kernel_table_times_every_split_kernel_at_every_size():
-    rows = re.findall(r"^(\w+ (?:forward|backward))\s+([\d.]+)\s+[\d.]+\s+"
-                      r"[\d.]+\s+([\d.]+)$", probe("--kernels"), re.M)
-    kernels = {name for name, _, _ in rows}
-    assert kernels == {f"{k} {d}" for k in ("conv1d", "batch_norm",
-                                           "conv1d_bn", "relu", "max",
-                                           "linear")
-                       for d in ("forward", "backward")}
-    assert len({mib for _, mib, _ in rows}) == 5
-    assert all(float(ratio) > 0 for _, _, ratio in rows)
 
 
 def test_arena_table_lists_each_models_buffers_largest_first():
@@ -118,8 +115,9 @@ def test_scatter_table_times_both_forms_on_each_batch_of_ids():
 
 
 def training_state(executor):
-    """The bytes of an array's parameters, buffers and optimizer state."""
-    physics = executor.physics
+    """The bytes of a one-shard array's parameters, buffers and optimizer
+    state."""
+    [physics] = executor.physics.parts
     state = [p.data for p in physics.fused.parameters()]
     state += [buf for _, buf in physics.fused.named_buffers()
               if buf is not None]
@@ -136,8 +134,9 @@ def test_run_phases_trains_as_the_engine_step_does(family, monkeypatch):
     step_probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(step_probe)
     jobs = step_probe.family_jobs(family)
-    probed = step_probe.executor_for(jobs, 3)
-    stepped = step_probe.executor_for(jobs, 3)
+    with step_probe.one_process():
+        probed = step_probe.executor_for(jobs, 3)
+        stepped = step_probe.executor_for(jobs, 3)
     for executor in (probed, stepped):
         executor.step_epoch()            # later steps read later batches
     before = training_state(probed)

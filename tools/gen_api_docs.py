@@ -29,8 +29,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 OUTPUT = REPO_ROOT / "docs" / "api.md"
 
 #: the package documented, module by module, in data-flow order
-MODULES = ("queue", "batcher", "policy", "engine", "metrics", "placement",
-           "placement_lp", "checkpoint", "fleet", "gateway", "sim")
+MODULES = ("queue", "batcher", "policy", "engine", "shards", "metrics",
+           "placement", "placement_lp", "checkpoint", "fleet", "gateway",
+           "sim")
 
 HEADER = """\
 # API reference — `repro.runtime`

@@ -3,7 +3,6 @@
     python tools/step_probe.py              # 10 steps
     python tools/step_probe.py --steps 20
     python tools/step_probe.py --phases     # where a step's time goes
-    python tools/step_probe.py --kernels    # the split threshold's table
     python tools/step_probe.py --arena --steps 2   # what each arena holds,
                                                    # and what lives outside
     python tools/step_probe.py --scatter    # embedding gradient scatters
@@ -14,23 +13,26 @@ size (the jobs of ``bench_e2e.workloads.SweepPaper`` and ``SweepMLP`` at
 MLP at width 8, with their builders, data and learning rates), steps
 through the engine's own executor, one step per epoch:
 
-* one fused array at the benchmark's width ``B`` (4), its steps taken in
-  pairs: one with its large kernels split across two CPUs as the library
-  runs them (``repro.nn.parallel``), one on one thread (the tool sets
-  ``parallel.MIN_BYTES`` to infinity), alternating which goes first;
+* two fused arrays at the benchmark's width ``B`` (4), their steps taken
+  in pairs, alternating which goes first: one sharded as the library runs
+  it (``repro.runtime.shards``: on two CPUs, slots 0-1 in this process and
+  2-3 in a shard worker, when the slots are large), one in this process
+  alone (the tool sets ``shards.MIN_SLOT_BYTES`` to infinity);
 * one width-1 array, ``B`` serial steps per sample;
 * two concurrent width-1 processes, each stepping its own job on one
   thread: the serial comparator that uses both CPUs too.
 
 It prints for every step (pair) of each array's life the wall ms, minor
-faults, system-CPU ms and process CPU-seconds per wall second (above 1
-when the helper thread got a second CPU), then the medians of rows 2 on
-(the first step of an array allocates its activation arena, so it faults
-by construction), the split / one-thread ratio of the fused step, the
-concurrent pair's ms per ``B`` model-steps, the MB (2^20 bytes, as
-``peak_rss_mb``) each array's activation arena holds, and the process's
-peak RSS while the model's arrays ran (Linux resets the peak before each
-model; elsewhere it is the peak since the process started).  The arrays run
+faults, system-CPU ms and this process's CPU-seconds per wall second (a
+shard worker's CPU is not in it), then the medians of rows 2 on (the first
+step of an array allocates its activation arena, so it faults by
+construction), the sharded / one-process and sharded / concurrent ratios
+of the fused step, the concurrent pair's ms per ``B`` model-steps, each
+shard worker's peak RSS (``VmHWM``) and proportional set size (``Pss``:
+pages it shares with this process, which forked it, count by halves), the
+MB (2^20 bytes, as ``peak_rss_mb``) each array's activation arena holds
+here, and this process's peak RSS since it started, after the model's
+arrays ran (models run in the order pointnet, lm, mlp).  The arrays run
 one after another, as in a benchmark lap.  BLAS runs one thread, as in
 ``bench_e2e``.  Reads the benchmark's files, writes nothing.
 
@@ -38,10 +40,6 @@ one after another, as in a benchmark lap.  BLAS runs one thread, as in
 phase of a step — inputs + forward, loss, backward, optimizer — of the
 fused array and of its width-1 twin (steps 2 on): the fixed per-step costs
 that a width-``B`` and a width-1 step pay alike show in both columns.
-
-``--kernels`` instead times each split kernel, forward and backward, on
-one thread and split, at the activation sizes of a fused PointNet step:
-the table ``parallel.MIN_BYTES`` is read from.
 
 ``--arena`` instead steps each model's fused array ``--steps`` times and
 prints what its activation arena then holds: one row per buffer shape and
@@ -73,10 +71,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("pointnet", "lm", "mlp")
-#: --phases: one training step's phases, in ``FusedPhysics.step``'s order
+#: --phases: one training step's phases, in ``_Shard.step``'s order
 PHASES = ("inputs + forward", "loss", "backward", "optimizer")
-#: --kernels: channels of an [8, C, 128] float32 activation, 256 KiB..4 MiB
-KERNEL_CHANNELS = (64, 128, 256, 512, 1024)
 
 
 def executor_for(jobs, steps):
@@ -101,16 +97,16 @@ def executor_for(jobs, steps):
 
 
 @contextlib.contextmanager
-def split_threshold(nbytes):
-    """``parallel.MIN_BYTES`` set to ``nbytes`` inside the block: infinity
-    runs every kernel inline, as on a one-CPU machine; 0 splits all."""
-    from repro.nn import parallel
+def one_process():
+    """Arrays built inside the block train in this process alone
+    (``shards.MIN_SLOT_BYTES`` infinite), as on a one-CPU machine."""
+    from repro.runtime import shards
 
-    saved, parallel.MIN_BYTES = parallel.MIN_BYTES, nbytes
+    saved, shards.MIN_SLOT_BYTES = shards.MIN_SLOT_BYTES, math.inf
     try:
         yield
     finally:
-        parallel.MIN_BYTES = saved
+        shards.MIN_SLOT_BYTES = saved
 
 
 def measure(step, repeats):
@@ -128,38 +124,45 @@ def measure(step, repeats):
             (after.ru_stime - before.ru_stime) * 1e3, cpu / wall)
 
 
+def here(executor):
+    """The shard of ``executor``'s array that trains in this process."""
+    return executor.physics.parts[0]
+
+
 def run(jobs, steps, repeats=1):
     """``steps`` samples of ``repeats`` steps of one array of ``jobs``, and
     the bytes its arena holds."""
     executor = executor_for(jobs, steps * repeats)
     samples = [measure(executor.step_epoch, repeats) for _ in range(steps)]
-    return samples, executor.physics.arena.nbytes
+    return samples, here(executor).arena.nbytes
 
 
 def run_fused(jobs, steps):
-    """``steps`` pairs of steps of one fused array of ``jobs``, one split
-    and one on one thread, alternating which runs first: (split samples,
-    one-thread samples, the bytes its arena holds)."""
-    executor = executor_for(jobs, 2 * steps)
+    """``steps`` pairs of steps of two fused arrays of ``jobs``, one
+    sharded and one in this process, alternating which steps first:
+    (sharded samples, one-process samples, the bytes the sharded array's
+    arena here holds)."""
+    sharded = executor_for(jobs, steps)
+    with one_process():
+        single = executor_for(jobs, steps)
     samples = {True: [], False: []}
     for n in range(steps):
-        for split in (True, False) if n % 2 == 0 else (False, True):
-            with contextlib.nullcontext() if split else \
-                    split_threshold(math.inf):
-                samples[split].append(measure(executor.step_epoch, 1))
-    return samples[True], samples[False], executor.physics.arena.nbytes
+        for side in (True, False) if n % 2 == 0 else (False, True):
+            executor = sharded if side else single
+            samples[side].append(measure(executor.step_epoch, 1))
+    return samples[True], samples[False], here(sharded).arena.nbytes
 
 
 def run_phases(executor, steps, mark):
-    """``steps`` steps of ``executor``'s array, each the body of
-    ``FusedPhysics.step`` inside its arena, calling ``mark(n, k)`` before
-    step ``n`` (``k = 0``) and after each of its :data:`PHASES` (``k = 1``
-    to 4)."""
+    """``steps`` steps of ``executor``'s one-shard array, each the body of
+    ``_Shard.step`` inside its arena, calling ``mark(n, k)`` before step
+    ``n`` (``k = 0``) and after each of its :data:`PHASES` (``k = 1`` to
+    4)."""
     import numpy as np
 
     from repro import nn
 
-    physics, slots = executor.physics, executor.slots
+    [physics], slots = executor.physics.parts, executor.slots
     with physics.arena.active():
         for n in range(steps):
             mark(n, 0)
@@ -185,8 +188,9 @@ def phase_times(jobs, steps):
     (after a first, arena-filling one) of one array of ``jobs``."""
     clock = time.perf_counter
     stamps = [[] for _ in range(steps + 1)]
-    run_phases(executor_for(jobs, steps), steps + 1,
-               lambda n, k: stamps[n].append(clock()))
+    with one_process():
+        executor = executor_for(jobs, steps)
+    run_phases(executor, steps + 1, lambda n, k: stamps[n].append(clock()))
     return [statistics.median(times[k + 1] - times[k]
                               for times in stamps[1:]) * 1e6
             for k in range(len(PHASES))]
@@ -232,31 +236,37 @@ def serial_worker(family, index, count):
     """One half of :func:`concurrent`: build, wait for ``go``, step, and
     print the steps' wall and CPU seconds."""
     jobs = family_jobs(family)
-    with split_threshold(math.inf):
-        executor = executor_for(jobs[index:index + 1], count)
-        print("ready", flush=True)
-        sys.stdin.readline()
-        wall, _, _, cpu_share = measure(executor.step_epoch, count)
+    executor = executor_for(jobs[index:index + 1], count)
+    print("ready", flush=True)
+    sys.stdin.readline()
+    wall, _, _, cpu_share = measure(executor.step_epoch, count)
     print(wall / 1e3, cpu_share * wall / 1e3)
 
 
-def reset_peak_rss():
-    """Start a new peak-RSS window where the kernel allows it (Linux's
-    ``/proc/self/clear_refs``); elsewhere the peak runs on."""
+def proc_mb(pid, name, table="status"):
+    """The ``name:`` line of ``/proc/<pid>/<table>`` in MB, or ``None``."""
     with contextlib.suppress(OSError):
-        with open("/proc/self/clear_refs", "w") as refs:
-            refs.write("5")
+        with open(f"/proc/{pid}/{table}") as lines:
+            for line in lines:
+                if line.startswith(f"{name}:"):
+                    return int(line.split()[1]) / 1024
+    return None
 
 
 def peak_rss_mb():
-    """The process's peak RSS in MB since :func:`reset_peak_rss` (``VmHWM``),
-    or since it started (``ru_maxrss``, KiB on Linux, as ``peak_rss_mb``)."""
-    with contextlib.suppress(OSError):
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024
+    """The process's peak RSS in MB since it started (``ru_maxrss``, KiB on
+    Linux, as ``peak_rss_mb``)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def worker_memory():
+    """``(pid, VmHWM MB, Pss MB)`` of each shard worker (``None`` where
+    ``/proc`` does not say)."""
+    from repro.runtime import shards
+
+    return [(pid, proc_mb(pid, "VmHWM"), proc_mb(pid, "Pss", "smaps_rollup"))
+            for pid in (worker.process.pid for worker in shards._workers
+                        if worker.alive)]
 
 
 def median_of_steady(samples, k):
@@ -264,98 +274,32 @@ def median_of_steady(samples, k):
     return statistics.median(sample[k] for sample in steady)
 
 
-def report(family, width, fused, serial, pair, peak_mb):
+def report(family, width, fused, serial, pair, peak_mb, workers):
     (fused, single, fused_bytes), (serial, serial_bytes) = fused, serial
     print(f"\n{family}: a fused width-{width} step vs {width} serial steps")
-    print(f"{'step':>4}  {'fused ms':>9} {'faults':>7} {'sys ms':>7} "
-          f"{'cpu/wall':>8}   {'1-thread ms':>11} {'cpu/wall':>8}   "
+    print(f"{'step':>4}  {'sharded ms':>10} {'faults':>7} {'sys ms':>7} "
+          f"{'cpu/wall':>8}   {'1-proc ms':>9} {'cpu/wall':>8}   "
           f"{'serial ms':>9} {'faults':>7} {'sys ms':>7}")
     for n, (f, o, s) in enumerate(zip(fused, single, serial), 1):
-        print(f"{n:>4}  {f[0]:9.2f} {f[1]:7d} {f[2]:7.2f} {f[3]:8.2f}   "
-              f"{o[0]:11.2f} {o[3]:8.2f}   "
+        print(f"{n:>4}  {f[0]:10.2f} {f[1]:7d} {f[2]:7.2f} {f[3]:8.2f}   "
+              f"{o[0]:9.2f} {o[3]:8.2f}   "
               f"{s[0]:9.2f} {s[1]:7d} {s[2]:7.2f}")
     f, o, s = ([median_of_steady(side, k) for k in range(4)]
                for side in (fused, single, serial))
-    print(f"  median of rows 2..{len(fused)}: fused {f[0]:.2f} ms, "
+    print(f"  median of rows 2..{len(fused)}: sharded {f[0]:.2f} ms, "
           f"{f[1]:.0f} faults, {f[2]:.2f} sys ms, cpu/wall {f[3]:.2f}; "
-          f"one thread {o[0]:.2f} ms, cpu/wall {o[3]:.2f}; serial "
+          f"one process {o[0]:.2f} ms, cpu/wall {o[3]:.2f}; serial "
           f"{s[0]:.2f} ms, {s[1]:.0f} faults, {s[2]:.2f} sys ms")
-    print(f"  fused split / one thread: {f[0] / o[0]:.2f}x")
+    print(f"  fused sharded / one process: {f[0] / o[0]:.2f}x")
     print(f"  concurrent serial, 2 processes: {pair[0]:.2f} ms per "
-          f"{width} model-steps, cpu/wall {pair[1]:.2f} (fused split / "
+          f"{width} model-steps, cpu/wall {pair[1]:.2f} (fused sharded / "
           f"concurrent: {f[0] / pair[0]:.2f}x)")
-    print(f"  arena held: fused {fused_bytes / 2**20:.1f} MB, "
+    for pid, hwm, pss in workers:
+        print(f"  shard worker {pid}: VmHWM {hwm or 0:.1f} MB, "
+              f"Pss {pss or 0:.1f} MB")
+    print(f"  arena held: fused {fused_bytes / 2**20:.1f} MB here, "
           f"serial {serial_bytes / 2**20:.1f} MB; process peak RSS "
           f"{peak_mb:.1f} MB")
-
-
-def kernel_cases(channels):
-    """(name, run) of each split kernel's forward and backward with an
-    ``[8, channels, 128]`` float32 output, in a fused PointNet's shapes
-    (4 models; the conv's and the conv block's 32 input channels per
-    model), and of a fused
-    linear's ``[4, 256, 64] x [64, channels]`` GEMMs, the LM's shape, whose
-    output has the same bytes."""
-    import numpy as np
-
-    from repro import nn
-    from repro.nn import functional as F
-    from repro.nn.tensor import gradient_sink
-
-    rng = np.random.default_rng(0)
-
-    def leaf(*shape):
-        return nn.tensor(rng.standard_normal(shape).astype(np.float32),
-                         requires_grad=True)
-    x, cols, tokens = leaf(8, channels, 128), leaf(8, 128, 128), leaf(
-        4, 256, 64)
-    w, fc = leaf(channels, 32, 1), leaf(4, channels, 64)
-    gamma, beta = leaf(channels), leaf(channels)
-    ops = {"conv1d": lambda: F.conv1d(cols, w, groups=4),
-           "batch_norm": lambda: F.batch_norm(x, None, None, gamma, beta,
-                                              True),
-           "conv1d_bn": lambda: F.conv1d_bn(cols, w, None, gamma, beta, None,
-                                            None, True, groups=4, relu=True),
-           "relu": lambda: x.relu(),
-           "max": lambda: x.max(axis=2),
-           "linear": lambda: F.linear(tokens, fc)}
-
-    def backward(op):
-        # the node's own backward into a scratch sink: no leaf .grad copies
-        out = op()
-        grad = rng.standard_normal(out.shape).astype(np.float32)
-
-        def run():
-            with gradient_sink({}):
-                out._backward(grad)
-        return run
-    for name, op in ops.items():
-        yield f"{name} forward", op
-        yield f"{name} backward", backward(op)
-
-
-def kernels(repeats=30):
-    """Print the one-thread and split times of every split kernel."""
-    from repro import nn
-
-    print(f"{'kernel':<20} {'MiB':>5} {'1-thread us':>12} {'split us':>9} "
-          f"{'ratio':>6}")
-    arena = nn.Arena()
-    with arena.active():
-        for channels in KERNEL_CHANNELS:
-            mib = 8 * channels * 128 * 4 / 2**20
-            for name, call in kernel_cases(channels):
-                times = {False: [], True: []}
-                for _ in range(repeats):
-                    for split in (False, True):
-                        with split_threshold(0 if split else math.inf):
-                            start = time.perf_counter()
-                            call()
-                            times[split].append(time.perf_counter() - start)
-                single, split = (statistics.median(times[s]) * 1e6
-                                 for s in (False, True))
-                print(f"{name:<20} {mib:5.2f} {single:12.1f} {split:9.1f} "
-                      f"{split / single:6.2f}")
 
 
 def scatter_cases():
@@ -482,13 +426,11 @@ def family_width(family):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=10,
-                        help="rows per model: pairs of fused steps (split, "
-                             "one thread), samples of B serial steps")
+                        help="rows per model: pairs of fused steps (sharded, "
+                             "one process), samples of B serial steps")
     parser.add_argument("--phases", action="store_true",
                         help="median us of each phase of a fused and a "
                              "width-1 step instead")
-    parser.add_argument("--kernels", action="store_true",
-                        help="time each split kernel instead")
     parser.add_argument("--arena", action="store_true",
                         help="print what each fused array's arena holds "
                              "after --steps steps instead")
@@ -505,9 +447,6 @@ def main(argv=None) -> int:
         family, index, count = args.serial_worker
         serial_worker(family, int(index), int(count))
         return 0
-    if args.kernels:
-        kernels()
-        return 0
     if args.scatter:
         scatter()
         return 0
@@ -515,22 +454,23 @@ def main(argv=None) -> int:
         width = family_width(family)
         jobs = family_jobs(family)[:width]
         if args.arena:
-            executor = executor_for(jobs, args.steps)
+            with one_process():
+                executor = executor_for(jobs, args.steps)
             for _ in range(args.steps):
                 executor.step_epoch()
-            report_arena(family, width, executor.physics.arena)
+            report_arena(family, width, here(executor).arena)
             report_outside(family, *outside_arena(executor))
             continue
         if args.phases:
             report_phases(family, width, phase_times(jobs, args.steps),
                           phase_times(jobs[:1], args.steps))
             continue
-        reset_peak_rss()
         fused = run_fused(jobs, args.steps)
         serial = run(jobs[:1], args.steps, repeats=width)
         peak_mb = peak_rss_mb()
         report(family, width, fused, serial,
-               concurrent(family, width, args.steps), peak_mb)
+               concurrent(family, width, args.steps), peak_mb,
+               worker_memory())
     return 0
 
 

@@ -1,21 +1,28 @@
-"""One digest per model, width and split mode of a short seeded training run.
+"""One digest per model, width and mode of a short seeded training run.
 
-    python tools/train_hash.py                     # all 16 digests
+    python tools/train_hash.py                     # all 12 digests
 
 For PointNetCls (feature transform on), PointNetSeg, the Transformer LM
 (the ``sweep_paper`` configuration: dropout off) and BERT (tiny, dropout
-0.1), each built serial (the unfused model) and fused at width 4, and each
-run twice — ``inline``: kernels inline, as the library runs them on one CPU
-(``parallel.MIN_BYTES`` infinite); ``split``: ``parallel.MIN_BYTES = 0`` and
-``arena.MIN_BYTES = 0``, so every kernel that can split does and every
-output that can come from the arena does — it trains ``STEPS`` (3) Adam
-steps inside an activation arena, as ``FusedPhysics.step`` does, and prints
-a SHA-256 digest of:
+0.1), each built serial (the unfused model) and fused at width 4, it
+trains ``STEPS`` (3) Adam steps inside an activation arena, as the engine
+does, and prints a SHA-256 digest of:
 
 * the loss curve (every step's per-model loss values),
 * the gradients of the last step,
 * the final ``state_dict`` (running statistics included),
 * the eval-mode output on a held-out batch.
+
+Mode ``inline`` trains the model in this process.  Mode ``sharded``
+(width 4 only) cuts the fused array as the engine cuts an array of large
+slots (``repro.runtime.shards.split``) and trains it through the engine's
+own physics: ``FusedPhysics.step`` over ``_Shard`` parts, one epoch of
+``STEPS`` steps, each slot's batches fetched as the engine fetches a
+job's.  On two CPUs models 0-1 train here and 2-3 in a shard worker, each
+shard at its own width, both at once, and the digest is taken over the
+slots' loss curves and the shards' values joined on the array dimension.
+Its dropout layers draw their shard's rows of the mask the whole array
+would draw, so the sharded digest must equal the inline one.
 
 Every dropout layer draws from its own seeded generator, so the runs are
 deterministic.  A change that must keep training bitwise (a kernel
@@ -26,30 +33,28 @@ are not comparable with each other (different data and dropout draws).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import math
 import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ("pointnet_cls", "pointnet_seg", "lm", "bert")
-WIDTHS = {"serial": None, "w4": 4}
-#: mode -> (parallel.MIN_BYTES, arena.MIN_BYTES); None keeps the default
-SPLITS = {"inline": (math.inf, None), "split": (0, 0)}
+#: (width label, width, mode) of each digest of a model
+RUNS = (("serial", None, "inline"), ("w4", 4, "inline"),
+        ("w4", 4, "sharded"))
 STEPS = 3
+DROPOUT_SEED = 17
 
 
 def build(name, width):
-    """(model, batch maker, criterion) of ``name`` at ``width`` (``None``:
-    the unfused model)."""
+    """(model, batch maker) of ``name`` at ``width`` (``None``: the unfused
+    model)."""
     import numpy as np
 
-    from repro import hfta, nn
+    from repro import nn
     from repro.models import (BertConfig, BertMaskedLM, PointNetCls,
                               PointNetSeg, TransformerLM)
-    from repro.nn import functional as F
 
     gens = (np.random.default_rng(0) if width is None else
             [np.random.default_rng(b) for b in range(width)])
@@ -68,92 +73,217 @@ def build(name, width):
     else:
         model = BertMaskedLM(BertConfig.tiny(vocab_size=64, max_len=16),
                              num_models=width, generator=gens)
-    for index, module in enumerate(model.modules()):
-        if type(module).__name__ in ("Dropout", "Dropout2d"):
-            module.generator = np.random.default_rng([17, index])
+    for index, module in dropouts(model):
+        module.generator = np.random.default_rng([DROPOUT_SEED, index])
 
     def batch(rng):
-        """(fused or serial input, targets) of one step."""
+        """(per-model inputs, targets) of one step."""
         if name.startswith("pointnet"):
             clouds = [nn.tensor(rng.standard_normal((8, 3, 32))
                                 .astype(np.float32)) for _ in range(count)]
             shape = (8,) if name == "pointnet_cls" else (8, 32)
             labels = rng.integers(0, 8 if name == "pointnet_cls" else 6,
                                   size=(count,) + shape)
-            return model.fuse_inputs(clouds), labels
+            return clouds, labels
         vocab, length = (256, 33) if name == "lm" else (64, 13)
         ids = rng.integers(0, vocab, size=(count, 8, length))
-        return model.fuse_inputs(list(ids[..., :-1])), ids[..., 1:]
+        return list(ids[..., :-1]), ids[..., 1:]
+    return model, batch
 
-    def criterion(out, labels):
-        """Per-model losses: ``[B]`` fused, ``[]`` serial."""
-        if name == "pointnet_seg":        # parts on axis -2: move it last
-            out = out.permute(*range(out.ndim - 2), out.ndim - 1,
-                              out.ndim - 2)
-        if width is not None:
-            fused = (hfta.FusedCrossEntropyLoss if name in ("lm", "bert")
-                     else hfta.FusedNLLLoss)
-            return fused(width).per_model(out, labels)
-        serial = F.cross_entropy if name in ("lm", "bert") else F.nll_loss
-        return serial(out.reshape(-1, out.shape[-1]), labels.reshape(-1))
-    return model, batch, criterion
+
+def dropouts(model):
+    """``(index in model.modules(), module)`` of each dropout layer."""
+    return [(index, module) for index, module in enumerate(model.modules())
+            if type(module).__name__ in ("Dropout", "Dropout2d")]
+
+
+def criterion(name, width, out, labels):
+    """Per-model losses: ``[B]`` fused, ``[]`` serial."""
+    from repro import hfta
+    from repro.nn import functional as F
+
+    if name == "pointnet_seg":        # parts on axis -2: move it last
+        out = out.permute(*range(out.ndim - 2), out.ndim - 1, out.ndim - 2)
+    if width is not None:
+        fused = (hfta.FusedCrossEntropyLoss if name in ("lm", "bert")
+                 else hfta.FusedNLLLoss)
+        return fused(width).per_model(out, labels)
+    serial = F.cross_entropy if name in ("lm", "bert") else F.nll_loss
+    return serial(out.reshape(-1, out.shape[-1]), labels.reshape(-1))
+
+
+class Hasher:
+    """A SHA-256 over arrays: dtype, shape and bytes of each."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def feed(self, array, key=None):
+        import numpy as np
+
+        if key is not None:
+            self.sha.update(key.encode())
+        array = np.ascontiguousarray(array)
+        self.sha.update(f"{array.dtype}{array.shape}".encode())
+        self.sha.update(array.tobytes())
 
 
 def digest(name, width):
-    """The hex digest of one run (module docstring)."""
+    """The hex digest of one inline run (module docstring)."""
     import numpy as np
 
     from repro import hfta, nn, optim
 
-    model, batch, criterion = build(name, width)
+    model, batch = build(name, width)
     params = list(model.parameters())
     optimizer = (optim.Adam(params, lr=1e-3) if width is None else
                  hfta.optim.Adam(params, num_models=width,
                                  lr=[1e-3 * (1 + b) for b in range(width)]))
     rng = np.random.default_rng(1)
-    sha = hashlib.sha256()
-
-    def feed(array):
-        array = np.ascontiguousarray(array)
-        sha.update(f"{array.dtype}{array.shape}".encode())
-        sha.update(array.tobytes())
-
+    sha = Hasher()
     with nn.Arena().active():
         for step in range(STEPS):
-            x, labels = batch(rng)
+            xs, labels = batch(rng)
             optimizer.zero_grad()
-            losses = criterion(model(x), labels)
-            feed(losses.data)
+            losses = criterion(name, width, model(model.fuse_inputs(xs)),
+                               labels)
+            sha.feed(losses.data)
             losses.backward(np.ones_like(losses.data))
             if step == STEPS - 1:
                 for _, param in model.named_parameters():
-                    feed(param.grad)
+                    sha.feed(param.grad)
             optimizer.step()
             del losses
     for key, value in model.state_dict().items():
-        sha.update(key.encode())
-        feed(value)
+        sha.feed(value, key)
     model.eval()
-    x, _ = batch(rng)
+    xs, _ = batch(rng)
     with nn.no_grad():
-        feed(model(x).data)
-    return sha.hexdigest()
+        sha.feed(model(model.fuse_inputs(xs)).data)
+    return sha.sha.hexdigest()
 
 
-@contextlib.contextmanager
-def thresholds(split_bytes, arena_bytes):
-    """``parallel.MIN_BYTES`` and (unless ``None``) ``arena.MIN_BYTES``
-    set inside the block."""
-    from repro.nn import arena, parallel
+class ShardDraws:
+    """The dropout generator of models ``lo`` to ``hi`` of a width-``width``
+    array: it draws the whole array's mask and hands out the shard's rows,
+    so the shard drops what the whole array would."""
 
-    saved = parallel.MIN_BYTES, arena.MIN_BYTES
-    parallel.MIN_BYTES = split_bytes
-    if arena_bytes is not None:
-        arena.MIN_BYTES = arena_bytes
-    try:
-        yield
-    finally:
-        parallel.MIN_BYTES, arena.MIN_BYTES = saved
+    def __init__(self, seed, lo, hi, width):
+        import numpy as np
+
+        self.rng = np.random.default_rng(seed)
+        self.lo, self.hi, self.width = lo, hi, width
+
+    def random(self, shape):
+        if shape[0] != self.hi - self.lo:
+            raise ValueError(f"a dropout input {shape} without the array "
+                             f"dimension first")
+        return self.rng.random((self.width,) + tuple(shape[1:]))[
+            self.lo:self.hi]
+
+
+class Criterion:
+    """:func:`criterion` as a fused criterion (``per_model``)."""
+
+    def __init__(self, name, width):
+        self.name, self.width = name, width
+
+    def per_model(self, out, labels):
+        return criterion(self.name, self.width, out, labels)
+
+
+def make_shard(name, model, lo, hi):
+    """Models ``lo`` to ``hi`` of a fused array as the engine's shard
+    (``repro.runtime.engine._Shard``), with an Adam at their learning
+    rates and this tool's criterion; a shard worker makes its own."""
+    import functools
+
+    from repro import hfta
+    from repro.runtime.engine import _Shard
+
+    shard = _Shard(model, hfta.optim.Adam(
+        list(model.parameters()), num_models=hi - lo,
+        lr=[1e-3 * (1 + b) for b in range(lo, hi)]), "nll")
+    shard.criterion = Criterion(name, hi - lo)
+    # the digest's two reads, as methods a worker can be asked to run
+    shard.grads = functools.partial(grads, shard)
+    shard.finish = functools.partial(finish, shard)
+    return shard
+
+
+def grads(shard):
+    """Every parameter's gradient of the shard's last step."""
+    return [param.grad for param in shard.fused.parameters()]
+
+
+def finish(shard, xs):
+    """(the shard's ``state_dict``, its eval-mode output on ``xs``)."""
+    from repro import nn
+
+    shard.fused.eval()
+    with nn.no_grad():
+        return (shard.fused.state_dict(),
+                shard.fused(shard.fused.fuse_inputs(xs)).data)
+
+
+def sharded_digest(name, width):
+    """The hex digest of one sharded run (module docstring): equal to
+    :func:`digest`'s at ``width``."""
+    import functools
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from repro import nn
+    from repro.hfta import split_fused
+    from repro.runtime import shards
+    from repro.runtime.engine import FusedPhysics, _RemoteShard
+
+    model, batch = build(name, width)
+    rng = np.random.default_rng(1)
+    steps = [batch(rng) for _ in range(STEPS)]
+    held_out, _ = batch(rng)
+    # an array's physics as ``FusedPhysics.build`` leaves it: only its
+    # parts are read by ``step``
+    physics = FusedPhysics.__new__(FusedPhysics)
+    physics.parts, cuts = [], shards.split(width, shards.MIN_SLOT_BYTES)
+    for lo, hi, worker in cuts:
+        piece = split_fused(model, list(range(lo, hi)))
+        for index, module in dropouts(piece):
+            module.generator = ShardDraws([DROPOUT_SEED, index], lo, hi,
+                                          width)
+        if worker is None:
+            physics.parts.append(make_shard(name, piece, lo, hi))
+        else:
+            physics.parts.append(_RemoteShard.make(
+                worker, hi - lo, make_shard, name, piece, lo, hi))
+            shards.receive([worker])
+
+    def data(model_index, step):
+        xs, labels = steps[step]
+        x = xs[model_index]
+        return x.data if isinstance(x, nn.Tensor) else x, labels[model_index]
+    slots = [SimpleNamespace(job=SimpleNamespace(
+        data=functools.partial(data, b)), progress=0, curve=[])
+        for b in range(width)]
+    physics.step(slots, STEPS)
+
+    def ask(part, method, *args):
+        """Shard ``part``'s ``method``, here or in its worker."""
+        return (part.call(method, *args) if isinstance(part, _RemoteShard)
+                else getattr(part, method)(*args))
+    sha = Hasher()
+    for step in range(STEPS):
+        sha.feed(np.array([slot.curve[step] for slot in slots], np.float32))
+    for shard_grads in zip(*[ask(part, "grads") for part in physics.parts]):
+        sha.feed(np.concatenate(shard_grads))
+    states, outputs = zip(*[ask(part, "finish", held_out[lo:hi])
+                            for part, (lo, hi, _) in zip(physics.parts,
+                                                         cuts)])
+    for key in states[0]:
+        sha.feed(np.concatenate([state[key] for state in states]), key)
+    sha.feed(np.concatenate(outputs))
+    return sha.sha.hexdigest()
 
 
 def main() -> int:
@@ -162,11 +292,10 @@ def main() -> int:
         os.environ.setdefault(variable, "1")     # before numpy is imported
     sys.path[:0] = [str(ROOT / "src")]
     for name in MODELS:
-        for label, width in WIDTHS.items():
-            for mode, sizes in SPLITS.items():
-                with thresholds(*sizes):
-                    print(f"{name:<13} {label:<6} {mode:<6} "
-                          f"{digest(name, width)}", flush=True)
+        for label, width, mode in RUNS:
+            run = digest if mode == "inline" else sharded_digest
+            print(f"{name:<13} {label:<6} {mode:<7} {run(name, width)}",
+                  flush=True)
     return 0
 
 
