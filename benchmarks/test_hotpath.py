@@ -32,7 +32,7 @@ def build_workload(width, seed=0):
     rng = np.random.default_rng(seed)
     model = nn.Sequential(
         hops.Linear(width, IN_FEATURES, HIDDEN),
-        hops.ReLU(width),
+        nn.ReLU(),
         hops.Linear(width, HIDDEN, CLASSES))
     for p in model.parameters():
         p.data[...] = rng.standard_normal(p.shape).astype(p.data.dtype)
@@ -67,7 +67,7 @@ def pool_churn_stats(width=32, rounds=20):
     """Evict->admit churn: merge through a BufferPool, releasing each
     round's dead merged array back to it (the ArrayExecutor's pattern)."""
     fused = nn.Sequential(hops.Linear(width, 256, 256),
-                          hops.ReLU(width),
+                          nn.ReLU(),
                           hops.Linear(width, 256, 256))
     left = hfta.split_fused(fused, list(range(width // 2)))
     right = hfta.split_fused(fused, list(range(width // 2, width)))

@@ -26,14 +26,16 @@ def build_serial_model(seed):
 
 def build_fused_model(num_models):
     """The same network with HFTA fused operators (note: same structure,
-    only the operator classes change — this is the paper's Figure 2 recipe)."""
+    only the layers with parameters change — this is the paper's Figure 2
+    recipe; the activations and pools are the serial layers, which act on
+    the fused layout unchanged)."""
     return nn.Sequential(
         hops.Conv2d(num_models, 3, 16, 3, padding=1),
         hops.BatchNorm2d(num_models, 16),
-        hops.ReLU(num_models), hops.MaxPool2d(num_models, 2),
+        nn.ReLU(), nn.MaxPool2d(2),
         hops.Conv2d(num_models, 16, 32, 3, padding=1),
         hops.BatchNorm2d(num_models, 32),
-        hops.ReLU(num_models), hops.AdaptiveAvgPool2d(num_models, 1))
+        nn.ReLU(), nn.AdaptiveAvgPool2d(1))
 
 
 def main():

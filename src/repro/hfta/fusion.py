@@ -162,7 +162,7 @@ def export_to_unfused(fused: Module, index: int, template: Module) -> Module:
 def fused_array_width(fused: Module) -> int:
     """The array width ``B`` of a fused model: the ``num_models`` of its
     first submodule exposing one (every class in :mod:`repro.hfta.ops`
-    does)."""
+    does; a parameter-free layer is its serial class and has none)."""
     for module in fused.modules():
         width = getattr(module, "num_models", None)
         if isinstance(width, int) and width >= 1:

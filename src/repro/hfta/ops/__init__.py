@@ -1,20 +1,21 @@
 """Horizontally fused operators (the heart of HFTA).
 
-Each class here is the fused counterpart of an operator from the layer zoo in
-:mod:`repro.nn.modules`: it carries an extra *array* dimension ``B`` (the
-number of horizontally fused models) on every parameter and executes the
-``B`` models' operators as a single, larger, mathematically equivalent
-operator (Table 6 of the paper).
+Each class here is the fused counterpart of an operator with parameters from
+the layer zoo in :mod:`repro.nn.modules`: it carries an extra *array*
+dimension ``B`` (the number of horizontally fused models) on every
+parameter and executes the ``B`` models' operators as a single, larger,
+mathematically equivalent operator (Table 6 of the paper).
+
+Table 6's parameter-free rows (activations, pooling, dropout) have no class
+here: the serial layer applied to the fused layout already is the fused
+operator, so :class:`~repro.hfta.ops.factory.OpsLibrary` hands out the
+:mod:`repro.nn` class for them.
 """
 
 from .conv import Conv1d, Conv2d, ConvTranspose1d, ConvTranspose2d
 from .linear import Linear
 from .norm import BatchNorm1d, BatchNorm2d, LayerNorm
 from .embedding import Embedding
-from .pooling import MaxPool2d, MaxPool1d, AvgPool2d, AdaptiveAvgPool2d
-from .dropout import Dropout, Dropout2d
-from .activation import (ReLU, ReLU6, LeakyReLU, Tanh, Sigmoid, GELU,
-                         Hardswish, Hardsigmoid, Softmax, LogSoftmax)
 from .attention import MultiheadAttention, TransformerEncoderLayer
 from .utils import (fuse_channel, unfuse_channel, fuse_batch, unfuse_batch,
                     channel_to_batch, batch_to_channel)
@@ -22,10 +23,6 @@ from .utils import (fuse_channel, unfuse_channel, fuse_batch, unfuse_batch,
 __all__ = [
     "Conv1d", "Conv2d", "ConvTranspose1d", "ConvTranspose2d", "Linear",
     "BatchNorm1d", "BatchNorm2d", "LayerNorm", "Embedding",
-    "MaxPool2d", "MaxPool1d", "AvgPool2d", "AdaptiveAvgPool2d",
-    "Dropout", "Dropout2d",
-    "ReLU", "ReLU6", "LeakyReLU", "Tanh", "Sigmoid", "GELU", "Hardswish",
-    "Hardsigmoid", "Softmax", "LogSoftmax",
     "MultiheadAttention", "TransformerEncoderLayer",
     "fuse_channel", "unfuse_channel", "fuse_batch", "unfuse_batch",
     "channel_to_batch", "batch_to_channel",

@@ -7,15 +7,16 @@ fused end-to-end.  These are straightforward compositions of the fused
 ``Linear`` and ``LayerNorm`` operators: every projection becomes a batched
 GEMM over the array dimension ``B`` and the attention core, one
 ``F.attention`` node, is independent per model because the array dimension
-is carried as an extra batch axis.
+is carried as an extra batch axis.  Their dropout and activation members are
+the serial :mod:`repro.nn` layers, which act on the ``[B, N, L, E]`` layout
+unchanged.
 """
 
 from __future__ import annotations
 
+from ... import nn
 from ...nn.modules import attention as serial
 from ...nn.modules.module import Module
-from .activation import GELU, ReLU
-from .dropout import Dropout
 from .linear import Linear
 from .norm import LayerNorm
 
@@ -43,7 +44,7 @@ class MultiheadAttention(Module):
         self.k_proj = Linear(num_models, embed_dim, embed_dim, generator=generator)
         self.v_proj = Linear(num_models, embed_dim, embed_dim, generator=generator)
         self.out_proj = Linear(num_models, embed_dim, embed_dim, generator=generator)
-        self.dropout = Dropout(num_models, dropout) if dropout > 0 else None
+        self.dropout = nn.Dropout(dropout) if dropout > 0 else None
 
     forward = serial.MultiheadAttention.forward
 
@@ -72,11 +73,11 @@ class TransformerEncoderLayer(Module):
                               generator=generator)
         self.norm1 = LayerNorm(num_models, d_model)
         self.norm2 = LayerNorm(num_models, d_model)
-        self.dropout = Dropout(num_models, dropout) if dropout > 0 else None
+        self.dropout = nn.Dropout(dropout) if dropout > 0 else None
         if activation == "relu":
-            self.activation = ReLU(num_models)
+            self.activation = nn.ReLU()
         elif activation == "gelu":
-            self.activation = GELU(num_models)
+            self.activation = nn.GELU()
         else:
             raise ValueError(f"unsupported activation: {activation}")
 

@@ -8,7 +8,10 @@ the library for ``Conv2d`` / ``Linear`` / ... constructors, and the library
 hands back either the plain serial classes from :mod:`repro.nn` (when
 ``num_models`` is ``None``) or the horizontally fused classes from
 :mod:`repro.hfta.ops` with the array size bound (when ``num_models`` is an
-integer).
+integer).  Only the layers with parameters have a fused class: a
+parameter-free layer (activation, pooling, dropout) is the serial class
+either way, because the serial layer applied to the fused layout is the
+fused operator (Table 6).
 
 The criteria come from the library too (``CrossEntropyLoss``, ``BCELoss``),
 so a model's loss never says how the ``B`` models' losses combine.
@@ -28,9 +31,8 @@ import numpy as np
 from ... import nn
 from ...nn.tensor import Tensor
 from ..losses import FusedBCELoss, FusedCrossEntropyLoss
-from . import (activation, attention, conv, dropout, embedding, linear, norm,
-               pooling)
-from .utils import batch_to_channel, channel_to_batch, fuse_batch, fuse_channel
+from . import attention, conv, embedding, linear, norm
+from .utils import channel_to_batch, fuse_batch, fuse_channel
 
 __all__ = ["OpsLibrary"]
 
@@ -59,15 +61,6 @@ _FUSED_CLASSES = {
     "Linear": linear.Linear,
     "BatchNorm1d": norm.BatchNorm1d, "BatchNorm2d": norm.BatchNorm2d,
     "LayerNorm": norm.LayerNorm, "Embedding": embedding.Embedding,
-    "MaxPool2d": pooling.MaxPool2d, "MaxPool1d": pooling.MaxPool1d,
-    "AvgPool2d": pooling.AvgPool2d,
-    "AdaptiveAvgPool2d": pooling.AdaptiveAvgPool2d,
-    "Dropout": dropout.Dropout, "Dropout2d": dropout.Dropout2d,
-    "ReLU": activation.ReLU, "ReLU6": activation.ReLU6,
-    "LeakyReLU": activation.LeakyReLU, "Tanh": activation.Tanh,
-    "Sigmoid": activation.Sigmoid, "GELU": activation.GELU,
-    "Hardswish": activation.Hardswish, "Hardsigmoid": activation.Hardsigmoid,
-    "Softmax": activation.Softmax, "LogSoftmax": activation.LogSoftmax,
     "MultiheadAttention": attention.MultiheadAttention,
     "TransformerEncoderLayer": attention.TransformerEncoderLayer,
     "CrossEntropyLoss": FusedCrossEntropyLoss, "BCELoss": FusedBCELoss,
@@ -100,11 +93,11 @@ class OpsLibrary:
         return self.num_models if self.fused else 1
 
     def __getattr__(self, name: str):
-        if name in _SERIAL_CLASSES:
-            if self.fused:
-                return functools.partial(_FUSED_CLASSES[name], self.num_models)
-            return _SERIAL_CLASSES[name]
-        raise AttributeError(f"OpsLibrary has no operator '{name}'")
+        if name not in _SERIAL_CLASSES:
+            raise AttributeError(f"OpsLibrary has no operator '{name}'")
+        if self.fused and name in _FUSED_CLASSES:
+            return functools.partial(_FUSED_CLASSES[name], self.num_models)
+        return _SERIAL_CLASSES[name]
 
     def conv_bn(self, conv, bn, x: Tensor, relu: bool = True,
                 global_max: bool = False) -> Tensor:
@@ -164,18 +157,6 @@ class OpsLibrary:
         per_model = channel_to_batch(x, self.num_models)  # [B, N, C, ...]
         b, n = per_model.shape[:2]
         return per_model.reshape(b, n, -1)
-
-    def dense_to_conv(self, x: Tensor, channels: int, *spatial: int) -> Tensor:
-        """Convert dense activations back to the conv layout.
-
-        Serial: ``[N, C*prod] -> [N, C, *spatial]``.
-        Fused:  ``[B, N, C*prod] -> [N, B*C, *spatial]``.
-        """
-        if not self.fused:
-            return x.reshape(x.shape[0], channels, *spatial)
-        b, n = x.shape[:2]
-        per_model = x.reshape(b, n, channels, *spatial)
-        return batch_to_channel(per_model)
 
     def split_outputs(self, x: Tensor) -> List[Tensor]:
         """Split a fused dense output ``[B, ...]`` into per-model outputs

@@ -79,10 +79,6 @@ class SharingResult:
     tensor_active: float
     gpu_util_nvidia_smi: float       # the coarse "GPU utilization" metric (Fig 13)
 
-    @property
-    def per_job_throughput(self) -> float:
-        return self.throughput / max(self.num_jobs, 1)
-
 
 # --------------------------------------------------------------------- #
 # Memory model

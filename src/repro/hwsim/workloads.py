@@ -50,12 +50,6 @@ class WorkloadSpec:
     def samples_per_iteration(self) -> int:
         return self.batch_size
 
-    def total_flops(self) -> float:
-        return sum(k.flops for k in self.kernels)
-
-    def gemm_flops(self) -> float:
-        return sum(k.flops for k in self.kernels if k.is_gemm)
-
 
 # --------------------------------------------------------------------- #
 # Builders for common sub-structures

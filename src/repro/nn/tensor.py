@@ -165,11 +165,6 @@ class Tensor:
             out._backward = _bw
         return out
 
-    def copy_(self, other: "Tensor") -> "Tensor":
-        """In-place copy of ``other``'s data (not differentiable)."""
-        np.copyto(self.data, _as_array(other).astype(self.data.dtype, copy=False))
-        return self
-
     def zero_grad(self) -> None:
         self.grad = None
 

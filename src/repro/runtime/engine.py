@@ -320,9 +320,12 @@ class FusedPhysics:
     each a :class:`_Shard` in this process or a :class:`_RemoteShard` in a
     shard worker.  ``build`` cuts an array of large slots into one run per
     allowed CPU (:func:`repro.runtime.shards.split`), the lowest here;
-    otherwise, and always at width 1, the array is one ``_Shard``.  A
-    step sends each worker its shards' batches, steps this process's
-    shards meanwhile, then collects the workers' losses.
+    otherwise, and always at width 1, the array is one ``_Shard``.  An
+    array whose template drops (an ``nn.Dropout`` or ``nn.Dropout2d`` with
+    ``p > 0``) is never cut: each shard would draw its own mask from a
+    copy of the layer's generator, so the masks would follow the CPU
+    count.  A step sends each worker its shards' batches, steps this
+    process's shards meanwhile, then collects the workers' losses.
 
     The eight re-fusion primitives are called through this module's
     globals, which is where ``bench_e2e.tracing`` measures them — in this
@@ -357,7 +360,8 @@ class FusedPhysics:
             ([mate.template] if mate is not None else []) + templates)
         configs = [sub.job.config for sub in boarded]
         slot_bytes = sum(p.data.nbytes for p in templates[0].parameters())
-        runs = shards.split(len(boarded), slot_bytes)
+        runs = ([(0, len(boarded), None)] if _drops(templates[0])
+                else shards.split(len(boarded), slot_bytes))
         job, remote, posted = boarded[0].job, [], []
 
         def fuse_all() -> Module:
@@ -465,6 +469,12 @@ class FusedPhysics:
     def load_resume(self, index: int, resume) -> None:
         part, local = self._locate(index)
         part.load_slot(local, resume.optimizer_state)
+
+
+def _drops(model: Module) -> bool:
+    """Whether ``model`` holds a dropout layer that drops (``p > 0``)."""
+    return any(isinstance(m, (nn.Dropout, nn.Dropout2d)) and m.p > 0
+               for m in model.modules())
 
 
 def _fetch(slots: Sequence[_Slot], i: int) -> List:

@@ -39,6 +39,7 @@ from ..hwsim import (A100, RTX6000, TPU_V3, V100, ArrayCostEstimate,
                      get_workload, max_models)
 from .batcher import Cohort
 from .policy import ArrayPlan
+from .sim import _WidthProbe
 
 __all__ = ["DEFAULT_FLEET", "PlacementDecision", "FleetPlacer",
            "synthetic_fleet"]
@@ -84,11 +85,6 @@ class PlacementDecision:
     def projected_seconds(self) -> float:
         """Cost-model training time of the array on its device."""
         return self.estimate.train_seconds
-
-    @property
-    def projected_throughput(self) -> float:
-        """Cost-model training throughput (samples/s) of the array."""
-        return self.estimate.throughput
 
 
 @dataclass
@@ -157,7 +153,7 @@ class FleetPlacer:
         key = (workload.name, self._profile_key(device), width)
         est = self._est_cache.get(key)
         if est is None:
-            est = estimate_array_cost(_CostProbe(width, 1), device,
+            est = estimate_array_cost(_WidthProbe(width, 1), device,
                                       self.precision, workload=workload)
             self._est_cache[key] = est
         return est
@@ -349,11 +345,3 @@ class FleetPlacer:
                 f"(devices: {[d.name for d in self.devices]})")
         return (best[1], best[2],
                 self._scaled(best[3], best[1], cohort.steps))
-
-
-@dataclass(frozen=True)
-class _CostProbe:
-    """Minimal duck-typed plan for costing a hypothetical array width."""
-
-    num_models: int
-    steps: int

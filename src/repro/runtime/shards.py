@@ -8,7 +8,11 @@ long-lived worker process, one per allowed CPU beyond the first.  Workers
 are forked lazily (``multiprocessing``'s ``fork`` context), are daemonic,
 and are shared by every engine in the process; one that died is replaced
 by a fresh fork the next time an array is cut.  Width-1 arrays, small
-slots and one-CPU hosts never reach this module.
+slots and one-CPU hosts never reach this module, and neither does an array
+whose model drops (an ``nn.Dropout`` or ``nn.Dropout2d`` with ``p > 0``):
+each shard would draw its own mask from a copy of the layer's generator,
+so the masks, and the curves, would follow the CPU count.  Such an array
+trains in one process.
 
 A worker keeps the objects it was asked to make under integer ids and
 answers one message at a time, strictly request then reply, so two large

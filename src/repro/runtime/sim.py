@@ -133,7 +133,8 @@ def default_sim_loss(job: TrainingJob, step: int) -> float:
 
 @dataclass(frozen=True)
 class _WidthProbe:
-    """Duck-typed plan for costing a hypothetical array width."""
+    """Duck-typed plan for costing a hypothetical array width (here and in
+    the fleet placer)."""
 
     num_models: int
     steps: int

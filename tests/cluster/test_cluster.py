@@ -11,6 +11,12 @@ def small_trace():
     return cluster.generate_trace(cluster.TraceConfig(num_jobs=3000, seed=5))
 
 
+@pytest.fixture(scope="module")
+def labels(small_trace):
+    """``small_trace`` classified once (it takes seconds); tests read it."""
+    return cluster.classify_jobs(small_trace)
+
+
 class TestLevenshtein:
     def test_known_distance(self):
         assert cluster.levenshtein_distance("kitten", "sitting") == 3
@@ -75,20 +81,17 @@ class TestTraceGenerator:
 
 
 class TestClassifier:
-    def test_classifier_recovers_ground_truth(self, small_trace):
-        labels = cluster.classify_jobs(small_trace)
+    def test_classifier_recovers_ground_truth(self, small_trace, labels):
         accuracy = cluster.classification_accuracy(small_trace, labels)
         assert accuracy > 0.95
 
-    def test_breakdown_shares_sum_to_one(self, small_trace):
-        labels = cluster.classify_jobs(small_trace)
+    def test_breakdown_shares_sum_to_one(self, small_trace, labels):
         breakdown = cluster.usage_breakdown(small_trace, labels)
         shares = [breakdown[f"{c}_share"] for c in cluster.JOB_CATEGORIES]
         assert sum(shares) == pytest.approx(1.0)
 
-    def test_repetitive_share_dominates(self, small_trace):
+    def test_repetitive_share_dominates(self, small_trace, labels):
         """Table 1's headline: repetitive single-GPU work is the largest share."""
-        labels = cluster.classify_jobs(small_trace)
         breakdown = cluster.usage_breakdown(small_trace, labels)
         rep = breakdown["repetitive_single_gpu_share"]
         assert rep > 0.30
@@ -126,17 +129,15 @@ class TestClassifier:
 
 
 class TestUtilizationSampling:
-    def test_sampled_jobs_have_low_utilization(self, small_trace):
+    def test_sampled_jobs_have_low_utilization(self, small_trace, labels):
         """Figure 10: repetitive jobs under-utilize the GPU."""
-        labels = cluster.classify_jobs(small_trace)
         samples = cluster.sample_repetitive_utilization(small_trace, labels,
                                                         num_samples=13)
         assert len(samples) == 13
         assert all(0.0 < s.sm_active < 0.85 for s in samples)
         assert all(s.sm_occupancy < s.sm_active for s in samples)
 
-    def test_sampling_is_deterministic(self, small_trace):
-        labels = cluster.classify_jobs(small_trace)
+    def test_sampling_is_deterministic(self, small_trace, labels):
         a = cluster.sample_repetitive_utilization(small_trace, labels, 5, seed=1)
         b = cluster.sample_repetitive_utilization(small_trace, labels, 5, seed=1)
         assert [s.job_id for s in a] == [s.job_id for s in b]

@@ -196,34 +196,31 @@ class TestFusedEmbeddingPoolingActivation:
         with pytest.raises(IndexError):
             fused(np.full((B, 3), 10))
 
-    def test_maxpool_and_avgpool_channel_folded(self):
-        xs = per_model_inputs((2, 3, 8, 8))
-        fused_in = hops.fuse_channel(xs)
-        pool = hops.MaxPool2d(B, 2)
-        serial_pool = nn.MaxPool2d(2)
-        assert_slotwise_equal(hops.unfuse_channel(pool(fused_in), B),
-                              [serial_pool(x) for x in xs])
-        apool = hops.AdaptiveAvgPool2d(B, 1)
-        serial_apool = nn.AdaptiveAvgPool2d(1)
-        assert_slotwise_equal(hops.unfuse_channel(apool(fused_in), B),
-                              [serial_apool(x) for x in xs])
+    @pytest.mark.parametrize("pool,shape", [
+        (nn.MaxPool2d(2), (2, 3, 8, 8)), (nn.AvgPool2d(2), (2, 3, 8, 8)),
+        (nn.AdaptiveAvgPool2d(1), (2, 3, 8, 8)), (nn.MaxPool1d(2), (2, 3, 8))],
+        ids=["MaxPool2d", "AvgPool2d", "AdaptiveAvgPool2d", "MaxPool1d"])
+    def test_a_serial_pool_on_the_channel_folded_layout_is_the_fused_pool(
+            self, pool, shape):
+        """Table 6's pooling rows: pooling works per channel, so the serial
+        layer over ``[N, B*C, ...]`` is ``B`` serial layers."""
+        xs = per_model_inputs(shape)
+        assert_slotwise_equal(
+            hops.unfuse_channel(pool(hops.fuse_channel(xs)), B),
+            [pool(x) for x in xs])
 
-    def test_pooling_validates_channel_divisibility(self):
-        pool = hops.MaxPool2d(B, 2)
-        with pytest.raises(ValueError):
-            pool(nn.zeros(1, B * 3 + 1, 4, 4))
-
-    def test_activations_match_serial(self):
+    def test_a_serial_activation_on_the_batched_layout_is_the_fused_one(self):
+        """Table 6's activation rows: elementwise (softmax over the last
+        axis), so the serial layer over ``[B, N, ...]`` is ``B`` serial
+        layers."""
         xs = per_model_inputs((2, 4, 5))
         fused_in = hops.fuse_batch(xs)
-        pairs = [(hops.ReLU(B), nn.ReLU()), (hops.Tanh(B), nn.Tanh()),
-                 (hops.Hardswish(B), nn.Hardswish()),
-                 (hops.LeakyReLU(B, 0.2), nn.LeakyReLU(0.2)),
-                 (hops.Sigmoid(B), nn.Sigmoid())]
-        for fused_act, serial_act in pairs:
-            out = fused_act(fused_in)
+        for act in (nn.ReLU(), nn.ReLU6(), nn.LeakyReLU(0.2), nn.Tanh(),
+                    nn.Sigmoid(), nn.GELU(), nn.Hardswish(), nn.Hardsigmoid(),
+                    nn.Softmax(), nn.LogSoftmax()):
+            out = act(fused_in)
             assert_slotwise_equal([out[b] for b in range(B)],
-                                  [serial_act(x) for x in xs])
+                                  [act(x) for x in xs])
 
     def test_fused_attention_equivalence(self):
         serial = [nn.TransformerEncoderLayer(8, 2, 16, dropout=0.0,

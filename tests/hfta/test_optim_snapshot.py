@@ -19,7 +19,7 @@ B = 4
 def build_fused(num_models=B):
     return nn.Sequential(
         hops.Linear(num_models, 6, 5),
-        hops.ReLU(num_models),
+        nn.ReLU(),
         hops.Linear(num_models, 5, 2))
 
 

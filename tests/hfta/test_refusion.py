@@ -30,11 +30,11 @@ def build_family(family, num_models=B):
         return nn.Sequential(
             hops.Conv2d(num_models, 3, 4, 3, padding=1),
             hops.BatchNorm2d(num_models, 4),
-            hops.ReLU(num_models))
+            nn.ReLU())
     if family == "linear":
         return nn.Sequential(
             hops.Linear(num_models, 6, 5),
-            hops.ReLU(num_models),
+            nn.ReLU(),
             hops.Linear(num_models, 5, 2))
     if family == "embedding":
         return nn.Sequential(hops.Embedding(num_models, 11, 6))
@@ -46,7 +46,7 @@ def build_family(family, num_models=B):
     if family == "dropout":
         return nn.Sequential(
             hops.Linear(num_models, 6, 6),
-            hops.Dropout(num_models, p=0.5))
+            nn.Dropout(p=0.5))
     raise ValueError(family)
 
 
@@ -148,7 +148,7 @@ class TestSplitMergeRoundTrip:
     def test_merge_rejects_structural_mismatch(self):
         with pytest.raises(ValueError, match="cannot merge"):
             hfta.merge_fused(build_family("linear"), build_family("conv"))
-        narrow = nn.Sequential(hops.Linear(2, 6, 5), hops.ReLU(2),
+        narrow = nn.Sequential(hops.Linear(2, 6, 5), nn.ReLU(),
                                hops.Linear(2, 5, 3))   # different out dim
         with pytest.raises(ValueError, match="per-slot shape"):
             hfta.merge_fused(build_family("linear"), narrow)

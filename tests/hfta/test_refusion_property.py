@@ -31,7 +31,7 @@ N = 2          # samples per slot
 def mlp(num_models):
     if num_models is None:
         return nn.Sequential(nn.Linear(5, 4), nn.ReLU(), nn.Linear(4, 3))
-    return nn.Sequential(hops.Linear(num_models, 5, 4), hops.ReLU(num_models),
+    return nn.Sequential(hops.Linear(num_models, 5, 4), nn.ReLU(),
                          hops.Linear(num_models, 4, 3))
 
 
@@ -41,7 +41,7 @@ def conv_bn(num_models):
                              nn.BatchNorm2d(3), nn.ReLU())
     return nn.Sequential(hops.Conv2d(num_models, 2, 3, 3, padding=1),
                          hops.BatchNorm2d(num_models, 3),
-                         hops.ReLU(num_models))
+                         nn.ReLU())
 
 
 def slot_inputs(kind, slot):

@@ -62,6 +62,17 @@ def build(num_models=None, generator=None):
     return Net(num_models, generator)
 
 
+class DropNet(Net):
+    """``Net`` with a seeded ``Dropout(0.3)`` on its hidden layer."""
+
+    def __init__(self, num_models=None, generator=None):
+        super().__init__(num_models, generator)
+        self.drop = self.lib.Dropout(0.3, generator=np.random.default_rng(5))
+
+    def forward(self, x):
+        return self.fc2(self.drop(self.relu(self.fc1(x))))
+
+
 class Stream:
     """A job's batches; ``trap(step)`` runs once, before batch ``step`` is
     handed out the first time."""
@@ -81,12 +92,12 @@ class Stream:
         return self.batches[step]
 
 
-def make_jobs(count, traps=None, stop_after=()):
+def make_jobs(count, traps=None, stop_after=(), builder=build):
     traps = traps or {}
     return [TrainingJob(
         name=f"net{i}", seed=i, steps=STEPS, epoch_steps=EPOCH_STEPS,
         config={"lr": 1e-2 * (1 + i), "optimizer": "adam"},
-        build_model=build, data=Stream(100 + i, *traps.get(i, (None,))),
+        build_model=builder, data=Stream(100 + i, *traps.get(i, (None,))),
         stop=(lambda epochs, curve: epochs >= 1) if i in stop_after
         else None)
         for i in range(count)]
@@ -252,6 +263,22 @@ def test_eviction_and_admission_train_the_in_process_bytes(sharded):
         assert eng.metrics.jobs_evicted == 2
         assert eng.metrics.jobs_admitted == 2
         return by_name(results)
+    got = run()
+    with in_process():
+        want = run()
+    assert_same_results(got, want)
+
+
+@needs_two_cpus
+def test_an_array_that_drops_trains_in_one_process(sharded):
+    """A fused dropout layer draws one mask over the whole array from its
+    generator. Cut, each shard would draw a whole mask of its own from a
+    copy of that generator, and the curves would follow the CPU count: an
+    array whose model drops is never cut, whatever its slot size."""
+    def run():
+        eng = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
+        eng.submit_all(make_jobs(4, builder=DropNet))
+        return by_name(drain(eng))
     got = run()
     with in_process():
         want = run()

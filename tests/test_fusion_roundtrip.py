@@ -27,7 +27,7 @@ def build_fused(num_models, channels=4):
     return nn.Sequential(
         hops.Conv2d(num_models, 3, channels, 3, padding=1),
         hops.BatchNorm2d(num_models, channels),
-        hops.ReLU(num_models), hops.AdaptiveAvgPool2d(num_models, 1))
+        nn.ReLU(), nn.AdaptiveAvgPool2d(1))
 
 
 def perturb_buffers(models):

@@ -22,7 +22,10 @@ job's.  On two CPUs models 0-1 train here and 2-3 in a shard worker, each
 shard at its own width, both at once, and the digest is taken over the
 slots' loss curves and the shards' values joined on the array dimension.
 Its dropout layers draw their shard's rows of the mask the whole array
-would draw, so the sharded digest must equal the inline one.
+would draw, so the sharded digest must equal the inline one.  The engine
+itself never cuts an array whose model drops (``FusedPhysics``): the
+sharded PointNetCls and BERT digests (dropout 0.3 and 0.1) check a manual
+cut of the shard machinery that the engine no longer makes for them.
 
 Every dropout layer draws from its own seeded generator, so the runs are
 deterministic.  A change that must keep training bitwise (a kernel
