@@ -77,9 +77,12 @@ api-docs:
 # every exported checkpoint, including checkpoints evicted mid-training,
 # and pointnet_hp_sweep of one fused slot;
 # crash_recovery murders a device worker mid-array and asserts the
-# recovered run is bit-identical to an uninterrupted one)
+# recovered run is bit-identical to an uninterrupted one); quickstart runs
+# twice and fails unless both runs print the same bytes
 examples:
-	PYTHONPATH=src $(PY) examples/quickstart.py
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	PYTHONPATH=src $(PY) examples/quickstart.py > "$$out" && cat "$$out" && \
+	PYTHONPATH=src $(PY) examples/quickstart.py | cmp - "$$out"
 	PYTHONPATH=src $(PY) examples/runtime_serving.py
 	PYTHONPATH=src $(PY) examples/fleet_serving.py
 	PYTHONPATH=src $(PY) examples/gateway_serving.py

@@ -47,7 +47,10 @@ def main():
     serial_jobs = [build_serial_model(seed) for seed in range(num_models)]
     fused_trunk = build_fused_model(num_models)
     hfta.load_from_unfused(fused_trunk, serial_jobs)
-    fused_head = hops.Linear(num_models, 32, 10)
+    # one seeded generator per job: slot b of the fused head holds what a
+    # serial nn.Linear(32, 10) built with generator b would, every run
+    fused_head = hops.Linear(num_models, 32, 10, generator=[
+        np.random.default_rng(100 + seed) for seed in range(num_models)])
 
     optimizer = fused_optim.Adam(
         list(fused_trunk.parameters()) + list(fused_head.parameters()),

@@ -152,8 +152,8 @@ class JobScheduler:
         batch costs what that timeline advanced by.
         """
         fleet = self.fleet
-        engine = fleet.workers[self.device.name].engine
-        start_seconds = engine.sim_time
+        device = fleet.workers[self.device.name]
+        start_seconds = device.sim_time
         start_arrays = fleet.metrics.arrays_launched
         iterations = self.workload.iterations_per_epoch
         fleet.submit_all([
@@ -163,6 +163,6 @@ class JobScheduler:
                         epoch_steps=iterations, workload=self.workload.name)
             for i, trial in enumerate(trials)])
         fleet.run_until_idle()
-        gpu_hours = (engine.sim_time - start_seconds) / 3600.0
+        gpu_hours = (device.sim_time - start_seconds) / 3600.0
         return SchedulerResult(self._evaluate_trials(trials), gpu_hours,
                                fleet.metrics.arrays_launched - start_arrays)

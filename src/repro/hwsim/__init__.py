@@ -17,8 +17,8 @@ See ``DESIGN.md`` for the substitution argument and ``EXPERIMENTS.md`` for
 paper-vs-simulated numbers.
 """
 
-from .devices import (DeviceSpec, GPU_SPECS, TPU_SPECS, get_device, V100,
-                      RTX6000, A100, P100, T4, TPU_V3)
+from .devices import (DeviceSpec, GPU_SPECS, TPU_SPECS, get_device,
+                      profile_key, V100, RTX6000, A100, P100, T4, TPU_V3)
 from .kernels import (KernelSpec, KernelCost, kernel_cost, gemm_kernel,
                       conv2d_kernels, conv1d_kernels, linear_kernels,
                       elementwise_kernel, norm_kernels, optimizer_kernels)
@@ -36,8 +36,8 @@ from .analysis import (normalized_curve, serial_reference, peak_throughput,
                        RESNET18_BLOCK_PREFIXES)
 
 __all__ = [
-    "DeviceSpec", "GPU_SPECS", "TPU_SPECS", "get_device", "V100", "RTX6000",
-    "A100", "P100", "T4", "TPU_V3",
+    "DeviceSpec", "GPU_SPECS", "TPU_SPECS", "get_device", "profile_key",
+    "V100", "RTX6000", "A100", "P100", "T4", "TPU_V3",
     "KernelSpec", "KernelCost", "kernel_cost", "gemm_kernel",
     "conv2d_kernels", "conv1d_kernels", "linear_kernels",
     "elementwise_kernel", "norm_kernels", "optimizer_kernels",

@@ -23,11 +23,12 @@ constants (saturation work sizes, sharing caps, launch overheads) that encode
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Dict, Tuple
 
 __all__ = ["DeviceSpec", "GPU_SPECS", "TPU_SPECS", "get_device",
-           "V100", "RTX6000", "A100", "P100", "T4", "TPU_V3"]
+           "profile_key", "V100", "RTX6000", "A100", "P100", "T4", "TPU_V3"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,16 @@ class DeviceSpec:
             sat_bytes=self.sat_bytes * fraction ** 0.5,
             mig_max_instances=0,
         )
+
+
+_profile = attrgetter(*(f.name for f in fields(DeviceSpec)
+                        if f.name != "name"))
+
+
+def profile_key(device: DeviceSpec) -> Tuple:
+    """A device's cost-model identity, which every cost memo keys it by:
+    every field but its name (renamed replicas cost the same)."""
+    return _profile(device)
 
 
 # --------------------------------------------------------------------- #

@@ -37,12 +37,12 @@ paper describe:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .devices import DeviceSpec
+from .devices import DeviceSpec, profile_key
 from .kernels import KernelCost, KernelSpec, kernel_cost
 from .workloads import WorkloadSpec, get_workload
 
@@ -309,13 +309,9 @@ class ArrayCostEstimate:
     train_seconds: float             # steps * iteration_time_s
 
 
-#: every :class:`DeviceSpec` field but the name — a device's cost-model
-#: identity: renamed replicas of one profile cost the same
-_PROFILE_FIELDS = tuple(f.name for f in fields(DeviceSpec)
-                        if f.name != "name")
 #: process-wide memo behind :func:`estimate_array_cost`: (workload identity,
-#: device profile, precision, width) -> (workload, HFTA projection).  The
-#: workload is keyed by ``id`` with a strong reference kept beside the
+#: :func:`profile_key`, precision, width) -> (workload, HFTA projection).
+#: The workload is keyed by ``id`` with a strong reference kept beside the
 #: result — never by name, ``dataclasses.replace`` variants share names —
 #: and, as :func:`get_workload` already asks, must not be mutated.  Bounded
 #: by clear-on-overflow.
@@ -327,8 +323,7 @@ def _hfta_projection(workload: WorkloadSpec, device: DeviceSpec,
     """Memoized ``simulate(workload, device, "hfta", num_models,
     precision)``; the result's ``device`` names whichever replica of the
     profile asked first."""
-    key = (id(workload), tuple(getattr(device, f) for f in _PROFILE_FIELDS),
-           precision, num_models)
+    key = (id(workload), profile_key(device), precision, num_models)
     hit = _HFTA_PROJECTIONS.get(key)
     if hit is None or hit[0] is not workload:
         if len(_HFTA_PROJECTIONS) >= 4096:

@@ -20,7 +20,7 @@ of a shared accelerator:
   live eviction of finished jobs via :func:`repro.hfta.split_fused`,
   admission of queued jobs into freed width via
   :func:`repro.hfta.merge_fused` — and hands every job its
-  serial-equivalent checkpoint; doubles as the fleet's per-device worker;
+  serial-equivalent checkpoint; a fleet drives exactly one;
 * :mod:`repro.runtime.shards`  — the second CPU: an array of large slots
   is cut into one contiguous shard per allowed CPU, the upper shards
   trained in forked shard worker processes;
@@ -33,11 +33,11 @@ of a shared accelerator:
   (deterministic greedy rounding as the always-on fallback and floor),
   objective mixing projected completion, SLO urgency and fused-width
   efficiency (``FleetScheduler(placement="lp")``);
-* :mod:`repro.runtime.fleet`   — the multi-device scheduler: per-device
-  work queues over a shared intake queue, drained by one deterministic
-  event loop (the same on ``execution="real"`` and ``"sim"``); a live
-  array trains on the device it was placed on, at its width cap, until
-  it drains; quarantine-and-retry failure isolation;
+* :mod:`repro.runtime.fleet`   — the multi-device scheduler: one engine,
+  and per device a spec, a work queue and a timeline, drained by one
+  deterministic event loop (the same on ``execution="real"`` and
+  ``"sim"``); a live array trains on the device it was placed on, at its
+  width cap, until it drains; quarantine-and-retry failure isolation;
 * :mod:`repro.runtime.metrics` — the lifecycle event stream and the
   counters folded from it: throughput/occupancy in the conventions of
   ``benchmarks/test_fig*_counters.py``, per-device utilization,

@@ -26,13 +26,14 @@ primitives, and the freed width goes back to the scheduler, which may
 admit compatible queued jobs straight into the running array.  The
 executor itself never touches a tensor: it owns the slots and
 decides, and the :class:`FusedPhysics` object it holds does (six methods;
-``execution="sim"`` swaps in :class:`repro.runtime.sim.SimPhysics`).
+a simulated fleet swaps in :class:`repro.runtime.sim.SimPhysics`).
 
-The engine also serves as the *per-device worker* of the multi-device
-fleet: the fleet scheduler replaces the batcher/policy stages with
-cost-model placement (:mod:`repro.runtime.placement`) and drives executors
-through :meth:`TrainingArrayEngine.run_executor`, one engine per simulated
-device, all sharing one queue and one metrics object.
+A multi-device fleet (:mod:`repro.runtime.fleet`) drives exactly one
+engine: it replaces the batcher/policy stages with cost-model placement
+(:mod:`repro.runtime.placement`), runs every array through
+:meth:`TrainingArrayEngine.run_executor` on the device its plan names, and
+points the engine's backend hooks at its devices — each epoch is charged
+to the timeline of the device named by ``executor.device_name``.
 
 Because every HFTA transformation is mathematically equivalent and slots
 track their own progress (each job on its own data stream, per-model
@@ -60,7 +61,7 @@ from ..hfta.fusion import export_to_unfused, load_from_unfused, merge_fused, \
 from ..hfta.optim.elastic import export_slot_state, load_slot_state, \
     merge_optimizers, split_optimizer
 from ..nn.modules.module import Module
-from . import shards, sim
+from . import shards
 from .batcher import Batcher, Cohort
 from .bufferpool import BufferPool
 from .checkpoint import CheckpointStore, CorruptObjectError, RecoveryManager
@@ -507,7 +508,9 @@ class ArrayExecutor:
         self.plan = plan
         self.array_id = array_id
         self.state = ArrayState.PENDING
-        self.device_name = plan.device or engine.device_name
+        #: the device the array runs on ("" on a standalone engine);
+        #: crash recovery retags it when it moves the array
+        self.device_name = plan.device
         self.width_cap = plan.width_cap
         jobs = plan.jobs
         self.epoch_steps = jobs[0].job.epoch_steps
@@ -668,7 +671,10 @@ class ArrayExecutor:
                     min(slot.remaining for slot in self.slots))
         epoch_seconds, samples = self.physics.step(self.slots, steps)
         if self.engine.charge_epoch is not None:
-            self.engine.charge_epoch(self.workload, num_models, steps)
+            charged = self.engine.charge_epoch(self, num_models, steps)
+            if self.engine.execution == "sim":
+                # a simulated epoch lasts what its device is charged
+                epoch_seconds, samples = charged
         self.seconds += epoch_seconds
         self.samples += samples
 
@@ -741,7 +747,7 @@ class ArrayExecutor:
                 steps_trained=slot.progress, stop_reason=reason,
                 evicted=bool(keep) or reason != StopReason.BUDGET,
                 preemptions=slot.preemptions,
-                finished_at=self.engine.result_clock(),
+                finished_at=self.engine.result_clock(self),
                 sim=self.engine.execution == "sim")
             # the exported checkpoint doubles as the final durable state
             # — a restart after this point replays nothing
@@ -927,85 +933,53 @@ class TrainingArrayEngine:
     """Serves a stream of training jobs by horizontally fusing them.
 
     Standalone, the engine is the whole runtime: submit jobs, call
-    :meth:`run_until_idle`.  Inside a fleet it is one device's worker:
-    ``device`` names the simulated accelerator it represents (stamped on
-    every :class:`~repro.runtime.metrics.ArrayRecord` it produces) and
-    ``array_ids`` is the fleet's shared id allocator, so array ids stay
-    unique across the fleet's devices.
+    :meth:`run_until_idle`.  A :class:`~repro.runtime.fleet.FleetScheduler`
+    owns one engine and drives it across its devices: it shares the
+    engine's queue, metrics, batcher and array-id counter, and installs
+    the backend hooks below.
 
     Durability (:mod:`repro.runtime.checkpoint`): with a ``store``
     attached, every live slot is persisted at the ``checkpoint_every``
     epoch cadence (0 disables cadence checkpoints) and every retiring
     slot's final checkpoint is persisted as it leaves;
     with a ``recovery`` manager attached, :meth:`emit` also hands every
-    lifecycle event to the write-ahead log.  A failing
+    lifecycle event to the write-ahead log, and job ids start past every
+    id the log already holds.  A failing
     multi-job array's quarantined jobs then retry *from their last durable
     checkpoint* instead of step 0 (quarantine-then-recover).
     """
 
     def __init__(self, policy: Optional[ArrayPolicy] = None,
-                 batcher: Optional[Batcher] = None,
-                 metrics: Optional[RuntimeMetrics] = None,
-                 queue: Optional[JobQueue] = None,
-                 device=None,
-                 array_ids: Optional[Callable[[], int]] = None,
                  store: Optional[CheckpointStore] = None,
                  checkpoint_every: int = 0,
-                 recovery: Optional[RecoveryManager] = None,
-                 execution: str = "real",
-                 clock=None,
-                 precision: str = "amp",
-                 default_workload: str = "pointnet_cls"):
-        # `is not None`, not `or`: an empty JobQueue is falsy (__len__ == 0),
-        # and a fleet passes its shared-but-empty queue at construction time
-        self.queue = queue if queue is not None else JobQueue()
-        self.batcher = batcher if batcher is not None else Batcher()
-        self.policy = policy if policy is not None else ArrayPolicy()
-        self.metrics = metrics if metrics is not None else RuntimeMetrics()
-        self.device = device
-        self.device_name = getattr(device, "name", "") if device else ""
+                 recovery: Optional[RecoveryManager] = None):
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        self.queue = JobQueue()
+        self.batcher = Batcher()
+        self.policy = policy if policy is not None else ArrayPolicy()
+        self.metrics = RuntimeMetrics()
         self.store = store
         self.checkpoint_every = checkpoint_every
+        self.recovery = recovery
+        if recovery is not None:
+            # job ids key the WAL and the store's manifests: never reissue
+            # one a previous process on the same log already used
+            self.queue.reserve_ids(recovery.next_job_id())
         #: allocation reuse for evict->admit churn
         self.pool = BufferPool()
-        self.recovery = recovery
-        if execution not in ("real", "sim"):
-            raise ValueError(f"execution must be 'real' or 'sim', "
-                             f"got {execution!r}")
-        self.execution = execution
-        #: device-timeline state: this device's own timeline (the cost
-        #: model's price of every epoch it ran, see sim.charge_epoch), the
-        #: precision / default workload epochs are priced with, and a memo
-        #: of cost estimates keyed by (workload, width).  A sim engine
-        #: drags the shared VirtualClock (fleet-wide "now") along its
-        #: timeline; a real fleet's device engine keeps one only for the
-        #: fleet to order device turns by; a standalone real engine (no
-        #: device) keeps none and its epochs pay nothing for it
-        self.clock = clock
-        self.sim_time = 0.0
-        self.sim_precision = precision
-        self.sim_workload = default_workload
-        self._sim_cost_cache: Dict[Tuple, object] = {}
-        self.charge_epoch: Optional[Callable] = None
-        #: what every array this engine runs is made of: the physics its
-        #: executors hold (``make_physics(engine, plan)``) and the clock
-        #: ``JobResult.finished_at`` is read from — a simulated result
-        #: finishes on its device's own timeline, not the global clock:
-        #: another device may already have simulated further ahead
+        #: the backend hooks, which a fleet re-points at its devices: the
+        #: physics (``make_physics(engine, plan)``), each epoch's device
+        #: charge (``charge_epoch(executor, width, steps) -> (seconds,
+        #: samples)``; none standalone) and ``JobResult.finished_at``'s
+        #: clock (``result_clock(executor)``)
+        self.execution = "real"
         self.make_physics: Callable = FusedPhysics
-        self.result_clock: Callable[[], float] = time.monotonic
-        if execution == "sim" or device is not None:
-            self.charge_epoch = functools.partial(sim.charge_epoch, self)
-            if execution == "sim":
-                self.make_physics = sim.SimPhysics
-                self.result_clock = lambda: self.sim_time
-                if self.clock is None:
-                    self.clock = sim.VirtualClock()
-                self.sim_time = float(self.clock.now())
+        self.charge_epoch: Optional[Callable] = None
+        self.result_clock: Callable[[ArrayExecutor], float] = \
+            lambda executor: time.monotonic()
         # array ids are allocated on the run_cycle caller's thread only
-        self._array_ids = array_ids or itertools.count().__next__
+        self._array_ids = itertools.count().__next__
 
     # ------------------------------------------------------------------ #
     # intake and events (FleetScheduler shares these four methods)
@@ -1165,6 +1139,26 @@ class TrainingArrayEngine:
     # ------------------------------------------------------------------ #
     # freed-width admission
     # ------------------------------------------------------------------ #
+    def may_board(self, executor: ArrayExecutor, sub: SubmittedJob,
+                  exact: bool = True) -> bool:
+        """The boarding rule: may queued job ``sub`` take freed width in
+        ``executor``?  ``exact=False`` checks the cheap half only (not
+        solo, not cancel-requested, not turned away before, same admission
+        profile); the exact half compares structural signatures — the
+        profile has false positives — remembers a mismatch in
+        ``admission_rejects`` and raises what the job's builder raises."""
+        if (sub.solo or sub.cancel_requested
+                or sub.job_id in executor.admission_rejects
+                or self.batcher.admission_profile(sub)
+                != executor.admission_profile):
+            return False
+        if not exact:
+            return True
+        if self.batcher.structural_signature(sub) != executor.structural_sig:
+            executor.admission_rejects.add(sub.job_id)
+            return False
+        return True
+
     def refill_from_queue(self, executor: ArrayExecutor,
                           key: Optional[Callable] = None) -> int:
         """Admit compatible pending jobs into an executor's freed width.
@@ -1180,29 +1174,20 @@ class TrainingArrayEngine:
         freed = executor.freed_width
         if freed <= 0 or executor.done:
             return 0
-        profile = executor.admission_profile
         candidates = self.queue.take_if(
-            lambda sub: (not sub.solo and not sub.cancel_requested
-                         and sub.job_id not in executor.admission_rejects
-                         and self.batcher.admission_profile(sub) == profile),
+            functools.partial(self.may_board, executor, exact=False),
             max_jobs=freed, key=key)
-        if not candidates:
-            return 0
-
         subs: List[SubmittedJob] = []
         for sub in candidates:
             try:
-                structure = self.batcher.structural_signature(sub)
+                boards = self.may_board(executor, sub)
             except Exception as exc:  # noqa: BLE001 — job-provided builder
                 self._fail_job(sub, f"build_model failed: {exc}")
                 continue
-            if structure != executor.structural_sig:
-                # same cheap profile, different structure: remember the
-                # mismatch so the next epoch does not take the job again
-                executor.admission_rejects.add(sub.job_id)
+            if boards:
+                subs.append(sub)
+            else:
                 self.queue.requeue(sub)
-                continue
-            subs.append(sub)
         try:
             subs = executor.admit(subs) if subs else []
         except Exception:  # noqa: BLE001 — admission must not kill the array

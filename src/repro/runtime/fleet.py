@@ -1,8 +1,9 @@
 """Multi-device fleet scheduler: serve one job stream across many devices.
 
-This is the top of the runtime after the fleet refactor.  The single-device
-:class:`~repro.runtime.engine.TrainingArrayEngine` is demoted to a
-*per-device worker*; the fleet owns the shared intake queue and metrics and
+The fleet drives exactly one
+:class:`~repro.runtime.engine.TrainingArrayEngine` — its queue, metrics,
+batcher and array ids are the fleet's — and each device is a
+:class:`DeviceWorker`: a spec, a work queue and a timeline.  The fleet
 runs the scheduling loop::
 
     queue.pop_pending()                       (queue.py)
@@ -26,9 +27,11 @@ Concurrency model: there is none inside a cycle.  Devices are *simulated*
 accelerators, and ``run_cycle`` runs their work items one at a time on the
 caller's thread: the next turn goes to the live device with queued work
 and the smallest ``(timeline, name)``, where a device's timeline
-(``engine.sim_time``) is the hwsim cost-model price of every epoch it has
-run.  That is the order concurrent devices would finish their work in, so
-freed-width admission takes queued jobs as it would on parallel hardware
+(``DeviceWorker.sim_time``) is the hwsim cost-model price of every epoch
+it has run, priced on the device the executor names
+(``executor.device_name``, retagged by crash recovery).  That is the
+order concurrent devices would finish their work in, so freed-width
+admission takes queued jobs as it would on parallel hardware
 — and the schedule is a pure function of the submitted jobs, identical
 for ``execution="real"`` and ``execution="sim"``; the backends differ only
 in the physics (numpy training vs. cost-model projection) and in which
@@ -52,21 +55,20 @@ already evicted keep their checkpoints.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from collections import deque
 from typing import (Deque, Dict, List, Optional, Sequence, Set, Tuple,
                     Union)
 
-from ..hwsim import DeviceSpec
-from .batcher import Batcher
+from ..hwsim import ArrayCostEstimate, DeviceSpec, profile_key
+from . import sim
 from .checkpoint import CheckpointStore, RecoveryManager
 from .engine import ArrayExecutor, JobResult, TrainingArrayEngine
 from .metrics import Event, RuntimeMetrics
 from .placement import DEFAULT_FLEET, FleetPlacer, PlacementDecision
 from .placement_lp import LPFleetPlacer
-from .queue import JobQueue, JobState
+from .queue import JobState
 from .sim import SimulatedCrash, VirtualClock
 
 __all__ = ["DeviceWorker", "FleetScheduler"]
@@ -77,12 +79,15 @@ WorkItem = Union[PlacementDecision, ArrayExecutor]
 
 
 class DeviceWorker:
-    """One device of the fleet: an engine bound to a device plus its queue."""
+    """One device of the fleet: its spec, its work queue and its timeline
+    (``sim_time``, see :func:`repro.runtime.sim.charge_epoch`); ``engine``
+    is the fleet's one engine."""
 
     def __init__(self, device: DeviceSpec, engine: TrainingArrayEngine):
         self.device = device
         self.engine = engine
         self.plans: Deque[WorkItem] = deque()
+        self.sim_time = 0.0
 
     @property
     def name(self) -> str:
@@ -92,7 +97,7 @@ class DeviceWorker:
     def turn_key(self) -> Tuple[float, str]:
         """What the event loop orders device turns by: the projected
         timeline, then the name (a total, deterministic order)."""
-        return self.engine.sim_time, self.device.name
+        return self.sim_time, self.device.name
 
 
 class FleetScheduler:
@@ -131,9 +136,6 @@ class FleetScheduler:
                  execution: str = "real",
                  clock: Optional[VirtualClock] = None,
                  placement: str = "greedy"):
-        self.queue = JobQueue()
-        self.metrics = metrics if metrics is not None else RuntimeMetrics()
-        self.batcher = Batcher()
         if placement not in ("greedy", "lp"):
             raise ValueError(f"placement must be 'greedy' or 'lp', "
                              f"got {placement!r}")
@@ -153,10 +155,10 @@ class FleetScheduler:
             raise ValueError(f"execution must be 'real' or 'sim', "
                              f"got {execution!r}")
         self.execution = execution
-        #: the fleet-wide virtual clock (sim mode); every per-device
-        #: engine drags it along as its own timeline progresses, and the
-        #: gateway adopts it as its SLO clock.  A real fleet's timelines
-        #: move no clock: they only order device turns
+        #: the fleet-wide virtual clock (sim mode); every device's
+        #: timeline drags it along as it progresses, and the gateway
+        #: adopts it as its SLO clock.  A real fleet's timelines move no
+        #: clock: they only order device turns
         self.clock = clock
         if execution == "sim" and self.clock is None:
             self.clock = VirtualClock()
@@ -165,21 +167,25 @@ class FleetScheduler:
         #: :class:`SimulatedCrash`, killing the device mid-array — the
         #: crash sweep and WAL recovery take over
         self.chaos = None
-        #: durable-checkpoint layer (repro.runtime.checkpoint): shared by
-        #: every per-device engine; `recovery` is the WAL fold of every
-        #: event the fleet and its engines emit
-        self.store = store
+        #: the one engine every device's work runs through, whose queue,
+        #: metrics, batcher and WAL fold (`recovery`) the fleet shares
+        self.engine = TrainingArrayEngine(
+            store=store, checkpoint_every=checkpoint_every,
+            recovery=recovery)
+        if metrics is not None:
+            self.engine.metrics = metrics
+        self.queue = self.engine.queue
+        self.metrics = self.engine.metrics
+        self.batcher = self.engine.batcher
         self.recovery = recovery
-        if recovery is not None:
-            # job ids key the WAL and the store's manifests: never reissue
-            # one a previous process on the same log already used
-            self.queue.reserve_ids(recovery.next_job_id())
+        #: (device profile, workload, width) -> one iteration's price
+        self._epoch_prices: Dict[Tuple, ArrayCostEstimate] = {}
+        self._drive_engine()
         #: guards what another thread may read while a cycle runs: the
         #: in-flight and quarantine tables behind stalled_workers() and
-        #: quarantined_devices().  Work deques and the array-id counter
-        #: belong to the run_cycle caller alone
+        #: quarantined_devices().  Work deques belong to the run_cycle
+        #: caller alone
         self._state_lock = threading.Lock()
-        self._array_ids = itertools.count()
         #: devices the event loop still offers turns this cycle (healthy
         #: and not crashed)
         self._live_workers: Dict[str, DeviceWorker] = {}
@@ -197,23 +203,40 @@ class FleetScheduler:
         #: event loop offers it no turn for the one cycle that follows
         #: (quarantine-then-recover)
         self._quarantined: Set[str] = set()
-        self.workers: Dict[str, DeviceWorker] = {}
-        for device in self.placer.devices:
-            engine = TrainingArrayEngine(
-                queue=self.queue, metrics=self.metrics, device=device,
-                batcher=self.batcher,
-                array_ids=self._array_ids.__next__,
-                store=store, checkpoint_every=checkpoint_every,
-                recovery=recovery,
-                execution=execution, clock=self.clock,
-                precision=getattr(self.placer, "precision", precision),
-                default_workload=getattr(self.placer, "default_workload",
-                                         default_workload))
-            self.workers[device.name] = DeviceWorker(device, engine)
+        self.workers: Dict[str, DeviceWorker] = {
+            device.name: DeviceWorker(device, self.engine)
+            for device in self.placer.devices}
+
+    def _drive_engine(self) -> None:
+        """Point the engine's backend hooks at this fleet's devices (see
+        :class:`~repro.runtime.engine.TrainingArrayEngine`)."""
+        engine = self.engine
+        engine.charge_epoch = self._charge_epoch
+        if self.execution == "sim":
+            engine.execution = "sim"
+            engine.make_physics = sim.SimPhysics
+            engine.result_clock = lambda executor: \
+                self.workers[executor.device_name].sim_time
+
+    def _charge_epoch(self, executor: ArrayExecutor, width: int,
+                      steps: int) -> Tuple[float, int]:
+        """Charge one epoch of a width-``width`` array to the timeline of
+        the device it runs on, priced with the placer's cost-model
+        settings for that device; returns its ``(seconds, samples)``."""
+        worker = self.workers[executor.device_name]
+        workload = executor.workload or self.placer.default_workload
+        key = (profile_key(worker.device), workload, width)
+        estimate = self._epoch_prices.get(key)
+        if estimate is None:
+            estimate = self._epoch_prices[key] = sim.price_epoch(
+                worker.device, self.placer.precision, workload, width)
+        return sim.charge_epoch(
+            worker, estimate, steps,
+            self.clock if self.execution == "sim" else None)
 
     # ------------------------------------------------------------------ #
     # intake and events: the engine's surface, unchanged — the fleet holds
-    # the queue, metrics and recovery manager its engines share
+    # the queue, metrics and recovery manager of its engine
     # ------------------------------------------------------------------ #
     emit = TrainingArrayEngine.emit
     submit = TrainingArrayEngine.submit
@@ -233,8 +256,7 @@ class FleetScheduler:
         self.emit(Event("dequeue", tuple(sub.job_id for sub in batch)))
         cohorts, failures = self.batcher.form_cohorts(batch)
         for sub, error in failures:
-            # every device engine shares this fleet's queue, metrics and WAL
-            next(iter(self.workers.values())).engine._fail_job(sub, error)
+            self.engine._fail_job(sub, error)
 
         # `now` turns on SLO-slack ordering; without a policy there is no
         # gateway clock to read it from
@@ -294,7 +316,7 @@ class FleetScheduler:
 
         Devices run *serially but interleaved along their timelines*: each
         turn, the live device with queued work and the smallest
-        ``(engine.sim_time, name)`` runs its next item until the array
+        ``(sim_time, name)`` runs its next item until the array
         drains, which advances the device's timeline by the cost model's
         price of the epochs it ran.  This visits work in
         the order concurrent devices would finish it, so freed-width
@@ -330,7 +352,7 @@ class FleetScheduler:
             if turn is None:
                 break
             worker, item = turn
-            worker.engine.sim_time = max(worker.engine.sim_time, floor)
+            worker.sim_time = max(worker.sim_time, floor)
             if self._run_item(worker, item, results):
                 del self._live_workers[worker.name]
         return self._finish_cycle(results)
@@ -352,7 +374,7 @@ class FleetScheduler:
         """
         self.heartbeats[worker.name] = self._heartbeat_now()
         if isinstance(item, PlacementDecision):
-            executor = worker.engine.make_executor(item.plan)
+            executor = self.engine.make_executor(item.plan)
         else:
             executor = item
             executor.device_name = worker.name
@@ -360,7 +382,7 @@ class FleetScheduler:
             self._inflight[worker.name] = executor
         crashed = False
         try:
-            out = worker.engine.run_executor(
+            out = self.engine.run_executor(
                 executor,
                 after_epoch=lambda ex: self._after_epoch(worker, ex))
         except Exception:  # noqa: BLE001 — device must outlive any array
@@ -389,9 +411,7 @@ class FleetScheduler:
         # Belt and braces: an executor re-homed off a crashed device just
         # now must not outlive the cycle — finish it on its new device.
         for executor in self._flush_orphans():
-            worker = self.workers.get(executor.device_name) or \
-                next(iter(self.workers.values()))
-            results.extend(worker.engine.run_executor(executor))
+            results.extend(self.engine.run_executor(executor))
         return results
 
     def _recover_crashed(self, name: str, executor: ArrayExecutor) -> None:
@@ -415,7 +435,10 @@ class FleetScheduler:
         for item in stranded:
             item = self._rehome(item)
             if item is not None:
-                self.workers[item.device_name].plans.append(item)
+                target = self.workers[item.device_name]
+                # a healthy device takes it over no earlier than the crash
+                target.sim_time = max(target.sim_time, worker.sim_time)
+                target.plans.append(item)
         live = [slot.sub for slot in executor.slots
                 if slot.sub.state in (JobState.SCHEDULED, JobState.RUNNING)]
         self.emit(Event("crash", tuple(sub.job_id for sub in live),
@@ -423,7 +446,7 @@ class FleetScheduler:
         # requeue inserts at the front — reversed() preserves slot order,
         # so the recovered cohort re-fuses in the original slot layout
         for sub in reversed(live):
-            worker.engine._refresh_resume(sub)
+            self.engine._refresh_resume(sub)
             self.queue.requeue(sub)
 
     def _flush_orphans(self) -> List[ArrayExecutor]:
@@ -456,7 +479,7 @@ class FleetScheduler:
         # freed-width admission from the shared queue (emits freed
         # capacity back to the scheduler the moment eviction creates it);
         # an executor's width cap is its device's (see _rehome)
-        worker.engine.refill_from_queue(
+        self.engine.refill_from_queue(
             executor,
             key=self.admission.rank if self.admission is not None else None)
         self._preempt_for_deadlines(worker, executor)
@@ -477,27 +500,19 @@ class FleetScheduler:
         policy = self.admission
         if policy is None or executor.solo or executor.done:
             return
-        batcher = worker.engine.batcher
-        profile = executor.admission_profile
-        candidates = [sub for sub in self.queue.pending_jobs()
-                      if not sub.solo and not sub.cancel_requested
-                      and sub.job_id not in executor.admission_rejects
-                      and policy.at_risk(sub)
-                      and batcher.admission_profile(sub) == profile]
-        # confirm exact structure *before* nominating victims: the cheap
-        # profile has false positives, and detaching slots for a job that
-        # then fails structural admission would delay the victims for
-        # nothing (a lookup per builder; never a second template build)
+        # the whole boarding rule, structure included, *before* nominating
+        # victims: detaching slots for a job that then fails structural
+        # admission would delay the victims for nothing
         at_risk = []
-        for sub in candidates:
+        for sub in self.queue.pending_jobs():
+            if not policy.at_risk(sub):
+                continue
             try:
-                structure = batcher.structural_signature(sub)
+                boards = self.engine.may_board(executor, sub)
             except Exception:  # noqa: BLE001 — job-provided builder
                 continue           # refill will fail it properly later
-            if structure != executor.structural_sig:
-                executor.admission_rejects.add(sub.job_id)
-                continue
-            at_risk.append(sub)
+            if boards:
+                at_risk.append(sub)
         if not at_risk:
             return
         need = len(at_risk) - executor.freed_width
@@ -512,7 +527,7 @@ class FleetScheduler:
             executor.array_id, worker.name,
             data=tuple(slot.job.tenant for slot in detached.slots)))
         worker.plans.append(detached)
-        worker.engine.refill_from_queue(executor, key=policy.rank)
+        self.engine.refill_from_queue(executor, key=policy.rank)
 
     # ------------------------------------------------------------------ #
     # taking work: the turn rule
@@ -593,8 +608,8 @@ class FleetScheduler:
         timeline has advanced (a cost-model projection on either backend;
         only sim mode also runs its clock on it).  Zero before any work
         ran."""
-        return max((worker.engine.sim_time
-                    for worker in self.workers.values()), default=0.0)
+        return max((worker.sim_time for worker in self.workers.values()),
+                   default=0.0)
 
     def quarantined_devices(self) -> List[str]:
         """Devices currently quarantined after a crash (no new work)."""

@@ -31,12 +31,12 @@ how a tuning batch larger than the device's cap is split.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hwsim import (A100, RTX6000, TPU_V3, V100, ArrayCostEstimate,
                      DeviceSpec, WorkloadSpec, estimate_array_cost,
-                     get_workload, max_models)
+                     get_workload, max_models, profile_key)
 from .batcher import Cohort
 from .policy import ArrayPlan
 from .sim import _WidthProbe
@@ -130,7 +130,7 @@ class FleetPlacer:
         # difference between O(fleet) and O(device types) per decision,
         # and what keeps 100k-job simulations inside a test budget.
         self._profile_keys: Dict[str, Tuple] = {
-            d.name: astuple(d)[1:] for d in self.devices}
+            d.name: profile_key(d) for d in self.devices}
         self._cap_cache: Dict[Tuple, int] = {}
         self._est_cache: Dict[Tuple, ArrayCostEstimate] = {}
         self._replan_cache: Dict[Tuple, Tuple[DeviceSpec,
@@ -143,9 +143,10 @@ class FleetPlacer:
     # cost-model caching
     # ------------------------------------------------------------------ #
     def _profile_key(self, device: DeviceSpec) -> Tuple:
-        """The device's cost-model identity (every field but the name)."""
+        """The device's cost-model identity (:func:`repro.hwsim.profile_key`),
+        looked up by name for the fleet's own devices."""
         key = self._profile_keys.get(device.name)
-        return key if key is not None else astuple(device)[1:]
+        return key if key is not None else profile_key(device)
 
     def _base_estimate(self, workload: WorkloadSpec, device: DeviceSpec,
                        width: int) -> ArrayCostEstimate:

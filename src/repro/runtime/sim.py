@@ -16,12 +16,11 @@ Three pieces:
   callable, so it drops straight into every seam that already accepts an
   injectable clock (``ServingGateway(clock=...)``, token buckets, SLO
   settlement, heartbeats).
-* :class:`SimPhysics` — the physics object a sim engine's
-  :class:`~repro.runtime.engine.ArrayExecutor` holds instead of
-  :class:`~repro.runtime.engine.FusedPhysics`: an epoch lasts ``steps *
-  iteration_time_s`` from the cost model instead of running a train loop,
-  loss curves come from a deterministic synthetic decay (or the job's own
-  ``sim_loss`` callable), and there is nothing to fuse, merge, split or
+* :class:`SimPhysics` — the physics object an ``execution="sim"``
+  fleet's :class:`~repro.runtime.engine.ArrayExecutor` holds instead of
+  :class:`~repro.runtime.engine.FusedPhysics`: loss curves come from a
+  deterministic synthetic decay (or the job's own ``sim_loss`` callable)
+  instead of a train loop, and there is nothing to fuse, merge, split or
   export — no model is ever built, so results carry no checkpoint.  The
   executor above it — lifecycle transitions, stop signals, accounting,
   journaling and checkpoint-manifest writes — is the one real arrays use.
@@ -41,10 +40,12 @@ Determinism: given the same jobs, fleet and seeds, a simulation is fully
 deterministic — the fleet's event loop is serial (devices take turns in
 ``(timeline, name)`` order, on either backend), synthetic losses are pure
 functions of the step index, and every queue/placement tie-break is
-already deterministic.  Device timelines advance by :func:`charge_epoch`
-on both backends, so a real fleet makes the same scheduling decisions as
-its simulation by construction; the real-vs-sim equivalence tests pin
-this down on one- and two-device fleets.
+already deterministic.  Every epoch is priced once (:func:`price_epoch`,
+on the device ``executor.device_name`` names) and charged to that
+device's timeline (:func:`charge_epoch`) on both backends, so a real fleet
+makes the same scheduling decisions as its simulation by construction;
+the real-vs-sim equivalence tests pin this down on one- and two-device
+fleets.
 
 The placement optimizer (:mod:`repro.runtime.placement_lp`) obeys the
 same rule: its wall-clock solver latency is *recorded* in the metrics but
@@ -61,15 +62,11 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..hwsim import V100, estimate_array_cost, get_workload
+from ..hwsim import estimate_array_cost, get_workload
 from .queue import SubmittedJob, TrainingJob
 
 __all__ = ["VirtualClock", "SimulatedCrash", "TraceReplayer",
            "charge_epoch", "default_sim_loss"]
-
-#: standalone sim engines (no fleet, no device) price epochs on the
-#: paper's baseline evaluation GPU
-DEFAULT_SIM_DEVICE = V100
 
 
 class VirtualClock:
@@ -140,54 +137,45 @@ class _WidthProbe:
     steps: int
 
 
-def price_epoch(engine, workload: str, width: int):
-    """The cost model's estimate for one iteration of a width-``width``
-    array on ``engine``'s device (:func:`repro.hwsim.estimate_array_cost`,
-    memoized per (workload, width) on the engine)."""
-    workload = workload or engine.sim_workload
-    key = (workload, width)
-    est = engine._sim_cost_cache.get(key)
-    if est is None:
-        device = engine.device if engine.device is not None \
-            else DEFAULT_SIM_DEVICE
-        est = estimate_array_cost(
-            _WidthProbe(width, 1), device, engine.sim_precision,
-            workload=get_workload(workload))
-        engine._sim_cost_cache[key] = est
-    return est
+def price_epoch(device, precision: str, workload: str, width: int):
+    """The cost model's price of one iteration of a width-``width``
+    ``workload`` array on ``device`` (:func:`repro.hwsim.estimate_array_cost`,
+    called through this module's global)."""
+    return estimate_array_cost(_WidthProbe(width, 1), device, precision,
+                               workload=get_workload(workload))
 
 
-def charge_epoch(engine, workload: str, width: int, steps: int) -> None:
-    """Charge one epoch to ``engine``'s device timeline.
+def charge_epoch(worker, estimate, steps: int,
+                 clock: "VirtualClock | None" = None) -> Tuple[float, int]:
+    """Charge one epoch to the device ``worker``'s timeline.
 
-    An epoch of a width-``width`` array costs ``steps * iteration_time_s``
-    as priced by :func:`price_epoch`.  ``engine.sim_time`` advances by
-    that amount on *both* execution backends (the executor charges every
-    epoch it steps) — it is what the fleet's event loop orders device
-    turns by — and a sim engine drags the shared :class:`VirtualClock`
-    along, so SLO deadlines, token buckets and placement slack all see
-    consistent virtual time.  A real engine's clock is the wall clock: the
-    projection never touches it.
+    ``steps`` iterations priced ``estimate`` (:func:`price_epoch`) advance
+    ``worker.sim_time`` on both backends — the fleet orders device turns
+    by it — and drag a simulated fleet's ``clock`` along, so SLO
+    deadlines, token buckets and placement slack see consistent virtual
+    time.  Returns the epoch's ``(seconds, samples)``.
     """
-    engine.sim_time += steps * price_epoch(engine, workload,
-                                           width).iteration_time_s
-    if engine.execution == "sim":
-        engine.clock.advance_to(engine.sim_time)
+    seconds = steps * estimate.iteration_time_s
+    worker.sim_time += seconds
+    if clock is not None:
+        clock.advance_to(worker.sim_time)
+    return seconds, int(estimate.throughput * seconds)
 
 
 class SimPhysics:
     """The physics of a *simulated* array: virtual time, no weights.
 
-    What ``execution="sim"`` engines hand their executors; the six-method
-    protocol is documented on :class:`~repro.runtime.engine.FusedPhysics`.
-    A simulated slot's whole training state is its progress counter and
-    loss curve, and the executor owns both — so this object is stateless:
-    narrowing, detaching and merging leave nothing to move.
+    What an ``execution="sim"`` fleet's engine hands its executors; the
+    six-method protocol is documented on
+    :class:`~repro.runtime.engine.FusedPhysics`.  A simulated slot's whole
+    training state is its progress counter and loss curve, and the
+    executor owns both — so this object is stateless: narrowing, detaching
+    and merging leave nothing to move.  Nor is its time its own: an epoch
+    lasts what :func:`charge_epoch` charges the array's device.
     """
 
     def __init__(self, engine, plan):
-        self.engine = engine
-        self.workload = plan.workload
+        pass
 
     def build(self, subs: Sequence[SubmittedJob], mate=None
               ) -> List[SubmittedJob]:
@@ -195,15 +183,12 @@ class SimPhysics:
         return list(subs)
 
     def step(self, slots: Sequence, steps: int) -> Tuple[float, int]:
-        """One epoch lasts what :func:`charge_epoch` charges the device's
-        timeline for it at the array's current width."""
-        est = price_epoch(self.engine, self.workload, len(slots))
-        seconds = steps * est.iteration_time_s
+        """Extend every slot's loss curve; no wall time, no samples."""
         for slot in slots:
             fn = getattr(slot.job, "sim_loss", None) \
                 or functools.partial(default_sim_loss, slot.job)
             slot.curve.extend(fn(slot.progress + i) for i in range(steps))
-        return seconds, int(est.throughput * seconds)
+        return 0.0, 0
 
     def take(self, indices: Sequence[int]) -> "SimPhysics":
         return self

@@ -315,6 +315,19 @@ class TestEngineCheckpointing:
         assert corrupt == [{"type": "corrupt", "job_id": ids[0],
                             "digest": flipped[0]}]
 
+    def test_an_engine_on_a_used_log_issues_fresh_job_ids(self, tmp_path):
+        """Job ids key the WAL and the store's manifests: a standalone
+        engine wired to a log an earlier engine wrote must number its jobs
+        past that engine's, or a restart recovers neither twin."""
+        store = CheckpointStore(tmp_path)
+        first = TrainingArrayEngine(store=store,
+                                    recovery=RecoveryManager(store))
+        assert first.submit_all(make_jobs(2)) == [0, 1]
+        second = TrainingArrayEngine(store=store,
+                                     recovery=RecoveryManager(store))
+        assert second.submit_all(make_jobs(2)) == [2, 3]
+        assert sorted(RecoveryManager(store).unsettled()) == [0, 1, 2, 3]
+
     def test_quarantine_without_store_restarts_from_scratch(self):
         """The pre-durability behavior still holds without a store: the
         quarantined jobs retrain solo from step 0 (and stay correct)."""

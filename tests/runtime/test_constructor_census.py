@@ -3,8 +3,8 @@
 Every keyword below is one some workload, example or benchmark passes;
 adding one means editing this file, which is the point.  Removed keywords
 (comparator forks, never-set knobs, the fleet's deleted defragmentation
-and live-array migration) must fail loudly, by name, rather than be
-swallowed.
+and live-array migration, the wiring of the fleet's deleted per-device
+engines) must fail loudly, by name, rather than be swallowed.
 """
 
 import inspect
@@ -20,9 +20,7 @@ from repro.runtime import ArrayExecutor, Batcher, CheckpointStore, \
 FLEET = ("devices", "placer", "metrics", "max_width", "precision",
          "default_workload", "admission", "store",
          "checkpoint_every", "recovery", "execution", "clock", "placement")
-ENGINE = ("policy", "batcher", "metrics", "queue", "device", "array_ids",
-          "store", "checkpoint_every", "recovery", "execution", "clock",
-          "precision", "default_workload")
+ENGINE = ("policy", "store", "checkpoint_every", "recovery")
 GATEWAY = ("tenants", "fleet", "max_pending", "clock", "fleet_kwargs")
 
 REMOVED = [
@@ -41,6 +39,16 @@ REMOVED = [
     (TrainingArrayEngine, "persist_on_evict", False),
     (TrainingArrayEngine, "checkpoint_incremental", False),
     (TrainingArrayEngine, "pool", None),
+    # a fleet drives one engine and re-points its backend itself
+    (TrainingArrayEngine, "batcher", None),
+    (TrainingArrayEngine, "metrics", None),
+    (TrainingArrayEngine, "queue", None),
+    (TrainingArrayEngine, "device", None),
+    (TrainingArrayEngine, "array_ids", None),
+    (TrainingArrayEngine, "execution", "sim"),
+    (TrainingArrayEngine, "clock", None),
+    (TrainingArrayEngine, "precision", "amp"),
+    (TrainingArrayEngine, "default_workload", "pointnet_cls"),
     (Batcher, "tenant_isolation", True),
     (Batcher, "infusible_keys", ()),
     (JobQueue, "max_pending", 1),

@@ -321,19 +321,20 @@ class TestWorkOffADeadDevice:
         assert record.sim_seconds == on_v100
         assert on_v100 != fleet.placer.estimate(shape, A100).train_seconds
 
-    def test_preempted_child_stranded_behind_a_crash_is_capped(
-            self, tmp_path):
-        """A preempted child queued behind its crashing parent moves to
-        the V100 with the V100's width cap, so the freed-width admissions
-        that refill it there stop at 9."""
+    @staticmethod
+    def stranded_child(tmp_path):
+        """A 16-wide hog array on the A100 preempts one slot for an
+        at-risk job at its first epoch boundary; the A100 dies while the
+        preempted child waits behind its parent.  Returns the armed
+        gateway, the hogs' and the at-risk job's tickets, and the kill
+        log (nothing has run yet)."""
         store = CheckpointStore(tmp_path)
-        recovery = RecoveryManager(store)
         gateway = ServingGateway(
             tenants=[TenantSpec("hog", weight=1.0, priority=0),
                      TenantSpec("slo", weight=1.0, priority=2)],
             devices=(V100, A100), max_width=16, execution="sim",
-            store=store, checkpoint_every=1, recovery=recovery)
-        fleet = gateway.fleet
+            store=store, checkpoint_every=1,
+            recovery=RecoveryManager(store))
         slo = []
 
         def submit_slo(epochs, curve):
@@ -343,22 +344,89 @@ class TestWorkOffADeadDevice:
                     make_sim_job(99, steps=8, tenant="slo"), deadline_s=0.0))
             return False
 
-        fired = kill_once(fleet, "A100", when=lambda f: any(
+        fired = kill_once(gateway.fleet, "A100", when=lambda f: any(
             isinstance(item, ArrayExecutor)
             for item in f.workers["A100"].plans))
         hogs = [gateway.submit(make_sim_job(
                     i, steps=8, tenant="hog",
                     stop=submit_slo if i == 0 else None)).job_id
                 for i in range(16)]
+        return gateway, hogs, slo, fired
+
+    def test_preempted_child_stranded_behind_a_crash_is_capped(
+            self, tmp_path):
+        """A preempted child queued behind its crashing parent moves to
+        the V100 with the V100's width cap, so the freed-width admissions
+        that refill it there stop at 9."""
+        gateway, hogs, slo, fired = self.stranded_child(tmp_path)
+        fleet = gateway.fleet
         results = gateway.run_until_idle()
 
         assert fired and fleet.metrics.workers_crashed == 1
         assert fleet.metrics.jobs_preempted == 1
         assert set(results) == set(hogs) | {slo[0].job_id}
         assert fleet.metrics.jobs_completed == 17
-        assert recovery.unsettled() == {}
+        assert fleet.recovery.unsettled() == {}
         assert_arrays_fit_their_devices(fleet)
         child, = [result.array_id for result in results.values()
                   if result.preemptions]
         record, = [r for r in fleet.metrics.records if r.array_id == child]
         assert (record.device, record.width_cap) == ("V100", 9)
+
+    def test_a_rehomed_child_trains_on_its_new_device_timeline(
+            self, tmp_path):
+        """The stranded child re-homed to the V100 is the V100's work:
+        each of its epochs, from the crash on, is priced for the V100 and
+        charged to the V100's timeline alone, its results finish on that
+        timeline, and the dead A100's timeline stops at the crash."""
+        gateway, _, _, fired = self.stranded_child(tmp_path)
+        fleet = gateway.fleet
+        assert len({id(worker.engine)
+                    for worker in fleet.workers.values()}) == 1
+
+        def timelines():
+            return {name: worker.sim_time
+                    for name, worker in fleet.workers.items()}
+
+        kill, at_crash = fleet.chaos, []
+
+        def chaos(device_name, executor):
+            if kill(device_name, executor):
+                at_crash.append(timelines())
+                return True
+            return False
+
+        charge, charges = fleet.engine.charge_epoch, []
+
+        def logged(executor, width, steps):
+            before = timelines()
+            priced = charge(executor, width, steps)
+            after = timelines()
+            charges.append((executor.array_id, executor.device_name, width,
+                            steps, priced[0],
+                            {name for name in after
+                             if after[name] != before[name]},
+                            after["V100"]))
+            return priced
+
+        fleet.chaos, fleet.engine.charge_epoch = chaos, logged
+        results = gateway.run_until_idle()
+
+        assert fired and len(at_crash) == 1
+        assert fleet.workers["A100"].sim_time == at_crash[0]["A100"]
+        child, = {result.array_id for result in results.values()
+                  if result.preemptions}
+        epochs = [entry for entry in charges if entry[0] == child]
+        # the V100 takes the child over no earlier than the crash
+        _, _, _, _, seconds, _, v100 = epochs[0]
+        assert v100 - seconds >= at_crash[0]["A100"]
+        v100_times = set()
+        for _, device, width, steps, seconds, moved, v100 in epochs:
+            shape = SimpleNamespace(workload=None, num_models=width,
+                                    steps=steps)
+            assert (device, moved) == ("V100", {"V100"})
+            assert seconds == fleet.placer.estimate(shape, V100).train_seconds
+            v100_times.add(v100)
+        finished = [result.finished_at for result in results.values()
+                    if result.array_id == child]
+        assert finished and set(finished) <= v100_times
