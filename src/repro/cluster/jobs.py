@@ -36,9 +36,3 @@ class JobRecord:
     @property
     def gpu_hours(self) -> float:
         return self.duration_hours * self.num_gpus
-
-    @property
-    def is_single_gpu(self) -> bool:
-        """Single-GPU job: one GPU, no multi-node placement constraint."""
-        return self.num_gpus == 1 and self.num_nodes == 1 \
-            and not self.requests_specific_node

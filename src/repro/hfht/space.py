@@ -74,9 +74,6 @@ class SearchSpace:
     def names(self) -> List[str]:
         return [p.name for p in self.parameters]
 
-    def fusible_names(self) -> List[str]:
-        return [p.name for p in self.parameters if p.fusible]
-
     def infusible_names(self) -> List[str]:
         return [p.name for p in self.parameters if not p.fusible]
 

@@ -119,29 +119,3 @@ class BertMaskedLM(nn.Module):
             h = layer(h)
         h = self.mlm_norm(self.mlm_act(self.mlm_transform(h)))
         return self.mlm_output(h)
-
-    def mlm_loss(self, token_ids, targets, mask=None) -> Tensor:
-        """Masked-LM cross entropy.
-
-        ``mask`` selects which positions contribute (1 = masked position to
-        predict); when omitted every position contributes (useful for tiny
-        smoke tests).  Fused, each model's loss is the mean over its own
-        masked positions, exactly as if it were trained alone.
-        """
-        logits = self.forward(token_ids)
-        tgt = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-        vocab = self.config.vocab_size
-        if mask is None:
-            if not self.lib.fused:
-                logits, tgt = logits.reshape(-1, vocab), tgt.reshape(-1)
-            return self.lib.CrossEntropyLoss()(logits, tgt)
-        # models mask different numbers of positions, so each takes its own
-        # serial criterion call over its own rows
-        keep = np.asarray(mask).astype(bool)
-        if not self.lib.fused:
-            tgt, keep = tgt[None], keep[None]
-        criterion = nn.CrossEntropyLoss()
-        losses = [criterion(out.reshape(-1, vocab)[idx], t.reshape(-1)[idx])
-                  for out, t, idx in zip(self.lib.split_outputs(logits), tgt,
-                                         map(np.flatnonzero, keep))]
-        return sum(losses[1:], losses[0])

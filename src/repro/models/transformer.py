@@ -76,11 +76,3 @@ class TransformerLM(nn.Module):
             h = layer(h)
         h = self.norm(h)
         return self.output(h)
-
-    def lm_loss(self, token_ids, targets) -> Tensor:
-        """Cross-entropy next-token loss (the library's criterion)."""
-        logits = self.forward(token_ids)
-        tgt = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-        if not self.lib.fused:
-            logits, tgt = logits.reshape(-1, self.vocab_size), tgt.reshape(-1)
-        return self.lib.CrossEntropyLoss()(logits, tgt)

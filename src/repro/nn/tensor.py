@@ -141,10 +141,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numel(self) -> int:
-        """Number of elements (PyTorch-compatible alias for :attr:`size`)."""
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
@@ -638,9 +634,6 @@ class Tensor:
 
     def __le__(self, other) -> "Tensor":
         return Tensor(self.data <= _as_array(other))
-
-    def eq(self, other) -> "Tensor":
-        return Tensor(self.data == _as_array(other))
 
 
 _CONSUMED = "backward() through a graph an earlier backward() consumed"

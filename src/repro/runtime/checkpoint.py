@@ -382,14 +382,6 @@ class CheckpointStore:
                 ids.append(int(entry[len("job-"):-len(".json")]))
         return sorted(ids)
 
-    def object_count(self) -> int:
-        """Distinct content-addressed objects currently on disk."""
-        count = 0
-        for _, _, files in os.walk(self._objects_dir):
-            count += sum(1 for f in files if not f.endswith(".json")
-                         and ".tmp." not in f)
-        return count
-
 
 # --------------------------------------------------------------------- #
 # the write-ahead log and restart logic

@@ -6,13 +6,28 @@ data path::
     queue.pop_pending()                      (queue.py)
       -> batcher.form_cohorts()              (batcher.py)   which jobs fuse?
       -> policy.plan()                       (policy.py)    how wide?
-      -> run_executor() per plan             (this module)
+      -> the turn loop over the plans        (this module)  which core?
            ArrayExecutor: PENDING -> FUSED -> STEPPING
              step_epoch() x epochs           per-slot progress + stop signals
              evict finished slots            (hfta.fusion.split_fused)
              admit queued jobs into freed width  (hfta.fusion.merge_fused)
            -> DRAINED, JobResult per job     (hfta.fusion.export_to_unfused)
       -> emit(Event("array", record))        (metrics.py)
+
+The turn loop runs a cycle's arrays side by side, one per CPU this
+process may use (:mod:`repro.runtime.shards`).  An array whose slots hold
+less than ``shards.MIN_SLOT_BYTES`` trains whole on a free core — this
+process first, then each shard worker — beside the cycle's other such
+arrays.  An array of larger slots runs alone: cut across every core, or
+in this process when it cannot be cut (width 1, or a model that drops).
+On one CPU the arrays run one after another.  Each *turn* is one epoch of
+every live array, in three steps: start every array's epoch (one request
+to each worker, its batches in the worker's shared buffer), step this
+process's parts meanwhile, then, in the order the arrays started, finish
+each epoch and do its boundary work — retirement, cadence checkpoints,
+admission — with per-array failure isolation.  A drained array's core
+takes the next plan.  :meth:`TrainingArrayEngine.run_executor` is the
+same loop with one array, kept in this process.
 
 The monolithic run-to-completion loop of the earlier runtime became the
 :class:`ArrayExecutor` *state machine*: an array is trained epoch by epoch,
@@ -45,12 +60,14 @@ never *what* it learns.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
+    Set, Tuple
 
 import numpy as np
 
@@ -198,9 +215,10 @@ class _Shard:
                    loss_key, scaffold)
 
     def step(self, fetch: Callable[[int], List], steps: int
-             ) -> Tuple[List[List[float]], int]:
+             ) -> Tuple[List[List[float]], int, float]:
         """Train ``steps`` steps on ``fetch(i)``, step ``i``'s ``(x, y)``
-        per slot: (each step's per-slot losses, samples)."""
+        per slot: (each step's per-slot losses, samples, seconds)."""
+        start = time.perf_counter()
         per_step, samples = [], 0
         with self.arena.active():
             for i in range(steps):
@@ -222,7 +240,7 @@ class _Shard:
                 # the root dies here, not after the next forward: two
                 # steps' activations never coexist in the arena
                 del losses
-        return per_step, samples
+        return per_step, samples, time.perf_counter() - start
 
     def take(self, indices: Sequence[int]) -> _Shard:
         fused = split_fused(self.fused, indices)
@@ -240,6 +258,12 @@ class _Shard:
         for shard in (self, other):
             pool.release_all(shard._allocations())
         return _Shard(fused, optimizer, self.loss_key, self.scaffold)
+
+    def merged(self, fused: Module, optimizer) -> _Shard:
+        """A worker's :meth:`merge` with slots the parent built: this
+        shard's, then those of ``fused`` and its ``optimizer``."""
+        return self.merge(_Shard(fused, optimizer, self.loss_key),
+                          BufferPool())
 
     def _allocations(self) -> List[np.ndarray]:
         """A dead structure's arrays, for recycling into the buffer pool.
@@ -281,6 +305,13 @@ class _Shard:
 class _RemoteShard(shards.Remote):
     """A :class:`_Shard` a worker holds, with the same methods."""
 
+    def merged(self, shard: _Shard) -> _RemoteShard:
+        """This shard's slots, then ``shard``'s, merged in the worker."""
+        oid = next(self.worker.ids)
+        self.worker.call((oid, self.oid, "merged",
+                          (shard.fused, shard.optimizer)))
+        return type(self)(self.worker, oid, self.width + shard.width)
+
     def export(self, index: int, template: Module) -> Module:
         template.load_state_dict(self.call("exported", index))
         return template
@@ -321,12 +352,22 @@ class FusedPhysics:
     each a :class:`_Shard` in this process or a :class:`_RemoteShard` in a
     shard worker.  ``build`` cuts an array of large slots into one run per
     allowed CPU (:func:`repro.runtime.shards.split`), the lowest here;
-    otherwise, and always at width 1, the array is one ``_Shard``.  An
-    array whose template drops (an ``nn.Dropout`` or ``nn.Dropout2d`` with
-    ``p > 0``) is never cut: each shard would draw its own mask from a
-    copy of the layer's generator, so the masks would follow the CPU
-    count.  A step sends each worker its shards' batches, steps this
-    process's shards meanwhile, then collects the workers' losses.
+    otherwise, and always at width 1, the array is one run: here, or in
+    the shard worker ``host`` when the engine's turn loop gave the array
+    that worker's core (:meth:`whole` says whether it may).  An array
+    whose template drops (an ``nn.Dropout`` or ``nn.Dropout2d`` with
+    ``p > 0``) is never cut: each shard would draw its own mask from a copy
+    of the layer's generator, so the masks would follow the CPU count.
+    Newcomers absorbed into an array that trains whole in a worker are
+    merged into it there.
+
+    ``step`` is three calls, which the turn loop spreads over a turn of
+    several arrays: :meth:`start` puts each worker's batches in its shared
+    buffer and sends it its parts' request, :meth:`_Epoch.here` steps this
+    process's parts meanwhile, and :meth:`_Epoch.finish` collects the
+    workers' losses.  The epoch's seconds are the array's own: the
+    slowest host's step time, a worker's counted with the time taken here
+    to fetch and put its batches.
 
     The eight re-fusion primitives are called through this module's
     globals, which is where ``bench_e2e.tracing`` measures them — in this
@@ -337,6 +378,20 @@ class FusedPhysics:
         self.engine = engine
         self.loss_key = plan.jobs[0].job.loss
         self.parts: List = []
+        #: the shard worker ``build`` puts the whole array in, if any
+        self.host: Optional[shards.Worker] = None
+
+    def whole(self, subs: Sequence[SubmittedJob]) -> bool:
+        """Whether the array of ``subs`` trains whole on one core, beside
+        other arrays: its slots hold less than
+        :data:`~repro.runtime.shards.MIN_SLOT_BYTES`.  Reads the first
+        template that builds (memoized; a builder that raises is left to
+        :meth:`build`)."""
+        for sub in subs:
+            with contextlib.suppress(Exception):  # job-provided builder
+                template = self.engine.batcher.build_template(sub)
+                return _slot_bytes(template) < shards.MIN_SLOT_BYTES
+        return True
 
     def build(self, subs: Sequence[SubmittedJob],
               mate: Optional[SubmittedJob] = None) -> List[SubmittedJob]:
@@ -360,24 +415,32 @@ class FusedPhysics:
         validate_fusibility(
             ([mate.template] if mate is not None else []) + templates)
         configs = [sub.job.config for sub in boarded]
-        slot_bytes = sum(p.data.nbytes for p in templates[0].parameters())
-        runs = ([(0, len(boarded), None)] if _drops(templates[0])
-                else shards.split(len(boarded), slot_bytes))
+        if self.host is not None:
+            runs = [(0, len(boarded), self.host)]
+        elif _drops(templates[0]):
+            runs = [(0, len(boarded), None)]
+        else:
+            runs = shards.split(len(boarded), _slot_bytes(templates[0]))
         job, remote, posted = boarded[0].job, [], []
 
-        def fuse_all() -> Module:
+        def fuse_all() -> Optional[Module]:
             # the workers unpickle theirs while this process fuses its own
-            for lo, hi, worker in runs[1:]:
-                remote.append(_RemoteShard.make(
-                    worker, hi - lo, _Shard.remote,
-                    self._fuse(job, templates[lo:hi]), configs[lo:hi],
-                    self.loss_key, templates[lo]))
-                posted.append(worker)
-            return self._fuse(job, templates[:runs[0][1]])
+            for lo, hi, worker in runs:
+                if worker is not None:
+                    remote.append(_RemoteShard.make(
+                        worker, hi - lo, _Shard.remote,
+                        self._fuse(job, templates[lo:hi]), configs[lo:hi],
+                        self.loss_key, templates[lo]))
+                    posted.append(worker)
+            _, width, worker = runs[0]
+            return None if worker is not None else \
+                self._fuse(job, templates[:width])
         here, _ = shards.overlap(posted, fuse_all)
-        width = runs[0][1]
-        optimizer = make_fused_optimizer(here, configs[:width], width)
-        self.parts = [_Shard(here, optimizer, self.loss_key)] + remote
+        self.parts = remote
+        if here is not None:
+            width = runs[0][1]
+            optimizer = make_fused_optimizer(here, configs[:width], width)
+            self.parts = [_Shard(here, optimizer, self.loss_key)] + remote
         return boarded
 
     @staticmethod
@@ -409,31 +472,28 @@ class FusedPhysics:
             index -= part.width
         raise IndexError("slot index out of range")
 
-    def step(self, slots: Sequence[_Slot], steps: int) -> Tuple[float, int]:
-        start = time.perf_counter()
-        runs = self._runs(slots)
+    def start(self, slots: Sequence[_Slot], steps: int) -> _Epoch:
+        """The first third of :meth:`step`: every batch of the epoch's
+        remote parts fetched here (each ``job.data`` is called in this
+        process) and put in its worker's shared buffer, and one request
+        sent to each worker."""
+        epoch = _Epoch(self._runs(slots), steps)
         requests: Dict[shards.Worker, List[Tuple]] = {}
-        for part, run in runs:
+        for part, run in epoch.runs:
             if isinstance(part, _RemoteShard):
-                batches = [_fetch(run, i) for i in range(steps)]
-                requests.setdefault(part.worker, []).append(
-                    part.request("step", batches.__getitem__, steps))
-        here, there = shards.overlap(shards.send(requests), lambda: [
-            part.step(functools.partial(_fetch, run), steps)
-            for part, run in runs if isinstance(part, _Shard)])
-        here = iter(here)
-        there = {worker: iter(replies) for worker, replies in there.items()}
-        samples = 0
-        for part, run in runs:
-            if isinstance(part, _RemoteShard):
-                per_step, count = next(there[part.worker])
-            else:
-                per_step, count = next(here)
-            samples += count
-            for losses in per_step:
-                for slot, value in zip(run, losses):
-                    slot.curve.append(value)
-        return time.perf_counter() - start, samples
+                begin, put = time.perf_counter(), part.worker.put
+                batches = [[tuple(map(put, batch)) for batch in _fetch(run, i)]
+                           for i in range(steps)]
+                requests.setdefault(part.worker, []).append(part.request(
+                    "step", functools.partial(_received, batches), steps))
+                epoch.add(part.worker, time.perf_counter() - begin)
+        epoch.sent = shards.send(requests)
+        return epoch
+
+    def step(self, slots: Sequence[_Slot], steps: int) -> Tuple[float, int]:
+        epoch = self.start(slots, steps)
+        epoch.here()
+        return epoch.finish()
 
     def take(self, indices: Sequence[int]) -> FusedPhysics:
         runs: List[Tuple[object, List[int]]] = []
@@ -455,6 +515,10 @@ class FusedPhysics:
         if isinstance(last, _Shard) and isinstance(first, _Shard):
             joined = [last.merge(first, self.engine.pool)]
             self.parts = self.parts[:-1] + joined + other.parts[1:]
+        elif len(self.parts) == 1 and isinstance(last, _RemoteShard) \
+                and other.parts == [first] and isinstance(first, _Shard):
+            # an array that trains whole in a worker stays whole there
+            self.parts = [last.merged(first)]
         else:
             self.parts = self.parts + other.parts
         other.parts = []
@@ -472,6 +536,88 @@ class FusedPhysics:
         part.load_slot(local, resume.optimizer_state)
 
 
+class _Epoch:
+    """One epoch of a :class:`FusedPhysics` in flight: its workers'
+    requests sent by :meth:`FusedPhysics.start`, then :meth:`here` and
+    :meth:`finish`."""
+
+    def __init__(self, runs: List[Tuple[object, Sequence]], steps: int):
+        self.runs, self.steps = runs, steps
+        #: the workers whose replies are owed
+        self.sent: List[shards.Worker] = []
+        #: seconds of each host's parts (``None``: this process)
+        self.seconds: Dict[Optional[shards.Worker], float] = {}
+        self.local: List[Tuple[List[List[float]], int, float]] = []
+        self.error: Optional[BaseException] = None
+
+    def add(self, host: Optional[shards.Worker], seconds: float) -> None:
+        self.seconds[host] = self.seconds.get(host, 0.0) + seconds
+
+    def here(self) -> None:
+        """Step this process's parts.  A failure is kept for
+        :meth:`finish` to raise once every reply is in."""
+        try:
+            for part, run in self.runs:
+                if isinstance(part, _Shard):
+                    self.local.append(part.step(
+                        functools.partial(_fetch, run), self.steps))
+        except BaseException as exc:  # noqa: BLE001 — raised by finish
+            self.error = exc
+
+    def finish(self) -> Tuple[float, int]:
+        """Collect every reply, append each slot's losses to its curve:
+        ``(seconds, samples)``, the seconds of the slowest host."""
+        sent, self.sent = self.sent, []
+        try:
+            there = shards.receive(sent)
+        except Exception:  # noqa: BLE001 — this process's failure first
+            if self.error is None:
+                raise
+        if self.error is not None:
+            raise self.error
+        here = iter(self.local)
+        replies = {worker: iter(reply) for worker, reply in there.items()}
+        samples = 0
+        for part, run in self.runs:
+            host = part.worker if isinstance(part, _RemoteShard) else None
+            per_step, count, seconds = next(
+                here if host is None else replies[host])
+            self.add(host, seconds)
+            samples += count
+            for losses in per_step:
+                for slot, value in zip(run, losses):
+                    slot.curve.append(value)
+        return max(self.seconds.values()), samples
+
+    def abandon(self) -> None:
+        """Collect the replies of an epoch that will not finish."""
+        with contextlib.suppress(Exception):
+            shards.receive(self.sent)
+        self.sent = []
+
+
+class _OneCall:
+    """The epoch of a physics without :meth:`FusedPhysics.start`: its
+    ``step`` runs whole in :meth:`finish`."""
+
+    def __init__(self, physics, slots: Sequence[_Slot], steps: int):
+        self.physics, self.slots, self.steps = physics, slots, steps
+
+    def here(self) -> None:
+        pass
+
+    def finish(self) -> Tuple[float, int]:
+        return self.physics.step(self.slots, self.steps)
+
+    def abandon(self) -> None:
+        pass
+
+
+def _slot_bytes(template: Module) -> int:
+    """One slot's parameter bytes."""
+    return sum(p.data.nbytes for p in template.parameters())
+
+
 def _drops(model: Module) -> bool:
     """Whether ``model`` holds a dropout layer that drops (``p > 0``)."""
     return any(isinstance(m, (nn.Dropout, nn.Dropout2d)) and m.p > 0
@@ -481,6 +627,14 @@ def _drops(model: Module) -> bool:
 def _fetch(slots: Sequence[_Slot], i: int) -> List:
     """Step ``i`` of an epoch's batch of every slot in ``slots``."""
     return [slot.job.data(slot.progress + i) for slot in slots]
+
+
+def _received(batches: List[List[Tuple]], i: int) -> List[Tuple]:
+    """In a shard worker: step ``i``'s batches, read in place from its
+    shared buffer (``batches`` holds what :meth:`shards.Worker.put`
+    returned)."""
+    return [tuple(shards.view(*array) for array in batch)
+            for batch in batches[i]]
 
 
 class ArrayExecutor:
@@ -497,9 +651,11 @@ class ArrayExecutor:
     lifecycle reaches them; the engine picks the physics, the device
     timeline charge and the result clock once, for every array it runs.
 
-    It is driven by :meth:`TrainingArrayEngine.run_executor`, whose
-    ``after_epoch`` hook is where the fleet admits and preempts
-    (:meth:`detach_slots`).
+    It is driven by the engine's turn loop (:meth:`TrainingArrayEngine.
+    run_cycle`, and :meth:`~TrainingArrayEngine.run_executor`, whose
+    ``after_epoch`` hook is where the fleet admits and preempts,
+    :meth:`detach_slots`), which splits each epoch in three:
+    :meth:`start_epoch`, :meth:`step_here` and :meth:`step_epoch`.
     """
 
     def __init__(self, engine: "TrainingArrayEngine", plan: ArrayPlan,
@@ -542,6 +698,8 @@ class ArrayExecutor:
         self.merges = 0
         self.jobs_served = 0
         self._results: List[JobResult] = []
+        #: the epoch started and not yet finished (``_Epoch``/``_OneCall``)
+        self._epoch = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -651,25 +809,49 @@ class ArrayExecutor:
     # ------------------------------------------------------------------ #
     # STEPPING
     # ------------------------------------------------------------------ #
-    def step_epoch(self) -> List[JobResult]:
-        """Train one epoch, then evict every slot whose stop signal fired.
-
-        Returns the results of the jobs retired at this epoch boundary.
-        An epoch is ``epoch_steps`` gang-scheduled steps, shortened when a
-        slot's budget boundary falls inside it (merged arrays may carry
-        heterogeneous remaining budgets) — no slot ever oversteps.
-        """
+    def start_epoch(self) -> None:
+        """Launch the array if it is pending, and start its epoch: the
+        requests of its parts in shard workers go out.  An epoch is
+        ``epoch_steps`` gang-scheduled steps, shortened when a slot's
+        budget boundary falls inside it (merged arrays may carry
+        heterogeneous remaining budgets) — no slot ever oversteps."""
         if self.state == ArrayState.PENDING:
             self.prepare()
         if not self.slots:
-            self.state = ArrayState.DRAINED
-            return []
+            return
         self.state = ArrayState.STEPPING
-
-        num_models = self.live_width
         steps = min(self.epoch_steps,
                     min(slot.remaining for slot in self.slots))
-        epoch_seconds, samples = self.physics.step(self.slots, steps)
+        start = getattr(self.physics, "start", None)
+        self._epoch = (start(self.slots, steps) if start is not None
+                       else _OneCall(self.physics, self.slots, steps))
+
+    def step_here(self) -> None:
+        """Step the started epoch's parts that train in this process."""
+        if self._epoch is not None:
+            self._epoch.here()
+
+    def abandon_epoch(self) -> None:
+        """Collect the replies of a started epoch that will not finish."""
+        epoch, self._epoch = self._epoch, None
+        if epoch is not None:
+            epoch.abandon()
+
+    def step_epoch(self) -> List[JobResult]:
+        """Train one epoch — or finish the one :meth:`start_epoch` began —
+        then evict every slot whose stop signal fired.
+
+        Returns the results of the jobs retired at this epoch boundary.
+        """
+        if self._epoch is None:
+            self.start_epoch()
+            self.step_here()
+        if not self.slots:
+            self.state = ArrayState.DRAINED
+            return []
+        epoch, self._epoch = self._epoch, None
+        num_models, steps = self.live_width, epoch.steps
+        epoch_seconds, samples = epoch.finish()
         if self.engine.charge_epoch is not None:
             charged = self.engine.charge_epoch(self, num_models, steps)
             if self.engine.execution == "sim":
@@ -1022,18 +1204,18 @@ class TrainingArrayEngine:
     # scheduling cycles
     # ------------------------------------------------------------------ #
     def run_cycle(self, max_jobs: int = 0) -> List[JobResult]:
-        """Drain up to ``max_jobs`` pending jobs through one batching cycle."""
+        """Drain up to ``max_jobs`` pending jobs through one batching
+        cycle.  Its plans' arrays train side by side, one per CPU, in the
+        engine's turn loop (module docstring); the results come in plan
+        order."""
         batch = self.queue.pop_pending(max_jobs)
         if not batch:
             return []
         cohorts, failures = self.batcher.form_cohorts(batch)
         for sub, error in failures:
             self._fail_job(sub, error)
-
-        results: List[JobResult] = []
-        for plan in self.policy.plan(cohorts):
-            results.extend(self.run_executor(self.make_executor(plan)))
-        return results
+        return self._drive(map(self.make_executor,
+                               self.policy.plan(cohorts)))
 
     def run_until_idle(self) -> Dict[int, JobResult]:
         """Run cycles until the queue is empty; results keyed by job id."""
@@ -1055,11 +1237,31 @@ class TrainingArrayEngine:
                      after_epoch: Optional[
                          Callable[[ArrayExecutor], None]] = None
                      ) -> List[JobResult]:
-        """Drive an executor until it drains.
+        """Drive an executor until it drains, in this process: the turn
+        loop of :meth:`run_cycle` with one array.
 
         ``after_epoch`` runs at every epoch boundary (the fleet's
         admission and preemption hook).  Without a hook, the engine's own
         freed-width admission runs instead.
+        """
+        return self._drive(iter([executor]), after_epoch)
+
+    def _drive(self, executors: Iterator[ArrayExecutor],
+               after_epoch: Optional[Callable[[ArrayExecutor], None]] = None
+               ) -> List[JobResult]:
+        """Train the arrays of ``executors`` until each drains, side by
+        side; their results, in the order the arrays started.
+
+        The first array takes this process's core.  The next one starts
+        as soon as a core is free, if it and every live array train whole
+        (:meth:`FusedPhysics.whole`): this process first, then each shard
+        worker.  Otherwise it waits until no array is live: an array of
+        large slots is cut across every core and runs alone, and a physics
+        that cannot place its array (the simulator's) runs one array at a
+        time.  On one CPU arrays run one after another.  Each turn starts
+        every live array's epoch, steps this process's parts meanwhile,
+        then finishes each array's epoch in start order with its
+        epoch-boundary work (:meth:`_turn`).
 
         A failing multi-job array does not fail its jobs outright: its
         still-live jobs are requeued in quarantine (``solo``) and retried
@@ -1068,39 +1270,125 @@ class TrainingArrayEngine:
         cohort-mates down.  Only a width-1 failure is terminal.  Jobs that
         already left the array keep their exported checkpoints.
         """
-        try:
-            while not executor.done:
-                executor.step_epoch()
-                if executor.done:
+        #: (array, core, its results), in the order the arrays started
+        live: List[Tuple[ArrayExecutor, int, List[JobResult]]] = []
+        delivered: List[List[JobResult]] = []
+        upcoming = next(executors, None)
+        while live or upcoming is not None:
+            while upcoming is not None:
+                core = self._free_core([entry[:2] for entry in live],
+                                       upcoming)
+                if core is None:
                     break
-                if after_epoch is not None:
-                    after_epoch(executor)
+                results: List[JobResult] = []
+                delivered.append(results)
+                if core:
+                    upcoming.physics.host = shards.workers()[core - 1]
+                try:
+                    # launched as it is placed: a template is built, and a
+                    # builder called, right before the array it fuses into
+                    if upcoming.state == ArrayState.PENDING:
+                        upcoming.prepare()
+                except Exception as exc:  # noqa: BLE001 — isolate arrays
+                    results.extend(self._failed(upcoming, exc))
                 else:
-                    self.refill_from_queue(executor)
-        except Exception as exc:  # noqa: BLE001 — isolate array failures
-            self.emit(executor.event("array_failed"))
-            live = [slot.sub for slot in executor.slots]
-            executor.slots = []
-            executor.state = ArrayState.DRAINED
-            if len(live) > 1:
-                for sub in reversed(live):
-                    sub.solo = True
-                    # quarantine-then-recover: the solo retry resumes from
-                    # the job's last durable checkpoint when one exists,
-                    # instead of retraining from step 0
-                    self._refresh_resume(sub)
-                    self.queue.requeue(sub)
-            else:
-                for sub in live:
-                    self._fail_job(sub, str(exc))
-            if executor.jobs_served > 0 or executor.slot_steps_total > 0:
-                # the array did real work before failing: jobs already
-                # evicted hold valid checkpoints and their slot-steps back
-                # the efficiency metric — losing the record would leave
-                # completed jobs uncounted
-                self.emit(executor.event("array", executor.record()))
-            return executor.take_results()
+                    if upcoming.done:
+                        results.extend(self._drained(upcoming))
+                    else:
+                        live.append((upcoming, core, results))
+                upcoming = next(executors, None)
+            self._turn(live, after_epoch)
+            # a drained array is dropped here, with its tensors, before
+            # the next one is built
+            live = [entry for entry in live if not entry[0].done]
+        return [result for results in delivered for result in results]
+
+    @staticmethod
+    def _free_core(live: Sequence[Tuple[ArrayExecutor, int]],
+                   upcoming: ArrayExecutor) -> Optional[int]:
+        """The core ``upcoming`` may start on beside the ``live`` arrays
+        (0: this process), or ``None`` if it must wait."""
+        if not live:
+            return 0
+        taken = {core for _, core in live}
+        core = next((core for core in range(shards.cpus())
+                     if core not in taken), None)
+        if core is None:
+            return None
+        for executor in [executor for executor, _ in live] + [upcoming]:
+            whole = getattr(executor.physics, "whole", None)
+            if whole is None or not whole([slot.sub
+                                           for slot in executor.slots]):
+                return None
+        return core
+
+    def _turn(self, live: Sequence[Tuple[ArrayExecutor, int,
+                                          List[JobResult]]],
+              after_epoch: Optional[Callable[[ArrayExecutor], None]]
+              ) -> None:
+        """One epoch of every ``(array, core, results)`` in ``live``:
+        start each, step this process's parts, then finish each in order
+        with its boundary work — retirement and cadence checkpoints
+        (:meth:`ArrayExecutor.step_epoch`), then ``after_epoch`` or
+        freed-width admission.  An array that drains or fails leaves its
+        results in its list."""
+        running = []
+        try:
+            for executor, _, results in live:
+                try:
+                    executor.start_epoch()
+                except Exception as exc:  # noqa: BLE001 — isolate arrays
+                    results.extend(self._failed(executor, exc))
+                else:
+                    running.append((executor, results))
+            for executor, _ in running:
+                executor.step_here()
+            for executor, results in running:
+                try:
+                    executor.step_epoch()
+                    if not executor.done:
+                        if after_epoch is not None:
+                            after_epoch(executor)
+                        else:
+                            self.refill_from_queue(executor)
+                except Exception as exc:  # noqa: BLE001 — isolate arrays
+                    results.extend(self._failed(executor, exc))
+                else:
+                    if executor.done:
+                        results.extend(self._drained(executor))
+        except BaseException:
+            for executor, _ in running:
+                executor.abandon_epoch()
+            raise
+
+    def _drained(self, executor: ArrayExecutor) -> List[JobResult]:
         self.emit(executor.event("array", executor.record()))
+        return executor.take_results()
+
+    def _failed(self, executor: ArrayExecutor, exc: Exception
+                ) -> List[JobResult]:
+        """Failure isolation of one array (:meth:`_drive`)."""
+        self.emit(executor.event("array_failed"))
+        live = [slot.sub for slot in executor.slots]
+        executor.slots = []
+        executor.state = ArrayState.DRAINED
+        if len(live) > 1:
+            for sub in reversed(live):
+                sub.solo = True
+                # quarantine-then-recover: the solo retry resumes from
+                # the job's last durable checkpoint when one exists,
+                # instead of retraining from step 0
+                self._refresh_resume(sub)
+                self.queue.requeue(sub)
+        else:
+            for sub in live:
+                self._fail_job(sub, str(exc))
+        if executor.jobs_served > 0 or executor.slot_steps_total > 0:
+            # the array did real work before failing: jobs already
+            # evicted hold valid checkpoints and their slot-steps back
+            # the efficiency metric — losing the record would leave
+            # completed jobs uncounted
+            self.emit(executor.event("array", executor.record()))
         return executor.take_results()
 
     def _fail_job(self, sub: SubmittedJob, error: str) -> None:

@@ -1,31 +1,45 @@
-"""Shard workers: the processes a large fused array's upper slots train in.
+"""Shard workers: the processes that give a fused array more than one core.
 
-A fused operator carries ``B`` models' independent work.  When each slot
-of an array holds at least :data:`MIN_SLOT_BYTES` of parameters, the
-engine cuts the array into contiguous shards, one per CPU this process may
-use (:func:`split`): the lowest shard trains here, each other one in a
-long-lived worker process, one per allowed CPU beyond the first.  Workers
-are forked lazily (``multiprocessing``'s ``fork`` context), are daemonic,
-and are shared by every engine in the process; one that died is replaced
-by a fresh fork the next time an array is cut.  Width-1 arrays, small
-slots and one-CPU hosts never reach this module, and neither does an array
-whose model drops (an ``nn.Dropout`` or ``nn.Dropout2d`` with ``p > 0``):
-each shard would draw its own mask from a copy of the layer's generator,
-so the masks, and the curves, would follow the CPU count.  Such an array
-trains in one process.
+One constant, :data:`MIN_SLOT_BYTES`, decides how an array uses the CPUs
+this process may run on (:func:`cpus`).  An array whose slots each hold at
+least that many bytes of parameters is *cut*: contiguous shards, one per
+allowed CPU (:func:`split`), the lowest trained here and each other one in
+a long-lived worker process, while the array runs alone.  An array below
+it is never cut: it trains *whole* on a core of its own, beside the
+cycle's other small arrays — this process first, then each worker (the
+engine's turn loop, :mod:`repro.runtime.engine`).  Workers are forked
+lazily (``multiprocessing``'s ``fork`` context), one per allowed CPU beyond
+the first, are daemonic and are shared by every engine in the process;
+one that died is replaced by a fresh fork the next time a worker is
+needed.  One-CPU hosts never reach them, and an array whose model drops
+(an ``nn.Dropout`` or ``nn.Dropout2d`` with ``p > 0``) is never cut: each
+shard would draw its own mask from a copy of the layer's generator, so the
+masks, and the curves, would follow the CPU count.
 
 A worker keeps the objects it was asked to make under integer ids and
 answers one message at a time, strictly request then reply, so two large
 messages are never in flight on one pipe at once.  A message is ``(drop,
-calls)``: the ids whose parent-side handles died, then a list of ``(out,
-target, name, args)`` calls — ``name(*args)`` when ``target`` is ``None``
-(``name`` is then a picklable callable), else the method ``name`` of the
-object ``target`` — whose results are stored under ``out`` when it is not
-``None`` and sent back otherwise.  The reply is ``("ok", results)`` or
-``("error", traceback)``.  The parent raises every failure, a worker's
-exception as much as its death, as :class:`ShardError` — an
-``Exception``, so the array fails like any array failure and the fleet
-never reads it as a dead device.
+size, calls)``: the ids whose parent-side handles died, the size of the
+worker's shared buffer, then a list of ``(out, target, name, args)`` calls
+— ``name(*args)`` when ``target`` is ``None`` (``name`` is then a
+picklable callable), else the method ``name`` of the object ``target`` —
+whose results are stored under ``out`` when it is not ``None`` and sent
+back otherwise.  The reply is ``("ok", results)`` or ``("error",
+traceback)``.  The parent raises every failure, a worker's exception as
+much as its death, as :class:`ShardError` — an ``Exception``, so the
+array fails like any array failure and the fleet never reads it as a dead
+device.
+
+Arrays reach a worker through its shared buffer, not the pipe: a memory
+file (``os.memfd_create``) made when the worker forks, which both
+processes map.  :meth:`Worker.put` copies an array into it and returns
+``(shape, dtype, offset)``, which is all that travels in the request; the
+worker reads the array in place with :func:`view`, valid for that one
+request.  The buffer grows (``ftruncate``) when a request needs more room,
+and the request carries the size, so the worker maps the grown file
+before it reads.  Both ends wait for the next message by polling the pipe
+for about as long as their last request took, and only then block
+(:func:`_await`).
 
 A worker exits on EOF of its pipe: after each fork it closes the parent's
 ends of every pipe it inherited, so the parent's exit (or a retired
@@ -41,23 +55,32 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import mmap
 import os
+import pickle
 import signal
+import time
 import traceback
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["MIN_SLOT_BYTES", "Remote", "ShardError", "Worker", "overlap",
-           "receive", "send", "serve", "split", "workers"]
+import numpy as np
 
-#: a slot's parameter bytes from which an array is cut into shards
-#: (``docs/performance.md``, "The second vCPU", 2-vCPU guest).  The
-#: ``sweep_paper`` PointNet and LM slots hold 404 and 528 KiB: sharded,
-#: their width-4 steps took 0.59-1.00x the one-process step
-#: (``tools/step_probe.py``).  The ``sweep_mlp`` and ``serve_elastic``
-#: MLP slots hold at most 11 KiB: with this constant at 0 their width-8
-#: step took 1.41-1.74x the one-process step, and ``slot_steps_per_s``
-#: fell to 0.63x and 0.50x (0/10 paired runs won on either)
+__all__ = ["MIN_SLOT_BYTES", "Remote", "ShardError", "Worker", "cpus",
+           "overlap", "receive", "send", "serve", "split", "view",
+           "workers"]
+
+#: a slot's parameter bytes that decide how an array uses the cores
+#: (``docs/performance.md``, "The second vCPU", 2-vCPU guest).  At or
+#: above it an array is cut, one shard per CPU: the ``sweep_paper``
+#: PointNet and LM slots hold 404 and 528 KiB, and sharded, their width-4
+#: steps took 0.59-1.00x the one-process step (``tools/step_probe.py``).
+#: Below it each array gets a core of its own: the ``sweep_mlp`` and
+#: ``serve_elastic`` MLP slots hold at most 11 KiB, and cut (this constant
+#: at 0) their width-8 step took 1.41-1.74x the one-process step and
+#: ``slot_steps_per_s`` fell to 0.63x and 0.50x (0/10 paired runs won on
+#: either); two whole width-8 arrays side by side, one per core, read
+#: 1.25x (8/10 pairs won)
 MIN_SLOT_BYTES = 256 * 1024
 
 
@@ -65,25 +88,64 @@ class ShardError(RuntimeError):
     """A worker raised, died or lost its pipe while serving a request."""
 
 
-def serve(conn, inherited: Sequence = ()) -> None:
+#: the worker's map of its shared buffer (:func:`view` reads it)
+_mapped: Optional[mmap.mmap] = None
+
+
+def view(shape: Tuple[int, ...], dtype: str, offset: int) -> np.ndarray:
+    """In a worker: the array :meth:`Worker.put` sent as ``(shape, dtype,
+    offset)``, read in place (valid until the request is answered)."""
+    return np.ndarray(shape, dtype, _mapped, offset)
+
+
+def _await(conn, seconds: float) -> None:
+    """Return once ``conn`` has a message (or its other end closed):
+    polled for up to ``seconds``, then waited for.  A process that blocks
+    gives up its idle CPU, and a virtual machine's host may hand the core
+    to another guest meanwhile, so the process resumes late and with cold
+    caches (``docs/performance.md``, "Spread"); each side of a worker's
+    pipe expects the next message within about the time its last request
+    took, and polls that long."""
+    end = time.perf_counter() + seconds
+    while not conn.poll(0):
+        if time.perf_counter() >= end:
+            conn.poll(None)
+            return
+
+
+def serve(conn, buffer: Optional[int] = None, inherited: Sequence = ()
+          ) -> None:
     """A worker's command loop over ``conn`` until EOF (module docstring).
 
-    ``inherited`` are pipe ends the fork copied in that belong to the
-    parent: closed first, so that each worker sees EOF when the parent
-    goes."""
+    ``buffer`` is the file descriptor of the worker's shared buffer.
+    ``inherited`` are pipe ends and descriptors the fork copied in that
+    belong to the parent: closed first, so that each worker sees EOF when
+    the parent goes."""
+    global _mapped
     for end in inherited:
-        end.close()
+        if isinstance(end, int):
+            os.close(end)
+        else:
+            end.close()
     with contextlib.suppress(ValueError):   # not the main thread: no-op
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     objects: Dict[int, object] = {}
+    served = 0.0            # seconds the last request took to serve
     while True:
         try:
-            drop, calls = conn.recv()
+            _await(conn, served)
+            request = conn.recv_bytes()
         except EOFError:
             return
-        for oid in drop:
-            objects.pop(oid, None)
+        start = time.perf_counter()
         try:
+            # unpickled here, so that a request naming what this process
+            # cannot load is answered like any failure
+            drop, size, calls = pickle.loads(request)
+            if size > (len(_mapped) if _mapped is not None else 0):
+                _mapped = mmap.mmap(buffer, size)
+            for oid in drop:
+                objects.pop(oid, None)
             results = []
             for out, target, name, args in calls:
                 call = name if target is None else getattr(objects[target],
@@ -95,6 +157,7 @@ def serve(conn, inherited: Sequence = ()) -> None:
             reply = ("ok", results)
         except BaseException:  # noqa: BLE001 — every failure is a reply
             reply = ("error", traceback.format_exc())
+        served = time.perf_counter() - start
         try:
             conn.send(reply)
         except OSError:             # the parent is gone
@@ -104,27 +167,62 @@ def serve(conn, inherited: Sequence = ()) -> None:
 
 
 class Worker:
-    """One worker process and the parent's end of its pipe."""
+    """One worker process, the parent's end of its pipe and the shared
+    buffer the requests' arrays travel in."""
 
     def __init__(self, others: Sequence["Worker"] = ()):
-        # imported here: a process that never shards never loads it
+        # imported here: a process that never needs a worker never loads it
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
         self.conn, child = context.Pipe()
-        inherited = [worker.conn for worker in others] + [self.conn]
-        self.process = context.Process(target=serve, args=(child, inherited),
-                                       name="repro-shard", daemon=True)
+        self.fd = os.memfd_create("repro-shard")
+        #: the parent's map of the buffer (bytes), the buffer's size, and
+        #: how many of its bytes hold the arrays put since the last reply
+        self.buffer: Optional[memoryview] = None
+        self.size = self.used = 0
+        inherited = [end for worker in others
+                     for end in (worker.conn, worker.fd)]
+        self.process = context.Process(
+            target=serve, args=(child, self.fd, inherited + [self.conn]),
+            name="repro-shard", daemon=True)
         self.process.start()
         child.close()
         self.ids = itertools.count()
         #: ids whose handles died since the last message: dropped with it
         self.dead: List[int] = []
+        #: when the request in flight was sent, and how long the last
+        #: request took from send to reply
+        self.sent = self.round_trip = 0.0
 
     @property
     def alive(self) -> bool:
         """Whether the process runs and its pipe is open."""
         return self.conn is not None and self.process.is_alive()
+
+    def put(self, array) -> Tuple[Tuple[int, ...], str, int]:
+        """Copy ``array`` into the shared buffer for the next request:
+        ``(shape, dtype, offset)``, which the worker reads with
+        :func:`view`.  The buffer grows when it is full."""
+        if self.conn is None:
+            raise ShardError("the shard worker was retired")
+        array = np.asarray(array)
+        if array.dtype.hasobject:
+            raise TypeError(f"a batch of dtype {array.dtype} cannot be "
+                            f"sent to a shard worker")
+        start = -(-self.used // 64) * 64          # cache-line aligned
+        self.used = start + array.nbytes
+        if self.used > self.size:
+            # at least doubled, so an epoch that outgrows it regrows
+            # once; the file keeps what is already written
+            self.size = -(-max(self.used, 2 * self.size)
+                          // mmap.PAGESIZE) * mmap.PAGESIZE
+            os.ftruncate(self.fd, self.size)
+            self.buffer = memoryview(mmap.mmap(self.fd, self.size))
+        if array.nbytes:
+            self.buffer[start:self.used] = memoryview(
+                np.ascontiguousarray(array)).cast("B")
+        return array.shape, array.dtype.str, start
 
     def send(self, calls: List[Tuple]) -> None:
         """Send one request; :meth:`receive` must follow before the next."""
@@ -135,7 +233,8 @@ class Worker:
         while self.dead:
             drop.append(self.dead.pop())
         try:
-            self.conn.send((drop, calls))
+            self.conn.send((drop, self.size, calls))
+            self.sent = time.perf_counter()
         except BaseException as exc:
             self.retire()
             if isinstance(exc, Exception):
@@ -144,8 +243,11 @@ class Worker:
             raise
 
     def receive(self) -> list:
-        """The reply to the request in flight."""
+        """The reply to the request in flight (its arrays' room in the
+        shared buffer is free again)."""
+        self.used = 0
         try:
+            _await(self.conn, self.round_trip)
             status, payload = self.conn.recv()
         except BaseException as exc:
             # EOF (the worker died) or an interrupted wait: either way the
@@ -154,6 +256,7 @@ class Worker:
             if isinstance(exc, Exception):
                 raise ShardError(f"the shard worker died: {exc!r}") from exc
             raise
+        self.round_trip = time.perf_counter() - self.sent
         if status != "ok":
             raise ShardError(f"in a shard worker:\n{payload}")
         return payload
@@ -172,6 +275,10 @@ class Worker:
         if self.process.is_alive():
             self.process.kill()
         self.process.join()
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        self.buffer = None
 
 
 _workers: List[Worker] = []
@@ -188,7 +295,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget)
 
 
-def _cpus() -> int:
+def cpus() -> int:
+    """How many CPUs this process may run on."""
     getaffinity = getattr(os, "sched_getaffinity", None)
     return len(getaffinity(0)) if getaffinity else 1
 
@@ -196,7 +304,7 @@ def _cpus() -> int:
 def workers() -> List[Worker]:
     """One live worker per allowed CPU beyond the first, forking any that
     is missing or dead."""
-    count = _cpus() - 1
+    count = cpus() - 1
     for index in range(count):
         if index < len(_workers):
             if _workers[index].alive:
@@ -217,7 +325,7 @@ def split(width: int, slot_bytes: int
     the lowest (``worker`` ``None``) in this process.  One run unless the
     slots are large, the array wider than one and the process allowed
     more than one CPU; the lowest run is never the larger one."""
-    count = min(width, _cpus()) if slot_bytes >= MIN_SLOT_BYTES else 1
+    count = min(width, cpus()) if slot_bytes >= MIN_SLOT_BYTES else 1
     cuts = [width * k // count for k in range(count + 1)]
     hosts = [None] + (workers() if count > 1 else [])
     return [(cuts[k], cuts[k + 1], hosts[k]) for k in range(count)]

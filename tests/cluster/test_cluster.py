@@ -63,7 +63,8 @@ class TestTraceGenerator:
     def test_repetitive_jobs_are_single_gpu(self, small_trace):
         for job in small_trace:
             if job.true_category == "repetitive_single_gpu":
-                assert job.is_single_gpu
+                assert job.num_gpus == 1 and job.num_nodes == 1
+                assert not job.requests_specific_node
 
     def test_distributed_jobs_request_multiple_gpus(self, small_trace):
         for job in small_trace:

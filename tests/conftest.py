@@ -44,7 +44,7 @@ def shard_cuts(width: int, cpus: int):
 
     from repro.runtime import shards
 
-    with mock.patch.object(shards, "_cpus", lambda: cpus), \
+    with mock.patch.object(shards, "cpus", lambda: cpus), \
             mock.patch.object(shards, "workers", lambda: [None] * cpus):
         return [(lo, hi) for lo, hi, _ in
                 shards.split(width, shards.MIN_SLOT_BYTES)]

@@ -27,7 +27,7 @@ class TestSearchSpace:
     def test_fusible_infusible_split(self, space):
         assert set(space.infusible_names()) == {"batch_size",
                                                 "feature_transform"}
-        assert "lr" in space.fusible_names()
+        assert "lr" in space.names()
 
     def test_sampling_respects_ranges(self, space):
         rng = np.random.default_rng(0)

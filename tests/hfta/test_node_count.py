@@ -64,7 +64,7 @@ def lm_loss():
                           dim_feedforward=64, max_len=16, dropout=0.0,
                           num_models=4, generator=gens)
     ids = np.random.default_rng(0).integers(0, 64, size=(4, 4, 17))
-    return model.lm_loss(ids[..., :-1], ids[..., 1:])
+    return model.lib.CrossEntropyLoss()(model(ids[..., :-1]), ids[..., 1:])
 
 
 def mlp_loss():

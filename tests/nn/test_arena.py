@@ -57,7 +57,7 @@ def _lm_batches(seed):
 
 
 def _lm_loss(model, ids):
-    return model.lm_loss(ids[..., :-1], ids[..., 1:])
+    return model.lib.CrossEntropyLoss()(model(ids[..., :-1]), ids[..., 1:])
 
 
 PointNet = (_pointnet, _pointnet_batches, _pointnet_loss)

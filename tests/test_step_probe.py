@@ -1,15 +1,15 @@
 """``tools/step_probe.py`` at one step: it runs and reports the two
 ``sweep_paper`` models and the ``sweep_mlp`` MLP, sharded and in one
-process, the concurrent-serial comparator, the CPU share, each shard
-worker's memory (on two CPUs, where the large arrays are sharded), the
-arena and the process peak RSS; its phase table covers every phase of a
-fused and a width-1 step of each model, and its arena table each model's
-buffers, largest first, then what lives outside the arena (held at
-backward start, the step's peak, the top allocation sites); its scatter
-table times both forms of the embedding gradient's scatter on each batch
-of ids.  And its phase loop is the engine's step: ``run_phases`` leaves
-an array's parameters and optimizer state as ``FusedPhysics.step``
-does."""
+process, two MLP arrays one per CPU, the concurrent-serial comparator, the
+CPU share, each shard worker's memory (on two CPUs, where the large arrays
+are sharded), the arena and the process peak RSS; its phase table covers
+every phase of a fused and a width-1 step of each model, and its arena
+table each model's buffers, largest first, then what lives outside the
+arena (held at backward start, the step's peak, the top allocation sites);
+its scatter table times both forms of the embedding gradient's scatter on
+each batch of ids.  And its phase loop is the engine's step:
+``run_phases`` leaves an array's parameters and optimizer state as
+``FusedPhysics.step`` does."""
 
 import importlib.util
 import os
@@ -47,6 +47,10 @@ def test_step_probe_reports_one_step_of_each_model():
     assert all(float(arena) < float(peak) for arena, peak in held)
     ratios = re.findall(r"fused sharded / one process: ([\d.]+)x", out)
     assert len(ratios) == 3 and all(float(r) > 0 for r in ratios)
+    spread = re.findall(r"two width-8 arrays, one per CPU: ([\d.]+) ms per "
+                        r"array step, cpu/wall ([\d.]+); / one process: "
+                        r"([\d.]+)x", out)
+    assert len(spread) == 1 and all(float(v) > 0 for v in spread[0])
     workers = re.findall(r"shard worker \d+: VmHWM ([\d.]+) MB, Pss "
                          r"([\d.]+) MB", out)
     if len(os.sched_getaffinity(0)) > 1:     # pointnet's and lm's worker

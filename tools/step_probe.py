@@ -18,6 +18,11 @@ through the engine's own executor, one step per epoch:
   it (``repro.runtime.shards``: on two CPUs, slots 0-1 in this process and
   2-3 in a shard worker, when the slots are large), one in this process
   alone (the tool sets ``shards.MIN_SLOT_BYTES`` to infinity);
+* for the MLP, whose slots are small, two fused width-8 arrays (jobs 0-7
+  and 8-15), one per CPU as the engine's turn loop runs a cycle: the
+  first here, the second whole in a shard worker, each turn starting both
+  epochs, stepping this process's array, then finishing both (on one CPU
+  both train here);
 * one width-1 array, ``B`` serial steps per sample;
 * two concurrent width-1 processes, each stepping its own job on one
   thread: the serial comparator that uses both CPUs too.
@@ -27,9 +32,11 @@ faults, system-CPU ms and this process's CPU-seconds per wall second (a
 shard worker's CPU is not in it), then the medians of rows 2 on (the first
 step of an array allocates its activation arena, so it faults by
 construction), the sharded / one-process and sharded / concurrent ratios
-of the fused step, the concurrent pair's ms per ``B`` model-steps, each
-shard worker's peak RSS (``VmHWM``) and proportional set size (``Pss``:
-pages it shares with this process, which forked it, count by halves), the
+of the fused step, the MLP's ms per width-8 step of the two arrays one per
+CPU (a turn's wall over two) and its ratio to the one-process step, the
+concurrent pair's ms per ``B`` model-steps, each shard worker's peak RSS
+(``VmHWM``) and proportional set size (``Pss``: pages it shares with this
+process, which forked it, count by halves), the
 MB (2^20 bytes, as ``peak_rss_mb``) each array's activation arena holds
 here, and this process's peak RSS since it started, after the model's
 arrays ran (models run in the order pointnet, lm, mlp).  The arrays run
@@ -75,10 +82,11 @@ FAMILIES = ("pointnet", "lm", "mlp")
 PHASES = ("inputs + forward", "loss", "backward", "optimizer")
 
 
-def executor_for(jobs, steps):
+def executor_for(jobs, steps, host=None):
     """A prepared executor training ``jobs`` as one array, one step per
     epoch, with a budget of one step more than the probe takes (the last
-    epoch would retire and export every slot)."""
+    epoch would retire and export every slot); whole in the shard worker
+    ``host`` if one is given."""
     # imported here, once main() has pinned BLAS to one thread
     from repro.runtime import ArrayPolicy, TrainingArrayEngine
 
@@ -92,6 +100,7 @@ def executor_for(jobs, steps):
                          f"{failures}")
     [plan] = engine.policy.plan(cohorts)
     executor = engine.make_executor(plan)
+    executor.physics.host = host
     executor.prepare()
     return executor
 
@@ -137,20 +146,44 @@ def run(jobs, steps, repeats=1):
     return samples, here(executor).arena.nbytes
 
 
-def run_fused(jobs, steps):
-    """``steps`` pairs of steps of two fused arrays of ``jobs``, one
-    sharded and one in this process, alternating which steps first:
-    (sharded samples, one-process samples, the bytes the sharded array's
-    arena here holds)."""
+def turn(executors):
+    """One turn of the engine's loop over ``executors``: every epoch
+    started, this process's parts stepped, every epoch finished."""
+    for executor in executors:
+        executor.start_epoch()
+    for executor in executors:
+        executor.step_here()
+    for executor in executors:
+        executor.step_epoch()
+
+
+def run_fused(jobs, steps, others=()):
+    """``steps`` rounds of steps of two fused arrays of ``jobs``, one
+    sharded and one in this process, and, given the jobs of a second
+    array ``others``, of a pair of arrays one per CPU (``jobs`` here,
+    ``others`` in a shard worker), rotating which steps first: (sharded
+    samples, one-process samples, the bytes the sharded array's arena
+    here holds, per-step samples of the pair — a turn's over two — or
+    ``None``)."""
+    from repro.runtime import shards
+
     sharded = executor_for(jobs, steps)
     with one_process():
         single = executor_for(jobs, steps)
-    samples = {True: [], False: []}
+    sides = {"sharded": sharded.step_epoch, "single": single.step_epoch}
+    if others:
+        host = shards.workers()[0] if shards.cpus() > 1 else None
+        pair = [executor_for(jobs, steps), executor_for(others, steps, host)]
+        sides["pair"] = lambda: turn(pair)
+    samples = {side: [] for side in sides}
+    order = list(sides)
     for n in range(steps):
-        for side in (True, False) if n % 2 == 0 else (False, True):
-            executor = sharded if side else single
-            samples[side].append(measure(executor.step_epoch, 1))
-    return samples[True], samples[False], here(sharded).arena.nbytes
+        for side in order[n % len(order):] + order[:n % len(order)]:
+            samples[side].append(measure(sides[side], 1))
+    spread = [(ms / 2, faults, sys_ms, cpu) for ms, faults, sys_ms, cpu
+              in samples["pair"]] if others else None
+    return (samples["sharded"], samples["single"], here(sharded).arena.nbytes,
+            spread)
 
 
 def run_phases(executor, steps, mark):
@@ -275,15 +308,19 @@ def median_of_steady(samples, k):
 
 
 def report(family, width, fused, serial, pair, peak_mb, workers):
-    (fused, single, fused_bytes), (serial, serial_bytes) = fused, serial
+    (fused, single, fused_bytes, spread), (serial, serial_bytes) = \
+        fused, serial
     print(f"\n{family}: a fused width-{width} step vs {width} serial steps")
     print(f"{'step':>4}  {'sharded ms':>10} {'faults':>7} {'sys ms':>7} "
           f"{'cpu/wall':>8}   {'1-proc ms':>9} {'cpu/wall':>8}   "
-          f"{'serial ms':>9} {'faults':>7} {'sys ms':>7}")
+          f"{'serial ms':>9} {'faults':>7} {'sys ms':>7}"
+          + (f"   {'2/CPU ms':>9} {'cpu/wall':>8}" if spread else ""))
     for n, (f, o, s) in enumerate(zip(fused, single, serial), 1):
         print(f"{n:>4}  {f[0]:10.2f} {f[1]:7d} {f[2]:7.2f} {f[3]:8.2f}   "
               f"{o[0]:9.2f} {o[3]:8.2f}   "
-              f"{s[0]:9.2f} {s[1]:7d} {s[2]:7.2f}")
+              f"{s[0]:9.2f} {s[1]:7d} {s[2]:7.2f}"
+              + (f"   {spread[n - 1][0]:9.2f} {spread[n - 1][3]:8.2f}"
+                 if spread else ""))
     f, o, s = ([median_of_steady(side, k) for k in range(4)]
                for side in (fused, single, serial))
     print(f"  median of rows 2..{len(fused)}: sharded {f[0]:.2f} ms, "
@@ -291,6 +328,11 @@ def report(family, width, fused, serial, pair, peak_mb, workers):
           f"one process {o[0]:.2f} ms, cpu/wall {o[3]:.2f}; serial "
           f"{s[0]:.2f} ms, {s[1]:.0f} faults, {s[2]:.2f} sys ms")
     print(f"  fused sharded / one process: {f[0] / o[0]:.2f}x")
+    if spread:
+        p = [median_of_steady(spread, k) for k in range(4)]
+        print(f"  two width-{width} arrays, one per CPU: {p[0]:.2f} ms per "
+              f"array step, cpu/wall {p[3]:.2f}; / one process: "
+              f"{p[0] / o[0]:.2f}x")
     print(f"  concurrent serial, 2 processes: {pair[0]:.2f} ms per "
           f"{width} model-steps, cpu/wall {pair[1]:.2f} (fused sharded / "
           f"concurrent: {f[0] / pair[0]:.2f}x)")
@@ -465,7 +507,9 @@ def main(argv=None) -> int:
             report_phases(family, width, phase_times(jobs, args.steps),
                           phase_times(jobs[:1], args.steps))
             continue
-        fused = run_fused(jobs, args.steps)
+        others = family_jobs(family)[width:2 * width] if family == "mlp" \
+            else ()
+        fused = run_fused(jobs, args.steps, others)
         serial = run(jobs[:1], args.steps, repeats=width)
         peak_mb = peak_rss_mb()
         report(family, width, fused, serial,

@@ -1,6 +1,6 @@
 """One digest per model, width and mode of a short seeded training run.
 
-    python tools/train_hash.py                     # all 12 digests
+    python tools/train_hash.py                     # all 14 digests
 
 For PointNetCls (feature transform on), PointNetSeg, the Transformer LM
 (the ``sweep_paper`` configuration: dropout off) and BERT (tiny, dropout
@@ -26,6 +26,13 @@ would draw, so the sharded digest must equal the inline one.  The engine
 itself never cuts an array whose model drops (``FusedPhysics``): the
 sharded PointNetCls and BERT digests (dropout 0.3 and 0.1) check a manual
 cut of the shard machinery that the engine no longer makes for them.
+
+The two ``mlp 2xw4`` rows train one engine cycle of two arrays of the
+``sweep_mlp`` MLP (``bench_e2e.models``), Adam and SGD at width 4, one
+step per epoch, and digest each job's loss curve and final checkpoint:
+``1-proc`` runs the arrays one after another in this process, ``spread``
+as the engine runs them on this host — on two CPUs side by side, the SGD
+array whole in a shard worker.  The two must be equal.
 
 Every dropout layer draws from its own seeded generator, so the runs are
 deterministic.  A change that must keep training bitwise (a kernel
@@ -289,16 +296,60 @@ def sharded_digest(name, width):
     return sha.sha.hexdigest()
 
 
+def cycle_digest(mode):
+    """The hex digest of the ``mlp 2xw4`` cycle in ``mode`` (module
+    docstring)."""
+    import numpy as np
+
+    from bench_e2e.models import mlp_builder
+    from repro.runtime import ArrayPolicy, TrainingArrayEngine, \
+        TrainingJob, shards
+
+    build = mlp_builder(32, 64, 10)
+
+    def stream(seed):
+        rng = np.random.default_rng([1, seed])
+        return [(rng.standard_normal((16, 32)).astype(np.float32),
+                 rng.integers(0, 10, size=16))
+                for _ in range(STEPS)].__getitem__
+    def config(i):
+        if i < 4:
+            return {"optimizer": "adam", "lr": 1e-3 * (1 + i)}
+        return {"optimizer": "sgd", "lr": 1e-2 * (1 + i), "momentum": 0.9}
+    jobs = [TrainingJob(name=f"mlp{i}", seed=i, steps=STEPS, epoch_steps=1,
+                        config=config(i), build_model=build, data=stream(i))
+            for i in range(8)]
+    cpus = shards.cpus
+    if mode == "1-proc":
+        shards.cpus = lambda: 1
+    try:
+        engine = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
+        engine.submit_all(jobs)
+        results = sorted(engine.run_until_idle().values(),
+                         key=lambda r: r.name)
+    finally:
+        shards.cpus = cpus
+    sha = Hasher()
+    for result in results:
+        sha.feed(np.array(result.loss_curve, np.float32), result.name)
+        for key, value in result.checkpoint.state_dict().items():
+            sha.feed(value, key)
+    return sha.sha.hexdigest()
+
+
 def main() -> int:
     for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                      "MKL_NUM_THREADS"):
         os.environ.setdefault(variable, "1")     # before numpy is imported
-    sys.path[:0] = [str(ROOT / "src")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     for name in MODELS:
         for label, width, mode in RUNS:
             run = digest if mode == "inline" else sharded_digest
             print(f"{name:<13} {label:<6} {mode:<7} {run(name, width)}",
                   flush=True)
+    for mode in ("1-proc", "spread"):
+        print(f"{'mlp':<13} {'2xw4':<6} {mode:<7} {cycle_digest(mode)}",
+              flush=True)
     return 0
 
 
