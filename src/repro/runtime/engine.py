@@ -17,9 +17,10 @@ data path::
 The turn loop runs a cycle's arrays side by side, one per CPU this
 process may use (:mod:`repro.runtime.shards`).  An array whose slots hold
 less than ``shards.MIN_SLOT_BYTES`` trains whole on a free core — this
-process first, then each shard worker — beside the cycle's other such
-arrays.  An array of larger slots runs alone: cut across every core, or
-in this process when it cannot be cut (width 1, or a model that drops).
+process first, then each shard worker, which a width-1 array never takes
+— beside the cycle's other such arrays.  An array of larger slots runs
+alone: cut across every core, or in this process when it cannot be cut
+(width 1, or a model that drops).
 On one CPU the arrays run one after another.  Each *turn* is one epoch of
 every live array, in three steps: start every array's epoch (one request
 to each worker, its batches in the worker's shared buffer), step this
@@ -40,7 +41,7 @@ fused parameters/buffers/optimizer-state are narrowed with the re-fusion
 primitives, and the freed width goes back to the scheduler, which may
 admit compatible queued jobs straight into the running array.  The
 executor itself never touches a tensor: it owns the slots and
-decides, and the :class:`FusedPhysics` object it holds does (six methods;
+decides, and the :class:`FusedPhysics` object it holds does (seven methods;
 a simulated fleet swaps in :class:`repro.runtime.sim.SimPhysics`).
 
 A multi-device fleet (:mod:`repro.runtime.fleet`) drives exactly one
@@ -328,15 +329,21 @@ class FusedPhysics:
 
     An :class:`ArrayExecutor` decides what happens to which slot when; the
     physics object it holds is the only thing that touches tensors.  The
-    whole protocol is six methods (:class:`repro.runtime.sim.SimPhysics`
-    answers the same six from the cost model, with no weights):
+    whole protocol is seven methods (:class:`repro.runtime.sim.SimPhysics`
+    answers the same seven from the cost model, with no weights):
 
+    * ``whole(subs)`` — whether the array of ``subs`` may train whole on
+      a core of its own, beside other arrays (the engine's turn loop);
     * ``build(subs, mate=None)`` — materialize the training state of
       ``subs`` (fusible with the live job ``mate`` when boarding a running
       array); returns the jobs that boarded;
-    * ``step(slots, steps)`` — train every slot ``steps`` gang-scheduled
-      steps, appending per-step losses to each slot's curve; returns
-      ``(seconds, samples)``;
+    * ``start(slots, steps)`` — begin training every slot ``steps``
+      gang-scheduled steps; returns the epoch, whose ``here()`` steps
+      what trains in this process, ``finish()`` appends per-step losses
+      to each slot's curve and returns ``(seconds, samples)``, and
+      ``abandon()`` collects an epoch that will not finish
+      (:class:`Stepped` is the epoch a physics trained whole in
+      ``start``);
     * ``take(indices)`` — a new physics holding just those slots (eviction
       keeps the survivors; preemption takes the victims, then the rest);
     * ``absorb(other)`` — append ``other``'s slots (admission, merge);
@@ -361,7 +368,7 @@ class FusedPhysics:
     Newcomers absorbed into an array that trains whole in a worker are
     merged into it there.
 
-    ``step`` is three calls, which the turn loop spreads over a turn of
+    An epoch is three calls, which the turn loop spreads over a turn of
     several arrays: :meth:`start` puts each worker's batches in its shared
     buffer and sends it its parts' request, :meth:`_Epoch.here` steps this
     process's parts meanwhile, and :meth:`_Epoch.finish` collects the
@@ -382,8 +389,8 @@ class FusedPhysics:
         self.host: Optional[shards.Worker] = None
 
     def whole(self, subs: Sequence[SubmittedJob]) -> bool:
-        """Whether the array of ``subs`` trains whole on one core, beside
-        other arrays: its slots hold less than
+        """Whether the array of ``subs`` may train whole on one core,
+        beside other arrays: its slots hold less than
         :data:`~repro.runtime.shards.MIN_SLOT_BYTES`.  Reads the first
         template that builds (memoized; a builder that raises is left to
         :meth:`build`)."""
@@ -473,27 +480,25 @@ class FusedPhysics:
         raise IndexError("slot index out of range")
 
     def start(self, slots: Sequence[_Slot], steps: int) -> _Epoch:
-        """The first third of :meth:`step`: every batch of the epoch's
-        remote parts fetched here (each ``job.data`` is called in this
-        process) and put in its worker's shared buffer, and one request
-        sent to each worker."""
+        """Every batch of the epoch's remote parts fetched here (each
+        ``job.data`` is called in this process) and put in its worker's
+        shared buffer, and one request sent to each worker."""
         epoch = _Epoch(self._runs(slots), steps)
         requests: Dict[shards.Worker, List[Tuple]] = {}
         for part, run in epoch.runs:
             if isinstance(part, _RemoteShard):
-                begin, put = time.perf_counter(), part.worker.put
-                batches = [[tuple(map(put, batch)) for batch in _fetch(run, i)]
-                           for i in range(steps)]
+                begin = time.perf_counter()
+                fetched = [_fetch(run, i) for i in range(steps)]
+                placed = iter(part.worker.put([array for batches in fetched
+                                               for batch in batches
+                                               for array in batch]))
+                batches = [[tuple(itertools.islice(placed, len(batch)))
+                            for batch in batches] for batches in fetched]
                 requests.setdefault(part.worker, []).append(part.request(
                     "step", functools.partial(_received, batches), steps))
                 epoch.add(part.worker, time.perf_counter() - begin)
         epoch.sent = shards.send(requests)
         return epoch
-
-    def step(self, slots: Sequence[_Slot], steps: int) -> Tuple[float, int]:
-        epoch = self.start(slots, steps)
-        epoch.here()
-        return epoch.finish()
 
     def take(self, indices: Sequence[int]) -> FusedPhysics:
         runs: List[Tuple[object, List[int]]] = []
@@ -596,18 +601,18 @@ class _Epoch:
         self.sent = []
 
 
-class _OneCall:
-    """The epoch of a physics without :meth:`FusedPhysics.start`: its
-    ``step`` runs whole in :meth:`finish`."""
+class Stepped:
+    """The epoch of a physics that trained it whole in ``start``:
+    :meth:`finish` returns its ``(seconds, samples)``."""
 
-    def __init__(self, physics, slots: Sequence[_Slot], steps: int):
-        self.physics, self.slots, self.steps = physics, slots, steps
+    def __init__(self, seconds: float, samples: int):
+        self.result = (seconds, samples)
 
     def here(self) -> None:
         pass
 
     def finish(self) -> Tuple[float, int]:
-        return self.physics.step(self.slots, self.steps)
+        return self.result
 
     def abandon(self) -> None:
         pass
@@ -698,8 +703,10 @@ class ArrayExecutor:
         self.merges = 0
         self.jobs_served = 0
         self._results: List[JobResult] = []
-        #: the epoch started and not yet finished (``_Epoch``/``_OneCall``)
+        #: the epoch started and not yet finished (``physics.start``'s),
+        #: and its steps
         self._epoch = None
+        self._epoch_steps = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -820,11 +827,9 @@ class ArrayExecutor:
         if not self.slots:
             return
         self.state = ArrayState.STEPPING
-        steps = min(self.epoch_steps,
-                    min(slot.remaining for slot in self.slots))
-        start = getattr(self.physics, "start", None)
-        self._epoch = (start(self.slots, steps) if start is not None
-                       else _OneCall(self.physics, self.slots, steps))
+        self._epoch_steps = min(self.epoch_steps,
+                                min(slot.remaining for slot in self.slots))
+        self._epoch = self.physics.start(self.slots, self._epoch_steps)
 
     def step_here(self) -> None:
         """Step the started epoch's parts that train in this process."""
@@ -850,7 +855,7 @@ class ArrayExecutor:
             self.state = ArrayState.DRAINED
             return []
         epoch, self._epoch = self._epoch, None
-        num_models, steps = self.live_width, epoch.steps
+        num_models, steps = self.live_width, self._epoch_steps
         epoch_seconds, samples = epoch.finish()
         if self.engine.charge_epoch is not None:
             charged = self.engine.charge_epoch(self, num_models, steps)
@@ -1258,7 +1263,11 @@ class TrainingArrayEngine:
         worker.  Otherwise it waits until no array is live: an array of
         large slots is cut across every core and runs alone, and a physics
         that cannot place its array (the simulator's) runs one array at a
-        time.  On one CPU arrays run one after another.  Each turn starts
+        time.  A width-1 array — one job trained unfused — never takes a
+        worker's core: a fleet trains every array in this process, one at
+        a time, so a serial lap through an engine must too, or a fused
+        fleet measured against it would set one core against two.  On one
+        CPU arrays run one after another.  Each turn starts
         every live array's epoch, steps this process's parts meanwhile,
         then finishes each array's epoch in start order with its
         epoch-boundary work (:meth:`_turn`).
@@ -1311,13 +1320,13 @@ class TrainingArrayEngine:
         if not live:
             return 0
         taken = {core for _, core in live}
-        core = next((core for core in range(shards.cpus())
-                     if core not in taken), None)
+        cores = shards.cpus() if len(upcoming.slots) > 1 else 1
+        core = next((core for core in range(cores) if core not in taken),
+                    None)
         if core is None:
             return None
         for executor in [executor for executor, _ in live] + [upcoming]:
-            whole = getattr(executor.physics, "whole", None)
-            if whole is None or not whole([slot.sub
+            if not executor.physics.whole([slot.sub
                                            for slot in executor.slots]):
                 return None
         return core

@@ -6,10 +6,11 @@ least that many bytes of parameters is *cut*: contiguous shards, one per
 allowed CPU (:func:`split`), the lowest trained here and each other one in
 a long-lived worker process, while the array runs alone.  An array below
 it is never cut: it trains *whole* on a core of its own, beside the
-cycle's other small arrays — this process first, then each worker (the
-engine's turn loop, :mod:`repro.runtime.engine`).  Workers are forked
-lazily (``multiprocessing``'s ``fork`` context), one per allowed CPU beyond
-the first, are daemonic and are shared by every engine in the process;
+cycle's other small arrays — this process first, then each worker, which
+a width-1 array never takes (the engine's turn loop,
+:mod:`repro.runtime.engine`).  Workers are forked lazily
+(``multiprocessing``'s ``fork`` context), one per allowed CPU beyond the
+first, are daemonic and are shared by every engine in the process;
 one that died is replaced by a fresh fork the next time a worker is
 needed.  One-CPU hosts never reach them, and an array whose model drops
 (an ``nn.Dropout`` or ``nn.Dropout2d`` with ``p > 0``) is never cut: each
@@ -32,14 +33,13 @@ device.
 
 Arrays reach a worker through its shared buffer, not the pipe: a memory
 file (``os.memfd_create``) made when the worker forks, which both
-processes map.  :meth:`Worker.put` copies an array into it and returns
-``(shape, dtype, offset)``, which is all that travels in the request; the
-worker reads the array in place with :func:`view`, valid for that one
-request.  The buffer grows (``ftruncate``) when a request needs more room,
-and the request carries the size, so the worker maps the grown file
-before it reads.  Both ends wait for the next message by polling the pipe
-for about as long as their last request took, and only then block
-(:func:`_await`).
+processes map.  :meth:`Worker.put` copies arrays into it and returns
+each one's ``(shape, dtype, offset)``, which is all that travels in the
+request; the worker reads the array in place with :func:`view`, valid for
+that one request.  The buffer grows (``ftruncate``) when a request needs
+more room, and the request carries the size, so the worker maps the grown
+file before it reads.  Both ends poll the pipe while the next message is
+due, and only then block (:func:`_await`).
 
 A worker exits on EOF of its pipe: after each fork it closes the parent's
 ends of every pipe it inherited, so the parent's exit (or a retired
@@ -80,7 +80,7 @@ __all__ = ["MIN_SLOT_BYTES", "Remote", "ShardError", "Worker", "cpus",
 #: at 0) their width-8 step took 1.41-1.74x the one-process step and
 #: ``slot_steps_per_s`` fell to 0.63x and 0.50x (0/10 paired runs won on
 #: either); two whole width-8 arrays side by side, one per core, read
-#: 1.25x (8/10 pairs won)
+#: 1.13x and 1.22x (9/10 pairs won in each of two runs)
 MIN_SLOT_BYTES = 256 * 1024
 
 
@@ -98,17 +98,18 @@ def view(shape: Tuple[int, ...], dtype: str, offset: int) -> np.ndarray:
     return np.ndarray(shape, dtype, _mapped, offset)
 
 
-def _await(conn, seconds: float) -> None:
+def _await(conn, until: float) -> None:
     """Return once ``conn`` has a message (or its other end closed):
-    polled for up to ``seconds``, then waited for.  A process that blocks
-    gives up its idle CPU, and a virtual machine's host may hand the core
-    to another guest meanwhile, so the process resumes late and with cold
-    caches (``docs/performance.md``, "Spread"); each side of a worker's
-    pipe expects the next message within about the time its last request
-    took, and polls that long."""
-    end = time.perf_counter() + seconds
+    polled until ``time.perf_counter()`` reads ``until``, then waited for.
+    A process that blocks gives up its idle CPU, and a virtual machine's
+    host may hand the core to another guest meanwhile, so the process
+    resumes late and with cold caches (``docs/performance.md``,
+    "Spread").  Each side polls only while the next message is due: the
+    parent until its request's reply is, one round trip as long as the
+    last after the send; the worker, after a reply, for as long as that
+    request took to serve."""
     while not conn.poll(0):
-        if time.perf_counter() >= end:
+        if time.perf_counter() >= until:
             conn.poll(None)
             return
 
@@ -130,10 +131,10 @@ def serve(conn, buffer: Optional[int] = None, inherited: Sequence = ()
     with contextlib.suppress(ValueError):   # not the main thread: no-op
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     objects: Dict[int, object] = {}
-    served = 0.0            # seconds the last request took to serve
+    until = 0.0             # when the next request stops being due
     while True:
         try:
-            _await(conn, served)
+            _await(conn, until)
             request = conn.recv_bytes()
         except EOFError:
             return
@@ -164,6 +165,7 @@ def serve(conn, buffer: Optional[int] = None, inherited: Sequence = ()
             return
         except Exception:  # noqa: BLE001 — an unpicklable result
             conn.send(("error", traceback.format_exc()))
+        until = time.perf_counter() + served
 
 
 class Worker:
@@ -200,29 +202,35 @@ class Worker:
         """Whether the process runs and its pipe is open."""
         return self.conn is not None and self.process.is_alive()
 
-    def put(self, array) -> Tuple[Tuple[int, ...], str, int]:
-        """Copy ``array`` into the shared buffer for the next request:
-        ``(shape, dtype, offset)``, which the worker reads with
+    def put(self, arrays: Sequence) -> List[Tuple[Tuple[int, ...], str,
+                                                  int]]:
+        """Copy ``arrays`` into the shared buffer for the next request:
+        each one's ``(shape, dtype, offset)``, which the worker reads with
         :func:`view`.  The buffer grows when it is full."""
         if self.conn is None:
             raise ShardError("the shard worker was retired")
-        array = np.asarray(array)
-        if array.dtype.hasobject:
-            raise TypeError(f"a batch of dtype {array.dtype} cannot be "
-                            f"sent to a shard worker")
-        start = -(-self.used // 64) * 64          # cache-line aligned
-        self.used = start + array.nbytes
-        if self.used > self.size:
+        arrays = [np.asarray(array) for array in arrays]
+        placed, used = [], self.used
+        for array in arrays:
+            if array.dtype.hasobject:
+                raise TypeError(f"a batch of dtype {array.dtype} cannot be "
+                                f"sent to a shard worker")
+            start = -(-used // 64) * 64           # cache-line aligned
+            used = start + array.nbytes
+            placed.append((array.shape, array.dtype.str, start))
+        if used > self.size:
             # at least doubled, so an epoch that outgrows it regrows
             # once; the file keeps what is already written
-            self.size = -(-max(self.used, 2 * self.size)
+            self.size = -(-max(used, 2 * self.size)
                           // mmap.PAGESIZE) * mmap.PAGESIZE
             os.ftruncate(self.fd, self.size)
             self.buffer = memoryview(mmap.mmap(self.fd, self.size))
-        if array.nbytes:
-            self.buffer[start:self.used] = memoryview(
-                np.ascontiguousarray(array)).cast("B")
-        return array.shape, array.dtype.str, start
+        self.used = used
+        for array, (_, _, start) in zip(arrays, placed):
+            if array.nbytes:
+                self.buffer[start:start + array.nbytes] = \
+                    np.ascontiguousarray(array).data.cast("B")
+        return placed
 
     def send(self, calls: List[Tuple]) -> None:
         """Send one request; :meth:`receive` must follow before the next."""
@@ -247,7 +255,7 @@ class Worker:
         shared buffer is free again)."""
         self.used = 0
         try:
-            _await(self.conn, self.round_trip)
+            _await(self.conn, self.sent + self.round_trip)
             status, payload = self.conn.recv()
         except BaseException as exc:
             # EOF (the worker died) or an interrupted wait: either way the

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..hwsim import estimate_array_cost, get_workload
+from .engine import Stepped
 from .queue import SubmittedJob, TrainingJob
 
 __all__ = ["VirtualClock", "SimulatedCrash", "TraceReplayer",
@@ -166,7 +167,7 @@ class SimPhysics:
     """The physics of a *simulated* array: virtual time, no weights.
 
     What an ``execution="sim"`` fleet's engine hands its executors; the
-    six-method protocol is documented on
+    seven-method protocol is documented on
     :class:`~repro.runtime.engine.FusedPhysics`.  A simulated slot's whole
     training state is its progress counter and loss curve, and the
     executor owns both — so this object is stateless: narrowing, detaching
@@ -177,18 +178,22 @@ class SimPhysics:
     def __init__(self, engine, plan):
         pass
 
+    def whole(self, subs: Sequence[SubmittedJob]) -> bool:
+        # a simulated array has no core: arrays run one at a time
+        return False
+
     def build(self, subs: Sequence[SubmittedJob], mate=None
               ) -> List[SubmittedJob]:
         # nothing is materialized, not even the jobs' templates
         return list(subs)
 
-    def step(self, slots: Sequence, steps: int) -> Tuple[float, int]:
+    def start(self, slots: Sequence, steps: int) -> Stepped:
         """Extend every slot's loss curve; no wall time, no samples."""
         for slot in slots:
             fn = getattr(slot.job, "sim_loss", None) \
                 or functools.partial(default_sim_loss, slot.job)
             slot.curve.extend(fn(slot.progress + i) for i in range(steps))
-        return 0.0, 0
+        return Stepped(0.0, 0)
 
     def take(self, indices: Sequence[int]) -> "SimPhysics":
         return self

@@ -2,7 +2,7 @@
 
 ``ArrayExecutor`` owns slots, progress, stop signals, accounting and
 checkpoint cadence; the one ``physics`` object it holds owns the tensors,
-behind six methods.  ``FusedPhysics`` (numpy training) and ``SimPhysics``
+behind seven methods.  ``FusedPhysics`` (numpy training) and ``SimPhysics``
 (cost-model projection) are two implementations; this suite scripts a
 third, tensor-free one — :class:`RecordingPhysics` — and asserts the exact
 sequence of calls the lifecycle makes across every transition, and that
@@ -12,6 +12,7 @@ Fault-schedule search (ROADMAP item 6) grows from this harness.
 
 from repro.runtime import (ArrayPolicy, ArrayState, CheckpointStore, JobState,
                            TrainingArrayEngine, TrainingJob)
+from repro.runtime.engine import Stepped
 
 from .conftest import build_sim_model, sim_data
 
@@ -29,7 +30,10 @@ class RecordingPhysics:
                               mate.job_id if mate is not None else None))
         return list(subs)
 
-    def step(self, slots, steps):
+    def whole(self, subs):
+        return False
+
+    def start(self, slots, steps):
         # the lifecycle's slot order is the physics' slot order, always
         assert [slot.sub.job_id for slot in slots] == self.ids
         self.seam.log.append(("step", len(slots), steps))
@@ -39,7 +43,7 @@ class RecordingPhysics:
         for slot in slots:
             slot.curve.extend(self.seam.loss(slot.job, slot.progress + i)
                               for i in range(steps))
-        return 0.25, 10 * len(slots) * steps
+        return Stepped(0.25, 10 * len(slots) * steps)
 
     def take(self, indices):
         self.seam.log.append(("take", tuple(indices)))

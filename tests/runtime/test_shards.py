@@ -346,27 +346,28 @@ def leaves(tree, path=()):
 
 @needs_two_cpus
 def test_a_spread_cycle_trains_the_one_process_bytes(tmp_path, hosts):
-    """One cycle of two MLP cohorts — Adam at width 8, whose slot 3 stops
-    after one epoch, and SGD at width 1 — spread over two cores: the SGD
-    array trains whole in the worker beside the Adam array here. The
-    curves, the exported checkpoints and every job's durable optimizer
-    slot state are the bytes of the same cycle in one process."""
+    """One cycle of two MLP cohorts — SGD at width 1, and Adam at width 8,
+    whose slot 3 stops after one epoch — spread over two cores: the SGD
+    array trains here and the Adam array whole in the worker, which
+    evicts slot 3. The curves, the exported checkpoints and every job's
+    durable optimizer slot state are the bytes of the same cycle in one
+    process."""
     def run(root):
         store = CheckpointStore(root)
         eng = TrainingArrayEngine(policy=ArrayPolicy(max_width=8),
                                   store=store, checkpoint_every=1)
-        ids = eng.submit_all(make_jobs(8, stop_after=(3,)) + make_jobs(
-            1, optimizer="sgd", first=8))
+        ids = eng.submit_all(make_jobs(1, optimizer="sgd", first=8)
+                             + make_jobs(8, stop_after=(3,)))
         results = drain(eng)
         assert eng.metrics.jobs_evicted == 1
         return by_name(results), {
             job_id: list(leaves(store.load_slot(job_id).optimizer_state))
             for job_id in ids}
     got, got_state = run(tmp_path / "spread")
-    assert hosts == [[("_Shard", 8)], [("_RemoteShard", 1)]]
+    assert hosts == [[("_Shard", 1)], [("_RemoteShard", 8)]]
     with in_process():
         want, want_state = run(tmp_path / "one")
-    assert hosts[2:] == [[("_Shard", 8)], [("_Shard", 1)]]
+    assert hosts[2:] == [[("_Shard", 1)], [("_Shard", 8)]]
     assert_same_results(got, want)
     assert got_state.keys() == want_state.keys()
     for job_id, state in want_state.items():
@@ -375,6 +376,19 @@ def test_a_spread_cycle_trains_the_one_process_bytes(tmp_path, hosts):
             [path for path, _ in state]
         for (path, value), (_, mine) in zip(state, got_state[job_id]):
             assert same_bytes(mine, value), (job_id, path)
+
+
+@needs_two_cpus
+def test_a_width_one_array_never_takes_a_workers_core(hosts, monkeypatch):
+    """Two jobs that cannot fuse (Adam, SGD) make two width-1 arrays: they
+    train here one after the other, as a fleet trains them, and no worker
+    is asked for."""
+    monkeypatch.setattr(shards, "workers",
+                        lambda: pytest.fail("a worker was asked for"))
+    eng = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
+    eng.submit_all(make_jobs(1) + make_jobs(1, optimizer="sgd", first=1))
+    assert len(drain(eng)) == 2
+    assert hosts == [[("_Shard", 1)], [("_Shard", 1)]]
 
 
 @needs_two_cpus
@@ -490,8 +504,9 @@ def test_a_worker_killed_between_step_and_export_delivers_each_job_once(
     assert sorted(r.job_id for r in results) == sorted(ids)
     assert eng.metrics.jobs_completed == len(jobs)
     assert eng.metrics.jobs_evicted == 2          # once each
-    widths = {r.name: r.array_width for r in results}
-    assert [widths[f"net{i}"] for i in stopping] == [1, 1]
+    failed = range(4) if layout == "cut" else range(4, 8)
+    assert {r.name: r.array_width for r in results} == {
+        job.name: 1 if int(job.name[3:]) in failed else 4 for job in jobs}
     with in_process():
         eng = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
         eng.submit_all(make())
@@ -659,14 +674,14 @@ def mapped():
 def test_the_shared_buffer_grows_and_a_replaced_worker_maps_its_own():
     [worker] = shards.workers()
     small = np.arange(10, dtype=np.float32)
-    assert same_bytes(worker.call((None, None, echo, (worker.put(small),)))[0],
-                      small)
+    sent = tuple(worker.put([small]))
+    assert same_bytes(worker.call((None, None, echo, sent))[0], small)
     size = worker.size
     # more bytes than the buffer holds, after an array already put
     big = np.random.default_rng(0).standard_normal(size // 8 + 100)
     first, second = worker.call(
-        (None, None, echo, (worker.put(small),)),
-        (None, None, echo, (worker.put(big),)))
+        (None, None, echo, tuple(worker.put([small]))),
+        (None, None, echo, tuple(worker.put([big]))))
     assert worker.size > size
     assert same_bytes(first, small) and same_bytes(second, big)
     assert worker.call((None, None, mapped, ())) == [worker.size]
@@ -674,12 +689,12 @@ def test_the_shared_buffer_grows_and_a_replaced_worker_maps_its_own():
     worker.process.join()
     [fresh] = shards.workers()
     assert fresh is not worker and fresh.size == 0
-    assert same_bytes(fresh.call((None, None, echo, (fresh.put(big),)))[0],
-                      big)
+    sent = tuple(fresh.put([big]))
+    assert same_bytes(fresh.call((None, None, echo, sent))[0], big)
     assert fresh.call((None, None, mapped, ())) == [fresh.size]
     assert fresh.size >= big.nbytes
     with pytest.raises(TypeError, match="dtype object"):
-        fresh.put(np.array([None, 1], dtype=object))
+        fresh.put([np.array([None, 1], dtype=object)])
 
 
 class Recorder:
@@ -723,7 +738,9 @@ def test_batches_of_any_shape_and_dtype_reach_the_worker_unchanged():
     physics.parts = [engine._RemoteShard.make(worker, len(kinds), Recorder,
                                               len(kinds))]
     shards.receive([worker])
-    physics.step(slots, steps)
+    epoch = physics.start(slots, steps)
+    epoch.here()
+    epoch.finish()
     fed = physics.parts[0].call("seen")
     assert len(fed) == steps
     for i, step in enumerate(fed):
@@ -743,7 +760,7 @@ def test_a_worker_answers_each_request_once_in_order():
     [worker] = shards.workers()
     for n in range(6):
         array = np.full((n + 1, 3), n, np.int16)
-        worker.send([(None, None, echo, (worker.put(array),)),
+        worker.send([(None, None, echo, tuple(worker.put([array]))),
                      (None, None, max, (n, -1))])
         got, largest = worker.receive()
         assert same_bytes(got, array) and largest == n

@@ -146,7 +146,9 @@ def test_run_phases_trains_as_the_engine_step_does(family, monkeypatch):
     before = training_state(probed)
     assert before == training_state(stepped)
     step_probe.run_phases(probed, 2, lambda n, k: None)
-    stepped.physics.step(stepped.slots, 2)
+    epoch = stepped.physics.start(stepped.slots, 2)
+    epoch.here()
+    epoch.finish()
     after = training_state(probed)
     assert after != before
     assert after == training_state(stepped)

@@ -276,7 +276,9 @@ def sharded_digest(name, width):
     slots = [SimpleNamespace(job=SimpleNamespace(
         data=functools.partial(data, b)), progress=0, curve=[])
         for b in range(width)]
-    physics.step(slots, STEPS)
+    epoch = physics.start(slots, STEPS)
+    epoch.here()
+    epoch.finish()
 
     def ask(part, method, *args):
         """Shard ``part``'s ``method``, here or in its worker."""
