@@ -12,9 +12,9 @@ operator runbook in ``docs/operations.md``):
    stand-in for ``kill -9``: it bypasses the engine's failure isolation
    *and* the fleet's per-item ``except Exception``, and the fleet's crash
    rule declares the device dead with a fused array mid-flight.
-3. At the end of the cycle, the fleet finds the dead device's in-flight
-   registration still in place: the device is **quarantined** for the
-   next scheduling cycle and every lost job is re-queued with its latest
+3. The fleet recovers the dead device where it catches the crash: the
+   device is **quarantined** for the rest of this scheduling cycle and
+   all of the next, and every lost job is re-queued with its latest
    durable checkpoint attached (quarantine-then-**recover**, not
    quarantine-then-drop).  The next cycle re-places the recovered cohort
    on a healthy device via the cost model and resumes from epoch 3.

@@ -652,7 +652,7 @@ class ArrayExecutor:
     stop-signal checks, evictions, admissions and preemptions with
     training instead of running each array to completion in one call.
     The tensors (or their cost-model projection) live in ``self.physics``,
-    whose six methods (see :class:`FusedPhysics`) are the only way the
+    whose seven methods (see :class:`FusedPhysics`) are the only way the
     lifecycle reaches them; the engine picks the physics, the device
     timeline charge and the result clock once, for every array it runs.
 

@@ -18,15 +18,16 @@ runs the scheduling loop::
       -> emit(Event("array", ...))            (metrics.py)
 
 A live array trains on the device it was placed on, at that device's
-width cap, until it drains.  Only crash recovery moves work off a device
-(:meth:`FleetScheduler._rehome`): the dead device's queued work moves to a
-healthy device that can hold it, and its running array's jobs requeue
-from the store.
+width cap, until it drains.  Only crash recovery moves work off a device,
+right where the dead device's work item is caught
+(:meth:`FleetScheduler._recover_crashed`): its queued work moves to a
+healthy device that can hold it and takes ordinary turns there, and its
+running array's jobs requeue from the store.
 
 Concurrency model: there is none inside a cycle.  Devices are *simulated*
 accelerators, and ``run_cycle`` runs their work items one at a time on the
-caller's thread: the next turn goes to the live device with queued work
-and the smallest ``(timeline, name)``, where a device's timeline
+caller's thread: the next turn goes to the device with queued work and the
+smallest ``(timeline, name)``, where a device's timeline
 (``DeviceWorker.sim_time``) is the hwsim cost-model price of every epoch
 it has run, priced on the device the executor names
 (``executor.device_name``, retagged by crash recovery).  That is the
@@ -35,15 +36,14 @@ admission takes queued jobs as it would on parallel hardware
 — and the schedule is a pure function of the submitted jobs, identical
 for ``execution="real"`` and ``execution="sim"``; the backends differ only
 in the physics (numpy training vs. cost-model projection) and in which
-clock stamps results, SLOs and heartbeats.  In real mode the timelines are
+clock stamps results and SLOs.  In real mode the timelines are
 ordering keys, never charged to a wall-clock metric.  Each array's
 training state has one owner at a time (the running item or a work
 deque), which is why fleet execution preserves the runtime's core
 invariant — every checkpoint is serial-equivalent no matter how often its
-array was split or widened.  Callers on other threads may submit,
-cancel and probe liveness while a cycle runs: the queue, the metrics and
-the state behind ``stalled_workers()`` / ``quarantined_devices()`` stay
-locked.
+array was split or widened.  Callers on other threads may submit, cancel
+and call ``quarantined_devices()`` while a cycle runs: the queue, the
+metrics and the quarantine table stay locked.
 
 Failure isolation carries over from the engine: a failing multi-job array
 quarantines its live jobs (``solo``) back into the shared queue, and the
@@ -68,7 +68,7 @@ from .engine import ArrayExecutor, JobResult, TrainingArrayEngine
 from .metrics import Event, RuntimeMetrics
 from .placement import DEFAULT_FLEET, FleetPlacer, PlacementDecision
 from .placement_lp import LPFleetPlacer
-from .queue import JobState
+from .queue import JobState, SubmittedJob
 from .sim import SimulatedCrash, VirtualClock
 
 __all__ = ["DeviceWorker", "FleetScheduler"]
@@ -164,8 +164,8 @@ class FleetScheduler:
             self.clock = VirtualClock()
         #: chaos-injection hook: ``chaos(device_name, executor) -> bool``
         #: is consulted at every epoch boundary; returning True raises
-        #: :class:`SimulatedCrash`, killing the device mid-array — the
-        #: crash sweep and WAL recovery take over
+        #: :class:`SimulatedCrash`, killing the device mid-array — crash
+        #: recovery and the WAL take over
         self.chaos = None
         #: the one engine every device's work runs through, whose queue,
         #: metrics, batcher and WAL fold (`recovery`) the fleet shares
@@ -181,28 +181,16 @@ class FleetScheduler:
         #: (device profile, workload, width) -> one iteration's price
         self._epoch_prices: Dict[Tuple, ArrayCostEstimate] = {}
         self._drive_engine()
-        #: guards what another thread may read while a cycle runs: the
-        #: in-flight and quarantine tables behind stalled_workers() and
-        #: quarantined_devices().  Work deques belong to the run_cycle
-        #: caller alone
+        #: guards the quarantine table, which another thread may read
+        #: (quarantined_devices()) while a cycle runs.  Work deques belong
+        #: to the run_cycle caller alone
         self._state_lock = threading.Lock()
-        #: devices the event loop still offers turns this cycle (healthy
-        #: and not crashed)
-        self._live_workers: Dict[str, DeviceWorker] = {}
-        #: crash detection: worker name -> executor it is currently
-        #: running.  Registered before run_executor, cleared after it
-        #: returns — a device that dies mid-array (a crash bypasses every
-        #: except-Exception handler) leaves its entry behind for the
-        #: end-of-cycle sweep (see _recover_crashed)
-        self._inflight: Dict[str, ArrayExecutor] = {}
-        #: worker name -> last heartbeat (time.monotonic), touched at
-        #: every work-item pickup and epoch boundary; stalled_workers()
-        #: is the operator-facing liveness probe built on it
-        self.heartbeats: Dict[str, float] = {}
-        #: devices quarantined after a crash: placement avoids one and the
-        #: event loop offers it no turn for the one cycle that follows
-        #: (quarantine-then-recover)
+        #: devices quarantined after a crash, for the rest of the crashing
+        #: cycle and all of the next: placement avoids one, and it holds
+        #: no work (quarantine-then-recover)
         self._quarantined: Set[str] = set()
+        #: the devices that crashed this cycle, still quarantined next one
+        self._crashed: Set[str] = set()
         self.workers: Dict[str, DeviceWorker] = {
             device.name: DeviceWorker(device, self.engine)
             for device in self.placer.devices}
@@ -258,6 +246,11 @@ class FleetScheduler:
         for sub, error in failures:
             self.engine._fail_job(sub, error)
 
+        if len(self._quarantined) >= len(self.workers):
+            # every device is quarantined: lift them all — the fleet must
+            # make progress even after a correlated crash
+            with self._state_lock:
+                self._quarantined = set()
         # `now` turns on SLO-slack ordering; without a policy there is no
         # gateway clock to read it from
         decisions = (self.placer.place(cohorts, now=policy.now())
@@ -315,7 +308,7 @@ class FleetScheduler:
         """Drain every device's work queue, one work item at a time.
 
         Devices run *serially but interleaved along their timelines*: each
-        turn, the live device with queued work and the smallest
+        turn, the device with queued work and the smallest
         ``(sim_time, name)`` runs its next item until the array
         drains, which advances the device's timeline by the cost model's
         price of the epochs it ran.  This visits work in
@@ -329,22 +322,13 @@ class FleetScheduler:
         virtual clock in sim mode, the furthest timeline in real mode:
         idle time passes, it is never rewound.
 
-        Quarantined devices get no turn this cycle (their queued plans
-        were re-homed at placement), and a device whose item crashed
-        gets no further one: its in-flight registration stays behind, its
-        in-memory array state is untrusted, and the end-of-cycle sweep
-        recovers the jobs from the durable checkpoint store instead
-        (:meth:`_recover_crashed`).
+        A device whose item crashes is recovered on the spot
+        (:meth:`_run_item`): quarantined, its queued work handed to
+        healthy devices, where it takes turns like any other.  When the
+        queues drain, the quarantine rolls over: the devices that crashed
+        this cycle stay quarantined through the next one.
         """
         results: List[JobResult] = []
-        # if every device is quarantined, lift them all — the fleet must
-        # make progress even after a correlated crash
-        if len(self._quarantined) >= len(self.workers):
-            with self._state_lock:
-                self._quarantined.clear()
-        self._live_workers = {name: worker
-                              for name, worker in self.workers.items()
-                              if name not in self._quarantined}
         floor = (self.clock.now() if self.execution == "sim"
                  else self.virtual_makespan())
         while True:
@@ -353,69 +337,47 @@ class FleetScheduler:
                 break
             worker, item = turn
             worker.sim_time = max(worker.sim_time, floor)
-            if self._run_item(worker, item, results):
-                del self._live_workers[worker.name]
-        return self._finish_cycle(results)
+            self._run_item(worker, item, results)
+        with self._state_lock:
+            self._quarantined, self._crashed = self._crashed, set()
+        return results
 
     def _run_item(self, worker: DeviceWorker, item: WorkItem,
-                  results: List[JobResult]) -> bool:
-        """Run one work item on its device; True if the device died.
+                  results: List[JobResult]) -> None:
+        """Run one work item on its device, and recover the device if it
+        dies there.
 
         ``run_executor`` contains its own failure isolation (quarantine
         requeue); an ``Exception`` it does raise is recorded and the
-        device lives on.  Any other ``BaseException`` is a *dead device* —
-        a chaos-injected :class:`SimulatedCrash`, a hard kill from below
-        every handler: the in-flight registration is deliberately left
-        behind for the crash sweep.  ``KeyboardInterrupt`` and
-        ``SystemExit`` are the caller's own and propagate.  Slots the
-        array retired before it failed were already exported, persisted
-        final and journaled COMPLETED, so their results are returned
-        either way.
+        device lives on.  ``KeyboardInterrupt`` and ``SystemExit`` are the
+        caller's own: the interrupted array's live jobs requeue from the
+        store, and the interrupt propagates with no device declared dead.
+        Any other ``BaseException`` is a *dead device* — a chaos-injected
+        :class:`SimulatedCrash`, a hard kill from below every handler —
+        recovered right here (:meth:`_recover_crashed`).  Slots the array
+        retired before it failed were already exported, persisted final
+        and journaled COMPLETED, so their results are returned either
+        way.
         """
-        self.heartbeats[worker.name] = self._heartbeat_now()
-        if isinstance(item, PlacementDecision):
-            executor = self.engine.make_executor(item.plan)
-        else:
-            executor = item
-            executor.device_name = worker.name
-        with self._state_lock:
-            self._inflight[worker.name] = executor
-        crashed = False
+        executor = (self.engine.make_executor(item.plan)
+                    if isinstance(item, PlacementDecision) else item)
         try:
-            out = self.engine.run_executor(
+            results.extend(self.engine.run_executor(
                 executor,
-                after_epoch=lambda ex: self._after_epoch(worker, ex))
+                after_epoch=lambda ex: self._after_epoch(worker, ex)))
+            return
         except Exception:  # noqa: BLE001 — device must outlive any array
             self.emit(executor.event("array_failed"))
-            out = executor.take_results()
         except (KeyboardInterrupt, SystemExit):
+            self._requeue(self._live_jobs(executor))
             raise
         except BaseException:  # noqa: BLE001 — see the crash rule above
-            crashed = True
-            out = executor.take_results()
-        if not crashed:
-            with self._state_lock:
-                self._inflight.pop(worker.name, None)
-        results.extend(out)
-        return crashed
+            self._recover_crashed(worker, executor)
+        results.extend(executor.take_results())
 
-    def _finish_cycle(self, results: List[JobResult]) -> List[JobResult]:
-        """End-of-cycle sweep: expire quarantines, recover crashed devices
-        (in-flight registrations that were never cleared), flush orphans.
-        """
-        with self._state_lock:
-            self._quarantined.clear()
-            crashed, self._inflight = dict(self._inflight), {}
-        for name, executor in crashed.items():
-            self._recover_crashed(name, executor)
-        # Belt and braces: an executor re-homed off a crashed device just
-        # now must not outlive the cycle — finish it on its new device.
-        for executor in self._flush_orphans():
-            results.extend(self.engine.run_executor(executor))
-        return results
-
-    def _recover_crashed(self, name: str, executor: ArrayExecutor) -> None:
-        """Quarantine a crashed worker's device and recover its jobs.
+    def _recover_crashed(self, worker: DeviceWorker,
+                         executor: ArrayExecutor) -> None:
+        """Quarantine a dead device and recover its work.
 
         The dead device's in-memory training state is mid-epoch and
         untrusted; the durable store is the source of truth.  Every slot
@@ -424,44 +386,40 @@ class FleetScheduler:
         recover), from scratch otherwise (the job loses at most
         ``checkpoint_every`` epochs of work, never its correctness: the
         resumed run stays serial-equivalent).  The device is quarantined
-        for the next scheduling cycle and its queued work moves to
-        healthy workers (:meth:`_rehome`).
+        for the rest of this cycle and all of the next, and its queued
+        work moves to healthy devices (:meth:`_rehome`), which take it
+        over no earlier than the crash.
         """
-        worker = self.workers[name]
         with self._state_lock:
-            self._quarantined.add(name)
+            self._quarantined.add(worker.name)
+            self._crashed.add(worker.name)
+        live = self._live_jobs(executor)
+        self.emit(Event("crash", tuple(sub.job_id for sub in live),
+                        executor.array_id, worker.name))
         stranded = list(worker.plans)
         worker.plans.clear()
         for item in stranded:
             item = self._rehome(item)
             if item is not None:
                 target = self.workers[item.device_name]
-                # a healthy device takes it over no earlier than the crash
                 target.sim_time = max(target.sim_time, worker.sim_time)
                 target.plans.append(item)
-        live = [slot.sub for slot in executor.slots
+        self._requeue(live)
+
+    @staticmethod
+    def _live_jobs(executor: ArrayExecutor) -> List[SubmittedJob]:
+        """The jobs still training in ``executor`` (not yet retired)."""
+        return [slot.sub for slot in executor.slots
                 if slot.sub.state in (JobState.SCHEDULED, JobState.RUNNING)]
-        self.emit(Event("crash", tuple(sub.job_id for sub in live),
-                        executor.array_id, name))
-        # requeue inserts at the front — reversed() preserves slot order,
-        # so the recovered cohort re-fuses in the original slot layout
+
+    def _requeue(self, live: Sequence[SubmittedJob]) -> None:
+        """Put the live jobs of an array that will not go on back at the
+        head of the queue, each resuming from its latest durable
+        checkpoint.  Requeue inserts at the front — reversed() keeps slot
+        order, so the jobs re-fuse in their original slot layout."""
         for sub in reversed(live):
             self.engine._refresh_resume(sub)
             self.queue.requeue(sub)
-
-    def _flush_orphans(self) -> List[ArrayExecutor]:
-        orphans: List[ArrayExecutor] = []
-        for worker in self.workers.values():
-            leftover = [item for item in worker.plans
-                        if isinstance(item, ArrayExecutor)]
-            for item in leftover:
-                worker.plans.remove(item)
-            orphans.extend(leftover)
-        return orphans
-
-    def _heartbeat_now(self) -> float:
-        """The liveness clock: virtual in sim mode, monotonic otherwise."""
-        return self.clock() if self.clock is not None else time.monotonic()
 
     # ------------------------------------------------------------------ #
     # the epoch-boundary hook (between epochs of the running item)
@@ -469,12 +427,10 @@ class FleetScheduler:
     def _after_epoch(self, worker: DeviceWorker,
                      executor: ArrayExecutor) -> None:
         """Epoch-boundary hook: chaos, freed-width admission, preemption."""
-        self.heartbeats[worker.name] = self._heartbeat_now()
         if self.chaos is not None and self.chaos(worker.name, executor):
             # injected device failure: a BaseException passes through the
             # runtime's except-Exception isolation and kills the device
-            # mid-array, leaving its in-flight registration for the crash
-            # sweep (the crash rule of _run_item)
+            # mid-array (the crash rule of _run_item)
             raise SimulatedCrash(f"chaos hook killed device {worker.name}")
         # freed-width admission from the shared queue (emits freed
         # capacity back to the scheduler the moment eviction creates it);
@@ -534,10 +490,11 @@ class FleetScheduler:
     # ------------------------------------------------------------------ #
     def _take(self) -> Optional[Tuple[DeviceWorker, WorkItem]]:
         """The next turn as ``(device, work item)``, or ``None`` when the
-        cycle is drained: the live device with queued work and the
-        smallest ``(timeline, name)`` runs the head of its own queue."""
-        busy = [worker for worker in self._live_workers.values()
-                if worker.plans]
+        cycle is drained: the device with queued work and the smallest
+        ``(timeline, name)`` runs the head of its own queue.  A
+        quarantined device holds no work: recovery empties its queue and
+        placement re-homes what the placer gives it."""
+        busy = [worker for worker in self.workers.values() if worker.plans]
         if not busy:
             return None
         worker = min(busy, key=DeviceWorker.turn_key)
@@ -550,11 +507,10 @@ class FleetScheduler:
         holds it, re-costed for that device and with its width cap lowered
         to the device's, so freed-width admission never grows it past what
         its new device fits.  Returns the item to queue (on its
-        ``device_name``), or ``None`` when a plan fits no healthy device:
-        its jobs then go back to the queue for the next cycle to place.
-        With no healthy device at all, or for a live executor that fits
-        none, the item stays where it is (the lift-all rule of
-        :meth:`_run_workers`, the orphan flush of :meth:`_finish_cycle`).
+        ``device_name``), or ``None`` when no healthy device holds it: its
+        jobs then go back to the queue for the next cycle to place — a
+        plan's as placed, a live executor's from the store (its training
+        state was the dead device's).
         """
         plan = item.plan
         width = (item.live_width if isinstance(item, ArrayExecutor)
@@ -565,11 +521,12 @@ class FleetScheduler:
                    if name not in self._quarantined]
         fits = [(cap, worker) for cap, worker in healthy if cap >= width]
         if not fits:
-            if healthy and isinstance(item, PlacementDecision):
+            if isinstance(item, PlacementDecision):
                 for sub in reversed(plan.jobs):
                     self.queue.requeue(sub)
-                return None
-            return item
+            else:
+                self._requeue(self._live_jobs(item))
+            return None
         cap, target = min(fits, key=lambda pair: len(pair[1].plans))
         estimate = self.placer.estimate(plan, target.device)
         plan.device = target.name
@@ -583,26 +540,8 @@ class FleetScheduler:
         return item
 
     # ------------------------------------------------------------------ #
-    # liveness introspection (the operator-facing monitoring surface)
+    # introspection
     # ------------------------------------------------------------------ #
-    def stalled_workers(self, timeout: float) -> List[str]:
-        """Workers holding an in-flight array whose last heartbeat is
-        older than ``timeout`` seconds.
-
-        Heartbeats are touched at every work-item pickup and epoch
-        boundary, so a healthy worker's age stays on the order of one
-        epoch.  A stalled worker is either wedged (a hung data stream) or
-        dead; either way its jobs' durable checkpoints are intact, and
-        the post-cycle crash sweep (or a process restart through
-        :meth:`RecoveryManager.rebuild_fleet`) recovers them — see
-        ``docs/operations.md`` for the runbook.
-        """
-        now = self._heartbeat_now()
-        with self._state_lock:
-            inflight = dict(self._inflight)
-        return [name for name in inflight
-                if now - self.heartbeats.get(name, now) > timeout]
-
     def virtual_makespan(self) -> float:
         """The fleet-wide virtual finish time: the furthest any device's
         timeline has advanced (a cost-model projection on either backend;

@@ -15,7 +15,7 @@ Three pieces:
 * :class:`VirtualClock` — a monotonic, thread-safe virtual ``now``.  It is
   callable, so it drops straight into every seam that already accepts an
   injectable clock (``ServingGateway(clock=...)``, token buckets, SLO
-  settlement, heartbeats).
+  settlement).
 * :class:`SimPhysics` — the physics object an ``execution="sim"``
   fleet's :class:`~repro.runtime.engine.ArrayExecutor` holds instead of
   :class:`~repro.runtime.engine.FusedPhysics`: loss curves come from a
@@ -114,8 +114,8 @@ class SimulatedCrash(BaseException):
     failures with ``except Exception`` (quarantine-then-recover), and a
     simulated device crash must not be absorbed by that machinery — it
     kills the whole device (the fleet's crash rule: any non-``Exception``
-    escaping a work item) and is recovered by the crash sweep over
-    ``_inflight``.
+    escaping a work item) and is recovered where the fleet catches it
+    (``FleetScheduler._run_item``).
     """
 
 

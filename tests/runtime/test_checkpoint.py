@@ -26,7 +26,7 @@ import pytest
 
 from repro import nn
 from repro.hfta.ops.factory import OpsLibrary
-from repro.hwsim import RTX6000, V100
+from repro.hwsim import A100, RTX6000, V100
 from repro.runtime import (CheckpointStore, CorruptObjectError,
                            FleetScheduler, JobState, RecoveryManager,
                            ServingGateway, TenantSpec, TrainingArrayEngine,
@@ -357,9 +357,8 @@ class TestEngineCheckpointing:
 class TestFleetCrashRecovery:
     def test_murdered_worker_recovers_bit_identical(self, tmp_path):
         """The acceptance scenario: a device worker is killed mid-epoch at
-        epoch 3 of 6; the fleet detects the lost heartbeat's executor
-        after the cycle, quarantines the device, re-queues the jobs from
-        their durable checkpoints, and the restored run produces
+        epoch 3 of 6; the fleet catches the crash, quarantines the
+        device, re-queues the jobs from their durable checkpoints, and the restored run produces
         checkpoints bit-identical to an uninterrupted run."""
         reference = FleetScheduler(devices=(V100,), max_width=4)
         reference.submit_all(make_jobs(4))
@@ -662,6 +661,82 @@ class TestFleetCrashRecovery:
         assert fleet.metrics.workers_crashed == 1
         assert sorted(fleet.run_until_idle()) == ids
 
+    def test_an_interrupted_array_resumes_from_the_store(self, tmp_path):
+        """A ``KeyboardInterrupt`` mid-array leaves ``run_cycle`` with no
+        device declared dead, and the interrupted array's jobs go back to
+        the queue first: the next ``run_until_idle`` delivers each job
+        once, resumed from the store, bit-identical to an uninterrupted
+        run."""
+        reference = FleetScheduler(devices=(V100,), max_width=4)
+        reference.submit_all(make_jobs(4))
+        expected = final_params(reference.run_until_idle())
+
+        store = CheckpointStore(tmp_path)
+        recovery = RecoveryManager(store)
+        fleet = FleetScheduler(devices=(V100,), max_width=4, store=store,
+                               checkpoint_every=1, recovery=recovery)
+        jobs = make_jobs(4)
+        armed, inner = [True], jobs[0].data
+
+        def interrupting(step):
+            if step == CRASH_STEP and armed:
+                armed.pop()
+                raise KeyboardInterrupt
+            return inner(step)
+
+        jobs[0].data = interrupting
+        ids = fleet.submit_all(jobs)
+        with pytest.raises(KeyboardInterrupt):
+            fleet.run_cycle()
+        assert fleet.metrics.workers_crashed == 0
+        assert fleet.quarantined_devices() == []
+        assert fleet.queue.pending_count == 4
+
+        results = fleet.run_until_idle()
+        assert sorted(results) == ids
+        assert fleet.metrics.jobs_completed == 4
+        assert fleet.metrics.jobs_recovered == 4
+        assert all(r.steps_trained == STEPS for r in results.values())
+        assert_bit_identical(expected, final_params(results))
+        assert recovery.unsettled() == {}
+
+    def test_the_device_that_took_the_work_over_dies_too(self, tmp_path):
+        """Two murders in one cycle.  A 16-wide array on the A100
+        preempts a slot for an at-risk job; the A100 dies while the
+        preempted child waits behind it, the V100 takes the child over
+        and dies in its turn, two epochs on.  Both crashes are recovered
+        and every checkpoint is bit-identical to an uncrashed run."""
+        expected = final_params(
+            preempting_gateway(tmp_path / "reference").run_until_idle())
+
+        first, second = [True], [True]
+
+        def murders(index, data):
+            """The at-risk job's first batch kills the A100; after it,
+            the first batch any job fetches at epoch 3 kills the device
+            running it, the V100."""
+            def murdering(step):
+                if index == 16 and step == 0 and first:
+                    first.pop()
+                    raise WorkerMurder("the A100 dies")
+                if step == 2 * EPOCH_STEPS and second and not first:
+                    second.pop()
+                    raise WorkerMurder("the V100 dies")
+                return data(step)
+            return murdering
+
+        gateway = preempting_gateway(tmp_path / "murders", murders)
+        fleet = gateway.fleet
+        results = gateway.run_until_idle()
+
+        assert not first and not second
+        assert fleet.metrics.workers_crashed == 2
+        assert fleet.metrics.jobs_preempted >= 1
+        assert fleet.metrics.jobs_completed == 17
+        assert all(r.steps_trained == STEPS for r in results.values())
+        assert_bit_identical(expected, final_params(results))
+        assert fleet.recovery.unsettled() == {}
+
     def test_rebuild_skips_jobs_without_builders(self, tmp_path):
         store = CheckpointStore(tmp_path)
         recovery = RecoveryManager(store)
@@ -675,6 +750,34 @@ class TestFleetCrashRecovery:
         assert rebuilt.queue.pending_count == 1
         assert any(r["type"] == "unrecovered" and r["name"] == "job1"
                    for r in recovery.entries())
+
+
+def preempting_gateway(root, murders=lambda index, data: data):
+    """A real two-device gateway whose 16 hog jobs fill the A100, the
+    first epoch of which submits an at-risk job that preempts a hog slot.
+    ``murders(index, data)`` wraps job ``index``'s data stream (the
+    at-risk job is index 16)."""
+    store = CheckpointStore(root)
+    gateway = ServingGateway(
+        tenants=[TenantSpec("hog", weight=1.0, priority=0),
+                 TenantSpec("slo", weight=1.0, priority=2)],
+        devices=(V100, A100), max_width=16, store=store,
+        checkpoint_every=1, recovery=RecoveryManager(store))
+    jobs = make_jobs(17)
+    for index, job in enumerate(jobs):
+        job.data = murders(index, job.data)
+    submitted = []
+
+    def submit_at_risk(epochs, curve):
+        if epochs == 1 and not submitted:
+            submitted.append(gateway.submit(jobs[16], tenant="slo",
+                                            deadline_s=0.0))
+        return False
+
+    jobs[0].stop = submit_at_risk
+    for job in jobs[:16]:
+        gateway.submit(job, tenant="hog")
+    return gateway
 
 
 # --------------------------------------------------------------------- #

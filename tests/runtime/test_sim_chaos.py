@@ -3,9 +3,9 @@
 The fleet's ``chaos`` hook raises :class:`~repro.runtime.sim.
 SimulatedCrash` (a ``BaseException``, so it bypasses the array-level
 quarantine handlers) at an epoch boundary, killing the simulated device
-mid-array exactly the way a dead worker thread does in the real backend
-— the crash sweep finds the orphaned executor, quarantines the device,
-and the WAL + checkpoint store drive recovery.
+mid-array exactly the way a hard kill does in the real backend — the
+fleet catches it where the device's work item runs, quarantines the
+device, and the WAL + checkpoint store drive recovery.
 
 What must survive the murder:
 
@@ -22,8 +22,10 @@ What must survive the murder:
 * **work moved off a dead device fits where it lands** — a queued plan
   or a preempted child stranded behind a crashed array, and a plan placed
   on a quarantined device, move only to a healthy device whose width cap
-  holds them, re-costed and capped at that device's width (or, for a
-  plan no healthy device holds, back to the queue).
+  holds them, re-costed and capped at that device's width (or, when no
+  healthy device holds them, back to the queue), and take ordinary turns
+  there: the chaos hook, the gateway's admission order and a second
+  crash reach them like any other work.
 """
 
 import random
@@ -322,12 +324,12 @@ class TestWorkOffADeadDevice:
         assert on_v100 != fleet.placer.estimate(shape, A100).train_seconds
 
     @staticmethod
-    def stranded_child(tmp_path):
-        """A 16-wide hog array on the A100 preempts one slot for an
-        at-risk job at its first epoch boundary; the A100 dies while the
-        preempted child waits behind its parent.  Returns the armed
-        gateway, the hogs' and the at-risk job's tickets, and the kill
-        log (nothing has run yet)."""
+    def stranded_child(tmp_path, at_risk=1):
+        """A 16-wide hog array on the A100 preempts ``at_risk`` slots for
+        as many at-risk jobs at its first epoch boundary; the A100 dies
+        while the preempted child waits behind its parent.  Returns the
+        armed gateway, the hogs' ids, the at-risk jobs' tickets, and the
+        kill log (nothing has run yet)."""
         store = CheckpointStore(tmp_path)
         gateway = ServingGateway(
             tenants=[TenantSpec("hog", weight=1.0, priority=0),
@@ -340,8 +342,9 @@ class TestWorkOffADeadDevice:
         def submit_slo(epochs, curve):
             # the first epoch boundary, while the array is full: preempt
             if epochs == 1 and not slo:
-                slo.append(gateway.submit(
-                    make_sim_job(99, steps=8, tenant="slo"), deadline_s=0.0))
+                slo.extend(gateway.submit(
+                    make_sim_job(99 + k, steps=8, tenant="slo"),
+                    deadline_s=0.0) for k in range(at_risk))
             return False
 
         fired = kill_once(gateway.fleet, "A100", when=lambda f: any(
@@ -430,3 +433,117 @@ class TestWorkOffADeadDevice:
         finished = [result.finished_at for result in results.values()
                     if result.array_id == child]
         assert finished and set(finished) <= v100_times
+
+    def test_a_child_too_wide_for_any_healthy_device_requeues(
+            self, tmp_path):
+        """The hog array preempts 12 slots, and the 12-wide child fits no
+        healthy device (the V100's cap is 9): its jobs go back to the
+        queue from the store.  While the A100 is quarantined no epoch is
+        charged to it and no job boards or trains there; every job
+        settles exactly once."""
+        gateway, hogs, slo, fired = self.stranded_child(tmp_path,
+                                                        at_risk=12)
+        fleet = gateway.fleet
+        charge, charged = fleet.engine.charge_epoch, []
+
+        def logged(executor, width, steps):
+            charged.append((executor.device_name,
+                            tuple(fleet.quarantined_devices())))
+            return charge(executor, width, steps)
+
+        record, boarded = fleet.metrics.record_event, []
+
+        def recorded(event):
+            if event.kind in ("launch", "admit"):
+                boarded.append((event.device,
+                                tuple(fleet.quarantined_devices())))
+            record(event)
+
+        fleet.engine.charge_epoch, fleet.metrics.record_event = \
+            logged, recorded
+        results = gateway.run_until_idle()
+
+        assert fired and fleet.metrics.workers_crashed == 1
+        assert fleet.metrics.jobs_preempted >= 12
+        assert set(results) == set(hogs) | {ticket.job_id for ticket in slo}
+        assert fleet.metrics.jobs_completed == 28
+        assert fleet.recovery.unsettled() == {}
+        assert_arrays_fit_their_devices(fleet)
+        assert ("V100", ("A100",)) in charged
+        assert [entry for entry in charged + boarded
+                if entry[0] in entry[1]] == []
+
+    @staticmethod
+    def kill_the_child_too(fleet):
+        """Arm a second kill on top of ``stranded_child``'s: the device
+        that runs the re-homed child dies at the child's second epoch
+        boundary there.  Returns the second kill's log."""
+        first, second, boundaries = fleet.chaos, [], []
+
+        def chaos(device_name, executor):
+            if first(device_name, executor):
+                return True
+            if device_name != "A100" and not second and any(
+                    slot.preemptions for slot in executor.slots):
+                boundaries.append(device_name)
+                if len(boundaries) == 2:
+                    second.append(device_name)
+                    return True
+            return False
+
+        fleet.chaos = chaos
+        return second
+
+    def test_a_crash_of_the_device_running_the_rehomed_child_recovers(
+            self, tmp_path):
+        """The V100 takes the stranded child over and dies while it runs
+        it.  That crash is recovered like the first, and every job
+        settles exactly once, with the loss curves and step counts of an
+        uncrashed run."""
+        reference, _, _, _ = self.stranded_child(tmp_path / "reference")
+        reference.fleet.chaos = None
+        expected = reference.run_until_idle()
+
+        gateway, hogs, slo, fired = self.stranded_child(tmp_path / "chaos")
+        fleet = gateway.fleet
+        second = self.kill_the_child_too(fleet)
+        results = gateway.run_until_idle()
+
+        assert fired and second == ["V100"]
+        assert fleet.metrics.workers_crashed == 2
+        assert set(results) == set(hogs) | {slo[0].job_id}
+        assert fleet.metrics.jobs_completed == 17
+        assert fleet.recovery.unsettled() == {}
+        assert_arrays_fit_their_devices(fleet)
+        assert curves(results) == curves(expected)
+
+    def test_the_rehomed_child_admits_in_the_gateways_rank_order(
+            self, tmp_path):
+        """The child re-homed to the V100 refills its freed width from the
+        queue the crash filled, in the gateway's ``rank`` order: the
+        at-risk job boards ahead of the hogs queued before it."""
+        gateway, _, slo, fired = self.stranded_child(tmp_path)
+        fleet = gateway.fleet
+        refill, refills = fleet.engine.refill_from_queue, []
+
+        def logged(executor, key=None):
+            ranked = [sub.job_id for sub in sorted(
+                fleet.queue.pending_jobs(), key=gateway.rank)]
+            before = {slot.sub.job_id for slot in executor.slots}
+            admitted = refill(executor, key=key)
+            boarded = [slot.sub.job_id for slot in executor.slots
+                       if slot.sub.job_id not in before]
+            refills.append((executor.device_name, ranked, boarded))
+            return admitted
+
+        fleet.engine.refill_from_queue = logged
+        gateway.run_until_idle()
+
+        assert fired
+        rehomed = [(ranked, boarded)
+                   for device, ranked, boarded in refills
+                   if device == "V100" and boarded]
+        assert rehomed, "the re-homed child admitted nothing"
+        ranked, boarded = rehomed[0]
+        assert slo[0].job_id in boarded
+        assert boarded == ranked[:len(boarded)]

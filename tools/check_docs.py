@@ -1,6 +1,7 @@
-"""Docs gate: links resolve, public classes are documented, examples run.
+"""Docs gate: links resolve, public classes are documented, examples run,
+and the members the docs name exist.
 
-Three checks, all required by CI (the ``docs`` job and ``make
+Four checks, all required by CI (the ``docs`` job and ``make
 docs-check``):
 
 1. **Intra-repo links.**  Every relative markdown link in ``docs/*.md``
@@ -20,6 +21,13 @@ docs-check``):
    ``docs/gateway.md``) — documentation that executes cannot silently
    rot.
 
+4. **Member references.**  Every backticked ``Class.member`` in
+   ``docs/*.md`` and ``README.md`` (outside fenced code blocks), where
+   ``Class`` is exported by ``repro.runtime``, names a class attribute
+   or method, a dataclass field, or an attribute the class's own code
+   assigns (``self.member = ...``) — a doc that names a deleted member
+   fails here instead of sending its reader after it.
+
 Exit status 0 = clean, 1 = any failure.  Run from the repo root::
 
     PYTHONPATH=src python tools/check_docs.py
@@ -27,7 +35,10 @@ Exit status 0 = clean, 1 = any failure.  Run from the repo root::
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import doctest
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -45,6 +56,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 ANCHOR_RE = re.compile(r'<a\s+name=["\']([^"\']+)["\']')
 CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+MEMBER_RE = re.compile(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)")
 
 
 def github_slug(heading: str) -> str:
@@ -109,6 +122,49 @@ def check_docstrings(failures: list) -> int:
     return checked
 
 
+@functools.lru_cache(maxsize=None)
+def assigned_attributes(cls: type) -> frozenset:
+    """The ``self.<name>`` attributes the code of ``cls`` and of its
+    ``repro`` bases assigns."""
+    names = set()
+    for klass in cls.__mro__:
+        if not klass.__module__.startswith("repro"):
+            continue
+        for node in ast.walk(ast.parse(inspect.getsource(klass))):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Store) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == "self":
+                names.add(node.attr)
+    return frozenset(names)
+
+
+def check_member_references(failures: list) -> int:
+    package = importlib.import_module("repro.runtime")
+    classes = {name: getattr(package, name) for name in package.__all__
+               if inspect.isclass(getattr(package, name))}
+    checked = 0
+    for doc in DOC_FILES:
+        prose = CODE_FENCE_RE.sub("", doc.read_text(encoding="utf-8"))
+        for span in CODE_SPAN_RE.findall(prose):
+            for owner, member in MEMBER_RE.findall(span):
+                cls = classes.get(owner)
+                if cls is None:
+                    continue
+                checked += 1
+                if hasattr(cls, member):
+                    continue
+                if dataclasses.is_dataclass(cls) and member in \
+                        {field.name for field in dataclasses.fields(cls)}:
+                    continue
+                if member not in assigned_attributes(cls):
+                    failures.append(
+                        f"{doc.relative_to(REPO_ROOT)}: `{owner}.{member}` "
+                        f"names no attribute, method or field of "
+                        f"repro.runtime.{owner}")
+    return checked
+
+
 def check_doc_examples(failures: list) -> int:
     ran = 0
     for doc in sorted((REPO_ROOT / "docs").glob("*.md")):
@@ -129,6 +185,7 @@ def main() -> int:
     links = check_links(failures)
     docstrings = check_docstrings(failures)
     examples = check_doc_examples(failures)
+    members = check_member_references(failures)
 
     if failures:
         print(f"check_docs: {len(failures)} failure(s):", file=sys.stderr)
@@ -137,7 +194,7 @@ def main() -> int:
         return 1
     print(f"check_docs: ok ({links} intra-repo links, {docstrings} "
           f"modules/classes documented, {examples} executable doc "
-          f"file(s) ran).")
+          f"file(s) ran, {members} member references resolve).")
     return 0
 
 
