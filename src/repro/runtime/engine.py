@@ -28,7 +28,9 @@ process's parts meanwhile, then, in the order the arrays started, finish
 each epoch and do its boundary work — retirement, cadence checkpoints,
 admission — with per-array failure isolation.  A drained array's core
 takes the next plan.  :meth:`TrainingArrayEngine.run_executor` is the
-same loop with one array, kept in this process.
+same loop with one array, kept in this process.  A retired job's result
+is settled in the queue, which alone hands it out
+(:meth:`~repro.runtime.queue.JobQueue.take_settled`).
 
 The monolithic run-to-completion loop of the earlier runtime became the
 :class:`ArrayExecutor` *state machine*: an array is trained epoch by epoch,
@@ -67,8 +69,9 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
-    Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, \
+    Tuple
 
 import numpy as np
 
@@ -702,7 +705,6 @@ class ArrayExecutor:
         self.admissions = 0
         self.merges = 0
         self.jobs_served = 0
-        self._results: List[JobResult] = []
         #: the epoch started and not yet finished (``physics.start``'s),
         #: and its steps
         self._epoch = None
@@ -730,11 +732,6 @@ class ArrayExecutor:
     def compat_key(self) -> Tuple:
         """Arrays with equal keys can be merged mid-training."""
         return (self.admission_profile, self.structural_sig, self.loss_key)
-
-    def take_results(self) -> List[JobResult]:
-        """Results produced since the last call (delivered exactly once)."""
-        out, self._results = self._results, []
-        return out
 
     # ------------------------------------------------------------------ #
     # PENDING -> FUSED
@@ -949,7 +946,6 @@ class ArrayExecutor:
                 "retire", (result.job_id,), self.array_id, self.device_name,
                 data=(reason, result.steps_trained)))
             retired.append(result)
-        self._results.extend(retired)
 
         # only *early* retirements count as evictions — budget completions
         # inside a heterogeneous array free width too, but they are the
@@ -1031,7 +1027,6 @@ class ArrayExecutor:
         self.admissions += other.admissions
         self.merges += other.merges + 1
         self.jobs_served += other.jobs_served
-        self._results.extend(other.take_results())
         self.launch_width = max(self.launch_width, self.live_width)
 
         other.slots = []
@@ -1211,24 +1206,25 @@ class TrainingArrayEngine:
     def run_cycle(self, max_jobs: int = 0) -> List[JobResult]:
         """Drain up to ``max_jobs`` pending jobs through one batching
         cycle.  Its plans' arrays train side by side, one per CPU, in the
-        engine's turn loop (module docstring); the results come in plan
-        order."""
+        engine's turn loop (module docstring).  Returns every result
+        settled since the last call, in settlement order
+        (:meth:`JobQueue.take_settled`)."""
         batch = self.queue.pop_pending(max_jobs)
-        if not batch:
-            return []
-        cohorts, failures = self.batcher.form_cohorts(batch)
-        for sub, error in failures:
-            self._fail_job(sub, error)
-        return self._drive(map(self.make_executor,
-                               self.policy.plan(cohorts)))
+        if batch:
+            cohorts, failures = self.batcher.form_cohorts(batch)
+            for sub, error in failures:
+                self._fail_job(sub, error)
+            self._drive(deque(self.policy.plan(cohorts)))
+        return self.queue.take_settled()
 
     def run_until_idle(self) -> Dict[int, JobResult]:
         """Run cycles until the queue is empty; results keyed by job id."""
         results: Dict[int, JobResult] = {}
-        while self.queue.pending_count:
+        while True:
             for result in self.run_cycle():
                 results[result.job_id] = result
-        return results
+            if not self.queue.pending_count:
+                return results
 
     # ------------------------------------------------------------------ #
     # stepwise execution
@@ -1240,22 +1236,22 @@ class TrainingArrayEngine:
 
     def run_executor(self, executor: ArrayExecutor,
                      after_epoch: Optional[
-                         Callable[[ArrayExecutor], None]] = None
-                     ) -> List[JobResult]:
+                         Callable[[ArrayExecutor], None]] = None) -> None:
         """Drive an executor until it drains, in this process: the turn
-        loop of :meth:`run_cycle` with one array.
+        loop of :meth:`run_cycle` with one array.  Its results are the
+        queue's to hand out (:meth:`JobQueue.take_settled`).
 
         ``after_epoch`` runs at every epoch boundary (the fleet's
         admission and preemption hook).  Without a hook, the engine's own
         freed-width admission runs instead.
         """
-        return self._drive(iter([executor]), after_epoch)
+        self._drive(deque(), after_epoch, executor)
 
-    def _drive(self, executors: Iterator[ArrayExecutor],
-               after_epoch: Optional[Callable[[ArrayExecutor], None]] = None
-               ) -> List[JobResult]:
-        """Train the arrays of ``executors`` until each drains, side by
-        side; their results, in the order the arrays started.
+    def _drive(self, plans: Deque[ArrayPlan],
+               after_epoch: Optional[Callable[[ArrayExecutor], None]] = None,
+               upcoming: Optional[ArrayExecutor] = None) -> None:
+        """Train ``upcoming`` (if given), then the arrays of ``plans``,
+        until each drains, side by side.
 
         The first array takes this process's core.  The next one starts
         as soon as a core is free, if it and every live array train whole
@@ -1278,19 +1274,28 @@ class TrainingArrayEngine:
         stream whose batches don't match its cohort's — cannot take healthy
         cohort-mates down.  Only a width-1 failure is terminal.  Jobs that
         already left the array keep their exported checkpoints.
+
+        Anything else that leaves the loop — an interrupt, a dead device —
+        first requeues (:meth:`requeue`) the live jobs of every live array,
+        to which it narrows the array's ``slots``, and then the jobs of
+        every plan not started: each job is settled or queued again.
         """
-        #: (array, core, its results), in the order the arrays started
-        live: List[Tuple[ArrayExecutor, int, List[JobResult]]] = []
-        delivered: List[List[JobResult]] = []
-        upcoming = next(executors, None)
-        while live or upcoming is not None:
-            while upcoming is not None:
-                core = self._free_core([entry[:2] for entry in live],
-                                       upcoming)
+        #: (array, core), in the order the arrays started
+        live: List[Tuple[ArrayExecutor, int]] = []
+        try:
+            while live or upcoming is not None or plans:
+                if upcoming is None and plans:
+                    # a plan leaves ``plans`` once its executor is built
+                    upcoming = self.make_executor(plans[0])
+                    plans.popleft()
+                core = (None if upcoming is None
+                        else self._free_core(live, upcoming))
                 if core is None:
-                    break
-                results: List[JobResult] = []
-                delivered.append(results)
+                    self._turn(live, after_epoch)
+                    # a drained array is dropped here, with its tensors,
+                    # before the next one is built
+                    live = [entry for entry in live if not entry[0].done]
+                    continue
                 if core:
                     upcoming.physics.host = shards.workers()[core - 1]
                 try:
@@ -1299,18 +1304,28 @@ class TrainingArrayEngine:
                     if upcoming.state == ArrayState.PENDING:
                         upcoming.prepare()
                 except Exception as exc:  # noqa: BLE001 — isolate arrays
-                    results.extend(self._failed(upcoming, exc))
+                    self._failed(upcoming, exc)
                 else:
                     if upcoming.done:
-                        results.extend(self._drained(upcoming))
+                        self._drained(upcoming)
                     else:
-                        live.append((upcoming, core, results))
-                upcoming = next(executors, None)
-            self._turn(live, after_epoch)
-            # a drained array is dropped here, with its tensors, before
-            # the next one is built
-            live = [entry for entry in live if not entry[0].done]
-        return [result for results in delivered for result in results]
+                        live.append((upcoming, core))
+                upcoming = None
+        except BaseException:
+            dead = [executor for executor, _ in live]
+            if upcoming is not None:
+                dead.append(upcoming)
+            for executor in dead:
+                executor.slots = [slot for slot in executor.slots
+                                  if slot.sub.state in (JobState.SCHEDULED,
+                                                        JobState.RUNNING)]
+            stranded = [slot.sub for executor in dead
+                        for slot in executor.slots]
+            stranded += [sub for plan in plans for sub in plan.jobs]
+            # by id: an interrupt between two statements may leave an
+            # array both live and upcoming, or both built and planned
+            self.requeue(list({sub.job_id: sub for sub in stranded}.values()))
+            raise
 
     @staticmethod
     def _free_core(live: Sequence[Tuple[ArrayExecutor, int]],
@@ -1331,28 +1346,26 @@ class TrainingArrayEngine:
                 return None
         return core
 
-    def _turn(self, live: Sequence[Tuple[ArrayExecutor, int,
-                                          List[JobResult]]],
+    def _turn(self, live: Sequence[Tuple[ArrayExecutor, int]],
               after_epoch: Optional[Callable[[ArrayExecutor], None]]
               ) -> None:
-        """One epoch of every ``(array, core, results)`` in ``live``:
-        start each, step this process's parts, then finish each in order
-        with its boundary work — retirement and cadence checkpoints
+        """One epoch of every ``(array, core)`` in ``live``: start each,
+        step this process's parts, then finish each in order with its
+        boundary work — retirement and cadence checkpoints
         (:meth:`ArrayExecutor.step_epoch`), then ``after_epoch`` or
-        freed-width admission.  An array that drains or fails leaves its
-        results in its list."""
+        freed-width admission."""
         running = []
         try:
-            for executor, _, results in live:
+            for executor, _ in live:
                 try:
                     executor.start_epoch()
                 except Exception as exc:  # noqa: BLE001 — isolate arrays
-                    results.extend(self._failed(executor, exc))
+                    self._failed(executor, exc)
                 else:
-                    running.append((executor, results))
-            for executor, _ in running:
+                    running.append(executor)
+            for executor in running:
                 executor.step_here()
-            for executor, results in running:
+            for executor in running:
                 try:
                     executor.step_epoch()
                     if not executor.done:
@@ -1361,34 +1374,31 @@ class TrainingArrayEngine:
                         else:
                             self.refill_from_queue(executor)
                 except Exception as exc:  # noqa: BLE001 — isolate arrays
-                    results.extend(self._failed(executor, exc))
+                    self._failed(executor, exc)
                 else:
                     if executor.done:
-                        results.extend(self._drained(executor))
+                        self._drained(executor)
         except BaseException:
-            for executor, _ in running:
+            for executor in running:
                 executor.abandon_epoch()
             raise
 
-    def _drained(self, executor: ArrayExecutor) -> List[JobResult]:
+    def _drained(self, executor: ArrayExecutor) -> None:
         self.emit(executor.event("array", executor.record()))
-        return executor.take_results()
 
-    def _failed(self, executor: ArrayExecutor, exc: Exception
-                ) -> List[JobResult]:
+    def _failed(self, executor: ArrayExecutor, exc: Exception) -> None:
         """Failure isolation of one array (:meth:`_drive`)."""
         self.emit(executor.event("array_failed"))
         live = [slot.sub for slot in executor.slots]
         executor.slots = []
         executor.state = ArrayState.DRAINED
         if len(live) > 1:
-            for sub in reversed(live):
+            for sub in live:
                 sub.solo = True
-                # quarantine-then-recover: the solo retry resumes from
-                # the job's last durable checkpoint when one exists,
-                # instead of retraining from step 0
-                self._refresh_resume(sub)
-                self.queue.requeue(sub)
+            # quarantine-then-recover: the solo retry resumes from the
+            # job's last durable checkpoint when one exists, instead of
+            # retraining from step 0
+            self.requeue(live)
         else:
             for sub in live:
                 self._fail_job(sub, str(exc))
@@ -1398,7 +1408,14 @@ class TrainingArrayEngine:
             # the efficiency metric — losing the record would leave
             # completed jobs uncounted
             self.emit(executor.event("array", executor.record()))
-        return executor.take_results()
+
+    def requeue(self, subs: Sequence[SubmittedJob]) -> None:
+        """Put the jobs of an array that will not go on back at the head
+        of the queue, in slot order, each resuming from its latest durable
+        checkpoint (:meth:`_refresh_resume`)."""
+        for sub in reversed(subs):
+            self._refresh_resume(sub)
+            self.queue.requeue(sub)
 
     def _fail_job(self, sub: SubmittedJob, error: str) -> None:
         """Terminal failure of one job: queue state and its event."""

@@ -21,8 +21,9 @@ A live array trains on the device it was placed on, at that device's
 width cap, until it drains.  Only crash recovery moves work off a device,
 right where the dead device's work item is caught
 (:meth:`FleetScheduler._recover_crashed`): its queued work moves to a
-healthy device that can hold it and takes ordinary turns there, and its
-running array's jobs requeue from the store.
+healthy device that can hold it and takes ordinary turns there; the
+engine has already requeued its running array's jobs from the store.
+Results are handed out by the queue alone (``JobQueue.take_settled``).
 
 Concurrency model: there is none inside a cycle.  Devices are *simulated*
 accelerators, and ``run_cycle`` runs their work items one at a time on the
@@ -68,7 +69,6 @@ from .engine import ArrayExecutor, JobResult, TrainingArrayEngine
 from .metrics import Event, RuntimeMetrics
 from .placement import DEFAULT_FLEET, FleetPlacer, PlacementDecision
 from .placement_lp import LPFleetPlacer
-from .queue import JobState, SubmittedJob
 from .sim import SimulatedCrash, VirtualClock
 
 __all__ = ["DeviceWorker", "FleetScheduler"]
@@ -235,12 +235,13 @@ class FleetScheduler:
     # scheduling cycles
     # ------------------------------------------------------------------ #
     def run_cycle(self, max_jobs: int = 0) -> List[JobResult]:
-        """Batch, place, and train one round of pending jobs."""
+        """Batch, place, and train one round of pending jobs; returns the
+        results settled since the last call, as the engine's does."""
         policy = self.admission
         batch = self.queue.pop_fair(
             max_jobs, key=policy.rank if policy is not None else None)
         if not batch:
-            return []
+            return self.queue.take_settled()
         self.emit(Event("dequeue", tuple(sub.job_id for sub in batch)))
         cohorts, failures = self.batcher.form_cohorts(batch)
         for sub, error in failures:
@@ -268,20 +269,16 @@ class FleetScheduler:
             self.emit(Event(
                 "place", tuple(sub.job_id for sub in decision.plan.jobs),
                 device=decision.device_name))
-        return self._run_workers()
+        self._run_workers()
+        return self.queue.take_settled()
 
     def run_until_idle(self) -> Dict[int, JobResult]:
-        """Run cycles until the queue is empty; results keyed by job id.
-
-        Also records the fleet's wall-clock serving time, the denominator
-        of :attr:`RuntimeMetrics.aggregate_throughput` and of the
-        per-device utilization counters.
-        """
-        results: Dict[int, JobResult] = {}
+        """The engine's :meth:`~TrainingArrayEngine.run_until_idle` over
+        this fleet's cycles, then the fleet's wall-clock serving time: the
+        denominator of :attr:`RuntimeMetrics.aggregate_throughput` and of
+        the per-device utilization counters."""
         start = time.perf_counter()
-        while self.queue.pending_count:
-            for result in self.run_cycle():
-                results[result.job_id] = result
+        results = TrainingArrayEngine.run_until_idle(self)
         self.emit(Event("wall", data=time.perf_counter() - start))
         return results
 
@@ -304,7 +301,7 @@ class FleetScheduler:
     # ------------------------------------------------------------------ #
     # the event loop
     # ------------------------------------------------------------------ #
-    def _run_workers(self) -> List[JobResult]:
+    def _run_workers(self) -> None:
         """Drain every device's work queue, one work item at a time.
 
         Devices run *serially but interleaved along their timelines*: each
@@ -328,7 +325,6 @@ class FleetScheduler:
         queues drain, the quarantine rolls over: the devices that crashed
         this cycle stay quarantined through the next one.
         """
-        results: List[JobResult] = []
         floor = (self.clock.now() if self.execution == "sim"
                  else self.virtual_makespan())
         while True:
@@ -337,65 +333,56 @@ class FleetScheduler:
                 break
             worker, item = turn
             worker.sim_time = max(worker.sim_time, floor)
-            self._run_item(worker, item, results)
+            self._run_item(worker, item)
         with self._state_lock:
             self._quarantined, self._crashed = self._crashed, set()
-        return results
 
-    def _run_item(self, worker: DeviceWorker, item: WorkItem,
-                  results: List[JobResult]) -> None:
+    def _run_item(self, worker: DeviceWorker, item: WorkItem) -> None:
         """Run one work item on its device, and recover the device if it
         dies there.
 
         ``run_executor`` contains its own failure isolation (quarantine
-        requeue); an ``Exception`` it does raise is recorded and the
+        requeue), and whatever leaves it has requeued the array's live
+        jobs from the store first; an ``Exception`` is recorded and the
         device lives on.  ``KeyboardInterrupt`` and ``SystemExit`` are the
-        caller's own: the interrupted array's live jobs requeue from the
-        store, and the interrupt propagates with no device declared dead.
-        Any other ``BaseException`` is a *dead device* — a chaos-injected
+        caller's own: they propagate with no device declared dead.  Any
+        other ``BaseException`` is a *dead device* — a chaos-injected
         :class:`SimulatedCrash`, a hard kill from below every handler —
         recovered right here (:meth:`_recover_crashed`).  Slots the array
         retired before it failed were already exported, persisted final
-        and journaled COMPLETED, so their results are returned either
-        way.
+        and journaled COMPLETED: their results wait in the queue either
+        way (:meth:`JobQueue.take_settled`).
         """
         executor = (self.engine.make_executor(item.plan)
                     if isinstance(item, PlacementDecision) else item)
         try:
-            results.extend(self.engine.run_executor(
-                executor,
-                after_epoch=lambda ex: self._after_epoch(worker, ex)))
-            return
+            self.engine.run_executor(
+                executor, after_epoch=lambda ex: self._after_epoch(worker, ex))
         except Exception:  # noqa: BLE001 — device must outlive any array
             self.emit(executor.event("array_failed"))
         except (KeyboardInterrupt, SystemExit):
-            self._requeue(self._live_jobs(executor))
             raise
         except BaseException:  # noqa: BLE001 — see the crash rule above
             self._recover_crashed(worker, executor)
-        results.extend(executor.take_results())
 
     def _recover_crashed(self, worker: DeviceWorker,
                          executor: ArrayExecutor) -> None:
         """Quarantine a dead device and recover its work.
 
         The dead device's in-memory training state is mid-epoch and
-        untrusted; the durable store is the source of truth.  Every slot
-        that was still live is re-queued — with its latest checkpoint
-        attached as a resume payload when one exists (quarantine-then-
-        recover), from scratch otherwise (the job loses at most
-        ``checkpoint_every`` epochs of work, never its correctness: the
-        resumed run stays serial-equivalent).  The device is quarantined
-        for the rest of this cycle and all of the next, and its queued
-        work moves to healthy devices (:meth:`_rehome`), which take it
-        over no earlier than the crash.
+        untrusted; the durable store is the source of truth.  The engine
+        already re-queued the array's live jobs, its remaining ``slots``,
+        each with its latest checkpoint as a resume payload when one
+        exists, from scratch otherwise (the job loses at most
+        ``checkpoint_every`` epochs of work, never its correctness).
+        The device is quarantined for the rest of this cycle and all of
+        the next, and its queued work moves to healthy devices
+        (:meth:`_rehome`), which take it over no earlier than the crash.
         """
         with self._state_lock:
             self._quarantined.add(worker.name)
             self._crashed.add(worker.name)
-        live = self._live_jobs(executor)
-        self.emit(Event("crash", tuple(sub.job_id for sub in live),
-                        executor.array_id, worker.name))
+        self.emit(executor.event("crash"))
         stranded = list(worker.plans)
         worker.plans.clear()
         for item in stranded:
@@ -404,22 +391,6 @@ class FleetScheduler:
                 target = self.workers[item.device_name]
                 target.sim_time = max(target.sim_time, worker.sim_time)
                 target.plans.append(item)
-        self._requeue(live)
-
-    @staticmethod
-    def _live_jobs(executor: ArrayExecutor) -> List[SubmittedJob]:
-        """The jobs still training in ``executor`` (not yet retired)."""
-        return [slot.sub for slot in executor.slots
-                if slot.sub.state in (JobState.SCHEDULED, JobState.RUNNING)]
-
-    def _requeue(self, live: Sequence[SubmittedJob]) -> None:
-        """Put the live jobs of an array that will not go on back at the
-        head of the queue, each resuming from its latest durable
-        checkpoint.  Requeue inserts at the front — reversed() keeps slot
-        order, so the jobs re-fuse in their original slot layout."""
-        for sub in reversed(live):
-            self.engine._refresh_resume(sub)
-            self.queue.requeue(sub)
 
     # ------------------------------------------------------------------ #
     # the epoch-boundary hook (between epochs of the running item)
@@ -521,11 +492,9 @@ class FleetScheduler:
                    if name not in self._quarantined]
         fits = [(cap, worker) for cap, worker in healthy if cap >= width]
         if not fits:
-            if isinstance(item, PlacementDecision):
-                for sub in reversed(plan.jobs):
-                    self.queue.requeue(sub)
-            else:
-                self._requeue(self._live_jobs(item))
+            self.engine.requeue(
+                plan.jobs if isinstance(item, PlacementDecision)
+                else [slot.sub for slot in item.slots])
             return None
         cap, target = min(fits, key=lambda pair: len(pair[1].plans))
         estimate = self.placer.estimate(plan, target.device)

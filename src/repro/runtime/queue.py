@@ -321,6 +321,8 @@ class JobQueue:
         self._next_id = 0
         self._jobs: "Dict[int, SubmittedJob]" = {}
         self._pending: List[int] = []
+        #: results settled since the last take_settled(), in that order
+        self._settled: List[Any] = []
 
     # ------------------------------------------------------------------ #
     # producer side
@@ -461,15 +463,25 @@ class JobQueue:
 
     def mark_completed(self, submitted: SubmittedJob, result: Any) -> None:
         """Record the job's terminal success with its JobResult."""
-        submitted.state = JobState.COMPLETED
-        submitted.result = result
+        self._settle(submitted, JobState.COMPLETED, result)
 
-    def mark_cancelled(self, submitted: SubmittedJob,
-                       result: Any = None) -> None:
-        """A cancelled job keeps its partial result (checkpoint as of the
-        eviction epoch) when it was already training."""
-        submitted.state = JobState.CANCELLED
-        submitted.result = result
+    def mark_cancelled(self, submitted: SubmittedJob, result: Any) -> None:
+        """A job cancelled while it trained keeps its partial result
+        (checkpoint as of the eviction epoch)."""
+        self._settle(submitted, JobState.CANCELLED, result)
+
+    def _settle(self, submitted: SubmittedJob, state: str,
+                result: Any) -> None:
+        with self._lock:
+            submitted.state, submitted.result = state, result
+            self._settled.append(result)
+
+    def take_settled(self) -> List[Any]:
+        """Every result settled since the last call, once, in the order
+        the jobs settled: the one place results are handed out."""
+        with self._lock:
+            settled, self._settled = self._settled, []
+            return settled
 
     def mark_failed(self, submitted: SubmittedJob, error: str) -> None:
         """Record the job's terminal failure with its error message."""

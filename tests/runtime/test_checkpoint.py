@@ -27,10 +27,10 @@ import pytest
 from repro import nn
 from repro.hfta.ops.factory import OpsLibrary
 from repro.hwsim import A100, RTX6000, V100
-from repro.runtime import (CheckpointStore, CorruptObjectError,
-                           FleetScheduler, JobState, RecoveryManager,
-                           ServingGateway, TenantSpec, TrainingArrayEngine,
-                           TrainingJob)
+from repro.runtime import (ArrayPolicy, CheckpointStore,
+                           CorruptObjectError, FleetScheduler, JobState,
+                           RecoveryManager, ServingGateway, TenantSpec,
+                           TrainingArrayEngine, TrainingJob)
 from repro.runtime.checkpoint import decode_arrays, encode_arrays
 
 FEATURES, CLASSES, BATCH = 10, 3, 6
@@ -74,6 +74,18 @@ def stream(seed, steps=STEPS, crash_at=None, trigger=None):
             raise WorkerMurder("device worker murdered")
         return batches[step]
     return data
+
+
+def interrupted(data, at_step):
+    """``data`` that raises ``KeyboardInterrupt`` once, at ``at_step``."""
+    armed = [True]
+
+    def interrupting(step):
+        if step == at_step and armed:
+            armed.pop()
+            raise KeyboardInterrupt
+        return data(step)
+    return interrupting
 
 
 def make_jobs(count=4, trigger=None, steps=STEPS, **kwargs):
@@ -284,6 +296,59 @@ class TestEngineCheckpointing:
         assert engine.metrics.arrays_failed == 1
         assert engine.metrics.jobs_recovered == 3
         assert_bit_identical(expected, final_params(results))
+
+    def test_an_interrupted_engine_resumes_its_array_from_the_store(
+            self, tmp_path):
+        """A ``KeyboardInterrupt`` mid-array leaves ``run_cycle`` with the
+        array's jobs back in the queue: the same engine's
+        ``run_until_idle`` delivers each once, resumed from the store,
+        bit-identical to an uninterrupted run."""
+        reference = TrainingArrayEngine()
+        reference.submit_all(make_jobs(4))
+        expected = final_params(reference.run_until_idle())
+
+        engine = TrainingArrayEngine(store=CheckpointStore(tmp_path),
+                                     checkpoint_every=1)
+        jobs = make_jobs(4)
+        jobs[0].data = interrupted(jobs[0].data, CRASH_STEP)
+        ids = engine.submit_all(jobs)
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_cycle()
+        assert engine.queue.pending_count == 4
+        assert engine.metrics.arrays_failed == 0
+
+        results = engine.run_until_idle()
+        assert sorted(results) == ids
+        assert engine.metrics.jobs_completed == 4
+        assert engine.metrics.jobs_recovered == 4
+        assert all(r.steps_trained == STEPS for r in results.values())
+        assert_bit_identical(expected, final_params(results))
+        assert engine.run_until_idle() == {}
+
+    def test_an_interrupt_strands_no_plan_of_the_cycle(self):
+        """Four width-4 plans, interrupted in the first epoch: the live
+        arrays' jobs, the next array's (built, waiting for a core) and
+        those of the plans not started yet all go back to the queue, and
+        the same engine delivers all 16.  On one CPU and on two, the last
+        plan is never started."""
+        reference = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
+        reference.submit_all(make_jobs(16))
+        expected = final_params(reference.run_until_idle())
+
+        engine = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
+        jobs = make_jobs(16)
+        jobs[0].data = interrupted(jobs[0].data, 0)
+        ids = engine.submit_all(jobs)
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_cycle()
+        assert engine.queue.pending_count == 16
+
+        delivered = []
+        while engine.queue.pending_count:
+            delivered.extend(engine.run_cycle())
+        assert sorted(r.job_id for r in delivered) == ids
+        assert_bit_identical(expected, final_params(
+            {r.job_id: r for r in delivered}))
 
     def test_corrupt_checkpoint_restarts_the_job_from_scratch(self,
                                                               tmp_path):
@@ -699,6 +764,39 @@ class TestFleetCrashRecovery:
         assert all(r.steps_trained == STEPS for r in results.values())
         assert_bit_identical(expected, final_params(results))
         assert recovery.unsettled() == {}
+
+    def test_results_settled_before_an_interrupt_are_delivered_once(self):
+        """Job 1 early-stops at epoch 1; job 0 interrupts at epoch 3.  The
+        interrupted cycle hands out nothing, and the next
+        ``run_until_idle`` delivers job 1's result once beside the three
+        rerun jobs; through a gateway, job 1's SLO is settled."""
+        def interrupted_jobs():
+            jobs = make_jobs(4)
+            jobs[0].data = interrupted(jobs[0].data, 2 * EPOCH_STEPS)
+            jobs[1].stop = lambda epochs, curve: epochs >= 1
+            return jobs
+
+        fleet = FleetScheduler(devices=(V100,), max_width=4)
+        ids = fleet.submit_all(interrupted_jobs())
+        with pytest.raises(KeyboardInterrupt):
+            fleet.run_cycle()
+        assert fleet.queue.state(ids[1]) == JobState.COMPLETED
+        assert fleet.queue.pending_count == 3
+        results = fleet.run_until_idle()
+        assert sorted(results) == ids
+        assert results[ids[1]].steps_trained == EPOCH_STEPS
+        assert all(r.steps_trained == STEPS for job_id, r in results.items()
+                   if job_id != ids[1])
+        assert fleet.run_until_idle() == {}
+
+        gateway = ServingGateway(devices=(V100,), max_width=4)
+        for job in interrupted_jobs():
+            gateway.submit(job, deadline_s=3600.0)
+        with pytest.raises(KeyboardInterrupt):
+            gateway.run_cycle()
+        assert sorted(gateway.run_until_idle()) == ids
+        (summary,) = gateway.metrics.tenant_summary().values()
+        assert summary["slo_hits"] + summary["slo_misses"] == 4
 
     def test_the_device_that_took_the_work_over_dies_too(self, tmp_path):
         """Two murders in one cycle.  A 16-wide array on the A100

@@ -135,7 +135,8 @@ def test_lifecycle_reaches_tensors_only_through_the_six_methods():
     executor.merge_with(child)
     assert child.done and executor.physics.ids == [j2, j3, j1]
     # drain (every result since launch is delivered here, exactly once)
-    results = {r.job_id: r for r in engine.run_executor(executor)}
+    engine.run_executor(executor)
+    results = {r.job_id: r for r in engine.queue.take_settled()}
 
     assert seam.log == [
         ("build", (j0, j1, j2), None),
@@ -198,6 +199,7 @@ def test_a_failing_absorb_leaves_the_live_array_untouched():
 
     seam.fail_absorb = False
     engine.run_executor(executor)
+    engine.queue.take_settled()                 # j0's and j1's results
     results = engine.run_until_idle()           # j2 launches its own array
     assert sorted(results) == [j2]
     assert engine.queue.state(j1) == JobState.COMPLETED

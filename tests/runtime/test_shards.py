@@ -519,18 +519,20 @@ def test_an_interrupt_mid_turn_leaves_the_worker_in_step():
     """A ``BaseException`` raised here while the worker steps the other
     array propagates out of the cycle, but only after that array's reply
     is collected: the worker then answers the next request, not the
-    abandoned one, and the next cycle trains the in-process bytes."""
+    abandoned one.  Both arrays' jobs are back in the queue, and the same
+    engine's next cycles deliver each once, in the in-process bytes."""
     def murder(batch):
         raise WorkerMurder("interrupted")
     eng = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
-    eng.submit_all(two_cohorts(traps={0: (murder, EPOCH_STEPS)}))
+    ids = eng.submit_all(two_cohorts(traps={0: (murder, EPOCH_STEPS)}))
     with pytest.raises(WorkerMurder):
         eng.run_cycle()
     [worker] = shards.workers()
     assert worker.alive and worker.call((None, None, max, (1, 2))) == [2]
-    eng = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
-    eng.submit_all(two_cohorts())
-    got = by_name(drain(eng))
+    assert eng.queue.pending_count == len(ids)
+    delivered = drain(eng)
+    assert sorted(r.job_id for r in delivered) == ids
+    got = by_name(delivered)
     with in_process():
         eng = TrainingArrayEngine(policy=ArrayPolicy(max_width=4))
         eng.submit_all(two_cohorts())

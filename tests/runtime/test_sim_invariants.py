@@ -28,14 +28,18 @@ hand-picked ones:
 """
 
 import random
+import sys
+import threading
+from collections import Counter
+from queue import SimpleQueue
 
 import pytest
 
 from repro.cluster import ServingTraceConfig, TenantLoad, \
     generate_serving_trace
 from repro.hwsim import RTX6000, V100, get_workload
-from repro.runtime import JobState, ServingGateway, TenantSpec, \
-    VirtualClock, synthetic_fleet
+from repro.runtime import JobState, RuntimeMetrics, ServingGateway, \
+    TenantSpec, VirtualClock, synthetic_fleet
 
 from .conftest import make_sim_job
 from .test_sim_equivalence import run_backend
@@ -204,6 +208,97 @@ def test_identical_trace_replays_identically(seed):
                      gateway.metrics.scheduler_decisions,
                      gateway.fleet.virtual_makespan()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_submitters_and_a_canceller_race_the_cycle_thread(seed):
+    """Other threads may submit and cancel while a cycle runs: four
+    submitter threads and a canceller run against a sim gateway while
+    another thread calls ``run_cycle``.  Ids stay unique, every job that
+    holds a result is delivered exactly once, every job ends terminal, and
+    the event log replays into the live counters.  Burst and queue bound
+    exceed the load, so nothing is shed."""
+    rng = random.Random(5_300 + seed)
+    submitters, per_thread, lag = 4, 25, 12
+    total = submitters * per_thread
+    doomed = set(rng.sample(range(total), total // 3))
+    jobs = [[make_sim_job(per_thread * t + i, steps=rng.choice((2, 4, 6)),
+                          tenant=f"t{t}") for i in range(per_thread)]
+            for t in range(submitters)]
+    metrics = RuntimeMetrics()
+    metrics.enable_event_log()
+    gateway = ServingGateway(
+        tenants=[TenantSpec(f"t{t}", burst=total)
+                 for t in range(submitters)],
+        max_pending=total, devices=synthetic_fleet(2), max_width=4,
+        execution="sim", metrics=metrics)
+    issued, delivered, errors = SimpleQueue(), [], []
+    tickets = [[] for _ in range(submitters)]
+    stop = threading.Event()
+
+    def guarded(target):
+        def run():
+            try:
+                target()
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+        return threading.Thread(target=run, daemon=True)
+
+    def submit(thread):
+        for job in jobs[thread]:
+            ticket = gateway.submit(job)
+            tickets[thread].append(ticket)
+            issued.put(ticket.job_id)
+
+    def cancel():
+        # ``lag`` submissions behind, so that some doomed jobs train first
+        seen = []
+        for job_id in iter(issued.get, None):
+            seen.append(job_id)
+            if len(seen) > lag and seen[-lag - 1] in doomed:
+                gateway.fleet.cancel(seen[-lag - 1])
+        for job_id in seen[-lag:]:
+            if job_id in doomed:
+                gateway.fleet.cancel(job_id)
+
+    def cycle():
+        while not stop.is_set() or gateway.queue.pending_count:
+            delivered.extend(gateway.run_cycle())
+
+    cycler, canceller = guarded(cycle), guarded(cancel)
+    feeders = [guarded(lambda t=t: submit(t)) for t in range(submitters)]
+    threads = [cycler, canceller] + feeders
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)         # interleave the threads finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in feeders:
+            thread.join(timeout=5)
+        issued.put(None)
+        canceller.join(timeout=5)
+        stop.set()
+        cycler.join(timeout=5)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+    ids = [ticket.job_id for batch in tickets for ticket in batch]
+    assert all(ticket.admitted for batch in tickets for ticket in batch)
+    assert sorted(ids) == list(range(total))
+    jobs_by_id = {sub.job_id: sub for sub in gateway.queue.jobs()}
+    assert sorted(jobs_by_id) == list(range(total))
+    counts = Counter(result.job_id for result in delivered)
+    assert set(counts.values()) <= {1}
+    assert set(counts) == {job_id for job_id, sub in jobs_by_id.items()
+                           if sub.result is not None}
+    assert all(sub.state in TERMINAL and sub.state != JobState.SHED
+               for sub in jobs_by_id.values())
+    replayed = RuntimeMetrics()
+    for event in metrics.events:
+        replayed.record_event(event)
+    assert replayed.as_dict() == metrics.as_dict()
 
 
 class TestVirtualClock:
