@@ -701,10 +701,6 @@ class ArrayExecutor:
         self.seconds = 0.0
         self.max_progress = 0
         self.slot_steps_total = 0
-        self.evictions = 0
-        self.admissions = 0
-        self.merges = 0
-        self.jobs_served = 0
         #: the epoch started and not yet finished (``physics.start``'s),
         #: and its steps
         self._epoch = None
@@ -941,17 +937,11 @@ class ArrayExecutor:
                 self.engine.queue.mark_cancelled(slot.sub, result)
             else:
                 self.engine.queue.mark_completed(slot.sub, result)
-                self.jobs_served += 1
             self.engine.emit(Event(
                 "retire", (result.job_id,), self.array_id, self.device_name,
                 data=(reason, result.steps_trained)))
             retired.append(result)
 
-        # only *early* retirements count as evictions — budget completions
-        # inside a heterogeneous array free width too, but they are the
-        # normal end of a job, not the stop-signal machinery at work
-        self.evictions += sum(1 for r in stop_map.values()
-                              if r != StopReason.BUDGET)
         if keep:
             self.physics = physics
         self.slots = [self.slots[i] for i in keep]
@@ -996,7 +986,6 @@ class ArrayExecutor:
         for offset, slot in enumerate(self.slots[base:]):
             self._apply_resume(base + offset, slot)
         if subs:
-            self.admissions += len(subs)
             self.engine.emit(self.event(
                 "admit", tuple(sub.job_id for sub in subs)))
         return subs
@@ -1023,10 +1012,6 @@ class ArrayExecutor:
         self.seconds += other.seconds
         self.max_progress = max(self.max_progress, other.max_progress)
         self.slot_steps_total += other.slot_steps_total
-        self.evictions += other.evictions
-        self.admissions += other.admissions
-        self.merges += other.merges + 1
-        self.jobs_served += other.jobs_served
         self.launch_width = max(self.launch_width, self.live_width)
 
         other.slots = []
@@ -1094,7 +1079,7 @@ class ArrayExecutor:
                      self.array_id, self.device_name, data=data)
 
     def record(self) -> ArrayRecord:
-        """The drained array's accounting record."""
+        """The closing array's accounting record."""
         return ArrayRecord(
             array_id=self.array_id, num_models=self.launch_width,
             width_cap=self.width_cap,
@@ -1102,13 +1087,10 @@ class ArrayExecutor:
             seconds=self.seconds,
             device=self.device_name,
             sim_seconds=self.plan.projected_seconds,
-            jobs_served=self.jobs_served,
             slot_steps_total=self.slot_steps_total,
             # every executed slot-step trains a live job: a slot whose stop
             # signal fired leaves at that epoch boundary
-            slot_steps_occupied=self.slot_steps_total,
-            evictions=self.evictions, admissions=self.admissions,
-            merges=self.merges)
+            slot_steps_occupied=self.slot_steps_total)
 
 
 class TrainingArrayEngine:
@@ -1276,8 +1258,9 @@ class TrainingArrayEngine:
         already left the array keep their exported checkpoints.
 
         Anything else that leaves the loop — an interrupt, a dead device —
-        first requeues (:meth:`requeue`) the live jobs of every live array,
-        to which it narrows the array's ``slots``, and then the jobs of
+        first closes every live array (its record, if it ran a slot-step:
+        :meth:`_close`), then requeues (:meth:`requeue`) the live jobs of
+        each, to which it narrows the array's ``slots``, and the jobs of
         every plan not started: each job is settled or queued again.
         """
         #: (array, core), in the order the arrays started
@@ -1313,17 +1296,21 @@ class TrainingArrayEngine:
                 upcoming = None
         except BaseException:
             dead = [executor for executor, _ in live]
-            if upcoming is not None:
+            # an interrupt between two statements may leave an array both
+            # live and upcoming: it is closed once
+            if upcoming is not None and upcoming not in dead:
                 dead.append(upcoming)
             for executor in dead:
                 executor.slots = [slot for slot in executor.slots
                                   if slot.sub.state in (JobState.SCHEDULED,
                                                         JobState.RUNNING)]
+                if not executor.done:
+                    self._close(executor)
             stranded = [slot.sub for executor in dead
                         for slot in executor.slots]
             stranded += [sub for plan in plans for sub in plan.jobs]
             # by id: an interrupt between two statements may leave an
-            # array both live and upcoming, or both built and planned
+            # array both built and planned
             self.requeue(list({sub.job_id: sub for sub in stranded}.values()))
             raise
 
@@ -1402,11 +1389,13 @@ class TrainingArrayEngine:
         else:
             for sub in live:
                 self._fail_job(sub, str(exc))
-        if executor.jobs_served > 0 or executor.slot_steps_total > 0:
-            # the array did real work before failing: jobs already
-            # evicted hold valid checkpoints and their slot-steps back
-            # the efficiency metric — losing the record would leave
-            # completed jobs uncounted
+        self._close(executor)
+
+    def _close(self, executor: ArrayExecutor) -> None:
+        """Emit the record of an array that ends undrained, if it ran a
+        slot-step: that work backs the throughput and efficiency
+        metrics however the array ended."""
+        if executor.slot_steps_total > 0:
             self.emit(executor.event("array", executor.record()))
 
     def requeue(self, subs: Sequence[SubmittedJob]) -> None:

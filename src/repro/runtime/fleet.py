@@ -110,9 +110,10 @@ class FleetScheduler:
     devices' projected timelines say they would finish (see the module
     docstring); ``execution`` picks the physics, never the schedule.
 
-    ``admission`` plugs a serving gateway's admission policy into the
-    scheduling loop (duck-typed so :mod:`repro.runtime.gateway` stays an
-    optional layer): ``rank(sub)`` orders dequeue/admission (smallest
+    A :class:`~repro.runtime.gateway.ServingGateway` installs itself as
+    ``admission``, the admission policy of the scheduling loop (``None``
+    without a gateway; duck-typed so :mod:`repro.runtime.gateway` stays
+    an optional layer): ``rank(sub)`` orders dequeue/admission (smallest
     first), ``now()`` reads the gateway clock for deadline-weighted
     placement, ``at_risk(sub)`` flags jobs projected to miss their SLO,
     and ``preemption_victims(executor, need)`` picks up to ``need`` slot
@@ -129,12 +130,10 @@ class FleetScheduler:
                  metrics: Optional[RuntimeMetrics] = None,
                  max_width: int = 8, precision: str = "amp",
                  default_workload: str = "pointnet_cls",
-                 admission=None,
                  store: Optional[CheckpointStore] = None,
                  checkpoint_every: int = 0,
                  recovery: Optional[RecoveryManager] = None,
                  execution: str = "real",
-                 clock: Optional[VirtualClock] = None,
                  placement: str = "greedy"):
         if placement not in ("greedy", "lp"):
             raise ValueError(f"placement must be 'greedy' or 'lp', "
@@ -150,7 +149,8 @@ class FleetScheduler:
                 devices=tuple(devices), max_width=max_width,
                 precision=precision, default_workload=default_workload)
         self._last_solution_seen = None
-        self.admission = admission
+        #: the serving gateway's admission policy, when one fronts the fleet
+        self.admission = None
         if execution not in ("real", "sim"):
             raise ValueError(f"execution must be 'real' or 'sim', "
                              f"got {execution!r}")
@@ -159,9 +159,7 @@ class FleetScheduler:
         #: timeline drags it along as it progresses, and the gateway
         #: adopts it as its SLO clock.  A real fleet's timelines move no
         #: clock: they only order device turns
-        self.clock = clock
-        if execution == "sim" and self.clock is None:
-            self.clock = VirtualClock()
+        self.clock = VirtualClock() if execution == "sim" else None
         #: chaos-injection hook: ``chaos(device_name, executor) -> bool``
         #: is consulted at every epoch boundary; returning True raises
         #: :class:`SimulatedCrash`, killing the device mid-array — crash

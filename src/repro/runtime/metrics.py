@@ -52,11 +52,15 @@ class Event:
 
 @dataclass(frozen=True)
 class ArrayRecord:
-    """Accounting for one launched fused array.
+    """Accounting for one fused array, emitted once when it drains, or
+    when it fails, is interrupted or loses its device having run a
+    slot-step.
 
-    An array may shrink (evictions), grow (freed-width admissions) and
-    absorb whole executors (:meth:`ArrayExecutor.merge_with`) before it
-    drains;
+    An array may shrink, grow and absorb whole executors
+    (:meth:`ArrayExecutor.merge_with`, whose work its record then
+    carries) before it ends; how many jobs it evicted, admitted or merged
+    is counted from those events (``jobs_evicted``, ``jobs_admitted``,
+    ``arrays_merged``), not kept here.
     ``slot_steps_total`` counts every physically executed slot-step and
     ``slot_steps_occupied`` those doing useful work for a live job — equal
     for every array the engine runs, since a slot whose stop signal fired
@@ -71,13 +75,8 @@ class ArrayRecord:
     seconds: float        # wall-clock training time
     device: str = ""      # fleet device that executed the array ("" = n/a)
     sim_seconds: float = 0.0  # placer's cost-model projection for the array
-    jobs_served: int = 0  # distinct jobs completed (evicted + drained,
-                          # not cancelled)
     slot_steps_total: int = 0     # physically executed slot-steps
     slot_steps_occupied: int = 0  # slot-steps spent on live (useful) jobs
-    evictions: int = 0    # slots retired before the array drained
-    admissions: int = 0   # queued jobs admitted into freed width
-    merges: int = 0       # executors absorbed whole (merge_with)
 
     @property
     def occupancy(self) -> float:
@@ -234,6 +233,8 @@ class RuntimeMetrics:
         reason = e.data[0]
         if reason == StopReason.CANCELLED:
             self.jobs_cancelled += 1
+        else:
+            self.jobs_completed += 1
         if reason != StopReason.BUDGET:
             self.jobs_evicted += 1
         self.scheduler_decisions += 1
@@ -250,7 +251,6 @@ class RuntimeMetrics:
 
     def _on_array(self, e: Event) -> None:
         self.records.append(e.data)
-        self.jobs_completed += e.data.jobs_served
 
     def _on_checkpoint(self, e: Event) -> None:
         receipt = e.data
@@ -301,7 +301,8 @@ class RuntimeMetrics:
 
     @property
     def arrays_launched(self) -> int:
-        """Fused arrays that completed and recorded their accounting."""
+        """Fused arrays that drained or ran a slot-step, each recorded
+        once when it ended."""
         return len(self.records)
 
     @property

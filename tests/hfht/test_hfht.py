@@ -88,7 +88,7 @@ class TestRuntimeFusion:
             sorted(len(ids) for ids in placed)
         # every trial trains exactly once
         assert sorted(i for ids in placed for i in ids) == list(range(count))
-        assert sum(r.jobs_served for r in records) == count
+        assert metrics.jobs_completed == count
         assert batch.results == [
             hfht.surrogate_accuracy("pointnet_cls", t.config, t.epochs)
             for t in trials]

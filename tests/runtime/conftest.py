@@ -67,6 +67,15 @@ def make_sim_job(index, steps=4, epoch_steps=2, **kwargs):
         **kwargs)
 
 
+def assert_ledger_matches_records(metrics):
+    """The tenant ledger bills every slot-step an epoch ran, and the array
+    records count each of them once, however the array ended: the two
+    sums agree."""
+    billed = sum(ledger["slot_steps"]
+                 for ledger in metrics.tenant_summary().values())
+    assert billed == metrics.slot_steps_total
+
+
 @pytest.fixture
 def virtual_clock():
     return VirtualClock()

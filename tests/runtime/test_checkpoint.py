@@ -33,6 +33,8 @@ from repro.runtime import (ArrayPolicy, CheckpointStore,
                            TrainingArrayEngine, TrainingJob)
 from repro.runtime.checkpoint import decode_arrays, encode_arrays
 
+from .conftest import assert_ledger_matches_records
+
 FEATURES, CLASSES, BATCH = 10, 3, 6
 STEPS, EPOCH_STEPS = 12, 2          # 6 epochs per full-budget job
 CRASH_STEP = 3 * EPOCH_STEPS        # first data fetch of epoch 4
@@ -76,16 +78,20 @@ def stream(seed, steps=STEPS, crash_at=None, trigger=None):
     return data
 
 
-def interrupted(data, at_step):
-    """``data`` that raises ``KeyboardInterrupt`` once, at ``at_step``."""
+def interrupted(data, at_step, error=KeyboardInterrupt):
+    """``data`` that raises ``error`` once, at ``at_step``."""
     armed = [True]
 
     def interrupting(step):
         if step == at_step and armed:
             armed.pop()
-            raise KeyboardInterrupt
+            raise error
         return data(step)
     return interrupting
+
+
+def stop_after_epoch_1(epochs, curve):
+    return epochs >= 1
 
 
 def make_jobs(count=4, trigger=None, steps=STEPS, **kwargs):
@@ -297,31 +303,45 @@ class TestEngineCheckpointing:
         assert engine.metrics.jobs_recovered == 3
         assert_bit_identical(expected, final_params(results))
 
+    @pytest.mark.parametrize("early_stop", [False, True])
     def test_an_interrupted_engine_resumes_its_array_from_the_store(
-            self, tmp_path):
+            self, tmp_path, early_stop):
         """A ``KeyboardInterrupt`` mid-array leaves ``run_cycle`` with the
         array's jobs back in the queue: the same engine's
         ``run_until_idle`` delivers each once, resumed from the store,
-        bit-identical to an uninterrupted run."""
+        bit-identical to an uninterrupted run.  With job 1 stopped early
+        at epoch 1, the interrupted array still counts its completion and
+        its slot-steps (it closes its record)."""
+        def make():
+            jobs = make_jobs(4)
+            if early_stop:
+                jobs[1].stop = stop_after_epoch_1
+            return jobs
+
         reference = TrainingArrayEngine()
-        reference.submit_all(make_jobs(4))
+        reference.submit_all(make())
         expected = final_params(reference.run_until_idle())
 
         engine = TrainingArrayEngine(store=CheckpointStore(tmp_path),
                                      checkpoint_every=1)
-        jobs = make_jobs(4)
+        jobs = make()
         jobs[0].data = interrupted(jobs[0].data, CRASH_STEP)
         ids = engine.submit_all(jobs)
         with pytest.raises(KeyboardInterrupt):
             engine.run_cycle()
-        assert engine.queue.pending_count == 4
+        rerun = 3 if early_stop else 4
+        assert engine.queue.pending_count == rerun
         assert engine.metrics.arrays_failed == 0
 
         results = engine.run_until_idle()
+        if early_stop:
+            assert results[ids[1]].steps_trained == EPOCH_STEPS
         assert sorted(results) == ids
         assert engine.metrics.jobs_completed == 4
-        assert engine.metrics.jobs_recovered == 4
-        assert all(r.steps_trained == STEPS for r in results.values())
+        assert engine.metrics.jobs_recovered == rerun
+        assert all(r.steps_trained == STEPS for job_id, r in results.items()
+                   if not (early_stop and job_id == ids[1]))
+        assert_ledger_matches_records(engine.metrics)
         assert_bit_identical(expected, final_params(results))
         assert engine.run_until_idle() == {}
 
@@ -765,38 +785,57 @@ class TestFleetCrashRecovery:
         assert_bit_identical(expected, final_params(results))
         assert recovery.unsettled() == {}
 
-    def test_results_settled_before_an_interrupt_are_delivered_once(self):
-        """Job 1 early-stops at epoch 1; job 0 interrupts at epoch 3.  The
-        interrupted cycle hands out nothing, and the next
-        ``run_until_idle`` delivers job 1's result once beside the three
-        rerun jobs; through a gateway, job 1's SLO is settled."""
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, WorkerMurder])
+    def test_results_settled_before_an_interrupt_are_delivered_once(
+            self, error):
+        """Job 1 early-stops at epoch 1; job 0 interrupts, or kills its
+        device, at epoch 3.  An interrupted cycle hands out nothing; a
+        dead device is recovered inside the cycle, which hands out job 1.
+        Either way job 1's result is delivered once beside the three
+        rerun jobs, the dead array's completion and slot-steps are
+        counted, and through a gateway, job 1's SLO is settled."""
         def interrupted_jobs():
             jobs = make_jobs(4)
-            jobs[0].data = interrupted(jobs[0].data, 2 * EPOCH_STEPS)
-            jobs[1].stop = lambda epochs, curve: epochs >= 1
+            jobs[0].data = interrupted(jobs[0].data, 2 * EPOCH_STEPS, error)
+            jobs[1].stop = stop_after_epoch_1
             return jobs
+
+        def first_cycle(runtime):
+            if error is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    runtime.run_cycle()
+                return {}
+            return {r.job_id: r for r in runtime.run_cycle()}
 
         fleet = FleetScheduler(devices=(V100,), max_width=4)
         ids = fleet.submit_all(interrupted_jobs())
-        with pytest.raises(KeyboardInterrupt):
-            fleet.run_cycle()
+        results = first_cycle(fleet)
+        assert sorted(results) == ([] if error is KeyboardInterrupt
+                                   else [ids[1]])
         assert fleet.queue.state(ids[1]) == JobState.COMPLETED
         assert fleet.queue.pending_count == 3
-        results = fleet.run_until_idle()
+        drained = fleet.run_until_idle()
+        assert not set(drained) & set(results)
+        results.update(drained)
         assert sorted(results) == ids
         assert results[ids[1]].steps_trained == EPOCH_STEPS
         assert all(r.steps_trained == STEPS for job_id, r in results.items()
                    if job_id != ids[1])
         assert fleet.run_until_idle() == {}
+        assert fleet.metrics.jobs_completed == 4
+        assert fleet.metrics.slot_steps_total == 50
+        assert_ledger_matches_records(fleet.metrics)
 
         gateway = ServingGateway(devices=(V100,), max_width=4)
         for job in interrupted_jobs():
             gateway.submit(job, deadline_s=3600.0)
-        with pytest.raises(KeyboardInterrupt):
-            gateway.run_cycle()
-        assert sorted(gateway.run_until_idle()) == ids
+        results = first_cycle(gateway)
+        results.update(gateway.run_until_idle())
+        assert sorted(results) == ids
         (summary,) = gateway.metrics.tenant_summary().values()
         assert summary["slo_hits"] + summary["slo_misses"] == 4
+        assert gateway.metrics.jobs_completed == 4
+        assert_ledger_matches_records(gateway.metrics)
 
     def test_the_device_that_took_the_work_over_dies_too(self, tmp_path):
         """Two murders in one cycle.  A 16-wide array on the A100

@@ -1,13 +1,18 @@
 """The runtime's constructor surface is a reviewed list.
 
-Every keyword below is one some workload, example or benchmark passes;
-adding one means editing this file, which is the point.  Removed keywords
-(comparator forks, never-set knobs, the fleet's deleted defragmentation
-and live-array migration, the wiring of the fleet's deleted per-device
-engines) must fail loudly, by name, rather than be swallowed.
+Every keyword below is one some workload, example or benchmark passes —
+a scan of every call outside ``tests/`` checks it, less the few test
+seams named in ``TEST_SEAMS``; adding one means editing this file, which
+is the point.  Removed keywords (comparator forks, never-set knobs, the
+fleet's deleted defragmentation and live-array migration, the wiring of
+the fleet's deleted per-device engines, the gateway's admission hook and
+the sim fleet's clock, which the fleet sets itself) must fail loudly, by
+name, rather than be swallowed.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +23,23 @@ from repro.runtime import ArrayExecutor, Batcher, CheckpointStore, \
     ServingGateway, TrainingArrayEngine
 
 FLEET = ("devices", "placer", "metrics", "max_width", "precision",
-         "default_workload", "admission", "store",
-         "checkpoint_every", "recovery", "execution", "clock", "placement")
+         "default_workload", "store", "checkpoint_every", "recovery",
+         "execution", "placement")
 ENGINE = ("policy", "store", "checkpoint_every", "recovery")
 GATEWAY = ("tenants", "fleet", "max_pending", "clock", "fleet_kwargs")
+
+#: keywords only tests pass, each with why it stays
+TEST_SEAMS = {
+    (FleetScheduler, "placer"): "pins placement to test a device's work",
+    (FleetScheduler, "metrics"): "shares one fold between two runtimes",
+    (ServingGateway, "fleet"): "fronts a fleet a test built and armed",
+    (ServingGateway, "clock"): "a manual clock drives buckets and SLOs",
+}
+
+#: where the runtime's callers live: workloads, examples, benchmarks,
+#: tools and the runtime itself
+CALLER_ROOTS = ("src", "examples", "benchmarks", "bench_e2e", "tools")
+REPO = Path(__file__).resolve().parents[2]
 
 REMOVED = [
     (FleetScheduler, "elastic", False),
@@ -33,6 +51,9 @@ REMOVED = [
     (FleetScheduler, "queue", None),
     (FleetScheduler, "defrag", None),
     (FleetScheduler, "migration_budget", 4),
+    # the gateway installs itself; a sim fleet builds its own clock
+    (FleetScheduler, "admission", None),
+    (FleetScheduler, "clock", None),
     (LPFleetPlacer, "migration_min_gain_s", 0.0),
     (LPWeights, "migration", 0.0),
     (TrainingArrayEngine, "elastic", False),
@@ -86,6 +107,46 @@ def test_removed_keyword_is_a_type_error_naming_it(cls, keyword, value):
 @pytest.mark.parametrize("method, keyword", REMOVED_METHOD_KEYWORDS)
 def test_removed_method_keyword_is_gone(method, keyword):
     assert keyword not in inspect.signature(method).parameters
+
+
+def passed_keywords():
+    """``{class: keywords some call outside tests/ passes it}``.  What a
+    ``ServingGateway(...)`` or ``rebuild_fleet(...)`` call passes beyond
+    the callee's own parameters is forwarded to ``FleetScheduler``."""
+    own = {"ServingGateway": set(GATEWAY),
+           "rebuild_fleet": set(inspect.signature(
+               RecoveryManager.rebuild_fleet).parameters)}
+    passed = {FleetScheduler: set(), TrainingArrayEngine: set(),
+              ServingGateway: set()}
+    named = {cls.__name__: cls for cls in passed}
+    for root in CALLER_ROOTS:
+        for path in sorted((REPO / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                given = {kw.arg for kw in node.keywords if kw.arg}
+                if name in named:
+                    passed[named[name]] |= given
+                if name in own:
+                    passed[FleetScheduler] |= given - own[name]
+    return passed
+
+
+def test_every_reviewed_keyword_is_passed_outside_the_tests():
+    passed = passed_keywords()
+    unused = [(cls.__name__, keyword)
+              for cls, expected in ((FleetScheduler, FLEET),
+                                    (TrainingArrayEngine, ENGINE),
+                                    (ServingGateway, GATEWAY))
+              for keyword in expected
+              if keyword != "fleet_kwargs" and keyword not in passed[cls]
+              and (cls, keyword) not in TEST_SEAMS]
+    assert unused == []
+    # a seam some caller starts passing is no longer a test seam
+    assert [(cls.__name__, keyword) for cls, keyword in TEST_SEAMS
+            if keyword in passed[cls]] == []
 
 
 def test_gateway_forwards_a_removed_keyword_to_the_same_error():

@@ -166,7 +166,9 @@ def test_lifecycle_reaches_tensors_only_through_the_six_methods():
     # accounting is the lifecycle's: what step() returned, summed
     record = executor.record()
     assert (record.seconds, record.samples) == (4 * 0.25, 10 * 2 * 10)
-    assert (record.evictions, record.admissions, record.merges) == (1, 1, 1)
+    metrics = engine.metrics
+    assert (metrics.jobs_evicted, metrics.jobs_admitted,
+            metrics.arrays_merged) == (1, 1, 1)
     # no store attached: nothing asked a physics for durable state
     assert not [entry for entry in seam.log if entry[0] == "durable"]
 

@@ -408,12 +408,15 @@ class TestRuntimeMetrics:
         metrics = RuntimeMetrics()
         for job_id in range(5):
             metrics.record_event(Event("submit", (job_id,)))
+        for job_id in range(5):
+            metrics.record_event(Event("retire", (job_id,),
+                                       data=("budget", 10)))
         metrics.record_event(Event("array", data=ArrayRecord(
             array_id=0, num_models=4, width_cap=4,
-            steps=10, samples=400, seconds=2.0, jobs_served=4)))
+            steps=10, samples=400, seconds=2.0)))
         metrics.record_event(Event("array", data=ArrayRecord(
             array_id=1, num_models=1, width_cap=4,
-            steps=10, samples=100, seconds=1.0, jobs_served=1)))
+            steps=10, samples=100, seconds=1.0)))
         metrics.record_event(Event("fail", (5,)))
 
         assert metrics.jobs_submitted == 5

@@ -40,7 +40,7 @@ from repro.runtime import ArrayExecutor, CheckpointStore, FleetScheduler, \
     JobState, LPFleetPlacer, RecoveryManager, ServingGateway, TenantSpec, \
     TraceReplayer, synthetic_fleet
 
-from .conftest import make_sim_job
+from .conftest import assert_ledger_matches_records, make_sim_job
 from .test_sim_invariants import assert_arrays_fit_their_devices
 
 JOBS = 12
@@ -99,6 +99,7 @@ class TestChaosRecovery:
         assert fleet.metrics.jobs_recovered > 0
         assert len(results) == JOBS
         assert fleet.metrics.jobs_completed == JOBS      # exactly once
+        assert_ledger_matches_records(fleet.metrics)
         for job_id in results:
             assert fleet.queue.state(job_id) == JobState.COMPLETED
         # recovery changed *where* jobs ran, never *what* they computed
@@ -107,6 +108,38 @@ class TestChaosRecovery:
         events = [r for r in recovery.entries() if r["type"] == "array"]
         assert any(r["event"] == "crash" for r in events)
         assert recovery.unsettled() == {}
+
+    def test_a_crash_after_an_early_stop_counts_every_job_and_slot_step(
+            self):
+        """Four jobs on one V100: job 1 stops early after epoch 1 and the
+        device dies at the second epoch boundary.  The dead array closes
+        its record, so job 1 counts once among 4 completions, and the
+        records hold its 4x2 + 3x2 slot-steps beside the rerun's 3x8 —
+        38, as the tenant ledger bills."""
+        fleet = FleetScheduler(devices=(V100,), max_width=4,
+                               execution="sim")
+        boundaries = []
+
+        def chaos(device_name, executor):
+            boundaries.append(device_name)
+            return len(boundaries) == 2
+
+        fleet.chaos = chaos
+        ids = fleet.submit_all([
+            make_sim_job(i, steps=8, epoch_steps=2,
+                         stop=(lambda epochs, curve: epochs >= 1)
+                         if i == 1 else None)
+            for i in range(4)])
+        results = fleet.run_until_idle()
+
+        assert fleet.metrics.workers_crashed == 1
+        assert sorted(results) == ids
+        assert all(fleet.queue.state(job_id) == JobState.COMPLETED
+                   for job_id in ids)
+        assert results[ids[1]].steps_trained == 2
+        assert fleet.metrics.jobs_completed == 4
+        assert fleet.metrics.slot_steps_total == 38
+        assert_ledger_matches_records(fleet.metrics)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_device_random_virtual_time(self, tmp_path, seed):
@@ -123,6 +156,7 @@ class TestChaosRecovery:
         assert fleet.metrics.workers_crashed <= 1
         assert len(results) == JOBS
         assert fleet.metrics.jobs_completed == JOBS
+        assert_ledger_matches_records(fleet.metrics)
         assert curves(results) == curves(expected)
         assert recovery.unsettled() == {}
 
@@ -189,6 +223,7 @@ class TestLPPlacementIsFinal:
         assert len(fired) == (kill_epoch is not None)
         assert len(results) == num_jobs
         assert fleet.metrics.jobs_completed == num_jobs
+        assert_ledger_matches_records(fleet.metrics)
         for job_id in results:
             assert fleet.queue.state(job_id) == JobState.COMPLETED
         assert recovery.unsettled() == {}
@@ -285,6 +320,7 @@ class TestWorkOffADeadDevice:
         assert_arrays_fit_their_devices(fleet)
         assert len(results) == 32
         assert fleet.metrics.jobs_completed == 32
+        assert_ledger_matches_records(fleet.metrics)
 
     def test_plan_stranded_behind_a_crash_runs_recosted_elsewhere(
             self, tmp_path):
@@ -304,6 +340,7 @@ class TestWorkOffADeadDevice:
         assert fired and fleet.metrics.workers_crashed == 1
         assert len(results) == 16
         assert fleet.metrics.jobs_completed == 16
+        assert_ledger_matches_records(fleet.metrics)
         assert recovery.unsettled() == {}
         assert_arrays_fit_their_devices(fleet)
 
@@ -369,6 +406,7 @@ class TestWorkOffADeadDevice:
         assert fleet.metrics.jobs_preempted == 1
         assert set(results) == set(hogs) | {slo[0].job_id}
         assert fleet.metrics.jobs_completed == 17
+        assert_ledger_matches_records(fleet.metrics)
         assert fleet.recovery.unsettled() == {}
         assert_arrays_fit_their_devices(fleet)
         child, = [result.array_id for result in results.values()
@@ -467,6 +505,7 @@ class TestWorkOffADeadDevice:
         assert fleet.metrics.jobs_preempted >= 12
         assert set(results) == set(hogs) | {ticket.job_id for ticket in slo}
         assert fleet.metrics.jobs_completed == 28
+        assert_ledger_matches_records(fleet.metrics)
         assert fleet.recovery.unsettled() == {}
         assert_arrays_fit_their_devices(fleet)
         assert ("V100", ("A100",)) in charged
@@ -513,6 +552,7 @@ class TestWorkOffADeadDevice:
         assert fleet.metrics.workers_crashed == 2
         assert set(results) == set(hogs) | {slo[0].job_id}
         assert fleet.metrics.jobs_completed == 17
+        assert_ledger_matches_records(fleet.metrics)
         assert fleet.recovery.unsettled() == {}
         assert_arrays_fit_their_devices(fleet)
         assert curves(results) == curves(expected)

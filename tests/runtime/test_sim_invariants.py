@@ -41,7 +41,7 @@ from repro.hwsim import RTX6000, V100, get_workload
 from repro.runtime import JobState, RuntimeMetrics, ServingGateway, \
     TenantSpec, VirtualClock, synthetic_fleet
 
-from .conftest import make_sim_job
+from .conftest import assert_ledger_matches_records, make_sim_job
 from .test_sim_equivalence import run_backend
 
 TERMINAL = (JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED,
@@ -188,8 +188,8 @@ def test_randomized_trace_invariants(seed):
     for record in metrics.records:
         assert 0 <= record.slot_steps_occupied <= record.slot_steps_total
         assert record.fused_width_efficiency <= 1.0
-        assert record.evictions >= 0 and record.admissions >= 0
         assert record.sim_seconds >= 0.0
+    assert_ledger_matches_records(metrics)
     assert_arrays_fit_their_devices(gateway.fleet)
     # busy time on the busiest device never exceeds the virtual makespan
     assert metrics.simulated_makespan <= \
