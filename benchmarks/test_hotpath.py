@@ -53,7 +53,7 @@ def build_workload(width, seed=0):
 
 
 def run_steps(model, optimizer, criterion, x, targets, steps):
-    """Mirrors ``FusedPhysics.step``'s per-step sequence."""
+    """Mirrors ``_Shard.step``'s per-step sequence."""
     for _ in range(steps):
         optimizer.zero_grad()
         criterion.per_model(model(x), targets).sum().backward()

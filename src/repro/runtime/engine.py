@@ -167,11 +167,11 @@ class JobResult:
     evicted: bool = False       # left before its array drained
     preemptions: int = 0        # times the job's slot was preempted out of
                                 # a live array before it finished
-    finished_at: float = 0.0    # time.monotonic() at checkpoint export —
-                                # the gateway's SLO clock reads this
-    sim: bool = False           # produced by the simulation backend:
-                                # finished_at is already in virtual-clock
-                                # coordinates (no wall-clock offset applies)
+    finished_at: float = 0.0    # when its checkpoint was exported, on the
+                                # engine's result clock: time.monotonic()
+                                # standalone; in a fleet the admitting
+                                # gateway's clock, or a simulated device's
+                                # timeline — what its deadline is read on
 
 
 @dataclass
@@ -699,7 +699,8 @@ class ArrayExecutor:
         self.epochs = 0
         self.samples = 0
         self.seconds = 0.0
-        self.max_progress = 0
+        #: gang-scheduled steps this array (and what it merged) ran
+        self.steps = 0
         self.slot_steps_total = 0
         #: the epoch started and not yet finished (``physics.start``'s),
         #: and its steps
@@ -763,7 +764,6 @@ class ArrayExecutor:
         self.physics.load_resume(index, resume)
         slot.progress = resume.progress
         slot.curve = list(resume.loss_curve)
-        self.max_progress = max(self.max_progress, slot.progress)
 
     def _provenance(self, index: int) -> Dict:
         """The fused-array context a checkpoint is taken in (manifests)."""
@@ -851,19 +851,17 @@ class ArrayExecutor:
         num_models, steps = self.live_width, self._epoch_steps
         epoch_seconds, samples = epoch.finish()
         if self.engine.charge_epoch is not None:
-            charged = self.engine.charge_epoch(self, num_models, steps)
-            if self.engine.execution == "sim":
-                # a simulated epoch lasts what its device is charged
-                epoch_seconds, samples = charged
+            epoch_seconds, samples = self.engine.charge_epoch(
+                self, num_models, steps, epoch_seconds, samples)
         self.seconds += epoch_seconds
         self.samples += samples
 
         self.epochs += 1
+        self.steps += steps
         self.slot_steps_total += steps * num_models
         usage: Dict[str, Tuple[int, float]] = {}
         for slot in self.slots:
             slot.progress += steps
-            self.max_progress = max(self.max_progress, slot.progress)
             # bill the epoch to the slot's tenant: gang-stepping means
             # every live slot occupies its lane for the whole epoch
             prev = usage.get(slot.job.tenant, (0, 0.0))
@@ -927,8 +925,7 @@ class ArrayExecutor:
                 steps_trained=slot.progress, stop_reason=reason,
                 evicted=bool(keep) or reason != StopReason.BUDGET,
                 preemptions=slot.preemptions,
-                finished_at=self.engine.result_clock(self),
-                sim=self.engine.execution == "sim")
+                finished_at=self.engine.result_clock(self))
             # the exported checkpoint doubles as the final durable state
             # — a restart after this point replays nothing
             self._persist_slot(index, slot, durable=durable,
@@ -1010,7 +1007,7 @@ class ArrayExecutor:
 
         self.samples += other.samples
         self.seconds += other.seconds
-        self.max_progress = max(self.max_progress, other.max_progress)
+        self.steps += other.steps
         self.slot_steps_total += other.slot_steps_total
         self.launch_width = max(self.launch_width, self.live_width)
 
@@ -1083,7 +1080,7 @@ class ArrayExecutor:
         return ArrayRecord(
             array_id=self.array_id, num_models=self.launch_width,
             width_cap=self.width_cap,
-            steps=self.max_progress, samples=self.samples,
+            steps=self.steps, samples=self.samples,
             seconds=self.seconds,
             device=self.device_name,
             sim_seconds=self.plan.projected_seconds,
@@ -1134,10 +1131,10 @@ class TrainingArrayEngine:
         self.pool = BufferPool()
         #: the backend hooks, which a fleet re-points at its devices: the
         #: physics (``make_physics(engine, plan)``), each epoch's device
-        #: charge (``charge_epoch(executor, width, steps) -> (seconds,
-        #: samples)``; none standalone) and ``JobResult.finished_at``'s
-        #: clock (``result_clock(executor)``)
-        self.execution = "real"
+        #: charge (``charge_epoch(executor, width, steps, seconds,
+        #: samples) -> (seconds, samples)``, given the epoch as measured
+        #: and returning what it is recorded as; none standalone) and
+        #: ``JobResult.finished_at``'s clock (``result_clock(executor)``)
         self.make_physics: Callable = FusedPhysics
         self.charge_epoch: Optional[Callable] = None
         self.result_clock: Callable[[ArrayExecutor], float] = \
@@ -1242,13 +1239,14 @@ class TrainingArrayEngine:
         large slots is cut across every core and runs alone, and a physics
         that cannot place its array (the simulator's) runs one array at a
         time.  A width-1 array — one job trained unfused — never takes a
-        worker's core: a fleet trains every array in this process, one at
-        a time, so a serial lap through an engine must too, or a fused
-        fleet measured against it would set one core against two.  On one
-        CPU arrays run one after another.  Each turn starts
-        every live array's epoch, steps this process's parts meanwhile,
-        then finishes each array's epoch in start order with its
-        epoch-boundary work (:meth:`_turn`).
+        worker's core: a fleet never spreads arrays (it runs one at a
+        time, so a small one in this process, and cuts one of large slots
+        exactly as here), so a serial lap through an engine must not
+        either, or a fused fleet measured against it would set one core
+        against two.  On one CPU arrays run one after another.  Each turn
+        starts every live array's epoch, steps this process's parts
+        meanwhile, then finishes each array's epoch in start order with
+        its epoch-boundary work (:meth:`_turn`).
 
         A failing multi-job array does not fail its jobs outright: its
         still-live jobs are requeued in quarantine (``solo``) and retried

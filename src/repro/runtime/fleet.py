@@ -195,20 +195,25 @@ class FleetScheduler:
 
     def _drive_engine(self) -> None:
         """Point the engine's backend hooks at this fleet's devices (see
-        :class:`~repro.runtime.engine.TrainingArrayEngine`)."""
+        :class:`~repro.runtime.engine.TrainingArrayEngine`); a real result
+        is stamped on the clock that admitted it."""
         engine = self.engine
         engine.charge_epoch = self._charge_epoch
         if self.execution == "sim":
-            engine.execution = "sim"
             engine.make_physics = sim.SimPhysics
             engine.result_clock = lambda executor: \
                 self.workers[executor.device_name].sim_time
+        else:
+            engine.result_clock = lambda executor: (
+                self.admission.now() if self.admission is not None
+                else time.monotonic())
 
-    def _charge_epoch(self, executor: ArrayExecutor, width: int,
-                      steps: int) -> Tuple[float, int]:
+    def _charge_epoch(self, executor: ArrayExecutor, width: int, steps: int,
+                      seconds: float, samples: int) -> Tuple[float, int]:
         """Charge one epoch of a width-``width`` array to the timeline of
         the device it runs on, priced with the placer's cost-model
-        settings for that device; returns its ``(seconds, samples)``."""
+        settings for that device; returns the charge in sim mode, the
+        measured ``(seconds, samples)`` in real mode."""
         worker = self.workers[executor.device_name]
         workload = executor.workload or self.placer.default_workload
         key = (profile_key(worker.device), workload, width)
@@ -216,9 +221,8 @@ class FleetScheduler:
         if estimate is None:
             estimate = self._epoch_prices[key] = sim.price_epoch(
                 worker.device, self.placer.precision, workload, width)
-        return sim.charge_epoch(
-            worker, estimate, steps,
-            self.clock if self.execution == "sim" else None)
+        charged = sim.charge_epoch(worker, estimate, steps, self.clock)
+        return charged if self.execution == "sim" else (seconds, samples)
 
     # ------------------------------------------------------------------ #
     # intake and events: the engine's surface, unchanged — the fleet holds

@@ -39,8 +39,11 @@ The gateway is also the fleet's *admission policy* (the duck-typed
   layer are what make preemption *safe*, not just possible).
 
 Determinism: the gateway takes an injectable ``clock`` (default
-``time.monotonic``).  Tests drive a manual clock through token-bucket
-refill and SLO math; production uses the real one.
+``time.monotonic``; a simulated fleet's virtual clock when it fronts one).
+Tests drive a manual clock through token-bucket refill and SLO math;
+production uses the real one.  The fleet stamps every result's
+``finished_at`` on this clock, so a deadline is read on the clock that set
+it.
 """
 
 from __future__ import annotations
@@ -172,11 +175,6 @@ class _Tracked:
     vtime: float                     # fair-queueing virtual finish tag
     deadline: Optional[float]        # absolute, gateway clock
     projected: float                 # cost-model solo training seconds
-    #: time.monotonic() minus the gateway clock at admission: translates
-    #: JobResult.finished_at (always monotonic) into gateway-clock
-    #: coordinates for SLO settlement, so an injected manual clock still
-    #: scores hits/misses correctly (offset ~0 under the default clock)
-    clock_offset: float = 0.0
     slo_recorded: bool = False
     #: re-admitted by replay_unsettled: never counted on the tenant
     #: ledger's ``admitted``, so displacing it must not take one back
@@ -212,12 +210,10 @@ class ServingGateway:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.max_pending = max_pending
-        # a simulated fleet carries the authoritative clock: adopt it
-        # (unless the caller injected their own), so SLO deadlines, token
-        # buckets and placement slack all read virtual time
-        if clock is time.monotonic \
-                and getattr(self.fleet, "execution", "real") == "sim" \
-                and self.fleet.clock is not None:
+        # a fleet that carries its own clock (a simulated one) is the
+        # authority: adopt it (unless the caller injected their own), so
+        # SLO deadlines, token buckets and placement slack all read it
+        if clock is time.monotonic and self.fleet.clock is not None:
             clock = self.fleet.clock
         self.clock = clock
         self.queue = self.fleet.queue
@@ -323,7 +319,7 @@ class ServingGateway:
         job_id = self.queue.submit(job)
         self.fleet.emit(Event("accept", (job_id,), tenant=spec.name,
                               data=job))
-        return self._track(job_id, spec, now)
+        return self._track(job_id, spec)
 
     def _refuse(self, spec: TenantSpec, reason: str,
                 retry_after: float) -> AdmissionTicket:
@@ -331,7 +327,7 @@ class ServingGateway:
         return AdmissionTicket(tenant=spec.name, admitted=False,
                                reason=reason, retry_after=retry_after)
 
-    def _track(self, job_id: int, spec: TenantSpec, now: float,
+    def _track(self, job_id: int, spec: TenantSpec,
                replayed: bool = False) -> AdmissionTicket:
         """Bill an admitted job's weighted-fair virtual time and start
         tracking it (quota, SLO); returns its ticket."""
@@ -342,8 +338,7 @@ class ServingGateway:
         self._tracked[job_id] = _Tracked(
             sub=sub, tenant=spec.name, steps=job.steps,
             vtime=self._vtime[spec.name], deadline=job.deadline_s,
-            projected=self._projected_solo_seconds(job),
-            clock_offset=time.monotonic() - now, replayed=replayed)
+            projected=self._projected_solo_seconds(job), replayed=replayed)
         return AdmissionTicket(tenant=spec.name, admitted=True,
                                job_id=job_id, deadline=job.deadline_s)
 
@@ -539,8 +534,7 @@ class ServingGateway:
                 spec = self.tenant(job.tenant)
                 self.fleet.emit(Event("replay", (job_id,), tenant=spec.name,
                                       data=resumed))
-                tickets.append(self._track(job_id, spec, self.clock(),
-                                           replayed=True))
+                tickets.append(self._track(job_id, spec, replayed=True))
         return tickets
 
     def _prune_tracked(self) -> None:
@@ -566,14 +560,10 @@ class ServingGateway:
         if track is None or track.deadline is None or track.slo_recorded:
             return
         track.slo_recorded = True
-        # finished_at is monotonic; shift it into gateway-clock
-        # coordinates before comparing (a no-op under the default clock).
-        # A simulated result is already in virtual-clock coordinates —
-        # the gateway clock itself — so no translation applies.
-        finished = result.finished_at if result.sim \
-            else result.finished_at - track.clock_offset
+        # the fleet stamps finished_at on this gateway's clock (a
+        # simulated fleet's device timeline is that clock)
         self.fleet.emit(Event("slo", (result.job_id,), tenant=track.tenant,
-                              data=finished <= track.deadline))
+                              data=result.finished_at <= track.deadline))
 
     def report(self) -> Tuple[List[Tuple], Tuple[str, ...]]:
         """Per-tenant admission/SLO/consumption rows (printable table)."""

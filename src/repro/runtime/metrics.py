@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .queue import StopReason
 
@@ -70,7 +70,7 @@ class ArrayRecord:
     array_id: int
     num_models: int       # array width actually launched
     width_cap: int        # policy limit at launch time
-    steps: int            # gang-scheduled step budget
+    steps: int            # gang-scheduled steps the array ran
     samples: int          # total training samples processed (all models)
     seconds: float        # wall-clock training time
     device: str = ""      # fleet device that executed the array ("" = n/a)
@@ -80,8 +80,8 @@ class ArrayRecord:
 
     @property
     def occupancy(self) -> float:
-        """Fraction of the permitted width the array actually filled."""
-        return self.num_models / self.width_cap
+        """Fraction of the permitted width the array's steps filled."""
+        return _occupancy([self])
 
     @property
     def throughput(self) -> float:
@@ -94,6 +94,14 @@ class ArrayRecord:
         if self.slot_steps_total == 0:
             return 1.0
         return self.slot_steps_occupied / self.slot_steps_total
+
+
+def _occupancy(records: Sequence[ArrayRecord]) -> float:
+    """Executed slot-steps over the slot-steps the records' width caps
+    permitted in the steps they ran (0.0 when they ran none)."""
+    permitted = sum(r.steps * r.width_cap for r in records)
+    return (sum(r.slot_steps_total for r in records) / permitted
+            if permitted else 0.0)
 
 
 #: the scheduler decisions among the event kinds, and the ``(kind,
@@ -313,7 +321,7 @@ class RuntimeMetrics:
     @property
     def serial_steps_saved(self) -> int:
         """Steps a serial runtime would have executed minus fused steps."""
-        return sum(r.steps * (r.num_models - 1) for r in self.records)
+        return sum(r.slot_steps_total - r.steps for r in self.records)
 
     @property
     def samples_processed(self) -> int:
@@ -341,11 +349,8 @@ class RuntimeMetrics:
 
     @property
     def occupancy(self) -> float:
-        """Step-weighted mean fraction of the width cap arrays filled."""
-        weight = sum(r.steps for r in self.records)
-        if weight == 0:
-            return 0.0
-        return sum(r.occupancy * r.steps for r in self.records) / weight
+        """Fraction of the width cap the arrays' steps filled."""
+        return _occupancy(self.records)
 
     @property
     def slot_steps_total(self) -> int:
@@ -430,9 +435,6 @@ class RuntimeMetrics:
             recs = [r for r in self.records if r.device == name]
             busy = sum(r.seconds for r in recs)
             samples = sum(r.samples for r in recs)
-            steps = sum(r.steps for r in recs)
-            occupancy = (sum(r.occupancy * r.steps for r in recs) / steps
-                         if steps else 0.0)
             summary[name] = {
                 "arrays": len(recs),
                 "jobs": sum(r.num_models for r in recs),
@@ -440,7 +442,7 @@ class RuntimeMetrics:
                 "busy_seconds": busy,
                 "sim_seconds": sum(r.sim_seconds for r in recs),
                 "throughput": samples / busy if busy > 0 else 0.0,
-                "occupancy": occupancy,
+                "occupancy": _occupancy(recs),
                 "utilization": (busy / self.wall_seconds
                                 if self.wall_seconds > 0 else 0.0),
             }

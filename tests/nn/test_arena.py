@@ -65,7 +65,7 @@ LM = (_lm, _lm_batches, _lm_loss)
 
 
 def train(kind, seed=0, arena=None):
-    """``STEPS`` fused Adam steps, each taken as ``FusedPhysics.step``
+    """``STEPS`` fused Adam steps, each taken as ``_Shard.step``
     takes it (its graph dies with the step); returns the model and the
     arena's misses after every step."""
     build, batches, loss_of = kind

@@ -1,5 +1,6 @@
 """A fused array's activation arena, driven through its shard's step
-(``_Shard.step``, what ``FusedPhysics.step`` runs for each shard).
+(``_Shard.step``, what a ``FusedPhysics.start`` epoch runs for each
+shard).
 
 The arena holds one step's peak set of large buffers only if each step's
 graph dies before the next forward.  Were the loop's ``out``/``losses``

@@ -458,18 +458,36 @@ class TestSLOAccounting:
         summary = gateway.metrics.tenant_summary()
         assert summary["t"]["slo_misses"] == 1
 
-    def test_manual_clock_scores_slo_in_gateway_coordinates(self):
-        """Regression: JobResult.finished_at is time.monotonic(), but a
-        manual gateway clock starts at 0 — settlement must translate
-        between the two or every deadline reads as blown."""
-        clock, _ = manual_clock()
+    @pytest.mark.parametrize("jump, deadline_s, hit", [
+        (0.0, 600.0, True),
+        (100.0, 50.0, False),
+    ])
+    def test_manual_clock_scores_slo_in_gateway_coordinates(
+            self, jump, deadline_s, hit):
+        """Regression: a result is stamped on the gateway's clock, not on
+        time.monotonic().  A manual clock starts at 0 and need not run at
+        wall speed: one that jumps ``jump`` seconds at the job's first
+        epoch boundary finishes the job at ``jump``, and its deadline is
+        scored against that."""
+        clock, advance = manual_clock()
+        boundaries = []
+
+        def jump_once(epochs, curve):
+            if not boundaries:
+                advance(jump)
+            boundaries.append(epochs)
+            return False
+
         gateway = ServingGateway(tenants=[TenantSpec("t")],
                                  devices=(V100,), max_width=4, clock=clock)
-        gateway.submit(make_job(0, "t"), deadline_s=600.0)
-        gateway.run_until_idle()
+        ticket = gateway.submit(make_job(0, "t", stop=jump_once),
+                                deadline_s=deadline_s)
+        results = gateway.run_until_idle()
+        assert boundaries
+        assert results[ticket.job_id].finished_at == jump
         summary = gateway.metrics.tenant_summary()
-        assert summary["t"]["slo_hits"] == 1
-        assert summary["t"]["slo_misses"] == 0
+        assert summary["t"]["slo_hits"] == int(hit)
+        assert summary["t"]["slo_misses"] == int(not hit)
 
     def test_cancelled_deadline_job_scores_neither_hit_nor_miss(self):
         """Regression: a voluntarily withdrawn job is not a completion —

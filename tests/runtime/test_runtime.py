@@ -413,10 +413,10 @@ class TestRuntimeMetrics:
                                        data=("budget", 10)))
         metrics.record_event(Event("array", data=ArrayRecord(
             array_id=0, num_models=4, width_cap=4,
-            steps=10, samples=400, seconds=2.0)))
+            steps=10, samples=400, seconds=2.0, slot_steps_total=40)))
         metrics.record_event(Event("array", data=ArrayRecord(
             array_id=1, num_models=1, width_cap=4,
-            steps=10, samples=100, seconds=1.0)))
+            steps=10, samples=100, seconds=1.0, slot_steps_total=10)))
         metrics.record_event(Event("fail", (5,)))
 
         assert metrics.jobs_submitted == 5

@@ -439,9 +439,9 @@ class TestWorkOffADeadDevice:
 
         charge, charges = fleet.engine.charge_epoch, []
 
-        def logged(executor, width, steps):
+        def logged(executor, width, steps, seconds, samples):
             before = timelines()
-            priced = charge(executor, width, steps)
+            priced = charge(executor, width, steps, seconds, samples)
             after = timelines()
             charges.append((executor.array_id, executor.device_name, width,
                             steps, priced[0],
@@ -484,10 +484,10 @@ class TestWorkOffADeadDevice:
         fleet = gateway.fleet
         charge, charged = fleet.engine.charge_epoch, []
 
-        def logged(executor, width, steps):
+        def logged(executor, width, steps, seconds, samples):
             charged.append((executor.device_name,
                             tuple(fleet.quarantined_devices())))
-            return charge(executor, width, steps)
+            return charge(executor, width, steps, seconds, samples)
 
         record, boarded = fleet.metrics.record_event, []
 

@@ -118,7 +118,7 @@ class TestDecisionEquivalence:
             assert real.slot == sim.slot
             assert real.stop_reason == sim.stop_reason
             assert len(real.loss_curve) == len(sim.loss_curve)
-            assert sim.sim and not real.sim
+            assert sim.checkpoint is None and real.checkpoint is not None
 
     def test_sim_decision_log_is_reproducible(self):
         _, _, first = run_backend("sim")

@@ -151,8 +151,15 @@ def test_two_device_trace_keeps_every_job_where_it_was_placed():
     """The real-vs-sim two-device trace: early stops free width on both
     devices, and no array leaves the device it launched on."""
     fleet, _, _ = run_backend("sim", (V100, RTX6000))
-    assert fleet.metrics.jobs_evicted and fleet.metrics.jobs_admitted
-    assert_jobs_stay_on_their_device(fleet.metrics.events)
+    metrics = fleet.metrics
+    assert metrics.jobs_evicted and metrics.jobs_admitted
+    assert_jobs_stay_on_their_device(metrics.events)
+    # a record counts the gang steps its array ran, not its furthest slot
+    for record in metrics.records:
+        assert record.steps <= record.slot_steps_total \
+            <= record.steps * record.width_cap
+    assert metrics.serial_steps_saved == \
+        metrics.slot_steps_total - metrics.fused_steps
 
 
 @pytest.mark.parametrize("seed", range(8))

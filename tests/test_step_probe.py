@@ -9,7 +9,7 @@ arena (held at backward start, the step's peak, the top allocation sites);
 its scatter table times both forms of the embedding gradient's scatter on
 each batch of ids.  And its phase loop is the engine's step:
 ``run_phases`` leaves an array's parameters and optimizer state as
-``FusedPhysics.step`` does."""
+``_Shard.step`` does."""
 
 import importlib.util
 import os

@@ -23,7 +23,8 @@ docs-check``):
 
 4. **Member references.**  Every backticked ``Class.member`` in
    ``docs/*.md`` and ``README.md`` (outside fenced code blocks), where
-   ``Class`` is exported by ``repro.runtime``, names a class attribute
+   ``Class`` is defined in a ``repro.runtime`` module (exported or
+   private, e.g. ``FusedPhysics`` or ``_Shard``), names a class attribute
    or method, a dataclass field, or an attribute the class's own code
    assigns (``self.member = ...``) — a doc that names a deleted member
    fails here instead of sending its reader after it.
@@ -141,8 +142,12 @@ def assigned_attributes(cls: type) -> frozenset:
 
 def check_member_references(failures: list) -> int:
     package = importlib.import_module("repro.runtime")
-    classes = {name: getattr(package, name) for name in package.__all__
-               if inspect.isclass(getattr(package, name))}
+    classes = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"repro.runtime.{info.name}")
+        classes.update((name, obj) for name, obj in vars(module).items()
+                       if inspect.isclass(obj)
+                       and obj.__module__ == module.__name__)
     checked = 0
     for doc in DOC_FILES:
         prose = CODE_FENCE_RE.sub("", doc.read_text(encoding="utf-8"))

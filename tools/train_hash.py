@@ -16,7 +16,7 @@ does, and prints a SHA-256 digest of:
 Mode ``inline`` trains the model in this process.  Mode ``sharded``
 (width 4 only) cuts the fused array as the engine cuts an array of large
 slots (``repro.runtime.shards.split``) and trains it through the engine's
-own physics: ``FusedPhysics.step`` over ``_Shard`` parts, one epoch of
+own physics: a ``FusedPhysics.start`` epoch over ``_Shard`` parts, of
 ``STEPS`` steps, each slot's batches fetched as the engine fetches a
 job's.  On two CPUs models 0-1 train here and 2-3 in a shard worker, each
 shard at its own width, both at once, and the digest is taken over the
